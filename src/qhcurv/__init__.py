@@ -17,7 +17,6 @@ from .decomposition import (ProjectorBank, build_sp_projectors,
                             qk_einstein_verify)
 from .model_space import ModelSpace, adapted_basis, build_model
 from .tables import run_tables
-from .tensor_ops import DenseTensor
 from .torsion import TorsionBank, build_torsion_bank, torsion_from_nabla_omega
 
 __all__ = [
@@ -27,5 +26,5 @@ __all__ = [
     "ProjectorBank", "build_sp_projectors", "component_norms",
     "dimension_audit", "qk_einstein_verify",
     "TorsionBank", "build_torsion_bank", "torsion_from_nabla_omega",
-    "run_tables", "DenseTensor",
+    "run_tables",
 ]

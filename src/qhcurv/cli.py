@@ -99,6 +99,14 @@ def main(argv=None) -> int:
         print(f"qhcurv: {exc}", file=sys.stderr)
         return 1
 
+    paths = ([args.input] if getattr(args, "input", None)
+             else getattr(args, "from_nabla_omega", None) or [])
+    try:
+        inputs = [tio.read_tensor(path) for path in paths]
+    except (OSError, tio.TensorFileError) as exc:
+        print(f"qhcurv: {exc}", file=sys.stderr)
+        return 2
+
     if args.command == "audit":
         bank = dec.build_sp_projectors(m)
         report = dec.dimension_audit(bank, tol=tol)
@@ -119,7 +127,7 @@ def main(argv=None) -> int:
         return 0 if report.ok else 2
 
     if args.command == "decompose":
-        tens = tio.read_tensor(args.input)
+        tens = inputs[0]
         if tens.n != args.n or tens.rank != 4:
             print("qhcurv: decompose expects a rank-4 tensor with matching n",
                   file=sys.stderr)
@@ -153,24 +161,24 @@ def main(argv=None) -> int:
         tbank = tor.build_torsion_bank(m)
         failures = []
         if args.input:
-            tens = tio.read_tensor(args.input)
+            tens = inputs[0]
             if tens.rank != 3 or tens.n != args.n:
                 print("qhcurv: torsion expects a rank-3 file with matching n",
                       file=sys.stderr)
                 return 1
             t = tens.data
             resid = top.frob(tor.project_to_torsion_space(m, t) - t)
-            if resid > tol * max(top.frob(t), 1e-300):
+            if not resid <= tol * max(top.frob(t), 1e-300):
                 failures.append(f"input outside the torsion space: residual {resid}")
         else:
-            nws = [tio.read_tensor(f) for f in args.from_nabla_omega]
+            nws = inputs
             if any(w.rank != 3 or w.n != args.n for w in nws):
                 print("qhcurv: nabla-omega files must be rank 3 with matching n",
                       file=sys.stderr)
                 return 1
             t, lambdas, resid = tor.torsion_from_nabla_omega(
                 m, *[w.data for w in nws])
-            if resid > max(tol, 1e-10):
+            if not resid <= max(tol, 1e-10):
                 failures.append(f"nabla-omega data not realizable: residual {resid}")
         norms = tbank.component_norms(t)
         mask = tbank.class_mask(t)

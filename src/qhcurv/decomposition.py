@@ -3,10 +3,13 @@
 The space R splits first under the larger quaternionic group into the three
 L-eigenspaces (eigenvalues 6, 2, -6), refined by L_sigma (12/0/-12 within
 L=6, 4/-4 within L=2, 0 on L=-6), and then into fifteen fine components
-under Sp(n)Sp(1).  Components carrying Ricci curvature are built as images
-of explicit constructor maps applied to bilinear forms; the Ricci-kernel
-components are built as null spaces of the stacked operators (L_sigma -
-mu, Ric) or (Ric*_I, Ric*_J, Ric*_K) inside the L-blocks.
+under Sp(n)Sp(1).  The six joint (L, L_sigma) eigenspaces come from two
+``eigh`` passes over the Casimir matrices of
+:func:`.curvature_space.casimir_matrices` (L_sigma = 3 M - L on R), and
+every eigenvalue must sit within ``EIG_TOL`` of its expected value.
+Components carrying Ricci curvature are the images of explicit constructor
+maps applied to bilinear forms; each Ricci-kernel component is the
+orthogonal complement of those images inside its joint eigenspace.
 
 Each component is stored as an orthonormal basis (rows) in the scaled pair
 coordinates of :mod:`.curvature_space`, so projections are plain matrix
@@ -86,8 +89,7 @@ def expected_fine_dims(n: int) -> dict:
     return dims
 
 
-#: L / L_sigma eigenvalues per fine component (L_sigma is None where the
-#: component is not an L_sigma eigenspace by itself -- never happens here).
+#: L / L_sigma eigenvalues per fine component.
 COMPONENT_SPECTRUM = {
     "S4E": (6, 12), "V22": (6, 0), "L20E_a": (6, 0), "R_a": (6, 0),
     "L40E": (6, -12), "L20E_b": (6, -12), "R_b": (6, -12),
@@ -124,22 +126,18 @@ def Phi_map(m: ModelSpace, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _psi_like(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+def psi(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """psi(b x c)(x,y,z,u) = b(x,z)c(y,u) - b(x,u)c(y,z) + (b <-> c)."""
     return (np.einsum("xz,yu->xyzu", b, c) - np.einsum("xu,yz->xyzu", b, c)
             + np.einsum("xz,yu->xyzu", c, b) - np.einsum("xu,yz->xyzu", c, b))
 
 
 def varphi(m: ModelSpace, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """varphi(b x c) = sum_A psi-like((A1-A2)b, (A1-A2)c) on 2-forms."""
+    """varphi(b x c) = sum_A psi((A1-A2)b, (A1-A2)c) on 2-forms."""
     out = 0.0
     for A in m.triple:
-        out = out + _psi_like(_slot_diff(A, b), _slot_diff(A, c))
+        out = out + psi(_slot_diff(A, b), _slot_diff(A, c))
     return out
-
-
-def psi(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """psi(b x c)(x,y,z,u) = b(x,z)c(y,u) - b(x,u)c(y,z) + (b <-> c)."""
-    return _psi_like(b, c)
 
 
 def vartheta(m: ModelSpace, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -152,10 +150,10 @@ def vartheta(m: ModelSpace, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def Psi_map(m: ModelSpace, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Psi(b x c) = sum_A psi-like((A1+A2)b, (A1+A2)c) on symmetric 2-tensors."""
+    """Psi(b x c) = sum_A psi((A1+A2)b, (A1+A2)c) on symmetric 2-tensors."""
     out = 0.0
     for A in m.triple:
-        out = out + _psi_like(_slot_sum(A, b), _slot_sum(A, c))
+        out = out + psi(_slot_sum(A, b), _slot_sum(A, c))
     return out
 
 
@@ -236,29 +234,6 @@ class ProjectorBank:
         return float(np.linalg.norm(B @ self.coords(R)))
 
 
-def _apply_rows(bank_rows: np.ndarray, ps: cs.PairScheme, op) -> np.ndarray:
-    """Apply a tensor operator to every basis row, returning coordinate rows.
-
-    Row-at-a-time keeps each rank-4 tensor inside the cache; batching the
-    whole stack measured slower (memory bound)."""
-    out = np.empty_like(bank_rows)
-    for k, row in enumerate(bank_rows):
-        out[k] = cs.to_pair_coords(ps, op(cs.from_pair_coords(ps, row)))
-    return out
-
-
-def _operator_matrix(rows: np.ndarray, ps: cs.PairScheme, op) -> np.ndarray:
-    """Matrix of ``op`` restricted to span(rows), in that basis (column-action)."""
-    img = _apply_rows(rows, ps, op)
-    return rows @ img.T  # M[s, r] = <row_s, op(row_r)>
-
-
-def _bilinear_matrix(rows: np.ndarray, ps: cs.PairScheme, contraction) -> np.ndarray:
-    """Stack contraction(T_row).ravel() as columns (for kernel computations)."""
-    cols = [contraction(cs.from_pair_coords(ps, row)).ravel() for row in rows]
-    return np.array(cols).T
-
-
 #: Absolute singular-value floor for image/remainder spaces that may be
 #: exactly zero: unit parameters map to images of norm 0 or >= O(1), with
 #: observed roundoff <= 1e-11, so 1e-6 separates the two regimes safely.
@@ -272,60 +247,65 @@ def _sweep_images(m: ModelSpace, ps: cs.PairScheme, param_basis, constructor,
     return cs.orthonormal_rows(np.array(rows), tol, floor=IMAGE_FLOOR)
 
 
-def _orth_complement_within(rows: np.ndarray, earlier: np.ndarray,
-                            tol: float = cs.SV_TOL) -> np.ndarray:
-    """Remove floating-point overlap with earlier component rows."""
-    if earlier.shape[0] == 0 or rows.shape[0] == 0:
-        return rows
-    cleaned = rows - (rows @ earlier.T) @ earlier
-    return cs.orthonormal_rows(cleaned, tol, floor=IMAGE_FLOOR)
+#: Largest distance allowed between a computed L or L_sigma eigenvalue and
+#: the expected one; a build that needs more raises instead of guessing.
+EIG_TOL = 1e-8
+
+#: L-blocks with their L-eigenvalue and the L_sigma eigenvalues inside them.
+L_BLOCKS = {"L6": (6, (12, 0, -12)), "L2": (2, (4, -4)), "Lm6": (-6, (0,))}
 
 
-def build_gl_projectors(m: ModelSpace, ps: cs.PairScheme | None = None,
-                        R_rows: np.ndarray | None = None) -> dict:
-    """Bases of the three L-eigenblocks of R via polynomial filtering."""
+def _eigenspaces(H: np.ndarray, expected, what: str) -> dict:
+    """Orthonormal eigenvector columns of symmetric H, grouped by expected value.
+
+    Every eigenvalue must lie within EIG_TOL of one expected value."""
+    w, V = np.linalg.eigh(H)
+    expected = np.asarray(expected, dtype=float)
+    nearest = np.argmin(np.abs(w[:, None] - expected[None, :]), axis=1)
+    off = np.abs(w - expected[nearest])
+    if not np.all(off <= EIG_TOL):
+        raise ArithmeticError(
+            f"{what}: eigenvalue {w[np.argmax(off)]} is {np.max(off)} away from "
+            f"the expected values {expected.tolist()}")
+    return {float(e): V[:, nearest == k] for k, e in enumerate(expected)}
+
+
+def build_gl_projectors(m: ModelSpace, ps: cs.PairScheme | None = None) -> tuple[dict, dict]:
+    """The three L-eigenblocks of R from ``eigh`` of the Casimir matrix L_R.
+
+    Returns (blocks, sigma): ``blocks`` maps L6, L2, Lm6 to orthonormal rows
+    in pair coordinates and ``all`` to the basis of R; ``sigma`` maps each
+    block to the matrix of L_sigma in that block's rows."""
     ps = ps or cs.pair_scheme(m.dim)
-    if R_rows is None:
-        R_rows = cs.curvature_basis(m, ps)
-
-    L_rows = _apply_rows(R_rows, ps, lambda T: cs.L_map(m, T))
-    LL_rows = _apply_rows(L_rows, ps, lambda T: cs.L_map(m, T))
-
-    # p_lambda(L) with p6 = (L-2)(L+6)/48, p2 = (36-L^2)/32, pm6 = (L-6)(L-2)/96
-    filt6 = (LL_rows + 4.0 * L_rows - 12.0 * R_rows) / 48.0
-    filt2 = (36.0 * R_rows - LL_rows) / 32.0
-    filtm6 = (LL_rows - 8.0 * L_rows + 12.0 * R_rows) / 96.0
-
-    blocks = {
-        "L6": cs.orthonormal_rows(filt6),
-        "L2": cs.orthonormal_rows(filt2),
-        "Lm6": cs.orthonormal_rows(filtm6),
-    }
+    R_rows = cs.curvature_basis(m, ps)
+    L_R, Lsigma_R = cs.casimir_matrices(m, ps, R_rows)
+    spaces = _eigenspaces(L_R, [lam for lam, _ in L_BLOCKS.values()], "L on R")
+    blocks, sigma = {}, {}
+    for name, (lam, _) in L_BLOCKS.items():
+        V = spaces[lam]
+        blocks[name] = V.T @ R_rows
+        sigma[name] = V.T @ Lsigma_R @ V
     blocks["all"] = R_rows
-    return blocks
+    return blocks, sigma
 
 
-def _eigenspace_in_block(m, ps, block_rows, mu, extra_contractions=()):
-    """Rows spanning {v in block : L_sigma v = mu v, contraction_i v = 0}."""
-    Msig = _operator_matrix(block_rows, ps, lambda T: cs.L_sigma_map(m, T))
-    stacked = [Msig - mu * np.eye(block_rows.shape[0])]
-    for contraction in extra_contractions:
-        stacked.append(_bilinear_matrix(block_rows, ps, contraction))
-    coeff = cs.null_space_rows(np.vstack(stacked))
-    return coeff @ block_rows
+def _complement(space: np.ndarray, *images: np.ndarray) -> np.ndarray:
+    """Orthogonal complement of the constructor images inside ``space``."""
+    return cs.null_space_rows(np.vstack(images) @ space.T) @ space
 
 
-def build_sp_projectors(m: ModelSpace, tol: float = cs.SV_TOL) -> ProjectorBank:
+def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     """Construct the full fine bank, the coarse blocks, and the QK split."""
     ps = cs.pair_scheme(m.dim)
-    blocks = build_gl_projectors(m, ps)
-    B6, B2, Bm6 = blocks["L6"], blocks["L2"], blocks["Lm6"]
+    blocks, sigma = build_gl_projectors(m, ps)
+    joint = {}
+    for name, (lam, mus) in L_BLOCKS.items():
+        spaces = _eigenspaces(sigma[name], mus, f"L_sigma on {name}")
+        for mu in mus:
+            joint[lam, mu] = spaces[mu].T @ blocks[name]
     log = []
 
     g = m.g
-    ric = cs.ricci
-    rics = [lambda T, A=A: cs.ricci_star(T, A) for A in m.triple]
-
     l20e_basis = [b.reshape(m.dim, m.dim)
                   for b in cs.bilinear_component_basis(m, "L20E")]
     s2es2h_basis = [b.reshape(m.dim, m.dim)
@@ -339,8 +319,11 @@ def build_sp_projectors(m: ModelSpace, tol: float = cs.SV_TOL) -> ProjectorBank:
         fine[name] = ComponentBasis(name=name, rows=rows)
         log.append(f"{name}: rank {rows.shape[0]}")
 
+    def images(*names):
+        return [fine[nm].rows for nm in names]
+
     # --- L = 6 block ------------------------------------------------------
-    add("S4E", _eigenspace_in_block(m, ps, B6, 12.0))
+    add("S4E", joint[6, 12])
     add("R_a", cs.orthonormal_rows(
         cs.to_pair_coords(ps, m.pi2 + 6.0 * m.pi1)[None, :]))
     add("L20E_a", _sweep_images(
@@ -351,40 +334,29 @@ def build_sp_projectors(m: ModelSpace, tol: float = cs.SV_TOL) -> ProjectorBank:
     add("L20E_b", _sweep_images(
         m, ps, l20e_basis,
         lambda b: vartheta(m, b, g) - 12.0 * psi(b, g)))
-    v22 = _eigenspace_in_block(m, ps, B6, 0.0, (ric,))
-    v22 = _orth_complement_within(
-        v22, np.vstack([fine["R_a"].rows, fine["L20E_a"].rows]))
-    add("V22", v22)
-    l40e = _eigenspace_in_block(m, ps, B6, -12.0, (ric,))
-    l40e = _orth_complement_within(
-        l40e, np.vstack([fine["R_b"].rows, fine["L20E_b"].rows])
-        if fine["L20E_b"].rank else fine["R_b"].rows)
-    add("L40E", l40e)
+    add("V22", _complement(joint[6, 0], *images("R_a", "L20E_a")))
+    add("L40E", _complement(joint[6, -12], *images("R_b", "L20E_b")))
 
     # --- L = 2 block ------------------------------------------------------
     add("S2ES2H_a", _sweep_images(
         m, ps, s2es2h_basis,
         lambda b: vartheta(m, b, g) + 4.0 * psi(b, g)))
-    v31 = _eigenspace_in_block(m, ps, B2, 4.0, (ric,))
-    add("V31S2H", _orth_complement_within(v31, fine["S2ES2H_a"].rows))
+    add("V31S2H", _complement(joint[2, 4], *images("S2ES2H_a")))
     add("S2ES2H_b", _sweep_images(
         m, ps, s2es2h_basis,
         lambda b: vartheta(m, b, g) - 12.0 * psi(b, g)))
     add("L20ES2H", _sweep_images(
         m, ps, l20es2h_forms, lambda b: l20es2h_embed(m, b)))
-    v211 = _eigenspace_in_block(m, ps, B2, -4.0, (ric,))
-    v211 = _orth_complement_within(
-        v211, np.vstack([fine["S2ES2H_b"].rows, fine["L20ES2H"].rows]))
-    add("V211S2H", v211)
+    add("V211S2H", _complement(joint[2, -4], *images("S2ES2H_b", "L20ES2H")))
 
     # --- L = -6 block -----------------------------------------------------
-    add("V22S4H", _eigenspace_in_block(m, ps, Bm6, 0.0, tuple(rics)))
     add("L20ES4H", _sweep_images(
         m, ps, _constrained_triples(m, l20es2h_forms),
         lambda bt: triple_embed(m, bt)))
     add("S4H", _sweep_images(
         m, ps, _constrained_triples(m, [w.copy() for w in m.omegas]),
         lambda bt: triple_embed(m, bt)))
+    add("V22S4H", _complement(joint[-6, 0], *images("L20ES4H", "S4H")))
 
     # --- QK split ---------------------------------------------------------
     ray_qk = cs.orthonormal_rows(

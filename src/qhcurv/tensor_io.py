@@ -8,7 +8,7 @@ Tensor file layout (little endian):
     reserved u16
     n       u32      quaternionic dimension
     dims    u32 * rank   (each must equal 4 n)
-    payload f64 * prod(dims), row major
+    payload f64 * prod(dims), row major, every entry finite
 
 Reports are plain JSON objects {version, n, command, tolerances, results,
 failures}; floats go through Python's shortest round-trip repr, so a report
@@ -65,10 +65,14 @@ def read_tensor(path) -> TensorFile:
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise TensorFileError(f"bad magic {raw[:4]!r}")
+    if len(raw) < 12:
+        raise TensorFileError("truncated header")
     rank, flags, _reserved, n = struct.unpack_from("<BBHI", raw, 4)
     if rank > 4:
         raise TensorFileError(f"rank {rank} unsupported")
     offset = 12
+    if len(raw) < offset + 4 * rank:
+        raise TensorFileError("truncated header")
     dims = struct.unpack_from(f"<{rank}I", raw, offset)
     offset += 4 * rank
     dim = 4 * n
@@ -80,6 +84,8 @@ def read_tensor(path) -> TensorFile:
     if len(raw) - offset < 8 * count:
         raise TensorFileError("truncated payload")
     payload = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
+    if not np.all(np.isfinite(payload)):
+        raise TensorFileError("payload holds NaN or infinite entries")
     data = payload.reshape(dims).astype(float)
     return TensorFile(n=int(n), data=data,
                       certified_claim=bool(flags & FLAG_CERTIFIED))

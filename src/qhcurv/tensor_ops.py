@@ -22,61 +22,7 @@ Conventions (fixed once and relied on everywhere):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-
 import numpy as np
-
-#: Default relative tolerance for symmetry validation.
-FORM_TOL = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Optional typed wrapper (used by file I/O and the CLI; core math works on
-# plain ndarrays).
-
-SYMMETRY_TAGS = ("none", "form", "curvature-pair", "symmetric2")
-
-
-@dataclass
-class DenseTensor:
-    """A dense real tensor of rank 0..4 with a declared symmetry tag."""
-
-    data: np.ndarray
-    tag: str = "none"
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.rank > 4:
-            raise ValueError(f"rank {self.rank} unsupported (max 4)")
-        if self.tag not in SYMMETRY_TAGS:
-            raise ValueError(f"unknown symmetry tag {self.tag!r}")
-        dims = set(self.data.shape)
-        if len(dims) > 1:
-            raise ValueError(f"all axes must have equal length, got {self.data.shape}")
-
-    @property
-    def rank(self) -> int:
-        return self.data.ndim
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0] if self.rank else 0
-
-    def validate(self, tol: float = FORM_TOL) -> None:
-        """Verify the declared symmetry to relative tolerance ``tol``."""
-        scale = max(np.max(np.abs(self.data)), 1e-300)
-        if self.tag == "form":
-            err = np.max(np.abs(self.data - alt(self.data)))
-        elif self.tag == "symmetric2":
-            err = np.max(np.abs(self.data - self.data.T))
-        elif self.tag == "curvature-pair":
-            err = max(np.max(np.abs(self.data + self.data.swapaxes(0, 1))),
-                      np.max(np.abs(self.data + self.data.swapaxes(2, 3))),
-                      np.max(np.abs(self.data - self.data.transpose(2, 3, 0, 1))))
-        else:
-            return
-        if err > tol * scale:
-            raise ValueError(f"tensor violates symmetry {self.tag!r}: residual {err}")
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +102,6 @@ def wedge2(b: np.ndarray, c: np.ndarray) -> np.ndarray:
             + np.einsum("zu,xy->xyzu", b, c))
 
 
-def wedge11(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Wedge of two 1-forms: (a^b)(x,y) = a(x)b(y) - a(y)b(x)."""
-    return np.outer(a, b) - np.outer(b, a)
-
-
 def wedge12(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Wedge of a 1-form with a 2-form, unit-coefficient shuffles:
 
@@ -174,11 +115,6 @@ def wedge12(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 def theta_tensor(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Plain tensor product (a x w)(x,y,z) = a(x) w(y,z)."""
     return np.einsum("x,yz->xyz", a, w)
-
-
-def gamma_tensor_omega(gamma: np.ndarray, omega: np.ndarray) -> np.ndarray:
-    """(gamma x omega)(x,y,z,u) = gamma(x,y) omega(z,u)."""
-    return np.einsum("xy,zu->xyzu", gamma, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +198,3 @@ def sigma_perm(R: np.ndarray) -> np.ndarray:
     """The cyclic slot permutation sigma R(x,y,z,u) = R(z,x,y,u)."""
     return R.transpose(1, 2, 0, 3)
 
-
-def check_form(T: np.ndarray, tol: float = FORM_TOL) -> bool:
-    """True when T is fully antisymmetric to relative tolerance."""
-    scale = max(frob(T), 1e-300)
-    return frob(T - alt(T)) <= tol * scale

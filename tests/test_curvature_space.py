@@ -21,9 +21,50 @@ def test_project_to_R_and_certification(model2):
 
 
 def test_curvature_space_dimension(model):
-    basis = cs.curvature_basis(model)
+    """The closed-form basis of R is orthonormal, has dim R rows, and every
+    row certifies."""
     from qhcurv.decomposition import dim_R
-    assert basis.shape[0] == dim_R(model.n)
+    ps = cs.pair_scheme(model.dim)
+    basis = cs.curvature_basis(model, ps)
+    assert basis.shape == (dim_R(model.n), ps.m * ps.m)
+    assert np.max(np.abs(basis @ basis.T - np.eye(basis.shape[0]))) < 1e-14
+    for row in basis:
+        cs.CurvatureTensor.certify(cs.from_pair_coords(ps, row))
+
+
+def test_casimir_matrices_match_tensor_maps(model):
+    """The Kronecker-form L and L_sigma agree with the slot-action maps on R."""
+    m = model
+    ps = cs.pair_scheme(m.dim)
+    samples = [cs.random_curvature(m, ("casimir", k)).tensor for k in range(5)]
+    B = cs.orthonormal_rows(np.array([cs.to_pair_coords(ps, T) for T in samples]))
+    assert B.shape[0] == 5
+    L_R, Lsigma_R = cs.casimir_matrices(m, ps, B)
+    for op, got in ((cs.L_map, L_R), (cs.L_sigma_map, Lsigma_R)):
+        images = np.array([cs.to_pair_coords(ps, op(m, cs.from_pair_coords(ps, row)))
+                           for row in B])
+        assert np.max(np.abs(got - B @ images.T)) < 1e-12
+
+
+def test_casimir_l_sigma_identity_fails_off_R(model2):
+    """L_sigma = 3M - L holds on R only: on the 4-form Omega (orthogonal to
+    R) the slot-action L_sigma gives 6 while 3M - L gives 0."""
+    m = model2
+    ps = cs.pair_scheme(m.dim)
+    v = cs.to_pair_coords(ps, m.Omega)
+    B = (v / np.linalg.norm(v))[None, :]
+    L_R, Lsigma_R = cs.casimir_matrices(m, ps, B)
+    Omega = cs.from_pair_coords(ps, B[0])
+    assert L_R[0, 0] == pytest.approx(6.0)
+    assert float(B[0] @ cs.to_pair_coords(ps, cs.L_sigma_map(m, Omega))) == pytest.approx(6.0)
+    assert abs(Lsigma_R[0, 0]) < 1e-12
+
+
+def test_certify_rejects_non_finite(model2):
+    R = cs.random_curvature(model2, 41).tensor.copy()
+    R[0, 1, 2, 3] = np.nan
+    with pytest.raises(cs.CertificationError):
+        cs.CurvatureTensor.certify(R)
 
 
 def test_random_curvature_deterministic(model2):

@@ -189,7 +189,9 @@ def test_projector_equivariance(bank):
 
 def test_block_ricci_relations(bank):
     """Ricci laws per block: U22: Ric = Ric^q with A Ric = Ric; Lambda^4 E:
-    Ric = -Ric^q; L=2 blocks: Ric vs Ric^q_s laws; L=-6 block constants."""
+    Ric = -Ric^q; L=2 blocks: Ric vs Ric^q_s laws; L=-6 block constants.
+    The Ricci-kernel components are built as complements of constructor
+    images, so their kernel property is checked here, not built in."""
     m, n = bank.model, bank.model.n
     rng = cs.substream("blocks", n)
 
@@ -229,6 +231,14 @@ def test_block_ricci_relations(bank):
         R = sample(name)
         assert top.frob(cs.ricci(R)) < 1e-9 * top.frob(R)
         assert top.frob(cs.ricci_q(m, R)) < 1e-9 * top.frob(R)
+    for name in ("S4E", "V22", "L40E", "V31S2H", "V211S2H"):
+        if bank.fine[name].rank == 0:
+            continue
+        R = sample(name)
+        assert top.frob(cs.ricci(R)) < 1e-9 * top.frob(R)
+    R = sample("V22S4H")
+    for A in m.triple:
+        assert top.frob(cs.ricci_star(R, A)) < 1e-9 * top.frob(R)
 
 
 def test_les4h_ric_star_constants(model):
@@ -266,6 +276,14 @@ def test_les4h_ric_star_constants(model):
         expect_I = 4 * (2 * n + 1) * (lii * m.g - lki * J + lji * K)
         assert top.frob(cs.ricci_star(R, I) - expect_I) < 1e-9 * top.frob(expect_I)
         assert top.frob(cs.ricci_q(m, R)) < 1e-9 * top.frob(R)
+
+
+def test_eigenspaces_reject_stray_eigenvalues():
+    H = np.diag([6.0, 2.0, -6.0 + 1e-12, 2.0])
+    spaces = dec._eigenspaces(H, (6, 2, -6), "test")
+    assert {k: v.shape[1] for k, v in spaces.items()} == {6.0: 1, 2.0: 2, -6.0: 1}
+    with pytest.raises(ArithmeticError):
+        dec._eigenspaces(np.diag([6.0, 2.0, -6.0 + 1e-6]), (6, 2, -6), "test")
 
 
 def test_unknown_component_name(bank):

@@ -33,6 +33,22 @@ def test_tensor_file_errors(tmp_path):
     good.write_bytes(data[:-16])
     with pytest.raises(tio.TensorFileError):
         tio.read_tensor(good)
+    # every cut inside the header of a rank-4 file (12 fixed + 16 dims bytes)
+    full = tmp_path / "full.qht"
+    tio.write_tensor(full, 2, np.zeros((8,) * 4))
+    data = full.read_bytes()
+    cut = tmp_path / "cut.qht"
+    for size in range(4, 28):
+        cut.write_bytes(data[:size])
+        with pytest.raises(tio.TensorFileError):
+            tio.read_tensor(cut)
+    # non-finite payloads
+    for value in (np.nan, np.inf, -np.inf):
+        bad = np.zeros((8,) * 3)
+        bad[1, 2, 3] = value
+        tio.write_tensor(path, 2, bad)
+        with pytest.raises(tio.TensorFileError):
+            tio.read_tensor(path)
 
 
 def test_report_bytes_deterministic(tmp_path):
@@ -147,3 +163,21 @@ def test_cli_torsion_rejects_non_torsion_input(tmp_path, capsys):
     f = tmp_path / "junk.qht"
     tio.write_tensor(f, 2, t)
     assert cli.main(["torsion", "--n", "2", "--input", str(f)]) == 2
+
+
+def test_cli_rejects_unreadable_files(tmp_path, capsys):
+    m = build_model(2)
+    head = tmp_path / "head.qht"
+    tio.write_tensor(head, 2, m.pi1, certified=True)
+    head.write_bytes(head.read_bytes()[:9])
+    assert cli.main(["decompose", "--n", "2", "--input", str(head)]) == 2
+    assert capsys.readouterr().err.startswith("qhcurv: truncated header")
+    nan = tmp_path / "nan.qht"
+    tio.write_tensor(nan, 2, np.full((8,) * 3, np.nan))
+    assert cli.main(["torsion", "--n", "2", "--input", str(nan)]) == 2
+    assert capsys.readouterr().err.startswith("qhcurv: payload holds NaN")
+    assert cli.main(["torsion", "--n", "2", "--from-nabla-omega",
+                     str(nan), str(nan), str(nan)]) == 2
+    assert capsys.readouterr().err.startswith("qhcurv: payload holds NaN")
+    assert cli.main(["decompose", "--n", "2", "--input", str(tmp_path / "none.qht")]) == 2
+    assert "No such file" in capsys.readouterr().err

@@ -174,16 +174,3 @@ def test_sigma_perm():
     assert S[2, 5, 1, 7] == R[1, 2, 5, 7]
     assert np.allclose(top.sigma_perm(top.sigma_perm(S)), R)
 
-
-def test_dense_tensor_wrapper():
-    w = top.DenseTensor(M2.I, tag="form")
-    w.validate()
-    assert w.rank == 2 and w.dim == 8
-    with pytest.raises(ValueError):
-        top.DenseTensor(M2.g, tag="form").validate()
-    top.DenseTensor(M2.g, tag="symmetric2").validate()
-    top.DenseTensor(M2.pi1, tag="curvature-pair").validate()
-    with pytest.raises(ValueError):
-        top.DenseTensor(M2.g, tag="weird")
-    with pytest.raises(ValueError):
-        top.DenseTensor(np.zeros((3, 4)))
