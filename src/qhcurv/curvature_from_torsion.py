@@ -11,6 +11,13 @@ these equal the corresponding components of the curvature tensor, and for
 free states they define the linear/quadratic maps whose vanishing pattern
 is tabulated by the contribution engine in :mod:`.tables`.
 
+Each Ricci, q-Ricci and scalar formula is a fixed linear combination of
+a few contractions of the state (the brackets <xi_X e_i, xi_{AY} A e_i>,
+<(nabla~_X xi)_{e_i} Y, e_i>, ...).  ``_brackets`` computes each of them
+once, and :func:`ricci_component_formulas` evaluates every formula as a
+combination of its entries.  The scalar-only formulas ``pi_r_ric`` and
+``pi_r_ricq`` read the scalar entries alone.
+
 The two projections
 
     4 pi_1es(a) = 3a - sum_A A_(3) A_(4) a
@@ -83,7 +90,8 @@ class TorsionState:
 
 # ---------------------------------------------------------------------------
 # Contraction library.  Names record the bracket pattern; (x, y) are the
-# free slots of the resulting bilinear form.
+# free slots of the resulting bilinear form.  ``u`` and ``v`` are the
+# vectors u_A and v of the same state, computed once by the bracket table.
 
 def _u(t, A):
     """u_A[m] = <e_m, xi_{e_i} A e_i> = sum_i t[i, m, A e_i]."""
@@ -115,9 +123,14 @@ def _xi_eix__xi_Aei_Ay(t, A):
     return _es("imx,pi,pmq,qy->xy", t, A, t, A)
 
 
-def _xi_xAy__xi_ei_Aei(t, A):
+def _xi_eix__xi_Ay_Aei(t, A):
+    """<xi_{e_i} X, xi_{A Y} A e_i>."""
+    return _es("imx,py,pmq,qi->xy", t, A, t, A)
+
+
+def _xi_xAy__xi_ei_Aei(t, A, u):
     """<xi_X A Y, xi_{e_i} A e_i>."""
-    return _es("xmq,qy,m->xy", t, A, _u(t, A))
+    return _es("xmq,qy,m->xy", t, A, u)
 
 
 def _xi_xei__xi_ei_y(t):
@@ -125,9 +138,9 @@ def _xi_xei__xi_ei_y(t):
     return _es("xmi,imy->xy", t, t)
 
 
-def _xi_xy__xi_ei_ei(t):
+def _xi_xy__xi_ei_ei(t, v):
     """<xi_X Y, xi_{e_i} e_i>."""
-    return _es("xmy,m->xy", t, _v(t))
+    return _es("xmy,m->xy", t, v)
 
 
 def _xi_xieix_y__ei(t):
@@ -140,9 +153,9 @@ def _x__xi_xieiy_ei(t):
     return _es("iwy,wxi->xy", t, t)
 
 
-def _x__xi_uA_Ay(t, A):
+def _x__xi_uA_Ay(t, A, u):
     """<X, xi_{xi_{e_i} A e_i} A Y>."""
-    return _es("w,wxq,qy->xy", _u(t, A), t, A)
+    return _es("w,wxq,qy->xy", u, t, A)
 
 
 def _x__D_ei_Aei_Ay(D, A):
@@ -192,12 +205,6 @@ def _s2(t) -> float:
     return float(_es("imj,jmi->", t, t))
 
 
-def _s4(t, A) -> float:
-    """<xi_{e_i} A e_i, xi_{e_j} A e_j>."""
-    u = _u(t, A)
-    return float(u @ u)
-
-
 def _s5(t, A) -> float:
     """<xi_{e_i} e_j, xi_{A e_j} A e_i>."""
     return float(_es("imj,pj,pmq,qi->", t, A, t, A))
@@ -214,6 +221,65 @@ def _phi_trace(D) -> float:
 
 
 # ---------------------------------------------------------------------------
+# The bracket table: every contraction the Ricci, q-Ricci and scalar
+# formulas combine, each computed once per state.
+
+def _scalar_brackets(m: ModelSpace, state: TorsionState) -> dict:
+    """The scalar brackets, with the vectors v and u_A the rank-2 brackets
+    reuse:
+
+    vv = <v, v>, s2, phi, Gamma = sum_A <gamma_A, omega_A>,
+    S4 = sum_A <u_A, u_A>, S5 = sum_A s5_A, S6 = sum_A s6_A.
+    """
+    t = state.t
+    v = _v(t)
+    u = [_u(t, A) for A in m.triple]
+    return {
+        "v": v, "u": u, "vv": float(v @ v), "s2": _s2(t),
+        "phi": _phi_trace(state.D),
+        "Gamma": sum(_gamma_omega_inner(g, A)
+                     for g, A in zip(state.gammas, m.triple)),
+        "S4": sum(float(uA @ uA) for uA in u),
+        "S5": sum(_s5(t, A) for A in m.triple),
+        "S6": sum(_s6(t, A) for A in m.triple),
+    }
+
+
+def _brackets(m: ModelSpace, state: TorsionState) -> dict:
+    """The scalar brackets plus the rank-2 ones:
+
+    N0 = 4 <(nabla~_X xi)_{e_i} Y, e_i> - 4 <(nabla~_{e_i} xi)_X Y, e_i>
+         - <xi_X e_i, xi_{e_i} Y> - 3 <xi_X Y, v> - 4 <xi_{xi_{e_i} X} Y, e_i>,
+    P  = sum_A <xi_X e_i, xi_{AY} A e_i>,
+    Q  = sum_A (<xi_X e_i, xi_{A e_i} A Y> + <xi_X A Y, xi_{e_i} A e_i>),
+    M  = sum_A (<X, xi_{u_A} A Y> + <X, (nabla~_{e_i} xi)_{A e_i} A Y>),
+    W  = sum_A <xi_{e_i} X, xi_{A e_i} A Y>,
+    G  = sum_A gamma_A(X, A Y),
+    E  = <xi_X e_i, xi_{e_i} Y> + 3 <xi_X Y, v> + 4 (<X, xi_{xi_{e_i} Y} e_i>
+         + <X, (nabla~_{e_i} xi)_Y e_i> - <X, (nabla~_Y xi)_{e_i} e_i>).
+
+    N0 is the gamma-free Ricci bracket; E holds the extra terms of the
+    skew q-Ricci formula.
+    """
+    t, D, T = state.t, state.D, m.triple
+    b = _scalar_brackets(m, state)
+    u = b["u"]
+    xixi = _xi_xei__xi_ei_y(t) + 3.0 * _xi_xy__xi_ei_ei(t, b["v"])
+    b["N0"] = (4.0 * (_D_x_ei_y_ei(D) - _D_ei_x_y_ei(D)) - xixi
+               - 4.0 * _xi_xieix_y__ei(t))
+    b["E"] = xixi + 4.0 * (_x__xi_xieiy_ei(t) + _x__D_ei_y_ei(D)
+                           - _x__D_y_ei_ei(D))
+    b["P"] = sum(_xi_xei__xi_Ay_Aei(t, A) for A in T)
+    b["Q"] = sum(_xi_xei__xi_Aei_Ay(t, A) + _xi_xAy__xi_ei_Aei(t, A, uA)
+                 for A, uA in zip(T, u))
+    b["M"] = sum(_x__xi_uA_Ay(t, A, uA) + _x__D_ei_Aei_Ay(D, A)
+                 for A, uA in zip(T, u))
+    b["W"] = sum(_xi_eix__xi_Aei_Ay(t, A) for A in T)
+    b["G"] = sum(_gamma_xAy(g, A) for g, A in zip(state.gammas, T))
+    return b
+
+
+# ---------------------------------------------------------------------------
 # Ricci formulas on states.
 
 def ric_star_from(m: ModelSpace, state: TorsionState, a_idx: int) -> np.ndarray:
@@ -224,36 +290,22 @@ def ric_star_from(m: ModelSpace, state: TorsionState, a_idx: int) -> np.ndarray:
 
 
 def ricq_from(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """Ric^q = sum_A Ric*_A."""
-    return sum(ric_star_from(m, state, a) for a in range(3))
+    """Ric^q = sum_A Ric*_A = -n G - P."""
+    b = _brackets(m, state)
+    return -m.n * b["G"] - b["P"]
 
 
 def ric_minus_ricq(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """3 Ric - Ric^q, evaluated term by term."""
-    t, D = state.t, state.D
-    out = (4.0 * _D_x_ei_y_ei(D) - 4.0 * _D_ei_x_y_ei(D)
-           - _xi_xei__xi_ei_y(t) - 3.0 * _xi_xy__xi_ei_ei(t)
-           - 4.0 * _xi_xieix_y__ei(t))
-    for a, A in enumerate(m.triple):
-        out += (-2.0 * _gamma_xAy(state.gammas[a], A)
-                + _xi_xei__xi_Aei_Ay(t, A)
-                + _xi_xAy__xi_ei_Aei(t, A))
-    return out
+    """3 Ric - Ric^q = N0 - 2 G + Q."""
+    b = _brackets(m, state)
+    return b["N0"] - 2.0 * b["G"] + b["Q"]
 
 
 def ric_from(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """3 Ric evaluated termwise (the Ric^q terms plus the difference terms), over 3."""
-    t, D = state.t, state.D
-    n = m.n
-    out = (4.0 * _D_x_ei_y_ei(D) - 4.0 * _D_ei_x_y_ei(D)
-           - _xi_xei__xi_ei_y(t) - 3.0 * _xi_xy__xi_ei_ei(t)
-           - 4.0 * _xi_xieix_y__ei(t))
-    for a, A in enumerate(m.triple):
-        out += (-(n + 2.0) * _gamma_xAy(state.gammas[a], A)
-                - _xi_xei__xi_Ay_Aei(t, A)
-                + _xi_xei__xi_Aei_Ay(t, A)
-                + _xi_xAy__xi_ei_Aei(t, A))
-    return out / 3.0
+    """3 Ric = N0 - (n+2) G - P + Q (the Ric^q terms plus the difference
+    terms), over 3."""
+    b = _brackets(m, state)
+    return (b["N0"] - (m.n + 2.0) * b["G"] - b["P"] + b["Q"]) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +394,13 @@ def pi1_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
 # gamma elimination: the S^2E S^2H part of sum_A gamma_A(., A.) expressed
 # through (xi, nabla~xi) via the d^2 omega identity.
 
+#: The six orderings (a, b, c) of (I, J, K) with their signs.
+_ORDERINGS = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
+              ((1, 0, 2), -1.0), ((0, 2, 1), -1.0), ((2, 1, 0), -1.0))
+
+
 def _cyc(f):
-    """Equivariant version of the cyclic sum over (I, J, K).
+    """Equivariant version of the cyclic sum over (I, J, K) of f(a, b, c).
 
     The curvature identities use sums over the three cyclic orderings of a
     fixed adapted basis; these hold on-shell in every basis, but are not
@@ -354,208 +411,51 @@ def _cyc(f):
     epsilon x epsilon / 6), which agrees with the cyclic sum on-shell and
     is equivariant.
     """
-    def run(m, *args):
-        out = 0.0
-        I, J, K = m.triple
-        for (A, B, C), sign in (((I, J, K), 1.0), ((J, K, I), 1.0),
-                                ((K, I, J), 1.0), ((J, I, K), -1.0),
-                                ((I, K, J), -1.0), ((K, J, I), -1.0)):
-            out = out + 0.5 * sign * f(m, A, B, C, *args)
-        return out
-    return run
+    return sum(0.5 * sign * f(*abc) for abc, sign in _ORDERINGS)
 
 
-def s2es2h_gamma_part(m: ModelSpace, state: TorsionState) -> np.ndarray:
+def s2es2h_gamma_part(m: ModelSpace, state: TorsionState, u, P) -> np.ndarray:
     """pi_{S2ES2H}(sum_A gamma_A(., A.)) in terms of (xi, nabla~xi).
 
     This is the component of the d^2 Omega consequence that eliminates the
     S^2E S^2H part of gamma; dividing its right-hand side by
-    -2(n-1).
+    -2(n-1).  ``u`` and ``P`` are the u_A vectors and the P bracket of the
+    state (see ``_brackets``).
     """
-    t, D = state.t, state.D
-    I, J, K = m.triple
-    rhs = 2.0 * sum(_xi_xei__xi_Ay_Aei(t, A) for A in m.triple)
-    rhs -= sum(_xi_eix__xi_Ay_Aei(t, A) for A in m.triple)
-    rhs -= _cyc(lambda m, A, B, C: _es(
-        "ima,ax,pmq,py,qi->xy", t, A, t, C, B))(m)
-    rhs += sum(_es("px,pmy,m->xy", A, t, _u(t, A)) for A in m.triple)
-    rhs += _cyc(lambda m, A, B, C: _es(
-        "px,pmb,by,m->xy", A, t, B, _u(t, C)))(m)
-    rhs += sum(_es("imx,mb,py,pbi->xy", t, A, A, t) for A in m.triple)
-    rhs += _cyc(lambda m, A, B, C: _es(
-        "ima,ax,mb,py,pbi->xy", t, A, B, C, t))(m)
-    rhs += _cyc(lambda m, A, B, C: _es(
-        "iwa,ay,xb,wbq,qi->xy", t, C, A, t, B))(m)
-    rhs -= sum(_es("iwa,ay,wxq,qi->xy", t, A, t, A) for A in m.triple)
-    rhs += sum(_x__D_Ay_ei_Aei(D, A) for A in m.triple)
-    rhs -= _cyc(lambda m, A, B, C: _es(
-        "xb,py,pibq,qi->xy", A, C, D, B))(m)
-    rhs -= sum(_x__D_ei_Ay_Aei(D, A) for A in m.triple)
-    rhs += _cyc(lambda m, A, B, C: _es(
-        "xb,ipbq,py,qi->xy", A, D, C, B))(m)
+    t, D, T = state.t, state.D, m.triple
+    rhs = 2.0 * P
+    for A, uA in zip(T, u):
+        rhs = rhs + (-_xi_eix__xi_Ay_Aei(t, A)
+                     + _es("px,pmy,m->xy", A, t, uA)
+                     + _es("imx,mb,py,pbi->xy", t, A, A, t)
+                     - _es("iwa,ay,wxq,qi->xy", t, A, t, A)
+                     + _x__D_Ay_ei_Aei(D, A) - _x__D_ei_Ay_Aei(D, A))
+    rhs = rhs + _cyc(lambda a, b, c: (
+        -_es("ima,ax,pmq,py,qi->xy", t, T[a], t, T[c], T[b])
+        + _es("px,pmb,by,m->xy", T[a], t, T[b], u[c])
+        + _es("ima,ax,mb,py,pbi->xy", t, T[a], T[b], T[c], t)
+        + _es("iwa,ay,xb,wbq,qi->xy", t, T[c], T[a], t, T[b])
+        - _es("xb,py,pibq,qi->xy", T[a], T[c], D, T[b])
+        + _es("xb,ipbq,py,qi->xy", T[a], D, T[c], T[b])))
     return cs.proj_sym_S2ES2H(m, rhs) / (-2.0 * (m.n - 1.0))
 
-
-def _xi_eix__xi_Ay_Aei(t, A):
-    """<xi_{e_i} X, xi_{A Y} A e_i>."""
-    return _es("imx,py,pmq,qi->xy", t, A, t, A)
 
 # ---------------------------------------------------------------------------
 # Ricci component formulas (with the gamma parts eliminated through the
 # d^2 Omega identities, so only the scalar part of gamma remains).
 
-def pi_r_ricq(m: ModelSpace, state: TorsionState) -> float:
-    """Coefficient c in pi_R(Ric^q) = c g:
-
-    c = (1/2) sum_A (<gamma_A, omega_A> - (1/2n) <xi_{e_i} e_j, xi_{Ae_i} A e_j>).
-    """
-    t = state.t
-    total = 0.0
-    for gam, A in zip(state.gammas, m.triple):
-        total += _gamma_omega_inner(gam, A) - _s6(t, A) / (2.0 * m.n)
-    return 0.5 * total
-
-
-def pi_r_ric(m: ModelSpace, state: TorsionState) -> float:
-    """Coefficient c in pi_R(Ric) = c g."""
-    t, D = state.t, state.D
-    n = m.n
-    v = _v(t)
-    bracket = -3.0 * float(v @ v) - 5.0 * _s2(t) + 8.0 * _phi_trace(D)
-    for gam, A in zip(state.gammas, m.triple):
-        bracket += (2.0 * (n + 2.0) * _gamma_omega_inner(gam, A)
-                    + _s4(t, A) + _s5(t, A) - _s6(t, A))
-    return bracket / (12.0 * n)
-
-
-def _l20e_bracket(m: ModelSpace, state: TorsionState, coef_mixed: float) -> np.ndarray:
-    """Common structure of the Lambda^2_0 E formulas; ``coef_mixed`` is the
-    coefficient of the (B1 + B2)-type and B3-type sums (-(n+2)/n for
-    3 pi(Ric), -2(2n+1)/n for 6 Ric_a, +2(n-1)/n for 6 Ric_b)."""
-    t, D = state.t, state.D
-    n = m.n
-    out = -( _xi_xei__xi_ei_y(t) + 3.0 * _xi_xy__xi_ei_ei(t)
-             + 4.0 * _xi_xieix_y__ei(t))
-    out += 4.0 * (_D_x_ei_y_ei(D) - _D_ei_x_y_ei(D))
-    for A in m.triple:
-        out += coef_mixed * (_x__xi_uA_Ay(t, A) + _x__D_ei_Aei_Ay(D, A))
-        out += (_xi_xAy__xi_ei_Aei(t, A) + _xi_xei__xi_Aei_Ay(t, A))
-        out += (2.0 / n) * _xi_xei__xi_Ay_Aei(t, A) + coef_mixed * _xi_eix__xi_Aei_Ay(t, A)
-    return out
-
-
-def pi_l20e_ricq(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """pi_{Lambda^2_0 E}(Ric^q) in terms of xi and nabla~xi."""
-    t, D = state.t, state.D
-    total = 0.0
-    for A in m.triple:
-        total = total + (_x__xi_uA_Ay(t, A) + _x__D_ei_Aei_Ay(D, A)
-                         + _xi_eix__xi_Aei_Ay(t, A))
-    return cs.proj_sym_L20E(m, -total)
-
-
-def pi_l20e_ric(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """pi_{Lambda^2_0 E}(Ric) in terms of xi and nabla~xi."""
-    n = m.n
-    return cs.proj_sym_L20E(m, _l20e_bracket(m, state, -(n + 2.0) / n)) / 3.0
-
-
-def ric_l20e_a(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """Ric of the (Lambda^2_0 E)_a curvature component."""
-    n = m.n
-    return cs.proj_sym_L20E(m, _l20e_bracket(m, state, -2.0 * (2.0 * n + 1.0) / n)) / 6.0
-
-
-def ric_l20e_b(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """Ric of the (Lambda^2_0 E)_b curvature component."""
-    n = m.n
-    return cs.proj_sym_L20E(m, _l20e_bracket(m, state, 2.0 * (n - 1.0) / n)) / 6.0
-
-
-def pi_l20es2h_ricq(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """pi_{Lambda^2_0 E S^2 H}(Ric^q) (the skew q-Ricci content)."""
-    t, D = state.t, state.D
-    n = m.n
-    rhs = _xi_xei__xi_ei_y(t) + 3.0 * _xi_xy__xi_ei_ei(t)
-    rhs = rhs + 4.0 * (_x__xi_xieiy_ei(t) + _x__D_ei_y_ei(D) - _x__D_y_ei_ei(D))
-    for A in m.triple:
-        rhs = rhs - (_xi_xei__xi_Aei_Ay(t, A) + _xi_xAy__xi_ei_Aei(t, A)
-                     - _xi_eix__xi_Aei_Ay(t, A))
-        rhs = rhs + (_x__xi_uA_Ay(t, A) + _x__D_ei_Aei_Ay(D, A))
-        rhs = rhs - (2.0 / n) * _xi_xei__xi_Ay_Aei(t, A)
-    return cs.proj_form_L20ES2H(m, rhs) * (n / 2.0)
-
-
-def ric_qk_scalar(m: ModelSpace, state: TorsionState) -> float:
-    """Coefficient c in Ric(pi_QK(R)) = c g."""
-    t, D = state.t, state.D
-    n = m.n
-    v = _v(t)
-    bracket = -3.0 * float(v @ v) - 5.0 * _s2(t) + 8.0 * _phi_trace(D)
-    for gam, A in zip(state.gammas, m.triple):
-        bracket += (4.0 * (5.0 * n + 1.0) * _gamma_omega_inner(gam, A)
-                    + _s4(t, A) + _s5(t, A) - 10.0 * _s6(t, A))
-    return bracket * (n + 2.0) / (24.0 * n * (5.0 * n + 1.0))
-
-
-def pi_r_ric_qkperp(m: ModelSpace, state: TorsionState) -> float:
-    """Coefficient c in pi_R(Ric_{QKperp}) = c g."""
-    t, D = state.t, state.D
-    n = m.n
-    v = _v(t)
-    bracket = -3.0 * float(v @ v) - 5.0 * _s2(t) + 8.0 * _phi_trace(D)
-    for A in m.triple:
-        bracket += _s4(t, A) + _s5(t, A) + 2.0 * _s6(t, A)
-    return bracket * 3.0 / (8.0 * (5.0 * n + 1.0))
-
-
-def pi_s2es2h_ricq(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """pi_{S^2E S^2H}(Ric^q) with the gamma part eliminated via d^2 Omega."""
-    t = state.t
-    direct = sum(_xi_xei__xi_Ay_Aei(t, A) for A in m.triple)
-    return (-m.n * s2es2h_gamma_part(m, state)
-            - cs.proj_sym_S2ES2H(m, direct))
-
-
-def pi_s2es2h_ric(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """pi_{S^2E S^2H}(Ric) with the gamma part eliminated via d^2 Omega."""
-    t, D = state.t, state.D
-    n = m.n
-    nogamma = (4.0 * _D_x_ei_y_ei(D) - 4.0 * _D_ei_x_y_ei(D)
-               - _xi_xei__xi_ei_y(t) - 3.0 * _xi_xy__xi_ei_ei(t)
-               - 4.0 * _xi_xieix_y__ei(t))
-    for A in m.triple:
-        nogamma = nogamma + (-_xi_xei__xi_Ay_Aei(t, A)
-                             + _xi_xei__xi_Aei_Ay(t, A)
-                             + _xi_xAy__xi_ei_Aei(t, A))
-    return (-(n + 2.0) * s2es2h_gamma_part(m, state)
-            + cs.proj_sym_S2ES2H(m, nogamma)) / 3.0
-
-
-def ric_s2es2h_a(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """Ric of the (S^2E S^2H)_a component: (Ric + 3 Ric^q)/4 on S^2E S^2H."""
-    return 0.25 * (pi_s2es2h_ric(m, state) + 3.0 * pi_s2es2h_ricq(m, state))
-
-
-def ric_s2es2h_b(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """Ric of the (S^2E S^2H)_b component: 3(Ric - Ric^q)/4 on S^2E S^2H."""
-    return 0.75 * (pi_s2es2h_ric(m, state) - pi_s2es2h_ricq(m, state))
-
-
-def ra_rb_coefficients(m: ModelSpace, state: TorsionState) -> tuple[float, float]:
+def _ra_rb_coefficients(n: int, c_r: float, c_q: float) -> tuple[float, float]:
     """Coefficients (c_a, c_b) of the curvature component in R_a + R_b with
-    respect to a = pi2 + 6 pi1 and b = pi2 - 6 pi1.
+    respect to a = pi2 + 6 pi1 and b = pi2 - 6 pi1, from the coefficients
+    c_r of pi_R(Ric) and c_q of pi_R(Ric^q).
 
     Reconstructed by feeding pi_R(Ric) and pi_R(Ric^q) through the exact
     split Ric(pi_QK R) = (n+2)/(2(5n+1)) (pi_R Ric + 3 pi_R Ric^q) and
     pi_R(Ric_QKperp) = 9n/(2(5n+1)) (pi_R Ric - (n+2)/(3n) pi_R Ric^q).
-    (The standalone QKperp bracket of ``pi_r_ric_qkperp`` trades quadratic
+    (The standalone QKperp bracket ``pi_R_ric_QKperp`` trades quadratic
     xi-terms using on-shell identities and is not used here; the QK
-    bracket of ``ric_qk_scalar`` agrees with this route identically.)
+    bracket ``ric_QK`` agrees with this route identically.)
     """
-    n = m.n
-    c_r = pi_r_ric(m, state)
-    c_q = pi_r_ricq(m, state)
     sigma_qk = (n + 2.0) / (2.0 * (5.0 * n + 1.0)) * (c_r + 3.0 * c_q)
     sigma_perp = 9.0 * n / (2.0 * (5.0 * n + 1.0)) * (c_r - (n + 2.0) / (3.0 * n) * c_q)
     mu = sigma_qk / (8.0 * (n + 2.0))           # R_QK part: mu (pi2 + 2 pi1)
@@ -563,6 +463,73 @@ def ra_rb_coefficients(m: ModelSpace, state: TorsionState) -> tuple[float, float
     c_a = (2.0 / 3.0) * mu + (1.0 - n) * nu
     c_b = (1.0 / 3.0) * mu + (2.0 * n + 1.0) * nu
     return c_a, c_b
+
+
+def _scalar_formulas(n: int, b: dict) -> dict:
+    """The g-coefficients of pi_R(Ric), pi_R(Ric^q), Ric(pi_QK R) and
+    pi_R(Ric_QKperp), and the R_a + R_b coefficients, from the scalar
+    brackets; the three Ricci ones share -3 v.v - 5 s2 + 8 phi."""
+    base = -3.0 * b["vv"] - 5.0 * b["s2"] + 8.0 * b["phi"]
+    gam, s4, s5, s6 = b["Gamma"], b["S4"], b["S5"], b["S6"]
+    ric = (base + 2.0 * (n + 2.0) * gam + s4 + s5 - s6) / (12.0 * n)
+    ricq = 0.5 * (gam - s6 / (2.0 * n))
+    return {
+        "pi_R_ric": ric,
+        "pi_R_ricq": ricq,
+        "ric_QK": ((base + 4.0 * (5.0 * n + 1.0) * gam + s4 + s5 - 10.0 * s6)
+                   * (n + 2.0) / (24.0 * n * (5.0 * n + 1.0))),
+        "pi_R_ric_QKperp": (base + s4 + s5 + 2.0 * s6) * 3.0 / (8.0 * (5.0 * n + 1.0)),
+        "R_ab": np.array(_ra_rb_coefficients(n, ric, ricq)),
+    }
+
+
+def pi_r_ricq(m: ModelSpace, state: TorsionState) -> float:
+    """Coefficient c in pi_R(Ric^q) = c g:
+
+    c = (1/2) sum_A (<gamma_A, omega_A> - (1/2n) <xi_{e_i} e_j, xi_{Ae_i} A e_j>).
+    """
+    return _scalar_formulas(m.n, _scalar_brackets(m, state))["pi_R_ricq"]
+
+
+def pi_r_ric(m: ModelSpace, state: TorsionState) -> float:
+    """Coefficient c in pi_R(Ric) = c g."""
+    return _scalar_formulas(m.n, _scalar_brackets(m, state))["pi_R_ric"]
+
+
+def ricci_component_formulas(m: ModelSpace, state: TorsionState) -> dict:
+    """Every closed Ricci-component formula evaluated on the state, each a
+    combination of the entries of one bracket table.
+
+    Scalar entries are coefficients of g, and ``R_ab`` holds the
+    coefficients (c_a, c_b) of the R_a + R_b component; tensor entries are
+    bilinear forms lying in their named component (verified by the test
+    suite).
+    """
+    n = m.n
+    b = _brackets(m, state)
+    out = _scalar_formulas(n, b)
+    # Lambda^2_0 E: with x, y the projections of N0 + Q + (2/n) P and M + W,
+    # 3 pi(Ric) = x - (n+2)/n y, 6 Ric_a = x - 2(2n+1)/n y,
+    # 6 Ric_b = x + 2(n-1)/n y and pi(Ric^q) = -y
+    x = cs.proj_sym_L20E(m, b["N0"] + b["Q"] + (2.0 / n) * b["P"])
+    y = cs.proj_sym_L20E(m, b["M"] + b["W"])
+    out["pi_L20E_ric"] = (x - (n + 2.0) / n * y) / 3.0
+    out["pi_L20E_ricq"] = -y
+    out["ric_L20E_a"] = (x - 2.0 * (2.0 * n + 1.0) / n * y) / 6.0
+    out["ric_L20E_b"] = (x + 2.0 * (n - 1.0) / n * y) / 6.0
+    # S^2E S^2H: Ric^q = -n G - P and 3 Ric = N0 - (n+2) G - P + Q, with the
+    # S^2E S^2H part of G replaced through d^2 Omega
+    gp = s2es2h_gamma_part(m, state, b["u"], b["P"])
+    q = -n * gp - cs.proj_sym_S2ES2H(m, b["P"])
+    r = (-(n + 2.0) * gp + cs.proj_sym_S2ES2H(m, b["N0"] - b["P"] + b["Q"])) / 3.0
+    out["pi_S2ES2H_ric"] = r
+    out["pi_S2ES2H_ricq"] = q
+    out["ric_S2ES2H_a"] = 0.25 * (r + 3.0 * q)
+    out["ric_S2ES2H_b"] = 0.75 * (r - q)
+    # the skew q-Ricci content
+    out["pi_L20ES2H_ricq"] = (n / 2.0) * cs.proj_form_L20ES2H(
+        m, b["E"] - b["Q"] + b["M"] + b["W"] - (2.0 / n) * b["P"])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +603,7 @@ def scalq_coefficients(n: int) -> dict:
 
 def reference_scal_coefficients(n: int) -> dict:
     """The commonly tabulated coefficients (valid only modulo on-shell
-    relations); kept for the deviation report."""
+    relations); kept for the deviation report of ``reference_deviations``."""
     return {
         "gamma": 2.0 * (n + 2.0) / 3.0,
         "33": 7.0 / 3.0, "K3": -1.0 / 3.0,
@@ -655,6 +622,18 @@ def reference_scalq_coefficients(n: int) -> dict:
         "3H": -2.0, "KH": -9.0, "EH": -2.0 / 3.0,
         "dstar": 0.0,
     }
+
+
+def reference_deviations(n: int) -> dict:
+    """Every coefficient where a reference scalar expansion differs from
+    the free-state one: {"scal": {name: (free, reference)}, "scal^q": ...}."""
+    out = {}
+    for label, free, ref in (
+            ("scal", scal_coefficients(n), reference_scal_coefficients(n)),
+            ("scal^q", scalq_coefficients(n), reference_scalq_coefficients(n))):
+        out[label] = {name: (free[name], ref[name]) for name in free
+                      if abs(free[name] - ref[name]) > 1e-12}
+    return out
 
 
 def scalars_from_torsion(m: ModelSpace, bank: tor.TorsionBank,
@@ -794,26 +773,3 @@ def bhl_integrand(m: ModelSpace, bank: tor.TorsionBank,
     """(n+2) scal^q - 3n scal evaluated through the scalar formulas."""
     scal, scalq, _ = scalars_from_torsion(m, bank, state)
     return (m.n + 2.0) * scalq - 3.0 * m.n * scal
-
-
-def ricci_component_formulas(m: ModelSpace, state: TorsionState) -> dict:
-    """Every closed Ricci-component formula evaluated on the state.
-
-    Scalar entries are coefficients of g; tensor entries are bilinear forms
-    lying in their named component (verified by the test suite).
-    """
-    return {
-        "pi_R_ric": pi_r_ric(m, state),
-        "pi_R_ricq": pi_r_ricq(m, state),
-        "ric_L20E_a": ric_l20e_a(m, state),
-        "ric_L20E_b": ric_l20e_b(m, state),
-        "pi_L20E_ric": pi_l20e_ric(m, state),
-        "pi_L20E_ricq": pi_l20e_ricq(m, state),
-        "pi_S2ES2H_ric": pi_s2es2h_ric(m, state),
-        "pi_S2ES2H_ricq": pi_s2es2h_ricq(m, state),
-        "ric_S2ES2H_a": ric_s2es2h_a(m, state),
-        "ric_S2ES2H_b": ric_s2es2h_b(m, state),
-        "pi_L20ES2H_ricq": pi_l20es2h_ricq(m, state),
-        "ric_QK": ric_qk_scalar(m, state),
-        "pi_R_ric_QKperp": pi_r_ric_qkperp(m, state),
-    }

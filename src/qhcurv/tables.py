@@ -301,46 +301,51 @@ class TableContext:
     tbank: tor.TorsionBank
     pi2_pinv: np.ndarray          # (dim QKperp) x m^2 least-squares inverse
     comp_in_qkperp: dict          # fine component rows expressed on QKperp
+    ab_norm2: np.ndarray          # <a, a> and <b, b> for a, b = pi2 +- 6 pi1
 
     @classmethod
     def build(cls, bank: dec.ProjectorBank, tbank: tor.TorsionBank):
         m = bank.model
         ps = bank.scheme
         rows = bank.qkperp
-        img = np.empty_like(rows)
-        for k, row in enumerate(rows):
-            T = cs.from_pair_coords(ps, row)
-            img[k] = cs.to_pair_coords(ps, cft.pi1_operator(m, T))
+        # pi_1 acts on the second 2-form slot only, so in pair coordinates
+        # it is C -> C P1; row q of P1 is the image of the unit pair (0, q)
+        P1 = np.empty((ps.m, ps.m))
+        for q in range(ps.m):
+            probe = np.zeros(ps.m * ps.m)
+            probe[q] = 1.0
+            T = cs.from_pair_coords(ps, probe)
+            P1[q] = cs.to_pair_coords(ps, cft.pi1_operator(m, T))[:ps.m]
+        img = (rows.reshape(-1, ps.m, ps.m) @ P1).reshape(rows.shape)
         pinv = np.linalg.pinv(img.T, rcond=1e-10)
         comp = {name: bank.fine[name].rows @ rows.T for name in TABLE3_COLUMNS}
+        ab_norm2 = np.array([top.curvature_inner(x, x)
+                             for x in (m.pi2 + 6 * m.pi1, m.pi2 - 6 * m.pi1)])
         return cls(m=m, bank=bank, tbank=tbank, pi2_pinv=pinv,
-                   comp_in_qkperp=comp)
+                   comp_in_qkperp=comp, ab_norm2=ab_norm2)
 
     def qkperp_coefficients(self, T: np.ndarray) -> np.ndarray:
         """pi_2 of a Lambda^2 x Lambda^2 tensor, as QKperp coefficients."""
         return self.pi2_pinv @ cs.to_pair_coords(self.bank.scheme, T)
 
 
+#: The ``ricci_component_formulas`` entry behind each Ricci column.
+_FORMULA_OF_COLUMN = {
+    "q_R": "pi_R_ricq", "q_L20E": "pi_L20E_ricq",
+    "q_S2ES2H": "pi_S2ES2H_ricq", "q_L20ES2H": "pi_L20ES2H_ricq",
+    "r_R": "pi_R_ric", "r_L20E": "pi_L20E_ric", "r_S2ES2H": "pi_S2ES2H_ric",
+    "R_ab": "R_ab", "L20E_a": "ric_L20E_a", "L20E_b": "ric_L20E_b",
+    "S2ES2H_a": "ric_S2ES2H_a", "S2ES2H_b": "ric_S2ES2H_b",
+    "L20ES2H": "pi_L20ES2H_ricq",
+}
+
+
 def evaluate_columns(ctx: TableContext, state: cft.TorsionState) -> dict:
     """All column values for one state: Ricci components (tables 1-2) and
     the QKperp projections of pi_2 pi_1 (table 3)."""
-    m = ctx.m
-    out = {}
-    out["q_R"] = cft.pi_r_ricq(m, state)
-    out["q_L20E"] = cft.pi_l20e_ricq(m, state)
-    out["q_S2ES2H"] = cft.pi_s2es2h_ricq(m, state)
-    out["q_L20ES2H"] = cft.pi_l20es2h_ricq(m, state)
-    out["r_R"] = cft.pi_r_ric(m, state)
-    out["r_L20E"] = cft.pi_l20e_ric(m, state)
-    out["r_S2ES2H"] = cft.pi_s2es2h_ric(m, state)
-    ca, cb = cft.ra_rb_coefficients(m, state)
-    out["R_ab"] = np.array([ca, cb])
-    out["L20E_a"] = cft.ric_l20e_a(m, state)
-    out["L20E_b"] = cft.ric_l20e_b(m, state)
-    out["S2ES2H_a"] = cft.ric_s2es2h_a(m, state)
-    out["S2ES2H_b"] = cft.ric_s2es2h_b(m, state)
-    out["L20ES2H"] = out["q_L20ES2H"]
-    coeffs = ctx.qkperp_coefficients(cft.pi1_state(m, state))
+    formulas = cft.ricci_component_formulas(ctx.m, state)
+    out = {col: formulas[key] for col, key in _FORMULA_OF_COLUMN.items()}
+    coeffs = ctx.qkperp_coefficients(cft.pi1_state(ctx.m, state))
     for name in TABLE3_COLUMNS:
         out[name] = ctx.comp_in_qkperp[name] @ coeffs
     return out
@@ -375,17 +380,13 @@ def evaluate_row(ctx: TableContext, key, seed) -> dict:
 
 def _witnesses(ctx: TableContext, cols: dict) -> dict:
     """Scalar witness per table cell from the raw column values."""
-    m = ctx.m
-    norm_a = np.sqrt(top.curvature_inner(m.pi2 + 6 * m.pi1, m.pi2 + 6 * m.pi1))
-    norm_b = np.sqrt(top.curvature_inner(m.pi2 - 6 * m.pi1, m.pi2 - 6 * m.pi1))
     w = {}
     for name in ("q_R", "r_R"):
-        w[name] = abs(cols[name]) * np.sqrt(m.dim)
+        w[name] = abs(cols[name]) * np.sqrt(ctx.m.dim)
     for name in ("q_L20E", "q_S2ES2H", "q_L20ES2H", "r_L20E", "r_S2ES2H",
                  "L20E_a", "L20E_b", "S2ES2H_a", "S2ES2H_b", "L20ES2H"):
         w[name] = top.frob(cols[name])
-    w["R_a"] = abs(cols["R_ab"][0]) * norm_a
-    w["R_b"] = abs(cols["R_ab"][1]) * norm_b
+    w["R_a"], w["R_b"] = abs(cols["R_ab"]) * np.sqrt(ctx.ab_norm2)
     for name in TABLE3_COLUMNS:
         w[name] = float(np.linalg.norm(cols[name]))
     return w
@@ -445,8 +446,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
     """Evaluate every cell of the three tables and diff against the embedded
     expectations; verify the R_x direction annotations of Table 2."""
     ctx = TableContext.build(bank, tbank)
-    m = ctx.m
-    n = m.n
+    n = ctx.m.n
     skipped = _zero_rank_columns(bank)
     report = TablesReport(n=n, seeds=seeds, skipped_columns=tuple(sorted(skipped)))
     annotations = direction_annotations(n)
@@ -499,14 +499,11 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
         # direction annotations
         if key in annotations and not zero_source:
             direction, orth, provenance = annotations[key]
-            norm_a2 = top.curvature_inner(m.pi2 + 6 * m.pi1, m.pi2 + 6 * m.pi1)
-            norm_b2 = top.curvature_inner(m.pi2 - 6 * m.pi1, m.pi2 - 6 * m.pi1)
+            met = np.diag(ctx.ab_norm2)
             for s, (w, cols) in enumerate(per_seed):
-                ca, cb = cols["R_ab"]
-                tt = np.array([ca, cb])
+                tt = cols["R_ab"]
                 pp = np.array(direction, dtype=float)
                 qq = np.array(orth, dtype=float)
-                met = np.diag([norm_a2, norm_b2])
                 tn = float(np.sqrt(tt @ met @ tt))
                 pn = float(np.sqrt(pp @ met @ pp))
                 qn = float(np.sqrt(qq @ met @ qq))

@@ -93,7 +93,11 @@ def read_tensor(path) -> TensorFile:
 
 def write_report(path, n: int, command: str, tolerances: dict,
                  results, failures) -> dict:
-    """Write the canonical report JSON; returns the report dict."""
+    """Write the canonical report JSON; returns the report dict.
+
+    A report holding NaN or an infinity raises ValueError before the file is
+    opened, so no partial file is left behind.
+    """
     report = {
         "version": REPORT_VERSION,
         "n": n,
@@ -103,9 +107,9 @@ def write_report(path, n: int, command: str, tolerances: dict,
         "failures": failures,
     }
     if path is not None:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
     return report
 
 

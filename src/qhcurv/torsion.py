@@ -160,7 +160,12 @@ class TorsionBank:
                 for name in TORSION_COMPONENTS}
 
     def class_mask(self, t: np.ndarray, rel_threshold: float = 1e-8) -> str:
-        """6-bit class mask, one bit per nonzero component (order 33..EH)."""
+        """6-bit class mask, one bit per nonzero component (order 33..EH).
+
+        Raises ValueError on NaN or infinite entries, which no mask describes.
+        """
+        if not np.all(np.isfinite(t)):
+            raise ValueError("torsion tensor holds NaN or infinite entries")
         norms = self.component_norms(t)
         scale = max(np.linalg.norm(t.ravel()), 1e-300)
         return "".join("1" if norms[name] > rel_threshold * scale else "0"

@@ -212,6 +212,10 @@ def test_criterion_9_scalar_identity_oracle(n, model, tbank):
                     abs(scal_f - scal_tr) / max(abs(scal_tr), 1.0),
                     abs(scalq_f - scalq_tr) / max(abs(scalq_tr), 1.0))
     ok = worst < 1e-8
+    for label, devs in cft.reference_deviations(n).items():
+        for name, (free, ref) in devs.items():
+            print(f"    reference deviation: {label} coefficient {name} = "
+                  f"{free:.6g} (reference expansion {ref:.6g})")
     report(n, 9, "scalar trace oracle (100 free states)", ok,
            f"worst relative residual {worst:.2e}; free-state coefficients "
            "(reference scalar expansions hold only on shell)")

@@ -100,7 +100,7 @@ def test_qk_point_ricci_constants(model):
     # gamma_A = c omega_A, xi = 0: Ric*_A = n c g comes from -n c w_A(X, A Y)
     assert cft.pi_r_ric(m, st) == pytest.approx((n + 2) * c, rel=1e-12)
     assert cft.pi_r_ricq(m, st) == pytest.approx(3 * n * c, rel=1e-12)
-    ca, cb = cft.ra_rb_coefficients(m, st)
+    ca, cb = cft.ricci_component_formulas(m, st)["R_ab"]
     assert ca == pytest.approx(c / 12.0, rel=1e-10)
     assert cb == pytest.approx(c / 24.0, rel=1e-10)
 
@@ -119,22 +119,21 @@ def test_l20e_formula_combinations(model, tbank):
     """6 Ric_a = 3 pi(Ric) + 3 pi(Ric^q) and 6 Ric_b = 3 pi(Ric) - 3 pi(Ric^q)
     hold between the implemented formulas."""
     m = model
-    st = free_state(m, tbank, 7)
-    a = cft.ric_l20e_a(m, st)
-    b = cft.ric_l20e_b(m, st)
+    out = cft.ricci_component_formulas(m, free_state(m, tbank, 7))
+    a, b = out["ric_L20E_a"], out["ric_L20E_b"]
     scale = max(top.frob(a), top.frob(b), 1.0)
-    assert top.frob(a + b - cft.pi_l20e_ric(m, st)) < 1e-10 * scale
-    assert top.frob(a - b - cft.pi_l20e_ricq(m, st)) < 1e-10 * scale
+    assert top.frob(a + b - out["pi_L20E_ric"]) < 1e-10 * scale
+    assert top.frob(a - b - out["pi_L20E_ricq"]) < 1e-10 * scale
 
 
 def test_component_formulas_land_in_their_spaces(model, tbank):
     m = model
-    st = free_state(m, tbank, 8)
-    l20e_q = cft.pi_l20e_ricq(m, st)
+    out = cft.ricci_component_formulas(m, free_state(m, tbank, 8))
+    l20e_q = out["pi_L20E_ricq"]
     assert top.frob(cs.proj_sym_L20E(m, l20e_q) - l20e_q) < 1e-10 * top.frob(l20e_q)
-    s2q = cft.pi_s2es2h_ricq(m, st)
+    s2q = out["pi_S2ES2H_ricq"]
     assert top.frob(cs.proj_sym_S2ES2H(m, s2q) - s2q) < 1e-10 * top.frob(s2q)
-    skew = cft.pi_l20es2h_ricq(m, st)
+    skew = out["pi_L20ES2H_ricq"]
     assert top.frob(cs.proj_form_L20ES2H(m, skew) - skew) < 1e-10 * top.frob(skew)
 
 
@@ -152,11 +151,12 @@ def test_equivariance_of_state_maps(model, tbank):
     g = np.kron(np.eye(m.n), lq)
     t = random_torsion(tbank, 9)
     gt = np.einsum("ax,by,cz,abc->xyz", g, g, g, t, optimize=True)
-    for func in (cft.pi_l20e_ricq, cft.pi_s2es2h_ricq, cft.pi_l20es2h_ricq,
-                 cft.pi_s2es2h_ric):
-        lhs = func(m, cft.TorsionState.make(m, t=gt))
-        rhs = np.einsum("ax,by,ab->xy", g, g,
-                        func(m, cft.TorsionState.make(m, t=t)), optimize=True)
+    lhs_all = cft.ricci_component_formulas(m, cft.TorsionState.make(m, t=gt))
+    rhs_all = cft.ricci_component_formulas(m, cft.TorsionState.make(m, t=t))
+    for key in ("pi_L20E_ricq", "pi_S2ES2H_ricq", "pi_L20ES2H_ricq",
+                "pi_S2ES2H_ric"):
+        lhs = lhs_all[key]
+        rhs = np.einsum("ax,by,ab->xy", g, g, rhs_all[key], optimize=True)
         assert top.frob(lhs - rhs) < 1e-9 * max(top.frob(rhs), 1e-6)
 
 
@@ -194,6 +194,12 @@ def test_dstar_rule(model, tbank):
     stD = cft.TorsionState.make(m, D=D)
     expect = -np.trace(cft.theta_of_derivative(m, D))
     assert cft.d_star_theta(m, stD) == pytest.approx(expect, rel=1e-12)
+
+
+def test_reference_scalar_deviations(n):
+    devs = cft.reference_deviations(n)
+    assert set(devs["scal"]) == {"K3", "3H", "KH", "EH", "dstar"}
+    assert set(devs["scal^q"]) == {"KH", "EH"}
 
 
 # --- d^2 omega --------------------------------------------------------------------
@@ -253,7 +259,7 @@ def test_ricci_component_formulas_dict(model, tbank):
     assert set(out) == {
         "pi_R_ric", "pi_R_ricq", "ric_L20E_a", "ric_L20E_b", "pi_L20E_ric",
         "pi_L20E_ricq", "pi_S2ES2H_ric", "pi_S2ES2H_ricq", "ric_S2ES2H_a",
-        "ric_S2ES2H_b", "pi_L20ES2H_ricq", "ric_QK", "pi_R_ric_QKperp"}
+        "ric_S2ES2H_b", "pi_L20ES2H_ricq", "ric_QK", "pi_R_ric_QKperp", "R_ab"}
     # QK-point example: Ric_QK = (n+2) c and the QKperp scalar vanishes
     c = 0.6
     outc = cft.ricci_component_formulas(m, cft.TorsionState.qk_point(m, c))

@@ -59,6 +59,13 @@ def test_report_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_report_rejects_nan_without_writing(tmp_path):
+    path = tmp_path / "nan.json"
+    with pytest.raises(ValueError):
+        tio.write_report(path, 2, "audit", {}, {"v": float("nan")}, [])
+    assert not path.exists()
+
+
 def test_cli_usage_errors(capsys):
     assert cli.main(["audit", "--n", "1"]) == 1
     assert cli.main(["audit", "--n", "5"]) == 1

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import get_bank, get_torsion_bank
+from qhcurv import curvature_from_torsion as cft
 from qhcurv import tables as tbl
 
 
@@ -53,6 +54,21 @@ def test_row_labels_cover_all_sources():
     keys = tbl.row_keys()
     assert len(keys) == 1 + 6 + 6 + 15
     assert len({tbl.row_label(k) for k in keys}) == len(keys)
+
+
+def test_evaluate_columns_computes_gamma_part_once(monkeypatch):
+    ctx = tbl.TableContext.build(get_bank(2), get_torsion_bank(2))
+    calls = []
+    inner = cft.s2es2h_gamma_part
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cft, "s2es2h_gamma_part", counting)
+    t = ctx.tbank.random_component("EH", 0)
+    tbl.evaluate_columns(ctx, cft.TorsionState.make(ctx.m, t=t))
+    assert len(calls) == 1
 
 
 def test_corollary_vanishing_n2():

@@ -142,6 +142,11 @@ def test_class_masks(tbank):
     assert mask[1] == "1" and mask[5] == "1" and mask[2] == "0"
 
 
+def test_class_mask_rejects_non_finite(tbank2):
+    with pytest.raises(ValueError):
+        tbank2.class_mask(np.full((8, 8, 8), np.nan))
+
+
 def test_derivative_split(tbank):
     m = tbank.model
     from conftest import random_derivative
