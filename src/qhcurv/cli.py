@@ -32,13 +32,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qhcurv", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, reads=("tol", "json")):
+        """--n and --allow-large, plus --tol and --json where the command
+        reads them."""
         sp.add_argument("--n", type=int, required=True,
                         help="quaternionic dimension (2 or 3; 4 with --allow-large)")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="override the default verification tolerance")
-        sp.add_argument("--json", type=str, default=None, metavar="PATH",
-                        help="write the JSON report here")
+        if "tol" in reads:
+            sp.add_argument("--tol", type=float, default=1e-9,
+                            help="verification tolerance (default 1e-9)")
+        if "json" in reads:
+            sp.add_argument("--json", type=str, default=None, metavar="PATH",
+                            help="write the JSON report here")
         sp.add_argument("--allow-large", action="store_true",
                         help="lift the dim**4 memory cap")
 
@@ -58,11 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="three rank-3 nabla-omega tensor files (I, J, K)")
 
     sp = sub.add_parser("tables", help="contribution tables vs embedded expectations")
-    common(sp)
+    common(sp, reads=("json",))
     sp.add_argument("--seeds", type=int, default=8)
 
     sp = sub.add_parser("make-tensor", help="write a sample tensor file")
-    common(sp)
+    common(sp, reads=())
     sp.add_argument("--kind", choices=["random-curvature", "qk-ray", "random-torsion",
                                        "nabla-omega"],
                     default="random-curvature")
@@ -92,7 +96,7 @@ def main(argv=None) -> int:
         print("qhcurv: --n must be 2 or 3 (larger needs --allow-large)", file=sys.stderr)
         return 1
 
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = getattr(args, "tol", None)       # audit, decompose and torsion
     try:
         m = build_model(args.n, allow_large=args.allow_large)
     except ValueError as exc:

@@ -13,8 +13,14 @@ is tabulated by the contribution engine in :mod:`.tables`.
 
 Each Ricci, q-Ricci and scalar formula is a fixed linear combination of
 a few contractions of the state (the brackets <xi_X e_i, xi_{AY} A e_i>,
-<(nabla~_X xi)_{e_i} Y, e_i>, ...).  ``_brackets`` computes each of them
-once, and :func:`ricci_component_formulas` evaluates every formula as a
+<(nabla~_X xi)_{e_i} Y, e_i>, ...).  Almost every quadratic one pairs xi
+with a conjugate B_(1) C_(3) xi, B, C in (1, I, J, K), so each state
+first builds the conjugate table of these sixteen tensors (two matmuls
+each); every bracket, including each term of the gamma elimination
+``s2es2h_gamma_part``, is then a two-operand contraction of table
+entries, and the nabla~xi brackets are traces of nabla~xi against one A.
+``_brackets`` computes each bracket once, and
+:func:`ricci_component_formulas` evaluates every formula as a
 combination of its entries.  The scalar-only formulas ``pi_r_ric`` and
 ``pi_r_ricq`` read the scalar entries alone.
 
@@ -42,7 +48,8 @@ from .model_space import ModelSpace
 
 
 def _es(expr, *ops):
-    """einsum with contraction-path optimization (multi-operand terms)."""
+    """einsum with contraction-path optimization, for the multi-operand
+    terms of the pi_1 state formulas and the d^2 omega residuals."""
     return np.einsum(expr, *ops, optimize=True)
 
 
@@ -74,150 +81,48 @@ class TorsionState:
         return cls.make(m, gammas=c * m.omegas)
 
     def validate(self, m: ModelSpace, tol: float = 1e-10) -> None:
-        """Check xi and every D(W; .) lie in the torsion space."""
+        """Check xi and every D(W; .) lie in the torsion space; NaN fails."""
         scale = max(top.frob(self.t), 1e-300)
-        if top.frob(tor.project_to_torsion_space(m, self.t) - self.t) > tol * scale:
+        if not top.frob(tor.project_to_torsion_space(m, self.t) - self.t) <= tol * scale:
             raise ValueError("xi is not a torsion tensor")
         dscale = max(top.frob(self.D), 1e-300)
         for w in range(m.dim):
             sl = self.D[w]
-            if top.frob(tor.project_to_torsion_space(m, sl) - sl) > tol * dscale:
+            if not top.frob(tor.project_to_torsion_space(m, sl) - sl) <= tol * dscale:
                 raise ValueError("nabla~xi slice outside the torsion space")
         for gam in self.gammas:
-            if top.frob(gam + gam.T) > tol * max(top.frob(gam), 1e-300):
+            if not top.frob(gam + gam.T) <= tol * max(top.frob(gam), 1e-300):
                 raise ValueError("gamma_A must be antisymmetric")
 
 
 # ---------------------------------------------------------------------------
-# Contraction library.  Names record the bracket pattern; (x, y) are the
-# free slots of the resulting bilinear form.  ``u`` and ``v`` are the
-# vectors u_A and v of the same state, computed once by the bracket table.
+# The conjugate table.  Every quadratic bracket of the formulas pairs xi
+# with one of its conjugates B_(1) C_(3) xi, B, C in (1, I, J, K):
+#
+#     X[b][c][y, m, i] = sum_{p,q} B[p, y] t[p, m, q] C[q, i]
+#                      = <e_m, xi_{B e_y} C e_i>,
+#
+# index 0 being the identity (so X[0][0] = t) and a = 1, 2, 3 the triple.
+# Each bracket is then one two-operand contraction of t or a table entry
+# with another table entry; the nabla~xi brackets are traces of D against
+# one A.
 
-def _u(t, A):
-    """u_A[m] = <e_m, xi_{e_i} A e_i> = sum_i t[i, m, A e_i]."""
-    return _es("imq,qi->m", t, A)
-
-
-def _v(t):
-    """v[m] = <e_m, xi_{e_i} e_i>."""
-    return _es("imi->m", t)
-
-
-def _gamma_xAy(gam, A):
-    """gamma(X, A Y)."""
-    return _es("xa,ay->xy", gam, A)
+def _units(m: ModelSpace) -> tuple:
+    """(1, I, J, K) as matrices."""
+    return (np.eye(m.dim),) + tuple(m.triple)
 
 
-def _xi_xei__xi_Ay_Aei(t, A):
-    """<xi_X e_i, xi_{AY} A e_i>."""
-    return _es("xmi,py,pmq,qi->xy", t, A, t, A)
-
-
-def _xi_xei__xi_Aei_Ay(t, A):
-    """<xi_X e_i, xi_{A e_i} A Y>."""
-    return _es("xmi,pi,pmq,qy->xy", t, A, t, A)
-
-
-def _xi_eix__xi_Aei_Ay(t, A):
-    """<xi_{e_i} X, xi_{A e_i} A Y>."""
-    return _es("imx,pi,pmq,qy->xy", t, A, t, A)
-
-
-def _xi_eix__xi_Ay_Aei(t, A):
-    """<xi_{e_i} X, xi_{A Y} A e_i>."""
-    return _es("imx,py,pmq,qi->xy", t, A, t, A)
-
-
-def _xi_xAy__xi_ei_Aei(t, A, u):
-    """<xi_X A Y, xi_{e_i} A e_i>."""
-    return _es("xmq,qy,m->xy", t, A, u)
-
-
-def _xi_xei__xi_ei_y(t):
-    """<xi_X e_i, xi_{e_i} Y>."""
-    return _es("xmi,imy->xy", t, t)
-
-
-def _xi_xy__xi_ei_ei(t, v):
-    """<xi_X Y, xi_{e_i} e_i>."""
-    return _es("xmy,m->xy", t, v)
-
-
-def _xi_xieix_y__ei(t):
-    """<xi_{xi_{e_i} X} Y, e_i>."""
-    return _es("iwx,wiy->xy", t, t)
-
-
-def _x__xi_xieiy_ei(t):
-    """<X, xi_{xi_{e_i} Y} e_i>."""
-    return _es("iwy,wxi->xy", t, t)
-
-
-def _x__xi_uA_Ay(t, A, u):
-    """<X, xi_{xi_{e_i} A e_i} A Y>."""
-    return _es("w,wxq,qy->xy", u, t, A)
-
-
-def _x__D_ei_Aei_Ay(D, A):
-    """<X, (nabla~_{e_i} xi)_{A e_i} A Y>."""
-    return _es("ipxq,pi,qy->xy", D, A, A)
-
-
-def _x__D_ei_Ay_Aei(D, A):
-    """<X, (nabla~_{e_i} xi)_{A Y} A e_i>."""
-    return _es("ipxq,py,qi->xy", D, A, A)
-
-
-def _D_x_ei_y_ei(D):
-    """<(nabla~_X xi)_{e_i} Y, e_i>."""
-    return _es("xiiy->xy", D)
-
-
-def _D_ei_x_y_ei(D):
-    """<(nabla~_{e_i} xi)_X Y, e_i>."""
-    return _es("ixiy->xy", D)
-
-
-def _x__D_ei_y_ei(D):
-    """<X, (nabla~_{e_i} xi)_Y e_i>."""
-    return _es("iyxi->xy", D)
-
-
-def _x__D_y_ei_ei(D):
-    """<X, (nabla~_Y xi)_{e_i} e_i>."""
-    return _es("yixi->xy", D)
-
-
-def _x__D_Ay_ei_Aei(D, A):
-    """<X, (nabla~_{A Y} xi)_{e_i} A e_i>."""
-    return _es("py,pixq,qi->xy", A, D, A)
+def _conjugate_table(m: ModelSpace, t: np.ndarray) -> list:
+    """X[b][c] = B_(1) C_(3) xi for B, C in (1, I, J, K), two matmuls each."""
+    units = _units(m)
+    flat = t.reshape(m.dim, -1)
+    left = [(B.T @ flat).reshape(t.shape) for B in units]
+    return [[L @ C for C in units] for L in left]
 
 
 def _gamma_omega_inner(gam, A) -> float:
     """<gamma_A, omega_A> with the normalized 2-form pairing."""
-    return 0.5 * float(_es("ij,ij->", gam, A))
-
-
-# scalar contractions
-
-def _s2(t) -> float:
-    """<xi_{e_i} e_j, xi_{e_j} e_i>."""
-    return float(_es("imj,jmi->", t, t))
-
-
-def _s5(t, A) -> float:
-    """<xi_{e_i} e_j, xi_{A e_j} A e_i>."""
-    return float(_es("imj,pj,pmq,qi->", t, A, t, A))
-
-
-def _s6(t, A) -> float:
-    """<xi_{e_i} e_j, xi_{A e_i} A e_j>."""
-    return float(_es("imj,pi,pmq,qj->", t, A, t, A))
-
-
-def _phi_trace(D) -> float:
-    """<(nabla~_{e_i} xi)_{e_j} e_i, e_j>."""
-    return float(_es("ijji->", D))
+    return 0.5 * float(np.einsum("ij,ij->", gam, A))
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +130,29 @@ def _phi_trace(D) -> float:
 # formulas combine, each computed once per state.
 
 def _scalar_brackets(m: ModelSpace, state: TorsionState) -> dict:
-    """The scalar brackets, with the vectors v and u_A the rank-2 brackets
-    reuse:
+    """The scalar brackets, with what the rank-2 brackets reuse: the
+    conjugate table X, XA = sum_A X[A][A] and the vectors
 
-    vv = <v, v>, s2, phi, Gamma = sum_A <gamma_A, omega_A>,
-    S4 = sum_A <u_A, u_A>, S5 = sum_A s5_A, S6 = sum_A s6_A.
+    u[a][m] = <e_m, xi_{e_i} A e_i>, the trace of X[0][a] (u[0] = v).
+
+    vv = <v, v>, s2 = <xi_{e_i} e_j, xi_{e_j} e_i>,
+    phi = <(nabla~_{e_i} xi)_{e_j} e_i, e_j>, Gamma = sum_A <gamma_A, omega_A>,
+    S4 = sum_A <u_A, u_A>, S5 = sum_A <xi_{e_i} e_j, xi_{A e_j} A e_i>,
+    S6 = sum_A <xi_{e_i} e_j, xi_{A e_i} A e_j>.
     """
     t = state.t
-    v = _v(t)
-    u = [_u(t, A) for A in m.triple]
+    X = _conjugate_table(m, t)
+    XA = X[1][1] + X[2][2] + X[3][3]
+    u = [np.einsum("imi->m", Xc) for Xc in X[0]]
     return {
-        "v": v, "u": u, "vv": float(v @ v), "s2": _s2(t),
-        "phi": _phi_trace(state.D),
+        "X": X, "XA": XA, "u": u, "vv": float(u[0] @ u[0]),
+        "s2": float(np.einsum("imj,jmi->", t, t)),
+        "phi": float(np.einsum("ijji->", state.D)),
         "Gamma": sum(_gamma_omega_inner(g, A)
                      for g, A in zip(state.gammas, m.triple)),
-        "S4": sum(float(uA @ uA) for uA in u),
-        "S5": sum(_s5(t, A) for A in m.triple),
-        "S6": sum(_s6(t, A) for A in m.triple),
+        "S4": sum(float(uA @ uA) for uA in u[1:]),
+        "S5": float(np.einsum("imj,jmi->", t, XA)),
+        "S6": float(np.einsum("imj,imj->", t, XA)),
     }
 
 
@@ -261,21 +172,22 @@ def _brackets(m: ModelSpace, state: TorsionState) -> dict:
     N0 is the gamma-free Ricci bracket; E holds the extra terms of the
     skew q-Ricci formula.
     """
-    t, D, T = state.t, state.D, m.triple
+    t, D = state.t, state.D
     b = _scalar_brackets(m, state)
-    u = b["u"]
-    xixi = _xi_xei__xi_ei_y(t) + 3.0 * _xi_xy__xi_ei_ei(t, b["v"])
-    b["N0"] = (4.0 * (_D_x_ei_y_ei(D) - _D_ei_x_y_ei(D)) - xixi
-               - 4.0 * _xi_xieix_y__ei(t))
-    b["E"] = xixi + 4.0 * (_x__xi_xieiy_ei(t) + _x__D_ei_y_ei(D)
-                           - _x__D_y_ei_ei(D))
-    b["P"] = sum(_xi_xei__xi_Ay_Aei(t, A) for A in T)
-    b["Q"] = sum(_xi_xei__xi_Aei_Ay(t, A) + _xi_xAy__xi_ei_Aei(t, A, uA)
-                 for A, uA in zip(T, u))
-    b["M"] = sum(_x__xi_uA_Ay(t, A, uA) + _x__D_ei_Aei_Ay(D, A)
-                 for A, uA in zip(T, u))
-    b["W"] = sum(_xi_eix__xi_Aei_Ay(t, A) for A in T)
-    b["G"] = sum(_gamma_xAy(g, A) for g, A in zip(state.gammas, T))
+    X, XA, u = b["X"], b["XA"], b["u"]
+    xixi = np.einsum("xmi,imy->xy", t, t) + 3.0 * np.einsum("xmy,m->xy", t, u[0])
+    b["N0"] = (4.0 * (np.einsum("xiiy->xy", D) - np.einsum("ixiy->xy", D))
+               - xixi - 4.0 * np.einsum("iwx,wiy->xy", t, t))
+    b["E"] = xixi + 4.0 * (np.einsum("iwy,wxi->xy", t, t)
+                           + np.einsum("iyxi->xy", D) - np.einsum("yixi->xy", D))
+    b["P"] = np.einsum("xmi,ymi->xy", t, XA)
+    b["Q"] = np.einsum("xmi,imy->xy", t, XA) + sum(
+        np.einsum("xmy,m->xy", X[0][a], u[a]) for a in (1, 2, 3))
+    b["M"] = sum(np.einsum("w,wxy->xy", u[a], X[0][a])
+                 + np.einsum("ipxq,pi->xq", D, A) @ A
+                 for a, A in enumerate(m.triple, 1))
+    b["W"] = np.einsum("imx,imy->xy", t, XA)
+    b["G"] = sum(g @ A for g, A in zip(state.gammas, m.triple))
     return b
 
 
@@ -283,10 +195,11 @@ def _brackets(m: ModelSpace, state: TorsionState) -> dict:
 # Ricci formulas on states.
 
 def ric_star_from(m: ModelSpace, state: TorsionState, a_idx: int) -> np.ndarray:
-    """Ric*_A(X,Y) = -n gamma_A(X, A Y) - <xi_X e_i, xi_{AY} A e_i>."""
-    A = m.triple[a_idx]
-    return (-m.n * _gamma_xAy(state.gammas[a_idx], A)
-            - _xi_xei__xi_Ay_Aei(state.t, A))
+    """Ric*_A(X,Y) = -n gamma_A(X, A Y) - <xi_X e_i, xi_{AY} A e_i>, as one
+    direct contraction, independent of the bracket table."""
+    A, t = m.triple[a_idx], state.t
+    return (-m.n * (state.gammas[a_idx] @ A)
+            - np.einsum("xmi,py,pmq,qi->xy", t, A, t, A))
 
 
 def ricq_from(m: ModelSpace, state: TorsionState) -> np.ndarray:
@@ -323,8 +236,8 @@ def pi1s_operator(m: ModelSpace, R: np.ndarray) -> np.ndarray:
     """pi_1s(a) = (1/4n) sum_A a(X,Y,Ae_i,e_i) omega_A(Z,U)."""
     out = np.zeros_like(R)
     for A, w in zip(m.triple, m.omegas):
-        coef = _es("xyab,ab->xy", R, A)
-        out += _es("xy,zu->xyzu", coef, w)
+        coef = np.einsum("xyab,ab->xy", R, A)
+        out += np.einsum("xy,zu->xyzu", coef, w)
     return out / (4.0 * m.n)
 
 
@@ -394,9 +307,10 @@ def pi1_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
 # gamma elimination: the S^2E S^2H part of sum_A gamma_A(., A.) expressed
 # through (xi, nabla~xi) via the d^2 omega identity.
 
-#: The six orderings (a, b, c) of (I, J, K) with their signs.
-_ORDERINGS = (((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
-              ((1, 0, 2), -1.0), ((0, 2, 1), -1.0), ((2, 1, 0), -1.0))
+#: The six orderings (a, b, c) of (I, J, K), as indices into ``_units``,
+#: with their signs.
+_ORDERINGS = (((1, 2, 3), 1.0), ((2, 3, 1), 1.0), ((3, 1, 2), 1.0),
+              ((2, 1, 3), -1.0), ((1, 3, 2), -1.0), ((3, 2, 1), -1.0))
 
 
 def _cyc(f):
@@ -414,29 +328,32 @@ def _cyc(f):
     return sum(0.5 * sign * f(*abc) for abc, sign in _ORDERINGS)
 
 
-def s2es2h_gamma_part(m: ModelSpace, state: TorsionState, u, P) -> np.ndarray:
+def s2es2h_gamma_part(m: ModelSpace, state: TorsionState, brackets: dict) -> np.ndarray:
     """pi_{S2ES2H}(sum_A gamma_A(., A.)) in terms of (xi, nabla~xi).
 
     This is the component of the d^2 Omega consequence that eliminates the
     S^2E S^2H part of gamma; dividing its right-hand side by
-    -2(n-1).  ``u`` and ``P`` are the u_A vectors and the P bracket of the
-    state (see ``_brackets``).
+    -2(n-1).  ``brackets`` is the bracket table of the state (see
+    ``_brackets``).  Every xi term pairs two entries of its conjugate
+    table X, one of them possibly acted on in the middle slot
+    (``B @ X[c][0]`` is B_(2) X[c][0]); the nabla~xi terms use the traces
+    delta_A[p, b] = sum_{i,q} (D[p,i,b,q] - D[i,p,b,q]) A[q,i].
     """
-    t, D, T = state.t, state.D, m.triple
-    rhs = 2.0 * P
-    for A, uA in zip(T, u):
-        rhs = rhs + (-_xi_eix__xi_Ay_Aei(t, A)
-                     + _es("px,pmy,m->xy", A, t, uA)
-                     + _es("imx,mb,py,pbi->xy", t, A, A, t)
-                     - _es("iwa,ay,wxq,qi->xy", t, A, t, A)
-                     + _x__D_Ay_ei_Aei(D, A) - _x__D_ei_Ay_Aei(D, A))
+    t, X, u = state.t, brackets["X"], brackets["u"]
+    units = _units(m)
+    skew = state.D - state.D.swapaxes(0, 1)
+    delta = {a: np.einsum("pibq,qi->pb", skew, units[a]) for a in (1, 2, 3)}
+    mid = sum(units[a] @ X[a][0] for a in (1, 2, 3)) - brackets["XA"]
+    rhs = 2.0 * brackets["P"] + np.einsum("imx,ymi->xy", t, mid)
+    for a in (1, 2, 3):
+        rhs = rhs + (np.einsum("xmy,m->xy", X[a][0], u[a])
+                     - np.einsum("iwy,wxi->xy", X[0][a], X[0][a])
+                     + delta[a].T @ units[a])
     rhs = rhs + _cyc(lambda a, b, c: (
-        -_es("ima,ax,pmq,py,qi->xy", t, T[a], t, T[c], T[b])
-        + _es("px,pmb,by,m->xy", T[a], t, T[b], u[c])
-        + _es("ima,ax,mb,py,pbi->xy", t, T[a], T[b], T[c], t)
-        + _es("iwa,ay,xb,wbq,qi->xy", t, T[c], T[a], t, T[b])
-        - _es("xb,py,pibq,qi->xy", T[a], T[c], D, T[b])
-        + _es("xb,ipbq,py,qi->xy", T[a], D, T[c], T[b])))
+        np.einsum("imx,ymi->xy", X[0][a], units[b] @ X[c][0] - X[c][b])
+        + np.einsum("xmy,m->xy", X[a][b], u[c])
+        + np.einsum("iwy,wxi->xy", X[0][c], units[a] @ X[0][b])
+        - units[a] @ delta[b].T @ units[c]))
     return cs.proj_sym_S2ES2H(m, rhs) / (-2.0 * (m.n - 1.0))
 
 
@@ -519,7 +436,7 @@ def ricci_component_formulas(m: ModelSpace, state: TorsionState) -> dict:
     out["ric_L20E_b"] = (x + 2.0 * (n - 1.0) / n * y) / 6.0
     # S^2E S^2H: Ric^q = -n G - P and 3 Ric = N0 - (n+2) G - P + Q, with the
     # S^2E S^2H part of G replaced through d^2 Omega
-    gp = s2es2h_gamma_part(m, state, b["u"], b["P"])
+    gp = s2es2h_gamma_part(m, state, b)
     q = -n * gp - cs.proj_sym_S2ES2H(m, b["P"])
     r = (-(n + 2.0) * gp + cs.proj_sym_S2ES2H(m, b["N0"] - b["P"] + b["Q"])) / 3.0
     out["pi_S2ES2H_ric"] = r
@@ -538,7 +455,7 @@ def ricci_component_formulas(m: ModelSpace, state: TorsionState) -> dict:
 def theta_of_derivative(m: ModelSpace, D: np.ndarray) -> np.ndarray:
     """(nabla~_W theta)(X): the theta-contraction of each D(W; .) slice."""
     scale = 6.0 * (2.0 * m.n + 1.0) * (m.n - 1.0) / m.n
-    return -_es("wjxj->wx", D) / scale
+    return -np.einsum("wjxj->wx", D) / scale
 
 
 def d_star_theta(m: ModelSpace, state: TorsionState) -> float:
@@ -550,7 +467,7 @@ def d_star_theta(m: ModelSpace, state: TorsionState) -> float:
     """
     nabla_theta = theta_of_derivative(m, state.D)
     th = tor.theta(m, state.t)
-    v = _v(state.t)
+    v = np.einsum("imi->m", state.t)
     return float(-np.trace(nabla_theta) - th @ v)
 
 

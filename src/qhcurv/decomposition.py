@@ -202,8 +202,6 @@ class ProjectorBank:
     blocks: dict
     qk: np.ndarray
     qkperp: np.ndarray
-    ray_qk: np.ndarray
-    ray_qkperp: np.ndarray
     log: list = field(default_factory=list)
 
     def basis(self, name: str) -> np.ndarray:
@@ -370,8 +368,7 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
                        + [fine[nm].rows for nm in perp_names if fine[nm].rank])
 
     return ProjectorBank(model=m, scheme=ps, fine=fine, blocks=blocks,
-                         qk=qk, qkperp=qkperp, ray_qk=ray_qk,
-                         ray_qkperp=ray_qkperp, log=log)
+                         qk=qk, qkperp=qkperp, log=log)
 
 
 def _constrained_triples(m: ModelSpace, form_basis_mats):
@@ -439,7 +436,7 @@ def qk_einstein_verify(bank: ProjectorBank, R, tol: float = 1e-9) -> tuple[float
     tensor = R.require_certified() if isinstance(R, cs.CurvatureTensor) else R
     scale = max(top.frob(tensor), 1e-300)
     perp = bank.component_norm(tensor, "QKperp")
-    if perp > tol * scale:
+    if not perp <= tol * scale:
         raise ValueError(f"R is not in QK: perp fraction {perp / scale}")
     n = m.n
     ric = cs.ricci(tensor)
@@ -528,14 +525,14 @@ def dimension_audit(bank: ProjectorBank, n_samples: int = 3,
             eigen_residuals[name] = 0.0
             continue
         lam, mu = COMPONENT_SPECTRUM[name]
-        worst = 0.0
-        take = rows[:min(len(rows), n_samples)]
-        for row in take:
+        resid = []
+        for row in rows[:n_samples]:
             T = cs.from_pair_coords(ps, row)
-            worst = max(worst, top.frob(cs.L_map(m, T) - lam * T))
-            worst = max(worst, top.frob(cs.L_sigma_map(m, T) - mu * T))
+            resid += [top.frob(cs.L_map(m, T) - lam * T),
+                      top.frob(cs.L_sigma_map(m, T) - mu * T)]
+        worst = float(np.max(resid))      # np.max keeps a NaN, max() drops it
         eigen_residuals[name] = worst
-        if worst > tol:
+        if not worst <= tol:
             failures.append(f"eigen residual of {name}: {worst}")
 
     # projector algebra: completeness and pairwise orthogonality
@@ -547,9 +544,9 @@ def dimension_audit(bank: ProjectorBank, n_samples: int = 3,
     overlap = stacked @ all_rows.T
     completeness = float(np.max(np.abs(overlap.T @ overlap - np.eye(all_rows.shape[0]))))
     algebra = {"orthonormality": ortho, "completeness": completeness}
-    if ortho > tol:
+    if not ortho <= tol:
         failures.append(f"component bases not orthonormal: {ortho}")
-    if completeness > tol:
+    if not completeness <= tol:
         failures.append(f"fine components do not fill R: {completeness}")
 
     return DecompositionReport(

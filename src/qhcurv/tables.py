@@ -358,9 +358,11 @@ def _combine(vals, coefs):
     return out
 
 
-def evaluate_row(ctx: TableContext, key, seed) -> dict:
+def evaluate_row(ctx: TableContext, key, seed, pure: dict) -> dict:
     """Column values for one source row and one seed (polarized for the
-    off-diagonal products)."""
+    off-diagonal products).  ``pure[c, seed]`` holds the column values of
+    the seeded pure state of component c, which the diagonal row and every
+    off-diagonal row containing c share."""
     m = ctx.m
     if key[0] == "gamma":
         state = cft.TorsionState.qk_point(m, 1.0)
@@ -369,13 +371,11 @@ def evaluate_row(ctx: TableContext, key, seed) -> dict:
         D = tor.random_derivative_component(ctx.tbank, key[1], seed)
         return evaluate_columns(ctx, cft.TorsionState.make(m, D=D))
     _, c1, c2 = key
-    t1 = ctx.tbank.random_component(c1, seed)
     if c1 == c2:
-        return evaluate_columns(ctx, cft.TorsionState.make(m, t=t1))
-    t2 = ctx.tbank.random_component(c2, seed)
-    vals = [evaluate_columns(ctx, cft.TorsionState.make(m, t=t))
-            for t in (t1 + t2, t1, t2)]
-    return _combine(vals, (1.0, -1.0, -1.0))
+        return pure[c1, seed]
+    t = ctx.tbank.random_component(c1, seed) + ctx.tbank.random_component(c2, seed)
+    mixed = evaluate_columns(ctx, cft.TorsionState.make(m, t=t))
+    return _combine([mixed, pure[c1, seed], pure[c2, seed]], (1.0, -1.0, -1.0))
 
 
 def _witnesses(ctx: TableContext, cols: dict) -> dict:
@@ -455,6 +455,9 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
                    (2, TABLE2_COLUMNS, EXPECTED_TABLE2),
                    (3, TABLE3_COLUMNS, EXPECTED_TABLE3)]
 
+    pure = {(c, s): evaluate_columns(ctx, cft.TorsionState.make(
+                ctx.m, t=tbank.random_component(c, s)))
+            for c in COMPS if tbank.rank(c) for s in range(seeds)}
     for key in row_keys():
         zero_source = (key[0] in ("D", "xx")
                        and any(tbank.rank(c) == 0 for c in key[1:]))
@@ -462,7 +465,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
         per_seed = []
         if not zero_source:
             for s in range(nseeds):
-                cols = evaluate_row(ctx, key, s)
+                cols = evaluate_row(ctx, key, s, pure)
                 per_seed.append((_witnesses(ctx, cols), cols))
         for table, columns, expected_map in table_specs:
             if table == 3 and key not in EXPECTED_TABLE3:

@@ -141,8 +141,6 @@ class TorsionBank:
 
     model: ModelSpace
     ambient: np.ndarray
-    s3h: np.ndarray
-    h: np.ndarray
     comps: dict
     log: list = field(default_factory=list)
 
@@ -253,8 +251,7 @@ def build_torsion_bank(m: ModelSpace, tol: float = cs.SV_TOL) -> TorsionBank:
 
     for name in TORSION_COMPONENTS:
         log.append(f"xi_{name}: rank {comps[name].shape[0]}")
-    return TorsionBank(model=m, ambient=ambient, s3h=s3h, h=h,
-                       comps=comps, log=log)
+    return TorsionBank(model=m, ambient=ambient, comps=comps, log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +342,7 @@ def torsion_from_nabla_omega(m: ModelSpace, nw_I, nw_J, nw_K,
     """
     nws = np.stack([np.asarray(w, dtype=float) for w in (nw_I, nw_J, nw_K)])
     for a in range(3):
-        if top.frob(nws[a] + nws[a].swapaxes(1, 2)) > 1e-12 * max(top.frob(nws[a]), 1):
+        if not top.frob(nws[a] + nws[a].swapaxes(1, 2)) <= 1e-12 * max(top.frob(nws[a]), 1):
             raise ValueError("nabla-omega inputs must be antisymmetric in (Y, Z)")
     n = m.n
     lambdas = np.empty((3, m.dim))

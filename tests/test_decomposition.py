@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from qhcurv import curvature_from_torsion as cft
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
 from qhcurv import model_space as ms
 from qhcurv import tensor_ops as top
+from qhcurv import torsion as tor
 
 
 def l20e_mats(m):
@@ -172,6 +176,38 @@ def _group_elements(m, seed):
     for blk, target in enumerate(perm):
         g3[4 * target:4 * target + 4, 4 * blk:4 * blk + 4] = np.eye(4)
     return g1, g2, g3
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+def _audit_with_nan_row(m, bank):
+    rows = bank.fine["V22"].rows.copy()
+    rows[0, 0] = np.nan
+    fine = {**bank.fine, "V22": dataclasses.replace(bank.fine["V22"], rows=rows)}
+    return dec.dimension_audit(dataclasses.replace(bank, fine=fine)).ok
+
+
+#: Whether each tolerance gate accepts NaN input (it must not).
+_NAN_GATES = {
+    "validate": lambda m, bank: _accepts(lambda: cft.TorsionState.make(
+        m, t=np.full((m.dim,) * 3, np.nan)).validate(m)),
+    "qk_einstein_verify": lambda m, bank: _accepts(
+        lambda: dec.qk_einstein_verify(bank, np.full((m.dim,) * 4, np.nan))),
+    "dimension_audit": _audit_with_nan_row,
+    "torsion_from_nabla_omega": lambda m, bank: _accepts(
+        lambda: tor.torsion_from_nabla_omega(m, *np.full((3,) + (m.dim,) * 3, np.nan))),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(_NAN_GATES))
+def test_tolerance_gates_fail_closed_on_nan(gate, model2, bank2):
+    assert not _NAN_GATES[gate](model2, bank2)
 
 
 def test_projector_equivariance(bank):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qhcurv
 from qhcurv import cli
 from qhcurv import curvature_space as cs
 from qhcurv import tensor_io as tio
@@ -66,10 +70,15 @@ def test_report_rejects_nan_without_writing(tmp_path):
     assert not path.exists()
 
 
-def test_cli_usage_errors(capsys):
+def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["audit", "--n", "1"]) == 1
     assert cli.main(["audit", "--n", "5"]) == 1
     assert cli.main(["bogus"]) == 1
+    # make-tensor writes no report and checks nothing; tables checks no tolerance
+    out = str(tmp_path / "R.qht")
+    assert cli.main(["make-tensor", "--n", "2", "--output", out, "--json", "x"]) == 1
+    assert cli.main(["make-tensor", "--n", "2", "--output", out, "--tol", "1"]) == 1
+    assert cli.main(["tables", "--n", "2", "--tol", "1"]) == 1
 
 
 def test_cli_audit(tmp_path, capsys):
@@ -161,6 +170,36 @@ def test_cli_tables_deterministic(tmp_path, capsys):
     code2 = cli.main(["tables", "--n", "2", "--seeds", "2", "--json", str(out2)])
     assert code1 == 0 and code2 == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+#: What each command's report must keep under any BLAS thread count.
+_THREAD_INVARIANTS = {
+    ("audit", "--n", "2"): lambda results: results["ranks"],
+    ("tables", "--n", "2", "--seeds", "2"): lambda results: [
+        (c["source"], c["table"], c["target"], c["status"], c["tick"])
+        for c in results["cells"]],
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_THREAD_INVARIANTS), ids=lambda argv: argv[0])
+def test_cli_results_independent_of_qhc_threads(argv, tmp_path):
+    # _cap_threads only fills unset variables, so clear them in the child
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qhcurv.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    seen = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"{threads}.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qhcurv.cli", *argv, "--json", str(out)],
+            env={**env, "QHC_THREADS": threads}, capture_output=True, text=True,
+            timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        results = {r["check"]: r["value"] for r in json.loads(out.read_text())["results"]}
+        seen.append(_THREAD_INVARIANTS[argv](results))
+    assert seen[0] == seen[1]
 
 
 def test_cli_torsion_rejects_non_torsion_input(tmp_path, capsys):

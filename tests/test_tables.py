@@ -71,6 +71,22 @@ def test_evaluate_columns_computes_gamma_part_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("seeds", [1, 2])
+def test_run_tables_evaluates_each_state_once(monkeypatch, seeds):
+    """At n = 2 four torsion components are nonzero: per seed, four
+    derivative rows, four pure states and six sums, plus the gamma row."""
+    calls = []
+    inner = tbl.evaluate_columns
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(tbl, "evaluate_columns", counting)
+    tbl.run_tables(get_bank(2), get_torsion_bank(2), seeds=seeds)
+    assert len(calls) == 1 + 14 * seeds
+
+
 def test_corollary_vanishing_n2():
     ctx = tbl.TableContext.build(get_bank(2), get_torsion_bank(2))
     for entry in tbl.corollary_vanishing(ctx):
