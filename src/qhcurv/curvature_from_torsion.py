@@ -47,12 +47,6 @@ from . import torsion as tor
 from .model_space import ModelSpace
 
 
-def _es(expr, *ops):
-    """einsum with contraction-path optimization, for the multi-operand
-    terms of the pi_1 state formulas and the d^2 omega residuals."""
-    return np.einsum(expr, *ops, optimize=True)
-
-
 # ---------------------------------------------------------------------------
 # States.
 
@@ -256,7 +250,7 @@ def _skew_nabla_term(D: np.ndarray) -> np.ndarray:
 
 def _xi_circ_xi_endo(t: np.ndarray) -> np.ndarray:
     """N[x,y,a,b] = (xi_x xi_y - xi_y xi_x)[a,b]."""
-    p = _es("xam,ymb->xyab", t, t)
+    p = np.tensordot(t, t, axes=(2, 1)).transpose(0, 2, 1, 3)
     return p - p.swapaxes(0, 1)
 
 
@@ -271,13 +265,13 @@ def pi1es_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
     t, D = state.t, state.D
     out = np.zeros((m.dim,) * 4)
     for a, w in zip(state.gammas, m.omegas):
-        out += 0.5 * _es("xy,zu->xyzu", a, w)
+        out += 0.5 * np.multiply.outer(a, w)
     out += _skew_nabla_term(D)
     N = _xi_circ_xi_endo(t)
     out -= 0.75 * N.transpose(0, 1, 3, 2)
     for A in m.triple:
-        # <A N A Z, U> = A[u,p] N[x,y,p,q] A[q,z]
-        out -= 0.25 * _es("up,xypq,qz->xyzu", A, N, A)
+        # <A N A Z, U> = A[u,p] N[x,y,p,q] A[q,z] = (A N A)[x,y,u,z]
+        out -= 0.25 * (A @ N @ A).transpose(0, 1, 3, 2)
     bt = top.b_tilde(t, t)  # bt[x,y,m,z] = <e_m, b~_{x,y} e_z>
     out += bt.transpose(0, 1, 3, 2)
     return out
@@ -289,11 +283,13 @@ def pi1s_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
     of s_A(X,Y) = <xi_X e_i, xi_Y A e_i> cancels either way)."""
     t = state.t
     out = np.zeros((m.dim,) * 4)
+    flat = t.reshape(m.dim, -1)
     for gam, w in zip(state.gammas, m.omegas):
-        out += 0.5 * _es("xy,zu->xyzu", gam, w)
+        out += 0.5 * np.multiply.outer(gam, w)
     for A, w in zip(m.triple, m.omegas):
-        s = _es("xmi,ymq,qi->xy", t, t, A)
-        out += _es("xy,zu->xyzu", (s - s.T) / (4.0 * m.n), w)
+        # s[x,y] = t[x,m,i] t[y,m,q] A[q,i]
+        s = flat @ (t @ A).reshape(m.dim, -1).T
+        out += np.multiply.outer((s - s.T) / (4.0 * m.n), w)
     return out
 
 
@@ -576,14 +572,14 @@ def scalars_from_torsion(m: ModelSpace, bank: tor.TorsionBank,
 
 def _nabla_pair_term(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """F[w,p,m,u] = <e_m, A (nabla~_w xi)_p e_u> - <e_m, (nabla~_w xi)_p A e_u>."""
-    return (_es("mb,wpbu->wpmu", A, D)
-            - _es("wpmc,cu->wpmu", D, A))
+    return A @ D - D @ A
 
 
 def _xi_pair_term(A: np.ndarray, t: np.ndarray) -> np.ndarray:
     """K[p,q,m,u] = <e_m, xi_p A xi_q e_u> - <e_m, xi_p xi_q A e_u>."""
-    return (_es("pmb,bc,qcu->pqmu", t, A, t)
-            - _es("pmb,qbc,cu->pqmu", t, t, A))
+    tA = t @ A
+    return (np.tensordot(tA, t, axes=(2, 1))
+            - np.tensordot(t, tA, axes=(2, 1))).transpose(0, 2, 1, 3)
 
 
 def isquare_residual_tensors(m: ModelSpace, state: TorsionState) -> np.ndarray:
@@ -624,7 +620,7 @@ def dd_omega_residual(m: ModelSpace, state: TorsionState) -> dict:
     bil = np.zeros((m.dim, m.dim))
     for a in range(3):
         B, C = m.triple[(a + 1) % 3], m.triple[(a + 2) % 3]
-        bil += _es("xbci,by,ci->xy", tensors[a], B, C)
+        bil += np.tensordot(tensors[a], C, axes=([2, 3], [0, 1])) @ B
     return {"four_form": four_form, "bilinear": float(top.frob(bil)),
             "total": float(np.hypot(four_form, top.frob(bil)))}
 

@@ -8,7 +8,7 @@ Tensor file layout (little endian):
     reserved u16
     n       u32      quaternionic dimension
     dims    u32 * rank   (each must equal 4 n)
-    payload f64 * prod(dims), row major, every entry finite
+    payload f64 * prod(dims), row major, every entry finite; nothing follows
 
 Reports are plain JSON objects {version, n, command, tolerances, results,
 failures}; floats go through Python's shortest round-trip repr, so a report
@@ -83,6 +83,9 @@ def read_tensor(path) -> TensorFile:
         count *= s
     if len(raw) - offset < 8 * count:
         raise TensorFileError("truncated payload")
+    if len(raw) - offset > 8 * count:
+        raise TensorFileError(
+            f"{len(raw) - offset - 8 * count} bytes after the payload")
     payload = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
     if not np.all(np.isfinite(payload)):
         raise TensorFileError("payload holds NaN or infinite entries")

@@ -150,7 +150,10 @@ def alt(T: np.ndarray) -> np.ndarray:
     r = T.ndim
     out = np.zeros_like(T)
     for perm in itertools.permutations(range(r)):
-        out += _perm_sign(perm) * T.transpose(perm)
+        if _perm_sign(perm) > 0:
+            out += T.transpose(perm)
+        else:
+            out -= T.transpose(perm)
     return out / _factorial(r)
 
 

@@ -27,10 +27,6 @@ from . import curvature_space as cs
 from . import tensor_ops as top
 from .model_space import ModelSpace
 
-
-def _es(expr, *ops):
-    return np.einsum(expr, *ops, optimize=True)
-
 #: Component order used everywhere (layout order and bit order of the mask).
 TORSION_COMPONENTS = ("33", "K3", "E3", "3H", "KH", "EH")
 
@@ -46,22 +42,41 @@ def expected_torsion_dims(n: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # Slot operators entering the characterizations.
+#
+# I, J, K are signed permutation matrices, so substituting A into two slots
+# is a pair of exact matmuls: every output entry is one input entry, signed.
+
+def _act13(A: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """t(A., ., A.)[x,y,z] = A[a,x] A[c,z] t[a,y,c]."""
+    d = A.shape[0]
+    return (A.T @ (t @ A).reshape(d, -1)).reshape(t.shape)
+
+
+def _act12(A: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """t(A., A., .)[x,y,z] = A[a,x] A[b,y] t[a,b,z]."""
+    d = A.shape[0]
+    return A.T @ (A.T @ t.reshape(d, -1)).reshape(t.shape)
+
+
+def _act23(A: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """t(., A., A.)[x,y,z] = A[b,y] A[c,z] t[x,b,c]."""
+    return A.T @ t @ A
+
 
 def _sum_op13(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     """sum_A t(A., ., A.)  (the action of sum_A A_(1) A_(3))."""
-    return sum(_es("ax,cz,ayc->xyz", A, A, t) for A in m.triple)
+    return sum(_act13(A, t) for A in m.triple)
 
 
 def _sum_op12(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     """sum_A t(A., A., .)."""
-    return sum(_es("ax,by,abz->xyz", A, A, t) for A in m.triple)
+    return sum(_act12(A, t) for A in m.triple)
 
 
 def _op_h(A: np.ndarray, t: np.ndarray) -> np.ndarray:
     """t(A.,.,A.) + t(A.,A.,.) + t(.,A.,A.) for a single A."""
-    return (_es("ax,cz,ayc->xyz", A, A, t)
-            + _es("ax,by,abz->xyz", A, A, t)
-            + _es("by,cz,xbc->xyz", A, A, t))
+    return _act13(A, t) + _act12(A, t) + _act23(A, t)
+
 
 
 def cyclic_sum(t: np.ndarray) -> np.ndarray:
@@ -76,11 +91,11 @@ def project_to_torsion_space(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a rank-3 tensor onto T* (x) Lambda^2_0 E S^2 H."""
     t = 0.5 * (t - t.swapaxes(1, 2))
     # per first-slot slice, remove the S^2E and span{omega} parts of the 2-form
-    s2e = 0.25 * (t + sum(_es("by,cz,xbc->xyz", A, A, t) for A in m.triple))
+    s2e = 0.25 * (t + sum(_act23(A, t) for A in m.triple))
     t = t - s2e
     for w in m.omegas:
-        coef = _es("xyz,yz->x", t, w) / (4.0 * m.n)
-        t = t - _es("x,yz->xyz", coef, w)
+        coef = np.tensordot(t, w, axes=([1, 2], [0, 1])) / (4.0 * m.n)
+        t = t - coef[:, None, None] * w
     return t
 
 
@@ -93,12 +108,12 @@ def _theta_scale(n: int) -> float:
 
 def theta(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     """Global trace one-form: (6/n)(2n+1)(n-1) theta(X) = -<xi_{e_i} e_i, X>."""
-    return -_es("ixi->x", t) / _theta_scale(m.n)
+    return -np.einsum("ixi->x", t) / _theta_scale(m.n)
 
 
 def theta_A(m: ModelSpace, t: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Local trace one-form: (2/n)(2n+1)(n-1) theta_A(X) = -<A xi_{e_i} A e_i, X>."""
-    w = _es("iab,ax,bi->x", t, A, A)
+    w = np.tensordot(A, t, axes=([0, 1], [2, 0])) @ A
     return w / (_theta_scale(m.n) / 3.0)
 
 
@@ -124,11 +139,11 @@ def xi_EH_from_trace(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     """
     th = theta(m, t)
     g = m.g
-    out = 3.0 * (_es("xy,z->xyz", g, th) - _es("xz,y->xyz", g, th))
+    out = 3.0 * (g[:, :, None] * th - g[:, None, :] * th[:, None])
     for A, w in zip(m.triple, m.omegas):
         ath = A @ th
-        out -= (_es("yx,z->xyz", A, ath) - _es("zx,y->xyz", A, ath))
-        out -= (2.0 / m.n) * _es("x,yz->xyz", ath, w)
+        out -= (A.T[:, :, None] * ath - A.T[:, None, :] * ath[:, None])
+        out -= (2.0 / m.n) * (ath[:, None, None] * w)
     return out
 
 
@@ -275,7 +290,7 @@ def residual_cyclic(t: np.ndarray) -> float:
 
 def residual_trace_free(t: np.ndarray) -> float:
     """|sum_i xi_{e_i} e_i| (the K H class is trace-free)."""
-    return float(np.linalg.norm(_es("ixi->x", t)))
+    return float(np.linalg.norm(np.einsum("ixi->x", t)))
 
 
 def psi_k_solve(m: ModelSpace, t: np.ndarray):
@@ -293,7 +308,7 @@ def psi_k_solve(m: ModelSpace, t: np.ndarray):
         for perm, sgn in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
                           ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1)):
             e[perm] = sgn
-        img = 3.0 * e - sum(_es("by,cz,xbc->xyz", A, A, e) for A in m.triple)
+        img = 3.0 * e - sum(_act23(A, e) for A in m.triple)
         cols.append(img.ravel())
     mat = np.array(cols).T
     coef, *_ = np.linalg.lstsq(mat, t.ravel(), rcond=None)
@@ -319,13 +334,13 @@ def nabla_omega_from_torsion(m: ModelSpace, t: np.ndarray,
     """
     out = np.empty((3, m.dim, m.dim, m.dim))
     for a in range(3):
-        A = m.omegas[a]
+        A = m.triple[a]
         b, c = (a + 1) % 3, (a + 2) % 3
         wb, wc = m.omegas[b], m.omegas[c]
-        out[a] = (_es("x,yz->xyz", lambdas[c], wb)
-                  - _es("x,yz->xyz", lambdas[b], wc)
-                  - _es("xyc,cz->xyz", t, m.triple[a])
-                  - _es("by,xbz->xyz", m.triple[a], t))
+        out[a] = (lambdas[c][:, None, None] * wb
+                  - lambdas[b][:, None, None] * wc
+                  - t @ A
+                  - A.T @ t)
     return out
 
 
@@ -348,11 +363,10 @@ def torsion_from_nabla_omega(m: ModelSpace, nw_I, nw_J, nw_K,
     lambdas = np.empty((3, m.dim))
     for a in range(3):
         b, c = (a + 1) % 3, (a + 2) % 3
-        lambdas[a] = _es("xyz,yz->x", nws[b], m.omegas[c]) / (4.0 * n)
+        lambdas[a] = np.tensordot(nws[b], m.omegas[c], axes=([1, 2], [0, 1])) / (4.0 * n)
     t = np.zeros((m.dim,) * 3)
     for a, A in enumerate(m.triple):
-        t += -0.25 * _es("ma,xaz->xmz", A, nws[a]) \
-             + 0.5 * _es("x,mz->xmz", lambdas[a], A)
+        t += -0.25 * (A @ nws[a]) + 0.5 * (lambdas[a][:, None, None] * A)
     recon = nabla_omega_from_torsion(m, t, lambdas)
     scale = max(top.frob(nws), 1e-300)
     residual = float(top.frob(recon - nws) / scale)

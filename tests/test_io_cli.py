@@ -1,10 +1,13 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qhcurv
 from qhcurv import cli
@@ -46,6 +49,12 @@ def test_tensor_file_errors(tmp_path):
         cut.write_bytes(data[:size])
         with pytest.raises(tio.TensorFileError):
             tio.read_tensor(cut)
+    # trailing bytes after a complete payload
+    over = tmp_path / "over.qht"
+    tio.write_tensor(over, 2, np.zeros((8,) * 3))
+    over.write_bytes(over.read_bytes() + b"\0" * 64)
+    with pytest.raises(tio.TensorFileError, match="64 bytes after the payload"):
+        tio.read_tensor(over)
     # non-finite payloads
     for value in (np.nan, np.inf, -np.inf):
         bad = np.zeros((8,) * 3)
@@ -53,6 +62,43 @@ def test_tensor_file_errors(tmp_path):
         tio.write_tensor(path, 2, bad)
         with pytest.raises(tio.TensorFileError):
             tio.read_tensor(path)
+
+
+@st.composite
+def _damaged_files(draw):
+    """A valid tensor file (as bytes) and one way of damaging it: cut at any
+    byte, append any tail, or set any payload entry to NaN or +-inf."""
+    n = draw(st.integers(1, 2))
+    rank = draw(st.integers(0, 4))
+    data = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))) \
+        .standard_normal((4 * n,) * rank)
+    header = tio.MAGIC + struct.pack("<BBHI", rank, 0, 0, n) \
+        + struct.pack(f"<{rank}I", *data.shape)
+    raw = header + np.ascontiguousarray(data, dtype="<f8").tobytes()
+    how = draw(st.sampled_from(["cut", "tail", "non-finite"]))
+    if how == "cut":
+        bad = raw[:draw(st.integers(0, len(raw) - 1))]
+    elif how == "tail":
+        bad = raw + draw(st.binary(min_size=1, max_size=64))
+    else:
+        k = draw(st.integers(0, data.size - 1))
+        value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        at = len(header) + 8 * k
+        bad = raw[:at] + struct.pack("<d", value) + raw[at + 8:]
+    return n, data, raw, bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(_damaged_files())
+def test_read_tensor_rejects_every_damaged_file(tmp_path_factory, case):
+    n, data, raw, bad = case
+    path = tmp_path_factory.getbasetemp() / "damaged.qht"
+    path.write_bytes(raw)
+    back = tio.read_tensor(path)
+    assert back.n == n and np.array_equal(back.data, data)
+    path.write_bytes(bad)
+    with pytest.raises(tio.TensorFileError):
+        tio.read_tensor(path)
 
 
 def test_report_bytes_deterministic(tmp_path):
@@ -218,6 +264,11 @@ def test_cli_rejects_unreadable_files(tmp_path, capsys):
     head.write_bytes(head.read_bytes()[:9])
     assert cli.main(["decompose", "--n", "2", "--input", str(head)]) == 2
     assert capsys.readouterr().err.startswith("qhcurv: truncated header")
+    over = tmp_path / "over.qht"
+    tio.write_tensor(over, 2, tor.project_to_torsion_space(m, np.ones((8,) * 3)))
+    over.write_bytes(over.read_bytes() + b"\0" * 64)
+    assert cli.main(["torsion", "--n", "2", "--input", str(over)]) == 2
+    assert capsys.readouterr().err.startswith("qhcurv: 64 bytes after the payload")
     nan = tmp_path / "nan.qht"
     tio.write_tensor(nan, 2, np.full((8,) * 3, np.nan))
     assert cli.main(["torsion", "--n", "2", "--input", str(nan)]) == 2

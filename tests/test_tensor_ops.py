@@ -168,6 +168,17 @@ def test_alt_is_projection_with_correct_signs():
     assert np.allclose(a, -a.swapaxes(1, 2))
 
 
+@pytest.mark.parametrize("shape", [(8, 8), (8,) * 3, (12,) * 3, (8,) * 4, (12,) * 4])
+def test_alt_matches_signed_sum_bitwise(shape):
+    """The in-place signed accumulation equals sum_p sign(p) T^p / r! bit for
+    bit (the torsion bank's SVD inputs pass through alt)."""
+    T = rand(shape, 14)
+    expect = np.zeros_like(T)
+    for perm in itertools.permutations(range(T.ndim)):
+        expect += top._perm_sign(perm) * T.transpose(perm)
+    assert np.array_equal(top.alt(T), expect / top._factorial(T.ndim))
+
+
 def test_sigma_perm():
     R = rand((8,) * 4, 13)
     S = top.sigma_perm(R)

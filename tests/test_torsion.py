@@ -196,3 +196,142 @@ def test_nabla_omega_covariance_under_adapted_rotation(tbank):
         xi2 += -0.25 * np.einsum("ma,xaz->xmz", A, rotated[a]) \
             + 0.5 * np.einsum("x,mz->xmz", lam_check[a], A)
     assert top.frob(xi2 - t) < 1e-10 * top.frob(t)
+
+
+# ---------------------------------------------------------------------------
+# The slot kernels are exact signed-permutation matmuls.  The torsion bank
+# feeds their output to SVDs, whose bases rotate under rounding noise, so
+# each kernel must match its einsum definition bit for bit.
+
+def _es(expr, *ops):
+    return np.einsum(expr, *ops, optimize=True)
+
+
+def _project_oracle(m, t):
+    t = 0.5 * (t - t.swapaxes(1, 2))
+    s2e = 0.25 * (t + sum(_es("by,cz,xbc->xyz", A, A, t) for A in m.triple))
+    t = t - s2e
+    for w in m.omegas:
+        coef = _es("xyz,yz->x", t, w) / (4.0 * m.n)
+        t = t - _es("x,yz->xyz", coef, w)
+    return t
+
+
+def _theta_oracle(m, t):
+    return -_es("ixi->x", t) / tor._theta_scale(m.n)
+
+
+def _xi_eh_oracle(m, t):
+    th = _theta_oracle(m, t)
+    out = 3.0 * (_es("xy,z->xyz", m.g, th) - _es("xz,y->xyz", m.g, th))
+    for A, w in zip(m.triple, m.omegas):
+        ath = A @ th
+        out -= (_es("yx,z->xyz", A, ath) - _es("zx,y->xyz", A, ath))
+        out -= (2.0 / m.n) * _es("x,yz->xyz", ath, w)
+    return out
+
+
+def _nabla_omega_oracle(m, t, lambdas):
+    out = np.empty((3, m.dim, m.dim, m.dim))
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        out[a] = (_es("x,yz->xyz", lambdas[c], m.omegas[b])
+                  - _es("x,yz->xyz", lambdas[b], m.omegas[c])
+                  - _es("xyc,cz->xyz", t, m.triple[a])
+                  - _es("by,xbz->xyz", m.triple[a], t))
+    return out
+
+
+def _from_nabla_omega_oracle(m, nws):
+    lambdas = np.empty((3, m.dim))
+    for a in range(3):
+        b, c = (a + 1) % 3, (a + 2) % 3
+        lambdas[a] = _es("xyz,yz->x", nws[b], m.omegas[c]) / (4.0 * m.n)
+    t = np.zeros((m.dim,) * 3)
+    for a, A in enumerate(m.triple):
+        t += -0.25 * _es("ma,xaz->xmz", A, nws[a]) \
+             + 0.5 * _es("x,mz->xmz", lambdas[a], A)
+    recon = _nabla_omega_oracle(m, t, lambdas)
+    return t, lambdas, float(top.frob(recon - nws) / max(top.frob(nws), 1e-300))
+
+
+_KERNELS = {
+    "sum_op13": (lambda m, t, lam, nws: tor._sum_op13(m, t),
+                 lambda m, t, lam, nws: sum(_es("ax,cz,ayc->xyz", A, A, t)
+                                            for A in m.triple)),
+    "sum_op12": (lambda m, t, lam, nws: tor._sum_op12(m, t),
+                 lambda m, t, lam, nws: sum(_es("ax,by,abz->xyz", A, A, t)
+                                            for A in m.triple)),
+    "op_h": (lambda m, t, lam, nws: [tor._op_h(A, t) for A in m.triple],
+             lambda m, t, lam, nws: [_es("ax,cz,ayc->xyz", A, A, t)
+                                     + _es("ax,by,abz->xyz", A, A, t)
+                                     + _es("by,cz,xbc->xyz", A, A, t)
+                                     for A in m.triple]),
+    "psi_k_image": (lambda m, t, lam, nws: 3.0 * t - sum(tor._act23(A, t) for A in m.triple),
+                    lambda m, t, lam, nws: 3.0 * t - sum(_es("by,cz,xbc->xyz", A, A, t)
+                                                         for A in m.triple)),
+    "project_to_torsion_space": (lambda m, t, lam, nws: tor.project_to_torsion_space(m, t),
+                                 lambda m, t, lam, nws: _project_oracle(m, t)),
+    "theta": (lambda m, t, lam, nws: tor.theta(m, t),
+              lambda m, t, lam, nws: _theta_oracle(m, t)),
+    "theta_A": (lambda m, t, lam, nws: [tor.theta_A(m, t, A) for A in m.triple],
+                lambda m, t, lam, nws: [_es("iab,ax,bi->x", t, A, A)
+                                        / (tor._theta_scale(m.n) / 3.0)
+                                        for A in m.triple]),
+    "xi_EH_from_trace": (lambda m, t, lam, nws: tor.xi_EH_from_trace(m, t),
+                         lambda m, t, lam, nws: _xi_eh_oracle(m, t)),
+    "residual_trace_free": (lambda m, t, lam, nws: tor.residual_trace_free(t),
+                            lambda m, t, lam, nws: float(np.linalg.norm(_es("ixi->x", t)))),
+    "nabla_omega_from_torsion": (lambda m, t, lam, nws: tor.nabla_omega_from_torsion(m, t, lam),
+                                 lambda m, t, lam, nws: _nabla_omega_oracle(m, t, lam)),
+    "torsion_from_nabla_omega": (lambda m, t, lam, nws: tor.torsion_from_nabla_omega(m, *nws),
+                                 lambda m, t, lam, nws: _from_nabla_omega_oracle(m, nws)),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+def test_kernels_match_einsum_definitions_bitwise(model, kernel):
+    m = model
+    rng = cs.substream("kernel-oracle", m.n, kernel)
+    t = rng.standard_normal((m.dim,) * 3)
+    lam = rng.standard_normal((3, m.dim))
+    nws = rng.standard_normal((3,) + (m.dim,) * 3)
+    nws = nws - nws.swapaxes(2, 3)
+    fast, oracle = _KERNELS[kernel]
+    got, want = fast(m, t, lam, nws), oracle(m, t, lam, nws)
+    if not isinstance(got, (list, tuple)):
+        got, want = [got], [want]
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def test_verdict_paths_plan_no_einsum(monkeypatch, bank2, tbank2):
+    """Certification, both torsion classifications and one table-state
+    evaluation run fixed contractions only: no einsum path is planned."""
+    from conftest import random_derivative, random_gammas
+    from qhcurv import curvature_from_torsion as cft
+    from qhcurv import decomposition as dec
+    from qhcurv import tables as tbl
+    m = tbank2.model
+    ctx = tbl.TableContext.build(bank2, tbank2)
+    R = cs.random_curvature(m, 0).tensor
+    t = random_torsion(tbank2, 0)
+    nws = tor.nabla_omega_from_torsion(m, t, cs.substream("plan-lam").standard_normal((3, m.dim)))
+    state = cft.TorsionState.make(m, t=t, D=random_derivative(tbank2, 0),
+                                  gammas=random_gammas(m, 0))
+    calls = []
+    inner = np.einsum_path
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return inner(*args, **kwargs)
+
+    # np.einsum plans through its own module's global, not the numpy attribute
+    monkeypatch.setattr(np, "einsum_path", counting)
+    monkeypatch.setitem(np.einsum.__wrapped__.__globals__, "einsum_path", counting)
+    dec.component_norms(bank2, cs.CurvatureTensor.certify(R))
+    tbank2.class_mask(tor.project_to_torsion_space(m, t))
+    tbank2.class_mask(tor.torsion_from_nabla_omega(m, *nws)[0])
+    tbl.evaluate_columns(ctx, state)
+    assert calls == []
