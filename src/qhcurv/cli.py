@@ -110,6 +110,12 @@ def main(argv=None) -> int:
     except (OSError, tio.TensorFileError) as exc:
         print(f"qhcurv: {exc}", file=sys.stderr)
         return 2
+    # checked before any bank is built: a wrong file fails in milliseconds
+    rank = {"decompose": 4, "torsion": 3}.get(args.command)
+    if any(tens.rank != rank or tens.n != args.n for tens in inputs):
+        print(f"qhcurv: {args.command} expects rank-{rank} files with n = {args.n}",
+              file=sys.stderr)
+        return 1
 
     if args.command == "audit":
         bank = dec.build_sp_projectors(m)
@@ -131,13 +137,8 @@ def main(argv=None) -> int:
         return 0 if report.ok else 2
 
     if args.command == "decompose":
-        tens = inputs[0]
-        if tens.n != args.n or tens.rank != 4:
-            print("qhcurv: decompose expects a rank-4 tensor with matching n",
-                  file=sys.stderr)
-            return 1
         try:
-            R = cs.CurvatureTensor.certify(tens.data, tol=max(tol, 1e-10))
+            R = cs.CurvatureTensor.certify(inputs[0].data, tol=max(tol, 1e-10))
         except cs.CertificationError as exc:
             tio.write_report(args.json, args.n, "decompose", {"tol": tol},
                              [], [str(exc)])
@@ -162,34 +163,28 @@ def main(argv=None) -> int:
         return 0 if not failures else 2
 
     if args.command == "torsion":
-        tbank = tor.build_torsion_bank(m)
         failures = []
         if args.input:
-            tens = inputs[0]
-            if tens.rank != 3 or tens.n != args.n:
-                print("qhcurv: torsion expects a rank-3 file with matching n",
-                      file=sys.stderr)
-                return 1
-            t = tens.data
+            t = inputs[0].data
             resid = top.frob(tor.project_to_torsion_space(m, t) - t)
             if not resid <= tol * max(top.frob(t), 1e-300):
                 failures.append(f"input outside the torsion space: residual {resid}")
         else:
-            nws = inputs
-            if any(w.rank != 3 or w.n != args.n for w in nws):
-                print("qhcurv: nabla-omega files must be rank 3 with matching n",
-                      file=sys.stderr)
-                return 1
-            t, lambdas, resid = tor.torsion_from_nabla_omega(
-                m, *[w.data for w in nws])
+            try:
+                t, lambdas, resid = tor.torsion_from_nabla_omega(
+                    m, *[w.data for w in inputs])
+            except ValueError as exc:         # not antisymmetric in (Y, Z)
+                print(f"qhcurv: {exc}", file=sys.stderr)
+                return 2
             if not resid <= max(tol, 1e-10):
                 failures.append(f"nabla-omega data not realizable: residual {resid}")
+        tbank = tor.build_torsion_bank(m)
         norms = tbank.component_norms(t)
         mask = tbank.class_mask(t)
         results = [{"check": "component_norms", "value": tio.jsonable(norms),
                     "tolerance": 1e-8},
                    {"check": "class_mask", "value": mask,
-                    "order": list(tor.TORSION_COMPONENTS), "tolerance": 1e-8}]
+                    "order": list(tor.TORSION_COMPONENTS), "tolerance": tor.MASK_TOL}]
         tio.write_report(args.json, args.n, "torsion", {"tol": tol},
                          results, failures)
         _emit(results, failures)
@@ -214,7 +209,8 @@ def main(argv=None) -> int:
                               for c in report.cells if c.status == "low_n_zero"],
                     "tolerance": None},
                    {"check": "directions",
-                    "value": tio.jsonable(report.direction_checks), "tolerance": 1e-8}]
+                    "value": tio.jsonable(report.direction_checks),
+                    "tolerance": tbl.DIRECTION_TOL}]
         tio.write_report(args.json, args.n, "tables",
                          {"tick_on": tbl.TICK_ON, "tick_off": tbl.TICK_OFF},
                          results, failures)

@@ -628,7 +628,7 @@ def dd_omega_residual(m: ModelSpace, state: TorsionState) -> dict:
 # ---------------------------------------------------------------------------
 # The gamma rigidity lemma.
 
-def lemma_gammas_kernel(m: ModelSpace, tol: float = cs.SV_TOL):
+def lemma_gammas_kernel(m: ModelSpace):
     """Null space of the constraint gamma_A ^ omega_B = gamma_B ^ omega_A
     (cyclic pairs) on triples of 2-forms.
 
@@ -652,7 +652,7 @@ def lemma_gammas_kernel(m: ModelSpace, tol: float = cs.SV_TOL):
             cols.append(contrib.reshape(-1))
     mat = np.array(cols).T
     u, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > cs.SV_TOL * s[0]))
     kernel = vt[rank:]
     gap = float(s[rank - 1] / s[rank]) if rank < len(s) else float("inf")
     flat_forms = np.array([f.ravel() for f in forms])

@@ -238,11 +238,11 @@ class ProjectorBank:
 IMAGE_FLOOR = 1e-6
 
 
-def _sweep_images(m: ModelSpace, ps: cs.PairScheme, param_basis, constructor,
-                  tol: float = cs.SV_TOL) -> np.ndarray:
+def _sweep_images(m: ModelSpace, ps: cs.PairScheme, param_basis,
+                  constructor) -> np.ndarray:
     """Orthonormalized images of a constructor over a parameter basis."""
     rows = [cs.to_pair_coords(ps, constructor(p)) for p in param_basis]
-    return cs.orthonormal_rows(np.array(rows), tol, floor=IMAGE_FLOOR)
+    return cs.orthonormal_rows(np.array(rows), floor=IMAGE_FLOOR)
 
 
 #: Largest distance allowed between a computed L or L_sigma eigenvalue and
@@ -492,10 +492,9 @@ class DecompositionReport:
         }
 
 
-def dimension_audit(bank: ProjectorBank, n_samples: int = 3,
-                    tol: float = 1e-9) -> DecompositionReport:
-    """Check ranks against the closed formulas, eigenvalue residuals of every
-    component, and the projector algebra (orthogonality + completeness)."""
+def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionReport:
+    """Check ranks against the closed formulas, eigenvalue residuals (first
+    three rows per component), and the projector algebra."""
     m = bank.model
     ps = bank.scheme
     n = m.n
@@ -526,7 +525,7 @@ def dimension_audit(bank: ProjectorBank, n_samples: int = 3,
             continue
         lam, mu = COMPONENT_SPECTRUM[name]
         resid = []
-        for row in rows[:n_samples]:
+        for row in rows[:3]:
             T = cs.from_pair_coords(ps, row)
             resid += [top.frob(cs.L_map(m, T) - lam * T),
                       top.frob(cs.L_sigma_map(m, T) - mu * T)]

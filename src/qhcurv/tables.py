@@ -23,6 +23,16 @@ table diff reports mismatches in the columns affected by derivation
 choices (L20ES2H, V211S2H, L20ES4H) as "remark-consistent" rather than
 failing, and couplings that vanish identically at the evaluated n while
 being generically present (LOW_N_VANISHING) as "low_n_zero".
+
+Table 3 needs no solve.  Its columns are the coordinates, on each
+Ricci-kernel component X, of the least-squares QKperp preimage of
+v = pi_1(state) under img = Q M (Q the QKperp rows, M: C -> C P1 the
+pi_1 map on pair coordinates): G^-1 img v with G = img img^T invertible.
+G is an Sp(n)Sp(1) intertwiner, so by Schur's lemma it is a scalar c_X on
+every component without an isomorphic partner; only S2ES2H_a/b and, at
+n = 3, L20E_a/b are coupled, and none of them is a Table-3 column.  So the
+coordinates are B_X M v / c_X with c_X = |B_X M|_F^2 / rank X (1/2 on
+V22, 1 on V22S4H); ``TableContext.build`` checks G = c_X on X by a probe.
 """
 
 from __future__ import annotations
@@ -41,6 +51,9 @@ from .model_space import ModelSpace
 TICK_ON = 1e-7
 TICK_OFF = 1e-9
 DEFAULT_SEEDS = 8
+
+#: Cosine tolerance of the R_a + R_b direction checks.
+DIRECTION_TOL = 1e-8
 
 #: Columns whose ticks depend on which formulas are used (closing-remark
 #: freedom): mismatches there are reported, not failed.
@@ -294,39 +307,52 @@ def direction_annotations(n: int) -> dict:
 
 @dataclass
 class TableContext:
-    """Precomputed machinery shared by all cells."""
+    """Precomputed machinery shared by all cells.
+
+    ``table3[X]`` is ``B_X M / c_X`` (rank X by m^2, empty at rank 0): it
+    maps pi_1 of a state, in pair coordinates, to its Table-3 coordinates
+    on X.  By Schur's lemma G = img img^T is c_X on X, which has no
+    isomorphic partner in QKperp (only S2ES2H_a/b and, at n = 3, L20E_a/b
+    couple), so G^-1 is 1/c_X there and no solve is needed."""
 
     m: ModelSpace
     bank: dec.ProjectorBank
     tbank: tor.TorsionBank
-    pi2_pinv: np.ndarray          # (dim QKperp) x m^2 least-squares inverse
-    comp_in_qkperp: dict          # fine component rows expressed on QKperp
+    table3: dict
     ab_norm2: np.ndarray          # <a, a> and <b, b> for a, b = pi2 +- 6 pi1
 
     @classmethod
     def build(cls, bank: dec.ProjectorBank, tbank: tor.TorsionBank):
         m = bank.model
         ps = bank.scheme
-        rows = bank.qkperp
+        Q = bank.qkperp
         # pi_1 acts on the second 2-form slot only, so in pair coordinates
         # it is C -> C P1; row q of P1 is the image of the unit pair (0, q)
         P1 = np.empty((ps.m, ps.m))
         for q in range(ps.m):
             probe = np.zeros(ps.m * ps.m)
             probe[q] = 1.0
-            T = cs.from_pair_coords(ps, probe)
-            P1[q] = cs.to_pair_coords(ps, cft.pi1_operator(m, T))[:ps.m]
-        img = (rows.reshape(-1, ps.m, ps.m) @ P1).reshape(rows.shape)
-        pinv = np.linalg.pinv(img.T, rcond=1e-10)
-        comp = {name: bank.fine[name].rows @ rows.T for name in TABLE3_COLUMNS}
+            T = cft.pi1_operator(m, cs.from_pair_coords(ps, probe))
+            P1[q] = cs.to_pair_coords(ps, T)[:ps.m]
+        table3 = {}
+        for name in TABLE3_COLUMNS:
+            B = bank.fine[name].rows
+            BM = (B.reshape(-1, ps.m, ps.m) @ P1).reshape(B.shape)
+            if not B.shape[0]:
+                table3[name] = BM
+                continue
+            c = float(np.vdot(BM, BM)) / B.shape[0]
+            # G = img img^T must act on X as c: probe G B^T z = c B^T z
+            z = cs.substream("schur", name).standard_normal(B.shape[0])
+            GBz = ((BM.T @ z).reshape(ps.m, ps.m) @ P1.T).ravel()
+            off = float(np.linalg.norm(Q.T @ (Q @ GBz) - c * (B.T @ z)))
+            if not (c > 0 and off <= dec.EIG_TOL * c * np.linalg.norm(z)):
+                raise ArithmeticError(f"Table 3: the QKperp image of pi_1 is not "
+                                      f"scalar on {name} (c = {c}, residual {off})")
+            table3[name] = BM / c
         ab_norm2 = np.array([top.curvature_inner(x, x)
                              for x in (m.pi2 + 6 * m.pi1, m.pi2 - 6 * m.pi1)])
-        return cls(m=m, bank=bank, tbank=tbank, pi2_pinv=pinv,
-                   comp_in_qkperp=comp, ab_norm2=ab_norm2)
-
-    def qkperp_coefficients(self, T: np.ndarray) -> np.ndarray:
-        """pi_2 of a Lambda^2 x Lambda^2 tensor, as QKperp coefficients."""
-        return self.pi2_pinv @ cs.to_pair_coords(self.bank.scheme, T)
+        return cls(m=m, bank=bank, tbank=tbank, table3=table3, ab_norm2=ab_norm2)
 
 
 #: The ``ricci_component_formulas`` entry behind each Ricci column.
@@ -345,16 +371,9 @@ def evaluate_columns(ctx: TableContext, state: cft.TorsionState) -> dict:
     the QKperp projections of pi_2 pi_1 (table 3)."""
     formulas = cft.ricci_component_formulas(ctx.m, state)
     out = {col: formulas[key] for col, key in _FORMULA_OF_COLUMN.items()}
-    coeffs = ctx.qkperp_coefficients(cft.pi1_state(ctx.m, state))
+    v = cs.to_pair_coords(ctx.bank.scheme, cft.pi1_state(ctx.m, state))
     for name in TABLE3_COLUMNS:
-        out[name] = ctx.comp_in_qkperp[name] @ coeffs
-    return out
-
-
-def _combine(vals, coefs):
-    out = {}
-    for key in vals[0]:
-        out[key] = sum(c * v[key] for c, v in zip(coefs, vals))
+        out[name] = ctx.table3[name] @ v
     return out
 
 
@@ -365,8 +384,7 @@ def evaluate_row(ctx: TableContext, key, seed, pure: dict) -> dict:
     off-diagonal row containing c share."""
     m = ctx.m
     if key[0] == "gamma":
-        state = cft.TorsionState.qk_point(m, 1.0)
-        return evaluate_columns(ctx, state)
+        return evaluate_columns(ctx, cft.TorsionState.qk_point(m, 1.0))
     if key[0] == "D":
         D = tor.random_derivative_component(ctx.tbank, key[1], seed)
         return evaluate_columns(ctx, cft.TorsionState.make(m, D=D))
@@ -375,7 +393,7 @@ def evaluate_row(ctx: TableContext, key, seed, pure: dict) -> dict:
         return pure[c1, seed]
     t = ctx.tbank.random_component(c1, seed) + ctx.tbank.random_component(c2, seed)
     mixed = evaluate_columns(ctx, cft.TorsionState.make(m, t=t))
-    return _combine([mixed, pure[c1, seed], pure[c2, seed]], (1.0, -1.0, -1.0))
+    return {k: mixed[k] - pure[c1, seed][k] - pure[c2, seed][k] for k in mixed}
 
 
 def _witnesses(ctx: TableContext, cols: dict) -> dict:
@@ -433,16 +451,11 @@ class TablesReport:
 
 
 def _zero_rank_columns(bank: dec.ProjectorBank) -> set:
-    out = set()
-    for name in ("L40E", "L20E_b", "V211S2H"):
-        if bank.fine[name].rank == 0:
-            out.add(name)
-    return out
+    return {name for name in ("L40E", "L20E_b", "V211S2H") if bank.fine[name].rank == 0}
 
 
 def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
-               seeds: int = DEFAULT_SEEDS,
-               direction_tol: float = 1e-8) -> TablesReport:
+               seeds: int = DEFAULT_SEEDS) -> TablesReport:
     """Evaluate every cell of the three tables and diff against the embedded
     expectations; verify the R_x direction annotations of Table 2."""
     ctx = TableContext.build(bank, tbank)
@@ -513,13 +526,13 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
                 cosd = float(tt @ met @ pp) / (tn * pn)
                 cosq = float(tt @ met @ qq) / (tn * qn)
                 quadratic = key[0] == "xx"
-                aligned = (cosd > 1.0 - direction_tol) if quadratic \
-                    else (abs(cosd) > 1.0 - direction_tol)
+                aligned = (cosd > 1.0 - DIRECTION_TOL) if quadratic \
+                    else (abs(cosd) > 1.0 - DIRECTION_TOL)
                 report.direction_checks.append({
                     "source": row_label(key), "seed": s,
                     "annotation": provenance,
                     "cos_direction": cosd, "cos_orthogonal": cosq,
-                    "aligned": bool(aligned and abs(cosq) < direction_tol),
+                    "aligned": bool(aligned and abs(cosq) < DIRECTION_TOL),
                 })
     return report
 
@@ -548,10 +561,8 @@ def corollary_vanishing(ctx: TableContext, seeds: int = 2) -> list:
         live = [c for c in comps if tbank.rank(c)]
         worst = 0.0
         for s in range(seeds):
-            states = []
-            for c in live:
-                states.append(cft.TorsionState.make(
-                    ctx.m, D=tor.random_derivative_component(tbank, c, (label, s))))
+            states = [cft.TorsionState.make(ctx.m, D=tor.random_derivative_component(
+                tbank, c, (label, s))) for c in live]
             for i, c1 in enumerate(live):
                 t1 = tbank.random_component(c1, (label, s, 1))
                 states.append(cft.TorsionState.make(ctx.m, t=t1))
@@ -559,9 +570,8 @@ def corollary_vanishing(ctx: TableContext, seeds: int = 2) -> list:
                     t2 = tbank.random_component(c2, (label, s, 2))
                     states.append(cft.TorsionState.make(ctx.m, t=t1 + t2))
             for st in states:
-                coeffs = ctx.qkperp_coefficients(cft.pi1_state(ctx.m, st))
+                v = cs.to_pair_coords(ctx.bank.scheme, cft.pi1_state(ctx.m, st))
                 for name in forbidden:
-                    worst = max(worst, float(np.linalg.norm(
-                        ctx.comp_in_qkperp[name] @ coeffs)))
+                    worst = max(worst, float(np.linalg.norm(ctx.table3[name] @ v)))
         results.append({"case": label, "forbidden": forbidden, "max_witness": worst})
     return results

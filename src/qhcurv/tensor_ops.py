@@ -72,7 +72,7 @@ def curvature_inner(a: np.ndarray, b: np.ndarray) -> float:
 
 def frob(a: np.ndarray) -> float:
     """Frobenius norm (raw full contraction with itself, square-rooted)."""
-    return float(np.sqrt(np.tensordot(a, a, axes=a.ndim)))
+    return float(np.sqrt(np.vdot(a, a)))
 
 
 def _factorial(p: int) -> int:

@@ -30,6 +30,9 @@ from .model_space import ModelSpace
 #: Component order used everywhere (layout order and bit order of the mask).
 TORSION_COMPONENTS = ("33", "K3", "E3", "3H", "KH", "EH")
 
+#: A mask bit is set when its component holds this fraction of the norm.
+MASK_TOL = 1e-8
+
 
 def expected_torsion_dims(n: int) -> dict:
     """Real dimensions of the six components."""
@@ -76,12 +79,6 @@ def _sum_op12(m: ModelSpace, t: np.ndarray) -> np.ndarray:
 def _op_h(A: np.ndarray, t: np.ndarray) -> np.ndarray:
     """t(A.,.,A.) + t(A.,A.,.) + t(.,A.,A.) for a single A."""
     return _act13(A, t) + _act12(A, t) + _act23(A, t)
-
-
-
-def cyclic_sum(t: np.ndarray) -> np.ndarray:
-    """Cyclic sum over the three slots of a rank-3 tensor."""
-    return top.cyclic3(t)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +169,7 @@ class TorsionBank:
         return {name: float(np.linalg.norm(self.comps[name] @ v))
                 for name in TORSION_COMPONENTS}
 
-    def class_mask(self, t: np.ndarray, rel_threshold: float = 1e-8) -> str:
+    def class_mask(self, t: np.ndarray) -> str:
         """6-bit class mask, one bit per nonzero component (order 33..EH).
 
         Raises ValueError on NaN or infinite entries, which no mask describes.
@@ -181,7 +178,7 @@ class TorsionBank:
             raise ValueError("torsion tensor holds NaN or infinite entries")
         norms = self.component_norms(t)
         scale = max(np.linalg.norm(t.ravel()), 1e-300)
-        return "".join("1" if norms[name] > rel_threshold * scale else "0"
+        return "".join("1" if norms[name] > MASK_TOL * scale else "0"
                        for name in TORSION_COMPONENTS)
 
     def random_component(self, name: str, seed) -> np.ndarray:
@@ -209,7 +206,7 @@ def _op_matrix_on_rows(rows: np.ndarray, shape, op) -> np.ndarray:
     return np.array(cols).T
 
 
-def build_torsion_bank(m: ModelSpace, tol: float = cs.SV_TOL) -> TorsionBank:
+def build_torsion_bank(m: ModelSpace) -> TorsionBank:
     """Construct the six orthogonal component bases of the torsion space."""
     d = m.dim
     shape = (d, d, d)
@@ -220,7 +217,7 @@ def build_torsion_bank(m: ModelSpace, tol: float = cs.SV_TOL) -> TorsionBank:
     proj_rows = np.empty((d ** 3, d ** 3))
     for k in range(d ** 3):
         proj_rows[k] = project_to_torsion_space(m, eye[k].reshape(shape)).ravel()
-    ambient = cs.orthonormal_rows(proj_rows, tol, floor=1e-6)
+    ambient = cs.orthonormal_rows(proj_rows, floor=1e-6)
     log.append(f"ambient torsion space: dim {ambient.shape[0]}")
 
     # S^3H / H halves
@@ -241,28 +238,28 @@ def build_torsion_bank(m: ModelSpace, tol: float = cs.SV_TOL) -> TorsionBank:
     # E S^3H: image of the trace-form reconstruction
     e3_rows = np.array([xi_E3_from_trace(m, row.reshape(shape)).ravel()
                         for row in s3h])
-    comps["E3"] = cs.orthonormal_rows(e3_rows, tol, floor=1e-6)
+    comps["E3"] = cs.orthonormal_rows(e3_rows, floor=1e-6)
 
     # K S^3H: orthogonal remainder
     used = np.vstack([comps["33"], comps["E3"]]) if comps["33"].shape[0] \
         else comps["E3"]
     comps["K3"] = cs.orthonormal_rows(
-        s3h - (s3h @ used.T) @ used, tol, floor=1e-6)
+        s3h - (s3h @ used.T) @ used, floor=1e-6)
 
     # Lambda^3_0 E H: vanishing cyclic sum inside the H half
-    cyc_mat = _op_matrix_on_rows(h, shape, cyclic_sum)
+    cyc_mat = _op_matrix_on_rows(h, shape, top.cyclic3)
     comps["3H"] = _kernel_within(h, [cyc_mat])
 
     # E H: image of the global-trace reconstruction
     eh_rows = np.array([xi_EH_from_trace(m, row.reshape(shape)).ravel()
                         for row in h])
-    comps["EH"] = cs.orthonormal_rows(eh_rows, tol, floor=1e-6)
+    comps["EH"] = cs.orthonormal_rows(eh_rows, floor=1e-6)
 
     # K H: orthogonal remainder
     used = np.vstack([comps["3H"], comps["EH"]]) if comps["3H"].shape[0] \
         else comps["EH"]
     comps["KH"] = cs.orthonormal_rows(
-        h - (h @ used.T) @ used, tol, floor=1e-6)
+        h - (h @ used.T) @ used, floor=1e-6)
 
     for name in TORSION_COMPONENTS:
         log.append(f"xi_{name}: rank {comps[name].shape[0]}")
@@ -285,7 +282,7 @@ def residual_skew(t: np.ndarray) -> float:
 
 
 def residual_cyclic(t: np.ndarray) -> float:
-    return top.frob(cyclic_sum(t))
+    return top.frob(top.cyclic3(t))
 
 
 def residual_trace_free(t: np.ndarray) -> float:
@@ -344,16 +341,15 @@ def nabla_omega_from_torsion(m: ModelSpace, t: np.ndarray,
     return out
 
 
-def torsion_from_nabla_omega(m: ModelSpace, nw_I, nw_J, nw_K,
-                             tol: float = 1e-10):
+def torsion_from_nabla_omega(m: ModelSpace, nw_I, nw_J, nw_K):
     """Recover (xi, lambda_A) from first-jet data and report the residual.
 
     lambda_I(X) = (1/2n) <nabla_X omega_J, omega_K> and cyclically; then
     xi_X = -(1/4) sum_A A (nabla_X A) + (1/2) sum_A lambda_A(X) A.  The
     residual is the worst reconstruction error of the structure equation
-    over A = I, J, K, relative to the input scale; above ``tol`` the input
+    over A = I, J, K, relative to the input scale; above roundoff the input
     is not realizable as nabla-omega of any almost quaternion-Hermitian jet
-    (reported, never silently fixed).
+    (reported for the caller to gate, never silently fixed).
     """
     nws = np.stack([np.asarray(w, dtype=float) for w in (nw_I, nw_J, nw_K)])
     for a in range(3):
@@ -379,13 +375,8 @@ def torsion_from_nabla_omega(m: ModelSpace, nw_I, nw_J, nw_K,
 def split_torsion_derivative(bank: TorsionBank, D: np.ndarray) -> dict:
     """Project D(W; ., ., .) onto each component for every W; returns the
     component tensors keyed by name."""
-    d = bank.model.dim
-    flat = D.reshape(d, d ** 3)
-    out = {}
-    for name in TORSION_COMPONENTS:
-        B = bank.comps[name]
-        out[name] = ((flat @ B.T) @ B).reshape(D.shape)
-    return out
+    return {name: project_derivative_component(bank, D, name)
+            for name in TORSION_COMPONENTS}
 
 
 def project_derivative_component(bank: TorsionBank, D: np.ndarray,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import qhcurv
 from qhcurv import cli
 from qhcurv import curvature_space as cs
+from qhcurv import decomposition as dec
 from qhcurv import tensor_io as tio
 from qhcurv import torsion as tor
 from qhcurv.model_space import build_model
@@ -255,6 +256,38 @@ def test_cli_torsion_rejects_non_torsion_input(tmp_path, capsys):
     f = tmp_path / "junk.qht"
     tio.write_tensor(f, 2, t)
     assert cli.main(["torsion", "--n", "2", "--input", str(f)]) == 2
+    # nabla-omega data must be 2-forms in (Y, Z): a clean exit 2, no traceback
+    g = tmp_path / "raw.qht"
+    tio.write_tensor(g, 2, raw)
+    capsys.readouterr()
+    assert cli.main(["torsion", "--n", "2", "--from-nabla-omega", *[str(g)] * 3]) == 2
+    assert capsys.readouterr().err == (
+        "qhcurv: nabla-omega inputs must be antisymmetric in (Y, Z)\n")
+
+
+#: (command, file rank, file n) that `--n 2` must refuse.
+_WRONG_FILES = [("decompose", 3, 2), ("decompose", 4, 3),
+                ("torsion", 4, 2), ("torsion", 3, 3),
+                ("nabla-omega", 2, 2), ("nabla-omega", 3, 3)]
+
+
+@pytest.mark.parametrize("command, rank, n", _WRONG_FILES,
+                         ids=[f"{c}-rank{r}-n{n}" for c, r, n in _WRONG_FILES])
+def test_cli_rejects_wrong_rank_or_n(command, rank, n, tmp_path, capsys, monkeypatch):
+    """A file of the wrong rank or n is a usage error found before any bank
+    is built (the n = 3 torsion bank alone takes seconds)."""
+    builds = []
+    for module, name in ((tor, "build_torsion_bank"), (dec, "build_sp_projectors")):
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **k: builds.append(_name))
+    f = tmp_path / "wrong.qht"
+    tio.write_tensor(f, n, np.zeros((4 * n,) * rank))
+    argv = (["torsion", "--n", "2", "--from-nabla-omega", *[str(f)] * 3]
+            if command == "nabla-omega" else [command, "--n", "2", "--input", str(f)])
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith("qhcurv: ")
+    assert "Traceback" not in out + err
+    assert builds == []
 
 
 def test_cli_rejects_unreadable_files(tmp_path, capsys):

@@ -1,8 +1,13 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from conftest import get_bank, get_torsion_bank
+from conftest import get_bank, get_torsion_bank, random_derivative, random_gammas, random_torsion
 from qhcurv import curvature_from_torsion as cft
+from qhcurv import curvature_space as cs
 from qhcurv import tables as tbl
+from qhcurv import torsion as tor
 
 
 @pytest.fixture(scope="module")
@@ -91,3 +96,64 @@ def test_corollary_vanishing_n2():
     ctx = tbl.TableContext.build(get_bank(2), get_torsion_bank(2))
     for entry in tbl.corollary_vanishing(ctx):
         assert entry["max_witness"] < tbl.TICK_OFF, entry
+
+
+def _pinv_table3(ctx, img_pinv, state) -> dict:
+    """Table-3 columns by least squares: the QKperp preimage under pi_1 of
+    pi_1 of the state, from the pseudo-inverse of the whole QKperp image of
+    pi_1, read on each component (the solve that Schur's lemma removes)."""
+    coeffs = img_pinv @ cs.to_pair_coords(ctx.bank.scheme, cft.pi1_state(ctx.m, state))
+    return {name: ctx.bank.fine[name].rows @ (ctx.bank.qkperp.T @ coeffs)
+            for name in tbl.TABLE3_COLUMNS}
+
+
+def test_table3_matches_pseudo_inverse(bank2, tbank2):
+    ctx = tbl.TableContext.build(bank2, tbank2)
+    m, ps = ctx.m, bank2.scheme
+    img = np.array([cs.to_pair_coords(ps, cft.pi1_operator(m, cs.from_pair_coords(ps, row)))
+                    for row in bank2.qkperp])
+    img_pinv = np.linalg.pinv(img.T, rcond=1e-10)
+    live = [c for c in tbl.COMPS if tbank2.rank(c)]
+    for seed in range(2):
+        ts = {c: tbank2.random_component(c, seed) for c in live}
+        states = [cft.TorsionState.make(m, D=tor.random_derivative_component(tbank2, c, seed))
+                  for c in live]
+        states += [cft.TorsionState.make(m, t=ts[c]) for c in live]
+        states += [cft.TorsionState.make(m, t=ts[a] + ts[b])
+                   for i, a in enumerate(live) for b in live[i + 1:]]
+        for state in states:
+            cols = tbl.evaluate_columns(ctx, state)
+            want = _pinv_table3(ctx, img_pinv, state)
+            scale = max(np.linalg.norm(v) for v in cols.values())
+            for name in tbl.TABLE3_COLUMNS:
+                assert cols[name].shape == want[name].shape
+                assert np.linalg.norm(cols[name] - want[name]) <= 1e-12 * scale, name
+
+
+def test_table_context_rejects_non_scalar_component(bank2, tbank2):
+    """Rotating one V22 row towards L20E_a (where the pi_1 image scalar is
+    1/4, not 1/2) makes the Schur probe fail."""
+    rows = bank2.fine["V22"].rows.copy()
+    rows[0] = np.cos(0.1) * rows[0] + np.sin(0.1) * bank2.fine["L20E_a"].rows[0]
+    fine = {**bank2.fine, "V22": dataclasses.replace(bank2.fine["V22"], rows=rows)}
+    with pytest.raises(ArithmeticError, match="V22"):
+        tbl.TableContext.build(dataclasses.replace(bank2, fine=fine), tbank2)
+
+
+def test_table3_needs_no_svd(monkeypatch, bank2, tbank2):
+    m = tbank2.model
+    state = cft.TorsionState.make(m, t=random_torsion(tbank2, 0),
+                                  D=random_derivative(tbank2, 0), gammas=random_gammas(m, 0))
+    calls = []
+    # pinv reaches svd through its own module's global, not the numpy attribute
+    linalg_globals = np.linalg.svd.__wrapped__.__globals__
+    for name in ("svd", "pinv"):
+        def counting(*args, _inner=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+        monkeypatch.setitem(linalg_globals, name, counting)
+    tbl.evaluate_columns(tbl.TableContext.build(bank2, tbank2), state)
+    assert calls == []
+    np.linalg.pinv(np.eye(2))
+    assert calls == ["pinv", "svd"]

@@ -93,6 +93,13 @@ def test_curvature_inner_examples():
     assert top.curvature_inner(np.zeros((8,) * 4), M2.pi1) == 0.0
     with pytest.raises(ValueError):
         top.curvature_inner(rand((8, 8), 0), rand((8, 8), 1))
+    # frob is the square root of the raw self-contraction, NaN stays NaN
+    a4 = rand((8,) * 4, 3)
+    assert top.frob(a4) == pytest.approx(np.sqrt(top.curvature_inner(a4, a4)), rel=1e-14)
+    assert top.frob(M2.I) == np.sqrt(8.0)
+    assert top.frob(np.zeros((8,) * 4)) == 0.0
+    a4[1, 2, 3, 4] = np.nan
+    assert np.isnan(top.frob(a4))
 
 
 # --- products ----------------------------------------------------------------
