@@ -18,9 +18,13 @@ product of coordinate vectors equals the raw rank-4 contraction.  In these
 coordinates R has a closed-form orthonormal basis, and L is the Sp(1)
 Casimir 6 + (1/2) sum_A rho(A)^2 with rho(A) C = D_A C + C D_A^T.  On R,
 L_sigma = 3 M - L with M = sum_A (A_(1)A_(2) + A_(3)A_(4)); this does not
-hold off R.  :func:`casimir_matrices` uses these forms to give L and
-L_sigma on R as dense symmetric matrices.  The tensor-level
-:func:`L_map` and :func:`L_sigma_map` stay as independent oracles.
+hold off R.  Both operators keep the line-count grade of a coordinate (how
+many of its four indices fall in each quaternionic line), and every
+closed-form row of R lies in one grade.  :func:`basis_grades` splits the
+basis by grade, and :func:`casimir_matrices` gives L and L_sigma on one
+grade's rows, with the Kronecker operators restricted to that grade's
+coordinates.  The tensor-level :func:`L_map` and :func:`L_sigma_map` stay
+as independent oracles.
 """
 
 from __future__ import annotations
@@ -454,6 +458,54 @@ def curvature_basis(m: ModelSpace, ps: PairScheme | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Line-count grades.
+#
+# Scaling one quaternionic line commutes with I, J, K, so L, M and L_sigma
+# preserve the grade of a pair coordinate: how many of its four indices fall
+# in each 4-dim line.  Every closed-form row of R lies inside one grade (its
+# entries share one index set), so on R the Casimir is block-diagonal over
+# grades: 5 blocks at n = 2, 15 at n = 3.
+
+def _pair_line_counts(m: ModelSpace, ps: PairScheme) -> np.ndarray:
+    """(m, n): how many of the two indices of each pair fall in each line."""
+    line = np.eye(m.n, dtype=int)[np.arange(m.dim) // 4]   # one-hot line of each index
+    return line[ps.first] + line[ps.second]
+
+
+def coordinate_grades(m: ModelSpace, ps: PairScheme) -> tuple[np.ndarray, np.ndarray]:
+    """(counts, label): the distinct line-count vectors, one row per grade,
+    and for each of the m * m pair coordinates the index of its grade."""
+    per_pair = _pair_line_counts(m, ps)
+    per_coord = (per_pair[:, None, :] + per_pair[None, :, :]).reshape(-1, m.n)
+    counts, label = np.unique(per_coord, axis=0, return_inverse=True)
+    return counts, label.reshape(-1)
+
+
+@dataclass(frozen=True)
+class Grade:
+    """The closed-form rows of R inside one line-count grade."""
+
+    counts: tuple       # how many of the four indices fall in each line
+    coords: np.ndarray  # the grade's pair coordinates, increasing
+    rows: np.ndarray    # orthonormal rows, restricted to ``coords``
+
+
+def basis_grades(m: ModelSpace, ps: PairScheme, basis: np.ndarray) -> list[Grade]:
+    """Split the closed-form basis of R by grade; each row is labelled with
+    the grade of its nonzero entries."""
+    counts, label = coordinate_grades(m, ps)
+    row_label = label[np.argmax(basis != 0, axis=1)]
+    out = []
+    for g, cnt in enumerate(counts):
+        rows = np.flatnonzero(row_label == g)
+        if rows.size:
+            coords = np.flatnonzero(label == g)
+            out.append(Grade(counts=tuple(int(c) for c in cnt), coords=coords,
+                             rows=basis[np.ix_(rows, coords)]))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # The Sp(1) Casimir in pair coordinates.
 #
 # Let D_A be the m x m matrix of A_(1) + A_(2) on 2-forms in pair
@@ -464,7 +516,10 @@ def curvature_basis(m: ModelSpace, ps: PairScheme | None = None) -> np.ndarray:
 #     M C = sum_A (A_(1)A_(2) + A_(3)A_(4)) C
 #         = 6 C + (1/2) sum_A (D_A^2 C + C (D_A^2)^T).
 #
-# On R (and only there) L_sigma = 3 M - L.
+# On R (and only there) L_sigma = 3 M - L.  On the flattened coordinate
+# P * m + Q these are Kronecker operators (D_A^2 x 1, 1 x D_A^2, D_A x D_A),
+# and D_A keeps the line counts of a pair, so each grade is invariant and its
+# block is read off D_A by index arithmetic.
 
 def _pair_derivations(m: ModelSpace, ps: PairScheme) -> np.ndarray:
     """D_I, D_J, D_K: matrices of A_(1) + A_(2) on 2-forms in pair coordinates."""
@@ -477,27 +532,35 @@ def _pair_derivations(m: ModelSpace, ps: PairScheme) -> np.ndarray:
                      for A in m.triple])
 
 
-def casimir_matrices(m: ModelSpace, ps: PairScheme,
-                     basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of L and L_sigma on span(basis) in that basis.
+def casimir_matrices(m: ModelSpace, ps: PairScheme, coords: np.ndarray,
+                     rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices of L and L_sigma on span(rows) in that basis.
 
-    ``basis`` holds orthonormal rows of R in pair coordinates.  Returns the
-    symmetric matrices basis . L(basis)^T and basis . L_sigma(basis)^T, with
-    every row mapped at once by batched matmuls; L_sigma comes from the
-    identity L_sigma = 3 M - L, which holds on R only.
+    ``rows`` are orthonormal elements of R supported on the pair coordinates
+    ``coords`` (restricted to them), which must be a union of grades.  The
+    operators are formed on ``coords`` only, as
+    L = 6 + half + cross and L_sigma = 3 M - L = 12 + 2 half - cross, with
+    half = (1/2) sum_A (D_A^2 x 1 + 1 x D_A^2) and cross = sum_A D_A x D_A;
+    the L_sigma identity holds on R only.
     """
-    C = basis.reshape(-1, ps.m, ps.m)
-    half_sq = np.zeros_like(C)   # (1/2) sum_A (D_A^2 C + C (D_A^2)^T)
-    cross = np.zeros_like(C)     # sum_A D_A C D_A^T
-    for D in _pair_derivations(m, ps):
-        D2 = D @ D
-        half_sq += 0.5 * (D2 @ C + C @ D2.T)
-        cross += (D @ C) @ D.T
-    # L = 6 + half_sq + cross and M = 6 + half_sq, so 3 M - L = 12 + 2 half_sq - cross
-    rows = basis.shape[0]
-    bh = basis @ half_sq.reshape(rows, -1).T
-    bc = basis @ cross.reshape(rows, -1).T
-    eye = np.eye(rows)
+    P, Q = np.divmod(np.asarray(coords), ps.m)
+    D = _pair_derivations(m, ps)
+    S = 0.5 * sum(DA @ DA for DA in D)
+    # D_A keeps the line counts of a pair, so both operators are also
+    # block-diagonal over the line counts of P: sandwich block by block
+    _, pair_label = np.unique(_pair_line_counts(m, ps), axis=0, return_inverse=True)
+    split = pair_label.reshape(-1)[P]
+    bh = np.zeros((rows.shape[0],) * 2)
+    bc = np.zeros_like(bh)
+    for s in np.unique(split):
+        on = split == s
+        Ps, Qs, Bs = P[on], Q[on], rows[:, on]
+        PP, QQ = np.ix_(Ps, Ps), np.ix_(Qs, Qs)
+        half = S[PP] * (Qs[:, None] == Qs) + (Ps[:, None] == Ps) * S[QQ]
+        cross = sum(DA[PP] * DA[QQ] for DA in D)
+        bh += Bs @ half @ Bs.T
+        bc += Bs @ cross @ Bs.T
+    eye = np.eye(rows.shape[0])
     L_R = 6.0 * eye + bh + bc
     Lsigma_R = 12.0 * eye + 2.0 * bh - bc
     return 0.5 * (L_R + L_R.T), 0.5 * (Lsigma_R + Lsigma_R.T)

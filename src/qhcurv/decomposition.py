@@ -3,10 +3,12 @@
 The space R splits first under the larger quaternionic group into the three
 L-eigenspaces (eigenvalues 6, 2, -6), refined by L_sigma (12/0/-12 within
 L=6, 4/-4 within L=2, 0 on L=-6), and then into fifteen fine components
-under Sp(n)Sp(1).  The six joint (L, L_sigma) eigenspaces come from two
-``eigh`` passes over the Casimir matrices of
-:func:`.curvature_space.casimir_matrices` (L_sigma = 3 M - L on R), and
-every eigenvalue must sit within ``EIG_TOL`` of its expected value.
+under Sp(n)Sp(1).  L and L_sigma keep the line-count grade of a pair
+coordinate, so the six joint (L, L_sigma) eigenspaces are built one grade
+at a time: ``eigh`` of L on the grade's rows (the Casimir matrices of
+:func:`.curvature_space.casimir_matrices`, with L_sigma = 3 M - L on R),
+then ``eigh`` of L_sigma inside each L-eigenspace of the grade.  Every
+eigenvalue must sit within ``EIG_TOL`` of its expected value.
 Components carrying Ricci curvature are the images of explicit constructor
 maps applied to bilinear forms; each Ricci-kernel component is the
 orthogonal complement of those images inside its joint eigenspace.
@@ -256,7 +258,8 @@ L_BLOCKS = {"L6": (6, (12, 0, -12)), "L2": (2, (4, -4)), "Lm6": (-6, (0,))}
 def _eigenspaces(H: np.ndarray, expected, what: str) -> dict:
     """Orthonormal eigenvector columns of symmetric H, grouped by expected value.
 
-    Every eigenvalue must lie within EIG_TOL of one expected value."""
+    Every eigenvalue must lie within EIG_TOL of one expected value; ``what``
+    names the operator and the grade in the error."""
     w, V = np.linalg.eigh(H)
     expected = np.asarray(expected, dtype=float)
     nearest = np.argmin(np.abs(w[:, None] - expected[None, :]), axis=1)
@@ -268,23 +271,43 @@ def _eigenspaces(H: np.ndarray, expected, what: str) -> dict:
     return {float(e): V[:, nearest == k] for k, e in enumerate(expected)}
 
 
-def build_gl_projectors(m: ModelSpace, ps: cs.PairScheme | None = None) -> tuple[dict, dict]:
-    """The three L-eigenblocks of R from ``eigh`` of the Casimir matrix L_R.
+def _scatter(pieces, width: int) -> np.ndarray:
+    """Stack (coords, rows) pieces into full-width rows, zero off ``coords``."""
+    out = np.zeros((sum(rows.shape[0] for _, rows in pieces), width))
+    at = 0
+    for coords, rows in pieces:
+        out[at:at + rows.shape[0], coords] = rows
+        at += rows.shape[0]
+    return out
 
-    Returns (blocks, sigma): ``blocks`` maps L6, L2, Lm6 to orthonormal rows
-    in pair coordinates and ``all`` to the basis of R; ``sigma`` maps each
-    block to the matrix of L_sigma in that block's rows."""
+
+def build_gl_projectors(m: ModelSpace, ps: cs.PairScheme | None = None) -> tuple[dict, dict]:
+    """The L-eigenblocks and joint (L, L_sigma) eigenspaces of R, one grade
+    at a time.
+
+    On each line-count grade, ``eigh`` of the Casimir matrix of L splits the
+    grade's rows by L-eigenvalue, and ``eigh`` of L_sigma inside each of
+    those splits them again.  Returns (blocks, joint): ``blocks`` maps L6,
+    L2, Lm6 to orthonormal rows in pair coordinates and ``all`` to the basis
+    of R; ``joint`` maps each (L, L_sigma) eigenvalue pair to its rows."""
     ps = ps or cs.pair_scheme(m.dim)
     R_rows = cs.curvature_basis(m, ps)
-    L_R, Lsigma_R = cs.casimir_matrices(m, ps, R_rows)
-    spaces = _eigenspaces(L_R, [lam for lam, _ in L_BLOCKS.values()], "L on R")
-    blocks, sigma = {}, {}
-    for name, (lam, _) in L_BLOCKS.items():
-        V = spaces[lam]
-        blocks[name] = V.T @ R_rows
-        sigma[name] = V.T @ Lsigma_R @ V
+    pieces = {(lam, mu): [] for lam, mus in L_BLOCKS.values() for mu in mus}
+    for grade in cs.basis_grades(m, ps, R_rows):
+        L_g, Lsigma_g = cs.casimir_matrices(m, ps, grade.coords, grade.rows)
+        spaces = _eigenspaces(L_g, [lam for lam, _ in L_BLOCKS.values()],
+                              f"L on grade {grade.counts}")
+        for name, (lam, mus) in L_BLOCKS.items():
+            V = spaces[lam]
+            sub = _eigenspaces(V.T @ Lsigma_g @ V, mus,
+                               f"L_sigma on {name}, grade {grade.counts}")
+            for mu in mus:
+                pieces[lam, mu].append((grade.coords, (V @ sub[mu]).T @ grade.rows))
+    joint = {key: _scatter(parts, ps.m * ps.m) for key, parts in pieces.items()}
+    blocks = {name: np.vstack([joint[lam, mu] for mu in mus])
+              for name, (lam, mus) in L_BLOCKS.items()}
     blocks["all"] = R_rows
-    return blocks, sigma
+    return blocks, joint
 
 
 def _complement(space: np.ndarray, *images: np.ndarray) -> np.ndarray:
@@ -295,12 +318,7 @@ def _complement(space: np.ndarray, *images: np.ndarray) -> np.ndarray:
 def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     """Construct the full fine bank, the coarse blocks, and the QK split."""
     ps = cs.pair_scheme(m.dim)
-    blocks, sigma = build_gl_projectors(m, ps)
-    joint = {}
-    for name, (lam, mus) in L_BLOCKS.items():
-        spaces = _eigenspaces(sigma[name], mus, f"L_sigma on {name}")
-        for mu in mus:
-            joint[lam, mu] = spaces[mu].T @ blocks[name]
+    blocks, joint = build_gl_projectors(m, ps)
     log = []
 
     g = m.g
@@ -493,8 +511,8 @@ class DecompositionReport:
 
 
 def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionReport:
-    """Check ranks against the closed formulas, eigenvalue residuals (first
-    three rows per component), and the projector algebra."""
+    """Check ranks against the closed formulas, eigenvalue residuals (first,
+    middle and last row per component), and the projector algebra."""
     m = bank.model
     ps = bank.scheme
     n = m.n
@@ -525,7 +543,9 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
             continue
         lam, mu = COMPONENT_SPECTRUM[name]
         resid = []
-        for row in rows[:3]:
+        # rows are stacked grade by grade: sample both ends and the middle
+        k = rows.shape[0]
+        for row in rows[sorted({0, k // 2, k - 1})]:
             T = cs.from_pair_coords(ps, row)
             resid += [top.frob(cs.L_map(m, T) - lam * T),
                       top.frob(cs.L_sigma_map(m, T) - mu * T)]

@@ -6,7 +6,7 @@ Tensor file layout (little endian):
     rank    u8
     flags   u8       bit 0: curvature-certified claim (re-verified on load)
     reserved u16
-    n       u32      quaternionic dimension
+    n       u32      quaternionic dimension, at least 1
     dims    u32 * rank   (each must equal 4 n)
     payload f64 * prod(dims), row major, every entry finite; nothing follows
 
@@ -47,8 +47,6 @@ class TensorFile:
 def write_tensor(path, n: int, data: np.ndarray, certified: bool = False) -> None:
     data = np.ascontiguousarray(data, dtype="<f8")
     rank = data.ndim
-    if rank > 4:
-        raise TensorFileError(f"rank {rank} unsupported")
     dim = 4 * n
     if any(s != dim for s in data.shape):
         raise TensorFileError(f"axes must all have length 4n = {dim}, got {data.shape}")
@@ -67,9 +65,11 @@ def read_tensor(path) -> TensorFile:
         raise TensorFileError(f"bad magic {raw[:4]!r}")
     if len(raw) < 12:
         raise TensorFileError("truncated header")
+    # any rank is readable, since with n >= 1 the payload bounds it; which
+    # ranks a command accepts is the caller's check
     rank, flags, _reserved, n = struct.unpack_from("<BBHI", raw, 4)
-    if rank > 4:
-        raise TensorFileError(f"rank {rank} unsupported")
+    if n < 1:
+        raise TensorFileError(f"n = {n}, must be at least 1")
     offset = 12
     if len(raw) < offset + 4 * rank:
         raise TensorFileError("truncated header")

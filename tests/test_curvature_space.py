@@ -32,32 +32,79 @@ def test_curvature_space_dimension(model):
         cs.CurvatureTensor.certify(cs.from_pair_coords(ps, row))
 
 
-def test_casimir_matrices_match_tensor_maps(model):
-    """The Kronecker-form L and L_sigma agree with the slot-action maps on R."""
+def test_basis_grades_split_R(model):
+    """Each closed-form row lies in one line-count grade, the grade sizes add
+    up to dim R, and the slot-action L and L_sigma put no weight outside the
+    grade of the row they act on."""
+    from qhcurv.decomposition import dim_R
     m = model
     ps = cs.pair_scheme(m.dim)
-    samples = [cs.random_curvature(m, ("casimir", k)).tensor for k in range(5)]
-    B = cs.orthonormal_rows(np.array([cs.to_pair_coords(ps, T) for T in samples]))
-    assert B.shape[0] == 5
-    L_R, Lsigma_R = cs.casimir_matrices(m, ps, B)
-    for op, got in ((cs.L_map, L_R), (cs.L_sigma_map, Lsigma_R)):
-        images = np.array([cs.to_pair_coords(ps, op(m, cs.from_pair_coords(ps, row)))
-                           for row in B])
-        assert np.max(np.abs(got - B @ images.T)) < 1e-12
+    grades = cs.basis_grades(m, ps, cs.curvature_basis(m, ps))
+    sizes = sorted(g.rows.shape[0] for g in grades)
+    assert sum(sizes) == dim_R(m.n)
+    assert sizes == {2: [20, 20, 80, 80, 136],
+                     3: [20] * 3 + [80] * 6 + [136] * 3 + [256] * 3}[m.n]
+    for g in grades:
+        assert sum(g.counts) == 4
+        # restricted to its grade, every row keeps its unit norm
+        assert np.max(np.abs(g.rows @ g.rows.T - np.eye(g.rows.shape[0]))) < 1e-14
+        outside = np.ones(ps.m * ps.m, dtype=bool)
+        outside[g.coords] = False
+        row = np.zeros(ps.m * ps.m)
+        row[g.coords] = g.rows[g.rows.shape[0] // 2]
+        T = cs.from_pair_coords(ps, row)
+        for op in (cs.L_map, cs.L_sigma_map):
+            image = cs.to_pair_coords(ps, op(m, T))
+            assert np.max(np.abs(image[outside])) <= 1e-14
+            assert np.linalg.norm(image[g.coords]) > 1.0
+
+
+def test_casimir_matrices_match_tensor_maps(model):
+    """On every grade, the Kronecker-form L and L_sigma agree with the
+    slot-action maps on R."""
+    m = model
+    ps = cs.pair_scheme(m.dim)
+    counts, label = cs.coordinate_grades(m, ps)
+    samples = np.array([cs.to_pair_coords(ps, cs.random_curvature(m, ("casimir", k)).tensor)
+                        for k in range(5)])
+    for g in range(len(counts)):
+        coords = np.flatnonzero(label == g)
+        # the grade part of an element of R lies in R
+        B = cs.orthonormal_rows(samples[:, coords])
+        assert B.shape[0] == 5
+        L_R, Lsigma_R = cs.casimir_matrices(m, ps, coords, B)
+        full = np.zeros((5, ps.m * ps.m))
+        full[:, coords] = B
+        for op, got in ((cs.L_map, L_R), (cs.L_sigma_map, Lsigma_R)):
+            images = np.array([cs.to_pair_coords(ps, op(m, cs.from_pair_coords(ps, row)))
+                               for row in full])
+            assert np.max(np.abs(got - full @ images.T)) < 1e-12
 
 
 def test_casimir_l_sigma_identity_fails_off_R(model2):
-    """L_sigma = 3M - L holds on R only: on the 4-form Omega (orthogonal to
-    R) the slot-action L_sigma gives 6 while 3M - L gives 0."""
+    """L_sigma = 3M - L holds on R only: on each grade part of the 4-form
+    Omega (orthogonal to R) the slot-action L_sigma gives 6 while 3M - L
+    gives 0."""
     m = model2
     ps = cs.pair_scheme(m.dim)
+    counts, label = cs.coordinate_grades(m, ps)
     v = cs.to_pair_coords(ps, m.Omega)
-    B = (v / np.linalg.norm(v))[None, :]
-    L_R, Lsigma_R = cs.casimir_matrices(m, ps, B)
-    Omega = cs.from_pair_coords(ps, B[0])
-    assert L_R[0, 0] == pytest.approx(6.0)
-    assert float(B[0] @ cs.to_pair_coords(ps, cs.L_sigma_map(m, Omega))) == pytest.approx(6.0)
-    assert abs(Lsigma_R[0, 0]) < 1e-12
+    parts = 0
+    for g in range(len(counts)):
+        coords = np.flatnonzero(label == g)
+        if not np.any(v[coords]):
+            continue
+        parts += 1
+        B = (v[coords] / np.linalg.norm(v[coords]))[None, :]
+        L_R, Lsigma_R = cs.casimir_matrices(m, ps, coords, B)
+        full = np.zeros(ps.m * ps.m)
+        full[coords] = B[0]
+        Omega_g = cs.from_pair_coords(ps, full)
+        assert L_R[0, 0] == pytest.approx(6.0)
+        assert float(full @ cs.to_pair_coords(ps, cs.L_sigma_map(m, Omega_g))) \
+            == pytest.approx(6.0)
+        assert abs(Lsigma_R[0, 0]) < 1e-12
+    assert parts == 3      # grades (4, 0), (2, 2), (0, 4)
 
 
 def test_certify_rejects_non_finite(model2):

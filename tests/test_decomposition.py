@@ -322,6 +322,52 @@ def test_eigenspaces_reject_stray_eigenvalues():
         dec._eigenspaces(np.diag([6.0, 2.0, -6.0 + 1e-6]), (6, 2, -6), "test")
 
 
+def test_eigen_gate_names_the_grade(model2, monkeypatch):
+    monkeypatch.setattr(dec, "EIG_TOL", -1.0)     # every eigenvalue fails
+    with pytest.raises(ArithmeticError, match=r"^L on grade \(\d, \d\): eigenvalue"):
+        dec.build_gl_projectors(model2)
+
+
+def test_graded_eigenspaces_match_dense_oracle(model2):
+    """The per-grade L-blocks and joint (L, L_sigma) eigenspaces equal those
+    of the full 336 x 336 L_R and L_sigma_R, built by applying the slot-action
+    maps to every closed-form row of R (no Kronecker code)."""
+    m = model2
+    ps = cs.pair_scheme(m.dim)
+    R_rows = cs.curvature_basis(m, ps)
+
+    def dense(op):
+        images = np.array([cs.to_pair_coords(ps, op(m, cs.from_pair_coords(ps, row)))
+                           for row in R_rows])
+        H = R_rows @ images.T
+        return 0.5 * (H + H.T)
+
+    def projector(rows):
+        return rows.T @ rows
+
+    L_R, Lsigma_R = dense(cs.L_map), dense(cs.L_sigma_map)
+    blocks, joint = dec.build_gl_projectors(m, ps)
+    w, V = np.linalg.eigh(L_R)
+    for name, (lam, mus) in dec.L_BLOCKS.items():
+        Vl = V[:, np.abs(w - lam) < 1.0]
+        assert np.max(np.abs(w[np.abs(w - lam) < 1.0] - lam)) < 1e-10
+        assert np.max(np.abs(projector(Vl.T @ R_rows) - projector(blocks[name]))) < 1e-10
+        ws, W = np.linalg.eigh(Vl.T @ Lsigma_R @ Vl)
+        assert sum(np.sum(np.abs(ws - mu) < 1e-10) for mu in mus) == len(ws)
+        for mu in mus:
+            rows = (Vl @ W[:, np.abs(ws - mu) < 1.0]).T @ R_rows
+            assert np.max(np.abs(projector(rows) - projector(joint[lam, mu]))) < 1e-10
+
+
 def test_unknown_component_name(bank):
     with pytest.raises(KeyError):
         bank.basis("NOPE")
+
+
+@pytest.mark.slow
+def test_sp_bank_ranks_at_n4():
+    """At n = 4 every per-grade eigenvalue passes the EIG_TOL gates (the
+    build raises otherwise) and all fifteen ranks match the formulas."""
+    bank = dec.build_sp_projectors(ms.build_model(4))
+    assert {name: bank.fine[name].rank for name in dec.FINE_COMPONENTS} \
+        == dec.expected_fine_dims(4)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import struct
@@ -56,6 +58,13 @@ def test_tensor_file_errors(tmp_path):
     over.write_bytes(over.read_bytes() + b"\0" * 64)
     with pytest.raises(tio.TensorFileError, match="64 bytes after the payload"):
         tio.read_tensor(over)
+    # any rank reads back; n = 0 (which would leave the rank unbounded) does not
+    five = tmp_path / "five.qht"
+    tio.write_tensor(five, 1, np.ones((4,) * 5))
+    assert tio.read_tensor(five).rank == 5
+    path.write_bytes(tio.MAGIC + struct.pack("<BBHI", 200, 0, 0, 0) + bytes(800))
+    with pytest.raises(tio.TensorFileError, match="n = 0"):
+        tio.read_tensor(path)
     # non-finite payloads
     for value in (np.nan, np.inf, -np.inf):
         bad = np.zeros((8,) * 3)
@@ -287,6 +296,38 @@ def test_cli_rejects_wrong_rank_or_n(command, rank, n, tmp_path, capsys, monkeyp
     out, err = capsys.readouterr()
     assert len(err.splitlines()) == 1 and err.startswith("qhcurv: ")
     assert "Traceback" not in out + err
+    assert builds == []
+
+
+#: the file rank each input mode expects
+_EXPECTED_RANK = {"decompose": 4, "torsion": 3, "nabla-omega": 3}
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(_EXPECTED_RANK)), rank=st.integers(0, 6),
+       file_n=st.integers(1, 3), n=st.integers(2, 3))
+def test_cli_rejects_any_wrong_rank_or_n(tmp_path_factory, command, rank, file_n, n):
+    """Every file whose rank (0..6) or n does not match the command is a
+    one-line usage error (exit 1), found before any bank is built."""
+    if rank == _EXPECTED_RANK[command] and file_n == n:
+        return
+    dims = (4 * file_n,) * rank
+    raw = (tio.MAGIC + struct.pack("<BBHI", rank, 0, 0, file_n)
+           + struct.pack(f"<{rank}I", *dims) + bytes(8 * int(np.prod(dims))))
+    f = tmp_path_factory.getbasetemp() / "wrong-any.qht"
+    f.write_bytes(raw)
+    argv = (["torsion", "--n", str(n), "--from-nabla-omega", *[str(f)] * 3]
+            if command == "nabla-omega" else [command, "--n", str(n), "--input", str(f)])
+    builds = []
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((tor, "build_torsion_bank"), (dec, "build_sp_projectors")):
+            mp.setattr(module, name, lambda *a, _name=name, **k: builds.append(_name))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code == 1
+    assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("qhcurv: ")
+    assert "Traceback" not in out.getvalue() + err.getvalue()
     assert builds == []
 
 
