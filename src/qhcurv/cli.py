@@ -95,6 +95,9 @@ def main(argv=None) -> int:
     if args.n < 2 or (args.n > 3 and not args.allow_large):
         print("qhcurv: --n must be 2 or 3 (larger needs --allow-large)", file=sys.stderr)
         return 1
+    if getattr(args, "seeds", 1) < 1:
+        print("qhcurv: --seeds must be at least 1", file=sys.stderr)
+        return 1
 
     tol = getattr(args, "tol", None)       # audit, decompose and torsion
     try:
@@ -117,6 +120,9 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
 
+    # each reporting command sets its results, failures and exit code, then
+    # writes the report and prints the summary below
+    tolerances, quiet = {"tol": tol}, frozenset()
     if args.command == "audit":
         bank = dec.build_sp_projectors(m)
         report = dec.dimension_audit(bank, tol=tol)
@@ -131,38 +137,31 @@ def main(argv=None) -> int:
                     "value": body["algebra_residuals"], "tolerance": tol},
                    {"check": "eigen_residuals",
                     "value": body["eigen_residuals"], "tolerance": tol}]
-        tio.write_report(args.json, args.n, "audit", {"tol": tol},
-                         results, body["failures"])
-        _emit(results, body["failures"])
-        return 0 if report.ok else 2
+        failures = body["failures"]
+        code = 0 if report.ok else 2
 
-    if args.command == "decompose":
+    elif args.command == "decompose":
         try:
             R = cs.CurvatureTensor.certify(inputs[0].data, tol=max(tol, 1e-10))
         except cs.CertificationError as exc:
-            tio.write_report(args.json, args.n, "decompose", {"tol": tol},
-                             [], [str(exc)])
-            _emit([], [str(exc)])
-            return 2
-        bank = dec.build_sp_projectors(m)
-        norms = dec.component_norms(bank, R)
-        total = top.curvature_inner(R.tensor, R.tensor)
-        recon = abs(sum(v * v for v in norms.values()) - total) / max(total, 1e-300)
-        results = [{"check": "component_norms", "value": tio.jsonable(norms),
-                    "tolerance": tol},
-                   {"check": "qk_norm", "value": bank.component_norm(R.tensor, "QK"),
-                    "tolerance": tol},
-                   {"check": "qkperp_norm",
-                    "value": bank.component_norm(R.tensor, "QKperp"), "tolerance": tol},
-                   {"check": "reconstruction_residual", "value": recon,
-                    "tolerance": 1e-8}]
-        failures = [] if recon < 1e-8 else [f"reconstruction residual {recon}"]
-        tio.write_report(args.json, args.n, "decompose", {"tol": tol},
-                         results, failures)
-        _emit(results, failures)
-        return 0 if not failures else 2
+            results, failures = [], [str(exc)]
+        else:
+            bank = dec.build_sp_projectors(m)
+            norms = dec.component_norms(bank, R)
+            total = top.curvature_inner(R.tensor, R.tensor)
+            recon = abs(sum(v * v for v in norms.values()) - total) / max(total, 1e-300)
+            results = [{"check": "component_norms", "value": tio.jsonable(norms),
+                        "tolerance": tol},
+                       {"check": "qk_norm", "value": bank.component_norm(R.tensor, "QK"),
+                        "tolerance": tol},
+                       {"check": "qkperp_norm",
+                        "value": bank.component_norm(R.tensor, "QKperp"), "tolerance": tol},
+                       {"check": "reconstruction_residual", "value": recon,
+                        "tolerance": 1e-8}]
+            failures = [] if recon < 1e-8 else [f"reconstruction residual {recon}"]
+        code = 0 if not failures else 2
 
-    if args.command == "torsion":
+    elif args.command == "torsion":
         failures = []
         if args.input:
             t = inputs[0].data
@@ -185,12 +184,9 @@ def main(argv=None) -> int:
                     "tolerance": 1e-8},
                    {"check": "class_mask", "value": mask,
                     "order": list(tor.TORSION_COMPONENTS), "tolerance": tor.MASK_TOL}]
-        tio.write_report(args.json, args.n, "torsion", {"tol": tol},
-                         results, failures)
-        _emit(results, failures)
-        return 0 if not failures else 2
+        code = 0 if not failures else 2
 
-    if args.command == "tables":
+    elif args.command == "tables":
         from . import tables as tbl
         bank = dec.build_sp_projectors(m)
         tbank = tor.build_torsion_bank(m)
@@ -211,17 +207,11 @@ def main(argv=None) -> int:
                    {"check": "directions",
                     "value": tio.jsonable(report.direction_checks),
                     "tolerance": tbl.DIRECTION_TOL}]
-        tio.write_report(args.json, args.n, "tables",
-                         {"tick_on": tbl.TICK_ON, "tick_off": tbl.TICK_OFF},
-                         results, failures)
-        _emit(results, failures, quiet_keys={"cells", "directions"})
-        if report.mismatches:
-            return 2
-        if report.ambiguous:
-            return 3
-        return 0
+        tolerances = {"tick_on": tbl.TICK_ON, "tick_off": tbl.TICK_OFF}
+        quiet = frozenset({"cells", "directions"})
+        code = 2 if report.mismatches else 3 if report.ambiguous else 0
 
-    if args.command == "make-tensor":
+    elif args.command == "make-tensor":
         if args.kind == "random-curvature":
             R = cs.random_curvature(m, args.seed)
             tio.write_tensor(args.output, args.n, R.tensor, certified=True)
@@ -243,7 +233,13 @@ def main(argv=None) -> int:
                 tio.write_tensor(f"{base}.{label}", args.n, w)
         return 0
 
-    return 1
+    try:
+        tio.write_report(args.json, args.n, args.command, tolerances, results, failures)
+    except OSError as exc:
+        print(f"qhcurv: {exc}", file=sys.stderr)
+        return 2
+    _emit(results, failures, quiet_keys=quiet)
+    return code
 
 
 def _emit(results, failures, quiet_keys=frozenset()) -> None:

@@ -13,15 +13,17 @@ Components carrying Ricci curvature are the images of explicit constructor
 maps applied to bilinear forms; each Ricci-kernel component is the
 orthogonal complement of those images inside its joint eigenspace.
 
-Each component is stored as an orthonormal basis (rows) in the scaled pair
-coordinates of :mod:`.curvature_space`, so projections are plain matrix
-products and ranks are row counts.
+The fifteen fine bases (rows in the scaled pair coordinates of
+:mod:`.curvature_space`) are stored once, stacked into one orthonormal
+basis of R, so projections are plain matrix products and ranks are row
+counts.  The L-blocks, QK and QKperp are direct sums of fine components
+and the two rays that split R_a + R_b, and are read from those parts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,8 @@ from .model_space import ModelSpace
 # ---------------------------------------------------------------------------
 # Component names.
 
-#: Fine components in the listing order of the summary decomposition.
+#: Fine components in the listing order of the summary decomposition, which
+#: groups them by L-block.
 FINE_COMPONENTS = (
     "S4E", "V22", "L20E_a", "R_a",
     "L40E", "L20E_b", "R_b",
@@ -40,9 +43,6 @@ FINE_COMPONENTS = (
     "V211S2H", "S2ES2H_b", "L20ES2H",
     "V22S4H", "L20ES4H", "S4H",
 )
-
-#: Coarse blocks and the quaternionic-Kaehler split.
-COARSE_COMPONENTS = ("L6", "L2", "Lm6", "QK", "QKperp", "R_QK", "R_QKperp")
 
 #: Fine components whose rank is zero at low n.
 ZERO_AT_N = {2: ("L40E", "L20E_b", "V211S2H"), 3: ("L40E",)}
@@ -98,6 +98,23 @@ COMPONENT_SPECTRUM = {
     "V31S2H": (2, 4), "S2ES2H_a": (2, 4),
     "V211S2H": (2, -4), "S2ES2H_b": (2, -4), "L20ES2H": (2, -4),
     "V22S4H": (-6, 0), "L20ES4H": (-6, 0), "S4H": (-6, 0),
+}
+
+#: L-blocks with their L-eigenvalue and the L_sigma eigenvalues inside them.
+L_BLOCKS = {"L6": (6, (12, 0, -12)), "L2": (2, (4, -4)), "Lm6": (-6, (0,))}
+
+#: The unit rays pi2 + 2 pi1 (in QK) and (n + 2) pi2 - 18 n pi1 (in QKperp),
+#: which split R_a + R_b.
+RAYS = ("QK_ray", "QKperp_ray")
+
+#: Every other named space, as the fine components and rays it is the
+#: direct sum of.  The L-blocks are contiguous in FINE_COMPONENTS.
+COMPOSITES = {
+    **{name: tuple(c for c in FINE_COMPONENTS if COMPONENT_SPECTRUM[c][0] == lam)
+       for name, (lam, _) in L_BLOCKS.items()},
+    "QK": ("S4E", "QK_ray"),
+    "QKperp": ("QKperp_ray",) + tuple(c for c in FINE_COMPONENTS
+                                      if c not in ("S4E", "R_a", "R_b")),
 }
 
 
@@ -183,55 +200,65 @@ def triple_embed(m: ModelSpace, b_triple) -> np.ndarray:
 # Bank construction.
 
 @dataclass
-class ComponentBasis:
-    """Orthonormal basis (rows, pair coordinates) of one component."""
-
-    name: str
-    rows: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.rows.shape[0]
-
-
-@dataclass
 class ProjectorBank:
-    """Fine component bases plus the coarse L-blocks and the QK split."""
+    """One orthonormal basis of R, from which every component is read.
+
+    ``rows`` (dim R by m^2, pair coordinates) stacks the fifteen fine bases
+    in ``FINE_COMPONENTS`` order; ``slices`` maps each fine component to its
+    rows.  ``rays`` holds the unit QK and QKperp rays that split R_a + R_b.
+    Every other space is a direct sum of these parts (``COMPOSITES``), so
+    it is read from them and never stored."""
 
     model: ModelSpace
     scheme: cs.PairScheme
-    fine: dict
-    blocks: dict
-    qk: np.ndarray
-    qkperp: np.ndarray
-    log: list = field(default_factory=list)
+    rows: np.ndarray
+    slices: dict
+    rays: np.ndarray
+
+    def _blocks(self, name: str) -> list:
+        """Row blocks (views) whose direct sum is the named space; adjacent
+        fine components are merged into one block."""
+        spans = []
+        for part in COMPOSITES.get(name, (name,)):
+            if part in RAYS:
+                k = RAYS.index(part)
+                spans.append((self.rays, k, k + 1))
+            elif part in self.slices:
+                sl = self.slices[part]
+                if spans and spans[-1][0] is self.rows and spans[-1][2] == sl.start:
+                    spans[-1] = (self.rows, spans[-1][1], sl.stop)
+                else:
+                    spans.append((self.rows, sl.start, sl.stop))
+            else:
+                raise KeyError(f"unknown component {name!r}")
+        return [a[i:j] for a, i, j in spans]
 
     def basis(self, name: str) -> np.ndarray:
-        if name in self.fine:
-            return self.fine[name].rows
-        if name in self.blocks:
-            return self.blocks[name]
-        if name == "QK":
-            return self.qk
-        if name == "QKperp":
-            return self.qkperp
-        raise KeyError(f"unknown component {name!r}")
+        """Orthonormal rows of a named space: a view for a fine component or
+        an L-block, a new stack of its parts for QK and QKperp."""
+        blocks = self._blocks(name)
+        return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
 
     def rank(self, name: str) -> int:
-        return self.basis(name).shape[0]
+        return sum(B.shape[0] for B in self._blocks(name))
 
     def coords(self, R: np.ndarray) -> np.ndarray:
         return cs.to_pair_coords(self.scheme, R)
 
+    def project_coords(self, v: np.ndarray, name: str) -> np.ndarray:
+        """Orthogonal projection of pair coordinates onto a named space."""
+        return sum(B.T @ (B @ v) for B in self._blocks(name))
+
     def project(self, R: np.ndarray, name: str) -> np.ndarray:
         """Orthogonal projection of a curvature tensor onto a component."""
-        B = self.basis(name)
-        v = self.coords(R)
-        return cs.from_pair_coords(self.scheme, B.T @ (B @ v))
+        return cs.from_pair_coords(self.scheme, self.project_coords(self.coords(R), name))
 
     def component_norm(self, R: np.ndarray, name: str) -> float:
-        B = self.basis(name)
-        return float(np.linalg.norm(B @ self.coords(R)))
+        """Norm of the projection, from its coordinates on every part.  A
+        small part keeps its relative accuracy, which a difference such as
+        sqrt(|R|^2 - |QK part|^2) would cancel away."""
+        v = self.coords(R)
+        return float(np.linalg.norm(np.concatenate([B @ v for B in self._blocks(name)])))
 
 
 #: Absolute singular-value floor for image/remainder spaces that may be
@@ -250,9 +277,6 @@ def _sweep_images(m: ModelSpace, ps: cs.PairScheme, param_basis,
 #: Largest distance allowed between a computed L or L_sigma eigenvalue and
 #: the expected one; a build that needs more raises instead of guessing.
 EIG_TOL = 1e-8
-
-#: L-blocks with their L-eigenvalue and the L_sigma eigenvalues inside them.
-L_BLOCKS = {"L6": (6, (12, 0, -12)), "L2": (2, (4, -4)), "Lm6": (-6, (0,))}
 
 
 def _eigenspaces(H: np.ndarray, expected, what: str) -> dict:
@@ -281,15 +305,13 @@ def _scatter(pieces, width: int) -> np.ndarray:
     return out
 
 
-def build_gl_projectors(m: ModelSpace, ps: cs.PairScheme | None = None) -> tuple[dict, dict]:
-    """The L-eigenblocks and joint (L, L_sigma) eigenspaces of R, one grade
-    at a time.
+def build_gl_projectors(m: ModelSpace, ps: cs.PairScheme | None = None) -> dict:
+    """The joint (L, L_sigma) eigenspaces of R, one grade at a time.
 
     On each line-count grade, ``eigh`` of the Casimir matrix of L splits the
     grade's rows by L-eigenvalue, and ``eigh`` of L_sigma inside each of
-    those splits them again.  Returns (blocks, joint): ``blocks`` maps L6,
-    L2, Lm6 to orthonormal rows in pair coordinates and ``all`` to the basis
-    of R; ``joint`` maps each (L, L_sigma) eigenvalue pair to its rows."""
+    those splits them again.  Returns the orthonormal rows, in pair
+    coordinates, of each (L, L_sigma) eigenvalue pair."""
     ps = ps or cs.pair_scheme(m.dim)
     R_rows = cs.curvature_basis(m, ps)
     pieces = {(lam, mu): [] for lam, mus in L_BLOCKS.values() for mu in mus}
@@ -303,11 +325,7 @@ def build_gl_projectors(m: ModelSpace, ps: cs.PairScheme | None = None) -> tuple
                                f"L_sigma on {name}, grade {grade.counts}")
             for mu in mus:
                 pieces[lam, mu].append((grade.coords, (V @ sub[mu]).T @ grade.rows))
-    joint = {key: _scatter(parts, ps.m * ps.m) for key, parts in pieces.items()}
-    blocks = {name: np.vstack([joint[lam, mu] for mu in mus])
-              for name, (lam, mus) in L_BLOCKS.items()}
-    blocks["all"] = R_rows
-    return blocks, joint
+    return {key: _scatter(parts, ps.m * ps.m) for key, parts in pieces.items()}
 
 
 def _complement(space: np.ndarray, *images: np.ndarray) -> np.ndarray:
@@ -316,10 +334,10 @@ def _complement(space: np.ndarray, *images: np.ndarray) -> np.ndarray:
 
 
 def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
-    """Construct the full fine bank, the coarse blocks, and the QK split."""
+    """Construct the fifteen fine bases, stacked into one basis of R, and
+    the two QK rays."""
     ps = cs.pair_scheme(m.dim)
-    blocks, joint = build_gl_projectors(m, ps)
-    log = []
+    joint = build_gl_projectors(m, ps)
 
     g = m.g
     l20e_basis = [b.reshape(m.dim, m.dim)
@@ -329,64 +347,44 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     l20es2h_forms = [b.reshape(m.dim, m.dim)
                      for b in cs.bilinear_component_basis(m, "L20ES2H")]
 
+    def ray(T):
+        return cs.orthonormal_rows(cs.to_pair_coords(ps, T)[None, :])
+
     fine = {}
-
-    def add(name, rows):
-        fine[name] = ComponentBasis(name=name, rows=rows)
-        log.append(f"{name}: rank {rows.shape[0]}")
-
-    def images(*names):
-        return [fine[nm].rows for nm in names]
-
     # --- L = 6 block ------------------------------------------------------
-    add("S4E", joint[6, 12])
-    add("R_a", cs.orthonormal_rows(
-        cs.to_pair_coords(ps, m.pi2 + 6.0 * m.pi1)[None, :]))
-    add("L20E_a", _sweep_images(
-        m, ps, l20e_basis,
-        lambda b: vartheta(m, b, g) + 12.0 * psi(b, g)))
-    add("R_b", cs.orthonormal_rows(
-        cs.to_pair_coords(ps, m.pi2 - 6.0 * m.pi1)[None, :]))
-    add("L20E_b", _sweep_images(
-        m, ps, l20e_basis,
-        lambda b: vartheta(m, b, g) - 12.0 * psi(b, g)))
-    add("V22", _complement(joint[6, 0], *images("R_a", "L20E_a")))
-    add("L40E", _complement(joint[6, -12], *images("R_b", "L20E_b")))
+    fine["S4E"] = joint[6, 12]
+    fine["R_a"] = ray(m.pi2 + 6.0 * m.pi1)
+    fine["L20E_a"] = _sweep_images(m, ps, l20e_basis,
+                                   lambda b: vartheta(m, b, g) + 12.0 * psi(b, g))
+    fine["R_b"] = ray(m.pi2 - 6.0 * m.pi1)
+    fine["L20E_b"] = _sweep_images(m, ps, l20e_basis,
+                                   lambda b: vartheta(m, b, g) - 12.0 * psi(b, g))
+    fine["V22"] = _complement(joint[6, 0], fine["R_a"], fine["L20E_a"])
+    fine["L40E"] = _complement(joint[6, -12], fine["R_b"], fine["L20E_b"])
 
     # --- L = 2 block ------------------------------------------------------
-    add("S2ES2H_a", _sweep_images(
-        m, ps, s2es2h_basis,
-        lambda b: vartheta(m, b, g) + 4.0 * psi(b, g)))
-    add("V31S2H", _complement(joint[2, 4], *images("S2ES2H_a")))
-    add("S2ES2H_b", _sweep_images(
-        m, ps, s2es2h_basis,
-        lambda b: vartheta(m, b, g) - 12.0 * psi(b, g)))
-    add("L20ES2H", _sweep_images(
-        m, ps, l20es2h_forms, lambda b: l20es2h_embed(m, b)))
-    add("V211S2H", _complement(joint[2, -4], *images("S2ES2H_b", "L20ES2H")))
+    fine["S2ES2H_a"] = _sweep_images(m, ps, s2es2h_basis,
+                                     lambda b: vartheta(m, b, g) + 4.0 * psi(b, g))
+    fine["V31S2H"] = _complement(joint[2, 4], fine["S2ES2H_a"])
+    fine["S2ES2H_b"] = _sweep_images(m, ps, s2es2h_basis,
+                                     lambda b: vartheta(m, b, g) - 12.0 * psi(b, g))
+    fine["L20ES2H"] = _sweep_images(m, ps, l20es2h_forms, lambda b: l20es2h_embed(m, b))
+    fine["V211S2H"] = _complement(joint[2, -4], fine["S2ES2H_b"], fine["L20ES2H"])
 
     # --- L = -6 block -----------------------------------------------------
-    add("L20ES4H", _sweep_images(
-        m, ps, _constrained_triples(m, l20es2h_forms),
-        lambda bt: triple_embed(m, bt)))
-    add("S4H", _sweep_images(
-        m, ps, _constrained_triples(m, [w.copy() for w in m.omegas]),
-        lambda bt: triple_embed(m, bt)))
-    add("V22S4H", _complement(joint[-6, 0], *images("L20ES4H", "S4H")))
+    fine["L20ES4H"] = _sweep_images(m, ps, _constrained_triples(m, l20es2h_forms),
+                                    lambda bt: triple_embed(m, bt))
+    fine["S4H"] = _sweep_images(m, ps, _constrained_triples(m, [w.copy() for w in m.omegas]),
+                                lambda bt: triple_embed(m, bt))
+    fine["V22S4H"] = _complement(joint[-6, 0], fine["L20ES4H"], fine["S4H"])
 
-    # --- QK split ---------------------------------------------------------
-    ray_qk = cs.orthonormal_rows(
-        cs.to_pair_coords(ps, m.pi2 + 2.0 * m.pi1)[None, :])[0]
-    n = m.n
-    ray_qkperp = cs.orthonormal_rows(
-        cs.to_pair_coords(ps, (n + 2.0) * m.pi2 - 18.0 * n * m.pi1)[None, :])[0]
-    qk = np.vstack([fine["S4E"].rows, ray_qk[None, :]])
-    perp_names = [nm for nm in FINE_COMPONENTS if nm not in ("S4E", "R_a", "R_b")]
-    qkperp = np.vstack([ray_qkperp[None, :]]
-                       + [fine[nm].rows for nm in perp_names if fine[nm].rank])
-
-    return ProjectorBank(model=m, scheme=ps, fine=fine, blocks=blocks,
-                         qk=qk, qkperp=qkperp, log=log)
+    ends = np.cumsum([fine[name].shape[0] for name in FINE_COMPONENTS])
+    slices = {name: slice(int(end) - fine[name].shape[0], int(end))
+              for name, end in zip(FINE_COMPONENTS, ends)}
+    rays = np.vstack([ray(m.pi2 + 2.0 * m.pi1),
+                      ray((m.n + 2.0) * m.pi2 - 18.0 * m.n * m.pi1)])
+    return ProjectorBank(model=m, scheme=ps, slices=slices, rays=rays,
+                         rows=np.vstack([fine[name] for name in FINE_COMPONENTS]))
 
 
 def _constrained_triples(m: ModelSpace, form_basis_mats):
@@ -424,10 +422,14 @@ def project_component(bank: ProjectorBank, R, name: str):
 
 
 def component_norms(bank: ProjectorBank, R) -> dict:
+    """Fine component norms of R: one product with the stacked basis, then
+    the squared coordinates summed per component (exactly 0 at rank 0)."""
     tensor = R.require_certified() if isinstance(R, cs.CurvatureTensor) else R
-    v = bank.coords(tensor)
-    return {name: float(np.linalg.norm(bank.fine[name].rows @ v))
-            for name in FINE_COMPONENTS}
+    w = bank.rows @ bank.coords(tensor)
+    sizes = [bank.slices[name].stop - bank.slices[name].start for name in FINE_COMPONENTS]
+    labels = np.repeat(np.arange(len(FINE_COMPONENTS)), sizes)
+    squares = np.bincount(labels, weights=w * w, minlength=len(FINE_COMPONENTS))
+    return dict(zip(FINE_COMPONENTS, np.sqrt(squares).tolist()))
 
 
 def ric_qk_scalars(bank: ProjectorBank, R) -> tuple[np.ndarray, np.ndarray]:
@@ -518,7 +520,7 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
     n = m.n
     failures = []
 
-    ranks = {name: bank.fine[name].rank for name in FINE_COMPONENTS}
+    ranks = {name: bank.rank(name) for name in FINE_COMPONENTS}
     expected = expected_fine_dims(n)
     for name in FINE_COMPONENTS:
         if ranks[name] != expected[name]:
@@ -527,8 +529,9 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
     total = sum(ranks.values())
     if total != dim_R(n):
         failures.append(f"sum of fine ranks {total} != dim R {dim_R(n)}")
-    if bank.qk.shape[0] != dim_QK(n):
-        failures.append(f"dim QK {bank.qk.shape[0]} != {dim_QK(n)}")
+    qk_rank = bank.rank("QK")
+    if qk_rank != dim_QK(n):
+        failures.append(f"dim QK {qk_rank} != {dim_QK(n)}")
 
     zero = ZERO_AT_N.get(n, ())
     for name in zero:
@@ -537,7 +540,7 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
 
     eigen_residuals = {}
     for name in FINE_COMPONENTS:
-        rows = bank.fine[name].rows
+        rows = bank.basis(name)
         if rows.shape[0] == 0:
             eigen_residuals[name] = 0.0
             continue
@@ -554,14 +557,13 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
         if not worst <= tol:
             failures.append(f"eigen residual of {name}: {worst}")
 
-    # projector algebra: completeness and pairwise orthogonality
-    stacked = np.vstack([bank.fine[name].rows for name in FINE_COMPONENTS
-                         if bank.fine[name].rank])
-    gram = stacked @ stacked.T
+    # projector algebra: the stacked rows are orthonormal and fill R (checked
+    # against the closed-form basis of R, rebuilt here)
+    gram = bank.rows @ bank.rows.T
     ortho = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    all_rows = bank.blocks["all"]
-    overlap = stacked @ all_rows.T
-    completeness = float(np.max(np.abs(overlap.T @ overlap - np.eye(all_rows.shape[0]))))
+    R_rows = cs.curvature_basis(m, ps)
+    overlap = bank.rows @ R_rows.T
+    completeness = float(np.max(np.abs(overlap.T @ overlap - np.eye(R_rows.shape[0]))))
     algebra = {"orthonormality": ortho, "completeness": completeness}
     if not ortho <= tol:
         failures.append(f"component bases not orthonormal: {ortho}")
@@ -571,6 +573,6 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
     return DecompositionReport(
         n=n, ranks=ranks, expected=expected,
         dim_R=total, dim_R_formula=dim_R(n),
-        dim_QK=bank.qk.shape[0], dim_QK_formula=dim_QK(n),
+        dim_QK=qk_rank, dim_QK_formula=dim_QK(n),
         zero_components=zero, eigen_residuals=eigen_residuals,
         algebra_residuals=algebra, failures=failures)

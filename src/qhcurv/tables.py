@@ -313,7 +313,9 @@ class TableContext:
     maps pi_1 of a state, in pair coordinates, to its Table-3 coordinates
     on X.  By Schur's lemma G = img img^T is c_X on X, which has no
     isomorphic partner in QKperp (only S2ES2H_a/b and, at n = 3, L20E_a/b
-    couple), so G^-1 is 1/c_X there and no solve is needed."""
+    couple), so G^-1 is 1/c_X there and no solve is needed.  B_X is a view
+    of the bank's stacked rows, and the probe of G applies the QKperp
+    projection through the bank's parts."""
 
     m: ModelSpace
     bank: dec.ProjectorBank
@@ -325,7 +327,6 @@ class TableContext:
     def build(cls, bank: dec.ProjectorBank, tbank: tor.TorsionBank):
         m = bank.model
         ps = bank.scheme
-        Q = bank.qkperp
         # pi_1 acts on the second 2-form slot only, so in pair coordinates
         # it is C -> C P1; row q of P1 is the image of the unit pair (0, q)
         P1 = np.empty((ps.m, ps.m))
@@ -336,7 +337,7 @@ class TableContext:
             P1[q] = cs.to_pair_coords(ps, T)[:ps.m]
         table3 = {}
         for name in TABLE3_COLUMNS:
-            B = bank.fine[name].rows
+            B = bank.basis(name)
             BM = (B.reshape(-1, ps.m, ps.m) @ P1).reshape(B.shape)
             if not B.shape[0]:
                 table3[name] = BM
@@ -345,7 +346,7 @@ class TableContext:
             # G = img img^T must act on X as c: probe G B^T z = c B^T z
             z = cs.substream("schur", name).standard_normal(B.shape[0])
             GBz = ((BM.T @ z).reshape(ps.m, ps.m) @ P1.T).ravel()
-            off = float(np.linalg.norm(Q.T @ (Q @ GBz) - c * (B.T @ z)))
+            off = float(np.linalg.norm(bank.project_coords(GBz, "QKperp") - c * (B.T @ z)))
             if not (c > 0 and off <= dec.EIG_TOL * c * np.linalg.norm(z)):
                 raise ArithmeticError(f"Table 3: the QKperp image of pi_1 is not "
                                       f"scalar on {name} (c = {c}, residual {off})")
@@ -451,13 +452,16 @@ class TablesReport:
 
 
 def _zero_rank_columns(bank: dec.ProjectorBank) -> set:
-    return {name for name in ("L40E", "L20E_b", "V211S2H") if bank.fine[name].rank == 0}
+    return {name for name in ("L40E", "L20E_b", "V211S2H") if bank.rank(name) == 0}
 
 
 def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
                seeds: int = DEFAULT_SEEDS) -> TablesReport:
     """Evaluate every cell of the three tables and diff against the embedded
-    expectations; verify the R_x direction annotations of Table 2."""
+    expectations; verify the R_x direction annotations of Table 2.  A cell
+    needs at least one seed: ``seeds < 1`` raises ValueError."""
+    if seeds < 1:
+        raise ValueError(f"run_tables needs at least one seed, got {seeds}")
     ctx = TableContext.build(bank, tbank)
     n = ctx.m.n
     skipped = _zero_rank_columns(bank)

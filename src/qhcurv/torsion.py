@@ -19,7 +19,7 @@ classifies torsion tensors by the 6-bit mask of nonvanishing components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -154,7 +154,6 @@ class TorsionBank:
     model: ModelSpace
     ambient: np.ndarray
     comps: dict
-    log: list = field(default_factory=list)
 
     def rank(self, name: str) -> int:
         return self.comps[name].shape[0]
@@ -210,7 +209,6 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
     """Construct the six orthogonal component bases of the torsion space."""
     d = m.dim
     shape = (d, d, d)
-    log = []
 
     # ambient space basis
     eye = np.eye(d ** 3)
@@ -218,7 +216,6 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
     for k in range(d ** 3):
         proj_rows[k] = project_to_torsion_space(m, eye[k].reshape(shape)).ravel()
     ambient = cs.orthonormal_rows(proj_rows, floor=1e-6)
-    log.append(f"ambient torsion space: dim {ambient.shape[0]}")
 
     # S^3H / H halves
     m13 = _op_matrix_on_rows(ambient, shape, lambda t: _sum_op13(m, t) + t)
@@ -227,7 +224,6 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
     h_mats = [_op_matrix_on_rows(ambient, shape, lambda t, A=A: _op_h(A, t) - t)
               for A in m.triple]
     h = _kernel_within(ambient, h_mats)
-    log.append(f"S3H half: dim {s3h.shape[0]}; H half: dim {h.shape[0]}")
 
     comps = {}
 
@@ -261,9 +257,7 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
     comps["KH"] = cs.orthonormal_rows(
         h - (h @ used.T) @ used, floor=1e-6)
 
-    for name in TORSION_COMPONENTS:
-        log.append(f"xi_{name}: rank {comps[name].shape[0]}")
-    return TorsionBank(model=m, ambient=ambient, comps=comps, log=log)
+    return TorsionBank(model=m, ambient=ambient, comps=comps)
 
 
 # ---------------------------------------------------------------------------

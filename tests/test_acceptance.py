@@ -53,7 +53,7 @@ def test_criterion_2_spectra(n, bank):
     worst = 0.0
     total = 0
     for name, lam in blocks.items():
-        rows = bank.blocks[name]
+        rows = bank.basis(name)
         total += rows.shape[0]
         for row in rows[:: max(1, rows.shape[0] // 8)]:
             T = cs.from_pair_coords(bank.scheme, row)
@@ -70,7 +70,7 @@ def test_criterion_2_spectra(n, bank):
 def test_criterion_3_projector_algebra(n, bank):
     rep = dec.dimension_audit(bank)
     zero = {2: {"L40E", "L20E_b", "V211S2H"}, 3: {"L40E"}}[n]
-    observed_zero = {nm for nm in dec.FINE_COMPONENTS if bank.fine[nm].rank == 0}
+    observed_zero = {nm for nm in dec.FINE_COMPONENTS if bank.rank(nm) == 0}
     ok = (rep.algebra_residuals["orthonormality"] < 1e-9
           and rep.algebra_residuals["completeness"] < 1e-9
           and observed_zero == zero)
@@ -130,7 +130,7 @@ def test_criterion_6_qk_einstein(n, bank):
     rng = cs.substream("acc-qk", n)
     worst = 0.0
     for k in range(50):
-        coef = bank.fine["S4E"].rows.T @ rng.standard_normal(bank.fine["S4E"].rank)
+        coef = bank.basis("S4E").T @ rng.standard_normal(bank.rank("S4E"))
         R = cs.from_pair_coords(bank.scheme, coef) \
             + rng.standard_normal() * (m.pi2 + 2 * m.pi1)
         c, resid = dec.qk_einstein_verify(bank, R, tol=1e-8)

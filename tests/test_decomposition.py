@@ -96,7 +96,7 @@ def test_project_component_examples(bank):
     comp, norm = dec.project_component(bank, m.pi2 + 2 * m.pi1, "R_a")
     assert top.frob(comp - (2.0 / 3.0) * (m.pi2 + 6 * m.pi1)) < 1e-9 * norm
     # projection onto a rank-zero component vanishes
-    if bank.fine["L40E"].rank == 0:
+    if bank.rank("L40E") == 0:
         comp, norm = dec.project_component(bank, m.pi2 + 2 * m.pi1, "L40E")
         assert norm < 1e-12
     # idempotence
@@ -112,12 +112,53 @@ def test_parseval(bank):
     assert sum(v * v for v in norms.values()) == pytest.approx(total, rel=1e-8)
 
 
+def test_component_norms_match_per_component_oracle(bank):
+    """One product with the stacked rows, summed per component, equals one
+    norm per fine basis; components of rank 0 read exactly 0."""
+    for seed in (23, 24):
+        R = cs.random_curvature(bank.model, seed)
+        norms = dec.component_norms(bank, R)
+        v = bank.coords(R.tensor)
+        for name in dec.FINE_COMPONENTS:
+            oracle = float(np.linalg.norm(bank.basis(name) @ v))
+            assert norms[name] == pytest.approx(oracle, rel=1e-12, abs=0.0), name
+        for name in dec.ZERO_AT_N.get(bank.model.n, ()):
+            assert bank.rank(name) == 0 and norms[name] == 0.0
+
+
+def test_composite_projectors_resolve_R(bank):
+    """The L-blocks, and QK with QKperp, are direct-sum decompositions of R,
+    read from the parts of the stacked bank."""
+    for seed in (41, 42):
+        v = bank.coords(cs.random_curvature(bank.model, seed).tensor)
+        scale = np.linalg.norm(v)
+        in_R = bank.rows.T @ (bank.rows @ v)
+        assert np.linalg.norm(in_R - v) < 1e-12 * scale       # v lies in R
+        blocks = sum(bank.project_coords(v, name) for name in dec.L_BLOCKS)
+        assert np.linalg.norm(blocks - in_R) < 1e-12 * scale
+        qk, qkperp = bank.project_coords(v, "QK"), bank.project_coords(v, "QKperp")
+        assert np.linalg.norm(qk + qkperp - in_R) < 1e-12 * scale
+        assert np.linalg.norm(bank.project_coords(qkperp, "QK")) < 1e-12 * scale
+
+
+def test_bank_stores_one_basis_of_R(bank):
+    """The bank holds the stacked fine rows and the two rays, nothing else;
+    each fine basis and each L-block is a view of the stacked rows."""
+    n, m2 = bank.model.n, bank.scheme.m ** 2
+    arrays = [getattr(bank, f.name) for f in dataclasses.fields(bank)]
+    assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) \
+        == (dec.dim_R(n) + 2) * m2 * 8
+    for name in dec.FINE_COMPONENTS + tuple(dec.L_BLOCKS):
+        assert bank.basis(name).base is bank.rows, name
+    assert bank.rank("QKperp") == dec.dim_R(n) - dec.dim_QK(n)
+
+
 def test_qk_split(bank):
     m, n = bank.model, bank.model.n
     v1 = m.pi2 + 2 * m.pi1
     v2 = (n + 2) * m.pi2 - 18 * n * m.pi1
     assert abs(top.curvature_inner(v1, v2)) < 1e-10 * top.frob(v1) * top.frob(v2)
-    assert bank.qk.shape[0] == dec.dim_QK(n)
+    assert bank.rank("QK") == dec.dim_QK(n)
     assert np.allclose(cs.ricci(v1), 8 * (n + 2) * m.g)
     assert np.allclose(cs.ricci_q(m, v1), 24 * n * m.g)
 
@@ -136,7 +177,7 @@ def test_ric_qk_scalars_vs_direct(bank):
 def test_qk_einstein(bank):
     m, n = bank.model, bank.model.n
     rng = cs.substream("einstein", n)
-    coef = bank.fine["S4E"].rows.T @ rng.standard_normal(bank.fine["S4E"].rank)
+    coef = bank.basis("S4E").T @ rng.standard_normal(bank.rank("S4E"))
     weyl = cs.from_pair_coords(bank.scheme, coef)
     R = weyl + 1.3 * (m.pi2 + 2 * m.pi1)
     c, resid = dec.qk_einstein_verify(bank, R)
@@ -187,10 +228,9 @@ def _accepts(call) -> bool:
 
 
 def _audit_with_nan_row(m, bank):
-    rows = bank.fine["V22"].rows.copy()
-    rows[0, 0] = np.nan
-    fine = {**bank.fine, "V22": dataclasses.replace(bank.fine["V22"], rows=rows)}
-    return dec.dimension_audit(dataclasses.replace(bank, fine=fine)).ok
+    rows = bank.rows.copy()
+    rows[bank.slices["V22"].start, 0] = np.nan
+    return dec.dimension_audit(dataclasses.replace(bank, rows=rows)).ok
 
 
 #: Whether each tolerance gate accepts NaN input (it must not).
@@ -232,7 +272,7 @@ def test_block_ricci_relations(bank):
     rng = cs.substream("blocks", n)
 
     def sample(name):
-        rows = bank.fine[name].rows
+        rows = bank.basis(name)
         coef = rng.standard_normal(rows.shape[0])
         return cs.from_pair_coords(bank.scheme, rows.T @ coef)
 
@@ -245,7 +285,7 @@ def test_block_ricci_relations(bank):
             assert top.frob(np.einsum("xa,yb,ab->xy", A, A, ric) - ric) \
                 < 1e-9 * scale
     for name in ("R_b", "L20E_b"):
-        if bank.fine[name].rank == 0:
+        if bank.rank(name) == 0:
             continue
         R = sample(name)
         assert top.frob(cs.ricci(R) + cs.ricci_q(m, R)) < 1e-9 * max(top.frob(R), 1.0)
@@ -256,7 +296,7 @@ def test_block_ricci_relations(bank):
         assert top.frob(ric - ricq) < 1e-9 * scale
         assert top.frob(cs.proj_sym_S2ES2H(m, ric) - ric) < 1e-9 * scale
     for name in ("V211S2H", "S2ES2H_b", "L20ES2H"):
-        if bank.fine[name].rank == 0:
+        if bank.rank(name) == 0:
             continue
         R = sample(name)
         ric = cs.ricci(R)
@@ -268,7 +308,7 @@ def test_block_ricci_relations(bank):
         assert top.frob(cs.ricci(R)) < 1e-9 * top.frob(R)
         assert top.frob(cs.ricci_q(m, R)) < 1e-9 * top.frob(R)
     for name in ("S4E", "V22", "L40E", "V31S2H", "V211S2H"):
-        if bank.fine[name].rank == 0:
+        if bank.rank(name) == 0:
             continue
         R = sample(name)
         assert top.frob(cs.ricci(R)) < 1e-9 * top.frob(R)
@@ -346,12 +386,13 @@ def test_graded_eigenspaces_match_dense_oracle(model2):
         return rows.T @ rows
 
     L_R, Lsigma_R = dense(cs.L_map), dense(cs.L_sigma_map)
-    blocks, joint = dec.build_gl_projectors(m, ps)
+    joint = dec.build_gl_projectors(m, ps)
     w, V = np.linalg.eigh(L_R)
     for name, (lam, mus) in dec.L_BLOCKS.items():
         Vl = V[:, np.abs(w - lam) < 1.0]
         assert np.max(np.abs(w[np.abs(w - lam) < 1.0] - lam)) < 1e-10
-        assert np.max(np.abs(projector(Vl.T @ R_rows) - projector(blocks[name]))) < 1e-10
+        block = sum(projector(joint[lam, mu]) for mu in mus)
+        assert np.max(np.abs(projector(Vl.T @ R_rows) - block)) < 1e-10
         ws, W = np.linalg.eigh(Vl.T @ Lsigma_R @ Vl)
         assert sum(np.sum(np.abs(ws - mu) < 1e-10) for mu in mus) == len(ws)
         for mu in mus:
@@ -369,5 +410,6 @@ def test_sp_bank_ranks_at_n4():
     """At n = 4 every per-grade eigenvalue passes the EIG_TOL gates (the
     build raises otherwise) and all fifteen ranks match the formulas."""
     bank = dec.build_sp_projectors(ms.build_model(4))
-    assert {name: bank.fine[name].rank for name in dec.FINE_COMPONENTS} \
+    assert {name: bank.rank(name) for name in dec.FINE_COMPONENTS} \
         == dec.expected_fine_dims(4)
+    assert bank.rows.nbytes + bank.rays.nbytes == (dec.dim_R(4) + 2) * 120 ** 2 * 8

@@ -126,7 +126,7 @@ def test_report_rejects_nan_without_writing(tmp_path):
     assert not path.exists()
 
 
-def test_cli_usage_errors(tmp_path, capsys):
+def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     assert cli.main(["audit", "--n", "1"]) == 1
     assert cli.main(["audit", "--n", "5"]) == 1
     assert cli.main(["bogus"]) == 1
@@ -135,6 +135,40 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert cli.main(["make-tensor", "--n", "2", "--output", out, "--json", "x"]) == 1
     assert cli.main(["make-tensor", "--n", "2", "--output", out, "--tol", "1"]) == 1
     assert cli.main(["tables", "--n", "2", "--tol", "1"]) == 1
+    # a table run without seeds is refused before any bank is built
+    builds = []
+    for module, name in ((tor, "build_torsion_bank"), (dec, "build_sp_projectors")):
+        monkeypatch.setattr(module, name, lambda *a, _name=name, **k: builds.append(_name))
+    capsys.readouterr()
+    for seeds in ("0", "-1"):
+        assert cli.main(["tables", "--n", "2", "--seeds", seeds]) == 1
+        out, err = capsys.readouterr()
+        assert err == "qhcurv: --seeds must be at least 1\n" and out == ""
+    assert builds == []
+
+
+@pytest.mark.parametrize("command", ["audit", "decompose", "torsion", "tables"])
+def test_cli_unwritable_report_is_one_line(command, tmp_path, capsys):
+    """A --json path that cannot be opened ends the run with one qhcurv:
+    line and exit 2, after the checks ran, and prints no summary."""
+    m = build_model(2)
+    argv = [command, "--n", "2", "--json", str(tmp_path / "missing" / "r.json")]
+    if command == "decompose":
+        tio.write_tensor(tmp_path / "R.qht", 2, cs.random_curvature(m, 3).tensor,
+                         certified=True)
+        argv += ["--input", str(tmp_path / "R.qht")]
+    elif command == "torsion":
+        rng = np.random.default_rng(3)
+        tio.write_tensor(tmp_path / "t.qht", 2,
+                         tor.project_to_torsion_space(m, rng.standard_normal((8,) * 3)))
+        argv += ["--input", str(tmp_path / "t.qht")]
+    elif command == "tables":
+        argv += ["--seeds", "1"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith("qhcurv: ")
+    assert "No such file" in err and "Traceback" not in out + err
+    assert out == ""
 
 
 def test_cli_audit(tmp_path, capsys):

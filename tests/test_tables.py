@@ -76,6 +76,12 @@ def test_evaluate_columns_computes_gamma_part_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("seeds", [0, -1])
+def test_run_tables_needs_a_seed(seeds):
+    with pytest.raises(ValueError, match="at least one seed"):
+        tbl.run_tables(get_bank(2), get_torsion_bank(2), seeds=seeds)
+
+
 @pytest.mark.parametrize("seeds", [1, 2])
 def test_run_tables_evaluates_each_state_once(monkeypatch, seeds):
     """At n = 2 four torsion components are nonzero: per seed, four
@@ -103,7 +109,8 @@ def _pinv_table3(ctx, img_pinv, state) -> dict:
     pi_1 of the state, from the pseudo-inverse of the whole QKperp image of
     pi_1, read on each component (the solve that Schur's lemma removes)."""
     coeffs = img_pinv @ cs.to_pair_coords(ctx.bank.scheme, cft.pi1_state(ctx.m, state))
-    return {name: ctx.bank.fine[name].rows @ (ctx.bank.qkperp.T @ coeffs)
+    qkperp = ctx.bank.basis("QKperp")
+    return {name: ctx.bank.basis(name) @ (qkperp.T @ coeffs)
             for name in tbl.TABLE3_COLUMNS}
 
 
@@ -111,7 +118,7 @@ def test_table3_matches_pseudo_inverse(bank2, tbank2):
     ctx = tbl.TableContext.build(bank2, tbank2)
     m, ps = ctx.m, bank2.scheme
     img = np.array([cs.to_pair_coords(ps, cft.pi1_operator(m, cs.from_pair_coords(ps, row)))
-                    for row in bank2.qkperp])
+                    for row in bank2.basis("QKperp")])
     img_pinv = np.linalg.pinv(img.T, rcond=1e-10)
     live = [c for c in tbl.COMPS if tbank2.rank(c)]
     for seed in range(2):
@@ -133,11 +140,11 @@ def test_table3_matches_pseudo_inverse(bank2, tbank2):
 def test_table_context_rejects_non_scalar_component(bank2, tbank2):
     """Rotating one V22 row towards L20E_a (where the pi_1 image scalar is
     1/4, not 1/2) makes the Schur probe fail."""
-    rows = bank2.fine["V22"].rows.copy()
-    rows[0] = np.cos(0.1) * rows[0] + np.sin(0.1) * bank2.fine["L20E_a"].rows[0]
-    fine = {**bank2.fine, "V22": dataclasses.replace(bank2.fine["V22"], rows=rows)}
+    rows = bank2.rows.copy()
+    v22, l20e_a = bank2.slices["V22"].start, bank2.slices["L20E_a"].start
+    rows[v22] = np.cos(0.1) * rows[v22] + np.sin(0.1) * rows[l20e_a]
     with pytest.raises(ArithmeticError, match="V22"):
-        tbl.TableContext.build(dataclasses.replace(bank2, fine=fine), tbank2)
+        tbl.TableContext.build(dataclasses.replace(bank2, rows=rows), tbank2)
 
 
 def test_table3_needs_no_svd(monkeypatch, bank2, tbank2):
