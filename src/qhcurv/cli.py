@@ -212,25 +212,29 @@ def main(argv=None) -> int:
         code = 2 if report.mismatches else 3 if report.ambiguous else 0
 
     elif args.command == "make-tensor":
+        # (path, tensor, certified) of each file to write
         if args.kind == "random-curvature":
-            R = cs.random_curvature(m, args.seed)
-            tio.write_tensor(args.output, args.n, R.tensor, certified=True)
+            files = [(args.output, cs.random_curvature(m, args.seed).tensor, True)]
         elif args.kind == "qk-ray":
-            tio.write_tensor(args.output, args.n, m.pi2 + 2.0 * m.pi1, certified=True)
+            files = [(args.output, m.pi2 + 2.0 * m.pi1, True)]
         elif args.kind == "random-torsion":
             rng = cs.substream("cli-torsion", args.seed)
             t = tor.project_to_torsion_space(
                 m, rng.standard_normal((m.dim,) * 3))
-            tio.write_tensor(args.output, args.n, t)
+            files = [(args.output, t, False)]
         else:
             rng = cs.substream("cli-nw", args.seed)
             t = tor.project_to_torsion_space(
                 m, rng.standard_normal((m.dim,) * 3))
             lambdas = rng.standard_normal((3, m.dim))
             nws = tor.nabla_omega_from_torsion(m, t, lambdas)
-            base = args.output
-            for label, w in zip("IJK", nws):
-                tio.write_tensor(f"{base}.{label}", args.n, w)
+            files = [(f"{args.output}.{label}", w, False) for label, w in zip("IJK", nws)]
+        try:
+            for path, data, certified in files:
+                tio.write_tensor(path, args.n, data, certified=certified)
+        except OSError as exc:
+            print(f"qhcurv: {exc}", file=sys.stderr)
+            return 2
         return 0
 
     try:

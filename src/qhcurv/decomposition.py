@@ -9,9 +9,17 @@ at a time: ``eigh`` of L on the grade's rows (the Casimir matrices of
 :func:`.curvature_space.casimir_matrices`, with L_sigma = 3 M - L on R),
 then ``eigh`` of L_sigma inside each L-eigenspace of the grade.  Every
 eigenvalue must sit within ``EIG_TOL`` of its expected value.
-Components carrying Ricci curvature are the images of explicit constructor
-maps applied to bilinear forms; each Ricci-kernel component is the
-orthogonal complement of those images inside its joint eigenspace.
+
+Each joint eigenspace is then split by one rule (``SPLITS``).  Components
+carrying Ricci curvature are the images of explicit equivariant constructor
+maps on an orthonormal basis of one irreducible space of bilinear forms, so
+by Schur's lemma their Gram matrix is one scalar c times the identity:
+c <= ``EIG_TOL`` means rank 0, and otherwise the images, divided by sqrt(c),
+are the orthonormal basis once their Gram matrix in the eigenspace is
+checked to be c I to ``EIG_TOL`` * c.  The one Ricci-kernel component of
+each eigenspace is the eigenvalue-0 eigenspace of the sum of the image
+projectors, whose spectrum must be {0, 1} to ``EIG_TOL``.  Every fine rank
+is thus decided against ``EIG_TOL``, with no singular-value threshold.
 
 The fifteen fine bases (rows in the scaled pair coordinates of
 :mod:`.curvature_space`) are stored once, stacked into one orthonormal
@@ -261,19 +269,6 @@ class ProjectorBank:
         return float(np.linalg.norm(np.concatenate([B @ v for B in self._blocks(name)])))
 
 
-#: Absolute singular-value floor for image/remainder spaces that may be
-#: exactly zero: unit parameters map to images of norm 0 or >= O(1), with
-#: observed roundoff <= 1e-11, so 1e-6 separates the two regimes safely.
-IMAGE_FLOOR = 1e-6
-
-
-def _sweep_images(m: ModelSpace, ps: cs.PairScheme, param_basis,
-                  constructor) -> np.ndarray:
-    """Orthonormalized images of a constructor over a parameter basis."""
-    rows = [cs.to_pair_coords(ps, constructor(p)) for p in param_basis]
-    return cs.orthonormal_rows(np.array(rows), floor=IMAGE_FLOOR)
-
-
 #: Largest distance allowed between a computed L or L_sigma eigenvalue and
 #: the expected one; a build that needs more raises instead of guessing.
 EIG_TOL = 1e-8
@@ -328,61 +323,96 @@ def build_gl_projectors(m: ModelSpace, ps: cs.PairScheme | None = None) -> dict:
     return {key: _scatter(parts, ps.m * ps.m) for key, parts in pieces.items()}
 
 
-def _complement(space: np.ndarray, *images: np.ndarray) -> np.ndarray:
-    """Orthogonal complement of the constructor images inside ``space``."""
-    return cs.null_space_rows(np.vstack(images) @ space.T) @ space
+def _theta(k: float):
+    """The constructor b -> vartheta(b x g) + k psi(b x g) of the L = 6 and
+    L = 2 blocks."""
+    def embed(m: ModelSpace, b: np.ndarray) -> np.ndarray:
+        return vartheta(m, b, m.g) + k * psi(b, m.g)
+    return embed
+
+
+#: How each joint (L, L_sigma) eigenspace splits: its remainder component,
+#: and the (component, parameter basis, constructor) sweeps whose images
+#: are the other components.  The parameter bases are those of
+#: :func:`_parameter_bases`.
+SPLITS = {
+    (6, 12): ("S4E", ()),
+    (6, 0): ("V22", (("R_a", "g", _theta(12.0)),
+                     ("L20E_a", "L20E", _theta(12.0)))),
+    (6, -12): ("L40E", (("R_b", "g", _theta(-12.0)),
+                        ("L20E_b", "L20E", _theta(-12.0)))),
+    (2, 4): ("V31S2H", (("S2ES2H_a", "S2ES2H", _theta(4.0)),)),
+    (2, -4): ("V211S2H", (("S2ES2H_b", "S2ES2H", _theta(-12.0)),
+                          ("L20ES2H", "L20ES2H", l20es2h_embed))),
+    (-6, 0): ("V22S4H", (("L20ES4H", "L20ES4H", triple_embed),
+                         ("S4H", "S4H", triple_embed))),
+}
+
+
+def _parameter_bases(m: ModelSpace) -> dict:
+    """Orthonormal parameter bases of the sweeps: bilinear forms as
+    matrices, constrained triples of 2-forms, and the one-element [g/|g|]."""
+    def forms(name):
+        return [b.reshape(m.dim, m.dim) for b in cs.bilinear_component_basis(m, name)]
+
+    l20es2h = forms("L20ES2H")
+    return {"g": [m.g / math.sqrt(m.dim)], "L20E": forms("L20E"),
+            "S2ES2H": forms("S2ES2H"), "L20ES2H": l20es2h,
+            "L20ES4H": _constrained_triples(m, l20es2h),
+            "S4H": _constrained_triples(m, [w.copy() for w in m.omegas])}
+
+
+def _sweep(m: ModelSpace, ps: cs.PairScheme, V: np.ndarray, name: str,
+           basis, constructor) -> np.ndarray:
+    """Orthonormal coordinates, in the rows of V, of the constructor images
+    of an orthonormal parameter basis.
+
+    The constructor is equivariant and the parameter space irreducible, so
+    by Schur's lemma the images Y have Gram matrix c I, with
+    c = |Y|_F^2 / p.  At c <= EIG_TOL the constructor vanishes and the
+    component has rank 0.  Otherwise Z = Y V^T must have Z Z^T = c I to
+    EIG_TOL * c, which also fails for images that leave V; Z / sqrt(c) is
+    returned."""
+    Y = np.array([cs.to_pair_coords(ps, constructor(m, p)) for p in basis])
+    c = float(np.vdot(Y, Y)) / len(basis)
+    if c <= EIG_TOL:
+        return np.zeros((0, V.shape[0]))
+    Z = Y @ V.T
+    off = float(np.max(np.abs(Z @ Z.T - c * np.eye(len(basis)))))
+    if not off <= EIG_TOL * c:
+        raise ArithmeticError(
+            f"{name}: the Gram matrix of the images in its eigenspace is "
+            f"{off / c} (relative) away from c I, c = {c}")
+    return Z / math.sqrt(c)
 
 
 def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     """Construct the fifteen fine bases, stacked into one basis of R, and
-    the two QK rays."""
+    the two QK rays.
+
+    Each joint eigenspace is split by its row of ``SPLITS``: every sweep
+    gives its component's coordinates in the eigenspace, and the remainder
+    is the eigenvalue-0 eigenspace of the sum of their projectors, whose
+    spectrum must be {0, 1} to EIG_TOL."""
     ps = cs.pair_scheme(m.dim)
     joint = build_gl_projectors(m, ps)
-
-    g = m.g
-    l20e_basis = [b.reshape(m.dim, m.dim)
-                  for b in cs.bilinear_component_basis(m, "L20E")]
-    s2es2h_basis = [b.reshape(m.dim, m.dim)
-                    for b in cs.bilinear_component_basis(m, "S2ES2H")]
-    l20es2h_forms = [b.reshape(m.dim, m.dim)
-                     for b in cs.bilinear_component_basis(m, "L20ES2H")]
-
-    def ray(T):
-        return cs.orthonormal_rows(cs.to_pair_coords(ps, T)[None, :])
-
+    bases = _parameter_bases(m)
     fine = {}
-    # --- L = 6 block ------------------------------------------------------
-    fine["S4E"] = joint[6, 12]
-    fine["R_a"] = ray(m.pi2 + 6.0 * m.pi1)
-    fine["L20E_a"] = _sweep_images(m, ps, l20e_basis,
-                                   lambda b: vartheta(m, b, g) + 12.0 * psi(b, g))
-    fine["R_b"] = ray(m.pi2 - 6.0 * m.pi1)
-    fine["L20E_b"] = _sweep_images(m, ps, l20e_basis,
-                                   lambda b: vartheta(m, b, g) - 12.0 * psi(b, g))
-    fine["V22"] = _complement(joint[6, 0], fine["R_a"], fine["L20E_a"])
-    fine["L40E"] = _complement(joint[6, -12], fine["R_b"], fine["L20E_b"])
-
-    # --- L = 2 block ------------------------------------------------------
-    fine["S2ES2H_a"] = _sweep_images(m, ps, s2es2h_basis,
-                                     lambda b: vartheta(m, b, g) + 4.0 * psi(b, g))
-    fine["V31S2H"] = _complement(joint[2, 4], fine["S2ES2H_a"])
-    fine["S2ES2H_b"] = _sweep_images(m, ps, s2es2h_basis,
-                                     lambda b: vartheta(m, b, g) - 12.0 * psi(b, g))
-    fine["L20ES2H"] = _sweep_images(m, ps, l20es2h_forms, lambda b: l20es2h_embed(m, b))
-    fine["V211S2H"] = _complement(joint[2, -4], fine["S2ES2H_b"], fine["L20ES2H"])
-
-    # --- L = -6 block -----------------------------------------------------
-    fine["L20ES4H"] = _sweep_images(m, ps, _constrained_triples(m, l20es2h_forms),
-                                    lambda bt: triple_embed(m, bt))
-    fine["S4H"] = _sweep_images(m, ps, _constrained_triples(m, [w.copy() for w in m.omegas]),
-                                lambda bt: triple_embed(m, bt))
-    fine["V22S4H"] = _complement(joint[-6, 0], fine["L20ES4H"], fine["S4H"])
+    for key, (remainder, sweeps) in SPLITS.items():
+        V = joint.pop(key)
+        coords = {name: _sweep(m, ps, V, name, bases[basis], constructor)
+                  for name, basis, constructor in sweeps}
+        images = sum((Z.T @ Z for Z in coords.values()), np.zeros((V.shape[0],) * 2))
+        coords[remainder] = _eigenspaces(
+            images, (0, 1), f"constructor images in the {remainder} eigenspace")[0.0].T
+        fine.update((name, Z @ V) for name, Z in coords.items())
 
     ends = np.cumsum([fine[name].shape[0] for name in FINE_COMPONENTS])
     slices = {name: slice(int(end) - fine[name].shape[0], int(end))
               for name, end in zip(FINE_COMPONENTS, ends)}
-    rays = np.vstack([ray(m.pi2 + 2.0 * m.pi1),
-                      ray((m.n + 2.0) * m.pi2 - 18.0 * m.n * m.pi1)])
+    rays = np.array([cs.to_pair_coords(ps, T) for T in
+                     (m.pi2 + 2.0 * m.pi1, (m.n + 2.0) * m.pi2 - 18.0 * m.n * m.pi1)])
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
     return ProjectorBank(model=m, scheme=ps, slices=slices, rays=rays,
                          rows=np.vstack([fine[name] for name in FINE_COMPONENTS]))
 

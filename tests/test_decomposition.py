@@ -266,8 +266,9 @@ def test_projector_equivariance(bank):
 def test_block_ricci_relations(bank):
     """Ricci laws per block: U22: Ric = Ric^q with A Ric = Ric; Lambda^4 E:
     Ric = -Ric^q; L=2 blocks: Ric vs Ric^q_s laws; L=-6 block constants.
-    The Ricci-kernel components are built as complements of constructor
-    images, so their kernel property is checked here, not built in."""
+    The Ricci-kernel components are built as what their eigenspace leaves
+    beside the constructor images, so their kernel property is checked
+    here, not built in."""
     m, n = bank.model, bank.model.n
     rng = cs.substream("blocks", n)
 
@@ -366,6 +367,57 @@ def test_eigen_gate_names_the_grade(model2, monkeypatch):
     monkeypatch.setattr(dec, "EIG_TOL", -1.0)     # every eigenvalue fails
     with pytest.raises(ArithmeticError, match=r"^L on grade \(\d, \d\): eigenvalue"):
         dec.build_gl_projectors(model2)
+
+
+def _sweep_args(m, name):
+    """(parameter basis, constructor) of a swept component, from SPLITS."""
+    basis, constructor = next((b, f) for _, sweeps in dec.SPLITS.values()
+                              for c, b, f in sweeps if c == name)
+    return dec._parameter_bases(m)[basis], constructor
+
+
+def _joint(bank, key):
+    """Rows of a joint (L, L_sigma) eigenspace: the fine components in it."""
+    return np.vstack([bank.basis(c) for c in dec.FINE_COMPONENTS
+                      if dec.COMPONENT_SPECTRUM[c] == key])
+
+
+def test_sweep_gate_rejects_a_scaled_parameter(model2, bank2):
+    """Images of an orthonormal parameter basis have Gram matrix c I; a
+    parameter scaled by 2 breaks that, and the error names the component."""
+    basis, constructor = _sweep_args(model2, "L20E_a")
+    V = _joint(bank2, (6, 0))
+    Z = dec._sweep(model2, bank2.scheme, V, "L20E_a", basis, constructor)
+    assert Z.shape == (bank2.rank("L20E_a"), V.shape[0])
+    assert np.max(np.abs(Z @ Z.T - np.eye(Z.shape[0]))) < 1e-12
+    with pytest.raises(ArithmeticError, match=r"^L20E_a: "):
+        dec._sweep(model2, bank2.scheme, V, "L20E_a", [2.0 * basis[0]] + basis[1:],
+                   constructor)
+
+
+def test_sweep_gate_rejects_images_outside_the_eigenspace(model3, bank3):
+    """The L20E_a images (L_sigma = 0) swept against the L_sigma = -12
+    eigenspace at n = 3 leave it, which the Gram check catches."""
+    basis, constructor = _sweep_args(model3, "L20E_a")
+    with pytest.raises(ArithmeticError, match=r"^L20E_a: "):
+        dec._sweep(model3, bank3.scheme, _joint(bank3, (6, -12)), "L20E_a",
+                   basis, constructor)
+
+
+def test_sweep_of_a_vanishing_constructor_has_rank_zero(model2, bank2):
+    """At n = 2 the L20E_b constructor vanishes: c <= EIG_TOL, no rows."""
+    basis, constructor = _sweep_args(model2, "L20E_b")
+    V = _joint(bank2, (6, -12))
+    Z = dec._sweep(model2, bank2.scheme, V, "L20E_b", basis, constructor)
+    assert Z.shape == (0, V.shape[0])
+
+
+def test_r_a_r_b_are_the_unit_rays(bank):
+    m = bank.model
+    for name, T in (("R_a", m.pi2 + 6 * m.pi1), ("R_b", m.pi2 - 6 * m.pi1)):
+        v = bank.coords(T)
+        (row,) = bank.basis(name)
+        assert min(np.linalg.norm(row - s * v / np.linalg.norm(v)) for s in (1, -1)) < 1e-12
 
 
 def test_graded_eigenspaces_match_dense_oracle(model2):

@@ -171,6 +171,20 @@ def test_cli_unwritable_report_is_one_line(command, tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("kind", ["random-curvature", "qk-ray", "random-torsion",
+                                  "nabla-omega"])
+def test_cli_make_tensor_unwritable_output_is_one_line(kind, tmp_path, capsys):
+    """An --output that cannot be opened ends make-tensor with one qhcurv:
+    line and exit 2, for every kind, the three nabla-omega files included."""
+    out = tmp_path / "missing" / "R.qht"
+    assert cli.main(["make-tensor", "--n", "2", "--kind", kind, "--output", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert len(err.splitlines()) == 1 and err.startswith("qhcurv: ")
+    assert "No such file" in err and "Traceback" not in out_text + err
+    assert out_text == ""
+    assert not (tmp_path / "missing").exists()
+
+
 def test_cli_audit(tmp_path, capsys):
     out = tmp_path / "audit.json"
     code = cli.main(["audit", "--n", "2", "--json", str(out)])
