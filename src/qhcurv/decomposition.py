@@ -10,22 +10,33 @@ at a time: ``eigh`` of L on the grade's rows (the Casimir matrices of
 then ``eigh`` of L_sigma inside each L-eigenspace of the grade.  Every
 eigenvalue must sit within ``EIG_TOL`` of its expected value.
 
+Flipping the sign of one quaternionic line lies in Sp(n) and multiplies a
+pair coordinate by -1 to the power of its count in that line.  So every
+fine component is the direct sum of its parts in the 2^(n-1) line-parity
+classes (:func:`line_parity_classes`: the line-count grade mod 2), and each
+grade, hence each joint eigenspace row, lies in one class.
+
 Each joint eigenspace is then split by one rule (``SPLITS``).  Components
 carrying Ricci curvature are the images of explicit equivariant constructor
 maps on an orthonormal basis of one irreducible space of bilinear forms, so
 by Schur's lemma their Gram matrix is one scalar c times the identity:
 c <= ``EIG_TOL`` means rank 0, and otherwise the images, divided by sqrt(c),
-are the orthonormal basis once their Gram matrix in the eigenspace is
-checked to be c I to ``EIG_TOL`` * c.  The one Ricci-kernel component of
-each eigenspace is the eigenvalue-0 eigenspace of the sum of the image
-projectors, whose spectrum must be {0, 1} to ``EIG_TOL``.  Every fine rank
-is thus decided against ``EIG_TOL``, with no singular-value threshold.
+span the component once their Gram matrix in the eigenspace is checked to
+be c I to ``EIG_TOL`` * c.  Inside each class, the k-th sweep's projector
+restricted to the class gets weight k, and one ``eigh`` of the weighted sum
+must give only the eigenvalues 0, 1, ..., S (S sweeps) to ``EIG_TOL``: the
+eigenvalue-k eigenspace is the class's part of sweep k, and eigenvalue 0
+is the one Ricci-kernel component of the eigenspace.  Every fine rank is
+thus decided against ``EIG_TOL``, with no singular-value threshold.
 
 The fifteen fine bases (rows in the scaled pair coordinates of
-:mod:`.curvature_space`) are stored once, stacked into one orthonormal
-basis of R, so projections are plain matrix products and ranks are row
-counts.  The L-blocks, QK and QKperp are direct sums of fine components
-and the two rays that split R_a + R_b, and are read from those parts.
+:mod:`.curvature_space`) are stored class by class: each class stacks its
+parts of the fifteen bases, restricted to its own coordinates, into one
+orthonormal basis of its part of R.  The classes have disjoint supports,
+so projections and norms are products class by class, ranks are row
+counts, and the audit checks the projector algebra one class at a time.
+The L-blocks, QK and QKperp are direct sums of fine components and the two
+rays that split R_a + R_b, and are read from those parts.
 """
 
 from __future__ import annotations
@@ -209,53 +220,60 @@ def triple_embed(m: ModelSpace, b_triple) -> np.ndarray:
 
 @dataclass
 class ProjectorBank:
-    """One orthonormal basis of R, from which every component is read.
+    """The fifteen fine bases of R, stored one line-parity class at a time.
 
-    ``rows`` (dim R by m^2, pair coordinates) stacks the fifteen fine bases
-    in ``FINE_COMPONENTS`` order; ``slices`` maps each fine component to its
-    rows.  ``rays`` holds the unit QK and QKperp rays that split R_a + R_b.
+    ``classes[c]`` holds the pair coordinates of class c (increasing, as
+    :func:`line_parity_classes` gives them).  ``rows[c]`` stacks the class-c
+    parts of the fifteen fine bases in ``FINE_COMPONENTS`` order, restricted
+    to ``classes[c]``: an orthonormal basis of the class-c part of R.
+    ``slices[c]`` maps each fine component to its rows there.  ``rays``
+    holds the unit QK and QKperp rays that split R_a + R_b, restricted to
+    the all-even class ``classes[0]``, which holds them.
     Every other space is a direct sum of these parts (``COMPOSITES``), so
     it is read from them and never stored."""
 
     model: ModelSpace
     scheme: cs.PairScheme
-    rows: np.ndarray
-    slices: dict
+    classes: tuple
+    rows: tuple
+    slices: tuple
     rays: np.ndarray
 
     def _blocks(self, name: str) -> list:
-        """Row blocks (views) whose direct sum is the named space; adjacent
-        fine components are merged into one block."""
-        spans = []
-        for part in COMPOSITES.get(name, (name,)):
-            if part in RAYS:
-                k = RAYS.index(part)
-                spans.append((self.rays, k, k + 1))
-            elif part in self.slices:
-                sl = self.slices[part]
-                if spans and spans[-1][0] is self.rows and spans[-1][2] == sl.start:
-                    spans[-1] = (self.rows, spans[-1][1], sl.stop)
+        """(coords, rows) blocks whose direct sum is the named space: the
+        rows are views restricted to the pair coordinates ``coords``, and
+        adjacent fine components of one class share one block."""
+        parts = COMPOSITES.get(name, (name,))
+        if not set(parts) <= set(RAYS + FINE_COMPONENTS):
+            raise KeyError(f"unknown component {name!r}")
+        blocks = [(self.classes[0], self.rays[k:k + 1])
+                  for k, ray in enumerate(RAYS) if ray in parts]
+        for coords, rows, slices in zip(self.classes, self.rows, self.slices):
+            spans = []
+            for sl in (slices[part] for part in parts if part in slices):
+                if spans and spans[-1][1] == sl.start:
+                    spans[-1] = (spans[-1][0], sl.stop)
                 else:
-                    spans.append((self.rows, sl.start, sl.stop))
-            else:
-                raise KeyError(f"unknown component {name!r}")
-        return [a[i:j] for a, i, j in spans]
+                    spans.append((sl.start, sl.stop))
+            blocks += [(coords, rows[i:j]) for i, j in spans if j > i]
+        return blocks
 
     def basis(self, name: str) -> np.ndarray:
-        """Orthonormal rows of a named space: a view for a fine component or
-        an L-block, a new stack of its parts for QK and QKperp."""
-        blocks = self._blocks(name)
-        return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
+        """Orthonormal rows of a named space, at full width: a new array."""
+        return _scatter(self._blocks(name), self.scheme.m ** 2)
 
     def rank(self, name: str) -> int:
-        return sum(B.shape[0] for B in self._blocks(name))
+        return sum(B.shape[0] for _, B in self._blocks(name))
 
     def coords(self, R: np.ndarray) -> np.ndarray:
         return cs.to_pair_coords(self.scheme, R)
 
     def project_coords(self, v: np.ndarray, name: str) -> np.ndarray:
         """Orthogonal projection of pair coordinates onto a named space."""
-        return sum(B.T @ (B @ v) for B in self._blocks(name))
+        out = np.zeros(v.shape)
+        for coords, B in self._blocks(name):
+            out[coords] += B.T @ (B @ v[coords])
+        return out
 
     def project(self, R: np.ndarray, name: str) -> np.ndarray:
         """Orthogonal projection of a curvature tensor onto a component."""
@@ -266,7 +284,8 @@ class ProjectorBank:
         small part keeps its relative accuracy, which a difference such as
         sqrt(|R|^2 - |QK part|^2) would cancel away."""
         v = self.coords(R)
-        return float(np.linalg.norm(np.concatenate([B @ v for B in self._blocks(name)])))
+        return float(np.linalg.norm(np.concatenate(
+            [np.zeros(0)] + [B @ v[coords] for coords, B in self._blocks(name)])))
 
 
 #: Largest distance allowed between a computed L or L_sigma eigenvalue and
@@ -291,7 +310,8 @@ def _eigenspaces(H: np.ndarray, expected, what: str) -> dict:
 
 
 def _scatter(pieces, width: int) -> np.ndarray:
-    """Stack (coords, rows) pieces into full-width rows, zero off ``coords``."""
+    """Stack (coords, rows) pieces into rows of ``width`` columns, zero off
+    ``coords``."""
     out = np.zeros((sum(rows.shape[0] for _, rows in pieces), width))
     at = 0
     for coords, rows in pieces:
@@ -300,27 +320,55 @@ def _scatter(pieces, width: int) -> np.ndarray:
     return out
 
 
+def line_parity_classes(m: ModelSpace, ps: cs.PairScheme) -> tuple[np.ndarray, tuple]:
+    """(parities, classes): the distinct line-count grades mod 2, one row
+    per class, the all-even class first; and each class's pair coordinates,
+    increasing.  There are 2^(n-1) classes, since the four indices of a
+    coordinate make the parities sum to an even number."""
+    counts, label = cs.coordinate_grades(m, ps)
+    parities, of_grade = np.unique(counts % 2, axis=0, return_inverse=True)
+    of_coord = of_grade.reshape(-1)[label]
+    return parities, tuple(np.flatnonzero(of_coord == c) for c in range(len(parities)))
+
+
+def _class_grades(m: ModelSpace, ps: cs.PairScheme) -> tuple[tuple, list]:
+    """The line-parity classes, and the closed-form rows of R grade by
+    grade, gathered by class: entry c lists (positions, grade) for each
+    grade in class c, ``positions`` placing the grade's coordinates among
+    those of the class."""
+    parities, classes = line_parity_classes(m, ps)
+    which = {tuple(p): c for c, p in enumerate(parities.tolist())}
+    grades = [[] for _ in classes]
+    for grade in cs.basis_grades(m, ps, cs.curvature_basis(m, ps)):
+        c = which[tuple(k % 2 for k in grade.counts)]
+        grades[c].append((np.searchsorted(classes[c], grade.coords), grade))
+    return classes, grades
+
+
 def build_gl_projectors(m: ModelSpace, ps: cs.PairScheme | None = None) -> dict:
     """The joint (L, L_sigma) eigenspaces of R, one grade at a time.
 
     On each line-count grade, ``eigh`` of the Casimir matrix of L splits the
     grade's rows by L-eigenvalue, and ``eigh`` of L_sigma inside each of
-    those splits them again.  Returns the orthonormal rows, in pair
-    coordinates, of each (L, L_sigma) eigenvalue pair."""
+    those splits them again.  Returns, for each (L, L_sigma) eigenvalue
+    pair, one array per line-parity class: the eigenspace's orthonormal
+    rows in that class, restricted to the class's pair coordinates."""
     ps = ps or cs.pair_scheme(m.dim)
-    R_rows = cs.curvature_basis(m, ps)
-    pieces = {(lam, mu): [] for lam, mus in L_BLOCKS.values() for mu in mus}
-    for grade in cs.basis_grades(m, ps, R_rows):
-        L_g, Lsigma_g = cs.casimir_matrices(m, ps, grade.coords, grade.rows)
-        spaces = _eigenspaces(L_g, [lam for lam, _ in L_BLOCKS.values()],
-                              f"L on grade {grade.counts}")
-        for name, (lam, mus) in L_BLOCKS.items():
-            V = spaces[lam]
-            sub = _eigenspaces(V.T @ Lsigma_g @ V, mus,
-                               f"L_sigma on {name}, grade {grade.counts}")
-            for mu in mus:
-                pieces[lam, mu].append((grade.coords, (V @ sub[mu]).T @ grade.rows))
-    return {key: _scatter(parts, ps.m * ps.m) for key, parts in pieces.items()}
+    classes, grades = _class_grades(m, ps)
+    pieces = {(lam, mu): [[] for _ in classes] for lam, mus in L_BLOCKS.values() for mu in mus}
+    for c, in_class in enumerate(grades):
+        for at, grade in in_class:
+            L_g, Lsigma_g = cs.casimir_matrices(m, ps, grade.coords, grade.rows)
+            spaces = _eigenspaces(L_g, [lam for lam, _ in L_BLOCKS.values()],
+                                  f"L on grade {grade.counts}")
+            for name, (lam, mus) in L_BLOCKS.items():
+                V = spaces[lam]
+                sub = _eigenspaces(V.T @ Lsigma_g @ V, mus,
+                                   f"L_sigma on {name}, grade {grade.counts}")
+                for mu in mus:
+                    pieces[lam, mu][c].append((at, (V @ sub[mu]).T @ grade.rows))
+    return {key: [_scatter(parts, len(coords)) for parts, coords in zip(per_class, classes)]
+            for key, per_class in pieces.items()}
 
 
 def _theta(k: float):
@@ -362,22 +410,23 @@ def _parameter_bases(m: ModelSpace) -> dict:
             "S4H": _constrained_triples(m, [w.copy() for w in m.omegas])}
 
 
-def _sweep(m: ModelSpace, ps: cs.PairScheme, V: np.ndarray, name: str,
+def _sweep(m: ModelSpace, ps: cs.PairScheme, V: list, name: str,
            basis, constructor) -> np.ndarray:
     """Orthonormal coordinates, in the rows of V, of the constructor images
-    of an orthonormal parameter basis.
+    of an orthonormal parameter basis.  V is the eigenspace as (coords,
+    rows) blocks on disjoint pair coordinates, rows restricted to coords.
 
     The constructor is equivariant and the parameter space irreducible, so
     by Schur's lemma the images Y have Gram matrix c I, with
     c = |Y|_F^2 / p.  At c <= EIG_TOL the constructor vanishes and the
-    component has rank 0.  Otherwise Z = Y V^T must have Z Z^T = c I to
-    EIG_TOL * c, which also fails for images that leave V; Z / sqrt(c) is
-    returned."""
+    component has rank 0.  Otherwise Z = Y V^T (block by block) must have
+    Z Z^T = c I to EIG_TOL * c, which also fails for images that leave V;
+    Z / sqrt(c) is returned."""
     Y = np.array([cs.to_pair_coords(ps, constructor(m, p)) for p in basis])
     c = float(np.vdot(Y, Y)) / len(basis)
     if c <= EIG_TOL:
-        return np.zeros((0, V.shape[0]))
-    Z = Y @ V.T
+        return np.zeros((0, sum(rows.shape[0] for _, rows in V)))
+    Z = np.hstack([Y[:, coords] @ rows.T for coords, rows in V])
     off = float(np.max(np.abs(Z @ Z.T - c * np.eye(len(basis)))))
     if not off <= EIG_TOL * c:
         raise ArithmeticError(
@@ -387,34 +436,49 @@ def _sweep(m: ModelSpace, ps: cs.PairScheme, V: np.ndarray, name: str,
 
 
 def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
-    """Construct the fifteen fine bases, stacked into one basis of R, and
-    the two QK rays.
+    """Construct the fifteen fine bases, class by class, and the two QK rays.
 
-    Each joint eigenspace is split by its row of ``SPLITS``: every sweep
-    gives its component's coordinates in the eigenspace, and the remainder
-    is the eigenvalue-0 eigenspace of the sum of their projectors, whose
-    spectrum must be {0, 1} to EIG_TOL."""
+    Each joint eigenspace is split by its row of ``SPLITS``.  Every sweep
+    gives its component's coordinates in the eigenspace, Z_k for the k-th.
+    In each line-parity class, ``eigh`` of H = sum_k k Z_k^T Z_k, restricted
+    to the class's rows of the eigenspace, must give only the eigenvalues
+    0, 1, ..., S to EIG_TOL: eigenvalue k is the class's part of sweep k,
+    and eigenvalue 0 that of the remainder.  Each part is written straight
+    into its class's preallocated rows."""
     ps = cs.pair_scheme(m.dim)
+    parities, classes = line_parity_classes(m, ps)
     joint = build_gl_projectors(m, ps)
     bases = _parameter_bases(m)
-    fine = {}
+    rows = [np.empty((sum(joint[key][c].shape[0] for key in SPLITS), len(coords)))
+            for c, coords in enumerate(classes)]
+    slices = [{} for _ in classes]
+    at = [0] * len(classes)
     for key, (remainder, sweeps) in SPLITS.items():
         V = joint.pop(key)
-        coords = {name: _sweep(m, ps, V, name, bases[basis], constructor)
-                  for name, basis, constructor in sweeps}
-        images = sum((Z.T @ Z for Z in coords.values()), np.zeros((V.shape[0],) * 2))
-        coords[remainder] = _eigenspaces(
-            images, (0, 1), f"constructor images in the {remainder} eigenspace")[0.0].T
-        fine.update((name, Z @ V) for name, Z in coords.items())
+        Zs = [_sweep(m, ps, list(zip(classes, V)), name, bases[basis], constructor)
+              for name, basis, constructor in sweeps]
+        names = (remainder,) + tuple(name for name, _, _ in sweeps)
+        cols = np.cumsum([0] + [Vc.shape[0] for Vc in V])
+        for c, Vc in enumerate(V):
+            H = np.zeros((Vc.shape[0],) * 2)
+            for k, Z in enumerate(Zs, 1):
+                Zc = Z[:, cols[c]:cols[c + 1]]
+                H += k * (Zc.T @ Zc)
+            spaces = _eigenspaces(H, range(len(names)), f"constructor images in the "
+                                  f"{remainder} eigenspace, class {tuple(parities[c].tolist())}")
+            for name in (f for f in FINE_COMPONENTS if f in names):
+                W = spaces[float(names.index(name))]
+                slices[c][name] = slice(at[c], at[c] + W.shape[1])
+                np.matmul(W.T, Vc, out=rows[c][slices[c][name]])
+                at[c] += W.shape[1]
 
-    ends = np.cumsum([fine[name].shape[0] for name in FINE_COMPONENTS])
-    slices = {name: slice(int(end) - fine[name].shape[0], int(end))
-              for name, end in zip(FINE_COMPONENTS, ends)}
+    # pi1 and pi2 are made of g and the omega_A, which keep every line, so
+    # the rays lie in the all-even class
     rays = np.array([cs.to_pair_coords(ps, T) for T in
                      (m.pi2 + 2.0 * m.pi1, (m.n + 2.0) * m.pi2 - 18.0 * m.n * m.pi1)])
-    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
-    return ProjectorBank(model=m, scheme=ps, slices=slices, rays=rays,
-                         rows=np.vstack([fine[name] for name in FINE_COMPONENTS]))
+    rays = rays[:, classes[0]] / np.linalg.norm(rays, axis=1, keepdims=True)
+    return ProjectorBank(model=m, scheme=ps, classes=classes, rows=tuple(rows),
+                         slices=tuple(slices), rays=rays)
 
 
 def _constrained_triples(m: ModelSpace, form_basis_mats):
@@ -451,14 +515,30 @@ def project_component(bank: ProjectorBank, R, name: str):
     return comp, top.frob(comp)
 
 
+#: Largest relative gap allowed between the sum of the squared fine norms
+#: and |R|^2 (Parseval); a larger gap means R has a part outside R.
+PARSEVAL_TOL = 1e-9
+
+
 def component_norms(bank: ProjectorBank, R) -> dict:
-    """Fine component norms of R: one product with the stacked basis, then
-    the squared coordinates summed per component (exactly 0 at rank 0)."""
+    """Fine component norms of R: per line-parity class, one product with
+    the class's stacked rows, then the squared coordinates summed per
+    component (exactly 0 at rank 0).  Their squares must sum to |R|^2 to
+    PARSEVAL_TOL (relative), else ValueError, which a tensor with a part
+    outside R or a non-finite entry raises."""
     tensor = R.require_certified() if isinstance(R, cs.CurvatureTensor) else R
-    w = bank.rows @ bank.coords(tensor)
-    sizes = [bank.slices[name].stop - bank.slices[name].start for name in FINE_COMPONENTS]
-    labels = np.repeat(np.arange(len(FINE_COMPONENTS)), sizes)
-    squares = np.bincount(labels, weights=w * w, minlength=len(FINE_COMPONENTS))
+    v = bank.coords(tensor)
+    squares = np.zeros(len(FINE_COMPONENTS))
+    for coords, rows, slices in zip(bank.classes, bank.rows, bank.slices):
+        w = rows @ v[coords]
+        sizes = [slices[name].stop - slices[name].start for name in FINE_COMPONENTS]
+        labels = np.repeat(np.arange(len(FINE_COMPONENTS)), sizes)
+        squares += np.bincount(labels, weights=w * w, minlength=len(FINE_COMPONENTS))
+    total = float(np.vdot(v, v))
+    gap = abs(float(np.sum(squares)) - total)
+    if not gap <= PARSEVAL_TOL * total:
+        raise ValueError(f"the fine components miss {gap} of |R|^2 = {total}: "
+                         f"the tensor is not in the curvature space")
     return dict(zip(FINE_COMPONENTS, np.sqrt(squares).tolist()))
 
 
@@ -544,7 +624,8 @@ class DecompositionReport:
 
 def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionReport:
     """Check ranks against the closed formulas, eigenvalue residuals (first,
-    middle and last row per component), and the projector algebra."""
+    middle and last row per component), and the projector algebra one
+    line-parity class at a time."""
     m = bank.model
     ps = bank.scheme
     n = m.n
@@ -570,15 +651,20 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
 
     eigen_residuals = {}
     for name in FINE_COMPONENTS:
-        rows = bank.basis(name)
-        if rows.shape[0] == 0:
+        blocks = bank._blocks(name)
+        if not blocks:
             eigen_residuals[name] = 0.0
             continue
         lam, mu = COMPONENT_SPECTRUM[name]
         resid = []
-        # rows are stacked grade by grade: sample both ends and the middle
-        k = rows.shape[0]
-        for row in rows[sorted({0, k // 2, k - 1})]:
+        # rows are stacked class by class: sample both ends and the middle
+        starts = np.cumsum([0] + [B.shape[0] for _, B in blocks])
+        k = int(starts[-1])
+        for i in sorted({0, k // 2, k - 1}):
+            b = int(np.searchsorted(starts, i, side="right")) - 1
+            coords, B = blocks[b]
+            row = np.zeros(ps.m ** 2)
+            row[coords] = B[i - starts[b]]
             T = cs.from_pair_coords(ps, row)
             resid += [top.frob(cs.L_map(m, T) - lam * T),
                       top.frob(cs.L_sigma_map(m, T) - mu * T)]
@@ -587,13 +673,22 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
         if not worst <= tol:
             failures.append(f"eigen residual of {name}: {worst}")
 
-    # projector algebra: the stacked rows are orthonormal and fill R (checked
-    # against the closed-form basis of R, rebuilt here)
-    gram = bank.rows @ bank.rows.T
-    ortho = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
-    R_rows = cs.curvature_basis(m, ps)
-    overlap = bank.rows @ R_rows.T
-    completeness = float(np.max(np.abs(overlap.T @ overlap - np.eye(R_rows.shape[0]))))
+    # projector algebra, one line-parity class at a time: the class's rows
+    # are orthonormal and span the closed-form rows of R in that class,
+    # rebuilt here.  Classes have disjoint supports, so rows of different
+    # classes are orthogonal by construction.
+    classes, grades = _class_grades(m, ps)
+    if len(classes) != len(bank.classes) or not all(
+            np.array_equal(a, b) for a, b in zip(classes, bank.classes)):
+        failures.append("the bank's classes are not the line-parity classes")
+    ortho, completeness = [0.0], [0.0]
+    for coords, B, in_class in zip(classes, bank.rows, grades):
+        R_c = _scatter([(at, grade.rows) for at, grade in in_class], len(coords))
+        ortho.append(np.max(np.abs(B @ B.T - np.eye(B.shape[0])), initial=0.0))
+        overlap = B @ R_c.T
+        completeness.append(np.max(np.abs(overlap.T @ overlap - np.eye(R_c.shape[0])),
+                                   initial=0.0))
+    ortho, completeness = float(np.max(ortho)), float(np.max(completeness))
     algebra = {"orthonormality": ortho, "completeness": completeness}
     if not ortho <= tol:
         failures.append(f"component bases not orthonormal: {ortho}")

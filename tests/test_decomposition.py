@@ -29,6 +29,18 @@ def test_audit(bank):
     assert max(rep.eigen_residuals.values()) < 1e-9
 
 
+def test_audit_checks_every_class(bank):
+    """Scaling one row of any one class by 1 + 1e-6 leaves its eigen
+    residuals at zero, so only that class's orthonormality check sees it."""
+    for c in range(len(bank.classes)):
+        rows = list(bank.rows)
+        rows[c] = rows[c].copy()
+        rows[c][rows[c].shape[0] // 3] *= 1.0 + 1e-6
+        rep = dec.dimension_audit(dataclasses.replace(bank, rows=tuple(rows)))
+        assert rep.algebra_residuals["orthonormality"] > 1e-7, c
+        assert any("not orthonormal" in f for f in rep.failures), c
+
+
 def test_constructor_ricci_constants(model):
     m, n, g = model, model.n, model.g
     b = l20e_mats(m)[0]
@@ -112,6 +124,23 @@ def test_parseval(bank):
     assert sum(v * v for v in norms.values()) == pytest.approx(total, rel=1e-8)
 
 
+def test_component_norms_parseval_gate(bank):
+    """A tensor with a part outside R (here a totally antisymmetric one,
+    which keeps the pair symmetries) misses Parseval and is rejected, as is
+    a non-finite one.  A part of 1e-4 of |R| (1e-8 of |R|^2) is caught."""
+    m = bank.model
+    R = cs.random_curvature(m, 23).tensor
+    raw = cs.substream("parseval-gate", m.n).standard_normal((m.dim,) * 4)
+    wedge = top.alt(raw)
+    wedge *= 1e-4 * top.frob(R) / top.frob(wedge)
+    assert cs.has_pair_symmetries(wedge)
+    for bad in (R + wedge, np.full_like(R, np.nan)):
+        with pytest.raises(ValueError, match="not in the curvature space"):
+            dec.component_norms(bank, bad)
+    dec.component_norms(bank, R)
+    dec.component_norms(bank, np.zeros_like(R))
+
+
 def test_component_norms_match_per_component_oracle(bank):
     """One product with the stacked rows, summed per component, equals one
     norm per fine basis; components of rank 0 read exactly 0."""
@@ -132,7 +161,9 @@ def test_composite_projectors_resolve_R(bank):
     for seed in (41, 42):
         v = bank.coords(cs.random_curvature(bank.model, seed).tensor)
         scale = np.linalg.norm(v)
-        in_R = bank.rows.T @ (bank.rows @ v)
+        in_R = np.zeros_like(v)
+        for coords, rows in zip(bank.classes, bank.rows):
+            in_R[coords] = rows.T @ (rows @ v[coords])
         assert np.linalg.norm(in_R - v) < 1e-12 * scale       # v lies in R
         blocks = sum(bank.project_coords(v, name) for name in dec.L_BLOCKS)
         assert np.linalg.norm(blocks - in_R) < 1e-12 * scale
@@ -141,16 +172,96 @@ def test_composite_projectors_resolve_R(bank):
         assert np.linalg.norm(bank.project_coords(qkperp, "QK")) < 1e-12 * scale
 
 
+def _class_of_coord(bank):
+    """The line-parity class of each pair coordinate."""
+    of_coord = np.empty(bank.scheme.m ** 2, dtype=int)
+    for c, coords in enumerate(bank.classes):
+        of_coord[coords] = c
+    return of_coord
+
+
+def _class_dims_of_R(bank):
+    """How many closed-form rows of R lie in each line-parity class."""
+    R_rows = cs.curvature_basis(bank.model, bank.scheme)
+    return np.bincount(_class_of_coord(bank)[np.argmax(R_rows != 0, axis=1)],
+                       minlength=len(bank.classes))
+
+
 def test_bank_stores_one_basis_of_R(bank):
-    """The bank holds the stacked fine rows and the two rays, nothing else;
-    each fine basis and each L-block is a view of the stacked rows."""
+    """Per line-parity class, the bank holds one stack of fine rows
+    restricted to the class's coordinates, as many as R has rows there, and
+    the two rays restricted to the all-even class, nothing else; each fine
+    basis and each L-block is read from views of those stacks."""
     n, m2 = bank.model.n, bank.scheme.m ** 2
-    arrays = [getattr(bank, f.name) for f in dataclasses.fields(bank)]
-    assert sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)) \
-        == (dec.dim_R(n) + 2) * m2 * 8
+    assert np.array_equal(np.sort(np.concatenate(bank.classes)), np.arange(m2))
+    dims = [int(d) for d in _class_dims_of_R(bank)]
+    assert [rows.shape for rows in bank.rows] \
+        == [(d, len(coords)) for d, coords in zip(dims, bank.classes)]
+    stored = sum(rows.nbytes for rows in bank.rows) + bank.rays.nbytes
+    assert stored == (sum(d * len(coords) for d, coords in zip(dims, bank.classes))
+                      + 2 * len(bank.classes[0])) * 8
     for name in dec.FINE_COMPONENTS + tuple(dec.L_BLOCKS):
-        assert bank.basis(name).base is bank.rows, name
+        for coords, B in bank._blocks(name):
+            assert any(B.base is rows for rows in bank.rows), name
     assert bank.rank("QKperp") == dec.dim_R(n) - dec.dim_QK(n)
+
+
+def test_line_parity_classes(bank):
+    """2^(n-1) classes, the all-even one first; each class's coordinates
+    share one line-count parity, and every row of every fine basis is
+    supported in one class."""
+    m, ps = bank.model, bank.scheme
+    parities, classes = dec.line_parity_classes(m, ps)
+    assert len(classes) == 2 ** (m.n - 1) and not parities[0].any()
+    assert all(np.array_equal(a, b) for a, b in zip(classes, bank.classes))
+    counts, label = cs.coordinate_grades(m, ps)
+    for parity, coords in zip(parities, classes):
+        assert np.array_equal(np.unique(counts[label[coords]] % 2, axis=0), parity[None])
+    of_coord = _class_of_coord(bank)
+    for name in dec.FINE_COMPONENTS:
+        for row in bank.basis(name):
+            assert len(set(of_coord[row != 0])) == 1, name
+
+
+def test_line_flips_map_each_block_to_itself_up_to_sign(bank):
+    """Flipping the sign of one quaternionic line (an element of Sp(n)),
+    applied to tensors, maps every stored block of every class to plus or
+    minus itself."""
+    m, ps = bank.model, bank.scheme
+    ones = cs.from_pair_coords(ps, np.ones(ps.m ** 2))
+    for line in range(m.n):
+        f = np.ones(m.dim)
+        f[4 * line:4 * line + 4] = -1.0
+        sign = cs.to_pair_coords(ps, np.einsum("x,y,z,u,xyzu->xyzu", f, f, f, f, ones))
+        for coords, rows in zip(bank.classes, bank.rows):
+            assert np.array_equal(rows * sign[coords], sign[coords][0] * rows)
+        assert np.array_equal(bank.rays * sign[bank.classes[0]], bank.rays)
+
+
+def _class_ranks(bank, name):
+    return [sl[name].stop - sl[name].start for sl in bank.slices]
+
+
+def test_line_permuted_classes_have_equal_ranks(bank):
+    """Classes with the same number of odd lines are line permutations of
+    one another (in Sp(n)), so every component has the same rank in each;
+    at n = 2 and 3 these are all the odd classes.  The class ranks add up
+    to the component's rank."""
+    parities, _ = dec.line_parity_classes(bank.model, bank.scheme)
+    odd_lines = parities.sum(axis=1)
+    for name in dec.FINE_COMPONENTS:
+        ranks = np.array(_class_ranks(bank, name))
+        assert ranks.sum() == bank.rank(name) == dec.expected_fine_dims(bank.model.n)[name]
+        for k in np.unique(odd_lines):
+            assert len(set(ranks[odd_lines == k])) == 1, name
+
+
+def test_class_ranks_at_n3(bank3):
+    assert _class_ranks(bank3, "V22") == [30, 20, 20, 20]
+    assert _class_ranks(bank3, "V31S2H") == [135, 144, 144, 144]
+    assert _class_ranks(bank3, "S4E") == [42, 28, 28, 28]
+    for name in ("R_a", "R_b"):
+        assert _class_ranks(bank3, name) == [1, 0, 0, 0]
 
 
 def test_qk_split(bank):
@@ -210,8 +321,11 @@ def _group_elements(m, seed):
     raw = rng.standard_normal((m.dim, m.dim))
     raw = raw - raw.T
     comm = raw + sum(A.T @ raw @ A for A in m.triple)
-    from scipy.linalg import expm
-    g2 = expm(0.3 * comm / 4.0)
+    # the Cayley transform of an antisymmetric X is orthogonal, and it
+    # commutes with I, J, K when X does
+    X = 0.3 * comm / 4.0
+    eye = np.eye(m.dim)
+    g2 = np.linalg.solve(eye - X / 2.0, eye + X / 2.0)
     perm = rng.permutation(m.n)
     g3 = np.zeros((m.dim, m.dim))
     for blk, target in enumerate(perm):
@@ -228,9 +342,10 @@ def _accepts(call) -> bool:
 
 
 def _audit_with_nan_row(m, bank):
-    rows = bank.rows.copy()
-    rows[bank.slices["V22"].start, 0] = np.nan
-    return dec.dimension_audit(dataclasses.replace(bank, rows=rows)).ok
+    rows = list(bank.rows)
+    rows[0] = rows[0].copy()
+    rows[0][bank.slices[0]["V22"].start, 0] = np.nan
+    return dec.dimension_audit(dataclasses.replace(bank, rows=tuple(rows))).ok
 
 
 #: Whether each tolerance gate accepts NaN input (it must not).
@@ -240,6 +355,8 @@ _NAN_GATES = {
     "qk_einstein_verify": lambda m, bank: _accepts(
         lambda: dec.qk_einstein_verify(bank, np.full((m.dim,) * 4, np.nan))),
     "dimension_audit": _audit_with_nan_row,
+    "component_norms": lambda m, bank: _accepts(
+        lambda: dec.component_norms(bank, np.full((m.dim,) * 4, np.nan))),
     "torsion_from_nabla_omega": lambda m, bank: _accepts(
         lambda: tor.torsion_from_nabla_omega(m, *np.full((3,) + (m.dim,) * 3, np.nan))),
 }
@@ -377,9 +494,15 @@ def _sweep_args(m, name):
 
 
 def _joint(bank, key):
-    """Rows of a joint (L, L_sigma) eigenspace: the fine components in it."""
-    return np.vstack([bank.basis(c) for c in dec.FINE_COMPONENTS
-                      if dec.COMPONENT_SPECTRUM[c] == key])
+    """A joint (L, L_sigma) eigenspace as (coords, rows) class blocks: the
+    fine components in it."""
+    names = [c for c in dec.FINE_COMPONENTS if dec.COMPONENT_SPECTRUM[c] == key]
+    return [(coords, np.vstack([rows[sl[c]] for c in names]))
+            for coords, rows, sl in zip(bank.classes, bank.rows, bank.slices)]
+
+
+def _dim(V):
+    return sum(rows.shape[0] for _, rows in V)
 
 
 def test_sweep_gate_rejects_a_scaled_parameter(model2, bank2):
@@ -388,7 +511,7 @@ def test_sweep_gate_rejects_a_scaled_parameter(model2, bank2):
     basis, constructor = _sweep_args(model2, "L20E_a")
     V = _joint(bank2, (6, 0))
     Z = dec._sweep(model2, bank2.scheme, V, "L20E_a", basis, constructor)
-    assert Z.shape == (bank2.rank("L20E_a"), V.shape[0])
+    assert Z.shape == (bank2.rank("L20E_a"), _dim(V))
     assert np.max(np.abs(Z @ Z.T - np.eye(Z.shape[0]))) < 1e-12
     with pytest.raises(ArithmeticError, match=r"^L20E_a: "):
         dec._sweep(model2, bank2.scheme, V, "L20E_a", [2.0 * basis[0]] + basis[1:],
@@ -409,7 +532,7 @@ def test_sweep_of_a_vanishing_constructor_has_rank_zero(model2, bank2):
     basis, constructor = _sweep_args(model2, "L20E_b")
     V = _joint(bank2, (6, -12))
     Z = dec._sweep(model2, bank2.scheme, V, "L20E_b", basis, constructor)
-    assert Z.shape == (0, V.shape[0])
+    assert Z.shape == (0, _dim(V))
 
 
 def test_r_a_r_b_are_the_unit_rays(bank):
@@ -438,7 +561,9 @@ def test_graded_eigenspaces_match_dense_oracle(model2):
         return rows.T @ rows
 
     L_R, Lsigma_R = dense(cs.L_map), dense(cs.L_sigma_map)
-    joint = dec.build_gl_projectors(m, ps)
+    _, classes = dec.line_parity_classes(m, ps)
+    joint = {key: dec._scatter(list(zip(classes, per_class)), ps.m ** 2)
+             for key, per_class in dec.build_gl_projectors(m, ps).items()}
     w, V = np.linalg.eigh(L_R)
     for name, (lam, mus) in dec.L_BLOCKS.items():
         Vl = V[:, np.abs(w - lam) < 1.0]
@@ -459,9 +584,17 @@ def test_unknown_component_name(bank):
 
 @pytest.mark.slow
 def test_sp_bank_ranks_at_n4():
-    """At n = 4 every per-grade eigenvalue passes the EIG_TOL gates (the
-    build raises otherwise) and all fifteen ranks match the formulas."""
+    """At n = 4 every per-grade and per-class eigenvalue passes the EIG_TOL
+    gates (the build raises otherwise), all fifteen ranks match the
+    formulas, and the audit passes.  The bank stores sum_c rows_c x
+    coords_c doubles over the 8 classes (896 x 2112 for the all-even class,
+    six of 672 x 1792, 512 x 1536 for the all-odd class) plus the two rays
+    on the all-even class: 79.3 MB, against (dim R + 2) x 14400 doubles
+    (627 MB) for one full-width stack."""
     bank = dec.build_sp_projectors(ms.build_model(4))
     assert {name: bank.rank(name) for name in dec.FINE_COMPONENTS} \
         == dec.expected_fine_dims(4)
-    assert bank.rows.nbytes + bank.rays.nbytes == (dec.dim_R(4) + 2) * 120 ** 2 * 8
+    assert [rows.shape for rows in bank.rows] \
+        == [(896, 2112)] + [(672, 1792)] * 6 + [(512, 1536)]
+    assert sum(rows.nbytes for rows in bank.rows) + bank.rays.nbytes == 79266816
+    assert dec.dimension_audit(bank).ok

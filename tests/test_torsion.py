@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,26 @@ def test_projector_algebra(tbank):
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-9
     overlap = stacked @ tbank.ambient.T
     assert np.max(np.abs(overlap.T @ overlap - np.eye(tbank.ambient.shape[0]))) < 1e-9
+
+
+#: sha256 of the six torsion bases at n = 2, in TORSION_COMPONENTS order,
+#: with the BLAS build it was recorded on.  SVD bases are bitwise stable
+#: for one LAPACK build but not across builds.
+_TORSION_DIGEST_N2 = ("0.3.31.188.0",
+                      "a0e582d81a3b813bc64dffa8f09aa0714a7a69461c4191569ae9ac114d2d3444")
+
+
+def test_torsion_bank_is_bitwise_stable(tbank2):
+    """The torsion bank does not depend on how the curvature bank is built
+    or stored: its bases at n = 2 hash to the recorded digest."""
+    version, digest = _TORSION_DIGEST_N2
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("version") != version:
+        pytest.skip(f"digest recorded with BLAS {version}, not {blas.get('version')}")
+    h = hashlib.sha256()
+    for name in tor.TORSION_COMPONENTS:
+        h.update(np.ascontiguousarray(tbank2.comps[name]).tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_membership_projector(tbank):
