@@ -8,8 +8,11 @@ the embedded expectations), and ``make-tensor`` (write sample tensor files
 for the two input formats).
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 ambiguous
-table cells needing more seeds.  Output is deterministic: identical flags
-and seeds give byte-identical reports.
+table cells needing more seeds.  Output is deterministic for one BLAS
+build and one ``QHC_THREADS`` setting: identical flags and seeds then give
+byte-identical reports.  At n = 3 the torsion bases, in which the table
+states are drawn, change in their last bits with the BLAS thread count,
+so table witnesses can move with it; ticks and statuses do not.
 """
 
 from __future__ import annotations

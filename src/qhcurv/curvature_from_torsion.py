@@ -18,11 +18,16 @@ with a conjugate B_(1) C_(3) xi, B, C in (1, I, J, K), so each state
 first builds the conjugate table of these sixteen tensors (two matmuls
 each); every bracket, including each term of the gamma elimination
 ``s2es2h_gamma_part``, is then a two-operand contraction of table
-entries, and the nabla~xi brackets are traces of nabla~xi against one A.
-``_brackets`` computes each bracket once, and
-:func:`ricci_component_formulas` evaluates every formula as a
-combination of its entries.  The scalar-only formulas ``pi_r_ric`` and
-``pi_r_ricq`` read the scalar entries alone.
+entries (``tensor_ops.contract``, one batched matmul), and the nabla~xi
+brackets are traces of nabla~xi against one A.  ``_brackets`` computes
+each bracket once, and :func:`ricci_component_formulas` evaluates every
+formula as a combination of its entries.  The scalar-only formulas
+``pi_r_ric`` and ``pi_r_ricq`` read the scalar entries alone.
+
+A state's arrays may carry leading axes (``TorsionState.stack``): the
+bracket table, the Ricci formulas and the pi-state formulas then evaluate
+the whole batch in the same calls, with the batch axes leading every
+value.  The table engine evaluates one batch per source row.
 
 The two projections
 
@@ -52,22 +57,34 @@ from .model_space import ModelSpace
 
 @dataclass
 class TorsionState:
-    """(xi, nabla~xi, gamma) with zero defaults for absent pieces."""
+    """(xi, nabla~xi, gamma) with zero defaults for absent pieces.
+
+    The arrays may share leading axes, making one batch of states
+    (``stack``): t[..., x, m, z], D[..., w, x, m, z] and gammas[..., A, x, y].
+    Every state formula below maps over those axes and puts them in front
+    of its value; an unbatched state gives unbatched values.
+    """
 
     t: np.ndarray
     D: np.ndarray
     gammas: np.ndarray
-    lambdas: np.ndarray | None = None
 
     @classmethod
-    def make(cls, m: ModelSpace, t=None, D=None, gammas=None, lambdas=None):
+    def make(cls, m: ModelSpace, t=None, D=None, gammas=None):
+        """One state; absent pieces are zero."""
         d = m.dim
         return cls(
             t=np.zeros((d, d, d)) if t is None else np.asarray(t, dtype=float),
             D=np.zeros((d, d, d, d)) if D is None else np.asarray(D, dtype=float),
             gammas=np.zeros((3, d, d)) if gammas is None
-            else np.asarray(gammas, dtype=float),
-            lambdas=lambdas)
+            else np.asarray(gammas, dtype=float))
+
+    @classmethod
+    def stack(cls, states) -> TorsionState:
+        """One batch of states, stacked along a new leading axis."""
+        return cls(t=np.stack([s.t for s in states]),
+                   D=np.stack([s.D for s in states]),
+                   gammas=np.stack([s.gammas for s in states]))
 
     @classmethod
     def qk_point(cls, m: ModelSpace, c: float):
@@ -75,7 +92,8 @@ class TorsionState:
         return cls.make(m, gammas=c * m.omegas)
 
     def validate(self, m: ModelSpace, tol: float = 1e-10) -> None:
-        """Check xi and every D(W; .) lie in the torsion space; NaN fails."""
+        """Check xi and every D(W; .) lie in the torsion space; NaN fails.
+        For one unbatched state."""
         scale = max(top.frob(self.t), 1e-300)
         if not top.frob(tor.project_to_torsion_space(m, self.t) - self.t) <= tol * scale:
             raise ValueError("xi is not a torsion tensor")
@@ -97,9 +115,10 @@ class TorsionState:
 #                      = <e_m, xi_{B e_y} C e_i>,
 #
 # index 0 being the identity (so X[0][0] = t) and a = 1, 2, 3 the triple.
-# Each bracket is then one two-operand contraction of t or a table entry
-# with another table entry; the nabla~xi brackets are traces of D against
-# one A.
+# Each bracket is then one two-operand contraction (``top.contract``, a
+# batched matmul) of t or a table entry with another table entry; the
+# nabla~xi brackets are traces of D, or of D against each A.  ``m.omegas``
+# is the stacked triple (I, J, K) wherever all three A act at once.
 
 def _units(m: ModelSpace) -> tuple:
     """(1, I, J, K) as matrices."""
@@ -109,7 +128,7 @@ def _units(m: ModelSpace) -> tuple:
 def _conjugate_table(m: ModelSpace, t: np.ndarray) -> list:
     """X[b][c] = B_(1) C_(3) xi for B, C in (1, I, J, K), two matmuls each."""
     units = _units(m)
-    flat = t.reshape(m.dim, -1)
+    flat = t.reshape(t.shape[:-2] + (-1,))
     left = [(B.T @ flat).reshape(t.shape) for B in units]
     return [[L @ C for C in units] for L in left]
 
@@ -117,6 +136,11 @@ def _conjugate_table(m: ModelSpace, t: np.ndarray) -> list:
 def _gamma_omega_inner(gam, A) -> float:
     """<gamma_A, omega_A> with the normalized 2-form pairing."""
     return 0.5 * float(np.einsum("ij,ij->", gam, A))
+
+
+def _full(a: np.ndarray, b: np.ndarray, rank: int) -> np.ndarray:
+    """Full contraction of the last ``rank`` axes of a and b."""
+    return (a * b).sum(axis=tuple(range(-rank, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +161,15 @@ def _scalar_brackets(m: ModelSpace, state: TorsionState) -> dict:
     t = state.t
     X = _conjugate_table(m, t)
     XA = X[1][1] + X[2][2] + X[3][3]
-    u = [np.einsum("imi->m", Xc) for Xc in X[0]]
+    u = [np.einsum("...imi->...m", Xc) for Xc in X[0]]
     return {
-        "X": X, "XA": XA, "u": u, "vv": float(u[0] @ u[0]),
-        "s2": float(np.einsum("imj,jmi->", t, t)),
-        "phi": float(np.einsum("ijji->", state.D)),
-        "Gamma": sum(_gamma_omega_inner(g, A)
-                     for g, A in zip(state.gammas, m.triple)),
-        "S4": sum(float(uA @ uA) for uA in u[1:]),
-        "S5": float(np.einsum("imj,jmi->", t, XA)),
-        "S6": float(np.einsum("imj,imj->", t, XA)),
+        "X": X, "XA": XA, "u": u, "vv": _full(u[0], u[0], 1),
+        "s2": _full(t, t.swapaxes(-3, -1), 3),
+        "phi": np.einsum("...ijji->...", state.D),
+        "Gamma": 0.5 * np.einsum("...aij,aij->...", state.gammas, m.omegas),
+        "S4": sum(_full(uA, uA, 1) for uA in u[1:]),
+        "S5": _full(t, XA.swapaxes(-3, -1), 3),
+        "S6": _full(t, XA, 3),
     }
 
 
@@ -167,21 +190,21 @@ def _brackets(m: ModelSpace, state: TorsionState) -> dict:
     skew q-Ricci formula.
     """
     t, D = state.t, state.D
+    ct = top.contract
     b = _scalar_brackets(m, state)
     X, XA, u = b["X"], b["XA"], b["u"]
-    xixi = np.einsum("xmi,imy->xy", t, t) + 3.0 * np.einsum("xmy,m->xy", t, u[0])
-    b["N0"] = (4.0 * (np.einsum("xiiy->xy", D) - np.einsum("ixiy->xy", D))
-               - xixi - 4.0 * np.einsum("iwx,wiy->xy", t, t))
-    b["E"] = xixi + 4.0 * (np.einsum("iwy,wxi->xy", t, t)
-                           + np.einsum("iyxi->xy", D) - np.einsum("yixi->xy", D))
-    b["P"] = np.einsum("xmi,ymi->xy", t, XA)
-    b["Q"] = np.einsum("xmi,imy->xy", t, XA) + sum(
-        np.einsum("xmy,m->xy", X[0][a], u[a]) for a in (1, 2, 3))
-    b["M"] = sum(np.einsum("w,wxy->xy", u[a], X[0][a])
-                 + np.einsum("ipxq,pi->xq", D, A) @ A
-                 for a, A in enumerate(m.triple, 1))
-    b["W"] = np.einsum("imx,imy->xy", t, XA)
-    b["G"] = sum(g @ A for g, A in zip(state.gammas, m.triple))
+    xixi = ct("xmi,imy->xy", t, t) + 3.0 * ct("xmy,m->xy", t, u[0])
+    b["N0"] = (4.0 * (np.einsum("...xiiy->...xy", D) - np.einsum("...ixiy->...xy", D))
+               - xixi - 4.0 * ct("iwx,wiy->xy", t, t))
+    b["E"] = xixi + 4.0 * (ct("iwy,wxi->xy", t, t) + np.einsum("...iyxi->...xy", D)
+                           - np.einsum("...yixi->...xy", D))
+    b["P"] = ct("xmi,ymi->xy", t, XA)
+    b["Q"] = ct("xmi,imy->xy", t, XA) + sum(
+        ct("xmy,m->xy", X[0][a], u[a]) for a in (1, 2, 3))
+    b["M"] = (sum(ct("w,wxy->xy", u[a], X[0][a]) for a in (1, 2, 3))
+              + (ct("ipxq,api->axq", D, m.omegas) @ m.omegas).sum(axis=-3))
+    b["W"] = ct("imx,imy->xy", t, XA)
+    b["G"] = (state.gammas @ m.omegas).sum(axis=-3)
     return b
 
 
@@ -192,8 +215,8 @@ def ric_star_from(m: ModelSpace, state: TorsionState, a_idx: int) -> np.ndarray:
     """Ric*_A(X,Y) = -n gamma_A(X, A Y) - <xi_X e_i, xi_{AY} A e_i>, as one
     direct contraction, independent of the bracket table."""
     A, t = m.triple[a_idx], state.t
-    return (-m.n * (state.gammas[a_idx] @ A)
-            - np.einsum("xmi,py,pmq,qi->xy", t, A, t, A))
+    return (-m.n * (state.gammas[..., a_idx, :, :] @ A)
+            - np.einsum("...xmi,py,...pmq,qi->...xy", t, A, t, A))
 
 
 def ricq_from(m: ModelSpace, state: TorsionState) -> np.ndarray:
@@ -240,18 +263,36 @@ def pi1_operator(m: ModelSpace, R: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The pi projections: state formulas.
+# The pi projections: state formulas.  Each is a sum of forms tensored
+# with omega_A (the gamma terms and, for pi_1s, the xi term) plus, for
+# pi_1es, the xi and nabla~xi terms.
 
-def _skew_nabla_term(D: np.ndarray) -> np.ndarray:
-    """<a~(nabla~ xi)_{X,Y} Z, U> as a rank-4 array."""
-    e = D.transpose(0, 1, 3, 2)  # D[x,y,u,z] -> slot order (x,y,z,u)
-    return e - e.swapaxes(0, 1)
+def _with_omegas(m: ModelSpace, forms: np.ndarray) -> np.ndarray:
+    """sum_A forms[..., A, x, y] omega_A[z, u]."""
+    return top.contract("axy,azu->xyzu", forms, m.omegas)
 
 
-def _xi_circ_xi_endo(t: np.ndarray) -> np.ndarray:
-    """N[x,y,a,b] = (xi_x xi_y - xi_y xi_x)[a,b]."""
-    p = np.tensordot(t, t, axes=(2, 1)).transpose(0, 2, 1, 3)
-    return p - p.swapaxes(0, 1)
+def _pi1es_xi_part(m: ModelSpace, t: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The gamma-free terms of pi_1es(R):
+
+    <a~(nabla~xi)_{X,Y} Z, U> - (3/4) <a~(xi o xi)_{X,Y} Z, U>
+    - (1/4) sum_A <A a~(xi o xi)_{X,Y} A Z, U> + <b~(xi x xi)_{X,Y} Z, U>,
+
+    with N[x,y,a,b] = (xi_x xi_y - xi_y xi_x)[a,b] and <A N A Z, U> =
+    (A N A)[x,y,u,z]."""
+    p = top.contract("xac,ycb->xyab", t, t)
+    N = p - p.swapaxes(-4, -3)
+    core = 3.0 * N + sum(A @ N @ A for A in m.triple)
+    e = D.swapaxes(-1, -2)  # D[x,y,u,z] -> slot order (x,y,z,u)
+    return (e - e.swapaxes(-4, -3)
+            + (top.b_tilde(t, t) - 0.25 * core).swapaxes(-1, -2))
+
+
+def _pi1s_xi_forms(m: ModelSpace, t: np.ndarray) -> np.ndarray:
+    """(s_A - s_A^T) / 4n with s_A[x,y] = t[x,m,i] t[y,m,q] A[q,i], stacked
+    over A: the xi term of pi_1s, alternated in (X, Y)."""
+    s = top.contract("xmi,aymi->axy", t, t[..., None, :, :, :] @ m.omegas[:, None])
+    return (s - s.swapaxes(-1, -2)) / (4.0 * m.n)
 
 
 def pi1es_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
@@ -262,41 +303,21 @@ def pi1es_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
     - (1/4) sum_A <A a~(xi o xi)_{X,Y} A Z, U>
     + <b~(xi x xi)_{X,Y} Z, U>.
     """
-    t, D = state.t, state.D
-    out = np.zeros((m.dim,) * 4)
-    for a, w in zip(state.gammas, m.omegas):
-        out += 0.5 * np.multiply.outer(a, w)
-    out += _skew_nabla_term(D)
-    N = _xi_circ_xi_endo(t)
-    out -= 0.75 * N.transpose(0, 1, 3, 2)
-    for A in m.triple:
-        # <A N A Z, U> = A[u,p] N[x,y,p,q] A[q,z] = (A N A)[x,y,u,z]
-        out -= 0.25 * (A @ N @ A).transpose(0, 1, 3, 2)
-    bt = top.b_tilde(t, t)  # bt[x,y,m,z] = <e_m, b~_{x,y} e_z>
-    out += bt.transpose(0, 1, 3, 2)
-    return out
+    return (_with_omegas(m, 0.5 * state.gammas)
+            + _pi1es_xi_part(m, state.t, state.D))
 
 
 def pi1s_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
     """pi_1s(R) from the state; the xi-term is alternated in (X, Y) so the
     expression is 2-form valued on free states (on-shell the symmetric part
     of s_A(X,Y) = <xi_X e_i, xi_Y A e_i> cancels either way)."""
-    t = state.t
-    out = np.zeros((m.dim,) * 4)
-    flat = t.reshape(m.dim, -1)
-    for gam, w in zip(state.gammas, m.omegas):
-        out += 0.5 * np.multiply.outer(gam, w)
-    for A, w in zip(m.triple, m.omegas):
-        # s[x,y] = t[x,m,i] t[y,m,q] A[q,i]
-        s = flat @ (t @ A).reshape(m.dim, -1).T
-        out += np.multiply.outer((s - s.T) / (4.0 * m.n), w)
-    return out
+    return _with_omegas(m, 0.5 * state.gammas + _pi1s_xi_forms(m, state.t))
 
 
 def pi1_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
     """pi_1(R) from the state; gamma-independent (the gamma terms cancel)."""
-    nog = TorsionState.make(m, t=state.t, D=state.D)
-    return pi1es_state(m, nog) - pi1s_state(m, nog)
+    return (_pi1es_xi_part(m, state.t, state.D)
+            - _with_omegas(m, _pi1s_xi_forms(m, state.t)))
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +357,21 @@ def s2es2h_gamma_part(m: ModelSpace, state: TorsionState, brackets: dict) -> np.
     delta_A[p, b] = sum_{i,q} (D[p,i,b,q] - D[i,p,b,q]) A[q,i].
     """
     t, X, u = state.t, brackets["X"], brackets["u"]
+    ct = top.contract
     units = _units(m)
-    skew = state.D - state.D.swapaxes(0, 1)
-    delta = {a: np.einsum("pibq,qi->pb", skew, units[a]) for a in (1, 2, 3)}
+    skew = state.D - state.D.swapaxes(-4, -3)
+    delta = dict(zip((1, 2, 3), np.moveaxis(ct("pibq,aqi->apb", skew, m.omegas), -3, 0)))
     mid = sum(units[a] @ X[a][0] for a in (1, 2, 3)) - brackets["XA"]
-    rhs = 2.0 * brackets["P"] + np.einsum("imx,ymi->xy", t, mid)
+    rhs = 2.0 * brackets["P"] + ct("imx,ymi->xy", t, mid)
     for a in (1, 2, 3):
-        rhs = rhs + (np.einsum("xmy,m->xy", X[a][0], u[a])
-                     - np.einsum("iwy,wxi->xy", X[0][a], X[0][a])
-                     + delta[a].T @ units[a])
+        rhs = rhs + (ct("xmy,m->xy", X[a][0], u[a])
+                     - ct("iwy,wxi->xy", X[0][a], X[0][a])
+                     + delta[a].swapaxes(-1, -2) @ units[a])
     rhs = rhs + _cyc(lambda a, b, c: (
-        np.einsum("imx,ymi->xy", X[0][a], units[b] @ X[c][0] - X[c][b])
-        + np.einsum("xmy,m->xy", X[a][b], u[c])
-        + np.einsum("iwy,wxi->xy", X[0][c], units[a] @ X[0][b])
-        - units[a] @ delta[b].T @ units[c]))
+        ct("imx,ymi->xy", X[0][a], units[b] @ X[c][0] - X[c][b])
+        + ct("xmy,m->xy", X[a][b], u[c])
+        + ct("iwy,wxi->xy", X[0][c], units[a] @ X[0][b])
+        - units[a] @ delta[b].swapaxes(-1, -2) @ units[c]))
     return cs.proj_sym_S2ES2H(m, rhs) / (-2.0 * (m.n - 1.0))
 
 
@@ -392,7 +414,7 @@ def _scalar_formulas(n: int, b: dict) -> dict:
         "ric_QK": ((base + 4.0 * (5.0 * n + 1.0) * gam + s4 + s5 - 10.0 * s6)
                    * (n + 2.0) / (24.0 * n * (5.0 * n + 1.0))),
         "pi_R_ric_QKperp": (base + s4 + s5 + 2.0 * s6) * 3.0 / (8.0 * (5.0 * n + 1.0)),
-        "R_ab": np.array(_ra_rb_coefficients(n, ric, ricq)),
+        "R_ab": np.stack(_ra_rb_coefficients(n, ric, ricq), axis=-1),
     }
 
 

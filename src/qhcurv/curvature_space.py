@@ -243,11 +243,13 @@ def probe_tensors(m: ModelSpace, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np
 # Lambda^2 V* = S^2 E + S^2 H + Lambda^2_0 E S^2 H    (2-forms)
 #
 # where the S^2E-type pieces satisfy A b = b for all A, the others
-# sum_A A b = -b; S^2 H is the span of the omega_A.
+# sum_A A b = -b; S^2 H is the span of the omega_A.  Every projector acts
+# on the last two axes, so a stack of forms is projected in one call.
 
 def _sum_full_act2(m: ModelSpace, b: np.ndarray) -> np.ndarray:
-    """sum_A b(A., A.) for a bilinear form b."""
-    return sum(np.einsum("xa,yb,ab->xy", A, A, b) for A in m.triple)
+    """sum_A b(A., A.) = sum_A A b A^T for a bilinear form b; exact, as
+    every A is a signed permutation."""
+    return sum(A @ b @ A.T for A in m.triple)
 
 
 # The six bilinear-form projectors.  Each starts by projecting onto the
@@ -257,7 +259,7 @@ def _sum_full_act2(m: ModelSpace, b: np.ndarray) -> np.ndarray:
 
 def proj_sym_R(m: ModelSpace, b: np.ndarray) -> np.ndarray:
     """Trace part: (tr b / 4n) g."""
-    return (np.trace(b) / m.dim) * m.g
+    return (np.trace(b, axis1=-2, axis2=-1) / m.dim)[..., None, None] * m.g
 
 
 def proj_sym_S2ES2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
@@ -283,7 +285,8 @@ def proj_form_S2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
     a = top.asym2(b)
     out = np.zeros_like(a)
     for w in m.omegas:
-        out += (top.p_form_inner(a, w) / (2 * m.n)) * w
+        # the normalized pairing <a, w> of top.p_form_inner, per leading index
+        out += (np.tensordot(a, w, axes=2) / 2 / (2 * m.n))[..., None, None] * w
     return out
 
 
@@ -369,9 +372,11 @@ def pair_scheme(dim: int) -> PairScheme:
 
 def to_pair_coords(ps: PairScheme, T: np.ndarray) -> np.ndarray:
     """Flattened pair-matrix coordinates, scaled so the Euclidean inner
-    product of coordinate vectors equals the raw rank-4 contraction."""
-    C = T[ps.first[:, None], ps.second[:, None], ps.first[None, :], ps.second[None, :]]
-    return 2.0 * C.ravel()
+    product of coordinate vectors equals the raw rank-4 contraction.  Leading
+    axes of T stay leading axes of the result."""
+    k = ps.first * ps.dim + ps.second
+    C = T.reshape(T.shape[:-4] + (ps.dim ** 2,) * 2)[..., k[:, None], k[None, :]]
+    return 2.0 * C.reshape(C.shape[:-2] + (-1,))
 
 
 def from_pair_coords(ps: PairScheme, v: np.ndarray) -> np.ndarray:

@@ -6,7 +6,8 @@ target, the engine samples seeded single-component states, evaluates the
 closed formulas, projects onto the target, and records whether the
 coupling is nonzero.  Off-diagonal products are handled by polarization:
 each quadratic target is evaluated at xi + zeta and the pure terms are
-subtracted.
+subtracted.  The seeded states of one source row are evaluated as one
+batch, so memory grows with the seed count, not with the number of rows.
 
 Tick rule: a cell is ticked when the witness exceeds ``TICK_ON`` times the
 input scale on at least one seed, unticked when every seed stays below
@@ -368,46 +369,57 @@ _FORMULA_OF_COLUMN = {
 
 
 def evaluate_columns(ctx: TableContext, state: cft.TorsionState) -> dict:
-    """All column values for one state: Ricci components (tables 1-2) and
-    the QKperp projections of pi_2 pi_1 (table 3)."""
+    """All column values for one state, or for a batch of states (their
+    leading axes lead every column): Ricci components (tables 1-2) and the
+    QKperp projections of pi_2 pi_1 (table 3)."""
     formulas = cft.ricci_component_formulas(ctx.m, state)
     out = {col: formulas[key] for col, key in _FORMULA_OF_COLUMN.items()}
-    v = cs.to_pair_coords(ctx.bank.scheme, cft.pi1_state(ctx.m, state))
+    V = cs.to_pair_coords(ctx.bank.scheme, cft.pi1_state(ctx.m, state))
     for name in TABLE3_COLUMNS:
-        out[name] = ctx.table3[name] @ v
+        out[name] = V @ ctx.table3[name].T
     return out
 
 
-def evaluate_row(ctx: TableContext, key, seed, pure: dict) -> dict:
-    """Column values for one source row and one seed (polarized for the
-    off-diagonal products).  ``pure[c, seed]`` holds the column values of
-    the seeded pure state of component c, which the diagonal row and every
-    off-diagonal row containing c share."""
-    m = ctx.m
+def evaluate_row(ctx: TableContext, key, seeds: int, pure: dict) -> dict:
+    """Column values for one source row from one batch of states, one
+    leading entry per seed (one in all for the gamma row); polarized for
+    the off-diagonal products.  ``pure`` caches, per component c, the
+    columns of its seeded pure states, which the diagonal row and every
+    off-diagonal row containing c share; rows fill it as they need it."""
+    m, tbank = ctx.m, ctx.tbank
+
+    def batch(one, count=seeds):
+        return evaluate_columns(ctx, cft.TorsionState.stack([one(s) for s in range(count)]))
+
+    def pure_of(c):
+        if c not in pure:
+            pure[c] = batch(lambda s: cft.TorsionState.make(m, t=tbank.random_component(c, s)))
+        return pure[c]
+
     if key[0] == "gamma":
-        return evaluate_columns(ctx, cft.TorsionState.qk_point(m, 1.0))
+        return batch(lambda s: cft.TorsionState.qk_point(m, 1.0), 1)
     if key[0] == "D":
-        D = tor.random_derivative_component(ctx.tbank, key[1], seed)
-        return evaluate_columns(ctx, cft.TorsionState.make(m, D=D))
+        return batch(lambda s: cft.TorsionState.make(
+            m, D=tor.random_derivative_component(tbank, key[1], s)))
     _, c1, c2 = key
     if c1 == c2:
-        return pure[c1, seed]
-    t = ctx.tbank.random_component(c1, seed) + ctx.tbank.random_component(c2, seed)
-    mixed = evaluate_columns(ctx, cft.TorsionState.make(m, t=t))
-    return {k: mixed[k] - pure[c1, seed][k] - pure[c2, seed][k] for k in mixed}
+        return pure_of(c1)
+    mixed = batch(lambda s: cft.TorsionState.make(
+        m, t=tbank.random_component(c1, s) + tbank.random_component(c2, s)))
+    return {k: mixed[k] - pure_of(c1)[k] - pure_of(c2)[k] for k in mixed}
 
 
 def _witnesses(ctx: TableContext, cols: dict) -> dict:
-    """Scalar witness per table cell from the raw column values."""
+    """Witness per table cell and seed from the raw column values."""
     w = {}
     for name in ("q_R", "r_R"):
-        w[name] = abs(cols[name]) * np.sqrt(ctx.m.dim)
+        w[name] = np.abs(cols[name]) * np.sqrt(ctx.m.dim)
     for name in ("q_L20E", "q_S2ES2H", "q_L20ES2H", "r_L20E", "r_S2ES2H",
                  "L20E_a", "L20E_b", "S2ES2H_a", "S2ES2H_b", "L20ES2H"):
-        w[name] = top.frob(cols[name])
-    w["R_a"], w["R_b"] = abs(cols["R_ab"]) * np.sqrt(ctx.ab_norm2)
+        w[name] = np.sqrt((cols[name] ** 2).sum(axis=(-2, -1)))
+    w["R_a"], w["R_b"] = np.moveaxis(np.abs(cols["R_ab"]) * np.sqrt(ctx.ab_norm2), -1, 0)
     for name in TABLE3_COLUMNS:
-        w[name] = float(np.linalg.norm(cols[name]))
+        w[name] = np.linalg.norm(cols[name], axis=-1)
     return w
 
 
@@ -472,18 +484,13 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
                    (2, TABLE2_COLUMNS, EXPECTED_TABLE2),
                    (3, TABLE3_COLUMNS, EXPECTED_TABLE3)]
 
-    pure = {(c, s): evaluate_columns(ctx, cft.TorsionState.make(
-                ctx.m, t=tbank.random_component(c, s)))
-            for c in COMPS if tbank.rank(c) for s in range(seeds)}
+    pure = {}
     for key in row_keys():
         zero_source = (key[0] in ("D", "xx")
                        and any(tbank.rank(c) == 0 for c in key[1:]))
-        nseeds = 1 if key[0] == "gamma" else seeds
-        per_seed = []
         if not zero_source:
-            for s in range(nseeds):
-                cols = evaluate_row(ctx, key, s, pure)
-                per_seed.append((_witnesses(ctx, cols), cols))
+            cols = evaluate_row(ctx, key, seeds, pure)
+            wit = _witnesses(ctx, cols)
         for table, columns, expected_map in table_specs:
             if table == 3 and key not in EXPECTED_TABLE3:
                 continue
@@ -495,8 +502,8 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
                         tick=False, witness=0.0, seeds_used=0,
                         expected=col in expected, status="skipped"))
                     continue
-                ws = [w[col] for w, _ in per_seed]
-                wmax = max(ws)
+                ws = wit[col]
+                wmax = float(ws.max())
                 if wmax > TICK_ON:
                     tick, status = True, "ok"
                 elif wmax < TICK_OFF:
@@ -520,8 +527,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
         if key in annotations and not zero_source:
             direction, orth, provenance = annotations[key]
             met = np.diag(ctx.ab_norm2)
-            for s, (w, cols) in enumerate(per_seed):
-                tt = cols["R_ab"]
+            for s, tt in enumerate(cols["R_ab"]):
                 pp = np.array(direction, dtype=float)
                 qq = np.array(orth, dtype=float)
                 tn = float(np.sqrt(tt @ met @ tt))
@@ -558,13 +564,17 @@ COROLLARY_CASES = (
 
 def corollary_vanishing(ctx: TableContext, seeds: int = 2) -> list:
     """Max witness of every forbidden component over the rows allowed by
-    each corollary hypothesis; all should sit at roundoff level."""
+    each corollary hypothesis; all should sit at roundoff level.  Each
+    (case, seed) is one batch of states, and its forbidden Table-3
+    coordinates are one matrix product."""
     tbank = ctx.tbank
     results = []
     for label, comps, forbidden in COROLLARY_CASES:
         live = [c for c in comps if tbank.rank(c)]
+        rows = np.vstack([ctx.table3[name] for name in forbidden])
+        ends = np.cumsum([ctx.table3[name].shape[0] for name in forbidden])[:-1]
         worst = 0.0
-        for s in range(seeds):
+        for s in range(seeds if live else 0):
             states = [cft.TorsionState.make(ctx.m, D=tor.random_derivative_component(
                 tbank, c, (label, s))) for c in live]
             for i, c1 in enumerate(live):
@@ -573,9 +583,9 @@ def corollary_vanishing(ctx: TableContext, seeds: int = 2) -> list:
                 for c2 in live[i + 1:]:
                     t2 = tbank.random_component(c2, (label, s, 2))
                     states.append(cft.TorsionState.make(ctx.m, t=t1 + t2))
-            for st in states:
-                v = cs.to_pair_coords(ctx.bank.scheme, cft.pi1_state(ctx.m, st))
-                for name in forbidden:
-                    worst = max(worst, float(np.linalg.norm(ctx.table3[name] @ v)))
+            V = cs.to_pair_coords(ctx.bank.scheme,
+                                  cft.pi1_state(ctx.m, cft.TorsionState.stack(states)))
+            for block in np.split(V @ rows.T, ends, axis=-1):
+                worst = max(worst, float(np.linalg.norm(block, axis=-1).max()))
         results.append({"case": label, "forbidden": forbidden, "max_witness": worst})
     return results

@@ -4,8 +4,9 @@ All tensors are covariant, stored as dense ``numpy`` arrays with every axis
 of length 4n.  The operations here are the small fixed vocabulary the
 curvature and torsion machinery needs: slot actions of the structure
 endomorphisms, the graded full action, normalized p-form and raw rank-4
-inner products, symmetric and wedge products of 2-tensors, and the two
-skewing maps used by the torsion-to-curvature formulas.
+inner products, symmetric and wedge products of 2-tensors, the two
+skewing maps used by the torsion-to-curvature formulas, and ``contract``,
+a two-operand einsum over leading (batch) axes done as one matmul.
 
 Conventions (fixed once and relied on everywhere):
 
@@ -22,6 +23,8 @@ Conventions (fixed once and relied on everywhere):
 from __future__ import annotations
 
 import itertools
+import math
+
 import numpy as np
 
 
@@ -133,13 +136,43 @@ def skew_a(T: np.ndarray) -> np.ndarray:
 def b_tilde(xi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """``b~(xi x zeta)_{X,Y} Z = xi_{zeta_X Y} Z - xi_{zeta_Y X} Z``.
 
-    Both arguments are rank-3 tensors indexed as t[X, m, Z] = <e_m, t_X e_Z>.
-    Returns the rank-4 tensor E[x, y, m, z] = <e_m, b~(xi x zeta)_{x,y} e_z>.
+    Both arguments are rank-3 tensors indexed as t[X, m, Z] = <e_m, t_X e_Z>,
+    possibly with leading (batch) axes.  Returns the rank-4 tensor
+    E[..., x, y, m, z] = <e_m, b~(xi x zeta)_{x,y} e_z>.
     """
-    if xi.ndim != 3 or zeta.ndim != 3:
+    if xi.ndim < 3 or zeta.ndim < 3:
         raise ValueError("b_tilde expects two rank-3 tensors")
-    e1 = np.einsum("xwy,wmz->xymz", zeta, xi)
-    return e1 - e1.swapaxes(0, 1)
+    e1 = contract("xwy,wmz->xymz", zeta, xi)
+    return e1 - e1.swapaxes(-4, -3)
+
+
+def contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.einsum("..." + spec, a, b)`` done as one transpose-reshape-matmul.
+
+    ``spec`` names the trailing axes of each operand; any axes before them
+    are leading (batch) axes and broadcast as in ``np.matmul``.  An index
+    in both operands is summed; every other index must appear in the
+    output, and no index repeats within one operand.  Unlike a
+    two-operand einsum this runs through BLAS and plans no path.
+    """
+    ins, out = spec.split("->")
+    ia, ib = ins.split(",")
+    summed = [c for c in ia if c in ib]
+    fa = [c for c in ia if c not in summed]
+    fb = [c for c in ib if c not in summed]
+    la, lb = a.ndim - len(ia), b.ndim - len(ib)
+    size = dict(zip(ia, a.shape[la:])) | dict(zip(ib, b.shape[lb:]))
+    k = math.prod(size[c] for c in summed)
+    am = a.transpose(tuple(range(la)) + tuple(la + ia.index(c) for c in fa + summed))
+    bm = b.transpose(tuple(range(lb)) + tuple(lb + ib.index(c) for c in summed + fb))
+    prod = am.reshape(a.shape[:la] + (-1, k)) @ bm.reshape(b.shape[:lb] + (k, -1))
+    lead = prod.shape[:-2]
+    free = fa + fb
+    prod = prod.reshape(lead + tuple(size[c] for c in free))
+    if free != list(out):
+        nl = len(lead)
+        prod = prod.transpose(tuple(range(nl)) + tuple(nl + free.index(c) for c in out))
+    return prod
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +208,13 @@ def _perm_sign(perm) -> int:
 
 
 def sym2(b: np.ndarray) -> np.ndarray:
-    """Symmetric part of a bilinear form."""
-    return 0.5 * (b + b.T)
+    """Symmetric part of a bilinear form (the last two axes)."""
+    return 0.5 * (b + b.swapaxes(-1, -2))
 
 
 def asym2(b: np.ndarray) -> np.ndarray:
-    """Antisymmetric part of a bilinear form."""
-    return 0.5 * (b - b.T)
+    """Antisymmetric part of a bilinear form (the last two axes)."""
+    return 0.5 * (b - b.swapaxes(-1, -2))
 
 
 def cyclic3(T: np.ndarray, axes=(0, 1, 2)) -> np.ndarray:

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,10 @@ from qhcurv import curvature_from_torsion as cft
 from qhcurv import curvature_space as cs
 from qhcurv import tables as tbl
 from qhcurv import torsion as tor
+from test_torsion import _TORSION_DIGEST_N2
+
+#: The committed tables-n2 reference of the benchmark (read only).
+REFERENCE_N2 = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "tables-n2.json"
 
 
 @pytest.fixture(scope="module")
@@ -85,17 +91,19 @@ def test_run_tables_needs_a_seed(seeds):
 @pytest.mark.parametrize("seeds", [1, 2])
 def test_run_tables_evaluates_each_state_once(monkeypatch, seeds):
     """At n = 2 four torsion components are nonzero: per seed, four
-    derivative rows, four pure states and six sums, plus the gamma row."""
-    calls = []
+    derivative rows, four pure states and six sums, plus the gamma row.
+    Each of those fifteen rows is one batch of its seeded states."""
+    batches = []
     inner = tbl.evaluate_columns
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return inner(*args, **kwargs)
+    def counting(ctx, state):
+        batches.append(state.t.shape[0])
+        return inner(ctx, state)
 
     monkeypatch.setattr(tbl, "evaluate_columns", counting)
     tbl.run_tables(get_bank(2), get_torsion_bank(2), seeds=seeds)
-    assert len(calls) == 1 + 14 * seeds
+    assert sum(batches) == 1 + 14 * seeds
+    assert len(batches) == 15
 
 
 def test_corollary_vanishing_n2():
@@ -161,7 +169,67 @@ def test_table3_needs_no_svd(monkeypatch, bank2, tbank2):
             return _inner(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
         monkeypatch.setitem(linalg_globals, name, counting)
-    tbl.evaluate_columns(tbl.TableContext.build(bank2, tbank2), state)
+    ctx = tbl.TableContext.build(bank2, tbank2)
+    tbl.evaluate_columns(ctx, state)
+    tbl.evaluate_columns(ctx, cft.TorsionState.stack([state, state]))
     assert calls == []
     np.linalg.pinv(np.eye(2))
     assert calls == ["pinv", "svd"]
+
+
+def _batches(m, tbank):
+    """Three states with t, D and gamma all nonzero, and a batch mixing the
+    zero state, each single piece and a full state."""
+    def full(seed):
+        return cft.TorsionState.make(m, t=random_torsion(tbank, ("b", seed)),
+                                     D=random_derivative(tbank, ("b", seed)),
+                                     gammas=random_gammas(m, ("b", seed)))
+    mixed = [cft.TorsionState.make(m), cft.TorsionState.make(m, t=random_torsion(tbank, "m")),
+             cft.TorsionState.make(m, D=random_derivative(tbank, "m")),
+             cft.TorsionState.make(m, gammas=random_gammas(m, "m")), full(3)]
+    return [[full(s) for s in range(3)], mixed]
+
+
+def _assert_rows_match(batched: dict, singles: list) -> None:
+    for i, single in enumerate(singles):
+        scale = max(np.linalg.norm(v) for v in single.values())
+        for key, value in single.items():
+            got = batched[key][i]
+            assert got.shape == np.shape(value), key
+            assert np.linalg.norm(got - value) <= 1e-12 * scale, (i, key)
+
+
+def test_batched_states_match_single_states(bank, tbank):
+    """A batch of states gives, row by row, the columns and the Ricci
+    formulas of each state evaluated on its own."""
+    ctx = tbl.TableContext.build(bank, tbank)
+    m = ctx.m
+    for states in _batches(m, tbank):
+        batch = cft.TorsionState.stack(states)
+        _assert_rows_match(tbl.evaluate_columns(ctx, batch),
+                           [tbl.evaluate_columns(ctx, st) for st in states])
+        _assert_rows_match(cft.ricci_component_formulas(m, batch),
+                           [cft.ricci_component_formulas(m, st) for st in states])
+
+
+def test_run_tables_matches_committed_reference(bank2, tbank2):
+    """run_tables(seeds=8) at n = 2 reproduces the committed benchmark
+    reference: every status and tick, the ticked witnesses to 1e-9
+    relative, and every direction check.  The witnesses are drawn in the
+    torsion bases, which are bitwise stable only for one BLAS build."""
+    version, _ = _TORSION_DIGEST_N2
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("version") != version:
+        pytest.skip(f"reference recorded with BLAS {version}, not {blas.get('version')}")
+    ref = json.loads(REFERENCE_N2.read_text())
+    rep = tbl.run_tables(bank2, tbank2, seeds=8)
+    assert len(rep.cells) == len(ref["cells"]) == 581
+    for cell, (source, table, target, status, tick, witness) in zip(rep.cells, ref["cells"]):
+        assert (cell.source, cell.table, cell.target) == (source, table, target)
+        assert (cell.status, cell.tick) == (status, tick), (source, table, target)
+        if tick:
+            assert cell.witness == pytest.approx(witness, rel=1e-9), (source, table, target)
+    assert len(rep.direction_checks) == len(ref["directions"]) == 41
+    for d, (source, seed, aligned, cos) in zip(rep.direction_checks, ref["directions"]):
+        assert (d["source"], d["seed"], d["aligned"]) == (source, seed, aligned)
+        assert d["cos_direction"] == pytest.approx(cos, abs=1e-9)

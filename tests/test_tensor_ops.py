@@ -167,6 +167,31 @@ def test_b_tilde():
     assert out[x, y, mm, z] == pytest.approx(expect)
 
 
+@pytest.mark.parametrize("spec", ["xmi,imy->xy", "iwy,wxi->xy", "xmy,m->xy",
+                                  "w,wxy->xy", "ipxq,api->axq", "xac,ycb->xyab",
+                                  "axy,azu->xyzu"])
+def test_contract_matches_einsum_over_leading_axes(spec):
+    """Each operand is tried with and without two leading axes; the result
+    equals the einsum with those axes leading."""
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    size = {c: 3 if c == "a" else 8 for c in sa + sb}
+    for la, lb in ((), ()), ((2, 5), ()), ((), (2, 5)), ((2, 5), (2, 5)):
+        a = rand(la + tuple(size[c] for c in sa), (spec, 0, la))
+        b = rand(lb + tuple(size[c] for c in sb), (spec, 1, lb))
+        want = np.einsum(f"...{sa},...{sb}->...{out}", a, b)
+        got = top.contract(spec, a, b)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_b_tilde_maps_over_leading_axes():
+    xi, zeta = rand((3, 8, 8, 8), 12), rand((3, 8, 8, 8), 13)
+    out = top.b_tilde(xi, zeta)
+    for k in range(3):
+        assert np.allclose(out[k], top.b_tilde(xi[k], zeta[k]), rtol=0, atol=1e-12)
+
+
 def test_alt_is_projection_with_correct_signs():
     T = rand((6, 6, 6), 12)
     a = top.alt(T)
