@@ -144,13 +144,14 @@ def main(argv=None) -> int:
         code = 0 if report.ok else 2
 
     elif args.command == "decompose":
+        results, failures = [], []
         try:
             R = cs.CurvatureTensor.certify(inputs[0].data, tol=max(tol, 1e-10))
-        except cs.CertificationError as exc:
-            results, failures = [], [str(exc)]
-        else:
             bank = dec.build_sp_projectors(m)
             norms = dec.component_norms(bank, R)
+        except ValueError as exc:             # not certified, or fails Parseval
+            failures = [str(exc)]
+        else:
             total = top.curvature_inner(R.tensor, R.tensor)
             recon = abs(sum(v * v for v in norms.values()) - total) / max(total, 1e-300)
             results = [{"check": "component_norms", "value": tio.jsonable(norms),
@@ -160,8 +161,7 @@ def main(argv=None) -> int:
                        {"check": "qkperp_norm",
                         "value": bank.component_norm(R.tensor, "QKperp"), "tolerance": tol},
                        {"check": "reconstruction_residual", "value": recon,
-                        "tolerance": 1e-8}]
-            failures = [] if recon < 1e-8 else [f"reconstruction residual {recon}"]
+                        "tolerance": dec.PARSEVAL_TOL}]
         code = 0 if not failures else 2
 
     elif args.command == "torsion":

@@ -20,8 +20,9 @@ Casimir 6 + (1/2) sum_A rho(A)^2 with rho(A) C = D_A C + C D_A^T.  On R,
 L_sigma = 3 M - L with M = sum_A (A_(1)A_(2) + A_(3)A_(4)); this does not
 hold off R.  Both operators keep the line-count grade of a coordinate (how
 many of its four indices fall in each quaternionic line), and every
-closed-form row of R lies in one grade.  :func:`basis_grades` splits the
-basis by grade, and :func:`casimir_matrices` gives L and L_sigma on one
+closed-form row of R lies in one grade.  :func:`curvature_basis` builds
+the basis grade by grade, each grade's rows restricted to its own
+coordinates, and :func:`casimir_matrices` gives L and L_sigma on one
 grade's rows, with the Kronecker operators restricted to that grade's
 coordinates.  The tensor-level :func:`L_map` and :func:`L_sigma_map` stay
 as independent oracles.
@@ -392,21 +393,34 @@ def from_pair_coords(ps: PairScheme, v: np.ndarray) -> np.ndarray:
 #: Relative singular-value threshold for rank decisions.
 SV_TOL = 1e-8
 
+#: Smallest ratio allowed between the smallest kept singular value and the
+#: largest dropped one; a closer call raises instead of guessing the rank.
+SV_MARGIN = 1e6
+
+
+def _check_margin(s: np.ndarray, rank: int) -> None:
+    """ArithmeticError unless the smallest kept singular value is at least
+    ``SV_MARGIN`` times the largest dropped one."""
+    if 0 < rank < len(s) and not s[rank - 1] >= SV_MARGIN * s[rank]:
+        raise ArithmeticError(f"rank decision too close: singular value {s[rank - 1]} "
+                              f"kept, {s[rank]} dropped (margin {SV_MARGIN:g} required)")
+
 
 def orthonormal_rows(mat: np.ndarray, tol: float = SV_TOL,
                      floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the row space.
 
     Singular values are kept when above ``tol * s_max`` and above the
-    absolute ``floor``.  The floor matters when the row space may be zero in
-    exact arithmetic: a purely relative threshold would promote roundoff
-    noise to full rank.
+    absolute ``floor``, with the margin of :func:`_check_margin`.  The floor
+    matters when the row space may be zero in exact arithmetic: a purely
+    relative threshold would promote roundoff noise to full rank.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0 or not np.any(mat):
         return np.zeros((0, mat.shape[1]))
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(s > max(tol * s[0], floor)))
+    _check_margin(s, rank)
     return vt[:rank]
 
 
@@ -420,50 +434,12 @@ def null_space_rows(mat: np.ndarray, tol: float = SV_TOL) -> np.ndarray:
     # the full one would materialize a nrows x nrows U
     u, s, vt = np.linalg.svd(mat, full_matrices=nrows < ncols)
     rank = int(np.sum(s > tol * s[0]))
+    _check_margin(s, rank)
     return vt[rank:]
 
 
-def curvature_basis(m: ModelSpace, ps: PairScheme | None = None) -> np.ndarray:
-    """Orthonormal basis of R in pair coordinates (rows), in closed form.
-
-    A symmetric pair matrix C lies in R exactly when, for every quadruple
-    i<j<k<l, C[(ij),(kl)] - C[(ik),(jl)] + C[(il),(jk)] = 0.  Entries whose
-    two pairs share an index are left free, so each gets one unit row
-    (e_pp, or (e_pq + e_qp)/sqrt 2).  The three entries of each quadruple,
-    with symmetric units s_a, s_b, s_c, get the two orthonormal rows
-    (s_a + s_b)/sqrt 2 and (s_a - s_b - 2 s_c)/sqrt 6 spanning the plane
-    x_a - x_b + x_c = 0.  That makes C(m+1, 2) - C(dim, 4) rows in all.
-    """
-    ps = ps or pair_scheme(m.dim)
-    mm = ps.m
-    p, q = np.triu_indices(mm)
-    shared = ((ps.first[p] == ps.first[q]) | (ps.first[p] == ps.second[q])
-              | (ps.second[p] == ps.first[q]) | (ps.second[p] == ps.second[q]))
-    p, q = p[shared], q[shared]
-    quads = np.array(list(itertools.combinations(range(m.dim), 4)))
-    i, j, k, l = quads.T
-    pairs_a = (ps.pair_index[i, j], ps.pair_index[k, l])
-    pairs_b = (ps.pair_index[i, k], ps.pair_index[j, l])
-    pairs_c = (ps.pair_index[i, l], ps.pair_index[j, k])
-
-    n_free, n_quad = len(p), len(quads)
-    basis = np.zeros((n_free + 2 * n_quad, mm * mm))
-    free = np.arange(n_free)
-    unit = np.where(p == q, 1.0, np.sqrt(0.5))
-    basis[free, p * mm + q] = unit
-    basis[free, q * mm + p] = unit
-    plane = ((np.arange(n_free, n_free + n_quad), (0.5, 0.5, 0.0)),
-             (np.arange(n_free + n_quad, n_free + 2 * n_quad),
-              (1.0 / np.sqrt(12.0), -1.0 / np.sqrt(12.0), -2.0 / np.sqrt(12.0))))
-    for rows, weights in plane:
-        for (u, v), w in zip((pairs_a, pairs_b, pairs_c), weights):
-            basis[rows, u * mm + v] = w
-            basis[rows, v * mm + u] = w
-    return basis
-
-
 # ---------------------------------------------------------------------------
-# Line-count grades.
+# Line-count grades and the closed-form basis of R.
 #
 # Scaling one quaternionic line commutes with I, J, K, so L, M and L_sigma
 # preserve the grade of a pair coordinate: how many of its four indices fall
@@ -495,19 +471,49 @@ class Grade:
     rows: np.ndarray    # orthonormal rows, restricted to ``coords``
 
 
-def basis_grades(m: ModelSpace, ps: PairScheme, basis: np.ndarray) -> list[Grade]:
-    """Split the closed-form basis of R by grade; each row is labelled with
-    the grade of its nonzero entries."""
+def curvature_basis(m: ModelSpace, ps: PairScheme | None = None) -> list[Grade]:
+    """Orthonormal basis of R in pair coordinates, in closed form, by grade.
+
+    A symmetric pair matrix C lies in R exactly when, for every quadruple
+    i<j<k<l, C[(ij),(kl)] - C[(ik),(jl)] + C[(il),(jk)] = 0.  Entries whose
+    two pairs share an index are left free, so each gets one unit row
+    (e_pp, or (e_pq + e_qp)/sqrt 2).  The three entries of each quadruple,
+    with symmetric units s_a, s_b, s_c, get the two orthonormal rows
+    (s_a + s_b)/sqrt 2 and (s_a - s_b - 2 s_c)/sqrt 6 spanning the plane
+    x_a - x_b + x_c = 0.  That makes C(m+1, 2) - C(dim, 4) rows in all, in
+    that order; each grade gets its rows in that order, written from their
+    nonzero entries straight into the grade's coordinates.
+    """
+    ps = ps or pair_scheme(m.dim)
+    mm = ps.m
+    p, q = np.triu_indices(mm)
+    shared = ((ps.first[p] == ps.first[q]) | (ps.first[p] == ps.second[q])
+              | (ps.second[p] == ps.first[q]) | (ps.second[p] == ps.second[q]))
+    p, q = p[shared], q[shared]
+    quads = np.array(list(itertools.combinations(range(m.dim), 4)))
+    i, j, k, l = quads.T
+    pairs = ((ps.pair_index[i, j], ps.pair_index[k, l]),
+             (ps.pair_index[i, k], ps.pair_index[j, l]),
+             (ps.pair_index[i, l], ps.pair_index[j, k]))
+
+    # (row, pair, pair, value) of every nonzero entry, then of its mirror
+    n_free, n_quad, r12 = len(p), len(quads), np.sqrt(12.0)
+    planes = ((0.5, 0.5, 0.0), (1.0 / r12, -1.0 / r12, -2.0 / r12))
+    entries = [(np.arange(n_free), p, q, np.where(p == q, 1.0, np.sqrt(0.5)))]
+    entries += [(n_free + at * n_quad + np.arange(n_quad), u, v, np.full(n_quad, w))
+                for at, weights in enumerate(planes) for (u, v), w in zip(pairs, weights) if w]
+    row, u, v, value = (np.concatenate(x) for x in zip(*entries))
+    row, col, value = np.tile(row, 2), np.concatenate([u * mm + v, v * mm + u]), np.tile(value, 2)
+
     counts, label = coordinate_grades(m, ps)
-    row_label = label[np.argmax(basis != 0, axis=1)]
-    out = []
-    for g, cnt in enumerate(counts):
-        rows = np.flatnonzero(row_label == g)
-        if rows.size:
-            coords = np.flatnonzero(label == g)
-            out.append(Grade(counts=tuple(int(c) for c in cnt), coords=coords,
-                             rows=basis[np.ix_(rows, coords)]))
-    return out
+    of_entry, grades = label[col], []
+    for g in np.unique(of_entry):                   # the grades that hold rows
+        on = of_entry == g
+        rows, coords = np.unique(row[on]), np.flatnonzero(label == g)
+        block = np.zeros((rows.size, coords.size))
+        block[np.searchsorted(rows, row[on]), np.searchsorted(coords, col[on])] = value[on]
+        grades.append(Grade(counts=tuple(int(c) for c in counts[g]), coords=coords, rows=block))
+    return grades
 
 
 # ---------------------------------------------------------------------------

@@ -339,7 +339,7 @@ def _class_grades(m: ModelSpace, ps: cs.PairScheme) -> tuple[tuple, list]:
     parities, classes = line_parity_classes(m, ps)
     which = {tuple(p): c for c, p in enumerate(parities.tolist())}
     grades = [[] for _ in classes]
-    for grade in cs.basis_grades(m, ps, cs.curvature_basis(m, ps)):
+    for grade in cs.curvature_basis(m, ps):
         c = which[tuple(k % 2 for k in grade.counts)]
         grades[c].append((np.searchsorted(classes[c], grade.coords), grade))
     return classes, grades
@@ -658,14 +658,9 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
         lam, mu = COMPONENT_SPECTRUM[name]
         resid = []
         # rows are stacked class by class: sample both ends and the middle
-        starts = np.cumsum([0] + [B.shape[0] for _, B in blocks])
-        k = int(starts[-1])
-        for i in sorted({0, k // 2, k - 1}):
-            b = int(np.searchsorted(starts, i, side="right")) - 1
-            coords, B = blocks[b]
-            row = np.zeros(ps.m ** 2)
-            row[coords] = B[i - starts[b]]
-            T = cs.from_pair_coords(ps, row)
+        rows = [(coords, row[None]) for coords, B in blocks for row in B]
+        for i in sorted({0, len(rows) // 2, len(rows) - 1}):
+            T = cs.from_pair_coords(ps, _scatter([rows[i]], ps.m ** 2)[0])
             resid += [top.frob(cs.L_map(m, T) - lam * T),
                       top.frob(cs.L_sigma_map(m, T) - mu * T)]
         worst = float(np.max(resid))      # np.max keeps a NaN, max() drops it

@@ -32,8 +32,9 @@ pi_1 map on pair coordinates): G^-1 img v with G = img img^T invertible.
 G is an Sp(n)Sp(1) intertwiner, so by Schur's lemma it is a scalar c_X on
 every component without an isomorphic partner; only S2ES2H_a/b and, at
 n = 3, L20E_a/b are coupled, and none of them is a Table-3 column.  So the
-coordinates are B_X M v / c_X with c_X = |B_X M|_F^2 / rank X (1/2 on
-V22, 1 on V22S4H); ``TableContext.build`` checks G = c_X on X by a probe.
+coordinates are B_X M v / c_X (c_X is 1/2 on V22, 1 on V22S4H), read from
+the bank's line-parity blocks of X; ``TableContext.build`` checks G = c_X
+on X by a probe.
 """
 
 from __future__ import annotations
@@ -310,18 +311,16 @@ def direction_annotations(n: int) -> dict:
 class TableContext:
     """Precomputed machinery shared by all cells.
 
-    ``table3[X]`` is ``B_X M / c_X`` (rank X by m^2, empty at rank 0): it
-    maps pi_1 of a state, in pair coordinates, to its Table-3 coordinates
-    on X.  By Schur's lemma G = img img^T is c_X on X, which has no
-    isomorphic partner in QKperp (only S2ES2H_a/b and, at n = 3, L20E_a/b
-    couple), so G^-1 is 1/c_X there and no solve is needed.  B_X is a view
-    of the bank's stacked rows, and the probe of G applies the QKperp
-    projection through the bank's parts."""
+    ``P1`` gives pi_1 on pair coordinates as C -> C P1, and ``columns[X]``
+    is (the bank's (coords, rows) blocks of X, c_X), with G = c_X on X
+    (module docstring).  ``build`` takes c_X as the Rayleigh quotient of G
+    at a seeded y in X and checks G y = c_X y."""
 
     m: ModelSpace
     bank: dec.ProjectorBank
     tbank: tor.TorsionBank
-    table3: dict
+    P1: np.ndarray
+    columns: dict
     ab_norm2: np.ndarray          # <a, a> and <b, b> for a, b = pi2 +- 6 pi1
 
     @classmethod
@@ -336,25 +335,37 @@ class TableContext:
             probe[q] = 1.0
             T = cft.pi1_operator(m, cs.from_pair_coords(ps, probe))
             P1[q] = cs.to_pair_coords(ps, T)[:ps.m]
-        table3 = {}
+        columns = {}
         for name in TABLE3_COLUMNS:
-            B = bank.basis(name)
-            BM = (B.reshape(-1, ps.m, ps.m) @ P1).reshape(B.shape)
-            if not B.shape[0]:
-                table3[name] = BM
-                continue
-            c = float(np.vdot(BM, BM)) / B.shape[0]
-            # G = img img^T must act on X as c: probe G B^T z = c B^T z
-            z = cs.substream("schur", name).standard_normal(B.shape[0])
-            GBz = ((BM.T @ z).reshape(ps.m, ps.m) @ P1.T).ravel()
-            off = float(np.linalg.norm(bank.project_coords(GBz, "QKperp") - c * (B.T @ z)))
-            if not (c > 0 and off <= dec.EIG_TOL * c * np.linalg.norm(z)):
-                raise ArithmeticError(f"Table 3: the QKperp image of pi_1 is not "
-                                      f"scalar on {name} (c = {c}, residual {off})")
-            table3[name] = BM / c
+            c, blocks = 1.0, bank._blocks(name)       # no blocks at rank 0
+            if blocks:
+                y = bank.project_coords(cs.substream("schur", name).standard_normal(ps.m ** 2),
+                                        name)
+                YP1 = y.reshape(ps.m, ps.m) @ P1      # G y = QKperp part of Y P1 P1^T
+                c = float(np.vdot(YP1, YP1) / np.vdot(y, y))
+                off = float(np.linalg.norm(
+                    bank.project_coords((YP1 @ P1.T).ravel(), "QKperp") - c * y))
+                if not (c > 0 and off <= dec.EIG_TOL * c * np.linalg.norm(y)):
+                    raise ArithmeticError(f"Table 3: the QKperp image of pi_1 is not "
+                                          f"scalar on {name} (c = {c}, residual {off})")
+            columns[name] = (blocks, c)
         ab_norm2 = np.array([top.curvature_inner(x, x)
                              for x in (m.pi2 + 6 * m.pi1, m.pi2 - 6 * m.pi1)])
-        return cls(m=m, bank=bank, tbank=tbank, table3=table3, ab_norm2=ab_norm2)
+        return cls(m=m, bank=bank, tbank=tbank, P1=P1, columns=columns, ab_norm2=ab_norm2)
+
+    def pi1_columns(self, pi1: np.ndarray, names=TABLE3_COLUMNS) -> dict:
+        """Table-3 coordinates on each named column of pi_1 of a state, or of
+        a batch (leading axes lead every column): B_X (V P1^T) / c_X, V the
+        pair matrix of pi_1, read block by block from the bank's rows."""
+        ps = self.bank.scheme
+        V = cs.to_pair_coords(ps, pi1)
+        U = (V.reshape(V.shape[:-1] + (ps.m, ps.m)) @ self.P1.T).reshape(V.shape)
+        out = {}
+        for name in names:
+            blocks, c = self.columns[name]
+            out[name] = np.concatenate([np.zeros(V.shape[:-1] + (0,))]
+                                       + [U[..., coords] @ B.T / c for coords, B in blocks], -1)
+        return out
 
 
 #: The ``ricci_component_formulas`` entry behind each Ricci column.
@@ -373,11 +384,8 @@ def evaluate_columns(ctx: TableContext, state: cft.TorsionState) -> dict:
     leading axes lead every column): Ricci components (tables 1-2) and the
     QKperp projections of pi_2 pi_1 (table 3)."""
     formulas = cft.ricci_component_formulas(ctx.m, state)
-    out = {col: formulas[key] for col, key in _FORMULA_OF_COLUMN.items()}
-    V = cs.to_pair_coords(ctx.bank.scheme, cft.pi1_state(ctx.m, state))
-    for name in TABLE3_COLUMNS:
-        out[name] = V @ ctx.table3[name].T
-    return out
+    return ({col: formulas[key] for col, key in _FORMULA_OF_COLUMN.items()}
+            | ctx.pi1_columns(cft.pi1_state(ctx.m, state)))
 
 
 def evaluate_row(ctx: TableContext, key, seeds: int, pure: dict) -> dict:
@@ -463,10 +471,6 @@ class TablesReport:
         return not self.mismatches and not self.ambiguous
 
 
-def _zero_rank_columns(bank: dec.ProjectorBank) -> set:
-    return {name for name in ("L40E", "L20E_b", "V211S2H") if bank.rank(name) == 0}
-
-
 def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
                seeds: int = DEFAULT_SEEDS) -> TablesReport:
     """Evaluate every cell of the three tables and diff against the embedded
@@ -476,7 +480,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
         raise ValueError(f"run_tables needs at least one seed, got {seeds}")
     ctx = TableContext.build(bank, tbank)
     n = ctx.m.n
-    skipped = _zero_rank_columns(bank)
+    skipped = {name for name in ("L40E", "L20E_b", "V211S2H") if bank.rank(name) == 0}
     report = TablesReport(n=n, seeds=seeds, skipped_columns=tuple(sorted(skipped)))
     annotations = direction_annotations(n)
 
@@ -527,23 +531,18 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
         if key in annotations and not zero_source:
             direction, orth, provenance = annotations[key]
             met = np.diag(ctx.ab_norm2)
+            pp, qq = np.array(direction, dtype=float), np.array(orth, dtype=float)
+            pn, qn = float(np.sqrt(pp @ met @ pp)), float(np.sqrt(qq @ met @ qq))
             for s, tt in enumerate(cols["R_ab"]):
-                pp = np.array(direction, dtype=float)
-                qq = np.array(orth, dtype=float)
                 tn = float(np.sqrt(tt @ met @ tt))
-                pn = float(np.sqrt(pp @ met @ pp))
-                qn = float(np.sqrt(qq @ met @ qq))
                 cosd = float(tt @ met @ pp) / (tn * pn)
                 cosq = float(tt @ met @ qq) / (tn * qn)
-                quadratic = key[0] == "xx"
-                aligned = (cosd > 1.0 - DIRECTION_TOL) if quadratic \
-                    else (abs(cosd) > 1.0 - DIRECTION_TOL)
+                # a quadratic source fixes the sign of its direction
+                along = cosd if key[0] == "xx" else abs(cosd)
                 report.direction_checks.append({
-                    "source": row_label(key), "seed": s,
-                    "annotation": provenance,
+                    "source": row_label(key), "seed": s, "annotation": provenance,
                     "cos_direction": cosd, "cos_orthogonal": cosq,
-                    "aligned": bool(aligned and abs(cosq) < DIRECTION_TOL),
-                })
+                    "aligned": bool(along > 1.0 - DIRECTION_TOL and abs(cosq) < DIRECTION_TOL)})
     return report
 
 
@@ -566,13 +565,11 @@ def corollary_vanishing(ctx: TableContext, seeds: int = 2) -> list:
     """Max witness of every forbidden component over the rows allowed by
     each corollary hypothesis; all should sit at roundoff level.  Each
     (case, seed) is one batch of states, and its forbidden Table-3
-    coordinates are one matrix product."""
+    coordinates are read as in :func:`evaluate_columns`."""
     tbank = ctx.tbank
     results = []
     for label, comps, forbidden in COROLLARY_CASES:
         live = [c for c in comps if tbank.rank(c)]
-        rows = np.vstack([ctx.table3[name] for name in forbidden])
-        ends = np.cumsum([ctx.table3[name].shape[0] for name in forbidden])[:-1]
         worst = 0.0
         for s in range(seeds if live else 0):
             states = [cft.TorsionState.make(ctx.m, D=tor.random_derivative_component(
@@ -583,9 +580,8 @@ def corollary_vanishing(ctx: TableContext, seeds: int = 2) -> list:
                 for c2 in live[i + 1:]:
                     t2 = tbank.random_component(c2, (label, s, 2))
                     states.append(cft.TorsionState.make(ctx.m, t=t1 + t2))
-            V = cs.to_pair_coords(ctx.bank.scheme,
-                                  cft.pi1_state(ctx.m, cft.TorsionState.stack(states)))
-            for block in np.split(V @ rows.T, ends, axis=-1):
-                worst = max(worst, float(np.linalg.norm(block, axis=-1).max()))
+            cols = ctx.pi1_columns(cft.pi1_state(ctx.m, cft.TorsionState.stack(states)),
+                                   forbidden)
+            worst = max([worst] + [float(np.linalg.norm(v, axis=-1).max()) for v in cols.values()])
         results.append({"case": label, "forbidden": forbidden, "max_witness": worst})
     return results

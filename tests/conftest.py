@@ -72,6 +72,12 @@ def tbank2():
     return get_torsion_bank(2)
 
 
+def full_width_R_basis(m, ps):
+    """The closed-form rows of R, grade after grade, scattered to full
+    m^2 width: an oracle the package itself never forms."""
+    return dec._scatter([(g.coords, g.rows) for g in cs.curvature_basis(m, ps)], ps.m ** 2)
+
+
 def random_torsion(tbank, seed):
     """Random element of the full torsion space."""
     rng = cs.substream("tests-torsion", tbank.model.n, seed)

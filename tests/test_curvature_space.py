@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import full_width_R_basis
 from qhcurv import curvature_space as cs
 from qhcurv import model_space as ms
 from qhcurv import tensor_ops as top
@@ -25,7 +26,7 @@ def test_curvature_space_dimension(model):
     row certifies."""
     from qhcurv.decomposition import dim_R
     ps = cs.pair_scheme(model.dim)
-    basis = cs.curvature_basis(model, ps)
+    basis = full_width_R_basis(model, ps)
     assert basis.shape == (dim_R(model.n), ps.m * ps.m)
     assert np.max(np.abs(basis @ basis.T - np.eye(basis.shape[0]))) < 1e-14
     for row in basis:
@@ -39,7 +40,12 @@ def test_basis_grades_split_R(model):
     from qhcurv.decomposition import dim_R
     m = model
     ps = cs.pair_scheme(m.dim)
-    grades = cs.basis_grades(m, ps, cs.curvature_basis(m, ps))
+    grades = cs.curvature_basis(m, ps)
+    counts, label = cs.coordinate_grades(m, ps)
+    for g in grades:
+        # a grade's rows are restricted to exactly its own coordinates
+        grade = counts.tolist().index(list(g.counts))
+        assert np.array_equal(g.coords, np.flatnonzero(label == grade))
     sizes = sorted(g.rows.shape[0] for g in grades)
     assert sum(sizes) == dim_R(m.n)
     assert sizes == {2: [20, 20, 80, 80, 136],
@@ -57,6 +63,23 @@ def test_basis_grades_split_R(model):
             image = cs.to_pair_coords(ps, op(m, T))
             assert np.max(np.abs(image[outside])) <= 1e-14
             assert np.linalg.norm(image[g.coords]) > 1.0
+
+
+def test_rank_decisions_raise_below_the_margin():
+    """Singular values 1, 1e-7 and 1e-10: SV_TOL keeps 1e-7 and drops
+    1e-10, a margin of 1e3 < SV_MARGIN, so both helpers raise.  With 1e-14
+    in place of 1e-10 the margin is 1e7 and they return rank 2 and
+    nullity 3."""
+    rng = cs.substream("margin", 0)
+    U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    V = np.linalg.qr(rng.standard_normal((5, 5)))[0][:3]
+    close = U @ np.diag([1.0, 1e-7, 1e-10]) @ V
+    for helper in (cs.orthonormal_rows, cs.null_space_rows):
+        with pytest.raises(ArithmeticError, match="rank decision too close"):
+            helper(close)
+    clear = U @ np.diag([1.0, 1e-7, 1e-14]) @ V
+    assert cs.orthonormal_rows(clear).shape == (2, 5)
+    assert cs.null_space_rows(clear).shape == (3, 5)
 
 
 def test_casimir_matrices_match_tensor_maps(model):

@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import full_width_R_basis
 from qhcurv import curvature_from_torsion as cft
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
 from qhcurv import model_space as ms
+from qhcurv import tables as tbl
 from qhcurv import tensor_ops as top
 from qhcurv import torsion as tor
 
@@ -182,7 +184,7 @@ def _class_of_coord(bank):
 
 def _class_dims_of_R(bank):
     """How many closed-form rows of R lie in each line-parity class."""
-    R_rows = cs.curvature_basis(bank.model, bank.scheme)
+    R_rows = full_width_R_basis(bank.model, bank.scheme)
     return np.bincount(_class_of_coord(bank)[np.argmax(R_rows != 0, axis=1)],
                        minlength=len(bank.classes))
 
@@ -549,7 +551,7 @@ def test_graded_eigenspaces_match_dense_oracle(model2):
     maps to every closed-form row of R (no Kronecker code)."""
     m = model2
     ps = cs.pair_scheme(m.dim)
-    R_rows = cs.curvature_basis(m, ps)
+    R_rows = full_width_R_basis(m, ps)
 
     def dense(op):
         images = np.array([cs.to_pair_coords(ps, op(m, cs.from_pair_coords(ps, row)))
@@ -590,11 +592,28 @@ def test_sp_bank_ranks_at_n4():
     coords_c doubles over the 8 classes (896 x 2112 for the all-even class,
     six of 672 x 1792, 512 x 1536 for the all-odd class) plus the two rays
     on the all-even class: 79.3 MB, against (dim R + 2) x 14400 doubles
-    (627 MB) for one full-width stack."""
-    bank = dec.build_sp_projectors(ms.build_model(4))
+    (627 MB) for one full-width stack.
+
+    Then run_tables(seeds=2) on these banks.  The ten cells that vanish
+    at n = 3 (LOW_N_VANISHING[3]) tick, every R_a + R_b direction check is
+    aligned, and no cell is ambiguous.  Lambda^4_0 E has rank > 0 only from
+    n = 4, so this is the one run of the L40E column of Table 3.  Two of
+    its cells, xi_33*xi_33 and xi_3H*xi_3H, come out at roundoff although
+    the reference ticks them; they stay mismatches until a measurement at
+    n = 5 or a representation argument settles them."""
+    m = ms.build_model(4)
+    bank = dec.build_sp_projectors(m)
     assert {name: bank.rank(name) for name in dec.FINE_COMPONENTS} \
         == dec.expected_fine_dims(4)
     assert [rows.shape for rows in bank.rows] \
         == [(896, 2112)] + [(672, 1792)] * 6 + [(512, 1536)]
     assert sum(rows.nbytes for rows in bank.rows) + bank.rays.nbytes == 79266816
     assert dec.dimension_audit(bank).ok
+
+    report = tbl.run_tables(bank, tor.build_torsion_bank(m), seeds=2)
+    ticked = {(c.source, c.target) for c in report.cells if c.tick}
+    assert tbl.LOW_N_VANISHING[3] <= ticked
+    assert report.direction_checks and all(d["aligned"] for d in report.direction_checks)
+    assert report.ambiguous == []
+    assert {(c.source, c.table, c.target) for c in report.mismatches} \
+        == {("xi_33*xi_33", 3, "L40E"), ("xi_3H*xi_3H", 3, "L40E")}

@@ -16,6 +16,7 @@ from qhcurv import cli
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
 from qhcurv import tensor_io as tio
+from qhcurv import tensor_ops as top
 from qhcurv import torsion as tor
 from qhcurv.model_space import build_model
 
@@ -220,6 +221,24 @@ def test_cli_decompose(tmp_path, capsys):
     bad = tmp_path / "bad.qht"
     tio.write_tensor(bad, 2, cs.substream("junk", 3).standard_normal((8,) * 4))
     assert cli.main(["decompose", "--n", "2", "--input", str(bad)]) == 2
+
+
+def test_cli_decompose_outside_R_is_a_verification_failure(tmp_path, capsys):
+    """A curvature tensor plus a Lambda^4 part of 1e-4 relative size
+    certifies under --tol 1e-3, then fails the Parseval gate of
+    component_norms: a FAIL line, the report written, exit 2."""
+    m = build_model(2)
+    R = cs.random_curvature(m, 7).tensor
+    four = top.alt(cs.substream("lambda4", 0).standard_normal((8,) * 4))
+    path, out = tmp_path / "near.qht", tmp_path / "near.json"
+    tio.write_tensor(path, 2, R + 1e-4 * top.frob(R) / top.frob(four) * four)
+    assert cli.main(["decompose", "--n", "2", "--tol", "1e-3", "--input", str(path),
+                     "--json", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["results"] == []
+    (failure,) = report["failures"]
+    assert "not in the curvature space" in failure
+    assert f"FAIL: {failure}" in capsys.readouterr().out
 
 
 def test_cli_torsion_roundtrip(tmp_path, capsys):

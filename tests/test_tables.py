@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conftest import get_bank, get_torsion_bank, random_derivative, random_gammas, random_torsion
 from qhcurv import curvature_from_torsion as cft
 from qhcurv import curvature_space as cs
+from qhcurv import decomposition as dec
 from qhcurv import tables as tbl
 from qhcurv import torsion as tor
 from test_torsion import _TORSION_DIGEST_N2
@@ -175,6 +177,29 @@ def test_table3_needs_no_svd(monkeypatch, bank2, tbank2):
     assert calls == []
     np.linalg.pinv(np.eye(2))
     assert calls == ["pinv", "svd"]
+
+
+def _traced_peak_mb(fn):
+    """(result, peak MB of the memory traced while fn runs)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_n3_stages_hold_no_full_width_rows(model3):
+    """Peak traced memory at n = 3 of the bank build, the audit and the
+    table context.  None forms a dim R x m^2 copy of R's rows (59.9 MB) or
+    a dense rank x m^2 image per Table-3 column (48.5 MB in all).  Measured:
+    33.9, 15.9 and 1.5 MB; with those copies, 67.4, 67.6 and 80.7 MB."""
+    tbank = get_torsion_bank(3)
+    bank, build = _traced_peak_mb(lambda: dec.build_sp_projectors(model3))
+    audit, check = _traced_peak_mb(lambda: dec.dimension_audit(bank))
+    _, context = _traced_peak_mb(lambda: tbl.TableContext.build(bank, tbank))
+    assert audit.ok
+    assert build < 45.0 and check < 30.0 and context < 10.0, (build, check, context)
 
 
 def _batches(m, tbank):
