@@ -42,7 +42,7 @@ rays that split R_a + R_b, and are read from those parts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -226,7 +226,8 @@ class ProjectorBank:
     :func:`line_parity_classes` gives them).  ``rows[c]`` stacks the class-c
     parts of the fifteen fine bases in ``FINE_COMPONENTS`` order, restricted
     to ``classes[c]``: an orthonormal basis of the class-c part of R.
-    ``slices[c]`` maps each fine component to its rows there.  ``rays``
+    ``slices[c]`` maps each fine component to its rows there, and
+    ``labels[c]`` gives each row's index in ``FINE_COMPONENTS``.  ``rays``
     holds the unit QK and QKperp rays that split R_a + R_b, restricted to
     the all-even class ``classes[0]``, which holds them.
     Every other space is a direct sum of these parts (``COMPOSITES``), so
@@ -238,6 +239,13 @@ class ProjectorBank:
     rows: tuple
     slices: tuple
     rays: np.ndarray
+    labels: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.labels = tuple(
+            np.repeat(np.arange(len(FINE_COMPONENTS)),
+                      [slices[name].stop - slices[name].start for name in FINE_COMPONENTS])
+            for slices in self.slices)
 
     def _blocks(self, name: str) -> list:
         """(coords, rows) blocks whose direct sum is the named space: the
@@ -529,10 +537,8 @@ def component_norms(bank: ProjectorBank, R) -> dict:
     tensor = R.require_certified() if isinstance(R, cs.CurvatureTensor) else R
     v = bank.coords(tensor)
     squares = np.zeros(len(FINE_COMPONENTS))
-    for coords, rows, slices in zip(bank.classes, bank.rows, bank.slices):
+    for coords, rows, labels in zip(bank.classes, bank.rows, bank.labels):
         w = rows @ v[coords]
-        sizes = [slices[name].stop - slices[name].start for name in FINE_COMPONENTS]
-        labels = np.repeat(np.arange(len(FINE_COMPONENTS)), sizes)
         squares += np.bincount(labels, weights=w * w, minlength=len(FINE_COMPONENTS))
     total = float(np.vdot(v, v))
     gap = abs(float(np.sum(squares)) - total)

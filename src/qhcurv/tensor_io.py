@@ -87,9 +87,10 @@ def read_tensor(path) -> TensorFile:
         raise TensorFileError(
             f"{len(raw) - offset - 8 * count} bytes after the payload")
     payload = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-    if not np.all(np.isfinite(payload)):
+    if not np.isfinite(payload).all():
         raise TensorFileError("payload holds NaN or infinite entries")
-    data = payload.reshape(dims).astype(float)
+    # an owned, writeable copy: the payload is a view of the read-only bytes
+    data = payload.reshape(dims).copy()
     return TensorFile(n=int(n), data=data,
                       certified_claim=bool(flags & FLAG_CERTIFIED))
 

@@ -22,6 +22,7 @@ Conventions (fixed once and relied on everywhere):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -179,15 +180,26 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # Alternation / symmetrization helpers.
 
 def alt(T: np.ndarray) -> np.ndarray:
-    """Full antisymmetrization (orthogonal projection onto forms)."""
-    r = T.ndim
+    """Full antisymmetrization (orthogonal projection onto forms).
+
+    The permuted copies are added and subtracted in place, one at a time, in
+    ``itertools.permutations`` order, and the sum is divided by r! once at
+    the end.  That order fixes the result's last bits, which the torsion
+    bank's SVDs see, and the test against the plain signed sum pins it."""
     out = np.zeros_like(T)
-    for perm in itertools.permutations(range(r)):
-        if _perm_sign(perm) > 0:
+    for perm, positive in _signed_permutations(T.ndim):
+        if positive:
             out += T.transpose(perm)
         else:
             out -= T.transpose(perm)
-    return out / _factorial(r)
+    return out / _factorial(T.ndim)
+
+
+@functools.cache
+def _signed_permutations(r: int) -> tuple:
+    """Every permutation of range(r), in itertools order, with whether its
+    sign is +1."""
+    return tuple((perm, _perm_sign(perm) > 0) for perm in itertools.permutations(range(r)))
 
 
 def _perm_sign(perm) -> int:

@@ -19,7 +19,7 @@ classifies torsion tensors by the 6-bit mask of nonvanishing components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +48,8 @@ def expected_torsion_dims(n: int) -> dict:
 #
 # I, J, K are signed permutation matrices, so substituting A into two slots
 # is a pair of exact matmuls: every output entry is one input entry, signed.
+# A sum over A is one stacked matmul over ``m.omegas`` (the matrices of I,
+# J, K) reduced over its first axis: the same products, added in order.
 
 def _act13(A: np.ndarray, t: np.ndarray) -> np.ndarray:
     """t(A., ., A.)[x,y,z] = A[a,x] A[c,z] t[a,y,c]."""
@@ -68,12 +70,24 @@ def _act23(A: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _sum_op13(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     """sum_A t(A., ., A.)  (the action of sum_A A_(1) A_(3))."""
-    return sum(_act13(A, t) for A in m.triple)
+    W = m.omegas
+    d = W.shape[1]
+    inner = (t @ W[:, None]).reshape(3, d, -1)
+    return (W.transpose(0, 2, 1) @ inner).reshape((3,) + t.shape).sum(0)
 
 
 def _sum_op12(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     """sum_A t(A., A., .)."""
-    return sum(_act12(A, t) for A in m.triple)
+    W = m.omegas
+    d = W.shape[1]
+    inner = (W.transpose(0, 2, 1) @ t.reshape(d, -1)).reshape((3,) + t.shape)
+    return (W.transpose(0, 2, 1)[:, None] @ inner).sum(0)
+
+
+def _sum_op23(m: ModelSpace, t: np.ndarray) -> np.ndarray:
+    """sum_A t(., A., A.)."""
+    W = m.omegas
+    return (W.transpose(0, 2, 1)[:, None] @ t @ W[:, None]).sum(0)
 
 
 def _op_h(A: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -88,10 +102,14 @@ def project_to_torsion_space(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a rank-3 tensor onto T* (x) Lambda^2_0 E S^2 H."""
     t = 0.5 * (t - t.swapaxes(1, 2))
     # per first-slot slice, remove the S^2E and span{omega} parts of the 2-form
-    s2e = 0.25 * (t + sum(_act23(A, t) for A in m.triple))
+    s2e = 0.25 * (t + _sum_op23(m, t))
     t = t - s2e
+    # one omega at a time, each coefficient read after the previous omega
+    # part is removed: reading all three in one product changes the last
+    # bits at n = 3, and the torsion bank's SVDs see them
+    d = t.shape[0]
     for w in m.omegas:
-        coef = np.tensordot(t, w, axes=([1, 2], [0, 1])) / (4.0 * m.n)
+        coef = t.reshape(d, -1) @ w.ravel() / (4.0 * m.n)
         t = t - coef[:, None, None] * w
     return t
 
@@ -149,11 +167,25 @@ def xi_EH_from_trace(m: ModelSpace, t: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TorsionBank:
-    """Orthonormal bases (rows, flattened rank-3) of the six components."""
+    """Orthonormal bases (rows, flattened rank-3) of the six components.
+
+    ``rows`` stacks the six bases in ``TORSION_COMPONENTS`` order, an
+    orthonormal basis of the torsion space; ``slices`` maps each component
+    to its rows there, and ``labels`` gives each row's index in
+    ``TORSION_COMPONENTS``.  ``comps[name]`` is a view of those rows, so
+    the bases are stored once."""
 
     model: ModelSpace
     ambient: np.ndarray
-    comps: dict
+    rows: np.ndarray
+    slices: dict
+    comps: dict = field(init=False, repr=False)
+    labels: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.comps = {name: self.rows[self.slices[name]] for name in TORSION_COMPONENTS}
+        self.labels = np.repeat(np.arange(len(TORSION_COMPONENTS)),
+                                 [B.shape[0] for B in self.comps.values()])
 
     def rank(self, name: str) -> int:
         return self.comps[name].shape[0]
@@ -164,16 +196,18 @@ class TorsionBank:
         return (B.T @ (B @ v)).reshape(t.shape)
 
     def component_norms(self, t: np.ndarray) -> dict:
-        v = t.ravel()
-        return {name: float(np.linalg.norm(self.comps[name] @ v))
-                for name in TORSION_COMPONENTS}
+        """The six component norms: one product with the stacked rows, then
+        the squared coordinates summed per component (exactly 0 at rank 0)."""
+        w = self.rows @ t.ravel()
+        squares = np.bincount(self.labels, weights=w * w, minlength=len(TORSION_COMPONENTS))
+        return dict(zip(TORSION_COMPONENTS, np.sqrt(squares).tolist()))
 
     def class_mask(self, t: np.ndarray) -> str:
         """6-bit class mask, one bit per nonzero component (order 33..EH).
 
         Raises ValueError on NaN or infinite entries, which no mask describes.
         """
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise ValueError("torsion tensor holds NaN or infinite entries")
         norms = self.component_norms(t)
         scale = max(np.linalg.norm(t.ravel()), 1e-300)
@@ -210,11 +244,14 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
     d = m.dim
     shape = (d, d, d)
 
-    # ambient space basis
-    eye = np.eye(d ** 3)
+    # ambient space basis: the projections of the unit tensors, each unit
+    # set and cleared in place in one buffer
+    unit = np.zeros(d ** 3)
     proj_rows = np.empty((d ** 3, d ** 3))
     for k in range(d ** 3):
-        proj_rows[k] = project_to_torsion_space(m, eye[k].reshape(shape)).ravel()
+        unit[k] = 1.0
+        proj_rows[k] = project_to_torsion_space(m, unit.reshape(shape)).ravel()
+        unit[k] = 0.0
     ambient = cs.orthonormal_rows(proj_rows, floor=1e-6)
 
     # S^3H / H halves
@@ -257,7 +294,11 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
     comps["KH"] = cs.orthonormal_rows(
         h - (h @ used.T) @ used, floor=1e-6)
 
-    return TorsionBank(model=m, ambient=ambient, comps=comps)
+    rows = np.vstack([comps[name] for name in TORSION_COMPONENTS])
+    bounds = np.cumsum([0] + [comps[name].shape[0] for name in TORSION_COMPONENTS])
+    slices = {name: slice(int(i), int(j))
+              for name, i, j in zip(TORSION_COMPONENTS, bounds[:-1], bounds[1:])}
+    return TorsionBank(model=m, ambient=ambient, rows=rows, slices=slices)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +340,7 @@ def psi_k_solve(m: ModelSpace, t: np.ndarray):
         for perm, sgn in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
                           ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1)):
             e[perm] = sgn
-        img = 3.0 * e - sum(_act23(A, e) for A in m.triple)
+        img = 3.0 * e - _sum_op23(m, e)
         cols.append(img.ravel())
     mat = np.array(cols).T
     coef, *_ = np.linalg.lstsq(mat, t.ravel(), rcond=None)
@@ -314,6 +355,13 @@ def psi_k_solve(m: ModelSpace, t: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # Recovery from nabla-omega data.
+#
+# Every formula below is cyclic in (I, J, K): the terms for A = I, J, K are
+# one stacked expression, with (b, c) the next two indices after a.
+
+_NEXT = [1, 2, 0]
+_AFTER = [2, 0, 1]
+
 
 def nabla_omega_from_torsion(m: ModelSpace, t: np.ndarray,
                              lambdas: np.ndarray) -> np.ndarray:
@@ -323,16 +371,12 @@ def nabla_omega_from_torsion(m: ModelSpace, t: np.ndarray,
                              - <Y, xi_X I Z> + <Y, I xi_X Z>,
     and cyclically.  ``lambdas`` has shape (3, dim) in the order I, J, K.
     """
-    out = np.empty((3, m.dim, m.dim, m.dim))
-    for a in range(3):
-        A = m.triple[a]
-        b, c = (a + 1) % 3, (a + 2) % 3
-        wb, wc = m.omegas[b], m.omegas[c]
-        out[a] = (lambdas[c][:, None, None] * wb
-                  - lambdas[b][:, None, None] * wc
-                  - t @ A
-                  - A.T @ t)
-    return out
+    W = m.omegas
+    b, c = _NEXT, _AFTER
+    return (lambdas[c][:, :, None, None] * W[b][:, None]
+            - lambdas[b][:, :, None, None] * W[c][:, None]
+            - t @ W[:, None]
+            - W.transpose(0, 2, 1)[:, None] @ t)
 
 
 def torsion_from_nabla_omega(m: ModelSpace, nw_I, nw_J, nw_K):
@@ -346,17 +390,16 @@ def torsion_from_nabla_omega(m: ModelSpace, nw_I, nw_J, nw_K):
     (reported for the caller to gate, never silently fixed).
     """
     nws = np.stack([np.asarray(w, dtype=float) for w in (nw_I, nw_J, nw_K)])
-    for a in range(3):
-        if not top.frob(nws[a] + nws[a].swapaxes(1, 2)) <= 1e-12 * max(top.frob(nws[a]), 1):
-            raise ValueError("nabla-omega inputs must be antisymmetric in (Y, Z)")
-    n = m.n
-    lambdas = np.empty((3, m.dim))
-    for a in range(3):
-        b, c = (a + 1) % 3, (a + 2) % 3
-        lambdas[a] = np.tensordot(nws[b], m.omegas[c], axes=([1, 2], [0, 1])) / (4.0 * n)
-    t = np.zeros((m.dim,) * 3)
-    for a, A in enumerate(m.triple):
-        t += -0.25 * (A @ nws[a]) + 0.5 * (lambdas[a][:, None, None] * A)
+    d = m.dim
+    flat = nws.reshape(3, -1)
+    asym = np.linalg.norm(flat + nws.swapaxes(2, 3).reshape(3, -1), axis=1)
+    if not np.all(asym <= 1e-12 * np.maximum(np.linalg.norm(flat, axis=1), 1e-300)):
+        raise ValueError("nabla-omega inputs must be antisymmetric in (Y, Z)")
+    W = m.omegas
+    lambdas = (nws[_NEXT].reshape(3, d, -1) @ W[_AFTER].reshape(3, -1, 1)).reshape(3, d) \
+        / (4.0 * m.n)
+    t = (-0.25 * (W[:, None] @ nws)
+         + 0.5 * (lambdas[:, :, None, None] * W[:, None])).sum(0)
     recon = nabla_omega_from_torsion(m, t, lambdas)
     scale = max(top.frob(nws), 1e-300)
     residual = float(top.frob(recon - nws) / scale)

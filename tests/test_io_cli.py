@@ -75,6 +75,28 @@ def test_tensor_file_errors(tmp_path):
             tio.read_tensor(path)
 
 
+@pytest.mark.parametrize("n, rank", [(1, 1), (1, 2), (2, 3), (2, 4)])
+def test_read_tensor_returns_owned_float64(tmp_path, n, rank):
+    """The data is a float64 array of the header's shape that owns its
+    memory and can be written, not a view of the file's bytes; NaN and
+    infinite payloads still raise."""
+    data = np.random.default_rng(rank).standard_normal((4 * n,) * rank)
+    path = tmp_path / "t.qht"
+    tio.write_tensor(path, n, data)
+    back = tio.read_tensor(path).data
+    assert back.dtype == np.float64 and back.shape == (4 * n,) * rank
+    assert back.flags.owndata and back.flags.writeable
+    assert np.array_equal(back, data)
+    back[...] = 0.0
+    assert np.array_equal(tio.read_tensor(path).data, data)
+    for value in (np.nan, np.inf, -np.inf):
+        bad = data.copy()
+        bad[(-1,) * rank] = value
+        tio.write_tensor(path, n, bad)
+        with pytest.raises(tio.TensorFileError, match="NaN or infinite"):
+            tio.read_tensor(path)
+
+
 @st.composite
 def _damaged_files(draw):
     """A valid tensor file (as bytes) and one way of damaging it: cut at any

@@ -154,6 +154,23 @@ def test_nabla_omega_roundtrip(tbank):
     assert rbad > 1e-3
 
 
+def test_nabla_omega_antisymmetry_gate_is_scale_invariant(tbank):
+    """Data off antisymmetry by 1e-3 (relative) is refused at any scale,
+    also far below unit norm, before any reconstruction."""
+    m = tbank.model
+    t = random_torsion(tbank, 6)
+    lambdas = cs.substream("gate-lam", m.n).standard_normal((3, m.dim))
+    nws = tor.nabla_omega_from_torsion(m, t, lambdas)
+    sym = cs.substream("gate-sym", m.n).standard_normal(nws.shape)
+    sym = sym + sym.swapaxes(2, 3)
+    bad = nws + 1e-3 * top.frob(nws) / top.frob(sym) * sym
+    for scale in (1e6, 1.0, 1e-12):
+        with pytest.raises(ValueError, match="antisymmetric"):
+            tor.torsion_from_nabla_omega(m, *(scale * bad))
+        _, _, resid = tor.torsion_from_nabla_omega(m, *(scale * nws))
+        assert resid < 1e-10
+
+
 def test_class_masks(tbank):
     m = tbank.model
     assert tbank.class_mask(np.zeros((m.dim,) * 3)) == "000000"
@@ -167,6 +184,48 @@ def test_class_masks(tbank):
 def test_class_mask_rejects_non_finite(tbank2):
     with pytest.raises(ValueError):
         tbank2.class_mask(np.full((8, 8, 8), np.nan))
+
+
+def test_bank_bases_are_views_of_one_stacked_array(tbank):
+    """The six bases are stored once: each ``comps[name]`` is a view of the
+    stacked rows, in TORSION_COMPONENTS order."""
+    at = 0
+    for name in tor.TORSION_COMPONENTS:
+        B = tbank.comps[name]
+        assert B.base is tbank.rows
+        assert B.size == 0 or np.shares_memory(B, tbank.rows)
+        assert np.array_equal(B, tbank.rows[at:at + tbank.rank(name)])
+        at += tbank.rank(name)
+    assert at == tbank.rows.shape[0] == tbank.ambient.shape[0]
+
+
+def test_component_norms_match_per_component_products(tbank):
+    for seed in range(3):
+        t = random_torsion(tbank, seed)
+        norms = tbank.component_norms(t)
+        assert list(norms) == list(tor.TORSION_COMPONENTS)
+        for name in tor.TORSION_COMPONENTS:
+            want = np.linalg.norm(tbank.comps[name] @ t.ravel())
+            assert abs(norms[name] - want) <= 1e-14 * want
+            if tbank.rank(name) == 0:
+                assert norms[name] == 0.0
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_class_mask_of_seeded_mixtures(tbank, size):
+    """A seeded mixture of one, two or three components gets exactly their
+    bits, as the per-component norms give them."""
+    names = [c for c in tor.TORSION_COMPONENTS if tbank.rank(c)]
+    rng = cs.substream("mask-mixtures", tbank.model.n, size)
+    for trial in range(4):
+        chosen = {names[i] for i in rng.choice(len(names), size=size, replace=False)}
+        t = sum(rng.uniform(0.5, 2.0) * tbank.random_component(c, trial) for c in chosen)
+        want = "".join("1" if c in chosen else "0" for c in tor.TORSION_COMPONENTS)
+        assert tbank.class_mask(t) == want
+        scale = np.linalg.norm(t.ravel())
+        assert want == "".join(
+            "1" if np.linalg.norm(tbank.comps[c] @ t.ravel()) > tor.MASK_TOL * scale else "0"
+            for c in tor.TORSION_COMPONENTS)
 
 
 def test_derivative_split(tbank):
@@ -224,6 +283,7 @@ def test_nabla_omega_covariance_under_adapted_rotation(tbank):
 # The slot kernels are exact signed-permutation matmuls.  The torsion bank
 # feeds their output to SVDs, whose bases rotate under rounding noise, so
 # each kernel must match its einsum definition bit for bit.
+
 
 def _es(expr, *ops):
     return np.einsum(expr, *ops, optimize=True)
