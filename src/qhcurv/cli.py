@@ -146,7 +146,7 @@ def main(argv=None) -> int:
     elif args.command == "decompose":
         results, failures = [], []
         try:
-            R = cs.CurvatureTensor.certify(inputs[0].data, tol=max(tol, 1e-10))
+            R = cs.CurvatureTensor.certify(inputs[0].data, tol=tol)
             bank = dec.build_sp_projectors(m)
             norms = dec.component_norms(bank, R)
         except ValueError as exc:             # not certified, or fails Parseval
@@ -178,7 +178,7 @@ def main(argv=None) -> int:
             except ValueError as exc:         # not antisymmetric in (Y, Z)
                 print(f"qhcurv: {exc}", file=sys.stderr)
                 return 2
-            if not resid <= max(tol, 1e-10):
+            if not resid <= tol:
                 failures.append(f"nabla-omega data not realizable: residual {resid}")
         tbank = tor.build_torsion_bank(m)
         norms = tbank.component_norms(t)

@@ -5,11 +5,12 @@ A rank-4 tensor belongs to R when it is antisymmetric in slots (1,2) and
 identity (equivalently, its fully antisymmetric part vanishes: R is the
 kernel of the wedging map S^2(Lambda^2 V*) -> Lambda^4 V*).
 
-This module provides membership certification, orthogonal projection onto
-R, seeded random sampling, the equivariant endomorphisms L and L_sigma
-whose joint spectrum separates the coarse components, the Ricci-type
-contractions, the probe tensors realizing the L-eigenvalues, and the
-bilinear-form projectors on S^2 V* and Lambda^2 V*.
+This module provides membership certification (the pair symmetries and
+the cyclic Bianchi sum), orthogonal projection onto R, seeded random
+sampling, the equivariant endomorphisms L and L_sigma whose joint spectrum
+separates the coarse components, the Ricci-type contractions, the probe
+tensors realizing the L-eigenvalues, and the bilinear-form projectors on
+S^2 V* and Lambda^2 V*.
 
 Coordinates: tensors with the two pair antisymmetries are stored, when
 linear algebra over subspaces is needed, as matrices over the m = C(4n, 2)
@@ -50,15 +51,28 @@ class CertificationError(ValueError):
 # ---------------------------------------------------------------------------
 # Membership and projection.
 
-def curvature_residuals(R: np.ndarray) -> dict:
-    """Relative residuals of the four curvature symmetry conditions."""
-    scale = max(top.frob(R), 1e-300)
+def _pair_residuals(S: np.ndarray, scale: float) -> dict:
+    """Residuals of the two pair antisymmetries and of pair exchange,
+    relative to ``scale``."""
     return {
-        "antisym_12": top.frob(R + R.swapaxes(0, 1)) / scale,
-        "antisym_34": top.frob(R + R.swapaxes(2, 3)) / scale,
-        "pair_exchange": top.frob(R - R.transpose(2, 3, 0, 1)) / scale,
-        "bianchi": top.frob(top.alt(R)) / scale,
+        "antisym_12": top.frob(S + S.swapaxes(0, 1)) / scale,
+        "antisym_34": top.frob(S + S.swapaxes(2, 3)) / scale,
+        "pair_exchange": top.frob(S - S.transpose(2, 3, 0, 1)) / scale,
     }
+
+
+def curvature_residuals(R: np.ndarray) -> dict:
+    """Relative residuals of the four curvature symmetry conditions.
+
+    The Bianchi residual is |b(R)| / 3 with b the first Bianchi sum over
+    slots 1, 2, 3.  Its 3-cycles are even, so alt(b(R)) = 3 alt(R) and
+    |b(R)| / 3 >= |alt(R)| for every rank-4 tensor; once the pair
+    symmetries hold, b(R) = 3 alt(R) is a 4-form and the two are equal.
+    """
+    scale = max(top.frob(R), 1e-300)
+    resid = _pair_residuals(R, scale)
+    resid["bianchi"] = top.frob(top.cyclic3(R)) / (3.0 * scale)
+    return resid
 
 
 @dataclass
@@ -100,16 +114,14 @@ class CurvatureTensor:
 
 def has_pair_symmetries(S: np.ndarray, tol: float = CERT_TOL) -> bool:
     scale = max(top.frob(S), 1e-300)
-    return (top.frob(S + S.swapaxes(0, 1)) <= tol * scale
-            and top.frob(S + S.swapaxes(2, 3)) <= tol * scale
-            and top.frob(S - S.transpose(2, 3, 0, 1)) <= tol * scale)
+    return all(v <= tol for v in _pair_residuals(S, scale).values())
 
 
 def project_to_R(S: np.ndarray, tol: float = CERT_TOL) -> CurvatureTensor:
     """Orthogonal projection of S in S^2(Lambda^2 V*) onto R.
 
-    The orthogonal complement of R is Lambda^4 V*, so the projection simply
-    subtracts the total antisymmetrization.
+    Inside S^2(Lambda^2 V*) the orthogonal complement of R is Lambda^4 V*,
+    so the projection simply subtracts the total antisymmetrization.
     """
     if not has_pair_symmetries(S, tol):
         raise CertificationError("input lacks the pair symmetries of S^2(Lambda^2)")
@@ -297,10 +309,10 @@ def proj_form_L20ES2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
     return a - proj_form_S2E(m, a) - proj_form_S2H(m, a)
 
 
-def _basis_from_projector(apply_proj, seed_mats, tol: float = 1e-9) -> np.ndarray:
+def _basis_from_projector(apply_proj, seed_mats, tol: float, label: str) -> np.ndarray:
     """Orthonormal basis (rows, flattened) of the image of a projector."""
     rows = [apply_proj(s).ravel() for s in seed_mats]
-    return orthonormal_rows(np.array(rows), tol)
+    return orthonormal_rows(np.array(rows), tol, label=label)
 
 
 def sym_basis(dim: int):
@@ -336,7 +348,8 @@ def bilinear_component_basis(m: ModelSpace, name: str, tol: float = 1e-9) -> np.
         "S2E": proj_form_S2E, "S2H": proj_form_S2H, "L20ES2H": proj_form_L20ES2H,
     }[name]
     seeds = sym_basis(m.dim) if name in ("R", "L20E", "S2ES2H") else form_basis(m.dim)
-    return _basis_from_projector(lambda b: proj(m, b), seeds, tol)
+    return _basis_from_projector(lambda b: proj(m, b), seeds, tol,
+                                 label=f"bilinear-form component {name}")
 
 
 # ---------------------------------------------------------------------------
@@ -398,34 +411,38 @@ SV_TOL = 1e-8
 SV_MARGIN = 1e6
 
 
-def _check_margin(s: np.ndarray, rank: int) -> None:
-    """ArithmeticError unless the smallest kept singular value is at least
-    ``SV_MARGIN`` times the largest dropped one."""
+def _check_margin(s: np.ndarray, rank: int, label: str) -> None:
+    """ArithmeticError, naming the basis ``label``, unless the smallest kept
+    singular value is at least ``SV_MARGIN`` times the largest dropped one."""
     if 0 < rank < len(s) and not s[rank - 1] >= SV_MARGIN * s[rank]:
-        raise ArithmeticError(f"rank decision too close: singular value {s[rank - 1]} "
-                              f"kept, {s[rank]} dropped (margin {SV_MARGIN:g} required)")
+        raise ArithmeticError(f"{label}: rank decision too close: singular value "
+                              f"{s[rank - 1]} kept, {s[rank]} dropped "
+                              f"(margin {SV_MARGIN:g} required)")
 
 
 def orthonormal_rows(mat: np.ndarray, tol: float = SV_TOL,
-                     floor: float = 0.0) -> np.ndarray:
+                     floor: float = 0.0, label: str = "rows") -> np.ndarray:
     """Orthonormal basis of the row space.
 
     Singular values are kept when above ``tol * s_max`` and above the
     absolute ``floor``, with the margin of :func:`_check_margin`.  The floor
     matters when the row space may be zero in exact arithmetic: a purely
-    relative threshold would promote roundoff noise to full rank.
+    relative threshold would promote roundoff noise to full rank.  ``label``
+    names the basis in a margin error and nowhere else.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0 or not np.any(mat):
         return np.zeros((0, mat.shape[1]))
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(s > max(tol * s[0], floor)))
-    _check_margin(s, rank)
+    _check_margin(s, rank, label)
     return vt[:rank]
 
 
-def null_space_rows(mat: np.ndarray, tol: float = SV_TOL) -> np.ndarray:
-    """Orthonormal basis (rows) of the null space of ``mat`` (acting on rows^T)."""
+def null_space_rows(mat: np.ndarray, tol: float = SV_TOL,
+                    label: str = "null space") -> np.ndarray:
+    """Orthonormal basis (rows) of the null space of ``mat`` (acting on rows^T);
+    ``label`` names the basis in a margin error."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     nrows, ncols = mat.shape
     if mat.size == 0 or not np.any(mat):
@@ -434,7 +451,7 @@ def null_space_rows(mat: np.ndarray, tol: float = SV_TOL) -> np.ndarray:
     # the full one would materialize a nrows x nrows U
     u, s, vt = np.linalg.svd(mat, full_matrices=nrows < ncols)
     rank = int(np.sum(s > tol * s[0]))
-    _check_margin(s, rank)
+    _check_margin(s, rank, label)
     return vt[rank:]
 
 

@@ -414,8 +414,8 @@ def _parameter_bases(m: ModelSpace) -> dict:
     l20es2h = forms("L20ES2H")
     return {"g": [m.g / math.sqrt(m.dim)], "L20E": forms("L20E"),
             "S2ES2H": forms("S2ES2H"), "L20ES2H": l20es2h,
-            "L20ES4H": _constrained_triples(m, l20es2h),
-            "S4H": _constrained_triples(m, [w.copy() for w in m.omegas])}
+            "L20ES4H": _constrained_triples(m, l20es2h, "L20ES4H triples"),
+            "S4H": _constrained_triples(m, [w.copy() for w in m.omegas], "S4H triples")}
 
 
 def _sweep(m: ModelSpace, ps: cs.PairScheme, V: list, name: str,
@@ -489,11 +489,12 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
                          slices=tuple(slices), rays=rays)
 
 
-def _constrained_triples(m: ModelSpace, form_basis_mats):
+def _constrained_triples(m: ModelSpace, form_basis_mats, label: str):
     """Triples (b_I, b_J, b_K) from a 2-form space with sum_A A_(2) b_A = 0.
 
     Returns a list of triples of matrices spanning the constrained parameter
-    space, orthonormal in the triple inner product.
+    space, orthonormal in the triple inner product.  ``label`` names the
+    space in a margin error.
     """
     k = len(form_basis_mats)
     d = m.dim
@@ -502,7 +503,7 @@ def _constrained_triples(m: ModelSpace, form_basis_mats):
     for a_idx, A in enumerate(m.triple):
         for j, b in enumerate(form_basis_mats):
             constraint[:, a_idx * k + j] = top.slot_act(A, 2, b).ravel()
-    kernel = cs.null_space_rows(constraint)
+    kernel = cs.null_space_rows(constraint, label=label)
     triples = []
     for coeff in kernel:
         bt = []

@@ -4,7 +4,7 @@ Tensor file layout (little endian):
 
     magic   4 bytes  b"QHT1"
     rank    u8
-    flags   u8       bit 0: curvature-certified claim (re-verified on load)
+    flags   u8       bit 0: curvature-certified claim (read, never trusted)
     reserved u16
     n       u32      quaternionic dimension, at least 1
     dims    u32 * rank   (each must equal 4 n)

@@ -226,10 +226,11 @@ class TorsionBank:
         return (coef @ B).reshape(d, d, d)
 
 
-def _kernel_within(rows: np.ndarray, op_mats: list) -> np.ndarray:
-    """Rows spanning the joint kernel of operators restricted to span(rows)."""
+def _kernel_within(rows: np.ndarray, op_mats: list, label: str) -> np.ndarray:
+    """Rows spanning the joint kernel of operators restricted to span(rows);
+    ``label`` names the kernel in a margin error."""
     stacked = np.vstack(op_mats)
-    coeff = cs.null_space_rows(stacked)
+    coeff = cs.null_space_rows(stacked, label=label)
     return coeff @ rows
 
 
@@ -252,47 +253,47 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
         unit[k] = 1.0
         proj_rows[k] = project_to_torsion_space(m, unit.reshape(shape)).ravel()
         unit[k] = 0.0
-    ambient = cs.orthonormal_rows(proj_rows, floor=1e-6)
+    ambient = cs.orthonormal_rows(proj_rows, floor=1e-6, label="torsion space")
 
     # S^3H / H halves
     m13 = _op_matrix_on_rows(ambient, shape, lambda t: _sum_op13(m, t) + t)
     m12 = _op_matrix_on_rows(ambient, shape, lambda t: _sum_op12(m, t) + t)
-    s3h = _kernel_within(ambient, [m13, m12])
+    s3h = _kernel_within(ambient, [m13, m12], "torsion S3H half")
     h_mats = [_op_matrix_on_rows(ambient, shape, lambda t, A=A: _op_h(A, t) - t)
               for A in m.triple]
-    h = _kernel_within(ambient, h_mats)
+    h = _kernel_within(ambient, h_mats, "torsion H half")
 
     comps = {}
 
     # Lambda^3_0 E S^3H: totally skew tensors inside the S^3H half
     skew_mat = _op_matrix_on_rows(s3h, shape, lambda t: t - top.alt(t))
-    comps["33"] = _kernel_within(s3h, [skew_mat])
+    comps["33"] = _kernel_within(s3h, [skew_mat], "torsion 33")
 
     # E S^3H: image of the trace-form reconstruction
     e3_rows = np.array([xi_E3_from_trace(m, row.reshape(shape)).ravel()
                         for row in s3h])
-    comps["E3"] = cs.orthonormal_rows(e3_rows, floor=1e-6)
+    comps["E3"] = cs.orthonormal_rows(e3_rows, floor=1e-6, label="torsion E3")
 
     # K S^3H: orthogonal remainder
     used = np.vstack([comps["33"], comps["E3"]]) if comps["33"].shape[0] \
         else comps["E3"]
     comps["K3"] = cs.orthonormal_rows(
-        s3h - (s3h @ used.T) @ used, floor=1e-6)
+        s3h - (s3h @ used.T) @ used, floor=1e-6, label="torsion K3")
 
     # Lambda^3_0 E H: vanishing cyclic sum inside the H half
     cyc_mat = _op_matrix_on_rows(h, shape, top.cyclic3)
-    comps["3H"] = _kernel_within(h, [cyc_mat])
+    comps["3H"] = _kernel_within(h, [cyc_mat], "torsion 3H")
 
     # E H: image of the global-trace reconstruction
     eh_rows = np.array([xi_EH_from_trace(m, row.reshape(shape)).ravel()
                         for row in h])
-    comps["EH"] = cs.orthonormal_rows(eh_rows, floor=1e-6)
+    comps["EH"] = cs.orthonormal_rows(eh_rows, floor=1e-6, label="torsion EH")
 
     # K H: orthogonal remainder
     used = np.vstack([comps["3H"], comps["EH"]]) if comps["3H"].shape[0] \
         else comps["EH"]
     comps["KH"] = cs.orthonormal_rows(
-        h - (h @ used.T) @ used, floor=1e-6)
+        h - (h @ used.T) @ used, floor=1e-6, label="torsion KH")
 
     rows = np.vstack([comps[name] for name in TORSION_COMPONENTS])
     bounds = np.cumsum([0] + [comps[name].shape[0] for name in TORSION_COMPONENTS])

@@ -98,7 +98,7 @@ def test_criterion_4_ricci_constants(n, model):
     checks.append(top.frob(cs.ricci_q(m, dec.l20es2h_embed(m, f)) + 16 * n * f))
     forms = [x.reshape(m.dim, m.dim)
              for x in cs.bilinear_component_basis(m, "L20ES2H")]
-    bt = dec._constrained_triples(m, forms)[0]
+    bt = dec._constrained_triples(m, forms, "L20ES4H triples")[0]
     R = dec.triple_embed(m, bt)
     sign_note = "Ric*_A law verified with +4(n+1) (reference proof sign deviates)"
     for A, b_A in zip(m.triple, bt):

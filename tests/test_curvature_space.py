@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import full_width_R_basis
 from qhcurv import curvature_space as cs
@@ -67,9 +69,10 @@ def test_basis_grades_split_R(model):
 
 def test_rank_decisions_raise_below_the_margin():
     """Singular values 1, 1e-7 and 1e-10: SV_TOL keeps 1e-7 and drops
-    1e-10, a margin of 1e3 < SV_MARGIN, so both helpers raise.  With 1e-14
-    in place of 1e-10 the margin is 1e7 and they return rank 2 and
-    nullity 3."""
+    1e-10, a margin of 1e3 < SV_MARGIN, so both helpers raise; so do
+    1, 1e-5 and 1e-9 (margin 1e4), with a message that names the basis
+    given as ``label``.  With 1e-14 in place of 1e-10 the margin is 1e7
+    and they return rank 2 and nullity 3."""
     rng = cs.substream("margin", 0)
     U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     V = np.linalg.qr(rng.standard_normal((5, 5)))[0][:3]
@@ -77,9 +80,45 @@ def test_rank_decisions_raise_below_the_margin():
     for helper in (cs.orthonormal_rows, cs.null_space_rows):
         with pytest.raises(ArithmeticError, match="rank decision too close"):
             helper(close)
+        with pytest.raises(ArithmeticError, match="^probe basis: rank decision too close"):
+            helper(U @ np.diag([1.0, 1e-5, 1e-9]) @ V, label="probe basis")
     clear = U @ np.diag([1.0, 1e-7, 1e-14]) @ V
     assert cs.orthonormal_rows(clear).shape == (2, 5)
     assert cs.null_space_rows(clear).shape == (3, 5)
+
+
+def test_every_sv_rank_decision_names_its_basis(model2, monkeypatch):
+    """With an unreachable margin every SV rank decision raises, and each
+    caller's error names the basis it was building."""
+    from qhcurv import decomposition as dec
+    from qhcurv import torsion as tor
+    monkeypatch.setattr(cs, "SV_MARGIN", np.inf)
+    forms = [w.copy() for w in model2.omegas]
+    for build, label in ((lambda: cs.bilinear_component_basis(model2, "L20E"),
+                          "bilinear-form component L20E"),
+                         (lambda: dec._constrained_triples(model2, forms, "S4H triples"),
+                          "S4H triples"),
+                         (lambda: tor.build_torsion_bank(model2), "torsion space")):
+        with pytest.raises(ArithmeticError, match=f"^{label}: rank decision too close"):
+            build()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.sampled_from([4, 8]),
+       form_weight=st.floats(0.0, 1.0), log_scale=st.floats(-8.0, 8.0))
+def test_bianchi_residual_is_never_looser_than_alt(seed, dim, form_weight, log_scale):
+    """The cyclic-sum Bianchi residual is at least |alt(X)| / |X| for every
+    rank-4 X (equal on 4-forms, form_weight = 1), and equals it once X is
+    symmetrized into S^2(Lambda^2) as random_curvature does."""
+    G = cs.substream("bianchi-gate", seed).standard_normal((dim,) * 4)
+    X = 10.0 ** log_scale * (form_weight * top.alt(G) + (1.0 - form_weight) * G)
+    assert cs.curvature_residuals(X)["bianchi"] >= \
+        (1.0 - 1e-12) * top.frob(top.alt(X)) / top.frob(X)
+    S = X - X.swapaxes(0, 1)
+    S = S - S.swapaxes(2, 3)
+    S = S + S.transpose(2, 3, 0, 1)
+    assert cs.curvature_residuals(S)["bianchi"] == \
+        pytest.approx(top.frob(top.alt(S)) / top.frob(S), rel=1e-12)
 
 
 def test_casimir_matrices_match_tensor_maps(model):

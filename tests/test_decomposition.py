@@ -450,7 +450,7 @@ def test_les4h_ric_star_constants(model):
     m, n = model, model.n
     forms = [b.reshape(m.dim, m.dim)
              for b in cs.bilinear_component_basis(m, "L20ES2H")]
-    triples = dec._constrained_triples(m, forms)
+    triples = dec._constrained_triples(m, forms, "L20ES4H triples")
     bt = triples[0]
     R = dec.triple_embed(m, bt)
     for A, b_A in zip(m.triple, bt):

@@ -245,22 +245,74 @@ def test_cli_decompose(tmp_path, capsys):
     assert cli.main(["decompose", "--n", "2", "--input", str(bad)]) == 2
 
 
-def test_cli_decompose_outside_R_is_a_verification_failure(tmp_path, capsys):
-    """A curvature tensor plus a Lambda^4 part of 1e-4 relative size
-    certifies under --tol 1e-3, then fails the Parseval gate of
-    component_norms: a FAIL line, the report written, exit 2."""
-    m = build_model(2)
-    R = cs.random_curvature(m, 7).tensor
+def _curvature_plus_4form(size: float) -> np.ndarray:
+    """random_curvature(m, 7) at n = 2 plus a Lambda^4 part of ``size``
+    relative to it: its only defect is its Bianchi part."""
+    R = cs.random_curvature(build_model(2), 7).tensor
     four = top.alt(cs.substream("lambda4", 0).standard_normal((8,) * 4))
+    return R + size * top.frob(R) / top.frob(four) * four
+
+
+@pytest.mark.parametrize("tol_args, size, reason", [
+    (["--tol", "1e-3"], 1e-4, "not in the curvature space"),
+    ([], 1e-6, "bianchi"),
+], ids=["parseval", "bianchi"])
+def test_cli_decompose_outside_R_is_a_verification_failure(tol_args, size, reason,
+                                                           tmp_path, capsys):
+    """A curvature tensor plus a Lambda^4 part: of 1e-4 relative size it
+    certifies under --tol 1e-3, then fails the Parseval gate of
+    component_norms; of 1e-6 it fails certification, by its Bianchi
+    residual, under the default tolerance.  Either way a FAIL line, the
+    report written, exit 2."""
     path, out = tmp_path / "near.qht", tmp_path / "near.json"
-    tio.write_tensor(path, 2, R + 1e-4 * top.frob(R) / top.frob(four) * four)
-    assert cli.main(["decompose", "--n", "2", "--tol", "1e-3", "--input", str(path),
+    tio.write_tensor(path, 2, _curvature_plus_4form(size))
+    assert cli.main(["decompose", "--n", "2", *tol_args, "--input", str(path),
                      "--json", str(out)]) == 2
     report = json.loads(out.read_text())
     assert report["results"] == []
     (failure,) = report["failures"]
-    assert "not in the curvature space" in failure
+    assert reason in failure
     assert f"FAIL: {failure}" in capsys.readouterr().out
+
+
+def _nabla_omega_off_by(size: float) -> np.ndarray:
+    """Realizable n = 2 nabla-omega data plus 2-form noise of ``size``
+    relative to it; 99 % of that noise is not realizable."""
+    m = build_model(2)
+    rng = cs.substream("nw-tol", 0)
+    t = tor.project_to_torsion_space(m, rng.standard_normal((8,) * 3))
+    nws = tor.nabla_omega_from_torsion(m, t, rng.standard_normal((3, 8)))
+    noise = rng.standard_normal((3,) + (8,) * 3)
+    noise = noise - noise.swapaxes(2, 3)
+    return nws + size * top.frob(nws) / top.frob(noise) * noise
+
+
+@pytest.mark.parametrize("kind", ["decompose", "nabla-omega"])
+def test_cli_tol_is_applied_as_given(kind, tmp_path):
+    """Data whose only defect is 1e-11 relative (a Lambda^4 part, or a
+    non-realizable part of nabla-omega data) fails under --tol 1e-12 and
+    passes under the default 1e-9, and the report records the tolerance
+    that was applied."""
+    if kind == "decompose":
+        path = tmp_path / "R.qht"
+        tio.write_tensor(path, 2, _curvature_plus_4form(1e-11))
+        resid = cs.curvature_residuals(tio.read_tensor(path).data)["bianchi"]
+        argv = ["decompose", "--n", "2", "--input", str(path)]
+    else:
+        nws = _nabla_omega_off_by(1e-11)
+        files = [str(tmp_path / f"nw.{label}") for label in "IJK"]
+        for f, w in zip(files, nws):
+            tio.write_tensor(f, 2, w)
+        resid = tor.torsion_from_nabla_omega(
+            build_model(2), *[tio.read_tensor(f).data for f in files])[2]
+        argv = ["torsion", "--n", "2", "--from-nabla-omega", *files]
+    assert 5e-12 < resid < 2e-11
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "--tol", "1e-12", "--json", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["tolerances"] == {"tol": 1e-12} and report["failures"]
+    assert cli.main([*argv, "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["failures"] == []
 
 
 def test_cli_torsion_roundtrip(tmp_path, capsys):
