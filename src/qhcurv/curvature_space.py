@@ -26,7 +26,8 @@ the basis grade by grade, each grade's rows restricted to its own
 coordinates, and :func:`casimir_matrices` gives L and L_sigma on one
 grade's rows, with the Kronecker operators restricted to that grade's
 coordinates.  The tensor-level :func:`L_map` and :func:`L_sigma_map` stay
-as independent oracles.
+as independent oracles.  The Sp(n) Casimir mixes grades, so
+:func:`sp_casimir_blocks` gives it on each line-parity class instead.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_ops as top
-from .model_space import ModelSpace
+from .model_space import ModelSpace, sp_generators
 
 #: Relative certification threshold for curvature symmetries.
 CERT_TOL = 1e-10
@@ -534,30 +535,55 @@ def curvature_basis(m: ModelSpace, ps: PairScheme | None = None) -> list[Grade]:
 
 
 # ---------------------------------------------------------------------------
-# The Sp(1) Casimir in pair coordinates.
+# The Sp(1) and Sp(n) Casimirs in pair coordinates.
 #
-# Let D_A be the m x m matrix of A_(1) + A_(2) on 2-forms in pair
-# coordinates.  On a tensor with pair matrix C, rho(A) = sum_i A_(i) acts as
-# rho(A) C = D_A C + C D_A^T, and since A_(i)^2 = -1,
+# Let D_X be the m x m matrix of X_(1) + X_(2) on 2-forms in pair
+# coordinates.  On a tensor with pair matrix C, rho(X) = sum_i X_(i) acts as
+# rho(X) C = D_X C + C D_X^T, and since A_(i)^2 = -1 for A = I, J, K,
 #
 #     L C = 6 C + (1/2) sum_A rho(A)^2 C,
 #     M C = sum_A (A_(1)A_(2) + A_(3)A_(4)) C
 #         = 6 C + (1/2) sum_A (D_A^2 C + C (D_A^2)^T).
 #
-# On R (and only there) L_sigma = 3 M - L.  On the flattened coordinate
-# P * m + Q these are Kronecker operators (D_A^2 x 1, 1 x D_A^2, D_A x D_A),
-# and D_A keeps the line counts of a pair, so each grade is invariant and its
-# block is read off D_A by index arithmetic.
+# On R (and only there) L_sigma = 3 M - L.  For the orthonormal basis X of
+# sp(n) (:func:`.model_space.sp_generators`) D_X is skew, and the Casimir
+# Cas = -sum_X rho(X)^2 is Cas C = S C + C S - 2 sum_X D_X C D_X^T with
+# S = -sum_X D_X^2.  On the flattened coordinate P * m + Q these are sums of
+# Kronecker products (D^2 x 1, 1 x D^2, D x D).  D_A keeps the line counts
+# of a pair, so L keeps each grade; a generator joining two lines moves an
+# index between them, so Cas keeps only each line-parity class.
 
-def _pair_derivations(m: ModelSpace, ps: PairScheme) -> np.ndarray:
-    """D_I, D_J, D_K: matrices of A_(1) + A_(2) on 2-forms in pair coordinates."""
-    units = np.zeros((ps.m, m.dim, m.dim))
+def _pair_derivations(ps: PairScheme, mats: np.ndarray) -> np.ndarray:
+    """D_X for each X in the stack ``mats``: the matrix of X_(1) + X_(2) on
+    2-forms in pair coordinates."""
+    units = np.zeros((ps.m, ps.dim, ps.dim))
     idx = np.arange(ps.m)
     units[idx, ps.first, ps.second] = 1.0
     units[idx, ps.second, ps.first] = -1.0
-    # A_(1) b + A_(2) b = -(A^T b + b A); column p is the image of unit p
-    return np.stack([-(A.T @ units + units @ A)[:, ps.first, ps.second].T
-                     for A in m.triple])
+    # X_(1) b + X_(2) b = -(X^T b + b X); column p is the image of unit p
+    return np.stack([-(X.T @ units + units @ X)[:, ps.first, ps.second].T
+                     for X in mats])
+
+
+def _kron_block(ps: PairScheme, terms, coords: np.ndarray) -> np.ndarray:
+    """Dense block of sum_t w_t A_t x B_t, for (w_t, A_t, B_t) in ``terms``,
+    on the pair coordinates ``coords``, which it must keep (else ValueError),
+    summed from the products of nonzero entries of A_t and B_t."""
+    size = len(coords)
+    at = np.full(ps.m ** 2, -1)
+    at[coords] = np.arange(size)
+    keys, values = [], []
+    for w, A, B in terms:
+        (pa, qa), (pb, qb) = np.nonzero(A), np.nonzero(B)
+        row = at[(pa[:, None] * ps.m + pb).ravel()]
+        on = row >= 0
+        col = at[(qa[:, None] * ps.m + qb).ravel()[on]]
+        if np.any(col < 0):
+            raise ValueError("the operator maps these pair coordinates outside themselves")
+        keys.append(row[on] * size + col)
+        values.append(w * np.outer(A[pa, qa], B[pb, qb]).ravel()[on])
+    block = np.bincount(np.concatenate(keys), np.concatenate(values), minlength=size * size)
+    return block.reshape(size, size)
 
 
 def casimir_matrices(m: ModelSpace, ps: PairScheme, coords: np.ndarray,
@@ -571,24 +597,23 @@ def casimir_matrices(m: ModelSpace, ps: PairScheme, coords: np.ndarray,
     half = (1/2) sum_A (D_A^2 x 1 + 1 x D_A^2) and cross = sum_A D_A x D_A;
     the L_sigma identity holds on R only.
     """
-    P, Q = np.divmod(np.asarray(coords), ps.m)
-    D = _pair_derivations(m, ps)
+    D = _pair_derivations(ps, m.triple)
     S = 0.5 * sum(DA @ DA for DA in D)
-    # D_A keeps the line counts of a pair, so both operators are also
-    # block-diagonal over the line counts of P: sandwich block by block
-    _, pair_label = np.unique(_pair_line_counts(m, ps), axis=0, return_inverse=True)
-    split = pair_label.reshape(-1)[P]
-    bh = np.zeros((rows.shape[0],) * 2)
-    bc = np.zeros_like(bh)
-    for s in np.unique(split):
-        on = split == s
-        Ps, Qs, Bs = P[on], Q[on], rows[:, on]
-        PP, QQ = np.ix_(Ps, Ps), np.ix_(Qs, Qs)
-        half = S[PP] * (Qs[:, None] == Qs) + (Ps[:, None] == Ps) * S[QQ]
-        cross = sum(DA[PP] * DA[QQ] for DA in D)
-        bh += Bs @ half @ Bs.T
-        bc += Bs @ cross @ Bs.T
+    one = np.eye(ps.m)
+    bh, bc = (rows @ _kron_block(ps, terms, coords) @ rows.T for terms in
+              ([(1.0, S, one), (1.0, one, S)], [(1.0, DA, DA) for DA in D]))
     eye = np.eye(rows.shape[0])
     L_R = 6.0 * eye + bh + bc
     Lsigma_R = 12.0 * eye + 2.0 * bh - bc
     return 0.5 * (L_R + L_R.T), 0.5 * (Lsigma_R + Lsigma_R.T)
+
+
+def sp_casimir_blocks(m: ModelSpace, ps: PairScheme, classes):
+    """Yield the dense matrix of Cas on each array of pair coordinates in
+    ``classes``, each one line-parity class."""
+    D = _pair_derivations(ps, sp_generators(m.n))
+    S = np.tensordot(D, D, axes=([0, 1], [0, 1]))      # -sum_X D_X^2, D_X skew
+    eye = np.eye(ps.m)
+    terms = [(1.0, S, eye), (1.0, eye, S)] + [(-2.0, DX, DX) for DX in D]
+    for coords in classes:
+        yield _kron_block(ps, terms, coords)

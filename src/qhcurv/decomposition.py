@@ -16,18 +16,18 @@ fine component is the direct sum of its parts in the 2^(n-1) line-parity
 classes (:func:`line_parity_classes`: the line-count grade mod 2), and each
 grade, hence each joint eigenspace row, lies in one class.
 
-Each joint eigenspace is then split by one rule (``SPLITS``).  Components
-carrying Ricci curvature are the images of explicit equivariant constructor
-maps on an orthonormal basis of one irreducible space of bilinear forms, so
-by Schur's lemma their Gram matrix is one scalar c times the identity:
-c <= ``EIG_TOL`` means rank 0, and otherwise the images, divided by sqrt(c),
-span the component once their Gram matrix in the eigenspace is checked to
-be c I to ``EIG_TOL`` * c.  Inside each class, the k-th sweep's projector
-restricted to the class gets weight k, and one ``eigh`` of the weighted sum
-must give only the eigenvalues 0, 1, ..., S (S sweeps) to ``EIG_TOL``: the
-eigenvalue-k eigenspace is the class's part of sweep k, and eigenvalue 0
-is the one Ricci-kernel component of the eigenspace.  Every fine rank is
-thus decided against ``EIG_TOL``, with no singular-value threshold.
+Each joint eigenspace is then split by one rule: the Sp(n) Casimir
+``Cas = -sum_X rho(X)^2`` of :func:`.curvature_space.sp_casimir_blocks`.
+It mixes grades but keeps each line-parity class, so in each eigenspace
+and class one ``eigh`` of Cas on the eigenspace's rows must give only the
+values <lambda, lambda + 2 rho> / 4 (:func:`casimir_value`) of the
+eigenspace's components, lambda the E-side highest weight stored in
+``COMPONENT_SPECTRUM``, to ``EIG_TOL``.  The values in one eigenspace are
+distinct at every n >= 2, and a weight with more than n parts marks a
+component absent at that n.  Every fine rank is thus decided against
+``EIG_TOL``, with no singular-value threshold.  The constructor maps below
+are the paper's definitions of the components with Ricci curvature; the
+tests check that their images span the components built here.
 
 The fifteen fine bases (rows in the scaled pair coordinates of
 :mod:`.curvature_space`) are stored class by class: each class stacks its
@@ -110,14 +110,27 @@ def expected_fine_dims(n: int) -> dict:
     return dims
 
 
-#: L / L_sigma eigenvalues per fine component.
+#: Per fine component: its L and L_sigma eigenvalues, and the highest
+#: weight lambda of its E-side Sp(n) module, whose Casimir value is
+#: :func:`casimir_value`.  A weight with more than n parts has no module at
+#: that n.
 COMPONENT_SPECTRUM = {
-    "S4E": (6, 12), "V22": (6, 0), "L20E_a": (6, 0), "R_a": (6, 0),
-    "L40E": (6, -12), "L20E_b": (6, -12), "R_b": (6, -12),
-    "V31S2H": (2, 4), "S2ES2H_a": (2, 4),
-    "V211S2H": (2, -4), "S2ES2H_b": (2, -4), "L20ES2H": (2, -4),
-    "V22S4H": (-6, 0), "L20ES4H": (-6, 0), "S4H": (-6, 0),
+    "S4E": (6, 12, (4,)), "V22": (6, 0, (2, 2)), "L20E_a": (6, 0, (1, 1)), "R_a": (6, 0, ()),
+    "L40E": (6, -12, (1, 1, 1, 1)), "L20E_b": (6, -12, (1, 1)), "R_b": (6, -12, ()),
+    "V31S2H": (2, 4, (3, 1)), "S2ES2H_a": (2, 4, (2,)),
+    "V211S2H": (2, -4, (2, 1, 1)), "S2ES2H_b": (2, -4, (2,)), "L20ES2H": (2, -4, (1, 1)),
+    "V22S4H": (-6, 0, (2, 2)), "L20ES4H": (-6, 0, (1, 1)), "S4H": (-6, 0, ()),
 }
+
+
+def casimir_value(weight: tuple, n: int) -> float | None:
+    """<lambda, lambda + 2 rho> / 4, rho = (n, ..., 1): the Sp(n) Casimir on
+    the module of highest weight lambda; None if lambda has more than n parts."""
+    if len(weight) > n:
+        return None
+    lam = np.pad(np.asarray(weight, dtype=float), (0, n - len(weight)))
+    return float(lam @ (lam + 2.0 * np.arange(n, 0, -1))) / 4.0
+
 
 #: L-blocks with their L-eigenvalue and the L_sigma eigenvalues inside them.
 L_BLOCKS = {"L6": (6, (12, 0, -12)), "L2": (2, (4, -4)), "Lm6": (-6, (0,))}
@@ -296,7 +309,7 @@ class ProjectorBank:
             [np.zeros(0)] + [B @ v[coords] for coords, B in self._blocks(name)])))
 
 
-#: Largest distance allowed between a computed L or L_sigma eigenvalue and
+#: Largest distance allowed between a computed L, L_sigma or Cas eigenvalue and
 #: the expected one; a build that needs more raises instead of guessing.
 EIG_TOL = 1e-8
 
@@ -360,7 +373,9 @@ def build_gl_projectors(m: ModelSpace, ps: cs.PairScheme | None = None) -> dict:
     grade's rows by L-eigenvalue, and ``eigh`` of L_sigma inside each of
     those splits them again.  Returns, for each (L, L_sigma) eigenvalue
     pair, one array per line-parity class: the eigenspace's orthonormal
-    rows in that class, restricted to the class's pair coordinates."""
+    rows in that class, restricted to the class's pair coordinates.  A
+    class's arrays are consecutive views, in ``L_BLOCKS`` order, of one
+    array, their ``base``."""
     ps = ps or cs.pair_scheme(m.dim)
     classes, grades = _class_grades(m, ps)
     pieces = {(lam, mu): [[] for _ in classes] for lam, mus in L_BLOCKS.values() for mu in mus}
@@ -375,110 +390,48 @@ def build_gl_projectors(m: ModelSpace, ps: cs.PairScheme | None = None) -> dict:
                                    f"L_sigma on {name}, grade {grade.counts}")
                 for mu in mus:
                     pieces[lam, mu][c].append((at, (V @ sub[mu]).T @ grade.rows))
-    return {key: [_scatter(parts, len(coords)) for parts, coords in zip(per_class, classes)]
-            for key, per_class in pieces.items()}
-
-
-def _theta(k: float):
-    """The constructor b -> vartheta(b x g) + k psi(b x g) of the L = 6 and
-    L = 2 blocks."""
-    def embed(m: ModelSpace, b: np.ndarray) -> np.ndarray:
-        return vartheta(m, b, m.g) + k * psi(b, m.g)
-    return embed
-
-
-#: How each joint (L, L_sigma) eigenspace splits: its remainder component,
-#: and the (component, parameter basis, constructor) sweeps whose images
-#: are the other components.  The parameter bases are those of
-#: :func:`_parameter_bases`.
-SPLITS = {
-    (6, 12): ("S4E", ()),
-    (6, 0): ("V22", (("R_a", "g", _theta(12.0)),
-                     ("L20E_a", "L20E", _theta(12.0)))),
-    (6, -12): ("L40E", (("R_b", "g", _theta(-12.0)),
-                        ("L20E_b", "L20E", _theta(-12.0)))),
-    (2, 4): ("V31S2H", (("S2ES2H_a", "S2ES2H", _theta(4.0)),)),
-    (2, -4): ("V211S2H", (("S2ES2H_b", "S2ES2H", _theta(-12.0)),
-                          ("L20ES2H", "L20ES2H", l20es2h_embed))),
-    (-6, 0): ("V22S4H", (("L20ES4H", "L20ES4H", triple_embed),
-                         ("S4H", "S4H", triple_embed))),
-}
-
-
-def _parameter_bases(m: ModelSpace) -> dict:
-    """Orthonormal parameter bases of the sweeps: bilinear forms as
-    matrices, constrained triples of 2-forms, and the one-element [g/|g|]."""
-    def forms(name):
-        return [b.reshape(m.dim, m.dim) for b in cs.bilinear_component_basis(m, name)]
-
-    l20es2h = forms("L20ES2H")
-    return {"g": [m.g / math.sqrt(m.dim)], "L20E": forms("L20E"),
-            "S2ES2H": forms("S2ES2H"), "L20ES2H": l20es2h,
-            "L20ES4H": _constrained_triples(m, l20es2h, "L20ES4H triples"),
-            "S4H": _constrained_triples(m, [w.copy() for w in m.omegas], "S4H triples")}
-
-
-def _sweep(m: ModelSpace, ps: cs.PairScheme, V: list, name: str,
-           basis, constructor) -> np.ndarray:
-    """Orthonormal coordinates, in the rows of V, of the constructor images
-    of an orthonormal parameter basis.  V is the eigenspace as (coords,
-    rows) blocks on disjoint pair coordinates, rows restricted to coords.
-
-    The constructor is equivariant and the parameter space irreducible, so
-    by Schur's lemma the images Y have Gram matrix c I, with
-    c = |Y|_F^2 / p.  At c <= EIG_TOL the constructor vanishes and the
-    component has rank 0.  Otherwise Z = Y V^T (block by block) must have
-    Z Z^T = c I to EIG_TOL * c, which also fails for images that leave V;
-    Z / sqrt(c) is returned."""
-    Y = np.array([cs.to_pair_coords(ps, constructor(m, p)) for p in basis])
-    c = float(np.vdot(Y, Y)) / len(basis)
-    if c <= EIG_TOL:
-        return np.zeros((0, sum(rows.shape[0] for _, rows in V)))
-    Z = np.hstack([Y[:, coords] @ rows.T for coords, rows in V])
-    off = float(np.max(np.abs(Z @ Z.T - c * np.eye(len(basis)))))
-    if not off <= EIG_TOL * c:
-        raise ArithmeticError(
-            f"{name}: the Gram matrix of the images in its eigenspace is "
-            f"{off / c} (relative) away from c I, c = {c}")
-    return Z / math.sqrt(c)
+    joint = {key: [] for key in pieces}
+    for c, coords in enumerate(classes):
+        stack = _scatter([part for parts in pieces.values() for part in parts[c]], len(coords))
+        sizes = [sum(rows.shape[0] for _, rows in parts[c]) for parts in pieces.values()]
+        for V, block in zip(joint.values(), np.split(stack, np.cumsum(sizes)[:-1])):
+            V.append(block)
+    return joint
 
 
 def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     """Construct the fifteen fine bases, class by class, and the two QK rays.
 
-    Each joint eigenspace is split by its row of ``SPLITS``.  Every sweep
-    gives its component's coordinates in the eigenspace, Z_k for the k-th.
-    In each line-parity class, ``eigh`` of H = sum_k k Z_k^T Z_k, restricted
-    to the class's rows of the eigenspace, must give only the eigenvalues
-    0, 1, ..., S to EIG_TOL: eigenvalue k is the class's part of sweep k,
-    and eigenvalue 0 that of the remainder.  Each part is written straight
-    into its class's preallocated rows."""
+    The joint (L, L_sigma) eigenspaces come from :func:`build_gl_projectors`.
+    For each line-parity class, the Sp(n) Casimir on the class's pair
+    coordinates (:func:`.curvature_space.sp_casimir_blocks`) is sandwiched
+    by each eigenspace's rows there, and one gated ``eigh`` must give only
+    the Casimir values of the eigenspace's components (``COMPONENT_SPECTRUM``,
+    :func:`casimir_value`), which are distinct, to EIG_TOL.  The eigenspace's
+    rows are then overwritten by its components' rows, in listing order, so
+    each class's stack of eigenspaces becomes the class's rows of the bank."""
     ps = cs.pair_scheme(m.dim)
     parities, classes = line_parity_classes(m, ps)
     joint = build_gl_projectors(m, ps)
-    bases = _parameter_bases(m)
-    rows = [np.empty((sum(joint[key][c].shape[0] for key in SPLITS), len(coords)))
-            for c, coords in enumerate(classes)]
+    # each eigenspace's components, in listing order, with their values
+    values = {key: {name: casimir_value(COMPONENT_SPECTRUM[name][2], m.n)
+                    for name in FINE_COMPONENTS if COMPONENT_SPECTRUM[name][:2] == key}
+              for key in joint}
+    rows = [V.base for V in next(iter(joint.values()))]
     slices = [{} for _ in classes]
-    at = [0] * len(classes)
-    for key, (remainder, sweeps) in SPLITS.items():
-        V = joint.pop(key)
-        Zs = [_sweep(m, ps, list(zip(classes, V)), name, bases[basis], constructor)
-              for name, basis, constructor in sweeps]
-        names = (remainder,) + tuple(name for name, _, _ in sweeps)
-        cols = np.cumsum([0] + [Vc.shape[0] for Vc in V])
-        for c, Vc in enumerate(V):
-            H = np.zeros((Vc.shape[0],) * 2)
-            for k, Z in enumerate(Zs, 1):
-                Zc = Z[:, cols[c]:cols[c + 1]]
-                H += k * (Zc.T @ Zc)
-            spaces = _eigenspaces(H, range(len(names)), f"constructor images in the "
-                                  f"{remainder} eigenspace, class {tuple(parities[c].tolist())}")
-            for name in (f for f in FINE_COMPONENTS if f in names):
-                W = spaces[float(names.index(name))]
-                slices[c][name] = slice(at[c], at[c] + W.shape[1])
-                np.matmul(W.T, Vc, out=rows[c][slices[c][name]])
-                at[c] += W.shape[1]
+    for c, cas in enumerate(cs.sp_casimir_blocks(m, ps, classes)):
+        at = 0
+        for key, V in joint.items():
+            spaces = _eigenspaces(V[c] @ cas @ V[c].T,
+                                  [v for v in values[key].values() if v is not None],
+                                  f"Cas on the {key} eigenspace, "
+                                  f"class {tuple(parities[c].tolist())}")
+            parts = [spaces.get(v, np.zeros((len(V[c]), 0))) for v in values[key].values()]
+            V[c][:] = np.hstack(parts).T @ V[c]
+            for name, W in zip(values[key], parts):
+                slices[c][name] = slice(at, at + W.shape[1])
+                at += W.shape[1]
+        del cas             # free this class's block before the next is built
 
     # pi1 and pi2 are made of g and the omega_A, which keep every line, so
     # the rays lie in the all-even class
@@ -662,7 +615,7 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
         if not blocks:
             eigen_residuals[name] = 0.0
             continue
-        lam, mu = COMPONENT_SPECTRUM[name]
+        lam, mu, _ = COMPONENT_SPECTRUM[name]
         resid = []
         # rows are stacked class by class: sample both ends and the middle
         rows = [(coords, row[None]) for coords, B in blocks for row in B]

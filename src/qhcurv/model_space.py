@@ -43,6 +43,11 @@ _LK = np.array([[0, 0, 0, -1],
                 [0, 1, 0, 0],
                 [1, 0, 0, 0]], dtype=float)
 
+# Right multiplication by q = i, j, k on one block: x q = conj(-q conj(x)).
+# It commutes with every left multiplication.
+_CONJ = np.diag([1.0, -1.0, -1.0, -1.0])
+_RI, _RJ, _RK = (-_CONJ @ L @ _CONJ for L in (_LI, _LJ, _LK))
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -98,6 +103,24 @@ def structure_triple(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Block-diagonal matrices of I, J, K for quaternionic dimension n."""
     eye_n = np.eye(n)
     return tuple(np.kron(eye_n, blk) for blk in (_LI, _LJ, _LK))
+
+
+def sp_generators(n: int) -> np.ndarray:
+    """Frobenius-orthonormal basis of sp(n), the skew matrices commuting with
+    I, J and K: n(2n+1) matrices of 4 or 8 nonzero entries.
+
+    For each line a and q in {i, j, k}: right multiplication by q on block
+    a, over 2.  For each pair of lines a < b and q in {1, i, j, k}:
+    E_ab x R_q - E_ba x R_q^T, over sqrt 8.
+    """
+    units = np.eye(n)
+    out = [np.kron(np.outer(units[a], units[a]), R) / 2.0
+           for a in range(n) for R in (_RI, _RJ, _RK)]
+    for a, b in itertools.combinations(range(n), 2):
+        E = np.outer(units[a], units[b])
+        out += [(np.kron(E, R) - np.kron(E.T, R.T)) / math.sqrt(8.0)
+                for R in (np.eye(4), _RI, _RJ, _RK)]
+    return np.stack(out)
 
 
 def pi1_tensor(g: np.ndarray) -> np.ndarray:

@@ -327,14 +327,12 @@ class TableContext:
     def build(cls, bank: dec.ProjectorBank, tbank: tor.TorsionBank):
         m = bank.model
         ps = bank.scheme
-        # pi_1 acts on the second 2-form slot only, so in pair coordinates
-        # it is C -> C P1; row q of P1 is the image of the unit pair (0, q)
-        P1 = np.empty((ps.m, ps.m))
-        for q in range(ps.m):
-            probe = np.zeros(ps.m * ps.m)
-            probe[q] = 1.0
-            T = cft.pi1_operator(m, cs.from_pair_coords(ps, probe))
-            P1[q] = cs.to_pair_coords(ps, T)[:ps.m]
+        # pi_1 acts on the second 2-form slot only, so in pair coordinates it
+        # is C -> C P1: 4 pi_1es = 3 - sum_A A_(3) A_(4) is -(1/2) sum_A D_A^2
+        # (D_A skew), and pi_1s is (1/2n) sum_A w_A w_A^T, w_A = omega_A's
+        # coordinates; the tests compare P1 with probes of pi1_operator
+        D, w = cs._pair_derivations(ps, m.triple), m.omegas[:, ps.first, ps.second]
+        P1 = np.tensordot(D, D, axes=([0, 1], [0, 1])) / 8.0 - (w.T @ w) / (2.0 * m.n)
         columns = {}
         for name in TABLE3_COLUMNS:
             c, blocks = 1.0, bank._blocks(name)       # no blocks at rank 0

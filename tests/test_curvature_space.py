@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import full_width_R_basis
 from qhcurv import curvature_space as cs
+from qhcurv import decomposition as dec
 from qhcurv import model_space as ms
 from qhcurv import tensor_ops as top
 
@@ -141,6 +142,47 @@ def test_casimir_matrices_match_tensor_maps(model):
             images = np.array([cs.to_pair_coords(ps, op(m, cs.from_pair_coords(ps, row)))
                                for row in full])
             assert np.max(np.abs(got - full @ images.T)) < 1e-12
+
+
+def _rho(X, T):
+    """rho(X) T: the sum of the four slot actions of X."""
+    return sum(top.slot_act(X, i, T) for i in range(1, 5))
+
+
+def test_sp_casimir_blocks_match_dense_oracle(model2):
+    """Per line-parity class, the Kronecker-built Sp(n) Casimir, sandwiched
+    by the class's closed-form rows of R, equals -sum_X rho(X)^2 applied to
+    every row by slot actions (no Kronecker code).  The images stay in R
+    and in the row's class."""
+    m = model2
+    ps = cs.pair_scheme(m.dim)
+    R_rows = full_width_R_basis(m, ps)
+    X = ms.sp_generators(m.n)
+    images = np.array([cs.to_pair_coords(ps, -sum(_rho(x, _rho(x, T)) for x in X))
+                       for T in (cs.from_pair_coords(ps, row) for row in R_rows)])
+    oracle = R_rows @ images.T
+    assert np.max(np.abs(oracle.T @ R_rows - images)) < 1e-12
+    _, classes = dec.line_parity_classes(m, ps)
+    seen = 0
+    for coords, block in zip(classes, cs.sp_casimir_blocks(m, ps, classes)):
+        assert block.shape == (len(coords),) * 2
+        on = np.flatnonzero(np.any(R_rows[:, coords] != 0, axis=1))
+        B = R_rows[np.ix_(on, coords)]
+        assert np.max(np.abs(B @ block @ B.T - oracle[np.ix_(on, on)])) < 1e-12
+        assert np.max(np.abs(np.delete(images[on], coords, axis=1)), initial=0.0) < 1e-12
+        seen += len(on)
+    assert seen == len(R_rows)
+
+
+def test_casimir_block_refuses_coordinates_it_leaves(model2):
+    """Cas moves indices between lines, so the grade (2, 2) is not
+    invariant: its block is refused rather than cut off."""
+    m = model2
+    ps = cs.pair_scheme(m.dim)
+    counts, label = cs.coordinate_grades(m, ps)
+    grade = np.flatnonzero(label == np.flatnonzero((counts == [2, 2]).all(axis=1))[0])
+    with pytest.raises(ValueError, match="outside themselves"):
+        next(cs.sp_casimir_blocks(m, ps, [grade]))
 
 
 def test_casimir_l_sigma_identity_fails_off_R(model2):

@@ -385,9 +385,8 @@ def test_projector_equivariance(bank):
 def test_block_ricci_relations(bank):
     """Ricci laws per block: U22: Ric = Ric^q with A Ric = Ric; Lambda^4 E:
     Ric = -Ric^q; L=2 blocks: Ric vs Ric^q_s laws; L=-6 block constants.
-    The Ricci-kernel components are built as what their eigenspace leaves
-    beside the constructor images, so their kernel property is checked
-    here, not built in."""
+    The bank is split by Casimir values, not by the Ricci maps, so every
+    law is checked here, not built in."""
     m, n = bank.model, bank.model.n
     rng = cs.substream("blocks", n)
 
@@ -488,53 +487,99 @@ def test_eigen_gate_names_the_grade(model2, monkeypatch):
         dec.build_gl_projectors(model2)
 
 
-def _sweep_args(m, name):
-    """(parameter basis, constructor) of a swept component, from SPLITS."""
-    basis, constructor = next((b, f) for _, sweeps in dec.SPLITS.values()
-                              for c, b, f in sweeps if c == name)
-    return dec._parameter_bases(m)[basis], constructor
+def _theta(k):
+    """b -> vartheta(b x g) + k psi(b x g), the constructor of the L = 6 and
+    L = 2 components with Ricci curvature."""
+    return lambda m, b: dec.vartheta(m, b, m.g) + k * dec.psi(b, m.g)
 
 
-def _joint(bank, key):
-    """A joint (L, L_sigma) eigenspace as (coords, rows) class blocks: the
-    fine components in it."""
-    names = [c for c in dec.FINE_COMPONENTS if dec.COMPONENT_SPECTRUM[c] == key]
-    return [(coords, np.vstack([rows[sl[c]] for c in names]))
-            for coords, rows, sl in zip(bank.classes, bank.rows, bank.slices)]
+def _forms(m, name):
+    return [b.reshape(m.dim, m.dim) for b in cs.bilinear_component_basis(m, name)]
 
 
-def _dim(V):
-    return sum(rows.shape[0] for _, rows in V)
+#: The paper's constructor of each component with Ricci curvature, and an
+#: orthonormal basis of its irreducible parameter space.
+CONSTRUCTED = {
+    "R_a": (lambda m: [m.g / np.sqrt(m.dim)], _theta(12.0)),
+    "L20E_a": (lambda m: _forms(m, "L20E"), _theta(12.0)),
+    "R_b": (lambda m: [m.g / np.sqrt(m.dim)], _theta(-12.0)),
+    "L20E_b": (lambda m: _forms(m, "L20E"), _theta(-12.0)),
+    "S2ES2H_a": (lambda m: _forms(m, "S2ES2H"), _theta(4.0)),
+    "S2ES2H_b": (lambda m: _forms(m, "S2ES2H"), _theta(-12.0)),
+    "L20ES2H": (lambda m: _forms(m, "L20ES2H"), dec.l20es2h_embed),
+    "L20ES4H": (lambda m: dec._constrained_triples(m, _forms(m, "L20ES2H"), "L20ES4H triples"),
+                dec.triple_embed),
+    "S4H": (lambda m: dec._constrained_triples(m, [w.copy() for w in m.omegas], "S4H triples"),
+            dec.triple_embed),
+}
 
 
-def test_sweep_gate_rejects_a_scaled_parameter(model2, bank2):
-    """Images of an orthonormal parameter basis have Gram matrix c I; a
-    parameter scaled by 2 breaks that, and the error names the component."""
-    basis, constructor = _sweep_args(model2, "L20E_a")
-    V = _joint(bank2, (6, 0))
-    Z = dec._sweep(model2, bank2.scheme, V, "L20E_a", basis, constructor)
-    assert Z.shape == (bank2.rank("L20E_a"), _dim(V))
-    assert np.max(np.abs(Z @ Z.T - np.eye(Z.shape[0]))) < 1e-12
-    with pytest.raises(ArithmeticError, match=r"^L20E_a: "):
-        dec._sweep(model2, bank2.scheme, V, "L20E_a", [2.0 * basis[0]] + basis[1:],
-                   constructor)
+@pytest.mark.parametrize("name", sorted(CONSTRUCTED))
+def test_constructor_images_span_their_components(bank, name):
+    """The images of an orthonormal parameter basis under the paper's
+    constructor lie in the component the Casimir split built, and their
+    coordinates there have Gram matrix c I (Schur), with as many images as
+    the rank: they span it.  At n = 2 the L20E_b images vanish."""
+    m, ps = bank.model, bank.scheme
+    basis, constructor = CONSTRUCTED[name]
+    Y = np.array([cs.to_pair_coords(ps, constructor(m, p)) for p in basis(m)])
+    c = float(np.vdot(Y, Y)) / len(Y)
+    if bank.rank(name) == 0:
+        assert (m.n, name) == (2, "L20E_b") and c < 1e-20
+        return
+    Z = Y @ bank.basis(name).T
+    assert np.linalg.norm(Y - Z @ bank.basis(name)) <= 1e-9 * np.linalg.norm(Y)
+    assert Z.shape == (bank.rank(name),) * 2
+    assert np.max(np.abs(Z @ Z.T - c * np.eye(len(Z)))) <= 1e-9 * c
 
 
-def test_sweep_gate_rejects_images_outside_the_eigenspace(model3, bank3):
-    """The L20E_a images (L_sigma = 0) swept against the L_sigma = -12
-    eigenspace at n = 3 leave it, which the Gram check catches."""
-    basis, constructor = _sweep_args(model3, "L20E_a")
-    with pytest.raises(ArithmeticError, match=r"^L20E_a: "):
-        dec._sweep(model3, bank3.scheme, _joint(bank3, (6, -12)), "L20E_a",
-                   basis, constructor)
+def test_casimir_gate_names_the_eigenspace_and_class(model2, monkeypatch):
+    """A class Casimir scaled by 1 + 1e-6 moves every nonzero eigenvalue off
+    its closed-form value; the first failing split names the Casimir, the
+    joint eigenspace and the line-parity class."""
+    blocks = cs.sp_casimir_blocks
+    monkeypatch.setattr(cs, "sp_casimir_blocks",
+                        lambda *args: ((1.0 + 1e-6) * B for B in blocks(*args)))
+    with pytest.raises(ArithmeticError,
+                       match=r"^Cas on the \(6, 12\) eigenspace, class \(0, 0\): eigenvalue"):
+        dec.build_sp_projectors(model2)
 
 
-def test_sweep_of_a_vanishing_constructor_has_rank_zero(model2, bank2):
-    """At n = 2 the L20E_b constructor vanishes: c <= EIG_TOL, no rows."""
-    basis, constructor = _sweep_args(model2, "L20E_b")
-    V = _joint(bank2, (6, -12))
-    Z = dec._sweep(model2, bank2.scheme, V, "L20E_b", basis, constructor)
-    assert Z.shape == (0, _dim(V))
+def test_casimir_values_are_distinct_in_every_eigenspace():
+    """The components sharing a joint (L, L_sigma) eigenspace have distinct
+    Casimir values at every n >= 2, at least 1 apart; a weight with more
+    than n parts has none (L40E at n <= 3, V211S2H at n = 2)."""
+    assert dec.casimir_value((1, 1, 1, 1), 3) is None
+    assert dec.casimir_value((2, 1, 1), 2) is None
+    for n in range(2, 9):
+        values = {}
+        for name, (lam, mu, weight) in dec.COMPONENT_SPECTRUM.items():
+            value = dec.casimir_value(weight, n)
+            if value is not None:
+                values.setdefault((lam, mu), []).append(value)
+        for vs in values.values():
+            gaps = np.diff(sorted(vs))
+            assert np.all(gaps >= 1.0), (n, vs)
+    assert dec.casimir_value((4,), 3) == 10.0 and dec.casimir_value((), 3) == 0.0
+
+
+def test_sp_bank_needs_no_svd(monkeypatch, model2):
+    """Every fine rank is decided by a gated eigh: no SVD in the build."""
+    calls = []
+    # pinv and friends reach svd through their module's global
+    linalg_globals = np.linalg.svd.__wrapped__.__globals__
+
+    def counting(*args, _inner=np.linalg.svd, **kwargs):
+        calls.append("svd")
+        return _inner(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setitem(linalg_globals, "svd", counting)
+    bank = dec.build_sp_projectors(model2)
+    assert calls == []
+    assert {name: bank.rank(name) for name in dec.FINE_COMPONENTS} \
+        == dec.expected_fine_dims(2)
+    np.linalg.pinv(np.eye(2))
+    assert calls == ["svd"]
 
 
 def test_r_a_r_b_are_the_unit_rays(bank):

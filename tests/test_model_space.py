@@ -99,3 +99,24 @@ def test_adapted_basis_quaternion_identities_and_omega(model):
 
 def test_orientation_volume_nonzero(model2):
     assert abs(ms.orientation_volume(model2)) > 1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sp_generators_are_an_orthonormal_basis_of_sp_n(n):
+    """n(2n+1) skew matrices of 4 or 8 nonzero entries, orthonormal in the
+    Frobenius norm, commuting with I, J and K, and spanning every skew
+    matrix that does."""
+    m = ms.build_model(n)
+    X = ms.sp_generators(n)
+    assert X.shape == (n * (2 * n + 1), m.dim, m.dim)
+    assert np.max(np.abs(np.einsum("aij,bij->ab", X, X) - np.eye(len(X)))) < 1e-15
+    assert np.array_equal(X, -X.swapaxes(1, 2))
+    assert set(np.count_nonzero(X, axis=(1, 2)).tolist()) == {4, 8}
+    for A in m.triple:
+        assert np.array_equal(X @ A, A @ X)
+    raw = cs.substream("sp-generators", n).standard_normal((m.dim, m.dim))
+    raw = raw - raw.T
+    commuting = (raw + sum(A.T @ raw @ A for A in m.triple)) / 4.0
+    assert np.max(np.abs(sum(A @ commuting - commuting @ A for A in m.triple))) < 1e-12
+    coef = np.einsum("aij,ij->a", X, commuting)
+    assert np.max(np.abs(np.einsum("a,aij->ij", coef, X) - commuting)) < 1e-12

@@ -147,6 +147,24 @@ def test_table3_matches_pseudo_inverse(bank2, tbank2):
                 assert np.linalg.norm(cols[name] - want[name]) <= 1e-12 * scale, name
 
 
+def test_p1_matches_probes(bank, tbank):
+    """The closed-form P1 of the table context equals the probe
+    construction, row q the pi_1 image of the unit pair (0, q), and gives
+    pi_1 of a whole tensor as C -> C P1."""
+    m, ps = bank.model, bank.scheme
+    probes = np.empty((ps.m, ps.m))
+    for q in range(ps.m):
+        unit = np.zeros(ps.m * ps.m)
+        unit[q] = 1.0
+        probes[q] = cs.to_pair_coords(ps, cft.pi1_operator(m, cs.from_pair_coords(ps, unit)))[:ps.m]
+    P1 = tbl.TableContext.build(bank, tbank).P1
+    assert np.max(np.abs(P1 - probes)) < 1e-15
+    R = cs.random_curvature(m, 53).tensor
+    C = cs.to_pair_coords(ps, R).reshape(ps.m, ps.m)
+    want = cs.to_pair_coords(ps, cft.pi1_operator(m, R)).reshape(ps.m, ps.m)
+    assert np.max(np.abs(C @ P1 - want)) < 1e-12 * np.max(np.abs(want))
+
+
 def test_table_context_rejects_non_scalar_component(bank2, tbank2):
     """Rotating one V22 row towards L20E_a (where the pi_1 image scalar is
     1/4, not 1/2) makes the Schur probe fail."""
