@@ -93,15 +93,14 @@ class TorsionState:
 
     def validate(self, m: ModelSpace, tol: float = 1e-10) -> None:
         """Check xi and every D(W; .) lie in the torsion space; NaN fails.
-        For one unbatched state."""
+        For one unbatched state.  All slices D(W; .) are projected in one
+        call, and their joint residual bounds each slice's residual."""
         scale = max(top.frob(self.t), 1e-300)
         if not top.frob(tor.project_to_torsion_space(m, self.t) - self.t) <= tol * scale:
             raise ValueError("xi is not a torsion tensor")
         dscale = max(top.frob(self.D), 1e-300)
-        for w in range(m.dim):
-            sl = self.D[w]
-            if not top.frob(tor.project_to_torsion_space(m, sl) - sl) <= tol * dscale:
-                raise ValueError("nabla~xi slice outside the torsion space")
+        if not top.frob(tor.project_to_torsion_space(m, self.D) - self.D) <= tol * dscale:
+            raise ValueError("nabla~xi slice outside the torsion space")
         for gam in self.gammas:
             if not top.frob(gam + gam.T) <= tol * max(top.frob(gam), 1e-300):
                 raise ValueError("gamma_A must be antisymmetric")
@@ -656,6 +655,8 @@ def lemma_gammas_kernel(m: ModelSpace):
 
     Returns (kernel dimension, basis triples, singular-value gap); the lemma
     asserts the kernel is exactly the line c (omega_I, omega_J, omega_K).
+    A gap below ``cs.SV_MARGIN`` raises ArithmeticError, as every SVD rank
+    decision does.
     """
     d = m.dim
     forms = cs.form_basis(d)
@@ -675,6 +676,7 @@ def lemma_gammas_kernel(m: ModelSpace):
     mat = np.array(cols).T
     u, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     rank = int(np.sum(s > cs.SV_TOL * s[0]))
+    cs._check_margin(s, rank, "gamma rigidity kernel")
     kernel = vt[rank:]
     gap = float(s[rank - 1] / s[rank]) if rank < len(s) else float("inf")
     flat_forms = np.array([f.ravel() for f in forms])

@@ -261,9 +261,11 @@ def probe_tensors(m: ModelSpace, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np
 # on the last two axes, so a stack of forms is projected in one call.
 
 def _sum_full_act2(m: ModelSpace, b: np.ndarray) -> np.ndarray:
-    """sum_A b(A., A.) = sum_A A b A^T for a bilinear form b; exact, as
-    every A is a signed permutation."""
-    return sum(A @ b @ A.T for A in m.triple)
+    """sum_A b(A., A.) = sum_A A^T b A on the last two axes: one stacked
+    matmul over ``m.omegas`` (the matrices of I, J, K), summed over A in
+    order; exact, as every A is a signed permutation."""
+    W = m.omegas.reshape((3,) + (1,) * (b.ndim - 2) + m.omegas.shape[1:])
+    return (W.swapaxes(-1, -2) @ b @ W).sum(0)
 
 
 # The six bilinear-form projectors.  Each starts by projecting onto the
@@ -305,9 +307,20 @@ def proj_form_S2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
 
 
 def proj_form_L20ES2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
-    """Lambda^2_0 E S^2 H part of a 2-form."""
+    """Lambda^2_0 E S^2 H part of a 2-form.
+
+    The S^2E part is removed first, then the omega parts one at a time,
+    each coefficient one matvec read after the previous omega part is
+    removed.  The torsion bank's SVDs see these bits (this is also the
+    torsion-space projector), so the order is pinned: reading all three
+    coefficients in one product changes the last bits at n = 3.
+    """
     a = top.asym2(b)
-    return a - proj_form_S2E(m, a) - proj_form_S2H(m, a)
+    a = a - 0.25 * (a + _sum_full_act2(m, a))
+    flat = a.reshape(-1, m.dim ** 2)
+    for w in m.omegas.reshape(3, -1):
+        flat = flat - (flat @ w / (4.0 * m.n))[:, None] * w
+    return flat.reshape(a.shape)
 
 
 def _basis_from_projector(apply_proj, seed_mats, tol: float, label: str) -> np.ndarray:
@@ -429,7 +442,8 @@ def orthonormal_rows(mat: np.ndarray, tol: float = SV_TOL,
     absolute ``floor``, with the margin of :func:`_check_margin`.  The floor
     matters when the row space may be zero in exact arithmetic: a purely
     relative threshold would promote roundoff noise to full rank.  ``label``
-    names the basis in a margin error and nowhere else.
+    names the basis in a margin error and nowhere else.  The rows are an
+    owned copy: a view would keep the whole V^T alive with the basis.
     """
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0 or not np.any(mat):
@@ -437,13 +451,14 @@ def orthonormal_rows(mat: np.ndarray, tol: float = SV_TOL,
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     rank = int(np.sum(s > max(tol * s[0], floor)))
     _check_margin(s, rank, label)
-    return vt[:rank]
+    return vt[:rank].copy()
 
 
 def null_space_rows(mat: np.ndarray, tol: float = SV_TOL,
                     label: str = "null space") -> np.ndarray:
-    """Orthonormal basis (rows) of the null space of ``mat`` (acting on rows^T);
-    ``label`` names the basis in a margin error."""
+    """Orthonormal basis (rows, an owned copy of part of V^T) of the null
+    space of ``mat`` (acting on rows^T); ``label`` names the basis in a
+    margin error."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     nrows, ncols = mat.shape
     if mat.size == 0 or not np.any(mat):
@@ -453,7 +468,7 @@ def null_space_rows(mat: np.ndarray, tol: float = SV_TOL,
     u, s, vt = np.linalg.svd(mat, full_matrices=nrows < ncols)
     rank = int(np.sum(s > tol * s[0]))
     _check_margin(s, rank, label)
-    return vt[rank:]
+    return vt[rank:].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ to minus itself).  Under Sp(n)Sp(1) this space splits as
 
     (Lambda^3_0 E + K + E)(S^3 H + H)
 
-giving six components 33, K3, E3, 3H, KH, EH.  The S^3H/H split is cut out
+giving six components 33, K3, E3, 3H, KH, EH.  The membership projector is
+the Lambda^2_0 E S^2 H projector of :mod:`.curvature_space` on every
+first-slot slice, so the ambient space is the row space of I (x) P2, with
+P2 that projector's images of the unit 2-forms.  The S^3H/H split is cut out
 by linear slot conditions; within each half the E-part is the
 image of an explicit formula in the trace one-forms theta, the Lambda^3_0
 part is cut out by the three-form/cyclic conditions, and the K-part is the
@@ -84,12 +87,6 @@ def _sum_op12(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     return (W.transpose(0, 2, 1)[:, None] @ inner).sum(0)
 
 
-def _sum_op23(m: ModelSpace, t: np.ndarray) -> np.ndarray:
-    """sum_A t(., A., A.)."""
-    W = m.omegas
-    return (W.transpose(0, 2, 1)[:, None] @ t @ W[:, None]).sum(0)
-
-
 def _op_h(A: np.ndarray, t: np.ndarray) -> np.ndarray:
     """t(A.,.,A.) + t(A.,A.,.) + t(.,A.,A.) for a single A."""
     return _act13(A, t) + _act12(A, t) + _act23(A, t)
@@ -99,19 +96,10 @@ def _op_h(A: np.ndarray, t: np.ndarray) -> np.ndarray:
 # Membership projector for the ambient torsion space.
 
 def project_to_torsion_space(m: ModelSpace, t: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of a rank-3 tensor onto T* (x) Lambda^2_0 E S^2 H."""
-    t = 0.5 * (t - t.swapaxes(1, 2))
-    # per first-slot slice, remove the S^2E and span{omega} parts of the 2-form
-    s2e = 0.25 * (t + _sum_op23(m, t))
-    t = t - s2e
-    # one omega at a time, each coefficient read after the previous omega
-    # part is removed: reading all three in one product changes the last
-    # bits at n = 3, and the torsion bank's SVDs see them
-    d = t.shape[0]
-    for w in m.omegas:
-        coef = t.reshape(d, -1) @ w.ravel() / (4.0 * m.n)
-        t = t - coef[:, None, None] * w
-    return t
+    """Orthogonal projection of a rank-3 tensor onto T* (x) Lambda^2_0 E S^2 H:
+    the Lambda^2_0 E S^2 H projector on every first-slot slice.  It acts on
+    the last two axes, so a stack of torsion tensors projects in one call."""
+    return cs.proj_form_L20ES2H(m, t)
 
 
 # ---------------------------------------------------------------------------
@@ -226,48 +214,55 @@ class TorsionBank:
         return (coef @ B).reshape(d, d, d)
 
 
-def _kernel_within(rows: np.ndarray, op_mats: list, label: str) -> np.ndarray:
-    """Rows spanning the joint kernel of operators restricted to span(rows);
-    ``label`` names the kernel in a margin error."""
-    stacked = np.vstack(op_mats)
-    coeff = cs.null_space_rows(stacked, label=label)
+def _kernel_within(rows: np.ndarray, shape, ops: list, label: str) -> np.ndarray:
+    """Rows spanning the joint kernel of the operators ``ops`` restricted to
+    span(rows); ``label`` names the kernel in a margin error.  The images of
+    each row under every operator are written side by side into one array;
+    its transpose (column r: the images of row r) goes to the SVD."""
+    images = np.empty((rows.shape[0], len(ops), rows.shape[1]))
+    for r, row in enumerate(rows):
+        for o, op in enumerate(ops):
+            images[r, o] = op(row.reshape(shape)).ravel()
+    coeff = cs.null_space_rows(images.reshape(rows.shape[0], -1).T, label=label)
     return coeff @ rows
 
 
-def _op_matrix_on_rows(rows: np.ndarray, shape, op) -> np.ndarray:
-    """Column r holds op(tensor_r).ravel() for the row basis."""
-    cols = [op(row.reshape(shape)).ravel() for row in rows]
-    return np.array(cols).T
+def _projector_rows(m: ModelSpace) -> np.ndarray:
+    """Row k is the projection of the d^3 unit tensor e_k.  The projector
+    acts on each first-slot slice alone, so these rows are I (x) P2, with
+    P2 the Lambda^2_0 E S^2 H projector's images of the d^2 unit 2-forms.
+    P2 is copied into the diagonal blocks of a zero array, as np.kron would
+    write 0 * (negative entry) = -0.0 off them, and the sign of a zero can
+    steer a Householder reflector in the SVD."""
+    d = m.dim
+    units = np.eye(d * d).reshape(d * d, d, d)
+    rows = np.zeros((d ** 3, d ** 3))
+    on = np.arange(d)
+    rows.reshape(d, d * d, d, d * d)[on, :, on, :] = \
+        cs.proj_form_L20ES2H(m, units).reshape(d * d, d * d)
+    return rows
 
 
 def build_torsion_bank(m: ModelSpace) -> TorsionBank:
-    """Construct the six orthogonal component bases of the torsion space."""
+    """Construct the six orthogonal component bases of the torsion space.
+
+    Each SVD runs with only its own input and the bases already found
+    alive: no operator matrix outlives its kernel."""
     d = m.dim
     shape = (d, d, d)
-
-    # ambient space basis: the projections of the unit tensors, each unit
-    # set and cleared in place in one buffer
-    unit = np.zeros(d ** 3)
-    proj_rows = np.empty((d ** 3, d ** 3))
-    for k in range(d ** 3):
-        unit[k] = 1.0
-        proj_rows[k] = project_to_torsion_space(m, unit.reshape(shape)).ravel()
-        unit[k] = 0.0
-    ambient = cs.orthonormal_rows(proj_rows, floor=1e-6, label="torsion space")
+    ambient = cs.orthonormal_rows(_projector_rows(m), floor=1e-6, label="torsion space")
 
     # S^3H / H halves
-    m13 = _op_matrix_on_rows(ambient, shape, lambda t: _sum_op13(m, t) + t)
-    m12 = _op_matrix_on_rows(ambient, shape, lambda t: _sum_op12(m, t) + t)
-    s3h = _kernel_within(ambient, [m13, m12], "torsion S3H half")
-    h_mats = [_op_matrix_on_rows(ambient, shape, lambda t, A=A: _op_h(A, t) - t)
-              for A in m.triple]
-    h = _kernel_within(ambient, h_mats, "torsion H half")
+    s3h = _kernel_within(ambient, shape, [lambda t: _sum_op13(m, t) + t,
+                                          lambda t: _sum_op12(m, t) + t],
+                         "torsion S3H half")
+    h = _kernel_within(ambient, shape, [lambda t, A=A: _op_h(A, t) - t for A in m.triple],
+                       "torsion H half")
 
     comps = {}
 
     # Lambda^3_0 E S^3H: totally skew tensors inside the S^3H half
-    skew_mat = _op_matrix_on_rows(s3h, shape, lambda t: t - top.alt(t))
-    comps["33"] = _kernel_within(s3h, [skew_mat], "torsion 33")
+    comps["33"] = _kernel_within(s3h, shape, [lambda t: t - top.alt(t)], "torsion 33")
 
     # E S^3H: image of the trace-form reconstruction
     e3_rows = np.array([xi_E3_from_trace(m, row.reshape(shape)).ravel()
@@ -281,8 +276,7 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
         s3h - (s3h @ used.T) @ used, floor=1e-6, label="torsion K3")
 
     # Lambda^3_0 E H: vanishing cyclic sum inside the H half
-    cyc_mat = _op_matrix_on_rows(h, shape, top.cyclic3)
-    comps["3H"] = _kernel_within(h, [cyc_mat], "torsion 3H")
+    comps["3H"] = _kernel_within(h, shape, [top.cyclic3], "torsion 3H")
 
     # E H: image of the global-trace reconstruction
     eh_rows = np.array([xi_EH_from_trace(m, row.reshape(shape)).ravel()
@@ -341,7 +335,7 @@ def psi_k_solve(m: ModelSpace, t: np.ndarray):
         for perm, sgn in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
                           ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1)):
             e[perm] = sgn
-        img = 3.0 * e - _sum_op23(m, e)
+        img = 3.0 * e - cs._sum_full_act2(m, e)
         cols.append(img.ravel())
     mat = np.array(cols).T
     coef, *_ = np.linalg.lstsq(mat, t.ravel(), rcond=None)

@@ -88,9 +88,19 @@ def test_rank_decisions_raise_below_the_margin():
     assert cs.null_space_rows(clear).shape == (3, 5)
 
 
+def test_rank_helpers_return_owned_rows():
+    """The bases own their data, so none keeps the whole V^T alive."""
+    mat = cs.substream("owned-rows", 0).standard_normal((3, 6))
+    for rows in (cs.orthonormal_rows(mat), cs.null_space_rows(mat),
+                 cs.null_space_rows(mat.T)):
+        assert rows.base is None and rows.flags.owndata
+    assert cs.null_space_rows(mat.T).shape == (0, 3)
+
+
 def test_every_sv_rank_decision_names_its_basis(model2, monkeypatch):
     """With an unreachable margin every SV rank decision raises, and each
     caller's error names the basis it was building."""
+    from qhcurv import curvature_from_torsion as cft
     from qhcurv import decomposition as dec
     from qhcurv import torsion as tor
     monkeypatch.setattr(cs, "SV_MARGIN", np.inf)
@@ -99,7 +109,8 @@ def test_every_sv_rank_decision_names_its_basis(model2, monkeypatch):
                           "bilinear-form component L20E"),
                          (lambda: dec._constrained_triples(model2, forms, "S4H triples"),
                           "S4H triples"),
-                         (lambda: tor.build_torsion_bank(model2), "torsion space")):
+                         (lambda: tor.build_torsion_bank(model2), "torsion space"),
+                         (lambda: cft.lemma_gammas_kernel(model2), "gamma rigidity kernel")):
         with pytest.raises(ArithmeticError, match=f"^{label}: rank decision too close"):
             build()
 

@@ -199,6 +199,41 @@ def test_bank_bases_are_views_of_one_stacked_array(tbank):
     assert at == tbank.rows.shape[0] == tbank.ambient.shape[0]
 
 
+def test_bank_arrays_own_their_data_or_view_rows(tbank):
+    """No bank array pins a larger buffer: each owns its data or is a view
+    of the stacked rows."""
+    arrays = [v for v in vars(tbank).values() if isinstance(v, np.ndarray)]
+    arrays += list(tbank.comps.values())
+    for a in arrays:
+        assert a.base is None or a.base is tbank.rows
+
+
+def test_projector_rows_match_the_unit_sweep_bitwise(model):
+    """The ambient SVD input, I (x) P2, is the projection of every d^3 unit
+    tensor one at a time, byte for byte (the sign of every zero included)."""
+    d = model.dim
+    unit = np.zeros(d ** 3)
+    sweep = np.empty((d ** 3, d ** 3))
+    for k in range(d ** 3):
+        unit[k] = 1.0
+        sweep[k] = tor.project_to_torsion_space(model, unit.reshape(d, d, d)).ravel()
+        unit[k] = 0.0
+    assert tor._projector_rows(model).tobytes() == sweep.tobytes()
+
+
+def test_stacked_projection_matches_single_calls_bitwise(model):
+    """A stack of k rank-3 tensors projects as k single calls, bit for bit."""
+    d = model.dim
+    rng = cs.substream("stacked-projection", model.n)
+    for lead in ((d,), (2, 3)):
+        stack = rng.standard_normal(lead + (d, d, d))
+        flat = stack.reshape((-1, d, d, d))
+        single = np.stack([tor.project_to_torsion_space(model, t) for t in flat])
+        got = tor.project_to_torsion_space(model, stack)
+        assert got.shape == stack.shape
+        assert got.reshape(single.shape).tobytes() == single.tobytes()
+
+
 def test_component_norms_match_per_component_products(tbank):
     for seed in range(3):
         t = random_torsion(tbank, seed)
