@@ -7,10 +7,10 @@ kernel of the wedging map S^2(Lambda^2 V*) -> Lambda^4 V*).
 
 This module provides membership certification (the pair symmetries and
 the cyclic Bianchi sum), orthogonal projection onto R, seeded random
-sampling, the equivariant endomorphisms L and L_sigma whose joint spectrum
-separates the coarse components, the Ricci-type contractions, the probe
-tensors realizing the L-eigenvalues, and the bilinear-form projectors on
-S^2 V* and Lambda^2 V*.
+sampling, the equivariant endomorphisms L, L_sigma and the Sp(n) Casimir
+whose joint spectrum separates the fifteen components, the Ricci-type
+contractions, the probe tensors realizing the L-eigenvalues, and the
+bilinear-form projectors on S^2 V* and Lambda^2 V*.
 
 Coordinates: tensors with the two pair antisymmetries are stored, when
 linear algebra over subspaces is needed, as matrices over the m = C(4n, 2)
@@ -23,11 +23,12 @@ hold off R.  Both operators keep the line-count grade of a coordinate (how
 many of its four indices fall in each quaternionic line), and every
 closed-form row of R lies in one grade.  :func:`curvature_basis` builds
 the basis grade by grade, each grade's rows restricted to its own
-coordinates, and :func:`casimir_matrices` gives L and L_sigma on one
-grade's rows, with the Kronecker operators restricted to that grade's
-coordinates.  The tensor-level :func:`L_map` and :func:`L_sigma_map` stay
-as independent oracles.  The Sp(n) Casimir mixes grades, so
-:func:`sp_casimir_blocks` gives it on each line-parity class instead.
+coordinates.  :func:`casimir_terms` gives L, L_sigma and the Sp(n) Casimir
+Cas as sums of Kronecker products of m x m matrices, and
+:func:`_kron_block` forms any weighted sum of them on a set of pair
+coordinates the sum keeps: a line-parity class (the grade mod 2) is kept
+by all three.  The tensor-level :func:`L_map`, :func:`L_sigma_map` and
+:func:`Cas_map` stay as independent oracles.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def random_curvature(m: ModelSpace, seed) -> CurvatureTensor:
 
 
 # ---------------------------------------------------------------------------
-# The equivariant endomorphisms L and L_sigma.
+# The equivariant endomorphisms L, L_sigma and Cas.
 
 def L_map(m: ModelSpace, R: np.ndarray) -> np.ndarray:
     """L(R) = sum over slot pairs i < j and A of A_(i) A_(j) R."""
@@ -176,6 +177,31 @@ def L_sigma_map(m: ModelSpace, R: np.ndarray) -> np.ndarray:
         out += top.pair_act(A, 1, 2, R) + top.pair_act(A, 3, 4, R)
         out += top.pair_act(A, 2, 3, s1) + top.pair_act(A, 1, 4, s1)
         out += top.pair_act(A, 1, 3, s2) + top.pair_act(A, 2, 4, s2)
+    return out
+
+
+def Cas_map(m: ModelSpace, R: np.ndarray) -> np.ndarray:
+    """The Sp(n) Casimir Cas R = -sum_X rho(X)^2 R over the orthonormal
+    basis X of sp(n), rho(X) the sum of the four slot actions, on the last
+    four axes of R (leading axes index a stack):
+
+        Cas R = 4c R - 2 sum_{i<j} P_(ij) R,   P_(ij) = sum_X X_(i) X_(j),
+
+    with sum_X X^2 = -c 1 on V (c = (2n+1)/4, read here off the generators).
+    With slots (i, j) and (k, l) grouped into the rows and columns of a
+    d^2 x d^2 matrix M, P_(ij) R is Q M and P_(kl) R is M Q^T, for Q the
+    matrix of P = sum_X X x X."""
+    X = sp_generators(m.n)
+    d = m.dim
+    c = -float(np.einsum("xab,xba->", X, X)) / d
+    # X_(i) X_(j) R substitutes X x_i and X x_j: Q[(a b), (p q)] = sum_X X[p, a] X[q, b]
+    Q = np.tensordot(X, X, axes=(0, 0)).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    lead = tuple(range(R.ndim - 4))
+    out = 4.0 * c * R
+    for perm in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
+        axes = lead + tuple(len(lead) + k for k in perm)
+        M = R.transpose(axes).reshape(R.shape[:-4] + (d * d, d * d))
+        out -= 2.0 * (Q @ M + M @ Q.T).reshape(R.shape).transpose(np.argsort(axes))
     return out
 
 
@@ -564,9 +590,14 @@ def curvature_basis(m: ModelSpace, ps: PairScheme | None = None) -> list[Grade]:
 # sp(n) (:func:`.model_space.sp_generators`) D_X is skew, and the Casimir
 # Cas = -sum_X rho(X)^2 is Cas C = S C + C S - 2 sum_X D_X C D_X^T with
 # S = -sum_X D_X^2.  On the flattened coordinate P * m + Q these are sums of
-# Kronecker products (D^2 x 1, 1 x D^2, D x D).  D_A keeps the line counts
-# of a pair, so L keeps each grade; a generator joining two lines moves an
-# index between them, so Cas keeps only each line-parity class.
+# Kronecker products (D^2 x 1, 1 x D^2, D x D):
+#
+#     L = 6 + half + cross,   L_sigma = 12 + 2 half - cross   (on R),
+#     half = (1/2) sum_A (D_A^2 x 1 + 1 x D_A^2),   cross = sum_A D_A x D_A.
+#
+# D_A keeps the line counts of a pair, so L keeps each grade; a generator
+# joining two lines moves an index between them, so Cas keeps only each
+# line-parity class.
 
 def _pair_derivations(ps: PairScheme, mats: np.ndarray) -> np.ndarray:
     """D_X for each X in the stack ``mats``: the matrix of X_(1) + X_(2) on
@@ -601,34 +632,21 @@ def _kron_block(ps: PairScheme, terms, coords: np.ndarray) -> np.ndarray:
     return block.reshape(size, size)
 
 
-def casimir_matrices(m: ModelSpace, ps: PairScheme, coords: np.ndarray,
-                     rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices of L and L_sigma on span(rows) in that basis.
-
-    ``rows`` are orthonormal elements of R supported on the pair coordinates
-    ``coords`` (restricted to them), which must be a union of grades.  The
-    operators are formed on ``coords`` only, as
-    L = 6 + half + cross and L_sigma = 3 M - L = 12 + 2 half - cross, with
-    half = (1/2) sum_A (D_A^2 x 1 + 1 x D_A^2) and cross = sum_A D_A x D_A;
-    the L_sigma identity holds on R only.
-    """
+def casimir_terms(m: ModelSpace, ps: PairScheme) -> dict:
+    """The Kronecker terms (w, A, B) of L, L_sigma and Cas, keyed by
+    operator name, for :func:`_kron_block`.  The L_sigma terms give L_sigma
+    on R only (L_sigma = 3 M - L); the terms of L and L_sigma share their
+    factor arrays."""
     D = _pair_derivations(ps, m.triple)
     S = 0.5 * sum(DA @ DA for DA in D)
     one = np.eye(ps.m)
-    bh, bc = (rows @ _kron_block(ps, terms, coords) @ rows.T for terms in
-              ([(1.0, S, one), (1.0, one, S)], [(1.0, DA, DA) for DA in D]))
-    eye = np.eye(rows.shape[0])
-    L_R = 6.0 * eye + bh + bc
-    Lsigma_R = 12.0 * eye + 2.0 * bh - bc
-    return 0.5 * (L_R + L_R.T), 0.5 * (Lsigma_R + Lsigma_R.T)
-
-
-def sp_casimir_blocks(m: ModelSpace, ps: PairScheme, classes):
-    """Yield the dense matrix of Cas on each array of pair coordinates in
-    ``classes``, each one line-parity class."""
-    D = _pair_derivations(ps, sp_generators(m.n))
-    S = np.tensordot(D, D, axes=([0, 1], [0, 1]))      # -sum_X D_X^2, D_X skew
-    eye = np.eye(ps.m)
-    terms = [(1.0, S, eye), (1.0, eye, S)] + [(-2.0, DX, DX) for DX in D]
-    for coords in classes:
-        yield _kron_block(ps, terms, coords)
+    half = [(1.0, S, one), (1.0, one, S)]
+    cross = [(1.0, DA, DA) for DA in D]
+    DX = _pair_derivations(ps, sp_generators(m.n))
+    SX = np.tensordot(DX, DX, axes=([0, 1], [0, 1]))     # -sum_X D_X^2, D_X skew
+    return {
+        "L": [(6.0, one, one)] + half + cross,
+        "L_sigma": [(12.0, one, one)] + [(2.0 * w, A, B) for w, A, B in half]
+                   + [(-w, A, B) for w, A, B in cross],
+        "Cas": [(1.0, SX, one), (1.0, one, SX)] + [(-2.0, X, X) for X in DX],
+    }

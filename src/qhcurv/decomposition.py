@@ -1,33 +1,26 @@
 """Irreducible decomposition of the curvature space under Sp(n)Sp(1).
 
-The space R splits first under the larger quaternionic group into the three
-L-eigenspaces (eigenvalues 6, 2, -6), refined by L_sigma (12/0/-12 within
-L=6, 4/-4 within L=2, 0 on L=-6), and then into fifteen fine components
-under Sp(n)Sp(1).  L and L_sigma keep the line-count grade of a pair
-coordinate, so the six joint (L, L_sigma) eigenspaces are built one grade
-at a time: ``eigh`` of L on the grade's rows (the Casimir matrices of
-:func:`.curvature_space.casimir_matrices`, with L_sigma = 3 M - L on R),
-then ``eigh`` of L_sigma inside each L-eigenspace of the grade.  Every
-eigenvalue must sit within ``EIG_TOL`` of its expected value.
+Each of the fifteen fine components of R is fixed by three commuting
+operators: the Sp(1) Casimir L (eigenvalues 6, 2, -6 on the three
+L-blocks), L_sigma (12/0/-12 within L=6, 4/-4 within L=2, 0 on L=-6) and
+the Sp(n) Casimir ``Cas = -sum_X rho(X)^2``, whose value on a component is
+<lambda, lambda + 2 rho> / 4 (:func:`casimir_value`), lambda the E-side
+highest weight stored in ``COMPONENT_SPECTRUM``.  A weight with more than
+n parts marks a component absent at that n.
 
 Flipping the sign of one quaternionic line lies in Sp(n) and multiplies a
 pair coordinate by -1 to the power of its count in that line.  So every
 fine component is the direct sum of its parts in the 2^(n-1) line-parity
-classes (:func:`line_parity_classes`: the line-count grade mod 2), and each
-grade, hence each joint eigenspace row, lies in one class.
-
-Each joint eigenspace is then split by one rule: the Sp(n) Casimir
-``Cas = -sum_X rho(X)^2`` of :func:`.curvature_space.sp_casimir_blocks`.
-It mixes grades but keeps each line-parity class, so in each eigenspace
-and class one ``eigh`` of Cas on the eigenspace's rows must give only the
-values <lambda, lambda + 2 rho> / 4 (:func:`casimir_value`) of the
-eigenspace's components, lambda the E-side highest weight stored in
-``COMPONENT_SPECTRUM``, to ``EIG_TOL``.  The values in one eigenspace are
-distinct at every n >= 2, and a weight with more than n parts marks a
-component absent at that n.  Every fine rank is thus decided against
-``EIG_TOL``, with no singular-value threshold.  The constructor maps below
-are the paper's definitions of the components with Ricci curvature; the
-tests check that their images span the components built here.
+classes (:func:`line_parity_classes`: the line-count grade mod 2), which
+all three operators keep, and each closed-form row of R lies in one class.
+On each class one operator, H = (n + 2)(3 L + L_sigma) + Cas, is
+sandwiched by the class's closed-form rows of R, and one ``eigh`` of it
+must give only the fifteen values of :func:`h_values`, which are at least
+1 apart at every n >= 2, to ``EIG_TOL``.  Every fine rank is thus decided
+against ``EIG_TOL``, with no singular-value threshold.  The constructor
+maps below are the paper's definitions of the components with Ricci
+curvature; the tests check that their images span the components built
+here.
 
 The fifteen fine bases (rows in the scaled pair coordinates of
 :mod:`.curvature_space`) are stored class by class: each class stacks its
@@ -62,10 +55,6 @@ FINE_COMPONENTS = (
     "V211S2H", "S2ES2H_b", "L20ES2H",
     "V22S4H", "L20ES4H", "S4H",
 )
-
-#: Fine components whose rank is zero at low n.
-ZERO_AT_N = {2: ("L40E", "L20E_b", "V211S2H"), 3: ("L40E",)}
-
 
 def dim_R(n: int) -> int:
     """dim R = (4/3) n^2 (16 n^2 - 1)."""
@@ -132,8 +121,8 @@ def casimir_value(weight: tuple, n: int) -> float | None:
     return float(lam @ (lam + 2.0 * np.arange(n, 0, -1))) / 4.0
 
 
-#: L-blocks with their L-eigenvalue and the L_sigma eigenvalues inside them.
-L_BLOCKS = {"L6": (6, (12, 0, -12)), "L2": (2, (4, -4)), "Lm6": (-6, (0,))}
+#: L-blocks with their L-eigenvalue.
+L_BLOCKS = {"L6": 6, "L2": 2, "Lm6": -6}
 
 #: The unit rays pi2 + 2 pi1 (in QK) and (n + 2) pi2 - 18 n pi1 (in QKperp),
 #: which split R_a + R_b.
@@ -143,7 +132,7 @@ RAYS = ("QK_ray", "QKperp_ray")
 #: direct sum of.  The L-blocks are contiguous in FINE_COMPONENTS.
 COMPOSITES = {
     **{name: tuple(c for c in FINE_COMPONENTS if COMPONENT_SPECTRUM[c][0] == lam)
-       for name, (lam, _) in L_BLOCKS.items()},
+       for name, lam in L_BLOCKS.items()},
     "QK": ("S4E", "QK_ray"),
     "QKperp": ("QKperp_ray",) + tuple(c for c in FINE_COMPONENTS
                                       if c not in ("S4E", "R_a", "R_b")),
@@ -309,16 +298,17 @@ class ProjectorBank:
             [np.zeros(0)] + [B @ v[coords] for coords, B in self._blocks(name)])))
 
 
-#: Largest distance allowed between a computed L, L_sigma or Cas eigenvalue and
-#: the expected one; a build that needs more raises instead of guessing.
+#: Largest distance allowed between a computed eigenvalue and the expected
+#: one; a build that needs more raises instead of guessing.
 EIG_TOL = 1e-8
 
 
 def _eigenspaces(H: np.ndarray, expected, what: str) -> dict:
-    """Orthonormal eigenvector columns of symmetric H, grouped by expected value.
+    """Orthonormal eigenvector columns of symmetric H, grouped by expected
+    value, in the order of ``expected``.
 
     Every eigenvalue must lie within EIG_TOL of one expected value; ``what``
-    names the operator and the grade in the error."""
+    names the operator and the class in the error."""
     w, V = np.linalg.eigh(H)
     expected = np.asarray(expected, dtype=float)
     nearest = np.argmin(np.abs(w[:, None] - expected[None, :]), axis=1)
@@ -352,86 +342,71 @@ def line_parity_classes(m: ModelSpace, ps: cs.PairScheme) -> tuple[np.ndarray, t
     return parities, tuple(np.flatnonzero(of_coord == c) for c in range(len(parities)))
 
 
-def _class_grades(m: ModelSpace, ps: cs.PairScheme) -> tuple[tuple, list]:
-    """The line-parity classes, and the closed-form rows of R grade by
-    grade, gathered by class: entry c lists (positions, grade) for each
-    grade in class c, ``positions`` placing the grade's coordinates among
-    those of the class."""
+def _class_grades(m: ModelSpace, ps: cs.PairScheme) -> tuple[np.ndarray, tuple, list]:
+    """The line-parity classes (as :func:`line_parity_classes` gives them),
+    and the closed-form rows of R grade by grade, gathered by class: entry c
+    lists (positions, grade) for each grade in class c, ``positions``
+    placing the grade's coordinates among those of the class."""
     parities, classes = line_parity_classes(m, ps)
     which = {tuple(p): c for c, p in enumerate(parities.tolist())}
     grades = [[] for _ in classes]
     for grade in cs.curvature_basis(m, ps):
         c = which[tuple(k % 2 for k in grade.counts)]
         grades[c].append((np.searchsorted(classes[c], grade.coords), grade))
-    return classes, grades
+    return parities, classes, grades
 
 
-def build_gl_projectors(m: ModelSpace, ps: cs.PairScheme | None = None) -> dict:
-    """The joint (L, L_sigma) eigenspaces of R, one grade at a time.
-
-    On each line-count grade, ``eigh`` of the Casimir matrix of L splits the
-    grade's rows by L-eigenvalue, and ``eigh`` of L_sigma inside each of
-    those splits them again.  Returns, for each (L, L_sigma) eigenvalue
-    pair, one array per line-parity class: the eigenspace's orthonormal
-    rows in that class, restricted to the class's pair coordinates.  A
-    class's arrays are consecutive views, in ``L_BLOCKS`` order, of one
-    array, their ``base``."""
-    ps = ps or cs.pair_scheme(m.dim)
-    classes, grades = _class_grades(m, ps)
-    pieces = {(lam, mu): [[] for _ in classes] for lam, mus in L_BLOCKS.values() for mu in mus}
-    for c, in_class in enumerate(grades):
-        for at, grade in in_class:
-            L_g, Lsigma_g = cs.casimir_matrices(m, ps, grade.coords, grade.rows)
-            spaces = _eigenspaces(L_g, [lam for lam, _ in L_BLOCKS.values()],
-                                  f"L on grade {grade.counts}")
-            for name, (lam, mus) in L_BLOCKS.items():
-                V = spaces[lam]
-                sub = _eigenspaces(V.T @ Lsigma_g @ V, mus,
-                                   f"L_sigma on {name}, grade {grade.counts}")
-                for mu in mus:
-                    pieces[lam, mu][c].append((at, (V @ sub[mu]).T @ grade.rows))
-    joint = {key: [] for key in pieces}
-    for c, coords in enumerate(classes):
-        stack = _scatter([part for parts in pieces.values() for part in parts[c]], len(coords))
-        sizes = [sum(rows.shape[0] for _, rows in parts[c]) for parts in pieces.values()]
-        for V, block in zip(joint.values(), np.split(stack, np.cumsum(sizes)[:-1])):
-            V.append(block)
-    return joint
+def h_values(n: int) -> dict:
+    """The eigenvalue (n + 2)(3 lambda_L + lambda_sigma) + Cas of
+    H = (n + 2)(3 L + L_sigma) + Cas on each fine component present at n
+    (``COMPONENT_SPECTRUM``, :func:`casimir_value`), in ``FINE_COMPONENTS``
+    order.  3 lambda_L + lambda_sigma tells the six joint (L, L_sigma)
+    eigenspaces apart by at least 4, and Cas lies in [0, 2(n + 2)] on R, so
+    the weight n + 2 keeps their values apart; inside one joint eigenspace
+    the Cas values differ by at least 1."""
+    values = {}
+    for name in FINE_COMPONENTS:
+        lam, mu, weight = COMPONENT_SPECTRUM[name]
+        cas = casimir_value(weight, n)
+        if cas is not None:
+            values[name] = (n + 2) * (3 * lam + mu) + cas
+    return values
 
 
 def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     """Construct the fifteen fine bases, class by class, and the two QK rays.
 
-    The joint (L, L_sigma) eigenspaces come from :func:`build_gl_projectors`.
-    For each line-parity class, the Sp(n) Casimir on the class's pair
-    coordinates (:func:`.curvature_space.sp_casimir_blocks`) is sandwiched
-    by each eigenspace's rows there, and one gated ``eigh`` must give only
-    the Casimir values of the eigenspace's components (``COMPONENT_SPECTRUM``,
-    :func:`casimir_value`), which are distinct, to EIG_TOL.  The eigenspace's
-    rows are then overwritten by its components' rows, in listing order, so
-    each class's stack of eigenspaces becomes the class's rows of the bank."""
+    On each line-parity class, H = (n + 2)(3 L + L_sigma) + Cas is formed
+    from the Kronecker terms of :func:`.curvature_space.casimir_terms` on the
+    class's pair coordinates and sandwiched by the class's closed-form rows
+    of R.  One gated ``eigh`` must give only the values of
+    :func:`h_values`, to EIG_TOL; its eigenvectors, grouped by value in
+    ``FINE_COMPONENTS`` order, turn the closed-form rows into the class's
+    rows of the bank."""
     ps = cs.pair_scheme(m.dim)
-    parities, classes = line_parity_classes(m, ps)
-    joint = build_gl_projectors(m, ps)
-    # each eigenspace's components, in listing order, with their values
-    values = {key: {name: casimir_value(COMPONENT_SPECTRUM[name][2], m.n)
-                    for name in FINE_COMPONENTS if COMPONENT_SPECTRUM[name][:2] == key}
-              for key in joint}
-    rows = [V.base for V in next(iter(joint.values()))]
-    slices = [{} for _ in classes]
-    for c, cas in enumerate(cs.sp_casimir_blocks(m, ps, classes)):
-        at = 0
-        for key, V in joint.items():
-            spaces = _eigenspaces(V[c] @ cas @ V[c].T,
-                                  [v for v in values[key].values() if v is not None],
-                                  f"Cas on the {key} eigenspace, "
-                                  f"class {tuple(parities[c].tolist())}")
-            parts = [spaces.get(v, np.zeros((len(V[c]), 0))) for v in values[key].values()]
-            V[c][:] = np.hstack(parts).T @ V[c]
-            for name, W in zip(values[key], parts):
-                slices[c][name] = slice(at, at + W.shape[1])
-                at += W.shape[1]
-        del cas             # free this class's block before the next is built
+    parities, classes, grades = _class_grades(m, ps)
+    values = h_values(m.n)
+    terms = cs.casimir_terms(m, ps)
+    k = m.n + 2.0
+    h_terms = [(s * w, A, B) for s, op in ((3.0 * k, "L"), (k, "L_sigma"), (1.0, "Cas"))
+               for w, A, B in terms[op]]
+    # every class's rows are allocated before any class's temporaries, so
+    # the heap those temporaries free is not left stranded under the bank
+    rows = [np.empty((sum(grade.rows.shape[0] for _, grade in in_class), len(coords)))
+            for coords, in_class in zip(classes, grades)]
+    slices = []
+    for c, coords in enumerate(classes):
+        # each class's grades are dropped once scattered, for the next
+        # classes' temporaries to reuse
+        R_c = _scatter([(at, grade.rows) for at, grade in grades.pop(0)], len(coords))
+        spaces = _eigenspaces(R_c @ cs._kron_block(ps, h_terms, coords) @ R_c.T,
+                              list(values.values()),
+                              f"H = (n + 2)(3 L + L_sigma) + Cas on class "
+                              f"{tuple(parities[c].tolist())}")
+        np.matmul(np.hstack(list(spaces.values())).T, R_c, out=rows[c])
+        at = np.cumsum([0] + [spaces[values[name]].shape[1] if name in values else 0
+                              for name in FINE_COMPONENTS]).tolist()
+        slices.append({name: slice(i, j) for name, i, j in zip(FINE_COMPONENTS, at, at[1:])})
 
     # pi1 and pi2 are made of g and the omega_A, which keep every line, so
     # the rays lie in the all-even class
@@ -583,9 +558,10 @@ class DecompositionReport:
 
 
 def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionReport:
-    """Check ranks against the closed formulas, eigenvalue residuals (first,
-    middle and last row per component), and the projector algebra one
-    line-parity class at a time."""
+    """Check ranks against the closed formulas, the residuals of the
+    tensor-level L, L_sigma and Cas oracles against each component's values
+    (first, middle and last row per component), and the projector algebra
+    one line-parity class at a time."""
     m = bank.model
     ps = bank.scheme
     n = m.n
@@ -604,25 +580,23 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
     if qk_rank != dim_QK(n):
         failures.append(f"dim QK {qk_rank} != {dim_QK(n)}")
 
-    zero = ZERO_AT_N.get(n, ())
-    for name in zero:
-        if ranks[name] != 0:
-            failures.append(f"component {name} should vanish at n={n}")
-
     eigen_residuals = {}
     for name in FINE_COMPONENTS:
         blocks = bank._blocks(name)
         if not blocks:
             eigen_residuals[name] = 0.0
             continue
-        lam, mu, _ = COMPONENT_SPECTRUM[name]
-        resid = []
+        lam, mu, weight = COMPONENT_SPECTRUM[name]
+        cas = casimir_value(weight, n)
+        cas = np.nan if cas is None else cas      # rows of an absent module fail
         # rows are stacked class by class: sample both ends and the middle
         rows = [(coords, row[None]) for coords, B in blocks for row in B]
-        for i in sorted({0, len(rows) // 2, len(rows) - 1}):
-            T = cs.from_pair_coords(ps, _scatter([rows[i]], ps.m ** 2)[0])
-            resid += [top.frob(cs.L_map(m, T) - lam * T),
-                      top.frob(cs.L_sigma_map(m, T) - mu * T)]
+        T = np.array([cs.from_pair_coords(ps, _scatter([rows[i]], ps.m ** 2)[0])
+                      for i in sorted({0, len(rows) // 2, len(rows) - 1})])
+        resid = [top.frob(x) for x in cs.Cas_map(m, T) - cas * T]
+        for t in T:
+            resid += [top.frob(cs.L_map(m, t) - lam * t),
+                      top.frob(cs.L_sigma_map(m, t) - mu * t)]
         worst = float(np.max(resid))      # np.max keeps a NaN, max() drops it
         eigen_residuals[name] = worst
         if not worst <= tol:
@@ -632,7 +606,7 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
     # are orthonormal and span the closed-form rows of R in that class,
     # rebuilt here.  Classes have disjoint supports, so rows of different
     # classes are orthogonal by construction.
-    classes, grades = _class_grades(m, ps)
+    _, classes, grades = _class_grades(m, ps)
     if len(classes) != len(bank.classes) or not all(
             np.array_equal(a, b) for a, b in zip(classes, bank.classes)):
         failures.append("the bank's classes are not the line-parity classes")
@@ -654,5 +628,6 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
         n=n, ranks=ranks, expected=expected,
         dim_R=total, dim_R_formula=dim_R(n),
         dim_QK=qk_rank, dim_QK_formula=dim_QK(n),
-        zero_components=zero, eigen_residuals=eigen_residuals,
+        zero_components=tuple(name for name in FINE_COMPONENTS if expected[name] == 0),
+        eigen_residuals=eigen_residuals,
         algebra_residuals=algebra, failures=failures)

@@ -134,10 +134,11 @@ def test_bianchi_residual_is_never_looser_than_alt(seed, dim, form_weight, log_s
 
 
 def test_casimir_matrices_match_tensor_maps(model):
-    """On every grade, the Kronecker-form L and L_sigma agree with the
-    slot-action maps on R."""
+    """On every grade, L and L_sigma, each built alone from its Kronecker
+    terms, agree with the slot-action maps on R."""
     m = model
     ps = cs.pair_scheme(m.dim)
+    terms = cs.casimir_terms(m, ps)
     counts, label = cs.coordinate_grades(m, ps)
     samples = np.array([cs.to_pair_coords(ps, cs.random_curvature(m, ("casimir", k)).tensor)
                         for k in range(5)])
@@ -146,10 +147,10 @@ def test_casimir_matrices_match_tensor_maps(model):
         # the grade part of an element of R lies in R
         B = cs.orthonormal_rows(samples[:, coords])
         assert B.shape[0] == 5
-        L_R, Lsigma_R = cs.casimir_matrices(m, ps, coords, B)
         full = np.zeros((5, ps.m * ps.m))
         full[:, coords] = B
-        for op, got in ((cs.L_map, L_R), (cs.L_sigma_map, Lsigma_R)):
+        for op, name in ((cs.L_map, "L"), (cs.L_sigma_map, "L_sigma")):
+            got = B @ cs._kron_block(ps, terms[name], coords) @ B.T
             images = np.array([cs.to_pair_coords(ps, op(m, cs.from_pair_coords(ps, row)))
                                for row in full])
             assert np.max(np.abs(got - full @ images.T)) < 1e-12
@@ -161,21 +162,27 @@ def _rho(X, T):
 
 
 def test_sp_casimir_blocks_match_dense_oracle(model2):
-    """Per line-parity class, the Kronecker-built Sp(n) Casimir, sandwiched
-    by the class's closed-form rows of R, equals -sum_X rho(X)^2 applied to
-    every row by slot actions (no Kronecker code).  The images stay in R
-    and in the row's class."""
+    """Per line-parity class, Cas built alone from its Kronecker terms,
+    sandwiched by the class's closed-form rows of R, equals -sum_X rho(X)^2
+    applied to every row by slot actions (no Kronecker code).  The images
+    stay in R and in the row's class, and the tensor-level Cas_map gives
+    them too."""
     m = model2
     ps = cs.pair_scheme(m.dim)
     R_rows = full_width_R_basis(m, ps)
     X = ms.sp_generators(m.n)
+    tensors = [cs.from_pair_coords(ps, row) for row in R_rows]
     images = np.array([cs.to_pair_coords(ps, -sum(_rho(x, _rho(x, T)) for x in X))
-                       for T in (cs.from_pair_coords(ps, row) for row in R_rows)])
+                       for T in tensors])
+    assert np.max(np.abs(np.array([cs.to_pair_coords(ps, cs.Cas_map(m, T)) for T in tensors])
+                         - images)) < 1e-12
     oracle = R_rows @ images.T
     assert np.max(np.abs(oracle.T @ R_rows - images)) < 1e-12
     _, classes = dec.line_parity_classes(m, ps)
+    cas = cs.casimir_terms(m, ps)["Cas"]
     seen = 0
-    for coords, block in zip(classes, cs.sp_casimir_blocks(m, ps, classes)):
+    for coords in classes:
+        block = cs._kron_block(ps, cas, coords)
         assert block.shape == (len(coords),) * 2
         on = np.flatnonzero(np.any(R_rows[:, coords] != 0, axis=1))
         B = R_rows[np.ix_(on, coords)]
@@ -183,6 +190,20 @@ def test_sp_casimir_blocks_match_dense_oracle(model2):
         assert np.max(np.abs(np.delete(images[on], coords, axis=1)), initial=0.0) < 1e-12
         seen += len(on)
     assert seen == len(R_rows)
+
+
+def test_cas_map_matches_slot_actions(model):
+    """Cas_map equals -sum_X rho(X)^2 by slot actions on rank-4 tensors
+    outside R too, one at a time and as a stack; sum_X X^2 is the scalar
+    -(2n + 1)/4 it reads off the generators."""
+    m = model
+    X = ms.sp_generators(m.n)
+    assert np.max(np.abs(sum(x @ x for x in X) + (2 * m.n + 1) / 4 * np.eye(m.dim))) < 1e-14
+    G = cs.substream("cas-map", m.n).standard_normal((2,) + (m.dim,) * 4)
+    naive = np.array([-sum(_rho(x, _rho(x, T)) for x in X) for T in G])
+    scale = np.max(np.abs(naive))
+    assert np.max(np.abs(cs.Cas_map(m, G) - naive)) < 1e-14 * scale
+    assert np.max(np.abs(cs.Cas_map(m, G[1]) - naive[1])) < 1e-14 * scale
 
 
 def test_casimir_block_refuses_coordinates_it_leaves(model2):
@@ -193,15 +214,16 @@ def test_casimir_block_refuses_coordinates_it_leaves(model2):
     counts, label = cs.coordinate_grades(m, ps)
     grade = np.flatnonzero(label == np.flatnonzero((counts == [2, 2]).all(axis=1))[0])
     with pytest.raises(ValueError, match="outside themselves"):
-        next(cs.sp_casimir_blocks(m, ps, [grade]))
+        cs._kron_block(ps, cs.casimir_terms(m, ps)["Cas"], grade)
 
 
 def test_casimir_l_sigma_identity_fails_off_R(model2):
     """L_sigma = 3M - L holds on R only: on each grade part of the 4-form
-    Omega (orthogonal to R) the slot-action L_sigma gives 6 while 3M - L
-    gives 0."""
+    Omega (orthogonal to R) the slot-action L_sigma gives 6 while the
+    Kronecker terms of L_sigma (3M - L) give 0."""
     m = model2
     ps = cs.pair_scheme(m.dim)
+    terms = cs.casimir_terms(m, ps)
     counts, label = cs.coordinate_grades(m, ps)
     v = cs.to_pair_coords(ps, m.Omega)
     parts = 0
@@ -210,15 +232,14 @@ def test_casimir_l_sigma_identity_fails_off_R(model2):
         if not np.any(v[coords]):
             continue
         parts += 1
-        B = (v[coords] / np.linalg.norm(v[coords]))[None, :]
-        L_R, Lsigma_R = cs.casimir_matrices(m, ps, coords, B)
+        b = v[coords] / np.linalg.norm(v[coords])
         full = np.zeros(ps.m * ps.m)
-        full[coords] = B[0]
+        full[coords] = b
         Omega_g = cs.from_pair_coords(ps, full)
-        assert L_R[0, 0] == pytest.approx(6.0)
+        assert b @ cs._kron_block(ps, terms["L"], coords) @ b == pytest.approx(6.0)
         assert float(full @ cs.to_pair_coords(ps, cs.L_sigma_map(m, Omega_g))) \
             == pytest.approx(6.0)
-        assert abs(Lsigma_R[0, 0]) < 1e-12
+        assert abs(b @ cs._kron_block(ps, terms["L_sigma"], coords) @ b) < 1e-12
     assert parts == 3      # grades (4, 0), (2, 2), (0, 4)
 
 

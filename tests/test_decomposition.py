@@ -21,13 +21,17 @@ def s2es2h_mats(m):
     return [b.reshape(m.dim, m.dim) for b in cs.bilinear_component_basis(m, "S2ES2H")]
 
 
+#: Fine components of rank zero at low n, in listing order.
+ZERO_AT_N = {2: ("L40E", "L20E_b", "V211S2H"), 3: ("L40E",)}
+
+
 def test_audit(bank):
     rep = dec.dimension_audit(bank)
     assert rep.ok, rep.failures
     assert rep.ranks == rep.expected
     assert rep.dim_R == dec.dim_R(bank.model.n)
     assert rep.dim_QK == dec.dim_QK(bank.model.n)
-    assert set(rep.zero_components) == set(dec.ZERO_AT_N.get(bank.model.n, ()))
+    assert rep.zero_components == ZERO_AT_N.get(bank.model.n, ())
     assert max(rep.eigen_residuals.values()) < 1e-9
 
 
@@ -41,6 +45,27 @@ def test_audit_checks_every_class(bank):
         rep = dec.dimension_audit(dataclasses.replace(bank, rows=tuple(rows)))
         assert rep.algebra_residuals["orthonormality"] > 1e-7, c
         assert any("not orthonormal" in f for f in rep.failures), c
+
+
+def test_audit_checks_the_sp_split(bank2):
+    """Rotating the first rows of V22 and L20E_a, two components of one
+    joint (L, L_sigma) eigenspace, into (a + c)/sqrt 2 and (a - c)/sqrt 2
+    keeps the bank orthonormal, complete and inside every L and L_sigma
+    eigenspace; only the Cas residuals of the two components see it."""
+    def first_row(name):
+        c = next(c for c, sl in enumerate(bank2.slices) if sl[name].stop > sl[name].start)
+        return c, bank2.slices[c][name].start
+
+    (c, i), (c_b, j) = first_row("V22"), first_row("L20E_a")
+    assert c == c_b
+    rows = list(bank2.rows)
+    B = rows[c] = rows[c].copy()
+    B[[i, j]] = np.array([B[i] + B[j], B[i] - B[j]]) / np.sqrt(2.0)
+    rep = dec.dimension_audit(dataclasses.replace(bank2, rows=tuple(rows)))
+    assert [f.split(":")[0] for f in rep.failures] \
+        == ["eigen residual of V22", "eigen residual of L20E_a"]
+    assert min(rep.eigen_residuals["V22"], rep.eigen_residuals["L20E_a"]) > 0.1
+    assert max(rep.algebra_residuals.values()) < 1e-12
 
 
 def test_constructor_ricci_constants(model):
@@ -153,7 +178,7 @@ def test_component_norms_match_per_component_oracle(bank):
         for name in dec.FINE_COMPONENTS:
             oracle = float(np.linalg.norm(bank.basis(name) @ v))
             assert norms[name] == pytest.approx(oracle, rel=1e-12, abs=0.0), name
-        for name in dec.ZERO_AT_N.get(bank.model.n, ()):
+        for name in ZERO_AT_N.get(bank.model.n, ()):
             assert bank.rank(name) == 0 and norms[name] == 0.0
 
 
@@ -481,10 +506,11 @@ def test_eigenspaces_reject_stray_eigenvalues():
         dec._eigenspaces(np.diag([6.0, 2.0, -6.0 + 1e-6]), (6, 2, -6), "test")
 
 
-def test_eigen_gate_names_the_grade(model2, monkeypatch):
+def test_eigen_gate_names_the_operator_and_class(model2, monkeypatch):
     monkeypatch.setattr(dec, "EIG_TOL", -1.0)     # every eigenvalue fails
-    with pytest.raises(ArithmeticError, match=r"^L on grade \(\d, \d\): eigenvalue"):
-        dec.build_gl_projectors(model2)
+    with pytest.raises(ArithmeticError, match=r"^H = \(n \+ 2\)\(3 L \+ L_sigma\) \+ Cas "
+                                              r"on class \(0, 0\): eigenvalue"):
+        dec.build_sp_projectors(model2)
 
 
 def _theta(k):
@@ -533,33 +559,39 @@ def test_constructor_images_span_their_components(bank, name):
     assert np.max(np.abs(Z @ Z.T - c * np.eye(len(Z)))) <= 1e-9 * c
 
 
-def test_casimir_gate_names_the_eigenspace_and_class(model2, monkeypatch):
-    """A class Casimir scaled by 1 + 1e-6 moves every nonzero eigenvalue off
-    its closed-form value; the first failing split names the Casimir, the
-    joint eigenspace and the line-parity class."""
-    blocks = cs.sp_casimir_blocks
-    monkeypatch.setattr(cs, "sp_casimir_blocks",
-                        lambda *args: ((1.0 + 1e-6) * B for B in blocks(*args)))
-    with pytest.raises(ArithmeticError,
-                       match=r"^Cas on the \(6, 12\) eigenspace, class \(0, 0\): eigenvalue"):
+def test_casimir_gate_names_the_operator_and_class(model2, monkeypatch):
+    """The Cas terms scaled by 1 + 1e-6 move every eigenvalue of H with a
+    nonzero Casimir part off its closed-form value; the first failing class
+    is named, with the operator."""
+    terms = cs.casimir_terms
+
+    def scaled(*args):
+        out = terms(*args)
+        out["Cas"] = [((1.0 + 1e-6) * w, A, B) for w, A, B in out["Cas"]]
+        return out
+    monkeypatch.setattr(cs, "casimir_terms", scaled)
+    with pytest.raises(ArithmeticError, match=r"^H = \(n \+ 2\)\(3 L \+ L_sigma\) \+ Cas "
+                                              r"on class \(0, 0\): eigenvalue"):
         dec.build_sp_projectors(model2)
 
 
 def test_casimir_values_are_distinct_in_every_eigenspace():
-    """The components sharing a joint (L, L_sigma) eigenspace have distinct
-    Casimir values at every n >= 2, at least 1 apart; a weight with more
-    than n parts has none (L40E at n <= 3, V211S2H at n = 2)."""
+    """The values (n + 2)(3 lambda_L + lambda_sigma) + Cas of H on the fine
+    components present at n are at least 1 apart for n = 2..10, so one
+    gated eigh per class tells all fifteen apart; a weight with more than n
+    parts has no Casimir value and no component (L40E at n <= 3, V211S2H at
+    n = 2)."""
     assert dec.casimir_value((1, 1, 1, 1), 3) is None
     assert dec.casimir_value((2, 1, 1), 2) is None
-    for n in range(2, 9):
-        values = {}
-        for name, (lam, mu, weight) in dec.COMPONENT_SPECTRUM.items():
-            value = dec.casimir_value(weight, n)
-            if value is not None:
-                values.setdefault((lam, mu), []).append(value)
-        for vs in values.values():
-            gaps = np.diff(sorted(vs))
-            assert np.all(gaps >= 1.0), (n, vs)
+    for n in range(2, 11):
+        values = dec.h_values(n)
+        assert list(values) == [name for name in dec.FINE_COMPONENTS
+                                if len(dec.COMPONENT_SPECTRUM[name][2]) <= n]
+        for name, value in values.items():
+            lam, mu, weight = dec.COMPONENT_SPECTRUM[name]
+            assert value == (n + 2) * (3 * lam + mu) + dec.casimir_value(weight, n)
+        gaps = np.diff(sorted(values.values()))
+        assert np.all(gaps >= 1.0), (n, values)
     assert dec.casimir_value((4,), 3) == 10.0 and dec.casimir_value((), 3) == 0.0
 
 
@@ -590,12 +622,12 @@ def test_r_a_r_b_are_the_unit_rays(bank):
         assert min(np.linalg.norm(row - s * v / np.linalg.norm(v)) for s in (1, -1)) < 1e-12
 
 
-def test_graded_eigenspaces_match_dense_oracle(model2):
-    """The per-grade L-blocks and joint (L, L_sigma) eigenspaces equal those
-    of the full 336 x 336 L_R and L_sigma_R, built by applying the slot-action
-    maps to every closed-form row of R (no Kronecker code)."""
-    m = model2
-    ps = cs.pair_scheme(m.dim)
+def test_graded_eigenspaces_match_dense_oracle(bank2):
+    """The bank's L-blocks and joint (L, L_sigma) eigenspaces (the sums of
+    its fine components with one L, L_sigma pair) equal those of the full
+    336 x 336 L_R and L_sigma_R, built by applying the slot-action maps to
+    every closed-form row of R (no Kronecker code)."""
+    m, ps = bank2.model, bank2.scheme
     R_rows = full_width_R_basis(m, ps)
 
     def dense(op):
@@ -607,21 +639,24 @@ def test_graded_eigenspaces_match_dense_oracle(model2):
     def projector(rows):
         return rows.T @ rows
 
+    def bank_projector(names):
+        return sum(projector(bank2.basis(name)) for name in names)
+
     L_R, Lsigma_R = dense(cs.L_map), dense(cs.L_sigma_map)
-    _, classes = dec.line_parity_classes(m, ps)
-    joint = {key: dec._scatter(list(zip(classes, per_class)), ps.m ** 2)
-             for key, per_class in dec.build_gl_projectors(m, ps).items()}
     w, V = np.linalg.eigh(L_R)
-    for name, (lam, mus) in dec.L_BLOCKS.items():
+    for name, lam in dec.L_BLOCKS.items():
         Vl = V[:, np.abs(w - lam) < 1.0]
         assert np.max(np.abs(w[np.abs(w - lam) < 1.0] - lam)) < 1e-10
-        block = sum(projector(joint[lam, mu]) for mu in mus)
-        assert np.max(np.abs(projector(Vl.T @ R_rows) - block)) < 1e-10
+        assert np.max(np.abs(projector(Vl.T @ R_rows) - bank_projector(dec.COMPOSITES[name]))) \
+            < 1e-10
+        joint = {}
+        for fine in dec.COMPOSITES[name]:
+            joint.setdefault(dec.COMPONENT_SPECTRUM[fine][1], []).append(fine)
         ws, W = np.linalg.eigh(Vl.T @ Lsigma_R @ Vl)
-        assert sum(np.sum(np.abs(ws - mu) < 1e-10) for mu in mus) == len(ws)
-        for mu in mus:
+        assert sum(np.sum(np.abs(ws - mu) < 1e-10) for mu in joint) == len(ws)
+        for mu, names in joint.items():
             rows = (Vl @ W[:, np.abs(ws - mu) < 1.0]).T @ R_rows
-            assert np.max(np.abs(projector(rows) - projector(joint[lam, mu]))) < 1e-10
+            assert np.max(np.abs(projector(rows) - bank_projector(names))) < 1e-10
 
 
 def test_unknown_component_name(bank):
@@ -631,8 +666,8 @@ def test_unknown_component_name(bank):
 
 @pytest.mark.slow
 def test_sp_bank_ranks_at_n4():
-    """At n = 4 every per-grade and per-class eigenvalue passes the EIG_TOL
-    gates (the build raises otherwise), all fifteen ranks match the
+    """At n = 4 every eigenvalue of the eight class operators H passes the
+    EIG_TOL gate (the build raises otherwise), all fifteen ranks match the
     formulas, and the audit passes.  The bank stores sum_c rows_c x
     coords_c doubles over the 8 classes (896 x 2112 for the all-even class,
     six of 672 x 1792, 512 x 1536 for the all-odd class) plus the two rays
