@@ -471,8 +471,7 @@ def ricci_component_formulas(m: ModelSpace, state: TorsionState) -> dict:
 
 def theta_of_derivative(m: ModelSpace, D: np.ndarray) -> np.ndarray:
     """(nabla~_W theta)(X): the theta-contraction of each D(W; .) slice."""
-    scale = 6.0 * (2.0 * m.n + 1.0) * (m.n - 1.0) / m.n
-    return -np.einsum("wjxj->wx", D) / scale
+    return -np.einsum("wjxj->wx", D) / tor._theta_scale(m.n)
 
 
 def d_star_theta(m: ModelSpace, state: TorsionState) -> float:

@@ -19,16 +19,17 @@ product of coordinate vectors equals the raw rank-4 contraction.  In these
 coordinates R has a closed-form orthonormal basis, and L is the Sp(1)
 Casimir 6 + (1/2) sum_A rho(A)^2 with rho(A) C = D_A C + C D_A^T.  On R,
 L_sigma = 3 M - L with M = sum_A (A_(1)A_(2) + A_(3)A_(4)); this does not
-hold off R.  Both operators keep the line-count grade of a coordinate (how
-many of its four indices fall in each quaternionic line), and every
-closed-form row of R lies in one grade.  :func:`curvature_basis` builds
-the basis grade by grade, each grade's rows restricted to its own
-coordinates.  :func:`casimir_terms` gives L, L_sigma and the Sp(n) Casimir
-Cas as sums of Kronecker products of m x m matrices, and
+hold off R.  A coordinate's line-parity class is how many of its four
+indices fall in each quaternionic line, mod 2
+(:func:`line_parity_classes`).  L, L_sigma and the Sp(n) Casimir Cas all
+keep each class, and every closed-form row of R lies in one, so
+:func:`curvature_basis` builds the basis class by class, each class's rows
+restricted to its own coordinates.  :func:`casimir_terms` gives L, L_sigma
+and Cas as sums of Kronecker products of m x m matrices, and
 :func:`_kron_block` forms any weighted sum of them on a set of pair
-coordinates the sum keeps: a line-parity class (the grade mod 2) is kept
-by all three.  The tensor-level :func:`L_map`, :func:`L_sigma_map` and
-:func:`Cas_map` stay as independent oracles.
+coordinates the sum keeps, such as a class.  The tensor-level
+:func:`L_map`, :func:`L_sigma_map` and :func:`Cas_map` stay as independent
+oracles.
 """
 
 from __future__ import annotations
@@ -498,13 +499,14 @@ def null_space_rows(mat: np.ndarray, tol: float = SV_TOL,
 
 
 # ---------------------------------------------------------------------------
-# Line-count grades and the closed-form basis of R.
+# Line-parity classes and the closed-form basis of R.
 #
-# Scaling one quaternionic line commutes with I, J, K, so L, M and L_sigma
-# preserve the grade of a pair coordinate: how many of its four indices fall
-# in each 4-dim line.  Every closed-form row of R lies inside one grade (its
-# entries share one index set), so on R the Casimir is block-diagonal over
-# grades: 5 blocks at n = 2, 15 at n = 3.
+# Flipping the sign of one quaternionic line lies in Sp(n) and multiplies a
+# pair coordinate by -1 to the power of how many of its four indices fall
+# in that line.  So L, L_sigma and Cas keep each line-parity class of
+# coordinates, and every closed-form row of R lies inside one class (its
+# entries share one index set): on R all three are block-diagonal over the
+# classes, 2 blocks at n = 2, 4 at n = 3.
 
 def _pair_line_counts(m: ModelSpace, ps: PairScheme) -> np.ndarray:
     """(m, n): how many of the two indices of each pair fall in each line."""
@@ -512,26 +514,21 @@ def _pair_line_counts(m: ModelSpace, ps: PairScheme) -> np.ndarray:
     return line[ps.first] + line[ps.second]
 
 
-def coordinate_grades(m: ModelSpace, ps: PairScheme) -> tuple[np.ndarray, np.ndarray]:
-    """(counts, label): the distinct line-count vectors, one row per grade,
-    and for each of the m * m pair coordinates the index of its grade."""
+def line_parity_classes(m: ModelSpace, ps: PairScheme) -> tuple[np.ndarray, tuple]:
+    """(parities, classes): the distinct line-count parities of the m * m
+    pair coordinates, one row per class, the all-even class first; and each
+    class's pair coordinates, increasing.  There are 2^(n-1) classes, since
+    the four indices of a coordinate make the parities sum to an even
+    number."""
     per_pair = _pair_line_counts(m, ps)
-    per_coord = (per_pair[:, None, :] + per_pair[None, :, :]).reshape(-1, m.n)
-    counts, label = np.unique(per_coord, axis=0, return_inverse=True)
-    return counts, label.reshape(-1)
+    per_coord = ((per_pair[:, None, :] + per_pair[None, :, :]) % 2).reshape(-1, m.n)
+    parities, label = np.unique(per_coord, axis=0, return_inverse=True)
+    label = label.reshape(-1)
+    return parities, tuple(np.flatnonzero(label == c) for c in range(len(parities)))
 
 
-@dataclass(frozen=True)
-class Grade:
-    """The closed-form rows of R inside one line-count grade."""
-
-    counts: tuple       # how many of the four indices fall in each line
-    coords: np.ndarray  # the grade's pair coordinates, increasing
-    rows: np.ndarray    # orthonormal rows, restricted to ``coords``
-
-
-def curvature_basis(m: ModelSpace, ps: PairScheme | None = None) -> list[Grade]:
-    """Orthonormal basis of R in pair coordinates, in closed form, by grade.
+def curvature_basis(m: ModelSpace, ps: PairScheme | None = None) -> list[np.ndarray]:
+    """Orthonormal basis of R in pair coordinates, in closed form, by class.
 
     A symmetric pair matrix C lies in R exactly when, for every quadruple
     i<j<k<l, C[(ij),(kl)] - C[(ik),(jl)] + C[(il),(jk)] = 0.  Entries whose
@@ -540,8 +537,9 @@ def curvature_basis(m: ModelSpace, ps: PairScheme | None = None) -> list[Grade]:
     with symmetric units s_a, s_b, s_c, get the two orthonormal rows
     (s_a + s_b)/sqrt 2 and (s_a - s_b - 2 s_c)/sqrt 6 spanning the plane
     x_a - x_b + x_c = 0.  That makes C(m+1, 2) - C(dim, 4) rows in all, in
-    that order; each grade gets its rows in that order, written from their
-    nonzero entries straight into the grade's coordinates.
+    that order.  Entry c is one dense block: the rows in class c of
+    :func:`line_parity_classes`, in that order, written from their nonzero
+    entries straight into the class's coordinates.
     """
     ps = ps or pair_scheme(m.dim)
     mm = ps.m
@@ -564,15 +562,14 @@ def curvature_basis(m: ModelSpace, ps: PairScheme | None = None) -> list[Grade]:
     row, u, v, value = (np.concatenate(x) for x in zip(*entries))
     row, col, value = np.tile(row, 2), np.concatenate([u * mm + v, v * mm + u]), np.tile(value, 2)
 
-    counts, label = coordinate_grades(m, ps)
-    of_entry, grades = label[col], []
-    for g in np.unique(of_entry):                   # the grades that hold rows
-        on = of_entry == g
-        rows, coords = np.unique(row[on]), np.flatnonzero(label == g)
+    blocks = []
+    for coords in line_parity_classes(m, ps)[1]:
+        on = np.isin(col, coords)
+        rows = np.unique(row[on])
         block = np.zeros((rows.size, coords.size))
         block[np.searchsorted(rows, row[on]), np.searchsorted(coords, col[on])] = value[on]
-        grades.append(Grade(counts=tuple(int(c) for c in counts[g]), coords=coords, rows=block))
-    return grades
+        blocks.append(block)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +592,9 @@ def curvature_basis(m: ModelSpace, ps: PairScheme | None = None) -> list[Grade]:
 #     L = 6 + half + cross,   L_sigma = 12 + 2 half - cross   (on R),
 #     half = (1/2) sum_A (D_A^2 x 1 + 1 x D_A^2),   cross = sum_A D_A x D_A.
 #
-# D_A keeps the line counts of a pair, so L keeps each grade; a generator
-# joining two lines moves an index between them, so Cas keeps only each
-# line-parity class.
+# D_A keeps the line counts of a pair, so L keeps them on every coordinate;
+# a generator joining two lines moves an index between them, so Cas keeps
+# only each line-parity class.
 
 def _pair_derivations(ps: PairScheme, mats: np.ndarray) -> np.ndarray:
     """D_X for each X in the stack ``mats``: the matrix of X_(1) + X_(2) on

@@ -8,26 +8,26 @@ the Sp(n) Casimir ``Cas = -sum_X rho(X)^2``, whose value on a component is
 highest weight stored in ``COMPONENT_SPECTRUM``.  A weight with more than
 n parts marks a component absent at that n.
 
-Flipping the sign of one quaternionic line lies in Sp(n) and multiplies a
-pair coordinate by -1 to the power of its count in that line.  So every
-fine component is the direct sum of its parts in the 2^(n-1) line-parity
-classes (:func:`line_parity_classes`: the line-count grade mod 2), which
-all three operators keep, and each closed-form row of R lies in one class.
-On each class one operator, H = (n + 2)(3 L + L_sigma) + Cas, is
-sandwiched by the class's closed-form rows of R, and one ``eigh`` of it
-must give only the fifteen values of :func:`h_values`, which are at least
-1 apart at every n >= 2, to ``EIG_TOL``.  Every fine rank is thus decided
-against ``EIG_TOL``, with no singular-value threshold.  The constructor
-maps below are the paper's definitions of the components with Ricci
-curvature; the tests check that their images span the components built
-here.
+Flipping the sign of one quaternionic line lies in Sp(n), so every fine
+component is the direct sum of its parts in the 2^(n-1) line-parity
+classes of :func:`.curvature_space.line_parity_classes`, which all three
+operators keep.  On each class one operator,
+H = (n + 2)(3 L + L_sigma) + Cas, is sandwiched by the class's block of
+closed-form rows of R (:func:`.curvature_space.curvature_basis`), and one
+``eigh`` of it must give only the fifteen values of :func:`h_values`,
+which are at least 1 apart at every n >= 2, to ``EIG_TOL``.  Every fine
+rank is thus decided against ``EIG_TOL``, with no singular-value
+threshold.  The constructor maps below are the paper's definitions of the
+components with Ricci curvature; the tests check that their images span
+the components built here.
 
 The fifteen fine bases (rows in the scaled pair coordinates of
 :mod:`.curvature_space`) are stored class by class: each class stacks its
 parts of the fifteen bases, restricted to its own coordinates, into one
-orthonormal basis of its part of R.  The classes have disjoint supports,
-so projections and norms are products class by class, ranks are row
-counts, and the audit checks the projector algebra one class at a time.
+orthonormal basis of its part of R, written over that class's block of
+closed-form rows.  The classes have disjoint supports, so projections and
+norms are products class by class, ranks are row counts, and the audit
+checks the projector algebra one class at a time.
 The L-blocks, QK and QKperp are direct sums of fine components and the two
 rays that split R_a + R_b, and are read from those parts.
 """
@@ -225,9 +225,10 @@ class ProjectorBank:
     """The fifteen fine bases of R, stored one line-parity class at a time.
 
     ``classes[c]`` holds the pair coordinates of class c (increasing, as
-    :func:`line_parity_classes` gives them).  ``rows[c]`` stacks the class-c
-    parts of the fifteen fine bases in ``FINE_COMPONENTS`` order, restricted
-    to ``classes[c]``: an orthonormal basis of the class-c part of R.
+    :func:`.curvature_space.line_parity_classes` gives them).  ``rows[c]``
+    stacks the class-c parts of the fifteen fine bases in
+    ``FINE_COMPONENTS`` order, restricted to ``classes[c]``: an orthonormal
+    basis of the class-c part of R.
     ``slices[c]`` maps each fine component to its rows there, and
     ``labels[c]`` gives each row's index in ``FINE_COMPONENTS``.  ``rays``
     holds the unit QK and QKperp rays that split R_a + R_b, restricted to
@@ -331,31 +332,6 @@ def _scatter(pieces, width: int) -> np.ndarray:
     return out
 
 
-def line_parity_classes(m: ModelSpace, ps: cs.PairScheme) -> tuple[np.ndarray, tuple]:
-    """(parities, classes): the distinct line-count grades mod 2, one row
-    per class, the all-even class first; and each class's pair coordinates,
-    increasing.  There are 2^(n-1) classes, since the four indices of a
-    coordinate make the parities sum to an even number."""
-    counts, label = cs.coordinate_grades(m, ps)
-    parities, of_grade = np.unique(counts % 2, axis=0, return_inverse=True)
-    of_coord = of_grade.reshape(-1)[label]
-    return parities, tuple(np.flatnonzero(of_coord == c) for c in range(len(parities)))
-
-
-def _class_grades(m: ModelSpace, ps: cs.PairScheme) -> tuple[np.ndarray, tuple, list]:
-    """The line-parity classes (as :func:`line_parity_classes` gives them),
-    and the closed-form rows of R grade by grade, gathered by class: entry c
-    lists (positions, grade) for each grade in class c, ``positions``
-    placing the grade's coordinates among those of the class."""
-    parities, classes = line_parity_classes(m, ps)
-    which = {tuple(p): c for c, p in enumerate(parities.tolist())}
-    grades = [[] for _ in classes]
-    for grade in cs.curvature_basis(m, ps):
-        c = which[tuple(k % 2 for k in grade.counts)]
-        grades[c].append((np.searchsorted(classes[c], grade.coords), grade))
-    return parities, classes, grades
-
-
 def h_values(n: int) -> dict:
     """The eigenvalue (n + 2)(3 lambda_L + lambda_sigma) + Cas of
     H = (n + 2)(3 L + L_sigma) + Cas on each fine component present at n
@@ -382,28 +358,23 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     of R.  One gated ``eigh`` must give only the values of
     :func:`h_values`, to EIG_TOL; its eigenvectors, grouped by value in
     ``FINE_COMPONENTS`` order, turn the closed-form rows into the class's
-    rows of the bank."""
+    rows of the bank, written over them."""
     ps = cs.pair_scheme(m.dim)
-    parities, classes, grades = _class_grades(m, ps)
+    parities, classes = cs.line_parity_classes(m, ps)
+    rows = cs.curvature_basis(m, ps)
     values = h_values(m.n)
     terms = cs.casimir_terms(m, ps)
     k = m.n + 2.0
     h_terms = [(s * w, A, B) for s, op in ((3.0 * k, "L"), (k, "L_sigma"), (1.0, "Cas"))
                for w, A, B in terms[op]]
-    # every class's rows are allocated before any class's temporaries, so
-    # the heap those temporaries free is not left stranded under the bank
-    rows = [np.empty((sum(grade.rows.shape[0] for _, grade in in_class), len(coords)))
-            for coords, in_class in zip(classes, grades)]
     slices = []
-    for c, coords in enumerate(classes):
-        # each class's grades are dropped once scattered, for the next
-        # classes' temporaries to reuse
-        R_c = _scatter([(at, grade.rows) for at, grade in grades.pop(0)], len(coords))
+    for parity, coords, R_c in zip(parities, classes, rows):
         spaces = _eigenspaces(R_c @ cs._kron_block(ps, h_terms, coords) @ R_c.T,
                               list(values.values()),
                               f"H = (n + 2)(3 L + L_sigma) + Cas on class "
-                              f"{tuple(parities[c].tolist())}")
-        np.matmul(np.hstack(list(spaces.values())).T, R_c, out=rows[c])
+                              f"{tuple(parity.tolist())}")
+        # same shape: numpy buffers the overlap, and the bank keeps R_c's memory
+        np.matmul(np.hstack(list(spaces.values())).T, R_c, out=R_c)
         at = np.cumsum([0] + [spaces[values[name]].shape[1] if name in values else 0
                               for name in FINE_COMPONENTS]).tolist()
         slices.append({name: slice(i, j) for name, i, j in zip(FINE_COMPONENTS, at, at[1:])})
@@ -606,13 +577,12 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
     # are orthonormal and span the closed-form rows of R in that class,
     # rebuilt here.  Classes have disjoint supports, so rows of different
     # classes are orthogonal by construction.
-    _, classes, grades = _class_grades(m, ps)
+    _, classes = cs.line_parity_classes(m, ps)
     if len(classes) != len(bank.classes) or not all(
             np.array_equal(a, b) for a, b in zip(classes, bank.classes)):
         failures.append("the bank's classes are not the line-parity classes")
     ortho, completeness = [0.0], [0.0]
-    for coords, B, in_class in zip(classes, bank.rows, grades):
-        R_c = _scatter([(at, grade.rows) for at, grade in in_class], len(coords))
+    for B, R_c in zip(bank.rows, cs.curvature_basis(m, ps)):
         ortho.append(np.max(np.abs(B @ B.T - np.eye(B.shape[0])), initial=0.0))
         overlap = B @ R_c.T
         completeness.append(np.max(np.abs(overlap.T @ overlap - np.eye(R_c.shape[0])),

@@ -105,9 +105,11 @@ def structure_triple(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.kron(eye_n, blk) for blk in (_LI, _LJ, _LK))
 
 
+@functools.lru_cache(maxsize=None)
 def sp_generators(n: int) -> np.ndarray:
     """Frobenius-orthonormal basis of sp(n), the skew matrices commuting with
-    I, J and K: n(2n+1) matrices of 4 or 8 nonzero entries.
+    I, J and K: n(2n+1) matrices of 4 or 8 nonzero entries, built once per
+    n and returned read-only.
 
     For each line a and q in {i, j, k}: right multiplication by q on block
     a, over 2.  For each pair of lines a < b and q in {1, i, j, k}:
@@ -120,7 +122,7 @@ def sp_generators(n: int) -> np.ndarray:
         E = np.outer(units[a], units[b])
         out += [(np.kron(E, R) - np.kron(E.T, R.T)) / math.sqrt(8.0)
                 for R in (np.eye(4), _RI, _RJ, _RK)]
-    return np.stack(out)
+    return _freeze(np.stack(out))
 
 
 def pi1_tensor(g: np.ndarray) -> np.ndarray:

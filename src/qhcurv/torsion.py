@@ -270,8 +270,7 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
     comps["E3"] = cs.orthonormal_rows(e3_rows, floor=1e-6, label="torsion E3")
 
     # K S^3H: orthogonal remainder
-    used = np.vstack([comps["33"], comps["E3"]]) if comps["33"].shape[0] \
-        else comps["E3"]
+    used = np.vstack([comps["33"], comps["E3"]])
     comps["K3"] = cs.orthonormal_rows(
         s3h - (s3h @ used.T) @ used, floor=1e-6, label="torsion K3")
 
@@ -284,8 +283,7 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
     comps["EH"] = cs.orthonormal_rows(eh_rows, floor=1e-6, label="torsion EH")
 
     # K H: orthogonal remainder
-    used = np.vstack([comps["3H"], comps["EH"]]) if comps["3H"].shape[0] \
-        else comps["EH"]
+    used = np.vstack([comps["3H"], comps["EH"]])
     comps["KH"] = cs.orthonormal_rows(
         h - (h @ used.T) @ used, floor=1e-6, label="torsion KH")
 

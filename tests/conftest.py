@@ -1,6 +1,7 @@
 """Shared fixtures: models and projector banks are expensive at n = 3, so
 they are built once per session and shared read-only (they are immutable)."""
 
+import numpy as np
 import pytest
 
 from qhcurv import curvature_space as cs
@@ -72,10 +73,23 @@ def tbank2():
     return get_torsion_bank(2)
 
 
+def coordinate_grades(m, ps):
+    """(counts, label): the distinct line-count vectors of the m * m pair
+    coordinates (how many of the four indices fall in each line), one row
+    per grade, and for each coordinate the index of its grade.  The package
+    blocks only by their parities; the tests check that L and L_sigma keep
+    the finer grades too."""
+    per_pair = cs._pair_line_counts(m, ps)
+    per_coord = (per_pair[:, None, :] + per_pair[None, :, :]).reshape(-1, m.n)
+    counts, label = np.unique(per_coord, axis=0, return_inverse=True)
+    return counts, label.reshape(-1)
+
+
 def full_width_R_basis(m, ps):
-    """The closed-form rows of R, grade after grade, scattered to full
+    """The closed-form rows of R, class after class, scattered to full
     m^2 width: an oracle the package itself never forms."""
-    return dec._scatter([(g.coords, g.rows) for g in cs.curvature_basis(m, ps)], ps.m ** 2)
+    _, classes = cs.line_parity_classes(m, ps)
+    return dec._scatter(list(zip(classes, cs.curvature_basis(m, ps))), ps.m ** 2)
 
 
 def random_torsion(tbank, seed):

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_width_R_basis
+from conftest import coordinate_grades, full_width_R_basis
 from qhcurv import curvature_space as cs
-from qhcurv import decomposition as dec
 from qhcurv import model_space as ms
 from qhcurv import tensor_ops as top
 
@@ -43,29 +42,57 @@ def test_basis_grades_split_R(model):
     from qhcurv.decomposition import dim_R
     m = model
     ps = cs.pair_scheme(m.dim)
-    grades = cs.curvature_basis(m, ps)
-    counts, label = cs.coordinate_grades(m, ps)
-    for g in grades:
-        # a grade's rows are restricted to exactly its own coordinates
-        grade = counts.tolist().index(list(g.counts))
-        assert np.array_equal(g.coords, np.flatnonzero(label == grade))
-    sizes = sorted(g.rows.shape[0] for g in grades)
+    counts, label = coordinate_grades(m, ps)
+    R_rows = full_width_R_basis(m, ps)
+    # every nonzero entry of a row shares the grade of its first one
+    of_row = label[np.argmax(R_rows != 0, axis=1)]
+    assert not np.any((R_rows != 0) & (label[None, :] != of_row[:, None]))
+    grades, sizes = np.unique(of_row, return_counts=True)
     assert sum(sizes) == dim_R(m.n)
-    assert sizes == {2: [20, 20, 80, 80, 136],
-                     3: [20] * 3 + [80] * 6 + [136] * 3 + [256] * 3}[m.n]
+    assert sorted(sizes.tolist()) == {2: [20, 20, 80, 80, 136],
+                                      3: [20] * 3 + [80] * 6 + [136] * 3 + [256] * 3}[m.n]
     for g in grades:
-        assert sum(g.counts) == 4
+        assert counts[g].sum() == 4
+        coords = np.flatnonzero(label == g)
+        rows = R_rows[of_row == g]
         # restricted to its grade, every row keeps its unit norm
-        assert np.max(np.abs(g.rows @ g.rows.T - np.eye(g.rows.shape[0]))) < 1e-14
+        assert np.max(np.abs(rows[:, coords] @ rows[:, coords].T - np.eye(len(rows)))) < 1e-14
         outside = np.ones(ps.m * ps.m, dtype=bool)
-        outside[g.coords] = False
-        row = np.zeros(ps.m * ps.m)
-        row[g.coords] = g.rows[g.rows.shape[0] // 2]
-        T = cs.from_pair_coords(ps, row)
+        outside[coords] = False
+        T = cs.from_pair_coords(ps, rows[len(rows) // 2])
         for op in (cs.L_map, cs.L_sigma_map):
             image = cs.to_pair_coords(ps, op(m, T))
             assert np.max(np.abs(image[outside])) <= 1e-14
-            assert np.linalg.norm(image[g.coords]) > 1.0
+            assert np.linalg.norm(image[coords]) > 1.0
+
+
+def test_class_blocks_partition_R(bank):
+    """curvature_basis gives one orthonormal block per line-parity class, of
+    pinned size, on coordinates that share the class's parities and cover
+    every pair coordinate once.  L, L_sigma and Cas_map put no weight
+    outside the class of the row they act on, and the bank's rows of each
+    class have the shape of its block."""
+    m, ps = bank.model, bank.scheme
+    parities, classes = cs.line_parity_classes(m, ps)
+    blocks = cs.curvature_basis(m, ps)
+    assert [B.shape for B in blocks] == {2: [(176, 400), (160, 384)],
+                                         3: [(468, 1092)] + [(416, 1088)] * 3}[m.n]
+    assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(ps.m ** 2))
+    counts, label = coordinate_grades(m, ps)
+    for parity, coords, B, rows in zip(parities, classes, blocks, bank.rows):
+        assert np.array_equal(np.unique(counts[label[coords]] % 2, axis=0), parity[None])
+        assert np.max(np.abs(B @ B.T - np.eye(B.shape[0]))) < 1e-14
+        assert rows.shape == B.shape
+        outside = np.ones(ps.m * ps.m, dtype=bool)
+        outside[coords] = False
+        for i in sorted({0, len(B) // 2, len(B) - 1}):
+            row = np.zeros(ps.m * ps.m)
+            row[coords] = B[i]
+            T = cs.from_pair_coords(ps, row)
+            for op in (cs.L_map, cs.L_sigma_map, cs.Cas_map):
+                image = cs.to_pair_coords(ps, op(m, T))
+                assert np.max(np.abs(image[outside])) <= 1e-14, (op.__name__, i)
+                assert np.linalg.norm(image[coords]) > 0.1, (op.__name__, i)
 
 
 def test_rank_decisions_raise_below_the_margin():
@@ -139,7 +166,7 @@ def test_casimir_matrices_match_tensor_maps(model):
     m = model
     ps = cs.pair_scheme(m.dim)
     terms = cs.casimir_terms(m, ps)
-    counts, label = cs.coordinate_grades(m, ps)
+    counts, label = coordinate_grades(m, ps)
     samples = np.array([cs.to_pair_coords(ps, cs.random_curvature(m, ("casimir", k)).tensor)
                         for k in range(5)])
     for g in range(len(counts)):
@@ -178,7 +205,7 @@ def test_sp_casimir_blocks_match_dense_oracle(model2):
                          - images)) < 1e-12
     oracle = R_rows @ images.T
     assert np.max(np.abs(oracle.T @ R_rows - images)) < 1e-12
-    _, classes = dec.line_parity_classes(m, ps)
+    _, classes = cs.line_parity_classes(m, ps)
     cas = cs.casimir_terms(m, ps)["Cas"]
     seen = 0
     for coords in classes:
@@ -211,7 +238,7 @@ def test_casimir_block_refuses_coordinates_it_leaves(model2):
     invariant: its block is refused rather than cut off."""
     m = model2
     ps = cs.pair_scheme(m.dim)
-    counts, label = cs.coordinate_grades(m, ps)
+    counts, label = coordinate_grades(m, ps)
     grade = np.flatnonzero(label == np.flatnonzero((counts == [2, 2]).all(axis=1))[0])
     with pytest.raises(ValueError, match="outside themselves"):
         cs._kron_block(ps, cs.casimir_terms(m, ps)["Cas"], grade)
@@ -224,7 +251,7 @@ def test_casimir_l_sigma_identity_fails_off_R(model2):
     m = model2
     ps = cs.pair_scheme(m.dim)
     terms = cs.casimir_terms(m, ps)
-    counts, label = cs.coordinate_grades(m, ps)
+    counts, label = coordinate_grades(m, ps)
     v = cs.to_pair_coords(ps, m.Omega)
     parts = 0
     for g in range(len(counts)):

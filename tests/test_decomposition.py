@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import full_width_R_basis
+from conftest import coordinate_grades, full_width_R_basis
 from qhcurv import curvature_from_torsion as cft
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
@@ -238,10 +238,10 @@ def test_line_parity_classes(bank):
     share one line-count parity, and every row of every fine basis is
     supported in one class."""
     m, ps = bank.model, bank.scheme
-    parities, classes = dec.line_parity_classes(m, ps)
+    parities, classes = cs.line_parity_classes(m, ps)
     assert len(classes) == 2 ** (m.n - 1) and not parities[0].any()
     assert all(np.array_equal(a, b) for a, b in zip(classes, bank.classes))
-    counts, label = cs.coordinate_grades(m, ps)
+    counts, label = coordinate_grades(m, ps)
     for parity, coords in zip(parities, classes):
         assert np.array_equal(np.unique(counts[label[coords]] % 2, axis=0), parity[None])
     of_coord = _class_of_coord(bank)
@@ -274,7 +274,7 @@ def test_line_permuted_classes_have_equal_ranks(bank):
     one another (in Sp(n)), so every component has the same rank in each;
     at n = 2 and 3 these are all the odd classes.  The class ranks add up
     to the component's rank."""
-    parities, _ = dec.line_parity_classes(bank.model, bank.scheme)
+    parities, _ = cs.line_parity_classes(bank.model, bank.scheme)
     odd_lines = parities.sum(axis=1)
     for name in dec.FINE_COMPONENTS:
         ranks = np.array(_class_ranks(bank, name))
