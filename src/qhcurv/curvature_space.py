@@ -527,7 +527,7 @@ def line_parity_classes(m: ModelSpace, ps: PairScheme) -> tuple[np.ndarray, tupl
     return parities, tuple(np.flatnonzero(label == c) for c in range(len(parities)))
 
 
-def curvature_basis(m: ModelSpace, ps: PairScheme | None = None) -> list[np.ndarray]:
+def curvature_basis(m: ModelSpace, ps: PairScheme, classes: tuple) -> list[np.ndarray]:
     """Orthonormal basis of R in pair coordinates, in closed form, by class.
 
     A symmetric pair matrix C lies in R exactly when, for every quadruple
@@ -537,11 +537,11 @@ def curvature_basis(m: ModelSpace, ps: PairScheme | None = None) -> list[np.ndar
     with symmetric units s_a, s_b, s_c, get the two orthonormal rows
     (s_a + s_b)/sqrt 2 and (s_a - s_b - 2 s_c)/sqrt 6 spanning the plane
     x_a - x_b + x_c = 0.  That makes C(m+1, 2) - C(dim, 4) rows in all, in
-    that order.  Entry c is one dense block: the rows in class c of
-    :func:`line_parity_classes`, in that order, written from their nonzero
-    entries straight into the class's coordinates.
+    that order.  Entry c is one dense block: the rows in ``classes[c]``, the
+    class-c coordinates of :func:`line_parity_classes`, in that order,
+    written from their nonzero entries straight into the class's
+    coordinates.
     """
-    ps = ps or pair_scheme(m.dim)
     mm = ps.m
     p, q = np.triu_indices(mm)
     shared = ((ps.first[p] == ps.first[q]) | (ps.first[p] == ps.second[q])
@@ -563,7 +563,7 @@ def curvature_basis(m: ModelSpace, ps: PairScheme | None = None) -> list[np.ndar
     row, col, value = np.tile(row, 2), np.concatenate([u * mm + v, v * mm + u]), np.tile(value, 2)
 
     blocks = []
-    for coords in line_parity_classes(m, ps)[1]:
+    for coords in classes:
         on = np.isin(col, coords)
         rows = np.unique(row[on])
         block = np.zeros((rows.size, coords.size))

@@ -4,9 +4,12 @@ Each of the fifteen fine components of R is fixed by three commuting
 operators: the Sp(1) Casimir L (eigenvalues 6, 2, -6 on the three
 L-blocks), L_sigma (12/0/-12 within L=6, 4/-4 within L=2, 0 on L=-6) and
 the Sp(n) Casimir ``Cas = -sum_X rho(X)^2``, whose value on a component is
-<lambda, lambda + 2 rho> / 4 (:func:`casimir_value`), lambda the E-side
-highest weight stored in ``COMPONENT_SPECTRUM``.  A weight with more than
-n parts marks a component absent at that n.
+<lambda, lambda + 2 rho> / 4 (:func:`.model_space.casimir_value`), lambda
+the E-side highest weight stored in ``COMPONENT_SPECTRUM``.  The same
+weight sizes the component: its expected rank (:func:`expected_fine_dims`)
+is the Weyl dimension of lambda (:func:`.model_space.weyl_dimension`) times
+dim S^k H = k + 1, with L20E_b at n = 2 the one explicit exception.  A
+weight with more than n parts marks a component absent at that n.
 
 Flipping the sign of one quaternionic line lies in Sp(n), so every fine
 component is the direct sum of its parts in the 2^(n-1) line-parity
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import curvature_space as cs
 from . import tensor_ops as top
-from .model_space import ModelSpace
+from .model_space import ModelSpace, casimir_value, weyl_dimension
 
 # ---------------------------------------------------------------------------
 # Component names.
@@ -66,43 +69,11 @@ def dim_QK(n: int) -> int:
     return (4 * n ** 4 + 12 * n ** 3 + 11 * n ** 2 + 3 * n + 6) // 6
 
 
-def expected_fine_dims(n: int) -> dict:
-    """Real dimensions of the fine components (degenerate low-n cases included)."""
-    e = 2 * n                        # complex dimension of E
-    l20e = e * (e - 1) // 2 - 1      # Lambda^2_0 E
-    s2e = n * (2 * n + 1)            # S^2 E
-    u22 = e * e * (e * e - 1) // 12
-    u31 = e * (e + 2) * (e * e - 1) // 8
-    u211 = (e * (e - 1) // 2) * s2e - u31
-    v22 = u22 - l20e - 1
-    v31 = u31 - s2e
-    v211 = max(u211 - s2e - l20e, 0)
-    l40e = max(math.comb(e, 4) - math.comb(e, 2), 0)
-    dims = {
-        "S4E": math.comb(e + 3, 4),
-        "V22": v22,
-        "L20E_a": l20e,
-        "R_a": 1,
-        "L40E": l40e,
-        "L20E_b": 0 if n == 2 else l20e,
-        "R_b": 1,
-        "V31S2H": 3 * v31,
-        "S2ES2H_a": 3 * s2e,
-        "V211S2H": 3 * v211,
-        "S2ES2H_b": 3 * s2e,
-        "L20ES2H": 3 * l20e,
-        "V22S4H": 5 * v22,
-        "L20ES4H": 5 * l20e,
-        "S4H": 5,
-    }
-    assert sum(dims.values()) == dim_R(n)
-    return dims
-
-
 #: Per fine component: its L and L_sigma eigenvalues, and the highest
 #: weight lambda of its E-side Sp(n) module, whose Casimir value is
-#: :func:`casimir_value`.  A weight with more than n parts has no module at
-#: that n.
+#: :func:`.model_space.casimir_value` and whose dimension is
+#: :func:`.model_space.weyl_dimension`.  A weight with more than n parts
+#: has no module at that n.
 COMPONENT_SPECTRUM = {
     "S4E": (6, 12, (4,)), "V22": (6, 0, (2, 2)), "L20E_a": (6, 0, (1, 1)), "R_a": (6, 0, ()),
     "L40E": (6, -12, (1, 1, 1, 1)), "L20E_b": (6, -12, (1, 1)), "R_b": (6, -12, ()),
@@ -112,13 +83,18 @@ COMPONENT_SPECTRUM = {
 }
 
 
-def casimir_value(weight: tuple, n: int) -> float | None:
-    """<lambda, lambda + 2 rho> / 4, rho = (n, ..., 1): the Sp(n) Casimir on
-    the module of highest weight lambda; None if lambda has more than n parts."""
-    if len(weight) > n:
-        return None
-    lam = np.pad(np.asarray(weight, dtype=float), (0, n - len(weight)))
-    return float(lam @ (lam + 2.0 * np.arange(n, 0, -1))) / 4.0
+def expected_fine_dims(n: int) -> dict:
+    """Real dimensions of the fine components: the Weyl dimension of each
+    E-side weight times k + 1 = dim S^k H, where L = 6 - k(k + 2)/2 gives
+    k + 1 = isqrt(13 - 2 L).  A weight with more than n parts has dimension 0."""
+    dims = {name: weyl_dimension(weight, n) * math.isqrt(13 - 2 * lam)
+            for name, (lam, _, weight) in COMPONENT_SPECTRUM.items()}
+    if n == 2:
+        # L20E_b lies in the L_sigma = -12 block, Lambda^4 E, which at n = 2
+        # is Lambda^0 E alone: the one zero that no weight's length shows
+        dims["L20E_b"] = 0
+    assert sum(dims.values()) == dim_R(n)
+    return dims
 
 
 #: L-blocks with their L-eigenvalue.
@@ -335,8 +311,8 @@ def _scatter(pieces, width: int) -> np.ndarray:
 def h_values(n: int) -> dict:
     """The eigenvalue (n + 2)(3 lambda_L + lambda_sigma) + Cas of
     H = (n + 2)(3 L + L_sigma) + Cas on each fine component present at n
-    (``COMPONENT_SPECTRUM``, :func:`casimir_value`), in ``FINE_COMPONENTS``
-    order.  3 lambda_L + lambda_sigma tells the six joint (L, L_sigma)
+    (``COMPONENT_SPECTRUM``, :func:`.model_space.casimir_value`), in
+    ``FINE_COMPONENTS`` order.  3 lambda_L + lambda_sigma tells the six joint (L, L_sigma)
     eigenspaces apart by at least 4, and Cas lies in [0, 2(n + 2)] on R, so
     the weight n + 2 keeps their values apart; inside one joint eigenspace
     the Cas values differ by at least 1."""
@@ -361,7 +337,7 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     rows of the bank, written over them."""
     ps = cs.pair_scheme(m.dim)
     parities, classes = cs.line_parity_classes(m, ps)
-    rows = cs.curvature_basis(m, ps)
+    rows = cs.curvature_basis(m, ps, classes)
     values = h_values(m.n)
     terms = cs.casimir_terms(m, ps)
     k = m.n + 2.0
@@ -582,7 +558,7 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
             np.array_equal(a, b) for a, b in zip(classes, bank.classes)):
         failures.append("the bank's classes are not the line-parity classes")
     ortho, completeness = [0.0], [0.0]
-    for B, R_c in zip(bank.rows, cs.curvature_basis(m, ps)):
+    for B, R_c in zip(bank.rows, cs.curvature_basis(m, ps, classes)):
         ortho.append(np.max(np.abs(B @ B.T - np.eye(B.shape[0])), initial=0.0))
         overlap = B @ R_c.T
         completeness.append(np.max(np.abs(overlap.T @ overlap - np.eye(R_c.shape[0])),

@@ -125,6 +125,32 @@ def sp_generators(n: int) -> np.ndarray:
     return _freeze(np.stack(out))
 
 
+def casimir_value(weight: tuple, n: int) -> float | None:
+    """<lambda, lambda + 2 rho> / 4, rho = (n, ..., 1): the Casimir
+    -sum_X rho(X)^2 over :func:`sp_generators` on the Sp(n) module of highest
+    weight lambda; None if lambda has more than n parts."""
+    if len(weight) > n:
+        return None
+    lam = np.pad(np.asarray(weight, dtype=float), (0, n - len(weight)))
+    return float(lam @ (lam + 2.0 * np.arange(n, 0, -1))) / 4.0
+
+
+def weyl_dimension(weight: tuple, n: int) -> int:
+    """Complex dimension of the Sp(n) module of highest weight lambda: the
+    Weyl product of <lambda + rho, a> / <rho, a> over the positive roots
+    a = e_i - e_j, e_i + e_j (i < j) and 2 e_i, in integers; 0 if lambda has
+    more than n parts."""
+    if len(weight) > n:
+        return 0
+    rho = range(n, 0, -1)
+    shifted = [lam + r for lam, r in zip(tuple(weight) + (0,) * n, rho)]
+
+    def product(v):
+        return math.prod(v) * math.prod((a - b) * (a + b)
+                                        for a, b in itertools.combinations(v, 2))
+    return product(shifted) // product(rho)
+
+
 def pi1_tensor(g: np.ndarray) -> np.ndarray:
     """pi1(x,y,z,u) = <x,z><y,u> - <x,u><y,z>."""
     return (np.einsum("xz,yu->xyzu", g, g)
@@ -220,11 +246,6 @@ def adapted_basis(m: ModelSpace, rot: np.ndarray,
         raise ValueError("rotation reverses orientation (det < 0)")
     I, J, K = m.triple
     return tuple(r[0] * I + r[1] * J + r[2] * K for r in rot)
-
-
-def omegas_from_triple(triple) -> np.ndarray:
-    """Stack the 2-form matrices of an adapted triple (they equal the matrices)."""
-    return np.stack([np.asarray(A, dtype=float) for A in triple])
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

@@ -62,7 +62,7 @@ def p_form_inner(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"rank/shape mismatch: {a.shape} vs {b.shape}")
     p = a.ndim
-    return float(np.tensordot(a, b, axes=p)) / _factorial(p)
+    return float(np.tensordot(a, b, axes=p)) / math.factorial(p)
 
 
 def curvature_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -77,13 +77,6 @@ def curvature_inner(a: np.ndarray, b: np.ndarray) -> float:
 def frob(a: np.ndarray) -> float:
     """Frobenius norm (raw full contraction with itself, square-rooted)."""
     return float(np.sqrt(np.vdot(a, a)))
-
-
-def _factorial(p: int) -> int:
-    out = 1
-    for k in range(2, p + 1):
-        out *= k
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +185,7 @@ def alt(T: np.ndarray) -> np.ndarray:
             out += T.transpose(perm)
         else:
             out -= T.transpose(perm)
-    return out / _factorial(T.ndim)
+    return out / math.factorial(T.ndim)
 
 
 @functools.cache

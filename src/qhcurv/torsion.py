@@ -7,7 +7,10 @@ to minus itself).  Under Sp(n)Sp(1) this space splits as
 
     (Lambda^3_0 E + K + E)(S^3 H + H)
 
-giving six components 33, K3, E3, 3H, KH, EH.  The membership projector is
+giving six components 33, K3, E3, 3H, KH, EH.  ``TORSION_SPECTRUM`` holds
+each one's E-side highest weight and k of its S^k H factor; its expected
+rank is the Weyl dimension of the weight times k + 1
+(:func:`expected_torsion_dims`).  The membership projector is
 the Lambda^2_0 E S^2 H projector of :mod:`.curvature_space` on every
 first-slot slice, so the ambient space is the row space of I (x) P2, with
 P2 that projector's images of the unit 2-forms.  The S^3H/H split is cut out
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import curvature_space as cs
 from . import tensor_ops as top
-from .model_space import ModelSpace
+from .model_space import ModelSpace, weyl_dimension
 
 #: Component order used everywhere (layout order and bit order of the mask).
 TORSION_COMPONENTS = ("33", "K3", "E3", "3H", "KH", "EH")
@@ -36,14 +39,19 @@ TORSION_COMPONENTS = ("33", "K3", "E3", "3H", "KH", "EH")
 #: A mask bit is set when its component holds this fraction of the norm.
 MASK_TOL = 1e-8
 
+#: Per component: the highest weight lambda of its E-side Sp(n) module
+#: (Lambda^3_0 E, K or E) and k of its S^k H factor (S^3 H or H).
+TORSION_SPECTRUM = {
+    "33": ((1, 1, 1), 3), "K3": ((2, 1), 3), "E3": ((1,), 3),
+    "3H": ((1, 1, 1), 1), "KH": ((2, 1), 1), "EH": ((1,), 1),
+}
+
 
 def expected_torsion_dims(n: int) -> dict:
-    """Real dimensions of the six components."""
-    e = 2 * n
-    l30 = max(e * (e - 1) * (e - 2) // 6 - e, 0)
-    kk = e * (e * (e - 1) // 2 - 1) - l30 - e
-    return {"33": 4 * l30, "K3": 4 * kk, "E3": 4 * e,
-            "3H": 2 * l30, "KH": 2 * kk, "EH": 2 * e}
+    """Real dimensions of the six components: the Weyl dimension of lambda
+    times k + 1 = dim S^k H; Lambda^3_0 E, with three parts, is 0 at n = 2."""
+    return {name: weyl_dimension(weight, n) * (k + 1)
+            for name, (weight, k) in TORSION_SPECTRUM.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +408,7 @@ def torsion_from_nabla_omega(m: ModelSpace, nw_I, nw_J, nw_K):
 
 
 # ---------------------------------------------------------------------------
-# Second-factor split of a torsion derivative.
-
-def split_torsion_derivative(bank: TorsionBank, D: np.ndarray) -> dict:
-    """Project D(W; ., ., .) onto each component for every W; returns the
-    component tensors keyed by name."""
-    return {name: project_derivative_component(bank, D, name)
-            for name in TORSION_COMPONENTS}
-
+# Second-factor projection of a torsion derivative.
 
 def project_derivative_component(bank: TorsionBank, D: np.ndarray,
                                  name: str) -> np.ndarray:

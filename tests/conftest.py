@@ -89,7 +89,7 @@ def full_width_R_basis(m, ps):
     """The closed-form rows of R, class after class, scattered to full
     m^2 width: an oracle the package itself never forms."""
     _, classes = cs.line_parity_classes(m, ps)
-    return dec._scatter(list(zip(classes, cs.curvature_basis(m, ps))), ps.m ** 2)
+    return dec._scatter(list(zip(classes, cs.curvature_basis(m, ps, classes))), ps.m ** 2)
 
 
 def random_torsion(tbank, seed):

@@ -74,7 +74,7 @@ def test_class_blocks_partition_R(bank):
     class have the shape of its block."""
     m, ps = bank.model, bank.scheme
     parities, classes = cs.line_parity_classes(m, ps)
-    blocks = cs.curvature_basis(m, ps)
+    blocks = cs.curvature_basis(m, ps, classes)
     assert [B.shape for B in blocks] == {2: [(176, 400), (160, 384)],
                                          3: [(468, 1092)] + [(416, 1088)] * 3}[m.n]
     assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(ps.m ** 2))

@@ -581,18 +581,33 @@ def test_casimir_values_are_distinct_in_every_eigenspace():
     gated eigh per class tells all fifteen apart; a weight with more than n
     parts has no Casimir value and no component (L40E at n <= 3, V211S2H at
     n = 2)."""
-    assert dec.casimir_value((1, 1, 1, 1), 3) is None
-    assert dec.casimir_value((2, 1, 1), 2) is None
+    assert ms.casimir_value((1, 1, 1, 1), 3) is None
+    assert ms.casimir_value((2, 1, 1), 2) is None
     for n in range(2, 11):
         values = dec.h_values(n)
         assert list(values) == [name for name in dec.FINE_COMPONENTS
                                 if len(dec.COMPONENT_SPECTRUM[name][2]) <= n]
         for name, value in values.items():
             lam, mu, weight = dec.COMPONENT_SPECTRUM[name]
-            assert value == (n + 2) * (3 * lam + mu) + dec.casimir_value(weight, n)
+            assert value == (n + 2) * (3 * lam + mu) + ms.casimir_value(weight, n)
         gaps = np.diff(sorted(values.values()))
         assert np.all(gaps >= 1.0), (n, values)
-    assert dec.casimir_value((4,), 3) == 10.0 and dec.casimir_value((), 3) == 0.0
+    assert ms.casimir_value((4,), 3) == 10.0 and ms.casimir_value((), 3) == 0.0
+
+
+#: The fifteen fine ranks at n = 2..5, in FINE_COMPONENTS order, as the
+#: earlier hand-written formulas gave them.
+_FINE_RANKS = {
+    2: (35, 14, 5, 1, 0, 0, 1, 105, 30, 0, 30, 15, 70, 25, 5),
+    3: (126, 90, 14, 1, 0, 14, 1, 567, 63, 210, 63, 42, 450, 70, 5),
+    4: (330, 308, 27, 1, 42, 27, 1, 1782, 108, 945, 108, 81, 1540, 135, 5),
+    5: (715, 780, 44, 1, 165, 44, 1, 4290, 165, 2673, 165, 132, 3900, 220, 5),
+}
+
+
+def test_expected_fine_dims_are_pinned():
+    for n, ranks in _FINE_RANKS.items():
+        assert dec.expected_fine_dims(n) == dict(zip(dec.FINE_COMPONENTS, ranks))
 
 
 def test_sp_bank_needs_no_svd(monkeypatch, model2):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ def test_adapted_basis_quaternion_identities_and_omega(model):
     assert np.allclose(I2 @ I2, -eye, atol=1e-12)
     assert np.allclose(K2, I2 @ J2, atol=1e-12)
     # Omega recomputed from the rotated triple agrees (basis independence)
-    omegas2 = ms.omegas_from_triple((I2, J2, K2))
+    omegas2 = np.stack([I2, J2, K2])
     Omega2 = ms.fundamental_four_form(omegas2)
     assert top.frob(Omega2 - model.Omega) < 1e-10 * top.frob(model.Omega)
     # structure tensor sum_A omega_A (x) omega_A is basis independent
@@ -120,3 +121,18 @@ def test_sp_generators_are_an_orthonormal_basis_of_sp_n(n):
     assert np.max(np.abs(sum(A @ commuting - commuting @ A for A in m.triple))) < 1e-12
     coef = np.einsum("aij,ij->a", X, commuting)
     assert np.max(np.abs(np.einsum("a,aij->ij", coef, X) - commuting)) < 1e-12
+
+
+def test_weyl_dimension_matches_the_classical_modules():
+    """The Weyl product gives the familiar Sp(n) modules: E, S^2 E = sp(n),
+    Lambda^2_0 E, Lambda^3_0 E and the trivial module; a weight with more
+    than n parts gives 0, where casimir_value gives None."""
+    for n in range(2, 9):
+        e = 2 * n
+        assert ms.weyl_dimension((), n) == 1
+        assert ms.weyl_dimension((1,), n) == e
+        assert ms.weyl_dimension((2,), n) == n * (2 * n + 1)
+        assert ms.weyl_dimension((1, 1), n) == math.comb(e, 2) - 1
+        assert ms.weyl_dimension((1, 1, 1), n) == (math.comb(e, 3) - e if n >= 3 else 0)
+        assert ms.weyl_dimension((1,) * (n + 1), n) == 0
+        assert ms.casimir_value((1,) * (n + 1), n) is None

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_torsion
 from qhcurv import curvature_space as cs
+from qhcurv import model_space as ms
 from qhcurv import tensor_ops as top
 from qhcurv import torsion as tor
 
@@ -17,6 +18,47 @@ def test_component_dimensions(tbank):
     if n == 2:
         assert dims["33"] == 0 and dims["3H"] == 0
         assert tbank.ambient.shape[0] == 120
+
+
+#: The six ranks at n = 2..5, in TORSION_COMPONENTS order, as the earlier
+#: hand-written formulas gave them.
+_TORSION_RANKS = {2: (0, 64, 16, 0, 32, 8), 3: (56, 256, 24, 28, 128, 12),
+                  4: (192, 640, 32, 96, 320, 16), 5: (440, 1280, 40, 220, 640, 20)}
+
+
+def test_expected_torsion_dims_are_pinned():
+    for n, ranks in _TORSION_RANKS.items():
+        assert tor.expected_torsion_dims(n) == dict(zip(tor.TORSION_COMPONENTS, ranks))
+
+
+def _rho(X, t):
+    """rho(X) t: the sum of the three slot actions of X on a rank-3 tensor."""
+    return sum(top.slot_act(X, i, t) for i in (1, 2, 3))
+
+
+def test_components_are_eigenspaces_of_both_casimirs(tbank):
+    """The first, middle and last row of every nonzero component is an
+    eigenvector of the Sp(n) Casimir -sum_X rho(X)^2 over sp_generators with
+    value casimir_value(lambda, n), and of the Sp(1) Casimir
+    sum_A rho(A)^2 with value -k(k + 2), for (lambda, k) in
+    TORSION_SPECTRUM.  The Sp(n) values are (2n+1)/4 on E, (6n+3)/4 on K
+    and (6n-3)/4 on Lambda^3_0 E."""
+    m = tbank.model
+    n = m.n
+    X = ms.sp_generators(n)
+    closed = {(1,): (2 * n + 1) / 4, (2, 1): (6 * n + 3) / 4, (1, 1, 1): (6 * n - 3) / 4}
+    for name, (weight, k) in tor.TORSION_SPECTRUM.items():
+        B = tbank.comps[name]
+        if not B.shape[0]:
+            continue
+        cas = ms.casimir_value(weight, n)
+        assert cas == closed[weight]
+        for r in sorted({0, B.shape[0] // 2, B.shape[0] - 1}):
+            t = B[r].reshape((m.dim,) * 3)
+            sp = -sum(_rho(x, _rho(x, t)) for x in X)
+            s1 = sum(_rho(A, _rho(A, t)) for A in m.triple)
+            assert top.frob(sp - cas * t) < 1e-12, name
+            assert top.frob(s1 + k * (k + 2) * t) < 1e-12, name
 
 
 def test_projector_algebra(tbank):
@@ -267,13 +309,15 @@ def test_derivative_split(tbank):
     m = tbank.model
     from conftest import random_derivative
     D = random_derivative(tbank, 9)
-    parts = tor.split_torsion_derivative(tbank, D)
+    parts = {name: tor.project_derivative_component(tbank, D, name)
+             for name in tor.TORSION_COMPONENTS}
     recon = sum(parts.values())
     assert top.frob(recon - D) < 1e-9 * top.frob(D)
     # constant-in-W single-component derivative only hits its own component
     t = tbank.random_component("KH", 11)
     Dc = np.repeat(t[None], m.dim, axis=0)
-    parts = tor.split_torsion_derivative(tbank, Dc)
+    parts = {name: tor.project_derivative_component(tbank, Dc, name)
+             for name in tor.TORSION_COMPONENTS}
     for name in tor.TORSION_COMPONENTS:
         expect = top.frob(Dc) if name == "KH" else 0.0
         assert top.frob(parts[name]) == pytest.approx(expect, abs=1e-9 * top.frob(Dc))
