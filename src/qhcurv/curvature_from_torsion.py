@@ -571,8 +571,8 @@ def reference_deviations(n: int) -> dict:
 
 def scalars_from_torsion(m: ModelSpace, bank: tor.TorsionBank,
                          state: TorsionState) -> tuple[float, float, float]:
-    """(scal, scal^q, d* theta) from component norms and the gamma trace."""
-    norms = bank.component_norms(state.t)
+    """(scal, scal^q, d* theta) from squared component norms and the gamma trace."""
+    squares = dict(zip(bank.names, bank.squared_norms(state.t.ravel())))
     gam_tr = sum(_gamma_omega_inner(g, A)
                  for g, A in zip(state.gammas, m.triple))
     ds = d_star_theta(m, state)
@@ -580,7 +580,7 @@ def scalars_from_torsion(m: ModelSpace, bank: tor.TorsionBank,
     def combine(coefs):
         out = coefs["gamma"] * gam_tr + coefs["dstar"] * ds
         for name in tor.TORSION_COMPONENTS:
-            out += coefs[name] * norms[name] ** 2
+            out += coefs[name] * squares[name]
         return out
 
     return (combine(scal_coefficients(m.n)),

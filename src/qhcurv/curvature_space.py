@@ -24,12 +24,12 @@ indices fall in each quaternionic line, mod 2
 (:func:`line_parity_classes`).  L, L_sigma and the Sp(n) Casimir Cas all
 keep each class, and every closed-form row of R lies in one, so
 :func:`curvature_basis` builds the basis class by class, each class's rows
-restricted to its own coordinates.  :func:`casimir_terms` gives L, L_sigma
-and Cas as sums of Kronecker products of m x m matrices, and
-:func:`_kron_block` forms any weighted sum of them on a set of pair
-coordinates the sum keeps, such as a class.  The tensor-level
-:func:`L_map`, :func:`L_sigma_map` and :func:`Cas_map` stay as independent
-oracles.
+restricted to its own coordinates.  :func:`h_terms` gives
+H = (n + 2)(3 L + L_sigma) + Cas on R as one sum of Kronecker products of
+m x m matrices, one term per distinct pair, and :func:`_kron_block` forms
+such a sum on a set of pair coordinates it keeps, such as a class.  The
+tensor-level :func:`L_map`, :func:`L_sigma_map` and :func:`Cas_map` stay as
+independent oracles.
 """
 
 from __future__ import annotations
@@ -590,11 +590,12 @@ def curvature_basis(m: ModelSpace, ps: PairScheme, classes: tuple) -> list[np.nd
 # Kronecker products (D^2 x 1, 1 x D^2, D x D):
 #
 #     L = 6 + half + cross,   L_sigma = 12 + 2 half - cross   (on R),
-#     half = (1/2) sum_A (D_A^2 x 1 + 1 x D_A^2),   cross = sum_A D_A x D_A.
+#     half = (1/2) sum_A (D_A^2 x 1 + 1 x D_A^2),   cross = sum_A D_A x D_A,
 #
-# D_A keeps the line counts of a pair, so L keeps them on every coordinate;
-# a generator joining two lines moves an index between them, so Cas keeps
-# only each line-parity class.
+# and :func:`h_terms` collects the one weighted sum H of all three that the
+# bank splits.  D_A keeps the line counts of a pair, so L keeps them on
+# every coordinate; a generator joining two lines moves an index between
+# them, so Cas, and with it H, keeps only each line-parity class.
 
 def _pair_derivations(ps: PairScheme, mats: np.ndarray) -> np.ndarray:
     """D_X for each X in the stack ``mats``: the matrix of X_(1) + X_(2) on
@@ -629,21 +630,22 @@ def _kron_block(ps: PairScheme, terms, coords: np.ndarray) -> np.ndarray:
     return block.reshape(size, size)
 
 
-def casimir_terms(m: ModelSpace, ps: PairScheme) -> dict:
-    """The Kronecker terms (w, A, B) of L, L_sigma and Cas, keyed by
-    operator name, for :func:`_kron_block`.  The L_sigma terms give L_sigma
-    on R only (L_sigma = 3 M - L); the terms of L and L_sigma share their
-    factor arrays."""
+def h_terms(m: ModelSpace, ps: PairScheme) -> list:
+    """The Kronecker terms (w, A, B) of H = (n + 2)(3 L + L_sigma) + Cas,
+    for :func:`_kron_block`.  With k = n + 2, 3 L + L_sigma = 30 + 5 half
+    + 2 cross on R, so
+
+        H = T x 1 + 1 x T + 2k sum_A D_A x D_A - 2 sum_X D_X x D_X,
+        T = 15k + (5k/2) sum_A D_A^2 + S,
+
+    one term per distinct Kronecker pair.  Like L_sigma = 3 M - L, they
+    give H on R only."""
+    k = m.n + 2.0
     D = _pair_derivations(ps, m.triple)
-    S = 0.5 * sum(DA @ DA for DA in D)
-    one = np.eye(ps.m)
-    half = [(1.0, S, one), (1.0, one, S)]
-    cross = [(1.0, DA, DA) for DA in D]
     DX = _pair_derivations(ps, sp_generators(m.n))
-    SX = np.tensordot(DX, DX, axes=([0, 1], [0, 1]))     # -sum_X D_X^2, D_X skew
-    return {
-        "L": [(6.0, one, one)] + half + cross,
-        "L_sigma": [(12.0, one, one)] + [(2.0 * w, A, B) for w, A, B in half]
-                   + [(-w, A, B) for w, A, B in cross],
-        "Cas": [(1.0, SX, one), (1.0, one, SX)] + [(-2.0, X, X) for X in DX],
-    }
+    one = np.eye(ps.m)
+    # S = -sum_X D_X^2, as D_X is skew
+    T = 15.0 * k * one + 2.5 * k * sum(DA @ DA for DA in D) \
+        + np.tensordot(DX, DX, axes=([0, 1], [0, 1]))
+    return ([(1.0, T, one), (1.0, one, T)] + [(2.0 * k, DA, DA) for DA in D]
+            + [(-2.0, X, X) for X in DX])

@@ -24,15 +24,13 @@ threshold.  The constructor maps below are the paper's definitions of the
 components with Ricci curvature; the tests check that their images span
 the components built here.
 
-The fifteen fine bases (rows in the scaled pair coordinates of
-:mod:`.curvature_space`) are stored class by class: each class stacks its
-parts of the fifteen bases, restricted to its own coordinates, into one
-orthonormal basis of its part of R, written over that class's block of
-closed-form rows.  The classes have disjoint supports, so projections and
-norms are products class by class, ranks are row counts, and the audit
-checks the projector algebra one class at a time.
-The L-blocks, QK and QKperp are direct sums of fine components and the two
-rays that split R_a + R_b, and are read from those parts.
+Both banks are one per-class store, :class:`ComponentBank`; the torsion
+bank is it over one class.  The fifteen fine bases of R (rows in the
+scaled pair coordinates of :mod:`.curvature_space`) are stored over the
+line-parity classes, each class's stack written over its block of
+closed-form rows, and the audit checks the projector algebra one class at
+a time.  The L-blocks, QK and QKperp are direct sums of fine components
+and the two rays that split R_a + R_b, and are read from those parts.
 """
 
 from __future__ import annotations
@@ -197,47 +195,41 @@ def triple_embed(m: ModelSpace, b_triple) -> np.ndarray:
 # Bank construction.
 
 @dataclass
-class ProjectorBank:
-    """The fifteen fine bases of R, stored one line-parity class at a time.
+class ComponentBank:
+    """Orthonormal bases of a module's components, one coordinate class at
+    a time.  ``classes[c]`` holds the coordinates of class c (increasing;
+    the classes tile the coordinates).  ``rows[c]`` stacks the class-c
+    parts of the bases in ``names`` order, restricted to ``classes[c]``: an
+    orthonormal basis of the class-c part of the module.  ``slices[c]``
+    maps each component to its rows there, and ``labels[c]`` gives each
+    row's index in ``names``.  Supports are disjoint, so projections and
+    norms are products class by class, and ranks are row counts."""
 
-    ``classes[c]`` holds the pair coordinates of class c (increasing, as
-    :func:`.curvature_space.line_parity_classes` gives them).  ``rows[c]``
-    stacks the class-c parts of the fifteen fine bases in
-    ``FINE_COMPONENTS`` order, restricted to ``classes[c]``: an orthonormal
-    basis of the class-c part of R.
-    ``slices[c]`` maps each fine component to its rows there, and
-    ``labels[c]`` gives each row's index in ``FINE_COMPONENTS``.  ``rays``
-    holds the unit QK and QKperp rays that split R_a + R_b, restricted to
-    the all-even class ``classes[0]``, which holds them.
-    Every other space is a direct sum of these parts (``COMPOSITES``), so
-    it is read from them and never stored."""
-
-    model: ModelSpace
-    scheme: cs.PairScheme
+    names: tuple
     classes: tuple
     rows: tuple
     slices: tuple
-    rays: np.ndarray
     labels: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.labels = tuple(
-            np.repeat(np.arange(len(FINE_COMPONENTS)),
-                      [slices[name].stop - slices[name].start for name in FINE_COMPONENTS])
+            np.repeat(np.arange(len(self.names)),
+                      [slices[name].stop - slices[name].start for name in self.names])
             for slices in self.slices)
 
-    def _blocks(self, name: str) -> list:
-        """(coords, rows) blocks whose direct sum is the named space: the
-        rows are views restricted to the pair coordinates ``coords``, and
-        adjacent fine components of one class share one block."""
-        parts = COMPOSITES.get(name, (name,))
-        if not set(parts) <= set(RAYS + FINE_COMPONENTS):
-            raise KeyError(f"unknown component {name!r}")
-        blocks = [(self.classes[0], self.rays[k:k + 1])
-                  for k, ray in enumerate(RAYS) if ray in parts]
+    def blocks(self, name: str) -> list:
+        """(coords, rows) blocks whose direct sum is the named component:
+        the rows are views restricted to the coordinates ``coords``."""
+        return self._blocks_of((name,))
+
+    def _blocks_of(self, parts) -> list:
+        """The blocks of the direct sum of the stored components ``parts``
+        (KeyError for any other name); adjacent parts in one class share
+        one block."""
+        blocks = []
         for coords, rows, slices in zip(self.classes, self.rows, self.slices):
             spans = []
-            for sl in (slices[part] for part in parts if part in slices):
+            for sl in (slices[part] for part in parts):
                 if spans and spans[-1][1] == sl.start:
                     spans[-1] = (spans[-1][0], sl.stop)
                 else:
@@ -245,22 +237,53 @@ class ProjectorBank:
             blocks += [(coords, rows[i:j]) for i, j in spans if j > i]
         return blocks
 
+    def rank(self, name: str) -> int:
+        return sum(B.shape[0] for _, B in self.blocks(name))
+
     def basis(self, name: str) -> np.ndarray:
         """Orthonormal rows of a named space, at full width: a new array."""
-        return _scatter(self._blocks(name), self.scheme.m ** 2)
+        return _scatter(self.blocks(name), sum(map(len, self.classes)))
 
-    def rank(self, name: str) -> int:
-        return sum(B.shape[0] for _, B in self._blocks(name))
+    def project_coords(self, v: np.ndarray, name: str) -> np.ndarray:
+        """Orthogonal projection of coordinates (the last axis of ``v``)
+        onto a named space."""
+        out = np.zeros(v.shape)
+        for coords, B in self.blocks(name):
+            # take, unlike v[..., coords], gathers a batch C-ordered
+            out[..., coords] += (np.take(v, coords, axis=-1) @ B.T) @ B
+        return out
+
+    def squared_norms(self, v: np.ndarray) -> np.ndarray:
+        """Squared norms of the projections of the coordinate vector ``v``
+        onto the components, in ``names`` order: per class, one product
+        with the class's rows, then the squared coordinates summed per
+        component (exactly 0 at rank 0)."""
+        squares = np.zeros(len(self.names))
+        for coords, rows, labels in zip(self.classes, self.rows, self.labels):
+            w = rows @ v[coords]
+            squares += np.bincount(labels, weights=w * w, minlength=len(self.names))
+        return squares
+
+
+@dataclass
+class ProjectorBank(ComponentBank):
+    """The fifteen fine bases of R over the line-parity classes, and the
+    unit QK and QKperp rays that split R_a + R_b, restricted to the
+    all-even class ``classes[0]``, which holds them.  Every other space is
+    read from these parts (``COMPOSITES``)."""
+
+    model: ModelSpace
+    scheme: cs.PairScheme
+    rays: np.ndarray
+
+    def blocks(self, name: str) -> list:
+        """Blocks of a fine component, a ray, or a sum in ``COMPOSITES``."""
+        parts = COMPOSITES.get(name, (name,))
+        rays = [(self.classes[0], self.rays[k:k + 1]) for k, r in enumerate(RAYS) if r in parts]
+        return rays + self._blocks_of([part for part in parts if part not in RAYS])
 
     def coords(self, R: np.ndarray) -> np.ndarray:
         return cs.to_pair_coords(self.scheme, R)
-
-    def project_coords(self, v: np.ndarray, name: str) -> np.ndarray:
-        """Orthogonal projection of pair coordinates onto a named space."""
-        out = np.zeros(v.shape)
-        for coords, B in self._blocks(name):
-            out[coords] += B.T @ (B @ v[coords])
-        return out
 
     def project(self, R: np.ndarray, name: str) -> np.ndarray:
         """Orthogonal projection of a curvature tensor onto a component."""
@@ -272,7 +295,7 @@ class ProjectorBank:
         sqrt(|R|^2 - |QK part|^2) would cancel away."""
         v = self.coords(R)
         return float(np.linalg.norm(np.concatenate(
-            [np.zeros(0)] + [B @ v[coords] for coords, B in self._blocks(name)])))
+            [np.zeros(0)] + [B @ v[coords] for coords, B in self.blocks(name)])))
 
 
 #: Largest distance allowed between a computed eigenvalue and the expected
@@ -329,7 +352,7 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     """Construct the fifteen fine bases, class by class, and the two QK rays.
 
     On each line-parity class, H = (n + 2)(3 L + L_sigma) + Cas is formed
-    from the Kronecker terms of :func:`.curvature_space.casimir_terms` on the
+    from the Kronecker terms of :func:`.curvature_space.h_terms` on the
     class's pair coordinates and sandwiched by the class's closed-form rows
     of R.  One gated ``eigh`` must give only the values of
     :func:`h_values`, to EIG_TOL; its eigenvectors, grouped by value in
@@ -339,13 +362,10 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     parities, classes = cs.line_parity_classes(m, ps)
     rows = cs.curvature_basis(m, ps, classes)
     values = h_values(m.n)
-    terms = cs.casimir_terms(m, ps)
-    k = m.n + 2.0
-    h_terms = [(s * w, A, B) for s, op in ((3.0 * k, "L"), (k, "L_sigma"), (1.0, "Cas"))
-               for w, A, B in terms[op]]
+    terms = cs.h_terms(m, ps)
     slices = []
     for parity, coords, R_c in zip(parities, classes, rows):
-        spaces = _eigenspaces(R_c @ cs._kron_block(ps, h_terms, coords) @ R_c.T,
+        spaces = _eigenspaces(R_c @ cs._kron_block(ps, terms, coords) @ R_c.T,
                               list(values.values()),
                               f"H = (n + 2)(3 L + L_sigma) + Cas on class "
                               f"{tuple(parity.tolist())}")
@@ -360,8 +380,8 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     rays = np.array([cs.to_pair_coords(ps, T) for T in
                      (m.pi2 + 2.0 * m.pi1, (m.n + 2.0) * m.pi2 - 18.0 * m.n * m.pi1)])
     rays = rays[:, classes[0]] / np.linalg.norm(rays, axis=1, keepdims=True)
-    return ProjectorBank(model=m, scheme=ps, classes=classes, rows=tuple(rows),
-                         slices=tuple(slices), rays=rays)
+    return ProjectorBank(names=FINE_COMPONENTS, classes=classes, rows=tuple(rows),
+                         slices=tuple(slices), model=m, scheme=ps, rays=rays)
 
 
 def _constrained_triples(m: ModelSpace, form_basis_mats, label: str):
@@ -405,17 +425,13 @@ PARSEVAL_TOL = 1e-9
 
 
 def component_norms(bank: ProjectorBank, R) -> dict:
-    """Fine component norms of R: per line-parity class, one product with
-    the class's stacked rows, then the squared coordinates summed per
-    component (exactly 0 at rank 0).  Their squares must sum to |R|^2 to
-    PARSEVAL_TOL (relative), else ValueError, which a tensor with a part
-    outside R or a non-finite entry raises."""
+    """Fine component norms of R, from :meth:`ComponentBank.squared_norms`.
+    Their squares must sum to |R|^2 to PARSEVAL_TOL (relative), else
+    ValueError, which a tensor with a part outside R or a non-finite entry
+    raises."""
     tensor = R.require_certified() if isinstance(R, cs.CurvatureTensor) else R
     v = bank.coords(tensor)
-    squares = np.zeros(len(FINE_COMPONENTS))
-    for coords, rows, labels in zip(bank.classes, bank.rows, bank.labels):
-        w = rows @ v[coords]
-        squares += np.bincount(labels, weights=w * w, minlength=len(FINE_COMPONENTS))
+    squares = bank.squared_norms(v)
     total = float(np.vdot(v, v))
     gap = abs(float(np.sum(squares)) - total)
     if not gap <= PARSEVAL_TOL * total:
@@ -529,7 +545,7 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
 
     eigen_residuals = {}
     for name in FINE_COMPONENTS:
-        blocks = bank._blocks(name)
+        blocks = bank.blocks(name)
         if not blocks:
             eigen_residuals[name] = 0.0
             continue

@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor_ops as top
 
 #: Hard cap on rank-4 tensor size (dim**4 entries) unless explicitly lifted.
-DEFAULT_ENTRY_CAP = 2 ** 24
+ENTRY_CAP = 2 ** 24
 
 #: Absolute tolerance used to validate structure invariants at build time.
 BUILD_TOL = 1e-12
@@ -173,22 +173,21 @@ def fundamental_four_form(omegas: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_model(n: int, entry_cap: int = DEFAULT_ENTRY_CAP,
-                allow_large: bool = False) -> ModelSpace:
+def build_model(n: int, allow_large: bool = False) -> ModelSpace:
     """Construct the model space for quaternionic dimension n >= 2.
 
     Raises
     ------
     ValueError
-        If n < 2, or if dim**4 exceeds ``entry_cap`` and ``allow_large``
+        If n < 2, or if dim**4 exceeds ``ENTRY_CAP`` and ``allow_large``
         is not set.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"quaternionic dimension must be an integer >= 2, got {n!r}")
     dim = 4 * n
-    if dim ** 4 > entry_cap and not allow_large:
+    if dim ** 4 > ENTRY_CAP and not allow_large:
         raise ValueError(
-            f"dim**4 = {dim ** 4} exceeds the memory cap {entry_cap}; "
+            f"dim**4 = {dim ** 4} exceeds the memory cap {ENTRY_CAP}; "
             "pass allow_large=True to override")
     g = np.eye(dim)
     I, J, K = structure_triple(n)

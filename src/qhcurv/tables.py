@@ -335,7 +335,7 @@ class TableContext:
         P1 = np.tensordot(D, D, axes=([0, 1], [0, 1])) / 8.0 - (w.T @ w) / (2.0 * m.n)
         columns = {}
         for name in TABLE3_COLUMNS:
-            c, blocks = 1.0, bank._blocks(name)       # no blocks at rank 0
+            c, blocks = 1.0, bank.blocks(name)        # no blocks at rank 0
             if blocks:
                 y = bank.project_coords(cs.substream("schur", name).standard_normal(ps.m ** 2),
                                         name)
@@ -478,7 +478,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
         raise ValueError(f"run_tables needs at least one seed, got {seeds}")
     ctx = TableContext.build(bank, tbank)
     n = ctx.m.n
-    skipped = {name for name in ("L40E", "L20E_b", "V211S2H") if bank.rank(name) == 0}
+    skipped = {name for name in TABLE2_COLUMNS + TABLE3_COLUMNS if bank.rank(name) == 0}
     report = TablesReport(n=n, seeds=seeds, skipped_columns=tuple(sorted(skipped)))
     annotations = direction_annotations(n)
 

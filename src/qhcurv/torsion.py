@@ -17,7 +17,10 @@ P2 that projector's images of the unit 2-forms.  The S^3H/H split is cut out
 by linear slot conditions; within each half the E-part is the
 image of an explicit formula in the trace one-forms theta, the Lambda^3_0
 part is cut out by the three-form/cyclic conditions, and the K-part is the
-orthogonal remainder.
+orthogonal remainder.  The six bases are stored as
+:class:`TorsionBank`, the :class:`.decomposition.ComponentBank` store of the
+curvature bank over one class of all d^3 coordinates, so both banks answer
+ranks, projections and component norms by the same code.
 
 The module also recovers (xi, lambda_A) from nabla-omega first-jet data and
 classifies torsion tensors by the 6-bit mask of nonvanishing components.
@@ -30,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import curvature_space as cs
+from . import decomposition as dec
 from . import tensor_ops as top
 from .model_space import ModelSpace, weyl_dimension
 
@@ -162,41 +166,25 @@ def xi_EH_from_trace(m: ModelSpace, t: np.ndarray) -> np.ndarray:
 # The six projectors.
 
 @dataclass
-class TorsionBank:
-    """Orthonormal bases (rows, flattened rank-3) of the six components.
-
-    ``rows`` stacks the six bases in ``TORSION_COMPONENTS`` order, an
-    orthonormal basis of the torsion space; ``slices`` maps each component
-    to its rows there, and ``labels`` gives each row's index in
-    ``TORSION_COMPONENTS``.  ``comps[name]`` is a view of those rows, so
-    the bases are stored once."""
+class TorsionBank(dec.ComponentBank):
+    """The six component bases (rows of flattened rank-3 tensors) as a
+    :class:`.decomposition.ComponentBank` over one class, all d^3
+    coordinates: ``rows[0]`` stacks them in ``TORSION_COMPONENTS`` order,
+    an orthonormal basis of the torsion space.  ``comps[name]`` is a view
+    of those rows, so the bases are stored once."""
 
     model: ModelSpace
-    ambient: np.ndarray
-    rows: np.ndarray
-    slices: dict
     comps: dict = field(init=False, repr=False)
-    labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.comps = {name: self.rows[self.slices[name]] for name in TORSION_COMPONENTS}
-        self.labels = np.repeat(np.arange(len(TORSION_COMPONENTS)),
-                                 [B.shape[0] for B in self.comps.values()])
-
-    def rank(self, name: str) -> int:
-        return self.comps[name].shape[0]
+        super().__post_init__()
+        self.comps = {name: self.rows[0][self.slices[0][name]] for name in self.names}
 
     def project(self, t: np.ndarray, name: str) -> np.ndarray:
-        B = self.comps[name]
-        v = t.ravel()
-        return (B.T @ (B @ v)).reshape(t.shape)
-
-    def component_norms(self, t: np.ndarray) -> dict:
-        """The six component norms: one product with the stacked rows, then
-        the squared coordinates summed per component (exactly 0 at rank 0)."""
-        w = self.rows @ t.ravel()
-        squares = np.bincount(self.labels, weights=w * w, minlength=len(TORSION_COMPONENTS))
-        return dict(zip(TORSION_COMPONENTS, np.sqrt(squares).tolist()))
+        """Orthogonal projection onto one component, on the last three axes
+        of ``t``: a torsion tensor, or the second factor of a derivative."""
+        flat = t.reshape(t.shape[:-3] + (-1,))
+        return self.project_coords(flat, name).reshape(t.shape)
 
     def class_mask(self, t: np.ndarray) -> str:
         """6-bit class mask, one bit per nonzero component (order 33..EH).
@@ -205,10 +193,9 @@ class TorsionBank:
         """
         if not np.isfinite(t).all():
             raise ValueError("torsion tensor holds NaN or infinite entries")
-        norms = self.component_norms(t)
+        norms = np.sqrt(self.squared_norms(t.ravel())).tolist()
         scale = max(np.linalg.norm(t.ravel()), 1e-300)
-        return "".join("1" if norms[name] > MASK_TOL * scale else "0"
-                       for name in TORSION_COMPONENTS)
+        return "".join("1" if x > MASK_TOL * scale else "0" for x in norms)
 
     def random_component(self, name: str, seed) -> np.ndarray:
         """Seeded random unit tensor in one component (zero if rank 0)."""
@@ -299,7 +286,8 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
     bounds = np.cumsum([0] + [comps[name].shape[0] for name in TORSION_COMPONENTS])
     slices = {name: slice(int(i), int(j))
               for name, i, j in zip(TORSION_COMPONENTS, bounds[:-1], bounds[1:])}
-    return TorsionBank(model=m, ambient=ambient, rows=rows, slices=slices)
+    return TorsionBank(names=TORSION_COMPONENTS, classes=(np.arange(d ** 3),),
+                       rows=(rows,), slices=(slices,), model=m)
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +396,7 @@ def torsion_from_nabla_omega(m: ModelSpace, nw_I, nw_J, nw_K):
 
 
 # ---------------------------------------------------------------------------
-# Second-factor projection of a torsion derivative.
-
-def project_derivative_component(bank: TorsionBank, D: np.ndarray,
-                                 name: str) -> np.ndarray:
-    """Second-factor projection of a torsion derivative onto one component."""
-    d = bank.model.dim
-    flat = D.reshape(d, d ** 3)
-    B = bank.comps[name]
-    return ((flat @ B.T) @ B).reshape(D.shape)
-
+# Seeded derivatives.
 
 def random_derivative_component(bank: TorsionBank, name: str, seed) -> np.ndarray:
     """Seeded random derivative with second factor in one component."""

@@ -93,18 +93,19 @@ def full_width_R_basis(m, ps):
 
 
 def random_torsion(tbank, seed):
-    """Random element of the full torsion space."""
+    """Random element of the full torsion space: a Gaussian rank-3 tensor,
+    projected."""
     rng = cs.substream("tests-torsion", tbank.model.n, seed)
-    coef = rng.standard_normal(tbank.ambient.shape[0])
     d = tbank.model.dim
-    return (coef @ tbank.ambient).reshape(d, d, d)
+    return tor.project_to_torsion_space(tbank.model, rng.standard_normal((d, d, d)))
 
 
 def random_derivative(tbank, seed):
+    """Random derivative: a Gaussian rank-4 tensor whose last three axes are
+    projected to the torsion space."""
     rng = cs.substream("tests-derivative", tbank.model.n, seed)
     d = tbank.model.dim
-    coef = rng.standard_normal((d, tbank.ambient.shape[0]))
-    return (coef @ tbank.ambient).reshape(d, d, d, d)
+    return tor.project_to_torsion_space(tbank.model, rng.standard_normal((d, d, d, d)))
 
 
 def random_gammas(m, seed):

@@ -155,13 +155,15 @@ def test_criterion_8_torsion(n, tbank):
     stacked = np.vstack([tbank.comps[k] for k in tor.TORSION_COMPONENTS
                          if tbank.rank(k)])
     gram = np.max(np.abs(stacked @ stacked.T - np.eye(stacked.shape[0])))
-    ov = stacked @ tbank.ambient.T
-    complete = np.max(np.abs(ov.T @ ov - np.eye(tbank.ambient.shape[0])))
+    # orthonormal rows, each fixed by the membership projector, as many as
+    # T* (x) Lambda^2_0 E S^2 H has dimensions: they fill it
+    images = tor.project_to_torsion_space(m, stacked.reshape((-1,) + (m.dim,) * 3))
+    complete = np.max(np.abs(images.reshape(stacked.shape) - stacked))
     dims_ok = {k: tbank.rank(k) for k in tor.TORSION_COMPONENTS} \
         == tor.expected_torsion_dims(n)
-    rank_ok = True
+    rank_ok = stacked.shape[0] == 4 * n * 3 * (n * (2 * n - 1) - 1)
     if n == 2:
-        rank_ok = (tbank.ambient.shape[0] == 120
+        rank_ok = (rank_ok and stacked.shape[0] == 120
                    and tbank.rank("33") == 0 and tbank.rank("3H") == 0)
     t = random_torsion(tbank, "acc")
     lambdas = cs.substream("acc-lam", n).standard_normal((3, m.dim))

@@ -160,27 +160,30 @@ def test_bianchi_residual_is_never_looser_than_alt(seed, dim, form_weight, log_s
         pytest.approx(top.frob(top.alt(S)) / top.frob(S), rel=1e-12)
 
 
+def _h_map(m, T):
+    """(n + 2)(3 L + L_sigma) + Cas of a rank-4 tensor, by the tensor maps."""
+    return (m.n + 2) * (3 * cs.L_map(m, T) + cs.L_sigma_map(m, T)) + cs.Cas_map(m, T)
+
+
 def test_casimir_matrices_match_tensor_maps(model):
-    """On every grade, L and L_sigma, each built alone from its Kronecker
-    terms, agree with the slot-action maps on R."""
+    """On every line-parity class, H built from its Kronecker terms agrees
+    on R with (n + 2)(3 L + L_sigma) + Cas from the tensor maps."""
     m = model
     ps = cs.pair_scheme(m.dim)
-    terms = cs.casimir_terms(m, ps)
-    counts, label = coordinate_grades(m, ps)
+    terms = cs.h_terms(m, ps)
+    _, classes = cs.line_parity_classes(m, ps)
     samples = np.array([cs.to_pair_coords(ps, cs.random_curvature(m, ("casimir", k)).tensor)
                         for k in range(5)])
-    for g in range(len(counts)):
-        coords = np.flatnonzero(label == g)
-        # the grade part of an element of R lies in R
+    for coords in classes:
+        # the class part of an element of R lies in R
         B = cs.orthonormal_rows(samples[:, coords])
         assert B.shape[0] == 5
         full = np.zeros((5, ps.m * ps.m))
         full[:, coords] = B
-        for op, name in ((cs.L_map, "L"), (cs.L_sigma_map, "L_sigma")):
-            got = B @ cs._kron_block(ps, terms[name], coords) @ B.T
-            images = np.array([cs.to_pair_coords(ps, op(m, cs.from_pair_coords(ps, row)))
-                               for row in full])
-            assert np.max(np.abs(got - full @ images.T)) < 1e-12
+        got = B @ cs._kron_block(ps, terms, coords) @ B.T
+        images = np.array([cs.to_pair_coords(ps, _h_map(m, cs.from_pair_coords(ps, row)))
+                           for row in full])
+        assert np.max(np.abs(got - full @ images.T)) < 1e-12
 
 
 def _rho(X, T):
@@ -189,27 +192,29 @@ def _rho(X, T):
 
 
 def test_sp_casimir_blocks_match_dense_oracle(model2):
-    """Per line-parity class, Cas built alone from its Kronecker terms,
-    sandwiched by the class's closed-form rows of R, equals -sum_X rho(X)^2
-    applied to every row by slot actions (no Kronecker code).  The images
-    stay in R and in the row's class, and the tensor-level Cas_map gives
-    them too."""
+    """Per line-parity class, H built from its Kronecker terms, sandwiched by
+    the class's closed-form rows of R, equals (n + 2)(3 L + L_sigma) plus
+    -sum_X rho(X)^2 applied to every row by slot actions (no Kronecker
+    code).  The images stay in R and in the row's class, and the
+    tensor-level Cas_map gives the Casimir part too."""
     m = model2
     ps = cs.pair_scheme(m.dim)
     R_rows = full_width_R_basis(m, ps)
     X = ms.sp_generators(m.n)
     tensors = [cs.from_pair_coords(ps, row) for row in R_rows]
-    images = np.array([cs.to_pair_coords(ps, -sum(_rho(x, _rho(x, T)) for x in X))
-                       for T in tensors])
+    cas = np.array([cs.to_pair_coords(ps, -sum(_rho(x, _rho(x, T)) for x in X))
+                    for T in tensors])
     assert np.max(np.abs(np.array([cs.to_pair_coords(ps, cs.Cas_map(m, T)) for T in tensors])
-                         - images)) < 1e-12
+                         - cas)) < 1e-12
+    images = cas + (m.n + 2) * np.array(
+        [cs.to_pair_coords(ps, 3 * cs.L_map(m, T) + cs.L_sigma_map(m, T)) for T in tensors])
     oracle = R_rows @ images.T
     assert np.max(np.abs(oracle.T @ R_rows - images)) < 1e-12
     _, classes = cs.line_parity_classes(m, ps)
-    cas = cs.casimir_terms(m, ps)["Cas"]
+    terms = cs.h_terms(m, ps)
     seen = 0
     for coords in classes:
-        block = cs._kron_block(ps, cas, coords)
+        block = cs._kron_block(ps, terms, coords)
         assert block.shape == (len(coords),) * 2
         on = np.flatnonzero(np.any(R_rows[:, coords] != 0, axis=1))
         B = R_rows[np.ix_(on, coords)]
@@ -234,40 +239,36 @@ def test_cas_map_matches_slot_actions(model):
 
 
 def test_casimir_block_refuses_coordinates_it_leaves(model2):
-    """Cas moves indices between lines, so the grade (2, 2) is not
-    invariant: its block is refused rather than cut off."""
+    """Cas, and with it H, moves indices between lines, so the grade (2, 2)
+    is not invariant: its block is refused rather than cut off."""
     m = model2
     ps = cs.pair_scheme(m.dim)
     counts, label = coordinate_grades(m, ps)
     grade = np.flatnonzero(label == np.flatnonzero((counts == [2, 2]).all(axis=1))[0])
     with pytest.raises(ValueError, match="outside themselves"):
-        cs._kron_block(ps, cs.casimir_terms(m, ps)["Cas"], grade)
+        cs._kron_block(ps, cs.h_terms(m, ps), grade)
 
 
 def test_casimir_l_sigma_identity_fails_off_R(model2):
-    """L_sigma = 3M - L holds on R only: on each grade part of the 4-form
-    Omega (orthogonal to R) the slot-action L_sigma gives 6 while the
-    Kronecker terms of L_sigma (3M - L) give 0."""
+    """L_sigma = 3M - L holds on R only.  The 4-form Omega (orthogonal to R)
+    lies in the all-even class and is fixed by Sp(n)Sp(1), so L gives 6 and
+    Cas 0 on it both ways; the slot-action L_sigma gives 6, while the
+    Kronecker terms of H read L_sigma as 3M - L, which gives 0.  So b H b is
+    18(n + 2) from the terms and 24(n + 2) from the tensor maps."""
     m = model2
     ps = cs.pair_scheme(m.dim)
-    terms = cs.casimir_terms(m, ps)
-    counts, label = coordinate_grades(m, ps)
+    _, classes = cs.line_parity_classes(m, ps)
     v = cs.to_pair_coords(ps, m.Omega)
-    parts = 0
-    for g in range(len(counts)):
-        coords = np.flatnonzero(label == g)
-        if not np.any(v[coords]):
-            continue
-        parts += 1
-        b = v[coords] / np.linalg.norm(v[coords])
-        full = np.zeros(ps.m * ps.m)
-        full[coords] = b
-        Omega_g = cs.from_pair_coords(ps, full)
-        assert b @ cs._kron_block(ps, terms["L"], coords) @ b == pytest.approx(6.0)
-        assert float(full @ cs.to_pair_coords(ps, cs.L_sigma_map(m, Omega_g))) \
-            == pytest.approx(6.0)
-        assert abs(b @ cs._kron_block(ps, terms["L_sigma"], coords) @ b) < 1e-12
-    assert parts == 3      # grades (4, 0), (2, 2), (0, 4)
+    assert not np.any(np.delete(v, classes[0]))
+    b = v[classes[0]] / np.linalg.norm(v)
+    Omega = m.Omega / np.linalg.norm(v)
+    k = m.n + 2
+    assert b @ cs._kron_block(ps, cs.h_terms(m, ps), classes[0]) @ b \
+        == pytest.approx(18.0 * k, abs=1e-12)
+    assert float(cs.to_pair_coords(ps, cs.L_sigma_map(m, Omega)) @ v / np.linalg.norm(v)) \
+        == pytest.approx(6.0)
+    assert float(cs.to_pair_coords(ps, _h_map(m, Omega)) @ v / np.linalg.norm(v)) \
+        == pytest.approx(24.0 * k)
 
 
 def test_certify_rejects_non_finite(model2):

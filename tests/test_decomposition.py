@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import coordinate_grades, full_width_R_basis
+from conftest import coordinate_grades, full_width_R_basis, random_torsion
 from qhcurv import curvature_from_torsion as cft
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
@@ -168,18 +168,53 @@ def test_component_norms_parseval_gate(bank):
     dec.component_norms(bank, np.zeros_like(R))
 
 
-def test_component_norms_match_per_component_oracle(bank):
-    """One product with the stacked rows, summed per component, equals one
-    norm per fine basis; components of rank 0 read exactly 0."""
+def _bank_samples(bank, tbank, seed):
+    """The curvature and the torsion bank, each with a seeded vector of its
+    module in its coordinates."""
+    R = cs.random_curvature(bank.model, seed).tensor
+    return ((bank, bank.coords(R)), (tbank, random_torsion(tbank, seed).ravel()))
+
+
+def test_component_norms_match_per_component_oracle(bank, tbank):
+    """For both banks, one product per class, summed per component, equals
+    one norm per full-width basis, and the squares add up to |v|^2 for v in
+    the module; components of rank 0 read exactly 0.  component_norms reads
+    the curvature bank's squares."""
     for seed in (23, 24):
+        for b, v in _bank_samples(bank, tbank, seed):
+            squares = b.squared_norms(v)
+            assert float(np.sum(squares)) == pytest.approx(float(v @ v), rel=1e-12)
+            for name, square in zip(b.names, squares):
+                oracle = float(np.linalg.norm(b.basis(name) @ v))
+                assert np.sqrt(square) == pytest.approx(oracle, rel=1e-14, abs=0.0), name
+                assert b.rank(name) or square == 0.0
         R = cs.random_curvature(bank.model, seed)
         norms = dec.component_norms(bank, R)
-        v = bank.coords(R.tensor)
-        for name in dec.FINE_COMPONENTS:
-            oracle = float(np.linalg.norm(bank.basis(name) @ v))
-            assert norms[name] == pytest.approx(oracle, rel=1e-12, abs=0.0), name
+        assert list(norms) == list(dec.FINE_COMPONENTS)
+        assert list(norms.values()) \
+            == np.sqrt(bank.squared_norms(bank.coords(R.tensor))).tolist()
         for name in ZERO_AT_N.get(bank.model.n, ()):
             assert bank.rank(name) == 0 and norms[name] == 0.0
+
+
+def test_bank_blocks_tile_each_class(bank, tbank):
+    """For both banks, each class's rows are orthonormal, the blocks of the
+    components in ``names`` order are views that tile them, and projecting
+    onto a component twice changes nothing."""
+    for b, v in _bank_samples(bank, tbank, 31):
+        for coords, rows in zip(b.classes, b.rows):
+            assert np.max(np.abs(rows @ rows.T - np.eye(len(rows))), initial=0.0) < 1e-12
+            at = 0
+            for name in b.names:
+                for B in (B for c, B in b.blocks(name) if c is coords):
+                    assert B.base is rows and np.shares_memory(B, rows), name
+                    assert np.array_equal(B, rows[at:at + len(B)]), name
+                    at += len(B)
+            assert at == len(rows)
+        for name in b.names:
+            once = b.project_coords(v, name)
+            assert np.linalg.norm(b.project_coords(once, name) - once) \
+                < 1e-12 * np.linalg.norm(v), name
 
 
 def test_composite_projectors_resolve_R(bank):
@@ -228,7 +263,7 @@ def test_bank_stores_one_basis_of_R(bank):
     assert stored == (sum(d * len(coords) for d, coords in zip(dims, bank.classes))
                       + 2 * len(bank.classes[0])) * 8
     for name in dec.FINE_COMPONENTS + tuple(dec.L_BLOCKS):
-        for coords, B in bank._blocks(name):
+        for coords, B in bank.blocks(name):
             assert any(B.base is rows for rows in bank.rows), name
     assert bank.rank("QKperp") == dec.dim_R(n) - dec.dim_QK(n)
 
@@ -560,16 +595,15 @@ def test_constructor_images_span_their_components(bank, name):
 
 
 def test_casimir_gate_names_the_operator_and_class(model2, monkeypatch):
-    """The Cas terms scaled by 1 + 1e-6 move every eigenvalue of H with a
-    nonzero Casimir part off its closed-form value; the first failing class
+    """The H terms scaled by 1 + 1e-6 move every eigenvalue of H, none of
+    whose values is 0, off its closed-form value; the first failing class
     is named, with the operator."""
-    terms = cs.casimir_terms
+    terms = cs.h_terms
+    assert 0 not in dec.h_values(model2.n).values()
 
     def scaled(*args):
-        out = terms(*args)
-        out["Cas"] = [((1.0 + 1e-6) * w, A, B) for w, A, B in out["Cas"]]
-        return out
-    monkeypatch.setattr(cs, "casimir_terms", scaled)
+        return [((1.0 + 1e-6) * w, A, B) for w, A, B in terms(*args)]
+    monkeypatch.setattr(cs, "h_terms", scaled)
     with pytest.raises(ArithmeticError, match=r"^H = \(n \+ 2\)\(3 L \+ L_sigma\) \+ Cas "
                                               r"on class \(0, 0\): eigenvalue"):
         dec.build_sp_projectors(model2)

@@ -10,14 +10,19 @@ from qhcurv import tensor_ops as top
 from qhcurv import torsion as tor
 
 
+def torsion_space_dim(n):
+    """Real dimension of T* (x) Lambda^2_0 E S^2 H: 4n times 3 dim Lambda^2_0 E."""
+    return 4 * n * 3 * (n * (2 * n - 1) - 1)
+
+
 def test_component_dimensions(tbank):
     n = tbank.model.n
     dims = {k: tbank.rank(k) for k in tor.TORSION_COMPONENTS}
     assert dims == tor.expected_torsion_dims(n)
-    assert tbank.ambient.shape[0] == sum(dims.values())
+    assert tbank.rows[0].shape[0] == sum(dims.values()) == torsion_space_dim(n)
     if n == 2:
         assert dims["33"] == 0 and dims["3H"] == 0
-        assert tbank.ambient.shape[0] == 120
+        assert tbank.rows[0].shape[0] == 120
 
 
 #: The six ranks at n = 2..5, in TORSION_COMPONENTS order, as the earlier
@@ -62,12 +67,17 @@ def test_components_are_eigenspaces_of_both_casimirs(tbank):
 
 
 def test_projector_algebra(tbank):
+    """The six bases fill the torsion space: their rows are orthonormal,
+    each is fixed by the membership projector, and there are as many as
+    the space has dimensions."""
+    m = tbank.model
     stacked = np.vstack([tbank.comps[k] for k in tor.TORSION_COMPONENTS
                          if tbank.rank(k)])
     gram = stacked @ stacked.T
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-9
-    overlap = stacked @ tbank.ambient.T
-    assert np.max(np.abs(overlap.T @ overlap - np.eye(tbank.ambient.shape[0]))) < 1e-9
+    images = tor.project_to_torsion_space(m, stacked.reshape((-1,) + (m.dim,) * 3))
+    assert np.max(np.abs(images.reshape(stacked.shape) - stacked)) < 1e-9
+    assert stacked.shape[0] == torsion_space_dim(m.n)
 
 
 #: sha256 of the six torsion bases at n = 2, in TORSION_COMPONENTS order,
@@ -169,7 +179,7 @@ def test_skew_three_form_lands_in_33(tbank):
     for _ in range(200):
         skew = tor.project_to_torsion_space(m, top.alt(skew))
     assert top.frob(skew) > 1e-6
-    norms = tbank.component_norms(skew)
+    norms = dict(zip(tbank.names, np.sqrt(tbank.squared_norms(skew.ravel()))))
     total = np.linalg.norm(skew.ravel())
     assert norms["33"] == pytest.approx(total, rel=1e-8)
     assert tor.residual_skew(skew) < 1e-8 * total
@@ -231,23 +241,27 @@ def test_class_mask_rejects_non_finite(tbank2):
 def test_bank_bases_are_views_of_one_stacked_array(tbank):
     """The six bases are stored once: each ``comps[name]`` is a view of the
     stacked rows, in TORSION_COMPONENTS order."""
+    (rows,) = tbank.rows
     at = 0
     for name in tor.TORSION_COMPONENTS:
         B = tbank.comps[name]
-        assert B.base is tbank.rows
-        assert B.size == 0 or np.shares_memory(B, tbank.rows)
-        assert np.array_equal(B, tbank.rows[at:at + tbank.rank(name)])
+        assert B.base is rows
+        assert B.size == 0 or np.shares_memory(B, rows)
+        assert np.array_equal(B, rows[at:at + tbank.rank(name)])
         at += tbank.rank(name)
-    assert at == tbank.rows.shape[0] == tbank.ambient.shape[0]
+    assert at == rows.shape[0] == torsion_space_dim(tbank.model.n)
 
 
 def test_bank_arrays_own_their_data_or_view_rows(tbank):
     """No bank array pins a larger buffer: each owns its data or is a view
     of the stacked rows."""
     arrays = [v for v in vars(tbank).values() if isinstance(v, np.ndarray)]
+    arrays += [a for v in vars(tbank).values() if isinstance(v, tuple)
+               for a in v if isinstance(a, np.ndarray)]
     arrays += list(tbank.comps.values())
+    assert len(arrays) == 3 + len(tbank.comps)     # classes, rows, labels and the views
     for a in arrays:
-        assert a.base is None or a.base is tbank.rows
+        assert a.base is None or a.base is tbank.rows[0]
 
 
 def test_projector_rows_match_the_unit_sweep_bitwise(model):
@@ -276,18 +290,6 @@ def test_stacked_projection_matches_single_calls_bitwise(model):
         assert got.reshape(single.shape).tobytes() == single.tobytes()
 
 
-def test_component_norms_match_per_component_products(tbank):
-    for seed in range(3):
-        t = random_torsion(tbank, seed)
-        norms = tbank.component_norms(t)
-        assert list(norms) == list(tor.TORSION_COMPONENTS)
-        for name in tor.TORSION_COMPONENTS:
-            want = np.linalg.norm(tbank.comps[name] @ t.ravel())
-            assert abs(norms[name] - want) <= 1e-14 * want
-            if tbank.rank(name) == 0:
-                assert norms[name] == 0.0
-
-
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_class_mask_of_seeded_mixtures(tbank, size):
     """A seeded mixture of one, two or three components gets exactly their
@@ -309,20 +311,17 @@ def test_derivative_split(tbank):
     m = tbank.model
     from conftest import random_derivative
     D = random_derivative(tbank, 9)
-    parts = {name: tor.project_derivative_component(tbank, D, name)
-             for name in tor.TORSION_COMPONENTS}
+    parts = {name: tbank.project(D, name) for name in tor.TORSION_COMPONENTS}
     recon = sum(parts.values())
     assert top.frob(recon - D) < 1e-9 * top.frob(D)
     # constant-in-W single-component derivative only hits its own component
     t = tbank.random_component("KH", 11)
     Dc = np.repeat(t[None], m.dim, axis=0)
-    parts = {name: tor.project_derivative_component(tbank, Dc, name)
-             for name in tor.TORSION_COMPONENTS}
+    parts = {name: tbank.project(Dc, name) for name in tor.TORSION_COMPONENTS}
     for name in tor.TORSION_COMPONENTS:
         expect = top.frob(Dc) if name == "KH" else 0.0
         assert top.frob(parts[name]) == pytest.approx(expect, abs=1e-9 * top.frob(Dc))
-    assert top.frob(tor.project_derivative_component(tbank, Dc, "KH") - Dc) \
-        < 1e-9 * top.frob(Dc)
+    assert top.frob(tbank.project(Dc, "KH") - Dc) < 1e-9 * top.frob(Dc)
 
 
 def test_nabla_omega_covariance_under_adapted_rotation(tbank):
