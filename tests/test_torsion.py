@@ -290,6 +290,20 @@ def test_stacked_projection_matches_single_calls_bitwise(model):
         assert got.reshape(single.shape).tobytes() == single.tobytes()
 
 
+def test_component_norms_match_per_component_products(tbank):
+    """The bank's per-component norms, one product per class, equal one
+    product per component basis; components of rank 0 read exactly 0."""
+    for seed in range(3):
+        t = random_torsion(tbank, seed)
+        norms = dict(zip(tbank.names, np.sqrt(tbank.squared_norms(t.ravel()))))
+        assert list(norms) == list(tor.TORSION_COMPONENTS)
+        for name in tor.TORSION_COMPONENTS:
+            want = np.linalg.norm(tbank.comps[name] @ t.ravel())
+            assert abs(norms[name] - want) <= 1e-14 * want
+            if tbank.rank(name) == 0:
+                assert norms[name] == 0.0
+
+
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_class_mask_of_seeded_mixtures(tbank, size):
     """A seeded mixture of one, two or three components gets exactly their
