@@ -10,7 +10,8 @@ the cyclic Bianchi sum), orthogonal projection onto R, seeded random
 sampling, the equivariant endomorphisms L, L_sigma and the Sp(n) Casimir
 whose joint spectrum separates the fifteen components, the Ricci-type
 contractions, the probe tensors realizing the L-eigenvalues, and the
-bilinear-form projectors on S^2 V* and Lambda^2 V*.
+bilinear-form projectors on S^2 V* and Lambda^2 V* (the Lambda^2_0 E S^2 H
+one is a cached matrix, :func:`L20ES2H_projector`).
 
 Coordinates: tensors with the two pair antisymmetries are stored, when
 linear algebra over subspaces is needed, as matrices over the m = C(4n, 2)
@@ -34,6 +35,7 @@ independent oracles.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor_ops as top
-from .model_space import ModelSpace, sp_generators
+from .model_space import ModelSpace, build_model, sp_generators
 
 #: Relative certification threshold for curvature symmetries.
 CERT_TOL = 1e-10
@@ -333,13 +335,14 @@ def proj_form_S2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def proj_form_L20ES2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
-    """Lambda^2_0 E S^2 H part of a 2-form.
+def _L20ES2H_stepwise(m: ModelSpace, b: np.ndarray) -> np.ndarray:
+    """Lambda^2_0 E S^2 H part of 2-forms, step by step: the builder of
+    :func:`L20ES2H_projector`.
 
     The S^2E part is removed first, then the omega parts one at a time,
     each coefficient one matvec read after the previous omega part is
-    removed.  The torsion bank's SVDs see these bits (this is also the
-    torsion-space projector), so the order is pinned: reading all three
+    removed.  The torsion bank's SVDs see P2's bits (I (x) P2 spans the
+    torsion space), so this order is pinned: reading all three
     coefficients in one product changes the last bits at n = 3.
     """
     a = top.asym2(b)
@@ -348,6 +351,33 @@ def proj_form_L20ES2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
     for w in m.omegas.reshape(3, -1):
         flat = flat - (flat @ w / (4.0 * m.n))[:, None] * w
     return flat.reshape(a.shape)
+
+
+@functools.lru_cache(maxsize=None)
+def L20ES2H_projector(n: int) -> np.ndarray:
+    """P2, the d^2 x d^2 matrix of the Lambda^2_0 E S^2 H projector on
+    flattened bilinear forms: row k is the image of the k-th unit form.
+    Built once per n by :func:`_L20ES2H_stepwise`, on the model of n (a
+    model is fixed by n), and returned read-only; it is an orthogonal
+    projector, so symmetric and idempotent."""
+    m = build_model(n, allow_large=True)
+    d2 = m.dim ** 2
+    P2 = _L20ES2H_stepwise(m, np.eye(d2).reshape(d2, m.dim, m.dim)).reshape(d2, d2)
+    P2.setflags(write=False)
+    return P2
+
+
+def proj_form_L20ES2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
+    """Lambda^2_0 E S^2 H part of a 2-form, on the last two axes: one
+    product with the cached :func:`L20ES2H_projector`, so a stack of forms
+    (such as the first-slot slices of a torsion tensor) projects in one
+    call.  P2's builder holds the order of operations whose bits the
+    torsion bank's SVDs see.  Raises ValueError unless the last two axes
+    are (dim, dim)."""
+    d = m.dim
+    if b.shape[-2:] != (d, d):
+        raise ValueError(f"2-forms must have shape (..., {d}, {d}), got {b.shape}")
+    return (b.reshape(-1, d * d) @ L20ES2H_projector(m.n)).reshape(b.shape)
 
 
 def _basis_from_projector(apply_proj, seed_mats, tol: float, label: str) -> np.ndarray:

@@ -210,8 +210,10 @@ class ComponentBank:
     rows: tuple
     slices: tuple
     labels: tuple = field(init=False, repr=False)
+    width: int = field(init=False, repr=False)
 
     def __post_init__(self):
+        self.width = sum(map(len, self.classes))
         self.labels = tuple(
             np.repeat(np.arange(len(self.names)),
                       [slices[name].stop - slices[name].start for name in self.names])
@@ -242,11 +244,15 @@ class ComponentBank:
 
     def basis(self, name: str) -> np.ndarray:
         """Orthonormal rows of a named space, at full width: a new array."""
-        return _scatter(self.blocks(name), sum(map(len, self.classes)))
+        return _scatter(self.blocks(name), self.width)
 
     def project_coords(self, v: np.ndarray, name: str) -> np.ndarray:
         """Orthogonal projection of coordinates (the last axis of ``v``)
-        onto a named space."""
+        onto a named space.  Raises ValueError if that axis has the wrong
+        length."""
+        if v.shape[-1:] != (self.width,):
+            raise ValueError(f"expected {self.width} coordinates on the last axis, "
+                             f"got shape {v.shape}")
         out = np.zeros(v.shape)
         for coords, B in self.blocks(name):
             # take, unlike v[..., coords], gathers a batch C-ordered
@@ -257,7 +263,11 @@ class ComponentBank:
         """Squared norms of the projections of the coordinate vector ``v``
         onto the components, in ``names`` order: per class, one product
         with the class's rows, then the squared coordinates summed per
-        component (exactly 0 at rank 0)."""
+        component (exactly 0 at rank 0).  Raises ValueError unless ``v`` is
+        one vector of the bank's width."""
+        if v.shape != (self.width,):
+            raise ValueError(f"expected a vector of {self.width} coordinates, "
+                             f"got shape {v.shape}")
         squares = np.zeros(len(self.names))
         for coords, rows, labels in zip(self.classes, self.rows, self.labels):
             w = rows @ v[coords]

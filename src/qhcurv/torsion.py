@@ -12,8 +12,9 @@ each one's E-side highest weight and k of its S^k H factor; its expected
 rank is the Weyl dimension of the weight times k + 1
 (:func:`expected_torsion_dims`).  The membership projector is
 the Lambda^2_0 E S^2 H projector of :mod:`.curvature_space` on every
-first-slot slice, so the ambient space is the row space of I (x) P2, with
-P2 that projector's images of the unit 2-forms.  The S^3H/H split is cut out
+first-slot slice: one product with its matrix P2
+(:func:`.curvature_space.L20ES2H_projector`, built once per n and cached),
+and the ambient space is the row space of I (x) P2.  The S^3H/H split is cut out
 by linear slot conditions; within each half the E-part is the
 image of an explicit formula in the trace one-forms theta, the Lambda^3_0
 part is cut out by the three-form/cyclic conditions, and the K-part is the
@@ -109,8 +110,9 @@ def _op_h(A: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def project_to_torsion_space(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     """Orthogonal projection of a rank-3 tensor onto T* (x) Lambda^2_0 E S^2 H:
-    the Lambda^2_0 E S^2 H projector on every first-slot slice.  It acts on
-    the last two axes, so a stack of torsion tensors projects in one call."""
+    the Lambda^2_0 E S^2 H projector on every first-slot slice, one product
+    with the cached P2.  It acts on the last two axes, so a stack of torsion
+    tensors projects in one call."""
     return cs.proj_form_L20ES2H(m, t)
 
 
@@ -189,12 +191,17 @@ class TorsionBank(dec.ComponentBank):
     def class_mask(self, t: np.ndarray) -> str:
         """6-bit class mask, one bit per nonzero component (order 33..EH).
 
-        Raises ValueError on NaN or infinite entries, which no mask describes.
+        Raises ValueError unless ``t`` has shape (d, d, d), and on NaN or
+        infinite entries, which no mask describes.
         """
+        d = self.model.dim
+        if t.shape != (d, d, d):
+            raise ValueError(f"torsion tensor must have shape {(d, d, d)}, got {t.shape}")
         if not np.isfinite(t).all():
             raise ValueError("torsion tensor holds NaN or infinite entries")
-        norms = np.sqrt(self.squared_norms(t.ravel())).tolist()
-        scale = max(np.linalg.norm(t.ravel()), 1e-300)
+        flat = t.ravel()
+        norms = np.sqrt(self.squared_norms(flat)).tolist()
+        scale = max(top.frob(flat), 1e-300)
         return "".join("1" if x > MASK_TOL * scale else "0" for x in norms)
 
     def random_component(self, name: str, seed) -> np.ndarray:
@@ -225,16 +232,14 @@ def _kernel_within(rows: np.ndarray, shape, ops: list, label: str) -> np.ndarray
 def _projector_rows(m: ModelSpace) -> np.ndarray:
     """Row k is the projection of the d^3 unit tensor e_k.  The projector
     acts on each first-slot slice alone, so these rows are I (x) P2, with
-    P2 the Lambda^2_0 E S^2 H projector's images of the d^2 unit 2-forms.
-    P2 is copied into the diagonal blocks of a zero array, as np.kron would
-    write 0 * (negative entry) = -0.0 off them, and the sign of a zero can
-    steer a Householder reflector in the SVD."""
+    P2 the cached :func:`.curvature_space.L20ES2H_projector`.  P2 is copied
+    into the diagonal blocks of a zero array, as np.kron would write
+    0 * (negative entry) = -0.0 off them, and the sign of a zero can steer
+    a Householder reflector in the SVD."""
     d = m.dim
-    units = np.eye(d * d).reshape(d * d, d, d)
     rows = np.zeros((d ** 3, d ** 3))
     on = np.arange(d)
-    rows.reshape(d, d * d, d, d * d)[on, :, on, :] = \
-        cs.proj_form_L20ES2H(m, units).reshape(d * d, d * d)
+    rows.reshape(d, d * d, d, d * d)[on, :, on, :] = cs.L20ES2H_projector(m.n)
     return rows
 
 

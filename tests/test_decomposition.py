@@ -217,6 +217,19 @@ def test_bank_blocks_tile_each_class(bank, tbank):
                 < 1e-12 * np.linalg.norm(v), name
 
 
+def test_bank_queries_reject_vectors_of_the_wrong_width(bank2, tbank2):
+    """For both banks, a vector whose last axis is not the bank's width
+    raises ValueError, even one whose first entries would fit."""
+    for b, v in _bank_samples(bank2, tbank2, 37):
+        for bad in (v[:-1], np.concatenate([v, v])):
+            with pytest.raises(ValueError, match="coordinates"):
+                b.squared_norms(bad)
+            with pytest.raises(ValueError, match="coordinates"):
+                b.project_coords(bad, b.names[-1])
+        with pytest.raises(ValueError, match="coordinates"):
+            b.squared_norms(np.stack([v, v]))
+
+
 def test_composite_projectors_resolve_R(bank):
     """The L-blocks, and QK with QKperp, are direct-sum decompositions of R,
     read from the parts of the stacked bank."""

@@ -238,6 +238,18 @@ def test_class_mask_rejects_non_finite(tbank2):
         tbank2.class_mask(np.full((8, 8, 8), np.nan))
 
 
+def test_class_mask_rejects_wrong_shapes(tbank2):
+    """A derivative, whose first d^3 entries would read as a torsion
+    tensor, and a tensor of the wrong dimension both raise ValueError; so
+    does projecting the latter."""
+    from conftest import random_derivative
+    for bad in (random_derivative(tbank2, 0), np.ones((4, 4, 4))):
+        with pytest.raises(ValueError, match="shape"):
+            tbank2.class_mask(bad)
+    with pytest.raises(ValueError, match="shape"):
+        tor.project_to_torsion_space(tbank2.model, np.ones((4, 4, 4)))
+
+
 def test_bank_bases_are_views_of_one_stacked_array(tbank):
     """The six bases are stored once: each ``comps[name]`` is a view of the
     stacked rows, in TORSION_COMPONENTS order."""
@@ -288,6 +300,34 @@ def test_stacked_projection_matches_single_calls_bitwise(model):
         got = tor.project_to_torsion_space(model, stack)
         assert got.shape == stack.shape
         assert got.reshape(single.shape).tobytes() == single.tobytes()
+
+
+def test_projection_matches_the_oracle(model):
+    """One product with P2 agrees with the stepwise oracle to roundoff."""
+    t = cs.substream("projection-oracle", model.n).standard_normal((model.dim,) * 3)
+    want = _project_oracle(model, t)
+    assert top.frob(tor.project_to_torsion_space(model, t) - want) <= 1e-15 * top.frob(want)
+
+
+def test_form_projector_is_cached_read_only_and_orthogonal(model):
+    P2 = cs.L20ES2H_projector(model.n)
+    assert cs.L20ES2H_projector(model.n) is P2
+    assert not P2.flags.writeable
+    assert np.max(np.abs(P2 - P2.T)) <= 1e-15
+    assert np.max(np.abs(P2 @ P2 - P2)) <= 1e-15
+
+
+def test_projection_does_not_rebuild_the_projector(monkeypatch, model):
+    """After warm-up, projecting tensors runs only the product with P2."""
+    rng = cs.substream("projector-calls", model.n)
+    tor.project_to_torsion_space(model, rng.standard_normal((model.dim,) * 3))
+    calls = []
+    inner = cs._L20ES2H_stepwise
+    monkeypatch.setattr(cs, "_L20ES2H_stepwise",
+                        lambda *args: calls.append(args) or inner(*args))
+    for _ in range(10):
+        tor.project_to_torsion_space(model, rng.standard_normal((model.dim,) * 3))
+    assert calls == []
 
 
 def test_component_norms_match_per_component_products(tbank):
@@ -444,7 +484,8 @@ _KERNELS = {
     "psi_k_image": (lambda m, t, lam, nws: 3.0 * t - sum(tor._act23(A, t) for A in m.triple),
                     lambda m, t, lam, nws: 3.0 * t - sum(_es("by,cz,xbc->xyz", A, A, t)
                                                          for A in m.triple)),
-    "project_to_torsion_space": (lambda m, t, lam, nws: tor.project_to_torsion_space(m, t),
+    # projection reads the cached P2; its stepwise builder holds the bits
+    "project_to_torsion_space": (lambda m, t, lam, nws: cs._L20ES2H_stepwise(m, t),
                                  lambda m, t, lam, nws: _project_oracle(m, t)),
     "theta": (lambda m, t, lam, nws: tor.theta(m, t),
               lambda m, t, lam, nws: _theta_oracle(m, t)),
