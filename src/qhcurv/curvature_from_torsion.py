@@ -119,17 +119,17 @@ class TorsionState:
 # nabla~xi brackets are traces of D, or of D against each A.  ``m.omegas``
 # is the stacked triple (I, J, K) wherever all three A act at once.
 
-def _units(m: ModelSpace) -> tuple:
-    """(1, I, J, K) as matrices."""
-    return (np.eye(m.dim),) + tuple(m.triple)
+def _units(m: ModelSpace) -> np.ndarray:
+    """(1, I, J, K) as one stack of matrices."""
+    return np.concatenate([np.eye(m.dim)[None], m.omegas])
 
 
-def _conjugate_table(m: ModelSpace, t: np.ndarray) -> list:
-    """X[b][c] = B_(1) C_(3) xi for B, C in (1, I, J, K), two matmuls each."""
+def _conjugate_table(m: ModelSpace, t: np.ndarray) -> np.ndarray:
+    """X[b][c] = B_(1) C_(3) xi for B, C in (1, I, J, K): two stacked
+    substitutions, b and c on two new leading axes.  C is substituted
+    last, so each entry X[b][c] is one contiguous block."""
     units = _units(m)
-    flat = t.reshape(t.shape[:-2] + (-1,))
-    left = [(B.T @ flat).reshape(t.shape) for B in units]
-    return [[L @ C for C in units] for L in left]
+    return top.substitute(units, (-1,), top.substitute(units, (-3,), t)).swapaxes(0, 1)
 
 
 def _gamma_omega_inner(gam, A) -> float:
@@ -242,10 +242,7 @@ def ric_from(m: ModelSpace, state: TorsionState) -> np.ndarray:
 
 def pi1es_operator(m: ModelSpace, R: np.ndarray) -> np.ndarray:
     """4 pi_1es(a) = 3a - sum_A A_(3) A_(4) a."""
-    out = 3.0 * R
-    for A in m.triple:
-        out -= top.pair_act(A, 3, 4, R)
-    return out / 4.0
+    return (3.0 * R - top.substitute(m.omegas, (-2, -1), R).sum(0)) / 4.0
 
 
 def pi1s_operator(m: ModelSpace, R: np.ndarray) -> np.ndarray:
@@ -678,8 +675,7 @@ def lemma_gammas_kernel(m: ModelSpace):
     cs._check_margin(s, rank, "gamma rigidity kernel")
     kernel = vt[rank:]
     gap = float(s[rank - 1] / s[rank]) if rank < len(s) else float("inf")
-    flat_forms = np.array([f.ravel() for f in forms])
-    triples = [(coef.reshape(3, k) @ flat_forms).reshape(3, d, d)
+    triples = [(coef.reshape(3, k) @ forms.reshape(k, -1)).reshape(3, d, d)
                for coef in kernel]
     return kernel.shape[0], triples, gap
 

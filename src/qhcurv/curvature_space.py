@@ -30,7 +30,9 @@ H = (n + 2)(3 L + L_sigma) + Cas on R as one sum of Kronecker products of
 m x m matrices, one term per distinct pair, and :func:`_kron_block` forms
 such a sum on a set of pair coordinates it keeps, such as a class.  The
 tensor-level :func:`L_map`, :func:`L_sigma_map` and :func:`Cas_map` stay as
-independent oracles.
+independent oracles: they act on a stack of rank-4 tensors by slot
+substitution (:func:`.tensor_ops.substitute`), not through pair
+coordinates.
 """
 
 from __future__ import annotations
@@ -159,28 +161,25 @@ def random_curvature(m: ModelSpace, seed) -> CurvatureTensor:
 # The equivariant endomorphisms L, L_sigma and Cas.
 
 def L_map(m: ModelSpace, R: np.ndarray) -> np.ndarray:
-    """L(R) = sum over slot pairs i < j and A of A_(i) A_(j) R."""
-    out = np.zeros_like(R)
-    for A in m.triple:
-        for i, j in itertools.combinations(range(1, 5), 2):
-            out += top.pair_act(A, i, j, R)
-    return out
+    """L(R) = sum over slot pairs i < j and A of A_(i) A_(j) R, on the last
+    four axes of R (leading axes index a stack)."""
+    return sum(top.substitute(m.omegas, pair, R).sum(0)
+               for pair in itertools.combinations(range(-4, 0), 2))
 
 
 def L_sigma_map(m: ModelSpace, R: np.ndarray) -> np.ndarray:
     """L_sigma(R) = sum_A (A1A2 + A2A3 s + A1A3 s^2 + A3A4 + A1A4 s + A2A4 s^2) R
 
     with s the cyclic permutation s R(x,y,z,u) = R(z,x,y,u); slot actions are
-    applied after the permutation.
+    applied after the permutation.  It acts on the last four axes of R
+    (leading axes index a stack).
     """
     s1 = top.sigma_perm(R)
     s2 = top.sigma_perm(s1)
-    out = np.zeros_like(R)
-    for A in m.triple:
-        out += top.pair_act(A, 1, 2, R) + top.pair_act(A, 3, 4, R)
-        out += top.pair_act(A, 2, 3, s1) + top.pair_act(A, 1, 4, s1)
-        out += top.pair_act(A, 1, 3, s2) + top.pair_act(A, 2, 4, s2)
-    return out
+    # slots 1..4 are the axes -4..-1
+    terms = ((R, (-4, -3)), (R, (-2, -1)), (s1, (-3, -2)), (s1, (-4, -1)),
+             (s2, (-4, -2)), (s2, (-3, -1)))
+    return sum(top.substitute(m.omegas, pair, T).sum(0) for T, pair in terms)
 
 
 def Cas_map(m: ModelSpace, R: np.ndarray) -> np.ndarray:
@@ -286,15 +285,11 @@ def probe_tensors(m: ModelSpace, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np
 # Lambda^2 V* = S^2 E + S^2 H + Lambda^2_0 E S^2 H    (2-forms)
 #
 # where the S^2E-type pieces satisfy A b = b for all A, the others
-# sum_A A b = -b; S^2 H is the span of the omega_A.  Every projector acts
-# on the last two axes, so a stack of forms is projected in one call.
-
-def _sum_full_act2(m: ModelSpace, b: np.ndarray) -> np.ndarray:
-    """sum_A b(A., A.) = sum_A A^T b A on the last two axes: one stacked
-    matmul over ``m.omegas`` (the matrices of I, J, K), summed over A in
-    order; exact, as every A is a signed permutation."""
-    W = m.omegas.reshape((3,) + (1,) * (b.ndim - 2) + m.omegas.shape[1:])
-    return (W.swapaxes(-1, -2) @ b @ W).sum(0)
+# sum_A A b = -b; S^2 H is the span of the omega_A.  The full action of
+# all three A on the last two axes, sum_A b(A., A.), is one substitution
+# of ``m.omegas`` summed over A in order, exact as every A is a signed
+# permutation.  Every projector acts on the last two axes, so a stack of
+# forms is projected in one call.
 
 
 # The six bilinear-form projectors.  Each starts by projecting onto the
@@ -310,7 +305,7 @@ def proj_sym_R(m: ModelSpace, b: np.ndarray) -> np.ndarray:
 def proj_sym_S2ES2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
     """S^2 E S^2 H part (symmetric, eigenvalue -1 of sum_A A)."""
     s = top.sym2(b)
-    return (3.0 * s - _sum_full_act2(m, s)) / 4.0
+    return (3.0 * s - top.substitute(m.omegas, (-2, -1), s).sum(0)) / 4.0
 
 
 def proj_sym_L20E(m: ModelSpace, b: np.ndarray) -> np.ndarray:
@@ -322,7 +317,7 @@ def proj_sym_L20E(m: ModelSpace, b: np.ndarray) -> np.ndarray:
 def proj_form_S2E(m: ModelSpace, b: np.ndarray) -> np.ndarray:
     """S^2 E part of a 2-form (A b = b for all A)."""
     a = top.asym2(b)
-    return (a + _sum_full_act2(m, a)) / 4.0
+    return (a + top.substitute(m.omegas, (-2, -1), a).sum(0)) / 4.0
 
 
 def proj_form_S2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
@@ -346,7 +341,7 @@ def _L20ES2H_stepwise(m: ModelSpace, b: np.ndarray) -> np.ndarray:
     coefficients in one product changes the last bits at n = 3.
     """
     a = top.asym2(b)
-    a = a - 0.25 * (a + _sum_full_act2(m, a))
+    a = a - 0.25 * (a + top.substitute(m.omegas, (-2, -1), a).sum(0))
     flat = a.reshape(-1, m.dim ** 2)
     for w in m.omegas.reshape(3, -1):
         flat = flat - (flat @ w / (4.0 * m.n))[:, None] * w
@@ -380,33 +375,29 @@ def proj_form_L20ES2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
     return (b.reshape(-1, d * d) @ L20ES2H_projector(m.n)).reshape(b.shape)
 
 
-def _basis_from_projector(apply_proj, seed_mats, tol: float, label: str) -> np.ndarray:
-    """Orthonormal basis (rows, flattened) of the image of a projector."""
-    rows = [apply_proj(s).ravel() for s in seed_mats]
-    return orthonormal_rows(np.array(rows), tol, label=label)
+def _basis_from_projector(apply_proj, seeds: np.ndarray, tol: float, label: str) -> np.ndarray:
+    """Orthonormal basis (rows, flattened) of the image of a projector, from
+    its images of the stack ``seeds``."""
+    return orthonormal_rows(apply_proj(seeds).reshape(len(seeds), -1), tol, label=label)
 
 
-def sym_basis(dim: int):
-    """Spanning set of symmetric matrices (e_ii and e_ij + e_ji)."""
-    out = []
-    for i in range(dim):
-        e = np.zeros((dim, dim))
-        e[i, i] = 1.0
-        out.append(e)
-    for i, j in itertools.combinations(range(dim), 2):
-        e = np.zeros((dim, dim))
-        e[i, j] = e[j, i] = 1.0
-        out.append(e)
+def sym_basis(dim: int) -> np.ndarray:
+    """Spanning stack of symmetric matrices: e_ii, then e_ij + e_ji (i < j)."""
+    i, j = np.triu_indices(dim, 1)
+    out = np.zeros((dim + len(i), dim, dim))
+    diag = np.arange(dim)
+    out[diag, diag, diag] = 1.0
+    off = dim + np.arange(len(i))
+    out[off, i, j] = out[off, j, i] = 1.0
     return out
 
 
-def form_basis(dim: int):
-    """Spanning set of antisymmetric matrices (e_ij - e_ji, i < j)."""
-    out = []
-    for i, j in itertools.combinations(range(dim), 2):
-        e = np.zeros((dim, dim))
-        e[i, j], e[j, i] = 1.0, -1.0
-        out.append(e)
+def form_basis(dim: int) -> np.ndarray:
+    """Spanning stack of antisymmetric matrices: e_ij - e_ji (i < j)."""
+    i, j = np.triu_indices(dim, 1)
+    out = np.zeros((len(i), dim, dim))
+    k = np.arange(len(i))
+    out[k, i, j], out[k, j, i] = 1.0, -1.0
     return out
 
 

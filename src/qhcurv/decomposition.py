@@ -394,29 +394,20 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
                          slices=tuple(slices), model=m, scheme=ps, rays=rays)
 
 
-def _constrained_triples(m: ModelSpace, form_basis_mats, label: str):
+def _constrained_triples(m: ModelSpace, forms, label: str) -> np.ndarray:
     """Triples (b_I, b_J, b_K) from a 2-form space with sum_A A_(2) b_A = 0.
 
-    Returns a list of triples of matrices spanning the constrained parameter
+    ``forms`` is a stack of 2-forms spanning the space.  Returns the
+    triples, shape (r, 3, dim, dim), spanning the constrained parameter
     space, orthonormal in the triple inner product.  ``label`` names the
     space in a margin error.
     """
-    k = len(form_basis_mats)
-    d = m.dim
-    # constraint matrix (d*d) x (3k): column (A, j) holds A_(2) b_j
-    constraint = np.zeros((d * d, 3 * k))
-    for a_idx, A in enumerate(m.triple):
-        for j, b in enumerate(form_basis_mats):
-            constraint[:, a_idx * k + j] = top.slot_act(A, 2, b).ravel()
+    forms = np.asarray(forms)
+    k = len(forms)
+    # column (A, j) of the constraint matrix holds A_(2) b_j = -b_j(., A.)
+    constraint = -top.substitute(m.omegas, (-1,), forms).reshape(3 * k, -1).T
     kernel = cs.null_space_rows(constraint, label=label)
-    triples = []
-    for coeff in kernel:
-        bt = []
-        for a_idx in range(3):
-            mat = sum(coeff[a_idx * k + j] * form_basis_mats[j] for j in range(k))
-            bt.append(mat)
-        triples.append(bt)
-    return triples
+    return np.tensordot(kernel.reshape(-1, 3, k), forms, axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +557,9 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
         rows = [(coords, row[None]) for coords, B in blocks for row in B]
         T = np.array([cs.from_pair_coords(ps, _scatter([rows[i]], ps.m ** 2)[0])
                       for i in sorted({0, len(rows) // 2, len(rows) - 1})])
-        resid = [top.frob(x) for x in cs.Cas_map(m, T) - cas * T]
-        for t in T:
-            resid += [top.frob(cs.L_map(m, t) - lam * t),
-                      top.frob(cs.L_sigma_map(m, t) - mu * t)]
+        resid = [top.frob(x) for op, value in ((cs.Cas_map, cas), (cs.L_map, lam),
+                                               (cs.L_sigma_map, mu))
+                 for x in op(m, T) - value * T]
         worst = float(np.max(resid))      # np.max keeps a NaN, max() drops it
         eigen_residuals[name] = worst
         if not worst <= tol:

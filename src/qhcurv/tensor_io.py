@@ -45,6 +45,8 @@ class TensorFile:
 
 
 def write_tensor(path, n: int, data: np.ndarray, certified: bool = False) -> None:
+    if n < 1:
+        raise TensorFileError(f"n = {n}, must be at least 1")
     data = np.ascontiguousarray(data, dtype="<f8")
     rank = data.ndim
     dim = 4 * n

@@ -2,14 +2,17 @@
 
 All tensors are covariant, stored as dense ``numpy`` arrays with every axis
 of length 4n.  The operations here are the small fixed vocabulary the
-curvature and torsion machinery needs: slot actions of the structure
-endomorphisms, the graded full action, normalized p-form and raw rank-4
-inner products, symmetric and wedge products of 2-tensors, the two
-skewing maps used by the torsion-to-curvature formulas, and ``contract``,
-a two-operand einsum over leading (batch) axes done as one matmul.
+curvature and torsion machinery needs: ``substitute``, the one way an
+endomorphism acts on slots, on stacks of tensors and for stacks of
+matrices such as ``m.omegas`` (the slot, pair and full actions are short
+expressions over it), normalized p-form and raw rank-4 inner products,
+symmetric and wedge products of 2-tensors, alternation, the two skewing
+maps used by the torsion-to-curvature formulas, and ``contract``, a
+two-operand einsum over leading (batch) axes done as one matmul.
 
 Conventions (fixed once and relied on everywhere):
 
+* substitution:  ``substitute(A, (i,), b)(..., x, ...) = b(..., A x, ...)``
 * slot action:   ``A_(i) b(X1,...,Xi,...,Xs) = -b(X1,...,A Xi,...,Xs)``
 * full action:   ``A b(X1,...,Xs) = (-1)^s b(A X1,...,A Xs)``
 * p-form inner:  ``<a,b> = (1/p!) a(e_I) b(e_I)`` (sum over all index tuples)
@@ -27,31 +30,47 @@ import itertools
 import math
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_tuple
 
 
 # ---------------------------------------------------------------------------
-# Slot and full actions.
+# Substitution, and the slot and full actions.
+
+def substitute(A: np.ndarray, axes, T: np.ndarray) -> np.ndarray:
+    """``T(..., A x, ...)`` on each of the numpy ``axes`` of T:
+    ``out[..., x, ...] = A[a, x] T[..., a, ...]``.  Negative axes count
+    from the end, so T may carry leading stack axes.  A stack A of shape
+    (k, d, d) substitutes each A[j] on every listed axis and puts j on a
+    new leading axis.  Each axis is one matmul: T, that axis swapped
+    last, as one matrix of rows (one per A[j] once T carries j) times A.
+    So for the signed permutations I, J, K every output entry is one
+    input entry with its sign, whatever the stacking."""
+    axes = [ax - T.ndim for ax in normalize_axis_tuple(axes, T.ndim)]
+    lead = ()
+    for ax in axes:
+        moved = T.swapaxes(ax, -1)
+        out = moved.reshape(lead + (-1, moved.shape[-1])) @ A
+        T = out.reshape(out.shape[:-2] + moved.shape[len(lead):]).swapaxes(ax, -1)
+        lead = A.shape[:-2]
+    return T
+
 
 def slot_act(A: np.ndarray, i: int, b: np.ndarray) -> np.ndarray:
     """Apply ``A_(i) b = -b(..., A X_i, ...)`` on the 1-based slot ``i``."""
-    r = b.ndim
-    if not 1 <= i <= r:
-        raise ValueError(f"slot {i} out of range for rank-{r} tensor")
-    # tensordot appends the substituted axis at the end; move it back
-    return -np.moveaxis(np.tensordot(b, A, axes=([i - 1], [0])), -1, i - 1)
+    if not 1 <= i <= b.ndim:
+        raise ValueError(f"slot {i} out of range for rank-{b.ndim} tensor")
+    return -substitute(A, (i - 1,), b)
 
 
 def pair_act(A: np.ndarray, i: int, j: int, b: np.ndarray) -> np.ndarray:
     """``A_(i) A_(j) b`` (signs cancel: plain substitution in slots i < j)."""
-    return slot_act(A, i, slot_act(A, j, b))
+    return substitute(A, (i - 1, j - 1), b)
 
 
 def full_act(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Graded full action ``A b(X1,...,Xs) = (-1)^s b(A X1,...,A Xs)``."""
-    out = b
-    for i in range(1, b.ndim + 1):
-        out = slot_act(A, i, out)
-    return out
+    out = substitute(A, range(b.ndim), b)
+    return -out if b.ndim % 2 else out
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +119,19 @@ def wedge2(b: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def wedge12(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Wedge of a 1-form with a 2-form, unit-coefficient shuffles:
+    """Wedge of a 1-form (or a stack of them) with a 2-form,
+    unit-coefficient shuffles:
 
     (a^w)(x,y,z) = a(x)w(y,z) - a(y)w(x,z) + a(z)w(x,y).
     """
-    return (np.einsum("x,yz->xyz", a, w)
-            - np.einsum("y,xz->xyz", a, w)
-            + np.einsum("z,xy->xyz", a, w))
+    return (np.einsum("...x,yz->...xyz", a, w)
+            - np.einsum("...y,xz->...xyz", a, w)
+            + np.einsum("...z,xy->...xyz", a, w))
 
 
 def theta_tensor(a: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Plain tensor product (a x w)(x,y,z) = a(x) w(y,z)."""
-    return np.einsum("x,yz->xyz", a, w)
+    return np.einsum("...x,yz->...xyz", a, w)
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +192,26 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Alternation / symmetrization helpers.
 
-def alt(T: np.ndarray) -> np.ndarray:
-    """Full antisymmetrization (orthogonal projection onto forms).
+def alt(T: np.ndarray, axes=None) -> np.ndarray:
+    """Full antisymmetrization (orthogonal projection onto forms) over
+    ``axes`` (numpy axes, all of them by default), so a stack of tensors
+    antisymmetrizes in one call.
 
     The permuted copies are added and subtracted in place, one at a time, in
     ``itertools.permutations`` order, and the sum is divided by r! once at
     the end.  That order fixes the result's last bits, which the torsion
     bank's SVDs see, and the test against the plain signed sum pins it."""
+    axes = normalize_axis_tuple(range(T.ndim) if axes is None else axes, T.ndim)
     out = np.zeros_like(T)
-    for perm, positive in _signed_permutations(T.ndim):
+    for perm, positive in _signed_permutations(len(axes)):
+        order = list(range(T.ndim))
+        for ax, p in zip(axes, perm):
+            order[ax] = axes[p]
         if positive:
-            out += T.transpose(perm)
+            out += T.transpose(order)
         else:
-            out -= T.transpose(perm)
-    return out / math.factorial(T.ndim)
+            out -= T.transpose(order)
+    return out / math.factorial(len(axes))
 
 
 @functools.cache
@@ -236,6 +262,7 @@ def cyclic3(T: np.ndarray, axes=(0, 1, 2)) -> np.ndarray:
 
 
 def sigma_perm(R: np.ndarray) -> np.ndarray:
-    """The cyclic slot permutation sigma R(x,y,z,u) = R(z,x,y,u)."""
-    return R.transpose(1, 2, 0, 3)
+    """The cyclic slot permutation sigma R(x,y,z,u) = R(z,x,y,u), on the
+    last four axes."""
+    return np.moveaxis(R, -4, -2)
 

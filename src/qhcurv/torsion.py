@@ -18,7 +18,10 @@ and the ambient space is the row space of I (x) P2.  The S^3H/H split is cut out
 by linear slot conditions; within each half the E-part is the
 image of an explicit formula in the trace one-forms theta, the Lambda^3_0
 part is cut out by the three-form/cyclic conditions, and the K-part is the
-orthogonal remainder.  The six bases are stored as
+orthogonal remainder.  Every such operator acts on a stack of tensors, the
+slot conditions by substitution of I, J, K
+(:func:`.tensor_ops.substitute`), so each kernel's SVD input, and each
+E-part image, is one call on the whole stack of rows.  The six bases are stored as
 :class:`TorsionBank`, the :class:`.decomposition.ComponentBank` store of the
 curvature bank over one class of all d^3 coordinates, so both banks answer
 ranks, projections and component norms by the same code.
@@ -29,6 +32,7 @@ classifies torsion tensors by the 6-bit mask of nonvanishing components.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,47 +66,28 @@ def expected_torsion_dims(n: int) -> dict:
 # ---------------------------------------------------------------------------
 # Slot operators entering the characterizations.
 #
-# I, J, K are signed permutation matrices, so substituting A into two slots
-# is a pair of exact matmuls: every output entry is one input entry, signed.
-# A sum over A is one stacked matmul over ``m.omegas`` (the matrices of I,
-# J, K) reduced over its first axis: the same products, added in order.
+# Each is one or more substitutions (:func:`.tensor_ops.substitute`) of
+# ``m.omegas``, the stacked matrices of I, J, K, on two of the last three
+# axes: every output entry is one input entry, signed, as I, J, K are
+# signed permutations.  They act on a stack of torsion tensors, so the
+# bank's kernels and the residual checks below read the same code, and
+# each returns its images stacked on a new leading axis.
 
-def _act13(A: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """t(A., ., A.)[x,y,z] = A[a,x] A[c,z] t[a,y,c]."""
-    d = A.shape[0]
-    return (A.T @ (t @ A).reshape(d, -1)).reshape(t.shape)
-
-
-def _act12(A: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """t(A., A., .)[x,y,z] = A[a,x] A[b,y] t[a,b,z]."""
-    d = A.shape[0]
-    return A.T @ (A.T @ t.reshape(d, -1)).reshape(t.shape)
+def _s3h_defects(m: ModelSpace, t: np.ndarray) -> np.ndarray:
+    """sum_A t(A., ., A.) + t and sum_A t(A., A., .) + t: both vanish
+    exactly on the S^3H half."""
+    return np.stack([top.substitute(m.omegas, axes, t).sum(0) + t
+                     for axes in ((-3, -1), (-3, -2))])
 
 
-def _act23(A: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """t(., A., A.)[x,y,z] = A[b,y] A[c,z] t[x,b,c]."""
-    return A.T @ t @ A
-
-
-def _sum_op13(m: ModelSpace, t: np.ndarray) -> np.ndarray:
-    """sum_A t(A., ., A.)  (the action of sum_A A_(1) A_(3))."""
-    W = m.omegas
-    d = W.shape[1]
-    inner = (t @ W[:, None]).reshape(3, d, -1)
-    return (W.transpose(0, 2, 1) @ inner).reshape((3,) + t.shape).sum(0)
-
-
-def _sum_op12(m: ModelSpace, t: np.ndarray) -> np.ndarray:
-    """sum_A t(A., A., .)."""
-    W = m.omegas
-    d = W.shape[1]
-    inner = (W.transpose(0, 2, 1) @ t.reshape(d, -1)).reshape((3,) + t.shape)
-    return (W.transpose(0, 2, 1)[:, None] @ inner).sum(0)
-
-
-def _op_h(A: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """t(A.,.,A.) + t(A.,A.,.) + t(.,A.,A.) for a single A."""
-    return _act13(A, t) + _act12(A, t) + _act23(A, t)
+def _h_defects(m: ModelSpace, t: np.ndarray) -> np.ndarray:
+    """t(A.,.,A.) + t(A.,A.,.) + t(.,A.,A.) - t for A = I, J, K: all three
+    vanish exactly on the H half."""
+    out = top.substitute(m.omegas, (-3, -1), t)
+    out += top.substitute(m.omegas, (-3, -2), t)    # in place: one image stack alive
+    out += top.substitute(m.omegas, (-2, -1), t)
+    out -= t
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +109,16 @@ def _theta_scale(n: int) -> float:
 
 
 def theta(m: ModelSpace, t: np.ndarray) -> np.ndarray:
-    """Global trace one-form: (6/n)(2n+1)(n-1) theta(X) = -<xi_{e_i} e_i, X>."""
-    return -np.einsum("ixi->x", t) / _theta_scale(m.n)
+    """Global trace one-form: (6/n)(2n+1)(n-1) theta(X) = -<xi_{e_i} e_i, X>.
+    Leading axes of t index a stack, here and in the three functions below."""
+    return -np.einsum("...ixi->...x", t) / _theta_scale(m.n)
 
 
 def theta_A(m: ModelSpace, t: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Local trace one-form: (2/n)(2n+1)(n-1) theta_A(X) = -<A xi_{e_i} A e_i, X>."""
-    w = np.tensordot(A, t, axes=([0, 1], [2, 0])) @ A
+    # A first, so a stack reduces each tensor in the order of a single one:
+    # the E3 images, which an SVD sees, do not depend on the stacking
+    w = np.tensordot(A, t, axes=([0, 1], [-1, -3])) @ A
     return w / (_theta_scale(m.n) / 3.0)
 
 
@@ -143,7 +131,7 @@ def xi_E3_from_trace(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     th = theta(m, t)
     out = np.zeros_like(t)
     for A, w in zip(m.triple, m.omegas):
-        alpha = A @ (theta_A(m, t, A) - th)
+        alpha = (theta_A(m, t, A) - th) @ A.T
         out += top.wedge12(alpha, w) - ((m.n - 1.0) / m.n) * top.theta_tensor(alpha, w)
     return out
 
@@ -154,13 +142,13 @@ def xi_EH_from_trace(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     <Y,(xi_EH)_X Z> = 3 e_i (x) e_i ^ theta
                       - sum_A (e_i (x) A e_i ^ A theta + (2/n) A theta (x) omega_A).
     """
-    th = theta(m, t)
+    th = theta(m, t)[..., None, None, :]     # on the z slot; swapaxes moves it
     g = m.g
-    out = 3.0 * (g[:, :, None] * th - g[:, None, :] * th[:, None])
+    out = 3.0 * (g[:, :, None] * th - g[:, None, :] * th.swapaxes(-1, -2))
     for A, w in zip(m.triple, m.omegas):
-        ath = A @ th
-        out -= (A.T[:, :, None] * ath - A.T[:, None, :] * ath[:, None])
-        out -= (2.0 / m.n) * (ath[:, None, None] * w)
+        ath = th @ A.T
+        out -= (A.T[:, :, None] * ath - A.T[:, None, :] * ath.swapaxes(-1, -2))
+        out -= (2.0 / m.n) * (ath.swapaxes(-1, -3) * w)
     return out
 
 
@@ -216,16 +204,15 @@ class TorsionBank(dec.ComponentBank):
         return (coef @ B).reshape(d, d, d)
 
 
-def _kernel_within(rows: np.ndarray, shape, ops: list, label: str) -> np.ndarray:
-    """Rows spanning the joint kernel of the operators ``ops`` restricted to
-    span(rows); ``label`` names the kernel in a margin error.  The images of
-    each row under every operator are written side by side into one array;
-    its transpose (column r: the images of row r) goes to the SVD."""
-    images = np.empty((rows.shape[0], len(ops), rows.shape[1]))
-    for r, row in enumerate(rows):
-        for o, op in enumerate(ops):
-            images[r, o] = op(row.reshape(shape)).ravel()
-    coeff = cs.null_space_rows(images.reshape(rows.shape[0], -1).T, label=label)
+def _kernel_within(rows: np.ndarray, shape, op, label: str) -> np.ndarray:
+    """Rows spanning the joint kernel, within span(rows), of the operators
+    that ``op`` applies to the whole stack of rows at once, their images
+    stacked on its leading axes; ``label`` names the kernel in a margin
+    error.  Column r of the SVD input holds the images of row r, one
+    operator after another."""
+    images = op(rows.reshape((-1,) + shape)).reshape(-1, rows.shape[0], rows.shape[1])
+    images = images.transpose(1, 0, 2).reshape(rows.shape[0], -1)
+    coeff = cs.null_space_rows(images.T, label=label)
     return coeff @ rows
 
 
@@ -253,20 +240,17 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
     ambient = cs.orthonormal_rows(_projector_rows(m), floor=1e-6, label="torsion space")
 
     # S^3H / H halves
-    s3h = _kernel_within(ambient, shape, [lambda t: _sum_op13(m, t) + t,
-                                          lambda t: _sum_op12(m, t) + t],
-                         "torsion S3H half")
-    h = _kernel_within(ambient, shape, [lambda t, A=A: _op_h(A, t) - t for A in m.triple],
-                       "torsion H half")
+    s3h = _kernel_within(ambient, shape, lambda t: _s3h_defects(m, t), "torsion S3H half")
+    h = _kernel_within(ambient, shape, lambda t: _h_defects(m, t), "torsion H half")
 
     comps = {}
 
     # Lambda^3_0 E S^3H: totally skew tensors inside the S^3H half
-    comps["33"] = _kernel_within(s3h, shape, [lambda t: t - top.alt(t)], "torsion 33")
+    comps["33"] = _kernel_within(s3h, shape, lambda t: t - top.alt(t, (-3, -2, -1)),
+                                 "torsion 33")
 
     # E S^3H: image of the trace-form reconstruction
-    e3_rows = np.array([xi_E3_from_trace(m, row.reshape(shape)).ravel()
-                        for row in s3h])
+    e3_rows = xi_E3_from_trace(m, s3h.reshape((-1,) + shape)).reshape(s3h.shape)
     comps["E3"] = cs.orthonormal_rows(e3_rows, floor=1e-6, label="torsion E3")
 
     # K S^3H: orthogonal remainder
@@ -275,11 +259,11 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
         s3h - (s3h @ used.T) @ used, floor=1e-6, label="torsion K3")
 
     # Lambda^3_0 E H: vanishing cyclic sum inside the H half
-    comps["3H"] = _kernel_within(h, shape, [top.cyclic3], "torsion 3H")
+    comps["3H"] = _kernel_within(h, shape, lambda t: top.cyclic3(t, (-3, -2, -1)),
+                                 "torsion 3H")
 
     # E H: image of the global-trace reconstruction
-    eh_rows = np.array([xi_EH_from_trace(m, row.reshape(shape)).ravel()
-                        for row in h])
+    eh_rows = xi_EH_from_trace(m, h.reshape((-1,) + shape)).reshape(h.shape)
     comps["EH"] = cs.orthonormal_rows(eh_rows, floor=1e-6, label="torsion EH")
 
     # K H: orthogonal remainder
@@ -299,11 +283,11 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
 # Characterization predicates (verified on the projector images by tests).
 
 def residual_s3h_conditions(m: ModelSpace, t: np.ndarray) -> float:
-    return max(top.frob(_sum_op13(m, t) + t), top.frob(_sum_op12(m, t) + t))
+    return max(top.frob(x) for x in _s3h_defects(m, t))
 
 
 def residual_h_conditions(m: ModelSpace, t: np.ndarray) -> float:
-    return max(top.frob(_op_h(A, t) - t) for A in m.triple)
+    return max(top.frob(x) for x in _h_defects(m, t))
 
 
 def residual_skew(t: np.ndarray) -> float:
@@ -326,24 +310,16 @@ def psi_k_solve(m: ModelSpace, t: np.ndarray):
     H-type tensors admitting such a representation.
     """
     d = m.dim
-    import itertools as it
-    triples = list(it.combinations(range(d), 3))
-    cols = []
-    for (i, j, k) in triples:
-        e = np.zeros((d, d, d))
-        for perm, sgn in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
-                          ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1)):
-            e[perm] = sgn
-        img = 3.0 * e - cs._sum_full_act2(m, e)
-        cols.append(img.ravel())
-    mat = np.array(cols).T
+    # one stack of 3-forms spanning them all: alt(e_i (x) e_j (x) e_k), i < j < k
+    ijk = np.array(list(itertools.combinations(range(d), 3)))
+    forms = np.zeros((len(ijk), d, d, d))
+    forms[(np.arange(len(ijk)),) + tuple(ijk.T)] = 1.0
+    forms = top.alt(forms, (-3, -2, -1))
+    images = 3.0 * forms - top.substitute(m.omegas, (-2, -1), forms).sum(0)
+    mat = images.reshape(len(ijk), -1).T
     coef, *_ = np.linalg.lstsq(mat, t.ravel(), rcond=None)
     resid = np.linalg.norm(mat @ coef - t.ravel()) / max(np.linalg.norm(t.ravel()), 1e-300)
-    psi = np.zeros((d, d, d))
-    for c, (i, j, k) in zip(coef, triples):
-        for perm, sgn in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
-                          ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1)):
-            psi[perm] += sgn * c
+    psi = np.tensordot(coef, forms, axes=1)
     return psi, float(resid)
 
 

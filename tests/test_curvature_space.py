@@ -95,6 +95,16 @@ def test_class_blocks_partition_R(bank):
                 assert np.linalg.norm(image[coords]) > 0.1, (op.__name__, i)
 
 
+def test_L_maps_act_on_stacks(model):
+    """L and L_sigma on a stack of tensors give each tensor's own image."""
+    m = model
+    T = np.array([cs.random_curvature(m, seed).tensor for seed in range(3)])
+    for op in (cs.L_map, cs.L_sigma_map):
+        stacked = op(m, T)
+        for t, got in zip(T, stacked):
+            assert top.frob(op(m, t) - got) <= 1e-13 * top.frob(got)
+
+
 def test_rank_decisions_raise_below_the_margin():
     """Singular values 1, 1e-7 and 1e-10: SV_TOL keeps 1e-7 and drops
     1e-10, a margin of 1e3 < SV_MARGIN, so both helpers raise; so do

@@ -66,6 +66,12 @@ def test_tensor_file_errors(tmp_path):
     path.write_bytes(tio.MAGIC + struct.pack("<BBHI", 200, 0, 0, 0) + bytes(800))
     with pytest.raises(tio.TensorFileError, match="n = 0"):
         tio.read_tensor(path)
+    # nor is it written: the writer rejects n < 1 before opening the file
+    for n in (0, -1):
+        never = tmp_path / f"n{n}.qht"
+        with pytest.raises(tio.TensorFileError, match=f"n = {n}"):
+            tio.write_tensor(never, n, np.zeros(0))
+        assert not never.exists()
     # non-finite payloads
     for value in (np.nan, np.inf, -np.inf):
         bad = np.zeros((8,) * 3)

@@ -18,7 +18,43 @@ def rand(shape, seed):
     return cs.substream("tops", shape, seed).standard_normal(shape)
 
 
-# --- slot and full actions -------------------------------------------------
+# --- substitution, slot and full actions -----------------------------------
+
+def _substitute_oracle(A, axes, T):
+    """T(..., A x, ...) on each axis, as one einsum over integer labels."""
+    axes = [ax % T.ndim for ax in axes]
+    given = list(range(T.ndim))
+    operands = [T, given]
+    for k, ax in enumerate(axes):
+        given[ax] = T.ndim + k            # the summed label a of A[a, x]
+        operands += [A, [T.ndim + k, ax]]
+    return np.einsum(*operands, list(range(T.ndim)))
+
+
+@pytest.mark.parametrize("shape, axes", [((8, 8, 8), (0,)), ((8, 8, 8), (1, 2)),
+                                         ((8, 8, 8, 8), (0, 1, 2, 3)),
+                                         ((5, 8, 8, 8), (-3,)), ((5, 8, 8, 8), (-1, -3)),
+                                         ((2, 3, 8, 8), (-2, -1))])
+def test_substitute_matches_einsum_bitwise(shape, axes):
+    """substitute(A, axes, T)[..., x, ...] = A[a, x] T[..., a, ...] on each
+    listed axis, bit for bit, as I, J and K are signed permutations: for
+    one A, for the stack of all three (a new leading axis), and on tensors
+    with leading stack axes."""
+    T = rand(shape, 21)
+    for A in M2.triple:
+        assert np.array_equal(top.substitute(A, axes, T), _substitute_oracle(A, axes, T))
+    expect = np.stack([_substitute_oracle(A, axes, T) for A in M2.triple])
+    assert np.array_equal(top.substitute(M2.omegas, axes, T), expect)
+
+
+def test_slot_act_is_signed_substitution():
+    """A_(i) b = -b(..., A X_i, ...) on the 1-based slot i, bit for bit."""
+    b = rand((8, 8, 8), 22)
+    for A in M2.triple:
+        for i in (1, 2, 3):
+            assert np.array_equal(top.slot_act(A, i, b), -_substitute_oracle(A, (i - 1,), b))
+            assert np.array_equal(top.slot_act(A, i, b), -top.substitute(A, (i - 1,), b))
+
 
 def test_slot_act_definition_elementwise():
     b = rand((8, 8, 8), 3)
@@ -212,9 +248,18 @@ def test_alt_matches_signed_sum_bitwise(shape):
     assert np.array_equal(top.alt(T), expect / math.factorial(T.ndim))
 
 
+def test_alt_over_axes_of_a_stack_is_bitwise_per_tensor():
+    T = rand((4, 8, 8, 8), 15)
+    stacked = top.alt(T, (-3, -2, -1))
+    for t, got in zip(T, stacked):
+        assert np.array_equal(top.alt(t), got)
+
+
 def test_sigma_perm():
     R = rand((8,) * 4, 13)
     S = top.sigma_perm(R)
     assert S[2, 5, 1, 7] == R[1, 2, 5, 7]
     assert np.allclose(top.sigma_perm(top.sigma_perm(S)), R)
+    # on a stack it permutes the last four axes of each tensor
+    assert np.array_equal(top.sigma_perm(np.stack([R, S]))[1], top.sigma_perm(S))
 

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +101,54 @@ def test_torsion_bank_is_bitwise_stable(tbank2):
     for name in tor.TORSION_COMPONENTS:
         h.update(np.ascontiguousarray(tbank2.comps[name]).tobytes())
     assert h.hexdigest() == digest
+
+
+#: The same digest at n = 3, built with one BLAS thread: at n = 3 the
+#: bases' bits depend on the thread count.
+_TORSION_DIGEST_N3 = ("0.3.31.188.0",
+                      "fa51e9be2ab14a8a53f2eedead08f5ab18c6672f9750bdf78a476a5b0383a674")
+
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from qhcurv import torsion as tor
+from qhcurv.model_space import build_model
+tbank = tor.build_torsion_bank(build_model(3))
+h = hashlib.sha256()
+for name in tor.TORSION_COMPONENTS:
+    h.update(np.ascontiguousarray(tbank.comps[name]).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_torsion_bank_n3_is_bitwise_stable():
+    """The n = 3 bases, built in a fresh process with one BLAS thread, hash
+    to the recorded digest."""
+    version, digest = _TORSION_DIGEST_N3
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if blas.get("version") != version:
+        pytest.skip(f"digest recorded with BLAS {version}, not {blas.get('version')}")
+    src = os.path.dirname(os.path.dirname(tor.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == digest
+
+
+def test_trace_forms_act_on_stacks_bitwise(model):
+    """theta, theta_A and both trace reconstructions give each tensor of a
+    stack its own result bit for bit: the torsion bank builds the E3 and EH
+    images in one call on its whole row stack."""
+    m = model
+    T = cs.substream("trace-stack", m.n).standard_normal((5,) + (m.dim,) * 3)
+    maps = [lambda t: tor.theta(m, t), lambda t: tor.xi_E3_from_trace(m, t),
+            lambda t: tor.xi_EH_from_trace(m, t)]
+    maps += [lambda t, A=A: tor.theta_A(m, t, A) for A in m.triple]
+    for f in maps:
+        stacked = f(T)
+        for t, got in zip(T, stacked):
+            assert np.array_equal(f(t), got)
 
 
 def test_membership_projector(tbank):
@@ -470,18 +521,22 @@ def _from_nabla_omega_oracle(m, nws):
 
 
 _KERNELS = {
-    "sum_op13": (lambda m, t, lam, nws: tor._sum_op13(m, t),
+    # the S^3H and H conditions: sum_A t(A.,.,A.) + t, sum_A t(A.,A.,.) + t,
+    # and t(A.,.,A.) + t(A.,A.,.) + t(.,A.,A.) - t per A
+    "sum_op13": (lambda m, t, lam, nws: tor._s3h_defects(m, t)[0],
                  lambda m, t, lam, nws: sum(_es("ax,cz,ayc->xyz", A, A, t)
-                                            for A in m.triple)),
-    "sum_op12": (lambda m, t, lam, nws: tor._sum_op12(m, t),
+                                            for A in m.triple) + t),
+    "sum_op12": (lambda m, t, lam, nws: tor._s3h_defects(m, t)[1],
                  lambda m, t, lam, nws: sum(_es("ax,by,abz->xyz", A, A, t)
-                                            for A in m.triple)),
-    "op_h": (lambda m, t, lam, nws: [tor._op_h(A, t) for A in m.triple],
+                                            for A in m.triple) + t),
+    "op_h": (lambda m, t, lam, nws: list(tor._h_defects(m, t)),
              lambda m, t, lam, nws: [_es("ax,cz,ayc->xyz", A, A, t)
                                      + _es("ax,by,abz->xyz", A, A, t)
-                                     + _es("by,cz,xbc->xyz", A, A, t)
+                                     + _es("by,cz,xbc->xyz", A, A, t) - t
                                      for A in m.triple]),
-    "psi_k_image": (lambda m, t, lam, nws: 3.0 * t - sum(tor._act23(A, t) for A in m.triple),
+    # the map psi_k_solve inverts, as it writes it on its stack of 3-forms
+    "psi_k_image": (lambda m, t, lam, nws:
+                    3.0 * t - top.substitute(m.omegas, (-2, -1), t).sum(0),
                     lambda m, t, lam, nws: 3.0 * t - sum(_es("by,cz,xbc->xyz", A, A, t)
                                                          for A in m.triple)),
     # projection reads the cached P2; its stepwise builder holds the bits
