@@ -58,28 +58,30 @@ class CertificationError(ValueError):
 # ---------------------------------------------------------------------------
 # Membership and projection.
 
-def _pair_residuals(S: np.ndarray, scale: float) -> dict:
-    """Residuals of the two pair antisymmetries and of pair exchange,
-    relative to ``scale``."""
-    return {
-        "antisym_12": top.frob(S + S.swapaxes(0, 1)) / scale,
-        "antisym_34": top.frob(S + S.swapaxes(2, 3)) / scale,
-        "pair_exchange": top.frob(S - S.transpose(2, 3, 0, 1)) / scale,
-    }
+#: The four conditions of R, in the order :meth:`CurvatureTensor.certify`
+#: checks them: (name, residual), the residual a function of the tensor and
+#: its scale, relative to that scale.  The Bianchi residual is |b(R)| / 3
+#: with b the first Bianchi sum over slots 1, 2, 3.  Its 3-cycles are even,
+#: so alt(b(R)) = 3 alt(R) and |b(R)| / 3 >= |alt(R)| for every rank-4
+#: tensor; once the pair symmetries hold, b(R) = 3 alt(R) is a 4-form and
+#: the two are equal.
+CURVATURE_CONDITIONS = (
+    ("antisym_12", lambda R, scale: top.frob(R + R.swapaxes(0, 1)) / scale),
+    ("antisym_34", lambda R, scale: top.frob(R + R.swapaxes(2, 3)) / scale),
+    ("pair_exchange", lambda R, scale: top.frob(R - R.transpose(2, 3, 0, 1)) / scale),
+    ("bianchi", lambda R, scale: top.frob(top.cyclic3(R)) / (3.0 * scale)),
+)
+
+
+def _scale(R: np.ndarray) -> float:
+    return max(top.frob(R), 1e-300)
 
 
 def curvature_residuals(R: np.ndarray) -> dict:
-    """Relative residuals of the four curvature symmetry conditions.
-
-    The Bianchi residual is |b(R)| / 3 with b the first Bianchi sum over
-    slots 1, 2, 3.  Its 3-cycles are even, so alt(b(R)) = 3 alt(R) and
-    |b(R)| / 3 >= |alt(R)| for every rank-4 tensor; once the pair
-    symmetries hold, b(R) = 3 alt(R) is a 4-form and the two are equal.
-    """
-    scale = max(top.frob(R), 1e-300)
-    resid = _pair_residuals(R, scale)
-    resid["bianchi"] = top.frob(top.cyclic3(R)) / (3.0 * scale)
-    return resid
+    """Relative residuals of the four curvature conditions
+    (:data:`CURVATURE_CONDITIONS`), all of them, in their order."""
+    scale = _scale(R)
+    return {name: residual(R, scale) for name, residual in CURVATURE_CONDITIONS}
 
 
 @dataclass
@@ -91,10 +93,19 @@ class CurvatureTensor:
 
     @classmethod
     def certify(cls, R: np.ndarray, tol: float = CERT_TOL) -> "CurvatureTensor":
-        resid = curvature_residuals(R)
-        bad = {k: v for k, v in resid.items() if not v <= tol}
-        if bad:
-            raise CertificationError(f"curvature symmetry residuals too large: {bad}")
+        """Certify R, checking :data:`CURVATURE_CONDITIONS` in order.
+
+        Raises CertificationError at the first condition whose residual is
+        not <= tol (NaN included), naming it and its residual; accepts
+        exactly when every value of :func:`curvature_residuals` is <= tol.
+        """
+        scale = _scale(R)
+        for name, residual in CURVATURE_CONDITIONS:
+            value = residual(R, scale)
+            if not value <= tol:
+                raise CertificationError(
+                    f"curvature condition {name} failed: residual {value:.3e} "
+                    f"not <= tol {tol:g}")
         return cls(tensor=np.asarray(R, dtype=float), certified=True)
 
     def require_certified(self) -> np.ndarray:
@@ -120,8 +131,8 @@ class CurvatureTensor:
 
 
 def has_pair_symmetries(S: np.ndarray, tol: float = CERT_TOL) -> bool:
-    scale = max(top.frob(S), 1e-300)
-    return all(v <= tol for v in _pair_residuals(S, scale).values())
+    scale = _scale(S)
+    return all(residual(S, scale) <= tol for _, residual in CURVATURE_CONDITIONS[:3])
 
 
 def project_to_R(S: np.ndarray, tol: float = CERT_TOL) -> CurvatureTensor:
@@ -538,9 +549,10 @@ def _pair_line_counts(m: ModelSpace, ps: PairScheme) -> np.ndarray:
 def line_parity_classes(m: ModelSpace, ps: PairScheme) -> tuple[np.ndarray, tuple]:
     """(parities, classes): the distinct line-count parities of the m * m
     pair coordinates, one row per class, the all-even class first; and each
-    class's pair coordinates, increasing.  There are 2^(n-1) classes, since
-    the four indices of a coordinate make the parities sum to an even
-    number."""
+    class's pair coordinates, increasing.  A coordinate's four indices
+    make the parities sum to an even number, and reach at most four lines,
+    so there are C(n, 0) + C(n, 2) + C(n, 4) classes: 2^(n-1) for n <= 5,
+    and 31 at n = 6."""
     per_pair = _pair_line_counts(m, ps)
     per_coord = ((per_pair[:, None, :] + per_pair[None, :, :]) % 2).reshape(-1, m.n)
     parities, label = np.unique(per_coord, axis=0, return_inverse=True)

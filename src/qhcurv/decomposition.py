@@ -12,8 +12,9 @@ dim S^k H = k + 1, with L20E_b at n = 2 the one explicit exception.  A
 weight with more than n parts marks a component absent at that n.
 
 Flipping the sign of one quaternionic line lies in Sp(n), so every fine
-component is the direct sum of its parts in the 2^(n-1) line-parity
-classes of :func:`.curvature_space.line_parity_classes`, which all three
+component is the direct sum of its parts in the C(n, 0) + C(n, 2) + C(n, 4)
+line-parity classes of :func:`.curvature_space.line_parity_classes`
+(2^(n-1) for n <= 5, 31 at n = 6), which all three
 operators keep.  On each class one operator,
 H = (n + 2)(3 L + L_sigma) + Cas, is sandwiched by the class's block of
 closed-form rows of R (:func:`.curvature_space.curvature_basis`), and one
@@ -270,7 +271,8 @@ class ComponentBank:
                              f"got shape {v.shape}")
         squares = np.zeros(len(self.names))
         for coords, rows, labels in zip(self.classes, self.rows, self.labels):
-            w = rows @ v[coords]
+            # a class of every coordinate (the torsion bank's) needs no gather
+            w = rows @ (v if len(coords) == self.width else v[coords])
             squares += np.bincount(labels, weights=w * w, minlength=len(self.names))
         return squares
 

@@ -32,7 +32,9 @@ classifies torsion tensors by the 6-bit mask of nonvanishing components.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +42,7 @@ import numpy as np
 from . import curvature_space as cs
 from . import decomposition as dec
 from . import tensor_ops as top
-from .model_space import ModelSpace, weyl_dimension
+from .model_space import ModelSpace, build_model, weyl_dimension
 
 #: Component order used everywhere (layout order and bit order of the mask).
 TORSION_COMPONENTS = ("33", "K3", "E3", "3H", "KH", "EH")
@@ -185,12 +187,15 @@ class TorsionBank(dec.ComponentBank):
         d = self.model.dim
         if t.shape != (d, d, d):
             raise ValueError(f"torsion tensor must have shape {(d, d, d)}, got {t.shape}")
-        if not np.isfinite(t).all():
-            raise ValueError("torsion tensor holds NaN or infinite entries")
         flat = t.ravel()
+        scale = top.frob(flat)
+        # |t| is NaN or infinite whenever an entry is; only then, as |t| may
+        # also overflow, does every entry need a look
+        if not math.isfinite(scale) and not np.isfinite(flat).all():
+            raise ValueError("torsion tensor holds NaN or infinite entries")
         norms = np.sqrt(self.squared_norms(flat)).tolist()
-        scale = max(top.frob(flat), 1e-300)
-        return "".join("1" if x > MASK_TOL * scale else "0" for x in norms)
+        floor = MASK_TOL * max(scale, 1e-300)
+        return "".join("1" if x > floor else "0" for x in norms)
 
     def random_component(self, name: str, seed) -> np.ndarray:
         """Seeded random unit tensor in one component (zero if rank 0)."""
@@ -303,24 +308,44 @@ def residual_trace_free(t: np.ndarray) -> float:
     return float(np.linalg.norm(np.einsum("ixi->x", t)))
 
 
-def psi_k_solve(m: ModelSpace, t: np.ndarray):
-    """Solve <Y,(xi)_X Z> = (3 psi - sum_A A_(23) psi)(X,Y,Z) for a 3-form psi.
-
-    Returns (psi, relative residual).  The K H class is exactly the set of
-    H-type tensors admitting such a representation.
-    """
+@functools.lru_cache(maxsize=None)
+def _psi_k_system(n: int) -> tuple:
+    """(ijk, mat, solver) of :func:`psi_k_solve`, built once per n on the
+    model of n and returned read-only.  Row r of ``ijk`` is the r-th index
+    triple i < j < k; column r of the d^3 x C(d, 3) matrix ``mat`` is the
+    image of the 3-form alt(e_i (x) e_j (x) e_k); ``solver`` is its
+    pseudo-inverse, so a least-squares solve is one product (at n = 2
+    and 3 ``mat`` has full column rank, with singular values sqrt(4/3) and
+    sqrt(8/3))."""
+    m = build_model(n, allow_large=True)
     d = m.dim
-    # one stack of 3-forms spanning them all: alt(e_i (x) e_j (x) e_k), i < j < k
     ijk = np.array(list(itertools.combinations(range(d), 3)))
     forms = np.zeros((len(ijk), d, d, d))
     forms[(np.arange(len(ijk)),) + tuple(ijk.T)] = 1.0
     forms = top.alt(forms, (-3, -2, -1))
     images = 3.0 * forms - top.substitute(m.omegas, (-2, -1), forms).sum(0)
     mat = images.reshape(len(ijk), -1).T
-    coef, *_ = np.linalg.lstsq(mat, t.ravel(), rcond=None)
-    resid = np.linalg.norm(mat @ coef - t.ravel()) / max(np.linalg.norm(t.ravel()), 1e-300)
-    psi = np.tensordot(coef, forms, axes=1)
-    return psi, float(resid)
+    solver = np.linalg.pinv(mat)
+    for a in (ijk, mat, solver):
+        a.setflags(write=False)
+    return ijk, mat, solver
+
+
+def psi_k_solve(m: ModelSpace, t: np.ndarray):
+    """Solve <Y,(xi)_X Z> = (3 psi - sum_A A_(23) psi)(X,Y,Z) for a 3-form psi,
+    in the least-squares sense, with the cached :func:`_psi_k_system`.
+
+    Returns (psi, relative residual).  The K H class is exactly the set of
+    H-type tensors admitting such a representation.
+    """
+    ijk, mat, solver = _psi_k_system(m.n)
+    b = t.ravel()
+    coef = solver @ b
+    resid = np.linalg.norm(mat @ coef - b) / max(np.linalg.norm(b), 1e-300)
+    # psi = sum_r coef_r alt(e_ijk_r) = alt(sum_r coef_r e_ijk_r)
+    psi = np.zeros((m.dim,) * 3)
+    psi[tuple(ijk.T)] = coef
+    return top.alt(psi), float(resid)
 
 
 # ---------------------------------------------------------------------------

@@ -455,3 +455,109 @@ def test_certified_ricci_methods(model2):
                  lambda: loose.scal_q(m), lambda: loose.ricci_star(m.I)):
         with pytest.raises(cs.CertificationError):
             call()
+
+
+CONDITION_NAMES = ("antisym_12", "antisym_34", "pair_exchange", "bianchi")
+
+
+def _breaking(name: str) -> np.ndarray:
+    """A unit n = 2 tensor that breaks the named curvature condition and
+    keeps every condition before it in the certification order: symmetric
+    in (1, 2) and skew in (3, 4); skew in (1, 2) and symmetric in (3, 4);
+    skew in both pairs and odd under pair exchange; a 4-form."""
+    X = cs.substream("breaking", name).standard_normal((8,) * 4)
+    if name == "antisym_12":
+        Y = X + X.swapaxes(0, 1)
+        Y = Y - Y.swapaxes(2, 3)
+    elif name == "antisym_34":
+        Y = X - X.swapaxes(0, 1)
+        Y = Y + Y.swapaxes(2, 3)
+    elif name == "pair_exchange":
+        Y = X - X.swapaxes(0, 1)
+        Y = Y - Y.swapaxes(2, 3)
+        Y = Y - Y.transpose(2, 3, 0, 1)
+    else:
+        Y = top.alt(X)
+    return Y / top.frob(Y)
+
+
+def test_certification_order_is_one_list(model2):
+    """certify and curvature_residuals read one ordered list of conditions."""
+    assert tuple(name for name, _ in cs.CURVATURE_CONDITIONS) == CONDITION_NAMES
+    R = cs.random_curvature(model2, 3).tensor
+    assert tuple(cs.curvature_residuals(R)) == CONDITION_NAMES
+
+
+@pytest.mark.parametrize("name", CONDITION_NAMES)
+def test_certify_names_the_first_failed_condition(model2, name):
+    """A curvature tensor plus a part that breaks one condition and keeps
+    every earlier one: certify raises, naming that condition (and no other)
+    with its residual, as curvature_residuals reports it."""
+    R = cs.random_curvature(model2, 21).tensor
+    T = R + 1e-3 * top.frob(R) * _breaking(name)
+    resid = cs.curvature_residuals(T)
+    k = CONDITION_NAMES.index(name)
+    assert all(resid[earlier] <= 1e-15 for earlier in CONDITION_NAMES[:k])
+    assert resid[name] > 1e-4
+    with pytest.raises(cs.CertificationError) as info:
+        cs.CurvatureTensor.certify(T)
+    message = str(info.value)
+    assert f"condition {name} failed" in message
+    assert f"{resid[name]:.3e}" in message
+    assert not any(other in message for other in CONDITION_NAMES if other != name)
+    if name == "bianchi":
+        # a 4-form has every pair symmetry and a nonzero Bianchi sum
+        four = _breaking(name)
+        assert max(list(cs.curvature_residuals(four).values())[:3]) <= 1e-15
+        with pytest.raises(cs.CertificationError, match="bianchi"):
+            cs.CurvatureTensor.certify(four)
+
+
+def test_certify_accepts_exactly_within_tol(model2):
+    """Seeded tensors perturbed around tol, in directions that break each
+    condition or all of them: certify accepts exactly when every value of
+    curvature_residuals is <= tol, and both outcomes occur."""
+    R = cs.random_curvature(model2, 22).tensor
+    rng = cs.substream("certify-around-tol", 0)
+    directions = [_breaking(name) for name in CONDITION_NAMES]
+    noise = rng.standard_normal((8,) * 4)
+    directions.append(noise / top.frob(noise))
+    outcomes = []
+    for trial in range(60):
+        tol = 10.0 ** rng.uniform(-9, -5)
+        E = directions[trial % len(directions)]
+        T = R + tol * rng.uniform(0.1, 2.0) * top.frob(R) * E
+        want = all(v <= tol for v in cs.curvature_residuals(T).values())
+        try:
+            cs.CurvatureTensor.certify(T, tol)
+            got = True
+        except cs.CertificationError:
+            got = False
+        assert got == want, trial
+        outcomes.append(got)
+    assert True in outcomes and False in outcomes
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")   # inf - inf
+def test_certify_rejects_every_non_finite_input(model2):
+    """A NaN or an infinity anywhere, even entered with every pair symmetry
+    (its eight positions and signs), fails certification."""
+    R = cs.random_curvature(model2, 23).tensor
+    for value in (np.nan, np.inf, -np.inf):
+        for where in ((0, 1, 2, 3), (7, 7, 7, 7), (3, 2, 1, 0)):
+            T = R.copy()
+            T[where] = value
+            with pytest.raises(cs.CertificationError):
+                cs.CurvatureTensor.certify(T)
+        T = R.copy()
+        a, b, c, d = 0, 1, 2, 3
+        for (i, j, k, l), sign in (((a, b, c, d), 1), ((b, a, c, d), -1),
+                                   ((a, b, d, c), -1), ((b, a, d, c), 1),
+                                   ((c, d, a, b), 1), ((d, c, a, b), -1),
+                                   ((c, d, b, a), -1), ((d, c, b, a), 1)):
+            T[i, j, k, l] = sign * value
+        with pytest.raises(cs.CertificationError):
+            cs.CurvatureTensor.certify(T)
+    with pytest.raises(cs.CertificationError):
+        cs.CurvatureTensor.certify(np.full((8,) * 4, np.nan))
+    assert cs.CurvatureTensor.certify(np.zeros((8,) * 4)).certified

@@ -103,6 +103,51 @@ def test_read_tensor_returns_owned_float64(tmp_path, n, rank):
             tio.read_tensor(path)
 
 
+def _rank3_file() -> bytes:
+    """The bytes of a complete n = 2 rank-3 tensor file (24 header bytes)."""
+    data = np.random.default_rng(3).standard_normal((8,) * 3)
+    return (tio.MAGIC + struct.pack("<BBHI", 3, 0, 0, 2) + struct.pack("<3I", 8, 8, 8)
+            + data.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("case, error, match", [
+    ("empty", tio.TensorFileError, "bad magic b''"),
+    ("magic only", tio.TensorFileError, "truncated header"),
+    ("header cut", tio.TensorFileError, "truncated header"),
+    ("payload cut", tio.TensorFileError, "truncated payload"),
+    ("one trailing byte", tio.TensorFileError, "1 bytes after the payload"),
+    ("directory", IsADirectoryError, None),
+])
+def test_read_tensor_edge_files(tmp_path, case, error, match):
+    """The one-pass read rejects each of these files with the exception
+    type, and message, of a buffered read of the whole file."""
+    raw = _rank3_file()
+    path = tmp_path / "edge.qht"
+    content = {"empty": b"", "magic only": tio.MAGIC, "header cut": raw[:17],
+               "payload cut": raw[:-5], "one trailing byte": raw + b"\0"}
+    if case == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(content[case])
+    with pytest.raises(error, match=match) as info:
+        tio.read_tensor(path)
+    if case == "directory":
+        assert info.value.filename == str(path)
+
+
+def test_read_tensor_reads_past_a_short_first_read(tmp_path, monkeypatch):
+    """The read loops to EOF: when the system returns the file in small
+    pieces, the tensor still reads back whole."""
+    raw = _rank3_file()
+    path = tmp_path / "pieces.qht"
+    path.write_bytes(raw)
+    inner = os.read
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "read", lambda fd, size: inner(fd, min(size, 100)))
+        back = tio.read_tensor(path)
+    assert back.data.tobytes() == raw[24:]
+
+
 @st.composite
 def _damaged_files(draw):
     """A valid tensor file (as bytes) and one way of damaging it: cut at any
@@ -249,6 +294,29 @@ def test_cli_decompose(tmp_path, capsys):
     bad = tmp_path / "bad.qht"
     tio.write_tensor(bad, 2, cs.substream("junk", 3).standard_normal((8,) * 4))
     assert cli.main(["decompose", "--n", "2", "--input", str(bad)]) == 2
+
+
+def test_cli_decompose_names_the_broken_pair_exchange(tmp_path, capsys):
+    """A curvature tensor plus a part skew in both pairs and odd under pair
+    exchange: decompose exits 2 with a failure naming pair_exchange, and
+    the report is byte-identical across two runs."""
+    R = cs.random_curvature(build_model(2), 8).tensor
+    X = cs.substream("odd-pairs", 0).standard_normal((8,) * 4)
+    X = X - X.swapaxes(0, 1)
+    X = X - X.swapaxes(2, 3)
+    X = X - X.transpose(2, 3, 0, 1)
+    path = tmp_path / "odd.qht"
+    tio.write_tensor(path, 2, R + 1e-3 * top.frob(R) / top.frob(X) * X, certified=True)
+    reports = []
+    for run in range(2):
+        out = tmp_path / f"odd{run}.json"
+        assert cli.main(["decompose", "--n", "2", "--input", str(path),
+                         "--json", str(out)]) == 2
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    (failure,) = json.loads(reports[0])["failures"]
+    assert failure.startswith("curvature condition pair_exchange failed: residual ")
+    assert f"FAIL: {failure}" in capsys.readouterr().out
 
 
 def _curvature_plus_4form(size: float) -> np.ndarray:
