@@ -271,8 +271,7 @@ class ComponentBank:
                              f"got shape {v.shape}")
         squares = np.zeros(len(self.names))
         for coords, rows, labels in zip(self.classes, self.rows, self.labels):
-            # a class of every coordinate (the torsion bank's) needs no gather
-            w = rows @ (v if len(coords) == self.width else v[coords])
+            w = rows @ v[coords]
             squares += np.bincount(labels, weights=w * w, minlength=len(self.names))
         return squares
 

@@ -18,7 +18,6 @@ written twice from the same data is byte-identical.
 from __future__ import annotations
 
 import json
-import os
 import struct
 from dataclasses import dataclass
 
@@ -61,28 +60,11 @@ def write_tensor(path, n: int, data: np.ndarray, certified: bool = False) -> Non
         fh.write(data.tobytes())
 
 
-def _read_all(path) -> bytes:
-    """The whole file, in one unbuffered pass to EOF."""
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        # one byte more than the size, so a file of the size it had at fstat
-        # ends in one read and the empty read at EOF
-        want = os.fstat(fd).st_size + 1
-        parts = []
-        while chunk := os.read(fd, want):
-            parts.append(chunk)
-        return b"".join(parts)
-    except OSError as exc:
-        # os.read names no file (a directory fails here, not at os.open);
-        # name it, as open() would
-        exc.filename = os.fspath(path)
-        raise
-    finally:
-        os.close(fd)
-
-
 def read_tensor(path) -> TensorFile:
-    raw = _read_all(path)
+    # one unbuffered pass to EOF: FileIO.readall sizes its first read from
+    # fstat, and grows its reads where fstat gives no size (a pipe)
+    with open(path, "rb", buffering=0) as fh:
+        raw = fh.readall()
     if raw[:4] != MAGIC:
         raise TensorFileError(f"bad magic {raw[:4]!r}")
     if len(raw) < 12:

@@ -32,7 +32,6 @@ classifies torsion tensors by the 6-bit mask of nonvanishing components.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -42,7 +41,7 @@ import numpy as np
 from . import curvature_space as cs
 from . import decomposition as dec
 from . import tensor_ops as top
-from .model_space import ModelSpace, build_model, weyl_dimension
+from .model_space import ModelSpace, weyl_dimension
 
 #: Component order used everywhere (layout order and bit order of the mask).
 TORSION_COMPONENTS = ("33", "K3", "E3", "3H", "KH", "EH")
@@ -308,44 +307,24 @@ def residual_trace_free(t: np.ndarray) -> float:
     return float(np.linalg.norm(np.einsum("ixi->x", t)))
 
 
-@functools.lru_cache(maxsize=None)
-def _psi_k_system(n: int) -> tuple:
-    """(ijk, mat, solver) of :func:`psi_k_solve`, built once per n on the
-    model of n and returned read-only.  Row r of ``ijk`` is the r-th index
-    triple i < j < k; column r of the d^3 x C(d, 3) matrix ``mat`` is the
-    image of the 3-form alt(e_i (x) e_j (x) e_k); ``solver`` is its
-    pseudo-inverse, so a least-squares solve is one product (at n = 2
-    and 3 ``mat`` has full column rank, with singular values sqrt(4/3) and
-    sqrt(8/3))."""
-    m = build_model(n, allow_large=True)
+def psi_k_solve(m: ModelSpace, t: np.ndarray):
+    """Solve <Y,(xi)_X Z> = (3 psi - sum_A A_(23) psi)(X,Y,Z) for a 3-form psi.
+
+    Returns (psi, relative residual).  The K H class is exactly the set of
+    H-type tensors admitting such a representation.
+    """
     d = m.dim
+    # one stack of 3-forms spanning them all: alt(e_i (x) e_j (x) e_k), i < j < k
     ijk = np.array(list(itertools.combinations(range(d), 3)))
     forms = np.zeros((len(ijk), d, d, d))
     forms[(np.arange(len(ijk)),) + tuple(ijk.T)] = 1.0
     forms = top.alt(forms, (-3, -2, -1))
     images = 3.0 * forms - top.substitute(m.omegas, (-2, -1), forms).sum(0)
     mat = images.reshape(len(ijk), -1).T
-    solver = np.linalg.pinv(mat)
-    for a in (ijk, mat, solver):
-        a.setflags(write=False)
-    return ijk, mat, solver
-
-
-def psi_k_solve(m: ModelSpace, t: np.ndarray):
-    """Solve <Y,(xi)_X Z> = (3 psi - sum_A A_(23) psi)(X,Y,Z) for a 3-form psi,
-    in the least-squares sense, with the cached :func:`_psi_k_system`.
-
-    Returns (psi, relative residual).  The K H class is exactly the set of
-    H-type tensors admitting such a representation.
-    """
-    ijk, mat, solver = _psi_k_system(m.n)
-    b = t.ravel()
-    coef = solver @ b
-    resid = np.linalg.norm(mat @ coef - b) / max(np.linalg.norm(b), 1e-300)
-    # psi = sum_r coef_r alt(e_ijk_r) = alt(sum_r coef_r e_ijk_r)
-    psi = np.zeros((m.dim,) * 3)
-    psi[tuple(ijk.T)] = coef
-    return top.alt(psi), float(resid)
+    coef, *_ = np.linalg.lstsq(mat, t.ravel(), rcond=None)
+    resid = np.linalg.norm(mat @ coef - t.ravel()) / max(np.linalg.norm(t.ravel()), 1e-300)
+    psi = np.tensordot(coef, forms, axes=1)
+    return psi, float(resid)
 
 
 # ---------------------------------------------------------------------------

@@ -135,17 +135,21 @@ def test_read_tensor_edge_files(tmp_path, case, error, match):
         assert info.value.filename == str(path)
 
 
-def test_read_tensor_reads_past_a_short_first_read(tmp_path, monkeypatch):
-    """The read loops to EOF: when the system returns the file in small
-    pieces, the tensor still reads back whole."""
-    raw = _rank3_file()
-    path = tmp_path / "pieces.qht"
-    path.write_bytes(raw)
-    inner = os.read
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "read", lambda fd, size: inner(fd, min(size, 100)))
-        back = tio.read_tensor(path)
-    assert back.data.tobytes() == raw[24:]
+def test_read_tensor_reads_a_pipe(tmp_path):
+    """A path with no size at fstat (a pipe, as from process substitution)
+    reads to EOF: here a rank-4 file of 32 KiB, more than one first read."""
+    data = np.random.default_rng(4).standard_normal((8,) * 4)
+    tio.write_tensor(tmp_path / "r4.qht", 2, data)
+    raw = (tmp_path / "r4.qht").read_bytes()
+    r, w = os.pipe()
+    os.write(w, raw)  # fits the pipe's buffer, so no writer thread
+    os.close(w)
+    try:
+        back = tio.read_tensor(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    assert back.rank == 4 and back.n == 2
+    assert back.data.tobytes() == data.tobytes()
 
 
 @st.composite

@@ -1,5 +1,4 @@
 import hashlib
-import itertools
 import os
 import subprocess
 import sys
@@ -409,43 +408,6 @@ def test_component_norms_match_per_component_products(tbank):
             assert abs(norms[name] - want) <= 1e-14 * want
             if tbank.rank(name) == 0:
                 assert norms[name] == 0.0
-
-
-def test_squared_norms_of_one_full_class_need_no_gather(tbank):
-    """The torsion bank's one class is every coordinate, so its squared
-    norms skip the gather; they equal the gathered product bit for bit,
-    for a contiguous vector and for a strided view."""
-    (coords,), (rows,), (labels,) = tbank.classes, tbank.rows, tbank.labels
-    assert len(coords) == tbank.width
-    t = random_torsion(tbank, 4).ravel()
-    for v in (t, np.repeat(t, 2)[::2]):
-        w = rows @ v[coords]
-        want = np.zeros(len(tbank.names)) + np.bincount(labels, weights=w * w,
-                                                         minlength=len(tbank.names))
-        assert np.array_equal(tbank.squared_norms(v), want)
-
-
-def test_psi_k_solve_matches_a_fresh_lstsq(tbank):
-    """The cached 3-form system is built once per n and read-only, and gives
-    the psi and residual of a fresh least-squares solve, to 1e-12."""
-    m = tbank.model
-    d = m.dim
-    system = tor._psi_k_system(m.n)
-    assert tor._psi_k_system(m.n) is system
-    assert not any(a.flags.writeable for a in system)
-    ijk = np.array(list(itertools.combinations(range(d), 3)))
-    forms = np.zeros((len(ijk), d, d, d))
-    forms[(np.arange(len(ijk)),) + tuple(ijk.T)] = 1.0
-    forms = top.alt(forms, (-3, -2, -1))
-    mat = (3.0 * forms - sum(np.einsum("by,cz,rxbc->rxyz", A, A, forms)
-                             for A in m.triple)).reshape(len(ijk), -1).T
-    for name in ("KH", "EH", "33"):
-        t = tbank.random_component(name, 5) + 0.1 * random_torsion(tbank, 5)
-        coef, *_ = np.linalg.lstsq(mat, t.ravel(), rcond=None)
-        resid = np.linalg.norm(mat @ coef - t.ravel()) / np.linalg.norm(t.ravel())
-        psi, got = tor.psi_k_solve(m, t)
-        assert np.max(np.abs(psi - np.tensordot(coef, forms, axes=1))) <= 1e-12
-        assert abs(got - resid) <= 1e-12
 
 
 @pytest.mark.parametrize("size", [1, 2, 3])
