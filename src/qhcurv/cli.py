@@ -47,7 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--json", type=str, default=None, metavar="PATH",
                             help="write the JSON report here")
         sp.add_argument("--allow-large", action="store_true",
-                        help="lift the dim**4 memory cap")
+                        help="allow --n above 3; also lifts build_model's "
+                             "dim**4 entry cap, which first applies at n = 17")
 
     sp = sub.add_parser("audit", help="dimension and projector-algebra audit")
     common(sp)

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curvature_space as cs
+from . import decomposition as dec
 from . import tensor_ops as top
 from . import torsion as tor
 from .model_space import ModelSpace
@@ -132,9 +133,10 @@ def _conjugate_table(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     return top.substitute(units, (-1,), top.substitute(units, (-3,), t)).swapaxes(0, 1)
 
 
-def _gamma_omega_inner(gam, A) -> float:
-    """<gamma_A, omega_A> with the normalized 2-form pairing."""
-    return 0.5 * float(np.einsum("ij,ij->", gam, A))
+def _gamma_trace(m: ModelSpace, gammas: np.ndarray) -> np.ndarray:
+    """Gamma = sum_A <gamma_A, omega_A>, normalized 2-form pairing, over
+    any leading axes of ``gammas``."""
+    return 0.5 * np.einsum("...aij,aij->...", gammas, m.omegas)
 
 
 def _full(a: np.ndarray, b: np.ndarray, rank: int) -> np.ndarray:
@@ -165,7 +167,7 @@ def _scalar_brackets(m: ModelSpace, state: TorsionState) -> dict:
         "X": X, "XA": XA, "u": u, "vv": _full(u[0], u[0], 1),
         "s2": _full(t, t.swapaxes(-3, -1), 3),
         "phi": np.einsum("...ijji->...", state.D),
-        "Gamma": 0.5 * np.einsum("...aij,aij->...", state.gammas, m.omegas),
+        "Gamma": _gamma_trace(m, state.gammas),
         "S4": sum(_full(uA, uA, 1) for uA in u[1:]),
         "S5": _full(t, XA.swapaxes(-3, -1), 3),
         "S6": _full(t, XA, 3),
@@ -381,14 +383,12 @@ def _ra_rb_coefficients(n: int, c_r: float, c_q: float) -> tuple[float, float]:
     c_r of pi_R(Ric) and c_q of pi_R(Ric^q).
 
     Reconstructed by feeding pi_R(Ric) and pi_R(Ric^q) through the exact
-    split Ric(pi_QK R) = (n+2)/(2(5n+1)) (pi_R Ric + 3 pi_R Ric^q) and
-    pi_R(Ric_QKperp) = 9n/(2(5n+1)) (pi_R Ric - (n+2)/(3n) pi_R Ric^q).
-    (The standalone QKperp bracket ``pi_R_ric_QKperp`` trades quadratic
-    xi-terms using on-shell identities and is not used here; the QK
-    bracket ``ric_QK`` agrees with this route identically.)
+    split :func:`.decomposition.ricci_qk_split`.  (The standalone QKperp
+    bracket ``pi_R_ric_QKperp`` trades quadratic xi-terms using on-shell
+    identities and is not used here; the QK bracket ``ric_QK`` agrees with
+    this route identically.)
     """
-    sigma_qk = (n + 2.0) / (2.0 * (5.0 * n + 1.0)) * (c_r + 3.0 * c_q)
-    sigma_perp = 9.0 * n / (2.0 * (5.0 * n + 1.0)) * (c_r - (n + 2.0) / (3.0 * n) * c_q)
+    sigma_qk, sigma_perp = dec.ricci_qk_split(n, c_r, c_q)
     mu = sigma_qk / (8.0 * (n + 2.0))           # R_QK part: mu (pi2 + 2 pi1)
     nu = sigma_perp / (-36.0 * (2.0 * n + 1.0) * (n - 1.0))
     c_a = (2.0 / 3.0) * mu + (1.0 - n) * nu
@@ -570,8 +570,7 @@ def scalars_from_torsion(m: ModelSpace, bank: tor.TorsionBank,
                          state: TorsionState) -> tuple[float, float, float]:
     """(scal, scal^q, d* theta) from squared component norms and the gamma trace."""
     squares = dict(zip(bank.names, bank.squared_norms(state.t.ravel())))
-    gam_tr = sum(_gamma_omega_inner(g, A)
-                 for g, A in zip(state.gammas, m.triple))
+    gam_tr = _gamma_trace(m, state.gammas)
     ds = d_star_theta(m, state)
 
     def combine(coefs):
@@ -657,19 +656,16 @@ def lemma_gammas_kernel(m: ModelSpace):
     d = m.dim
     forms = cs.form_basis(d)
     k = len(forms)
-    cols = []
-    for a_idx in range(3):
-        for f in forms:
-            contrib = np.zeros((3,) + (d,) * 4)
-            for pair_idx in range(3):
-                p, q = pair_idx, (pair_idx + 1) % 3
-                # constraint_pair = gamma_p ^ omega_q - gamma_q ^ omega_p
-                if a_idx == p:
-                    contrib[pair_idx] += top.wedge2(f, m.omegas[q])
-                if a_idx == q:
-                    contrib[pair_idx] -= top.wedge2(f, m.omegas[p])
-            cols.append(contrib.reshape(-1))
-    mat = np.array(cols).T
+    # W[j, b] = f_j ^ omega_b, flattened.  Row block p of the constraint
+    # matrix is gamma_p ^ omega_q - gamma_q ^ omega_p, q = p + 1 (mod 3),
+    # and column (a, j) puts f_j in gamma_a.
+    W = top.wedge2(forms[:, None], m.omegas).reshape(k, 3, -1)
+    p = np.arange(3)
+    q = (p + 1) % 3
+    mat = np.zeros((3, W.shape[-1], 3, k))
+    mat[p, :, p] = W[:, q].transpose(1, 2, 0)
+    mat[p, :, q] -= W[:, p].transpose(1, 2, 0)
+    mat = mat.reshape(3 * W.shape[-1], 3 * k)
     u, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
     rank = int(np.sum(s > cs.SV_TOL * s[0]))
     cs._check_margin(s, rank, "gamma rigidity kernel")

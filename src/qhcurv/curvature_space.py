@@ -77,11 +77,18 @@ def _scale(R: np.ndarray) -> float:
     return max(top.frob(R), 1e-300)
 
 
+#: Residuals of a non-finite or huge tensor are NaN or inf, which fail every
+#: ``<= tol`` test; the arithmetic that makes them (inf - inf, an overflowing
+#: square) is not worth a warning.
+_QUIET = {"invalid": "ignore", "over": "ignore"}
+
+
 def curvature_residuals(R: np.ndarray) -> dict:
     """Relative residuals of the four curvature conditions
     (:data:`CURVATURE_CONDITIONS`), all of them, in their order."""
-    scale = _scale(R)
-    return {name: residual(R, scale) for name, residual in CURVATURE_CONDITIONS}
+    with np.errstate(**_QUIET):
+        scale = _scale(R)
+        return {name: residual(R, scale) for name, residual in CURVATURE_CONDITIONS}
 
 
 @dataclass
@@ -99,13 +106,14 @@ class CurvatureTensor:
         not <= tol (NaN included), naming it and its residual; accepts
         exactly when every value of :func:`curvature_residuals` is <= tol.
         """
-        scale = _scale(R)
-        for name, residual in CURVATURE_CONDITIONS:
-            value = residual(R, scale)
-            if not value <= tol:
-                raise CertificationError(
-                    f"curvature condition {name} failed: residual {value:.3e} "
-                    f"not <= tol {tol:g}")
+        with np.errstate(**_QUIET):
+            scale = _scale(R)
+            for name, residual in CURVATURE_CONDITIONS:
+                value = residual(R, scale)
+                if not value <= tol:
+                    raise CertificationError(
+                        f"curvature condition {name} failed: residual {value:.3e} "
+                        f"not <= tol {tol:g}")
         return cls(tensor=np.asarray(R, dtype=float), certified=True)
 
     def require_certified(self) -> np.ndarray:
@@ -131,8 +139,9 @@ class CurvatureTensor:
 
 
 def has_pair_symmetries(S: np.ndarray, tol: float = CERT_TOL) -> bool:
-    scale = _scale(S)
-    return all(residual(S, scale) <= tol for _, residual in CURVATURE_CONDITIONS[:3])
+    with np.errstate(**_QUIET):
+        scale = _scale(S)
+        return all(residual(S, scale) <= tol for _, residual in CURVATURE_CONDITIONS[:3])
 
 
 def project_to_R(S: np.ndarray, tol: float = CERT_TOL) -> CurvatureTensor:

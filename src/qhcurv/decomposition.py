@@ -117,79 +117,43 @@ COMPOSITES = {
 # ---------------------------------------------------------------------------
 # Constructor maps (2-forms x 2-forms -> rank 4, and symmetric analogues).
 
-def _slot_diff(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(A_(1) - A_(2)) b."""
-    return top.slot_act(A, 1, b) - top.slot_act(A, 2, b)
-
-
-def _slot_sum(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(A_(1) + A_(2)) b."""
-    return top.slot_act(A, 1, b) + top.slot_act(A, 2, b)
-
-
-def phi(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """phi(b x c) = 6 b . c - b ^ c on 2-forms."""
-    return 6.0 * top.odot(b, c) - top.wedge2(b, c)
+def _slot_pairs(m: ModelSpace, b: np.ndarray, sign: float) -> np.ndarray:
+    """(A_(1) + sign A_(2)) b for A = I, J, K, stacked on a new leading axis."""
+    return -(top.substitute(m.omegas, (-2,), b) + sign * top.substitute(m.omegas, (-1,), b))
 
 
 def Phi_map(m: ModelSpace, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Phi(b x c) = sum_A phi((A1+A2)b, (A1+A2)c) on 2-forms."""
-    out = 0.0
-    for A in m.triple:
-        sb, sc = _slot_sum(A, b), _slot_sum(A, c)
-        out = out + 6.0 * top.odot(sb, sc) - top.wedge2(sb, sc)
-    return out
-
-
-def psi(b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """psi(b x c)(x,y,z,u) = b(x,z)c(y,u) - b(x,u)c(y,z) + (b <-> c)."""
-    return (np.einsum("xz,yu->xyzu", b, c) - np.einsum("xu,yz->xyzu", b, c)
-            + np.einsum("xz,yu->xyzu", c, b) - np.einsum("xu,yz->xyzu", c, b))
+    return top.phi(_slot_pairs(m, b, 1.0), _slot_pairs(m, c, 1.0)).sum(0)
 
 
 def varphi(m: ModelSpace, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """varphi(b x c) = sum_A psi((A1-A2)b, (A1-A2)c) on 2-forms."""
-    out = 0.0
-    for A in m.triple:
-        out = out + psi(_slot_diff(A, b), _slot_diff(A, c))
-    return out
+    return top.psi(_slot_pairs(m, b, -1.0), _slot_pairs(m, c, -1.0)).sum(0)
 
 
 def vartheta(m: ModelSpace, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """vartheta(b x c) = sum_A phi((A1-A2)b, (A1-A2)c) on symmetric 2-tensors."""
-    out = 0.0
-    for A in m.triple:
-        db, dc = _slot_diff(A, b), _slot_diff(A, c)
-        out = out + 6.0 * top.odot(db, dc) - top.wedge2(db, dc)
-    return out
+    return top.phi(_slot_pairs(m, b, -1.0), _slot_pairs(m, c, -1.0)).sum(0)
 
 
 def Psi_map(m: ModelSpace, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Psi(b x c) = sum_A psi((A1+A2)b, (A1+A2)c) on symmetric 2-tensors."""
-    out = 0.0
-    for A in m.triple:
-        out = out + psi(_slot_sum(A, b), _slot_sum(A, c))
-    return out
+    return top.psi(_slot_pairs(m, b, 1.0), _slot_pairs(m, c, 1.0)).sum(0)
 
 
 def l20es2h_embed(m: ModelSpace, b: np.ndarray) -> np.ndarray:
     """Embedding of a 2-form b in Lambda^2_0 E S^2 H into the curvature space:
 
-    R = sum_A (6 (A1+A2)b . omega_A - (A1+A2)b ^ omega_A).
+    R = sum_A phi((A1+A2)b, omega_A), the triple embedding of the (A1+A2)b.
     """
-    out = 0.0
-    for A, w in zip(m.triple, m.omegas):
-        sb = _slot_sum(A, b)
-        out = out + 6.0 * top.odot(sb, w) - top.wedge2(sb, w)
-    return out
+    return triple_embed(m, _slot_pairs(m, b, 1.0))
 
 
 def triple_embed(m: ModelSpace, b_triple) -> np.ndarray:
-    """R = sum_A (6 b_A . omega_A - b_A ^ omega_A) for a triple of 2-forms."""
-    out = 0.0
-    for b, w in zip(b_triple, m.omegas):
-        out = out + 6.0 * top.odot(b, w) - top.wedge2(b, w)
-    return out
+    """R = sum_A phi(b_A, omega_A) = sum_A (6 b_A . omega_A - b_A ^ omega_A)
+    for a triple of 2-forms."""
+    return top.phi(np.asarray(b_triple), m.omegas).sum(0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,19 +406,22 @@ def component_norms(bank: ProjectorBank, R) -> dict:
     return dict(zip(FINE_COMPONENTS, np.sqrt(squares).tolist()))
 
 
+def ricci_qk_split(n: int, r, q) -> tuple:
+    """(Ric(pi_QK R), pi_R(Ric_QKperp)) from r = pi_R(Ric) and
+    q = pi_R(Ric^q), scalars, arrays or multiples of g alike:
+    (n+2)/(2(5n+1)) (r + 3q) and 9n/(2(5n+1)) (r - (n+2)/(3n) q)."""
+    return ((n + 2.0) / (2.0 * (5.0 * n + 1.0)) * (r + 3.0 * q),
+            9.0 * n / (2.0 * (5.0 * n + 1.0)) * (r - (n + 2.0) / (3.0 * n) * q))
+
+
 def ric_qk_scalars(bank: ProjectorBank, R) -> tuple[np.ndarray, np.ndarray]:
     """(Ric of the QK part, R-part of Ric of the QKperp part) of R,
     via the closed formulas; consistency with direct projection is tested."""
     m = bank.model
     tensor = R.require_certified() if isinstance(R, cs.CurvatureTensor) else R
-    n = m.n
-    ric = cs.ricci(tensor)
-    ricq = cs.ricci_q(m, tensor)
-    pr = (np.trace(ric) / m.dim) * m.g
-    prq = (np.trace(ricq) / m.dim) * m.g
-    ric_qk = (n + 2.0) / (2.0 * (5.0 * n + 1.0)) * (pr + 3.0 * prq)
-    pr_ric_qkperp = 9.0 * n / (2.0 * (5.0 * n + 1.0)) * (pr - (n + 2.0) / (3.0 * n) * prq)
-    return ric_qk, pr_ric_qkperp
+    pr = (np.trace(cs.ricci(tensor)) / m.dim) * m.g
+    prq = (np.trace(cs.ricci_q(m, tensor)) / m.dim) * m.g
+    return ricci_qk_split(m.n, pr, prq)
 
 
 def qk_einstein_verify(bank: ProjectorBank, R, tol: float = 1e-9) -> tuple[float, dict]:

@@ -4,7 +4,9 @@ Builds the flat model space carrying the standard Euclidean metric and a
 compatible quaternionic triple I, J, K, together with the derived structure
 tensors: the three fundamental 2-forms omega_A(x, y) = <x, A y>, the
 fundamental 4-form Omega = sum_A omega_A ^ omega_A, and the two canonical
-curvature-type tensors pi1 (constant curvature) and pi2 (quaternionic type).
+curvature-type tensors pi1 = psi(g, g) / 2 (constant curvature) and
+pi2 = sum_A phi(omega_A, omega_A) (quaternionic type), each one call of a
+:mod:`.tensor_ops` product on the stack of the omega_A.
 
 Basis convention: coordinates are grouped into n quaternionic blocks
 (e_{4a+1}, ..., e_{4a+4}) on which I, J, K act as left multiplication by
@@ -76,7 +78,8 @@ class ModelSpace:
         Fundamental 4-form sum_A omega_A ^ omega_A.
     pi1, pi2 : (dim,)*4 ndarray
         Canonical curvature tensors; pi1(x,y,z,u) = <x,z><y,u> - <x,u><y,z>
-        and pi2 = sum_A (6 omega_A . omega_A - omega_A ^ omega_A).
+        = psi(g, g) / 2 and pi2 = sum_A phi(omega_A, omega_A)
+        = sum_A (6 omega_A . omega_A - omega_A ^ omega_A).
     """
 
     n: int
@@ -151,28 +154,6 @@ def weyl_dimension(weight: tuple, n: int) -> int:
     return product(shifted) // product(rho)
 
 
-def pi1_tensor(g: np.ndarray) -> np.ndarray:
-    """pi1(x,y,z,u) = <x,z><y,u> - <x,u><y,z>."""
-    return (np.einsum("xz,yu->xyzu", g, g)
-            - np.einsum("xu,yz->xyzu", g, g))
-
-
-def pi2_tensor(omegas: np.ndarray) -> np.ndarray:
-    """pi2 = sum_A (6 omega_A . omega_A - omega_A ^ omega_A)."""
-    out = 0.0
-    for w in omegas:
-        out = out + 6.0 * top.odot(w, w) - top.wedge2(w, w)
-    return out
-
-
-def fundamental_four_form(omegas: np.ndarray) -> np.ndarray:
-    """Omega = sum_A omega_A ^ omega_A."""
-    out = 0.0
-    for w in omegas:
-        out = out + top.wedge2(w, w)
-    return out
-
-
 def build_model(n: int, allow_large: bool = False) -> ModelSpace:
     """Construct the model space for quaternionic dimension n >= 2.
 
@@ -192,9 +173,10 @@ def build_model(n: int, allow_large: bool = False) -> ModelSpace:
     g = np.eye(dim)
     I, J, K = structure_triple(n)
     omegas = np.stack([I, J, K]).copy()
-    Omega = fundamental_four_form(omegas)
-    pi1 = pi1_tensor(g)
-    pi2 = pi2_tensor(omegas)
+    # every entry is a small integer or a half, so each sum is exact
+    pi2 = top.phi(omegas, omegas).sum(0)
+    Omega = top.wedge2(omegas, omegas).sum(0)
+    pi1 = 0.5 * top.psi(g, g)
 
     m = ModelSpace(n=int(n), dim=dim, g=_freeze(g), I=_freeze(I),
                    J=_freeze(J), K=_freeze(K), omegas=_freeze(omegas),

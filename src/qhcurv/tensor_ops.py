@@ -6,9 +6,12 @@ curvature and torsion machinery needs: ``substitute``, the one way an
 endomorphism acts on slots, on stacks of tensors and for stacks of
 matrices such as ``m.omegas`` (the slot, pair and full actions are short
 expressions over it), normalized p-form and raw rank-4 inner products,
-symmetric and wedge products of 2-tensors, alternation, the two skewing
-maps used by the torsion-to-curvature formulas, and ``contract``, a
-two-operand einsum over leading (batch) axes done as one matmul.
+the four products of 2-tensors that build every curvature-type tensor
+(``odot``, ``wedge2`` and the paper's ``phi`` and ``psi``, each on stacks,
+so a sum over A = I, J, K is one call and a ``.sum(0)``), alternation,
+the two skewing maps used by the torsion-to-curvature formulas, and
+``contract``, a two-operand einsum over leading (batch) axes done as one
+matmul.
 
 Conventions (fixed once and relied on everywhere):
 
@@ -20,7 +23,8 @@ Conventions (fixed once and relied on everywhere):
 * wedge of forms: shuffle alternation with unit coefficients, e.g. for
   2-forms ``(b^c)(x,y,z,u) = b(x,y)c(z,u) - b(x,z)c(y,u) + b(x,u)c(y,z)
   + c(x,y)b(z,u) - c(x,z)b(y,u) + c(x,u)b(y,z)``.  With this normalization
-  ``psi(g,g) = 2 pi1`` and ``vartheta(g,g) = 4 pi2`` hold exactly.
+  ``psi(g,g) = 2 pi1`` and ``vartheta(g,g) = 4 pi2`` hold exactly, and
+  ``phi(b,c) = 6 b.c - b^c = 4 b.c + psi(b,c)``.
 """
 
 from __future__ import annotations
@@ -101,21 +105,49 @@ def frob(a: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Products of 2-tensors.
 
+#: The products of two 2-tensors below act on leading stack axes, which
+#: broadcast (``"...xy,...zu->...xyzu"``).  Each is a signed sum of
+#: relabellings of the outer product P(x,y,z,u) = b(x,y) c(z,u): a term
+#: "-xzyu" subtracts P(x,z,y,u) = b(x,z) c(y,u) at (x,y,z,u).
+_SYM = ("+xyzu", "+zuxy")
+_WEDGE = ("+xyzu", "-xzyu", "+xuyz", "+yzxu", "-yuxz", "+zuxy")
+_PSI = ("+xzyu", "-xuyz", "+yuxz", "-yzxu")
+
+
+def _relabelled_sum(b: np.ndarray, c: np.ndarray, terms) -> np.ndarray:
+    """The terms, each a view of P = b x c, added into a copy of the first
+    (a "+" term) in place and in order: P and the result are the only
+    arrays of their size, however long the stack."""
+    P = np.einsum("...xy,...zu->...xyzu", b, c)
+    views = [np.einsum("..." + term[1:] + "->...xyzu", P) for term in terms]
+    out = views[0].copy()
+    for term, view in zip(terms[1:], views[1:]):
+        if term[0] == "+":
+            out += view
+        else:
+            out -= view
+    return out
+
+
 def odot(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Symmetrized outer product ``b . c = (b x c + c x b) / 2`` (rank 4)."""
-    bc = np.einsum("xy,zu->xyzu", b, c)
-    cb = np.einsum("xy,zu->xyzu", c, b)
-    return 0.5 * (bc + cb)
+    return 0.5 * _relabelled_sum(b, c, _SYM)
 
 
 def wedge2(b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Wedge of two 2-forms: the six (2,2)-shuffles with unit coefficients."""
-    return (np.einsum("xy,zu->xyzu", b, c)
-            - np.einsum("xz,yu->xyzu", b, c)
-            + np.einsum("xu,yz->xyzu", b, c)
-            + np.einsum("yz,xu->xyzu", b, c)
-            - np.einsum("yu,xz->xyzu", b, c)
-            + np.einsum("zu,xy->xyzu", b, c))
+    return _relabelled_sum(b, c, _WEDGE)
+
+
+def psi(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """psi(b x c)(x,y,z,u) = b(x,z)c(y,u) - b(x,u)c(y,z) + (b <-> c)."""
+    return _relabelled_sum(b, c, _PSI)
+
+
+def phi(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """phi(b x c) = 6 b . c - b ^ c on 2-forms, summed as the equal
+    4 b . c + psi(b x c), since b ^ c = 2 b . c - psi(b x c)."""
+    return _relabelled_sum(b, c, 2 * _SYM + _PSI)
 
 
 def wedge12(a: np.ndarray, w: np.ndarray) -> np.ndarray:

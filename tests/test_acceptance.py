@@ -85,14 +85,14 @@ def test_criterion_4_ricci_constants(n, model):
     checks.append(top.frob(cs.ricci(apb) - 12 * (2 * n + 1) * g))
     checks.append(top.frob(cs.ricci(amb) + 24 * (n - 1) * g))
     b = cs.bilinear_component_basis(m, "L20E")[0].reshape(m.dim, m.dim)
-    checks.append(top.frob(cs.ricci(dec.vartheta(m, b, g) + 12 * dec.psi(b, g))
+    checks.append(top.frob(cs.ricci(dec.vartheta(m, b, g) + 12 * top.psi(b, g))
                            - 48 * (n + 1) * b))
-    checks.append(top.frob(cs.ricci(dec.vartheta(m, b, g) - 12 * dec.psi(b, g))
+    checks.append(top.frob(cs.ricci(dec.vartheta(m, b, g) - 12 * top.psi(b, g))
                            + 48 * (n - 2) * b))
     c = cs.bilinear_component_basis(m, "S2ES2H")[0].reshape(m.dim, m.dim)
-    checks.append(top.frob(cs.ricci(dec.vartheta(m, c, g) + 4 * dec.psi(c, g))
+    checks.append(top.frob(cs.ricci(dec.vartheta(m, c, g) + 4 * top.psi(c, g))
                            - 16 * (n + 1) * c))
-    checks.append(top.frob(cs.ricci(dec.vartheta(m, c, g) - 12 * dec.psi(c, g))
+    checks.append(top.frob(cs.ricci(dec.vartheta(m, c, g) - 12 * top.psi(c, g))
                            + 48 * (n - 1) * c))
     f = cs.bilinear_component_basis(m, "L20ES2H")[0].reshape(m.dim, m.dim)
     checks.append(top.frob(cs.ricci_q(m, dec.l20es2h_embed(m, f)) + 16 * n * f))

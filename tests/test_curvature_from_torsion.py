@@ -111,7 +111,7 @@ def test_eq27_trace_sanity(model):
     total = sum(np.einsum("xa,ay->xy", g, A) for g, A in zip(gammas, m.triple))
     pr = (np.trace(total) / m.dim) * m.g
     expect = -(1.0 / (2 * m.n)) * sum(
-        cft._gamma_omega_inner(g, A) for g, A in zip(gammas, m.triple)) * m.g
+        0.5 * np.vdot(g, A) for g, A in zip(gammas, m.triple)) * m.g
     assert top.frob(pr - expect) < 1e-12 * max(top.frob(expect), 1e-12)
 
 

@@ -538,7 +538,6 @@ def test_certify_accepts_exactly_within_tol(model2):
     assert True in outcomes and False in outcomes
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")   # inf - inf
 def test_certify_rejects_every_non_finite_input(model2):
     """A NaN or an infinity anywhere, even entered with every pair symmetry
     (its eight positions and signs), fails certification."""
@@ -558,6 +557,7 @@ def test_certify_rejects_every_non_finite_input(model2):
             T[i, j, k, l] = sign * value
         with pytest.raises(cs.CertificationError):
             cs.CurvatureTensor.certify(T)
+        assert not all(v <= cs.CERT_TOL for v in cs.curvature_residuals(T).values())
     with pytest.raises(cs.CertificationError):
         cs.CurvatureTensor.certify(np.full((8,) * 4, np.nan))
     assert cs.CurvatureTensor.certify(np.zeros((8,) * 4)).certified

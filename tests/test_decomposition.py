@@ -71,20 +71,20 @@ def test_audit_checks_the_sp_split(bank2):
 def test_constructor_ricci_constants(model):
     m, n, g = model, model.n, model.g
     b = l20e_mats(m)[0]
-    Ra = dec.vartheta(m, b, g) + 12 * dec.psi(b, g)
-    Rb = dec.vartheta(m, b, g) - 12 * dec.psi(b, g)
+    Ra = dec.vartheta(m, b, g) + 12 * top.psi(b, g)
+    Rb = dec.vartheta(m, b, g) - 12 * top.psi(b, g)
     assert top.frob(cs.ricci(Ra) - 48 * (n + 1) * b) < 1e-9
     assert top.frob(cs.ricci(Rb) + 48 * (n - 2) * b) < 1e-9
     c = s2es2h_mats(m)[0]
-    Sa = dec.vartheta(m, c, g) + 4 * dec.psi(c, g)
-    Sb = dec.vartheta(m, c, g) - 12 * dec.psi(c, g)
+    Sa = dec.vartheta(m, c, g) + 4 * top.psi(c, g)
+    Sb = dec.vartheta(m, c, g) - 12 * top.psi(c, g)
     assert top.frob(cs.ricci(Sa) - 16 * (n + 1) * c) < 1e-9
     assert top.frob(cs.ricci(Sb) + 48 * (n - 1) * c) < 1e-9
     f = cs.bilinear_component_basis(m, "L20ES2H")[0].reshape(m.dim, m.dim)
     E = dec.l20es2h_embed(m, f)
     assert top.frob(cs.ricci_q(m, E) + 16 * n * f) < 1e-9
     # the R_a / R_b rays
-    assert top.frob(dec.vartheta(m, g, g) + 12 * dec.psi(g, g)
+    assert top.frob(dec.vartheta(m, g, g) + 12 * top.psi(g, g)
                     - 4 * (m.pi2 + 6 * m.pi1)) < 1e-9
 
 
@@ -95,7 +95,7 @@ def test_l_sigma_proof_identities(model):
     raw = rng.standard_normal((2, m.dim, m.dim))
     b1 = cs.proj_form_S2E(m, raw[0] - raw[0].swapaxes(0, 1))
     c1 = cs.proj_form_S2E(m, raw[1] - raw[1].swapaxes(0, 1))
-    mixed = dec.phi(b1, c1)
+    mixed = top.phi(b1, c1)
     var = dec.varphi(m, b1, c1)
     plus = 4 * mixed + var
     minus = 4 * mixed - var
@@ -103,31 +103,64 @@ def test_l_sigma_proof_identities(model):
     assert top.frob(cs.L_sigma_map(m, minus)) < 1e-9 * top.frob(minus)
     # b2, c2 of Lambda^2 E type inside S^2 V* (A-invariant symmetric)
     b2, c2 = l20e_mats(m)[0], l20e_mats(m)[1]
-    tplus = dec.vartheta(m, b2, c2) + 12 * dec.psi(b2, c2)
-    tminus = dec.vartheta(m, b2, c2) - 12 * dec.psi(b2, c2)
+    tplus = dec.vartheta(m, b2, c2) + 12 * top.psi(b2, c2)
+    tminus = dec.vartheta(m, b2, c2) - 12 * top.psi(b2, c2)
     assert top.frob(cs.L_sigma_map(m, tplus)) < 1e-9 * max(top.frob(tplus), 1.0)
     if top.frob(tminus) > 1e-9:
         assert top.frob(cs.L_sigma_map(m, tminus) + 12 * tminus) < 1e-9 * top.frob(tminus)
     # S2ES2H embeddings have L_sigma eigenvalues +4 / -4
     c = s2es2h_mats(m)[0]
-    sa = dec.vartheta(m, c, m.g) + 4 * dec.psi(c, m.g)
-    sb = dec.vartheta(m, c, m.g) - 12 * dec.psi(c, m.g)
+    sa = dec.vartheta(m, c, m.g) + 4 * top.psi(c, m.g)
+    sb = dec.vartheta(m, c, m.g) - 12 * top.psi(c, m.g)
     assert top.frob(cs.L_sigma_map(m, sa) - 4 * sa) < 1e-9 * top.frob(sa)
     assert top.frob(cs.L_sigma_map(m, sb) + 4 * sb) < 1e-9 * top.frob(sb)
 
 
+def _per_A(m, outer, sign, b, c):
+    """sum_A outer((A1 + sign A2) b, (A1 + sign A2) c), one A at a time."""
+    def pair(A, x):
+        return top.slot_act(A, 1, x) + sign * top.slot_act(A, 2, x)
+    return sum(outer(pair(A, b), pair(A, c)) for A in m.triple)
+
+
+def _phi_def(b, c):
+    return 6.0 * top.odot(b, c) - top.wedge2(b, c)
+
+
+def _psi_def(b, c):
+    return (np.einsum("xz,yu->xyzu", b, c) - np.einsum("xu,yz->xyzu", b, c)
+            + np.einsum("xz,yu->xyzu", c, b) - np.einsum("xu,yz->xyzu", c, b))
+
+
 def test_phi_Phi_Psi_land_in_R(model2):
+    """Each map lands in R and equals its definition, a sum over A = I, J, K
+    written out here one A at a time, to 1e-15 relative."""
     m = model2
     rng = cs.substream("maps", 0)
     raw = rng.standard_normal((2, m.dim, m.dim))
     b = raw[0] - raw[0].T
     c = raw[1] - raw[1].T
-    for T in (dec.phi(b, c), dec.Phi_map(m, b, c), dec.varphi(m, b, c)):
-        assert max(cs.curvature_residuals(T).values()) < 1e-10
     s = raw[0] + raw[0].T
     t = raw[1] + raw[1].T
-    for T in (dec.psi(s, t), dec.vartheta(m, s, t), dec.Psi_map(m, s, t)):
-        assert max(cs.curvature_residuals(T).values()) < 1e-10
+    f = cs.bilinear_component_basis(m, "L20ES2H")[0].reshape(m.dim, m.dim)
+    triple = np.array([b, c, b + c])
+    cases = (
+        (top.phi(b, c), _phi_def(b, c)),
+        (dec.Phi_map(m, b, c), _per_A(m, _phi_def, 1.0, b, c)),
+        (dec.varphi(m, b, c), _per_A(m, _psi_def, -1.0, b, c)),
+        (top.psi(s, t), _psi_def(s, t)),
+        (dec.vartheta(m, s, t), _per_A(m, _phi_def, -1.0, s, t)),
+        (dec.Psi_map(m, s, t), _per_A(m, _psi_def, 1.0, s, t)),
+        (dec.l20es2h_embed(m, f),
+         sum(_phi_def(top.slot_act(A, 1, f) + top.slot_act(A, 2, f), w)
+             for A, w in zip(m.triple, m.omegas))),
+    )
+    for k, (T, ref) in enumerate(cases):
+        assert top.frob(T - ref) <= 1e-15 * top.frob(ref), k
+        assert max(cs.curvature_residuals(T).values()) < 1e-10, k
+    # an unconstrained triple, so not in R
+    ref = sum(_phi_def(x, w) for x, w in zip(triple, m.omegas))
+    assert top.frob(dec.triple_embed(m, triple) - ref) <= 1e-15 * top.frob(ref)
 
 
 def test_project_component_examples(bank):
@@ -564,7 +597,7 @@ def test_eigen_gate_names_the_operator_and_class(model2, monkeypatch):
 def _theta(k):
     """b -> vartheta(b x g) + k psi(b x g), the constructor of the L = 6 and
     L = 2 components with Ricci curvature."""
-    return lambda m, b: dec.vartheta(m, b, m.g) + k * dec.psi(b, m.g)
+    return lambda m, b: dec.vartheta(m, b, m.g) + k * top.psi(b, m.g)
 
 
 def _forms(m, name):

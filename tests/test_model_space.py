@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -52,6 +53,27 @@ def test_pi_combinations(model):
     assert abs(top.curvature_inner(apb, amb)) < 1e-10 * top.frob(apb) * top.frob(amb)
 
 
+#: sha256 of the raw float64 bytes of pi1, pi2 and Omega.  Their entries are
+#: small integers and halves, so any summation order gives these bits.
+STRUCTURE_SHA256 = {
+    2: {"pi1": "39df4391a2d208cd56eca16e663ca335e9592c454deb7599099aa392bf097666",
+        "pi2": "642537928cd6b9a7f72e7b6280033135c7a5a3dbe0643ebec9fee47902ce82f9",
+        "Omega": "db9614d91580e7d0dd6bb1eca5ed99add09cb815f0daa2c674736052a4f69683"},
+    3: {"pi1": "ad457ddbc7c562cd323aac4820c9927d6bb68af3587730038ccb5b429b3fd398",
+        "pi2": "683f0ffda3ee9f859f79bcd1042c66b079be2f901eba68a579d0063de2ad2fbf",
+        "Omega": "687dfb602f35d4662acff03e4ddd92f1dde1463b69902eb860a4a3a1a6c8260c"},
+}
+
+
+@pytest.mark.parametrize("n", sorted(STRUCTURE_SHA256))
+def test_structure_tensors_are_pinned(n):
+    m = ms.build_model(n)
+    for name, digest in STRUCTURE_SHA256[n].items():
+        T = getattr(m, name)
+        assert T.flags.c_contiguous and T.dtype == np.float64
+        assert hashlib.sha256(T.tobytes()).hexdigest() == digest, name
+
+
 def test_build_rejects_bad_n():
     with pytest.raises(ValueError):
         ms.build_model(1)
@@ -90,7 +112,7 @@ def test_adapted_basis_quaternion_identities_and_omega(model):
     assert np.allclose(K2, I2 @ J2, atol=1e-12)
     # Omega recomputed from the rotated triple agrees (basis independence)
     omegas2 = np.stack([I2, J2, K2])
-    Omega2 = ms.fundamental_four_form(omegas2)
+    Omega2 = top.wedge2(omegas2, omegas2).sum(0)
     assert top.frob(Omega2 - model.Omega) < 1e-10 * top.frob(model.Omega)
     # structure tensor sum_A omega_A (x) omega_A is basis independent
     s1 = sum(np.einsum("xy,zu->xyzu", w, w) for w in model.omegas)

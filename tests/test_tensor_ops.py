@@ -171,14 +171,34 @@ def test_odot_symmetry():
 
 def test_psi_vartheta_normalization():
     # the wedge convention is pinned by these two identities
-    assert np.allclose(dec.psi(M2.g, M2.g), 2.0 * M2.pi1)
+    assert np.allclose(top.psi(M2.g, M2.g), 2.0 * M2.pi1)
     assert np.allclose(dec.vartheta(M2, M2.g, M2.g), 4.0 * M2.pi2)
 
 
 def test_omega_wedge_term_of_fundamental_form():
-    from qhcurv import model_space as ms
-    w = M2.omegas[0]
-    assert np.allclose(ms.fundamental_four_form(M2.omegas[:1]), top.wedge2(w, w))
+    w = M2.omegas
+    assert np.array_equal(top.wedge2(w[:1], w[:1]).sum(0), top.wedge2(w[0], w[0]))
+    assert np.array_equal(top.wedge2(w, w).sum(0), M2.Omega)
+
+
+def test_phi_and_psi_match_their_definitions():
+    b, c = rand((8, 8), 5), rand((8, 8), 6)
+    phi = 6.0 * top.odot(b, c) - top.wedge2(b, c)
+    assert np.max(np.abs(top.phi(b, c) - phi)) < 1e-15 * np.max(np.abs(phi))
+    psi = (np.einsum("xz,yu->xyzu", b, c) - np.einsum("xu,yz->xyzu", b, c)
+           + np.einsum("xz,yu->xyzu", c, b) - np.einsum("xu,yz->xyzu", c, b))
+    assert np.array_equal(top.psi(b, c), psi)
+
+
+@pytest.mark.parametrize("product", [top.odot, top.wedge2, top.phi, top.psi])
+def test_products_act_on_stacks(product):
+    """Leading axes broadcast, and each slice of a stacked product is the
+    product of the slices, bit for bit."""
+    b, c = rand((3, 8, 8), 3), rand((2, 1, 8, 8), 4)
+    out = product(b, c)
+    assert out.shape == (2, 3) + (8,) * 4
+    for i, j in itertools.product(range(2), range(3)):
+        assert np.array_equal(out[i, j], product(b[j], c[i, 0]))
 
 
 # --- skewing maps -------------------------------------------------------------
