@@ -47,8 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--json", type=str, default=None, metavar="PATH",
                             help="write the JSON report here")
         sp.add_argument("--allow-large", action="store_true",
-                        help="allow --n above 3; also lifts build_model's "
-                             "dim**4 entry cap, which first applies at n = 17")
+                        help="allow --n above 3")
 
     sp = sub.add_parser("audit", help="dimension and projector-algebra audit")
     common(sp)
@@ -105,7 +104,7 @@ def main(argv=None) -> int:
 
     tol = getattr(args, "tol", None)       # audit, decompose and torsion
     try:
-        m = build_model(args.n, allow_large=args.allow_large)
+        m = build_model(args.n)
     except ValueError as exc:
         print(f"qhcurv: {exc}", file=sys.stderr)
         return 1

@@ -648,32 +648,35 @@ def lemma_gammas_kernel(m: ModelSpace):
     """Null space of the constraint gamma_A ^ omega_B = gamma_B ^ omega_A
     (cyclic pairs) on triples of 2-forms.
 
-    Returns (kernel dimension, basis triples, singular-value gap); the lemma
-    asserts the kernel is exactly the line c (omega_I, omega_J, omega_K).
-    A gap below ``cs.SV_MARGIN`` raises ArithmeticError, as every SVD rank
-    decision does.
+    Returns (kernel dimension, basis triples, smallest nonzero eigenvalue);
+    the lemma asserts the kernel is exactly the line c (omega_I, omega_J,
+    omega_K).  The kernel is read from one gated ``eigh`` of the Gram
+    matrix G = C^T C of the constraint matrix C, summed from the Gram
+    matrix of the wedges f_j ^ omega_b without forming C.  G has the
+    eigenvalue 0 once, and every other eigenvalue is 48 j with
+    2n - 3 <= j < 6n; any other spectrum, or another kernel dimension,
+    raises ArithmeticError naming the "gamma rigidity kernel".  The smallest
+    nonzero eigenvalue, the gap the kernel is decided by, is 48 (2n - 3).
     """
-    d = m.dim
-    forms = cs.form_basis(d)
+    forms = cs.form_basis(m.dim)
     k = len(forms)
-    # W[j, b] = f_j ^ omega_b, flattened.  Row block p of the constraint
-    # matrix is gamma_p ^ omega_q - gamma_q ^ omega_p, q = p + 1 (mod 3),
-    # and column (a, j) puts f_j in gamma_a.
-    W = top.wedge2(forms[:, None], m.omegas).reshape(k, 3, -1)
+    label = "gamma rigidity kernel"
+    # row block p of C is gamma_p ^ omega_q - gamma_q ^ omega_p, q = p + 1
+    # (mod 3): sum_ab E[p, a, b] gamma_a ^ omega_b, with gamma_a = f_j in
+    # column (a, j)
     p = np.arange(3)
-    q = (p + 1) % 3
-    mat = np.zeros((3, W.shape[-1], 3, k))
-    mat[p, :, p] = W[:, q].transpose(1, 2, 0)
-    mat[p, :, q] -= W[:, p].transpose(1, 2, 0)
-    mat = mat.reshape(3 * W.shape[-1], 3 * k)
-    u, s, vt = np.linalg.svd(mat, full_matrices=mat.shape[0] < mat.shape[1])
-    rank = int(np.sum(s > cs.SV_TOL * s[0]))
-    cs._check_margin(s, rank, "gamma rigidity kernel")
-    kernel = vt[rank:]
-    gap = float(s[rank - 1] / s[rank]) if rank < len(s) else float("inf")
-    triples = [(coef.reshape(3, k) @ forms.reshape(k, -1)).reshape(3, d, d)
-               for coef in kernel]
-    return kernel.shape[0], triples, gap
+    E = np.zeros((3, 3, 3))
+    E[p, p, (p + 1) % 3], E[p, (p + 1) % 3, p] = 1.0, -1.0
+    W = top.wedge2(m.omegas[:, None], forms).reshape(3 * k, -1)    # row (b, j): omega_b ^ f_j
+    G = np.einsum("pax,xiyj,pby->aibj", E, (W @ W.T).reshape(3, k, 3, k), E)
+    G = G.reshape(3 * k, 3 * k)
+    spaces = cs._eigenspaces(G, [0.0] + [48.0 * j for j in range(2 * m.n - 3, 6 * m.n)], label)
+    kernel = spaces.pop(0.0)
+    if kernel.shape[1] != 1:
+        raise ArithmeticError(f"{label}: dimension {kernel.shape[1]}, expected 1")
+    lowest = next(V for V in spaces.values() if V.size)   # Rayleigh quotient = eigenvalue
+    gap = float(np.min(np.sum(lowest * (G @ lowest), axis=0)))
+    return 1, [np.tensordot(kernel.reshape(3, k), forms, axes=1)], gap
 
 
 # ---------------------------------------------------------------------------

@@ -375,7 +375,7 @@ def L20ES2H_projector(n: int) -> np.ndarray:
     Built once per n by :func:`_L20ES2H_stepwise`, on the model of n (a
     model is fixed by n), and returned read-only; it is an orthogonal
     projector, so symmetric and idempotent."""
-    m = build_model(n, allow_large=True)
+    m = build_model(n)
     d2 = m.dim ** 2
     P2 = _L20ES2H_stepwise(m, np.eye(d2).reshape(d2, m.dim, m.dim)).reshape(d2, d2)
     P2.setflags(write=False)
@@ -395,23 +395,6 @@ def proj_form_L20ES2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
     return (b.reshape(-1, d * d) @ L20ES2H_projector(m.n)).reshape(b.shape)
 
 
-def _basis_from_projector(apply_proj, seeds: np.ndarray, tol: float, label: str) -> np.ndarray:
-    """Orthonormal basis (rows, flattened) of the image of a projector, from
-    its images of the stack ``seeds``."""
-    return orthonormal_rows(apply_proj(seeds).reshape(len(seeds), -1), tol, label=label)
-
-
-def sym_basis(dim: int) -> np.ndarray:
-    """Spanning stack of symmetric matrices: e_ii, then e_ij + e_ji (i < j)."""
-    i, j = np.triu_indices(dim, 1)
-    out = np.zeros((dim + len(i), dim, dim))
-    diag = np.arange(dim)
-    out[diag, diag, diag] = 1.0
-    off = dim + np.arange(len(i))
-    out[off, i, j] = out[off, j, i] = 1.0
-    return out
-
-
 def form_basis(dim: int) -> np.ndarray:
     """Spanning stack of antisymmetric matrices: e_ij - e_ji (i < j)."""
     i, j = np.triu_indices(dim, 1)
@@ -421,17 +404,19 @@ def form_basis(dim: int) -> np.ndarray:
     return out
 
 
-def bilinear_component_basis(m: ModelSpace, name: str, tol: float = 1e-9) -> np.ndarray:
+def bilinear_component_basis(m: ModelSpace, name: str) -> np.ndarray:
     """Orthonormal basis (rows of flattened matrices, Frobenius metric) of a
     bilinear-form component; names: R, L20E, S2ES2H (symmetric side) and
-    S2E, S2H, L20ES2H (2-form side)."""
+    S2E, S2H, L20ES2H (2-form side).  The d^2 x d^2 matrix of the
+    component's images of the unit forms is an orthogonal projector, so one
+    gated ``eigh`` of it, against the eigenvalues 0 and 1, gives the basis."""
     proj = {
         "R": proj_sym_R, "L20E": proj_sym_L20E, "S2ES2H": proj_sym_S2ES2H,
         "S2E": proj_form_S2E, "S2H": proj_form_S2H, "L20ES2H": proj_form_L20ES2H,
     }[name]
-    seeds = sym_basis(m.dim) if name in ("R", "L20E", "S2ES2H") else form_basis(m.dim)
-    return _basis_from_projector(lambda b: proj(m, b), seeds, tol,
-                                 label=f"bilinear-form component {name}")
+    d2 = m.dim ** 2
+    P = proj(m, np.eye(d2).reshape(d2, m.dim, m.dim)).reshape(d2, d2)
+    return _eigenspaces(P, (0, 1), f"bilinear-form component {name}")[1.0].T
 
 
 # ---------------------------------------------------------------------------
@@ -483,60 +468,29 @@ def from_pair_coords(ps: PairScheme, v: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Numerical range/kernel helpers (SVD thresholding).
+# Rank decisions: a gated eigh against closed-form eigenvalues, the one rule
+# outside the torsion bank.
 
-#: Relative singular-value threshold for rank decisions.
-SV_TOL = 1e-8
-
-#: Smallest ratio allowed between the smallest kept singular value and the
-#: largest dropped one; a closer call raises instead of guessing the rank.
-SV_MARGIN = 1e6
+#: Largest distance allowed between a computed eigenvalue and the expected
+#: one; a build that needs more raises instead of guessing.
+EIG_TOL = 1e-8
 
 
-def _check_margin(s: np.ndarray, rank: int, label: str) -> None:
-    """ArithmeticError, naming the basis ``label``, unless the smallest kept
-    singular value is at least ``SV_MARGIN`` times the largest dropped one."""
-    if 0 < rank < len(s) and not s[rank - 1] >= SV_MARGIN * s[rank]:
-        raise ArithmeticError(f"{label}: rank decision too close: singular value "
-                              f"{s[rank - 1]} kept, {s[rank]} dropped "
-                              f"(margin {SV_MARGIN:g} required)")
+def _eigenspaces(H: np.ndarray, expected, what: str) -> dict:
+    """Orthonormal eigenvector columns of symmetric H, grouped by expected
+    value, in the order of ``expected``.
 
-
-def orthonormal_rows(mat: np.ndarray, tol: float = SV_TOL,
-                     floor: float = 0.0, label: str = "rows") -> np.ndarray:
-    """Orthonormal basis of the row space.
-
-    Singular values are kept when above ``tol * s_max`` and above the
-    absolute ``floor``, with the margin of :func:`_check_margin`.  The floor
-    matters when the row space may be zero in exact arithmetic: a purely
-    relative threshold would promote roundoff noise to full rank.  ``label``
-    names the basis in a margin error and nowhere else.  The rows are an
-    owned copy: a view would keep the whole V^T alive with the basis.
-    """
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.size == 0 or not np.any(mat):
-        return np.zeros((0, mat.shape[1]))
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > max(tol * s[0], floor)))
-    _check_margin(s, rank, label)
-    return vt[:rank].copy()
-
-
-def null_space_rows(mat: np.ndarray, tol: float = SV_TOL,
-                    label: str = "null space") -> np.ndarray:
-    """Orthonormal basis (rows, an owned copy of part of V^T) of the null
-    space of ``mat`` (acting on rows^T); ``label`` names the basis in a
-    margin error."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    nrows, ncols = mat.shape
-    if mat.size == 0 or not np.any(mat):
-        return np.eye(ncols)
-    # the economy SVD already carries the complete V^T when nrows >= ncols;
-    # the full one would materialize a nrows x nrows U
-    u, s, vt = np.linalg.svd(mat, full_matrices=nrows < ncols)
-    rank = int(np.sum(s > tol * s[0]))
-    _check_margin(s, rank, label)
-    return vt[rank:].copy()
+    Every eigenvalue must lie within EIG_TOL of one expected value, else
+    ArithmeticError, which ``what`` opens by naming what was split."""
+    w, V = np.linalg.eigh(H)
+    expected = np.asarray(expected, dtype=float)
+    nearest = np.argmin(np.abs(w[:, None] - expected[None, :]), axis=1)
+    off = np.abs(w - expected[nearest])
+    if not np.all(off <= EIG_TOL):
+        raise ArithmeticError(
+            f"{what}: eigenvalue {w[np.argmax(off)]} is {np.max(off)} away from "
+            f"the expected values {expected.tolist()}")
+    return {float(e): V[:, nearest == k] for k, e in enumerate(expected)}
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ operators keep.  On each class one operator,
 H = (n + 2)(3 L + L_sigma) + Cas, is sandwiched by the class's block of
 closed-form rows of R (:func:`.curvature_space.curvature_basis`), and one
 ``eigh`` of it must give only the fifteen values of :func:`h_values`,
-which are at least 1 apart at every n >= 2, to ``EIG_TOL``.  Every fine
-rank is thus decided against ``EIG_TOL``, with no singular-value
-threshold.  The constructor maps below are the paper's definitions of the
-components with Ricci curvature; the tests check that their images span
-the components built here.
+which are at least 1 apart at every n >= 2, to
+:data:`.curvature_space.EIG_TOL`, by :func:`.curvature_space._eigenspaces`,
+the one rank rule outside the torsion bank.  The constructor maps below
+are the paper's definitions of the components with Ricci curvature; the
+tests check that their images span the components built here.
 
 Both banks are one per-class store, :class:`ComponentBank`; the torsion
 bank is it over one class.  The fifteen fine bases of R (rows in the
@@ -273,28 +273,6 @@ class ProjectorBank(ComponentBank):
             [np.zeros(0)] + [B @ v[coords] for coords, B in self.blocks(name)])))
 
 
-#: Largest distance allowed between a computed eigenvalue and the expected
-#: one; a build that needs more raises instead of guessing.
-EIG_TOL = 1e-8
-
-
-def _eigenspaces(H: np.ndarray, expected, what: str) -> dict:
-    """Orthonormal eigenvector columns of symmetric H, grouped by expected
-    value, in the order of ``expected``.
-
-    Every eigenvalue must lie within EIG_TOL of one expected value; ``what``
-    names the operator and the class in the error."""
-    w, V = np.linalg.eigh(H)
-    expected = np.asarray(expected, dtype=float)
-    nearest = np.argmin(np.abs(w[:, None] - expected[None, :]), axis=1)
-    off = np.abs(w - expected[nearest])
-    if not np.all(off <= EIG_TOL):
-        raise ArithmeticError(
-            f"{what}: eigenvalue {w[np.argmax(off)]} is {np.max(off)} away from "
-            f"the expected values {expected.tolist()}")
-    return {float(e): V[:, nearest == k] for k, e in enumerate(expected)}
-
-
 def _scatter(pieces, width: int) -> np.ndarray:
     """Stack (coords, rows) pieces into rows of ``width`` columns, zero off
     ``coords``."""
@@ -330,7 +308,7 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     from the Kronecker terms of :func:`.curvature_space.h_terms` on the
     class's pair coordinates and sandwiched by the class's closed-form rows
     of R.  One gated ``eigh`` must give only the values of
-    :func:`h_values`, to EIG_TOL; its eigenvectors, grouped by value in
+    :func:`h_values`, to ``cs.EIG_TOL``; its eigenvectors, grouped by value in
     ``FINE_COMPONENTS`` order, turn the closed-form rows into the class's
     rows of the bank, written over them."""
     ps = cs.pair_scheme(m.dim)
@@ -340,10 +318,10 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     terms = cs.h_terms(m, ps)
     slices = []
     for parity, coords, R_c in zip(parities, classes, rows):
-        spaces = _eigenspaces(R_c @ cs._kron_block(ps, terms, coords) @ R_c.T,
-                              list(values.values()),
-                              f"H = (n + 2)(3 L + L_sigma) + Cas on class "
-                              f"{tuple(parity.tolist())}")
+        spaces = cs._eigenspaces(R_c @ cs._kron_block(ps, terms, coords) @ R_c.T,
+                                 list(values.values()),
+                                 f"H = (n + 2)(3 L + L_sigma) + Cas on class "
+                                 f"{tuple(parity.tolist())}")
         # same shape: numpy buffers the overlap, and the bank keeps R_c's memory
         np.matmul(np.hstack(list(spaces.values())).T, R_c, out=R_c)
         at = np.cumsum([0] + [spaces[values[name]].shape[1] if name in values else 0
@@ -362,17 +340,21 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
 def _constrained_triples(m: ModelSpace, forms, label: str) -> np.ndarray:
     """Triples (b_I, b_J, b_K) from a 2-form space with sum_A A_(2) b_A = 0.
 
-    ``forms`` is a stack of 2-forms spanning the space.  Returns the
-    triples, shape (r, 3, dim, dim), spanning the constrained parameter
-    space, orthonormal in the triple inner product.  ``label`` names the
-    space in a margin error.
+    ``forms`` is a stack of orthonormal 2-forms spanning the space.  Column
+    (A, j) of the constraint matrix C holds A_(2) b_j.  For orthonormal
+    forms the Gram C^T C has the eigenvalues 0, 2 and 3 alone, and one
+    gated ``eigh`` of it (:func:`.curvature_space._eigenspaces`) gives the
+    kernel; forms that are not orthonormal fail that gate, raising
+    ArithmeticError named by ``label``.  Returns the triples, shape
+    (r, 3, dim, dim), an orthonormal basis of the constrained parameter
+    space in the triple inner product.
     """
     forms = np.asarray(forms)
     k = len(forms)
-    # column (A, j) of the constraint matrix holds A_(2) b_j = -b_j(., A.)
-    constraint = -top.substitute(m.omegas, (-1,), forms).reshape(3 * k, -1).T
-    kernel = cs.null_space_rows(constraint, label=label)
-    return np.tensordot(kernel.reshape(-1, 3, k), forms, axes=1)
+    # row (A, j) of C^T holds A_(2) b_j = -b_j(., A.)
+    constraint = -top.substitute(m.omegas, (-1,), forms).reshape(3 * k, -1)
+    kernel = cs._eigenspaces(constraint @ constraint.T, (0, 2, 3), label)[0.0]
+    return np.tensordot(kernel.T.reshape(-1, 3, k), forms, axes=1)
 
 
 # ---------------------------------------------------------------------------

@@ -343,7 +343,7 @@ class TableContext:
                 c = float(np.vdot(YP1, YP1) / np.vdot(y, y))
                 off = float(np.linalg.norm(
                     bank.project_coords((YP1 @ P1.T).ravel(), "QKperp") - c * y))
-                if not (c > 0 and off <= dec.EIG_TOL * c * np.linalg.norm(y)):
+                if not (c > 0 and off <= cs.EIG_TOL * c * np.linalg.norm(y)):
                     raise ArithmeticError(f"Table 3: the QKperp image of pi_1 is not "
                                           f"scalar on {name} (c = {c}, residual {off})")
             columns[name] = (blocks, c)

@@ -21,7 +21,10 @@ part is cut out by the three-form/cyclic conditions, and the K-part is the
 orthogonal remainder.  Every such operator acts on a stack of tensors, the
 slot conditions by substitution of I, J, K
 (:func:`.tensor_ops.substitute`), so each kernel's SVD input, and each
-E-part image, is one call on the whole stack of rows.  The six bases are stored as
+E-part image, is one call on the whole stack of rows.  Its ranks are
+the package's only singular-value thresholds (:func:`_orthonormal_rows`,
+:func:`_null_space_rows`): its bases seed the table witnesses that the
+benchmark reference pins, so their bits stay.  The six bases are stored as
 :class:`TorsionBank`, the :class:`.decomposition.ComponentBank` store of the
 curvature bank over one class of all d^3 coordinates, so both banks answer
 ranks, projections and component norms by the same code.
@@ -208,6 +211,64 @@ class TorsionBank(dec.ComponentBank):
         return (coef @ B).reshape(d, d, d)
 
 
+# ---------------------------------------------------------------------------
+# Singular-value rank decisions: the torsion bank's alone (see the module
+# docstring).
+
+#: Relative singular-value threshold for rank decisions.
+_SV_TOL = 1e-8
+
+#: Smallest ratio allowed between the smallest kept singular value and the
+#: largest dropped one; a closer call raises instead of guessing the rank.
+_SV_MARGIN = 1e6
+
+
+def _check_margin(s: np.ndarray, rank: int, label: str) -> None:
+    """ArithmeticError, naming the basis ``label``, unless the smallest kept
+    singular value is at least ``_SV_MARGIN`` times the largest dropped one."""
+    if 0 < rank < len(s) and not s[rank - 1] >= _SV_MARGIN * s[rank]:
+        raise ArithmeticError(f"{label}: rank decision too close: singular value "
+                              f"{s[rank - 1]} kept, {s[rank]} dropped "
+                              f"(margin {_SV_MARGIN:g} required)")
+
+
+def _orthonormal_rows(mat: np.ndarray, tol: float = _SV_TOL,
+                      floor: float = 0.0, label: str = "rows") -> np.ndarray:
+    """Orthonormal basis of the row space.
+
+    Singular values are kept when above ``tol * s_max`` and above the
+    absolute ``floor``, with the margin of :func:`_check_margin`.  The floor
+    matters when the row space may be zero in exact arithmetic: a purely
+    relative threshold would promote roundoff noise to full rank.  ``label``
+    names the basis in a margin error and nowhere else.  The rows are an
+    owned copy: a view would keep the whole V^T alive with the basis.
+    """
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if mat.size == 0 or not np.any(mat):
+        return np.zeros((0, mat.shape[1]))
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    rank = int(np.sum(s > max(tol * s[0], floor)))
+    _check_margin(s, rank, label)
+    return vt[:rank].copy()
+
+
+def _null_space_rows(mat: np.ndarray, tol: float = _SV_TOL,
+                     label: str = "null space") -> np.ndarray:
+    """Orthonormal basis (rows, an owned copy of part of V^T) of the null
+    space of ``mat`` (acting on rows^T); ``label`` names the basis in a
+    margin error."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    nrows, ncols = mat.shape
+    if mat.size == 0 or not np.any(mat):
+        return np.eye(ncols)
+    # the economy SVD already carries the complete V^T when nrows >= ncols;
+    # the full one would materialize a nrows x nrows U
+    u, s, vt = np.linalg.svd(mat, full_matrices=nrows < ncols)
+    rank = int(np.sum(s > tol * s[0]))
+    _check_margin(s, rank, label)
+    return vt[rank:].copy()
+
+
 def _kernel_within(rows: np.ndarray, shape, op, label: str) -> np.ndarray:
     """Rows spanning the joint kernel, within span(rows), of the operators
     that ``op`` applies to the whole stack of rows at once, their images
@@ -216,7 +277,7 @@ def _kernel_within(rows: np.ndarray, shape, op, label: str) -> np.ndarray:
     operator after another."""
     images = op(rows.reshape((-1,) + shape)).reshape(-1, rows.shape[0], rows.shape[1])
     images = images.transpose(1, 0, 2).reshape(rows.shape[0], -1)
-    coeff = cs.null_space_rows(images.T, label=label)
+    coeff = _null_space_rows(images.T, label=label)
     return coeff @ rows
 
 
@@ -241,7 +302,7 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
     alive: no operator matrix outlives its kernel."""
     d = m.dim
     shape = (d, d, d)
-    ambient = cs.orthonormal_rows(_projector_rows(m), floor=1e-6, label="torsion space")
+    ambient = _orthonormal_rows(_projector_rows(m), floor=1e-6, label="torsion space")
 
     # S^3H / H halves
     s3h = _kernel_within(ambient, shape, lambda t: _s3h_defects(m, t), "torsion S3H half")
@@ -255,11 +316,11 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
 
     # E S^3H: image of the trace-form reconstruction
     e3_rows = xi_E3_from_trace(m, s3h.reshape((-1,) + shape)).reshape(s3h.shape)
-    comps["E3"] = cs.orthonormal_rows(e3_rows, floor=1e-6, label="torsion E3")
+    comps["E3"] = _orthonormal_rows(e3_rows, floor=1e-6, label="torsion E3")
 
     # K S^3H: orthogonal remainder
     used = np.vstack([comps["33"], comps["E3"]])
-    comps["K3"] = cs.orthonormal_rows(
+    comps["K3"] = _orthonormal_rows(
         s3h - (s3h @ used.T) @ used, floor=1e-6, label="torsion K3")
 
     # Lambda^3_0 E H: vanishing cyclic sum inside the H half
@@ -268,11 +329,11 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
 
     # E H: image of the global-trace reconstruction
     eh_rows = xi_EH_from_trace(m, h.reshape((-1,) + shape)).reshape(h.shape)
-    comps["EH"] = cs.orthonormal_rows(eh_rows, floor=1e-6, label="torsion EH")
+    comps["EH"] = _orthonormal_rows(eh_rows, floor=1e-6, label="torsion EH")
 
     # K H: orthogonal remainder
     used = np.vstack([comps["3H"], comps["EH"]])
-    comps["KH"] = cs.orthonormal_rows(
+    comps["KH"] = _orthonormal_rows(
         h - (h @ used.T) @ used, floor=1e-6, label="torsion KH")
 
     rows = np.vstack([comps[name] for name in TORSION_COMPONENTS])
@@ -310,8 +371,11 @@ def residual_trace_free(t: np.ndarray) -> float:
 def psi_k_solve(m: ModelSpace, t: np.ndarray):
     """Solve <Y,(xi)_X Z> = (3 psi - sum_A A_(23) psi)(X,Y,Z) for a 3-form psi.
 
-    Returns (psi, relative residual).  The K H class is exactly the set of
-    H-type tensors admitting such a representation.
+    Returns (psi, relative residual) of the least-squares solution.  The
+    K H class is exactly the set of H-type tensors admitting such a
+    representation.  The Gram of the 3-form images must have the
+    eigenvalues 4/3 and 8/3 alone (full rank), to EIG_TOL, else
+    ArithmeticError.
     """
     d = m.dim
     # one stack of 3-forms spanning them all: alt(e_i (x) e_j (x) e_k), i < j < k
@@ -319,10 +383,13 @@ def psi_k_solve(m: ModelSpace, t: np.ndarray):
     forms = np.zeros((len(ijk), d, d, d))
     forms[(np.arange(len(ijk)),) + tuple(ijk.T)] = 1.0
     forms = top.alt(forms, (-3, -2, -1))
-    images = 3.0 * forms - top.substitute(m.omegas, (-2, -1), forms).sum(0)
-    mat = images.reshape(len(ijk), -1).T
-    coef, *_ = np.linalg.lstsq(mat, t.ravel(), rcond=None)
-    resid = np.linalg.norm(mat @ coef - t.ravel()) / max(np.linalg.norm(t.ravel()), 1e-300)
+    images = (3.0 * forms - top.substitute(m.omegas, (-2, -1), forms).sum(0)).reshape(len(ijk), -1)
+    # with the Gram's two eigenvalues the least-squares solve is one division
+    # per gated eigenspace
+    spaces = cs._eigenspaces(images @ images.T, (4.0 / 3.0, 8.0 / 3.0), "K H 3-form images")
+    rhs = images @ t.ravel()
+    coef = sum(V @ (V.T @ rhs) / value for value, V in spaces.items())
+    resid = np.linalg.norm(coef @ images - t.ravel()) / max(np.linalg.norm(t.ravel()), 1e-300)
     psi = np.tensordot(coef, forms, axes=1)
     return psi, float(resid)
 

@@ -145,9 +145,9 @@ def test_criterion_7_gamma_lemma(n, model):
     kern = triples[0] / np.linalg.norm(triples[0])
     om = model.omegas / np.linalg.norm(model.omegas)
     align = abs(float(np.vdot(kern, om)))
-    ok = dim == 1 and gap > 1e6 and abs(align - 1.0) < 1e-10
+    ok = dim == 1 and abs(gap - 48 * (2 * n - 3)) <= cs.EIG_TOL and abs(align - 1.0) < 1e-10
     report(n, 7, "gamma rigidity kernel", ok,
-           f"dim {dim}, SV gap {gap:.1e}, alignment {align:.12f}")
+           f"dim {dim}, smallest nonzero eigenvalue {gap:.12g}, alignment {align:.12f}")
 
 
 def test_criterion_8_torsion(n, tbank):

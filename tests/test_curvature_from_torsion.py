@@ -220,7 +220,7 @@ def test_lemma_gammas_kernel(model):
     m = model
     dim, triples, gap = cft.lemma_gammas_kernel(m)
     assert dim == 1
-    assert gap > 1e6
+    assert abs(gap - 48 * (2 * m.n - 3)) <= cs.EIG_TOL
     kern = triples[0]
     kern = kern / np.linalg.norm(kern)
     om = m.omegas / np.linalg.norm(m.omegas)

@@ -105,50 +105,31 @@ def test_L_maps_act_on_stacks(model):
             assert top.frob(op(m, t) - got) <= 1e-13 * top.frob(got)
 
 
-def test_rank_decisions_raise_below_the_margin():
-    """Singular values 1, 1e-7 and 1e-10: SV_TOL keeps 1e-7 and drops
-    1e-10, a margin of 1e3 < SV_MARGIN, so both helpers raise; so do
-    1, 1e-5 and 1e-9 (margin 1e4), with a message that names the basis
-    given as ``label``.  With 1e-14 in place of 1e-10 the margin is 1e7
-    and they return rank 2 and nullity 3."""
-    rng = cs.substream("margin", 0)
-    U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-    V = np.linalg.qr(rng.standard_normal((5, 5)))[0][:3]
-    close = U @ np.diag([1.0, 1e-7, 1e-10]) @ V
-    for helper in (cs.orthonormal_rows, cs.null_space_rows):
-        with pytest.raises(ArithmeticError, match="rank decision too close"):
-            helper(close)
-        with pytest.raises(ArithmeticError, match="^probe basis: rank decision too close"):
-            helper(U @ np.diag([1.0, 1e-5, 1e-9]) @ V, label="probe basis")
-    clear = U @ np.diag([1.0, 1e-7, 1e-14]) @ V
-    assert cs.orthonormal_rows(clear).shape == (2, 5)
-    assert cs.null_space_rows(clear).shape == (3, 5)
-
-
-def test_rank_helpers_return_owned_rows():
-    """The bases own their data, so none keeps the whole V^T alive."""
-    mat = cs.substream("owned-rows", 0).standard_normal((3, 6))
-    for rows in (cs.orthonormal_rows(mat), cs.null_space_rows(mat),
-                 cs.null_space_rows(mat.T)):
-        assert rows.base is None and rows.flags.owndata
-    assert cs.null_space_rows(mat.T).shape == (0, 3)
-
-
 def test_every_sv_rank_decision_names_its_basis(model2, monkeypatch):
-    """With an unreachable margin every SV rank decision raises, and each
-    caller's error names the basis it was building."""
+    """With an unreachable margin the torsion bank's SV rank decisions, the
+    only ones left, raise, naming the basis being built."""
+    from qhcurv import torsion as tor
+    monkeypatch.setattr(tor, "_SV_MARGIN", np.inf)
+    with pytest.raises(ArithmeticError, match="^torsion space: rank decision too close"):
+        tor.build_torsion_bank(model2)
+
+
+def test_every_eig_rank_decision_names_its_basis(model2, monkeypatch):
+    """With a negative EIG_TOL every gated eigh outside the curvature bank
+    raises, and each caller's error names what it was splitting."""
     from qhcurv import curvature_from_torsion as cft
     from qhcurv import decomposition as dec
     from qhcurv import torsion as tor
-    monkeypatch.setattr(cs, "SV_MARGIN", np.inf)
-    forms = [w.copy() for w in model2.omegas]
+    monkeypatch.setattr(cs, "EIG_TOL", -1.0)
+    forms = model2.omegas / np.sqrt(model2.dim)
     for build, label in ((lambda: cs.bilinear_component_basis(model2, "L20E"),
                           "bilinear-form component L20E"),
                          (lambda: dec._constrained_triples(model2, forms, "S4H triples"),
                           "S4H triples"),
-                         (lambda: tor.build_torsion_bank(model2), "torsion space"),
+                         (lambda: tor.psi_k_solve(model2, np.zeros((model2.dim,) * 3)),
+                          "K H 3-form images"),
                          (lambda: cft.lemma_gammas_kernel(model2), "gamma rigidity kernel")):
-        with pytest.raises(ArithmeticError, match=f"^{label}: rank decision too close"):
+        with pytest.raises(ArithmeticError, match=f"^{label}: eigenvalue"):
             build()
 
 
@@ -186,8 +167,8 @@ def test_casimir_matrices_match_tensor_maps(model):
                         for k in range(5)])
     for coords in classes:
         # the class part of an element of R lies in R
-        B = cs.orthonormal_rows(samples[:, coords])
-        assert B.shape[0] == 5
+        _, sv, B = np.linalg.svd(samples[:, coords], full_matrices=False)
+        assert B.shape[0] == 5 and sv[-1] > 1e-8 * sv[0]
         full = np.zeros((5, ps.m * ps.m))
         full[:, coords] = B
         got = B @ cs._kron_block(ps, terms, coords) @ B.T
@@ -395,13 +376,24 @@ def test_skew_qricci_membership(model):
         assert abs(top.p_form_inner(rqa, w)) < 1e-9 * top.frob(rqa)
 
 
+def _orthonormal_units(d, sign):
+    """Orthonormal rows, flattened, spanning the symmetric (sign 1) or
+    antisymmetric (sign -1) d x d matrices: e_ij + sign e_ji, normalized."""
+    i, j = np.triu_indices(d, 0 if sign > 0 else 1)
+    k = np.arange(len(i))
+    out = np.zeros((len(i), d, d))
+    out[k, i, j] += 1.0
+    out[k, j, i] += sign
+    return (out / np.linalg.norm(out, axis=(1, 2), keepdims=True)).reshape(len(i), -1)
+
+
 def test_bilinear_projector_algebra(model2):
     m = model2
     d = m.dim
     sym_names = ("R", "L20E", "S2ES2H")
     form_names = ("S2E", "S2H", "L20ES2H")
     expected = {"R": 1, "L20E": 5, "S2ES2H": 30, "S2E": 10, "S2H": 3, "L20ES2H": 15}
-    for names, seeds in ((sym_names, cs.sym_basis(d)), (form_names, cs.form_basis(d))):
+    for names, sign in ((sym_names, 1.0), (form_names, -1.0)):
         bases = {nm: cs.bilinear_component_basis(m, nm) for nm in names}
         for nm in names:
             assert bases[nm].shape[0] == expected[nm]
@@ -409,7 +401,7 @@ def test_bilinear_projector_algebra(model2):
         gram = stacked @ stacked.T
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-9
         # completeness on the ambient symmetric/antisymmetric space
-        amb = cs.orthonormal_rows(np.array([s.ravel() for s in seeds]))
+        amb = _orthonormal_units(d, sign)
         overlap = stacked @ amb.T
         assert np.max(np.abs(overlap.T @ overlap - np.eye(amb.shape[0]))) < 1e-9
 

@@ -573,14 +573,14 @@ def test_les4h_ric_star_constants(model):
 
 def test_eigenspaces_reject_stray_eigenvalues():
     H = np.diag([6.0, 2.0, -6.0 + 1e-12, 2.0])
-    spaces = dec._eigenspaces(H, (6, 2, -6), "test")
+    spaces = cs._eigenspaces(H, (6, 2, -6), "test")
     assert {k: v.shape[1] for k, v in spaces.items()} == {6.0: 1, 2.0: 2, -6.0: 1}
     with pytest.raises(ArithmeticError):
-        dec._eigenspaces(np.diag([6.0, 2.0, -6.0 + 1e-6]), (6, 2, -6), "test")
+        cs._eigenspaces(np.diag([6.0, 2.0, -6.0 + 1e-6]), (6, 2, -6), "test")
 
 
 def test_eigen_gate_names_the_operator_and_class(model2, monkeypatch):
-    monkeypatch.setattr(dec, "EIG_TOL", -1.0)     # every eigenvalue fails
+    monkeypatch.setattr(cs, "EIG_TOL", -1.0)     # every eigenvalue fails
     with pytest.raises(ArithmeticError, match=r"^H = \(n \+ 2\)\(3 L \+ L_sigma\) \+ Cas "
                                               r"on class \(0, 0\): eigenvalue"):
         dec.build_sp_projectors(model2)
@@ -608,9 +608,16 @@ CONSTRUCTED = {
     "L20ES2H": (lambda m: _forms(m, "L20ES2H"), dec.l20es2h_embed),
     "L20ES4H": (lambda m: dec._constrained_triples(m, _forms(m, "L20ES2H"), "L20ES4H triples"),
                 dec.triple_embed),
-    "S4H": (lambda m: dec._constrained_triples(m, [w.copy() for w in m.omegas], "S4H triples"),
+    "S4H": (lambda m: dec._constrained_triples(m, m.omegas / np.sqrt(m.dim), "S4H triples"),
             dec.triple_embed),
 }
+
+
+def test_constrained_triples_need_orthonormal_forms(model2):
+    """|omega_A|^2 = 4n, so the raw omegas scale the constraint Gram by 4n
+    and miss its closed-form eigenvalues 0, 2 and 3."""
+    with pytest.raises(ArithmeticError, match="^S4H triples: eigenvalue"):
+        dec._constrained_triples(model2, model2.omegas, "S4H triples")
 
 
 @pytest.mark.parametrize("name", sorted(CONSTRUCTED))

@@ -79,9 +79,6 @@ def test_build_rejects_bad_n():
         ms.build_model(1)
     with pytest.raises(ValueError):
         ms.build_model(0)
-    with pytest.raises(ValueError):
-        ms.build_model(20)           # dim**4 over the cap
-    ms.build_model(20, allow_large=True).dim  # explicit override works
 
 
 def test_adapted_basis_identity_and_quarter_turn(model2):

@@ -41,3 +41,15 @@ def test_every_third_party_import_is_declared():
     missing = {(str(path.relative_to(ROOT)), name)
                for path in files for name in _imports(path) if name not in allowed}
     assert not missing, f"undeclared third-party imports: {sorted(missing)}"
+
+
+def test_singular_value_rank_rules_stay_in_the_torsion_bank():
+    """Every rank outside the torsion bank is a gated eigh against
+    closed-form values: no other module calls an SVD, a least-squares
+    solve, a pseudo-inverse or a numerical rank."""
+    pattern = re.compile(r"linalg\.svd|lstsq|pinv|matrix_rank")
+    found = sorted(f"{path.name}:{number}"
+                   for path in (ROOT / "src" / "qhcurv").glob("*.py") if path.name != "torsion.py"
+                   for number, line in enumerate(path.read_text().splitlines(), 1)
+                   if pattern.search(line))
+    assert found == []

@@ -620,3 +620,32 @@ def test_verdict_paths_plan_no_einsum(monkeypatch, bank2, tbank2):
     tbank2.class_mask(tor.torsion_from_nabla_omega(m, *nws)[0])
     tbl.evaluate_columns(ctx, state)
     assert calls == []
+
+
+def test_rank_decisions_raise_below_the_margin():
+    """Singular values 1, 1e-7 and 1e-10: _SV_TOL keeps 1e-7 and drops
+    1e-10, a margin of 1e3 < _SV_MARGIN, so both helpers raise; so do
+    1, 1e-5 and 1e-9 (margin 1e4), with a message that names the basis
+    given as ``label``.  With 1e-14 in place of 1e-10 the margin is 1e7
+    and they return rank 2 and nullity 3."""
+    rng = cs.substream("margin", 0)
+    U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    V = np.linalg.qr(rng.standard_normal((5, 5)))[0][:3]
+    close = U @ np.diag([1.0, 1e-7, 1e-10]) @ V
+    for helper in (tor._orthonormal_rows, tor._null_space_rows):
+        with pytest.raises(ArithmeticError, match="rank decision too close"):
+            helper(close)
+        with pytest.raises(ArithmeticError, match="^probe basis: rank decision too close"):
+            helper(U @ np.diag([1.0, 1e-5, 1e-9]) @ V, label="probe basis")
+    clear = U @ np.diag([1.0, 1e-7, 1e-14]) @ V
+    assert tor._orthonormal_rows(clear).shape == (2, 5)
+    assert tor._null_space_rows(clear).shape == (3, 5)
+
+
+def test_rank_helpers_return_owned_rows():
+    """The bases own their data, so none keeps the whole V^T alive."""
+    mat = cs.substream("owned-rows", 0).standard_normal((3, 6))
+    for rows in (tor._orthonormal_rows(mat), tor._null_space_rows(mat),
+                 tor._null_space_rows(mat.T)):
+        assert rows.base is None and rows.flags.owndata
+    assert tor._null_space_rows(mat.T).shape == (0, 3)
