@@ -39,7 +39,8 @@ def build_parser() -> argparse.ArgumentParser:
         """--n and --allow-large, plus --tol and --json where the command
         reads them."""
         sp.add_argument("--n", type=int, required=True,
-                        help="quaternionic dimension (2 or 3; 4 with --allow-large)")
+                        help="quaternionic dimension (2 or 3; any larger n with "
+                             "--allow-large)")
         if "tol" in reads:
             sp.add_argument("--tol", type=float, default=1e-9,
                             help="verification tolerance (default 1e-9)")

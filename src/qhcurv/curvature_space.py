@@ -20,9 +20,9 @@ product of coordinate vectors equals the raw rank-4 contraction.  In these
 coordinates R has a closed-form orthonormal basis, and L is the Sp(1)
 Casimir 6 + (1/2) sum_A rho(A)^2 with rho(A) C = D_A C + C D_A^T.  On R,
 L_sigma = 3 M - L with M = sum_A (A_(1)A_(2) + A_(3)A_(4)); this does not
-hold off R.  A coordinate's line-parity class is how many of its four
-indices fall in each quaternionic line, mod 2
-(:func:`line_parity_classes`).  L, L_sigma and the Sp(n) Casimir Cas all
+hold off R.  A coordinate's sign class is its character under the
+diagonal sign matrices of Sp(n)Sp(1): the line flips and conjugation by i
+and j (:func:`sign_classes`).  L, L_sigma and the Sp(n) Casimir Cas all
 keep each class, and every closed-form row of R lies in one, so
 :func:`curvature_basis` builds the basis class by class, each class's rows
 restricted to its own coordinates.  :func:`h_terms` gives
@@ -73,22 +73,27 @@ CURVATURE_CONDITIONS = (
 )
 
 
-def _scale(R: np.ndarray) -> float:
-    return max(top.frob(R), 1e-300)
+def _unit(R: np.ndarray) -> tuple[np.ndarray, float]:
+    """(R divided by a power of two, its norm, at least 1e-300): the input
+    and the scale of every residual.  The power of two
+    (:func:`.tensor_ops.binary_scaled`) leaves each ratio as it is but keeps
+    the squared sums of a finite tensor of any size finite and nonzero."""
+    unit = top.binary_scaled(R)[0]
+    return unit, max(top.frob(unit), 1e-300)
 
 
-#: Residuals of a non-finite or huge tensor are NaN or inf, which fail every
-#: ``<= tol`` test; the arithmetic that makes them (inf - inf, an overflowing
-#: square) is not worth a warning.
-_QUIET = {"invalid": "ignore", "over": "ignore"}
+#: Residuals of a non-finite tensor are NaN or inf, which fail every
+#: ``<= tol`` test; the arithmetic that makes them (inf - inf) is not worth a
+#: warning.
+_QUIET = {"invalid": "ignore"}
 
 
 def curvature_residuals(R: np.ndarray) -> dict:
     """Relative residuals of the four curvature conditions
     (:data:`CURVATURE_CONDITIONS`), all of them, in their order."""
     with np.errstate(**_QUIET):
-        scale = _scale(R)
-        return {name: residual(R, scale) for name, residual in CURVATURE_CONDITIONS}
+        unit, scale = _unit(R)
+        return {name: residual(unit, scale) for name, residual in CURVATURE_CONDITIONS}
 
 
 @dataclass
@@ -107,9 +112,9 @@ class CurvatureTensor:
         exactly when every value of :func:`curvature_residuals` is <= tol.
         """
         with np.errstate(**_QUIET):
-            scale = _scale(R)
+            unit, scale = _unit(R)
             for name, residual in CURVATURE_CONDITIONS:
-                value = residual(R, scale)
+                value = residual(unit, scale)
                 if not value <= tol:
                     raise CertificationError(
                         f"curvature condition {name} failed: residual {value:.3e} "
@@ -140,8 +145,8 @@ class CurvatureTensor:
 
 def has_pair_symmetries(S: np.ndarray, tol: float = CERT_TOL) -> bool:
     with np.errstate(**_QUIET):
-        scale = _scale(S)
-        return all(residual(S, scale) <= tol for _, residual in CURVATURE_CONDITIONS[:3])
+        unit, scale = _unit(S)
+        return all(residual(unit, scale) <= tol for _, residual in CURVATURE_CONDITIONS[:3])
 
 
 def project_to_R(S: np.ndarray, tol: float = CERT_TOL) -> CurvatureTensor:
@@ -494,33 +499,44 @@ def _eigenspaces(H: np.ndarray, expected, what: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Line-parity classes and the closed-form basis of R.
+# Sign classes and the closed-form basis of R.
 #
-# Flipping the sign of one quaternionic line lies in Sp(n) and multiplies a
-# pair coordinate by -1 to the power of how many of its four indices fall
-# in that line.  So L, L_sigma and Cas keep each line-parity class of
-# coordinates, and every closed-form row of R lies inside one class (its
-# entries share one index set): on R all three are block-diagonal over the
-# classes, 2 blocks at n = 2, 4 at n = 3.
+# Three kinds of diagonal sign matrix lie in Sp(n)Sp(1) in this basis:
+# flipping one quaternionic line (in Sp(n)), and conjugation by i,
+# diag(1, 1, -1, -1) on every line, or by j, diag(1, -1, 1, -1).  Each
+# conjugation is left multiplication by a unit quaternion (in Sp(1)) times
+# right multiplication by its inverse (in Sp(n)).  A diagonal sign matrix g
+# multiplies a pair coordinate ((ij),(kl)) by g_i g_j g_k g_l, so L, L_sigma
+# and Cas, which commute with Sp(n)Sp(1), keep each sign class of
+# coordinates (one character of the group the n + 2 generate), and every
+# closed-form row of R lies inside one class (its entries share one index
+# set): on R all three are block-diagonal over the classes, 8 blocks at
+# n = 2, 16 at n = 3.
 
-def _pair_line_counts(m: ModelSpace, ps: PairScheme) -> np.ndarray:
-    """(m, n): how many of the two indices of each pair fall in each line."""
-    line = np.eye(m.n, dtype=int)[np.arange(m.dim) // 4]   # one-hot line of each index
-    return line[ps.first] + line[ps.second]
+def sign_generators(n: int) -> np.ndarray:
+    """(n + 2, 4n): the diagonals (+-1) of the generators of the sign group,
+    the flip of each quaternionic line, then conjugation by i and by j."""
+    idx = np.arange(4 * n)
+    odd = np.vstack([np.eye(n, dtype=bool)[idx // 4].T, idx % 4 >= 2, idx % 2 == 1])
+    return np.where(odd, -1.0, 1.0)
 
 
-def line_parity_classes(m: ModelSpace, ps: PairScheme) -> tuple[np.ndarray, tuple]:
-    """(parities, classes): the distinct line-count parities of the m * m
-    pair coordinates, one row per class, the all-even class first; and each
-    class's pair coordinates, increasing.  A coordinate's four indices
-    make the parities sum to an even number, and reach at most four lines,
-    so there are C(n, 0) + C(n, 2) + C(n, 4) classes: 2^(n-1) for n <= 5,
-    and 31 at n = 6."""
-    per_pair = _pair_line_counts(m, ps)
-    per_coord = ((per_pair[:, None, :] + per_pair[None, :, :]) % 2).reshape(-1, m.n)
-    parities, label = np.unique(per_coord, axis=0, return_inverse=True)
-    label = label.reshape(-1)
-    return parities, tuple(np.flatnonzero(label == c) for c in range(len(parities)))
+def sign_classes(m: ModelSpace, ps: PairScheme) -> tuple[np.ndarray, tuple]:
+    """(characters, classes): the distinct characters of the m * m pair
+    coordinates under :func:`sign_generators`, one 0/1 row per class (1
+    where that generator acts by -1), sorted, so the trivial character
+    comes first; and each class's pair coordinates, increasing.  The line
+    part has an even number of odd lines, at most four, and conjugation by
+    i and j give any of four characters: 4 (C(n, 0) + C(n, 2) + C(n, 4))
+    classes, 8, 16, 32, 64 and 124 at n = 2 to 6."""
+    k = m.n + 2
+    weights = 1 << np.arange(k - 1, -1, -1)        # generator 0 is the leading bit
+    bits = weights @ (sign_generators(m.n) < 0)    # one code per index
+    pair = bits[ps.first] ^ bits[ps.second]
+    codes, label = np.unique(pair[:, None] ^ pair[None, :], return_inverse=True)
+    order = np.argsort(label.reshape(-1), kind="stable")
+    classes = np.split(order, np.cumsum(np.bincount(label.reshape(-1)))[:-1])
+    return ((codes[:, None] & weights) != 0).astype(int), tuple(classes)
 
 
 def curvature_basis(m: ModelSpace, ps: PairScheme, classes: tuple) -> list[np.ndarray]:
@@ -534,7 +550,7 @@ def curvature_basis(m: ModelSpace, ps: PairScheme, classes: tuple) -> list[np.nd
     (s_a + s_b)/sqrt 2 and (s_a - s_b - 2 s_c)/sqrt 6 spanning the plane
     x_a - x_b + x_c = 0.  That makes C(m+1, 2) - C(dim, 4) rows in all, in
     that order.  Entry c is one dense block: the rows in ``classes[c]``, the
-    class-c coordinates of :func:`line_parity_classes`, in that order,
+    class-c coordinates of :func:`sign_classes`, in that order,
     written from their nonzero entries straight into the class's
     coordinates.
     """
@@ -591,7 +607,8 @@ def curvature_basis(m: ModelSpace, ps: PairScheme, classes: tuple) -> list[np.nd
 # and :func:`h_terms` collects the one weighted sum H of all three that the
 # bank splits.  D_A keeps the line counts of a pair, so L keeps them on
 # every coordinate; a generator joining two lines moves an index between
-# them, so Cas, and with it H, keeps only each line-parity class.
+# them, so Cas, and with it H, keeps only what every element of
+# Sp(n)Sp(1) keeps, such as each sign class.
 
 def _pair_derivations(ps: PairScheme, mats: np.ndarray) -> np.ndarray:
     """D_X for each X in the stack ``mats``: the matrix of X_(1) + X_(2) on

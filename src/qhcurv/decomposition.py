@@ -11,11 +11,12 @@ is the Weyl dimension of lambda (:func:`.model_space.weyl_dimension`) times
 dim S^k H = k + 1, with L20E_b at n = 2 the one explicit exception.  A
 weight with more than n parts marks a component absent at that n.
 
-Flipping the sign of one quaternionic line lies in Sp(n), so every fine
-component is the direct sum of its parts in the C(n, 0) + C(n, 2) + C(n, 4)
-line-parity classes of :func:`.curvature_space.line_parity_classes`
-(2^(n-1) for n <= 5, 31 at n = 6), which all three
-operators keep.  On each class one operator,
+The diagonal sign matrices of Sp(n)Sp(1) (the line flips, and
+conjugation by i and by j on every line) commute with all three operators,
+so every fine component is the direct sum of its parts in the
+4 (C(n, 0) + C(n, 2) + C(n, 4)) sign classes of
+:func:`.curvature_space.sign_classes` (8, 16, 32, 64 and 124 at n = 2 to
+6), which all three operators keep.  On each class one operator,
 H = (n + 2)(3 L + L_sigma) + Cas, is sandwiched by the class's block of
 closed-form rows of R (:func:`.curvature_space.curvature_basis`), and one
 ``eigh`` of it must give only the fifteen values of :func:`h_values`,
@@ -28,7 +29,7 @@ tests check that their images span the components built here.
 Both banks are one per-class store, :class:`ComponentBank`; the torsion
 bank is it over one class.  The fifteen fine bases of R (rows in the
 scaled pair coordinates of :mod:`.curvature_space`) are stored over the
-line-parity classes, each class's stack written over its block of
+sign classes, each class's stack written over its block of
 closed-form rows, and the audit checks the projector algebra one class at
 a time.  The L-blocks, QK and QKperp are direct sums of fine components
 and the two rays that split R_a + R_b, and are read from those parts.
@@ -242,9 +243,9 @@ class ComponentBank:
 
 @dataclass
 class ProjectorBank(ComponentBank):
-    """The fifteen fine bases of R over the line-parity classes, and the
-    unit QK and QKperp rays that split R_a + R_b, restricted to the
-    all-even class ``classes[0]``, which holds them.  Every other space is
+    """The fifteen fine bases of R over the sign classes, and the unit QK
+    and QKperp rays that split R_a + R_b, restricted to the trivial class
+    ``classes[0]``, which holds them.  Every other space is
     read from these parts (``COMPOSITES``)."""
 
     model: ModelSpace
@@ -304,7 +305,7 @@ def h_values(n: int) -> dict:
 def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     """Construct the fifteen fine bases, class by class, and the two QK rays.
 
-    On each line-parity class, H = (n + 2)(3 L + L_sigma) + Cas is formed
+    On each sign class, H = (n + 2)(3 L + L_sigma) + Cas is formed
     from the Kronecker terms of :func:`.curvature_space.h_terms` on the
     class's pair coordinates and sandwiched by the class's closed-form rows
     of R.  One gated ``eigh`` must give only the values of
@@ -312,24 +313,24 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     ``FINE_COMPONENTS`` order, turn the closed-form rows into the class's
     rows of the bank, written over them."""
     ps = cs.pair_scheme(m.dim)
-    parities, classes = cs.line_parity_classes(m, ps)
+    characters, classes = cs.sign_classes(m, ps)
     rows = cs.curvature_basis(m, ps, classes)
     values = h_values(m.n)
     terms = cs.h_terms(m, ps)
     slices = []
-    for parity, coords, R_c in zip(parities, classes, rows):
+    for character, coords, R_c in zip(characters, classes, rows):
         spaces = cs._eigenspaces(R_c @ cs._kron_block(ps, terms, coords) @ R_c.T,
                                  list(values.values()),
                                  f"H = (n + 2)(3 L + L_sigma) + Cas on class "
-                                 f"{tuple(parity.tolist())}")
+                                 f"{tuple(character.tolist())}")
         # same shape: numpy buffers the overlap, and the bank keeps R_c's memory
         np.matmul(np.hstack(list(spaces.values())).T, R_c, out=R_c)
         at = np.cumsum([0] + [spaces[values[name]].shape[1] if name in values else 0
                               for name in FINE_COMPONENTS]).tolist()
         slices.append({name: slice(i, j) for name, i, j in zip(FINE_COMPONENTS, at, at[1:])})
 
-    # pi1 and pi2 are made of g and the omega_A, which keep every line, so
-    # the rays lie in the all-even class
+    # pi1 and pi2 are fixed by Sp(n)Sp(1), so the rays lie in the trivial
+    # class
     rays = np.array([cs.to_pair_coords(ps, T) for T in
                      (m.pi2 + 2.0 * m.pi1, (m.n + 2.0) * m.pi2 - 18.0 * m.n * m.pi1)])
     rays = rays[:, classes[0]] / np.linalg.norm(rays, axis=1, keepdims=True)
@@ -373,19 +374,25 @@ PARSEVAL_TOL = 1e-9
 
 
 def component_norms(bank: ProjectorBank, R) -> dict:
-    """Fine component norms of R, from :meth:`ComponentBank.squared_norms`.
-    Their squares must sum to |R|^2 to PARSEVAL_TOL (relative), else
-    ValueError, which a tensor with a part outside R or a non-finite entry
-    raises."""
+    """Fine component norms of R, from :meth:`ComponentBank.squared_norms`
+    of R divided by a power of two (:func:`.tensor_ops.binary_scaled`), and
+    multiplied back.  Their squares must sum to |R|^2 to PARSEVAL_TOL
+    (relative), else ValueError, which a tensor with a part outside R or a
+    non-finite entry raises; so does a norm too large for a float."""
     tensor = R.require_certified() if isinstance(R, cs.CurvatureTensor) else R
-    v = bank.coords(tensor)
+    unit, e = top.binary_scaled(tensor)
+    v = bank.coords(unit)
     squares = bank.squared_norms(v)
     total = float(np.vdot(v, v))
     gap = abs(float(np.sum(squares)) - total)
     if not gap <= PARSEVAL_TOL * total:
-        raise ValueError(f"the fine components miss {gap} of |R|^2 = {total}: "
+        raise ValueError(f"the fine components miss a share {gap / total} of |R|^2: "
                          f"the tensor is not in the curvature space")
-    return dict(zip(FINE_COMPONENTS, np.sqrt(squares).tolist()))
+    norms = np.ldexp(np.sqrt(squares), e)
+    if not np.isfinite(norms).all():
+        raise ValueError(f"the norm of {FINE_COMPONENTS[np.argmin(np.isfinite(norms))]} "
+                         f"exceeds the largest float")
+    return dict(zip(FINE_COMPONENTS, norms.tolist()))
 
 
 def ricci_qk_split(n: int, r, q) -> tuple:
@@ -475,7 +482,7 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
     """Check ranks against the closed formulas, the residuals of the
     tensor-level L, L_sigma and Cas oracles against each component's values
     (first, middle and last row per component), and the projector algebra
-    one line-parity class at a time."""
+    one sign class at a time."""
     m = bank.model
     ps = bank.scheme
     n = m.n
@@ -503,26 +510,29 @@ def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionRepo
         lam, mu, weight = COMPONENT_SPECTRUM[name]
         cas = casimir_value(weight, n)
         cas = np.nan if cas is None else cas      # rows of an absent module fail
-        # rows are stacked class by class: sample both ends and the middle
+        # rows are stacked class by class: sample both ends and the middle.
+        # Each oracle takes one tensor at a time: a stack's temporaries are
+        # several times larger, and on a heap with no free room (as the
+        # class-by-class build leaves it) they are mapped and faulted in
+        # afresh on every call.
         rows = [(coords, row[None]) for coords, B in blocks for row in B]
         T = np.array([cs.from_pair_coords(ps, _scatter([rows[i]], ps.m ** 2)[0])
                       for i in sorted({0, len(rows) // 2, len(rows) - 1})])
-        resid = [top.frob(x) for op, value in ((cs.Cas_map, cas), (cs.L_map, lam),
-                                               (cs.L_sigma_map, mu))
-                 for x in op(m, T) - value * T]
+        resid = [top.frob(op(m, x) - value * x) for op, value in
+                 ((cs.Cas_map, cas), (cs.L_map, lam), (cs.L_sigma_map, mu)) for x in T]
         worst = float(np.max(resid))      # np.max keeps a NaN, max() drops it
         eigen_residuals[name] = worst
         if not worst <= tol:
             failures.append(f"eigen residual of {name}: {worst}")
 
-    # projector algebra, one line-parity class at a time: the class's rows
+    # projector algebra, one sign class at a time: the class's rows
     # are orthonormal and span the closed-form rows of R in that class,
     # rebuilt here.  Classes have disjoint supports, so rows of different
     # classes are orthogonal by construction.
-    _, classes = cs.line_parity_classes(m, ps)
+    _, classes = cs.sign_classes(m, ps)
     if len(classes) != len(bank.classes) or not all(
             np.array_equal(a, b) for a, b in zip(classes, bank.classes)):
-        failures.append("the bank's classes are not the line-parity classes")
+        failures.append("the bank's classes are not the sign classes")
     ortho, completeness = [0.0], [0.0]
     for B, R_c in zip(bank.rows, cs.curvature_basis(m, ps, classes)):
         ortho.append(np.max(np.abs(B @ B.T - np.eye(B.shape[0])), initial=0.0))

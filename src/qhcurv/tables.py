@@ -33,7 +33,7 @@ G is an Sp(n)Sp(1) intertwiner, so by Schur's lemma it is a scalar c_X on
 every component without an isomorphic partner; only S2ES2H_a/b and, at
 n = 3, L20E_a/b are coupled, and none of them is a Table-3 column.  So the
 coordinates are B_X M v / c_X (c_X is 1/2 on V22, 1 on V22S4H), read from
-the bank's line-parity blocks of X; ``TableContext.build`` checks G = c_X
+the bank's sign-class blocks of X; ``TableContext.build`` checks G = c_X
 on X by a probe.
 """
 

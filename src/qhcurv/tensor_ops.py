@@ -102,6 +102,28 @@ def frob(a: np.ndarray) -> float:
     return float(np.sqrt(np.vdot(a, a)))
 
 
+#: With |a|^2 inside these bounds, the square of every quantity from
+#: 2^-200 |a| to 2^200 |a| is a normal float, which covers what the verdicts
+#: read.
+_SAFE_SQUARES = (2.0 ** -600, 2.0 ** 600)
+
+
+def binary_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a / 2^e, e), for an integer e that keeps the squared sums of the
+    result, and of its images under bounded linear maps, from overflowing
+    or underflowing.  When |a|^2 lies inside _SAFE_SQUARES, e is 0 and a is
+    returned as it is.  Otherwise e is the exponent frexp gives the
+    largest |entry| of a, which puts that entry in [1/2, 1).  Dividing by
+    a power of two is exact wherever the result stays normal, so a norm of
+    the result times 2^e (``np.ldexp``) is the norm of a, and a ratio of
+    two such norms is that of a.  e is 0 for a zero or non-finite a."""
+    if _SAFE_SQUARES[0] < np.vdot(a, a) < _SAFE_SQUARES[1]:
+        return a, 0
+    # a.max() is NaN whenever a.min() is, and max() keeps a NaN first argument
+    e = math.frexp(max(a.max(), -a.min()))[1]
+    return np.ldexp(a, -e), e
+
+
 # ---------------------------------------------------------------------------
 # Products of 2-tensors.
 

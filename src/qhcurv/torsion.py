@@ -189,11 +189,12 @@ class TorsionBank(dec.ComponentBank):
         d = self.model.dim
         if t.shape != (d, d, d):
             raise ValueError(f"torsion tensor must have shape {(d, d, d)}, got {t.shape}")
-        flat = t.ravel()
+        # divided by a power of two, t keeps its mask and |t| neither
+        # overflows nor underflows; |t| is NaN or infinite exactly when an
+        # entry is
+        flat = top.binary_scaled(t.ravel())[0]
         scale = top.frob(flat)
-        # |t| is NaN or infinite whenever an entry is; only then, as |t| may
-        # also overflow, does every entry need a look
-        if not math.isfinite(scale) and not np.isfinite(flat).all():
+        if not math.isfinite(scale):
             raise ValueError("torsion tensor holds NaN or infinite entries")
         norms = np.sqrt(self.squared_norms(flat)).tolist()
         floor = MASK_TOL * max(scale, 1e-300)

@@ -77,9 +77,10 @@ def coordinate_grades(m, ps):
     """(counts, label): the distinct line-count vectors of the m * m pair
     coordinates (how many of the four indices fall in each line), one row
     per grade, and for each coordinate the index of its grade.  The package
-    blocks only by their parities; the tests check that L and L_sigma keep
-    the finer grades too."""
-    per_pair = cs._pair_line_counts(m, ps)
+    blocks by sign classes, whose line part is these counts mod 2; the
+    tests check that L and L_sigma keep the grades too."""
+    line = np.eye(m.n, dtype=int)[np.arange(m.dim) // 4]   # one-hot line of each index
+    per_pair = line[ps.first] + line[ps.second]
     per_coord = (per_pair[:, None, :] + per_pair[None, :, :]).reshape(-1, m.n)
     counts, label = np.unique(per_coord, axis=0, return_inverse=True)
     return counts, label.reshape(-1)
@@ -88,8 +89,19 @@ def coordinate_grades(m, ps):
 def full_width_R_basis(m, ps):
     """The closed-form rows of R, class after class, scattered to full
     m^2 width: an oracle the package itself never forms."""
-    _, classes = cs.line_parity_classes(m, ps)
+    _, classes = cs.sign_classes(m, ps)
     return dec._scatter(list(zip(classes, cs.curvature_basis(m, ps, classes))), ps.m ** 2)
+
+
+def coordinate_characters(m, ps):
+    """The character of every pair coordinate under each generator of
+    cs.sign_generators, computed from the signs themselves: row c, column
+    k is 1 when generator k multiplies coordinate c by -1."""
+    f = cs.sign_generators(m.n)                          # (k, dim) of +-1
+    ones = np.ones((m.dim,) * 4)
+    signs = np.array([cs.to_pair_coords(ps, np.einsum("x,y,z,u,xyzu->xyzu", g, g, g, g, ones))
+                      for g in f])
+    return (signs.T < 0).astype(int)
 
 
 def random_torsion(tbank, seed):

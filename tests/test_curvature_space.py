@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coordinate_grades, full_width_R_basis
+from conftest import coordinate_characters, coordinate_grades, full_width_R_basis
 from qhcurv import curvature_space as cs
 from qhcurv import model_space as ms
 from qhcurv import tensor_ops as top
@@ -67,20 +67,21 @@ def test_basis_grades_split_R(model):
 
 
 def test_class_blocks_partition_R(bank):
-    """curvature_basis gives one orthonormal block per line-parity class, of
-    pinned size, on coordinates that share the class's parities and cover
-    every pair coordinate once.  L, L_sigma and Cas_map put no weight
-    outside the class of the row they act on, and the bank's rows of each
-    class have the shape of its block."""
+    """curvature_basis gives one orthonormal block per sign class, of pinned
+    size, on coordinates that share the class's character and cover every
+    pair coordinate once.  L, L_sigma and Cas_map put no weight outside
+    the class of the row they act on, and the bank's rows of each class
+    have the shape of its block."""
     m, ps = bank.model, bank.scheme
-    parities, classes = cs.line_parity_classes(m, ps)
+    characters, classes = cs.sign_classes(m, ps)
     blocks = cs.curvature_basis(m, ps, classes)
-    assert [B.shape for B in blocks] == {2: [(176, 400), (160, 384)],
-                                         3: [(468, 1092)] + [(416, 1088)] * 3}[m.n]
+    assert [B.shape for B in blocks] == {
+        2: [(56, 112)] + [(40, 96)] * 7,
+        3: [(144, 300)] + [(108, 264)] * 3 + [(104, 272)] * 12}[m.n]
     assert np.array_equal(np.sort(np.concatenate(classes)), np.arange(ps.m ** 2))
-    counts, label = coordinate_grades(m, ps)
-    for parity, coords, B, rows in zip(parities, classes, blocks, bank.rows):
-        assert np.array_equal(np.unique(counts[label[coords]] % 2, axis=0), parity[None])
+    of_coord = coordinate_characters(m, ps)
+    for character, coords, B, rows in zip(characters, classes, blocks, bank.rows):
+        assert np.array_equal(np.unique(of_coord[coords], axis=0), character[None])
         assert np.max(np.abs(B @ B.T - np.eye(B.shape[0]))) < 1e-14
         assert rows.shape == B.shape
         outside = np.ones(ps.m * ps.m, dtype=bool)
@@ -157,12 +158,12 @@ def _h_map(m, T):
 
 
 def test_casimir_matrices_match_tensor_maps(model):
-    """On every line-parity class, H built from its Kronecker terms agrees
+    """On every sign class, H built from its Kronecker terms agrees
     on R with (n + 2)(3 L + L_sigma) + Cas from the tensor maps."""
     m = model
     ps = cs.pair_scheme(m.dim)
     terms = cs.h_terms(m, ps)
-    _, classes = cs.line_parity_classes(m, ps)
+    _, classes = cs.sign_classes(m, ps)
     samples = np.array([cs.to_pair_coords(ps, cs.random_curvature(m, ("casimir", k)).tensor)
                         for k in range(5)])
     for coords in classes:
@@ -183,7 +184,7 @@ def _rho(X, T):
 
 
 def test_sp_casimir_blocks_match_dense_oracle(model2):
-    """Per line-parity class, H built from its Kronecker terms, sandwiched by
+    """Per sign class, H built from its Kronecker terms, sandwiched by
     the class's closed-form rows of R, equals (n + 2)(3 L + L_sigma) plus
     -sum_X rho(X)^2 applied to every row by slot actions (no Kronecker
     code).  The images stay in R and in the row's class, and the
@@ -201,7 +202,7 @@ def test_sp_casimir_blocks_match_dense_oracle(model2):
         [cs.to_pair_coords(ps, 3 * cs.L_map(m, T) + cs.L_sigma_map(m, T)) for T in tensors])
     oracle = R_rows @ images.T
     assert np.max(np.abs(oracle.T @ R_rows - images)) < 1e-12
-    _, classes = cs.line_parity_classes(m, ps)
+    _, classes = cs.sign_classes(m, ps)
     terms = cs.h_terms(m, ps)
     seen = 0
     for coords in classes:
@@ -242,13 +243,13 @@ def test_casimir_block_refuses_coordinates_it_leaves(model2):
 
 def test_casimir_l_sigma_identity_fails_off_R(model2):
     """L_sigma = 3M - L holds on R only.  The 4-form Omega (orthogonal to R)
-    lies in the all-even class and is fixed by Sp(n)Sp(1), so L gives 6 and
+    lies in the trivial class and is fixed by Sp(n)Sp(1), so L gives 6 and
     Cas 0 on it both ways; the slot-action L_sigma gives 6, while the
     Kronecker terms of H read L_sigma as 3M - L, which gives 0.  So b H b is
     18(n + 2) from the terms and 24(n + 2) from the tensor maps."""
     m = model2
     ps = cs.pair_scheme(m.dim)
-    _, classes = cs.line_parity_classes(m, ps)
+    _, classes = cs.sign_classes(m, ps)
     v = cs.to_pair_coords(ps, m.Omega)
     assert not np.any(np.delete(v, classes[0]))
     b = v[classes[0]] / np.linalg.norm(v)

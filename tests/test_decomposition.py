@@ -1,9 +1,11 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
 
-from conftest import coordinate_grades, full_width_R_basis, random_torsion
+from conftest import coordinate_characters, full_width_R_basis, random_torsion
 from qhcurv import curvature_from_torsion as cft
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
@@ -193,6 +195,29 @@ def test_component_norms_parseval_gate(bank):
     dec.component_norms(bank, np.zeros_like(R))
 
 
+@pytest.mark.parametrize("k", [-1000, -560, 0, 530, 1000])
+def test_verdicts_are_invariant_under_powers_of_two(k, bank2, tbank2):
+    """Scaling by 2^k, for k from -1000 to 1000, changes no verdict: the
+    class mask of a KH + EH tensor, whose squared norm underflows to 0 or
+    overflows at the ends of that range; the certification of a random R
+    and the name of the condition a damaged R fails; and the fine norms of
+    R, which scale by 2^k to 1e-12 relative."""
+    t = tbank2.random_component("KH", 5) + tbank2.random_component("EH", 5)
+    assert tbank2.class_mask(np.ldexp(t, k)) == "000011"
+    R = cs.random_curvature(bank2.model, 43).tensor
+    bad = R.copy()
+    bad[0, 1, 2, 3] += 1e-3
+    bad[1, 0, 2, 3] -= 1e-3
+    scaled = cs.CurvatureTensor.certify(np.ldexp(R, k))
+    with pytest.raises(cs.CertificationError, match="^curvature condition antisym_34 failed"):
+        cs.CurvatureTensor.certify(np.ldexp(bad, k))
+    assert cs.curvature_residuals(np.ldexp(bad, k))["antisym_34"] \
+        == pytest.approx(cs.curvature_residuals(bad)["antisym_34"], rel=1e-12)
+    norms = dec.component_norms(bank2, R)
+    for name, value in dec.component_norms(bank2, scaled).items():
+        assert np.ldexp(value, -k) == pytest.approx(norms[name], rel=1e-12, abs=0.0), name
+
+
 def _bank_samples(bank, tbank, seed):
     """The curvature and the torsion bank, each with a seeded vector of its
     module in its coordinates."""
@@ -273,7 +298,7 @@ def test_composite_projectors_resolve_R(bank):
 
 
 def _class_of_coord(bank):
-    """The line-parity class of each pair coordinate."""
+    """The sign class of each pair coordinate."""
     of_coord = np.empty(bank.scheme.m ** 2, dtype=int)
     for c, coords in enumerate(bank.classes):
         of_coord[coords] = c
@@ -281,17 +306,18 @@ def _class_of_coord(bank):
 
 
 def _class_dims_of_R(bank):
-    """How many closed-form rows of R lie in each line-parity class."""
+    """How many closed-form rows of R lie in each sign class."""
     R_rows = full_width_R_basis(bank.model, bank.scheme)
     return np.bincount(_class_of_coord(bank)[np.argmax(R_rows != 0, axis=1)],
                        minlength=len(bank.classes))
 
 
 def test_bank_stores_one_basis_of_R(bank):
-    """Per line-parity class, the bank holds one stack of fine rows
-    restricted to the class's coordinates, as many as R has rows there, and
-    the two rays restricted to the all-even class, nothing else; each fine
-    basis and each L-block is read from views of those stacks."""
+    """Per sign class, the bank holds one stack of fine rows restricted to
+    the class's coordinates, as many as R has rows there, and the two rays
+    restricted to the trivial class, nothing else; each fine basis and each
+    L-block is read from views of those stacks.  The stored bytes are
+    pinned."""
     n, m2 = bank.model.n, bank.scheme.m ** 2
     assert np.array_equal(np.sort(np.concatenate(bank.classes)), np.arange(m2))
     dims = [int(d) for d in _class_dims_of_R(bank)]
@@ -300,40 +326,62 @@ def test_bank_stores_one_basis_of_R(bank):
     stored = sum(rows.nbytes for rows in bank.rows) + bank.rays.nbytes
     assert stored == (sum(d * len(coords) for d, coords in zip(dims, bank.classes))
                       + 2 * len(bank.classes[0])) * 8
+    assert stored == {2: 267008, 3: 3750336}[n]
     for name in dec.FINE_COMPONENTS + tuple(dec.L_BLOCKS):
         for coords, B in bank.blocks(name):
             assert any(B.base is rows for rows in bank.rows), name
     assert bank.rank("QKperp") == dec.dim_R(n) - dec.dim_QK(n)
 
 
-def test_line_parity_classes(bank):
-    """2^(n-1) classes, the all-even one first; each class's coordinates
-    share one line-count parity, and every row of every fine basis is
-    supported in one class."""
+def test_sign_classes(bank):
+    """The trivial character comes first; each class's coordinates share
+    its character, read off the sign generators' action on tensors; and
+    every row of every fine basis is supported in one class."""
     m, ps = bank.model, bank.scheme
-    parities, classes = cs.line_parity_classes(m, ps)
-    assert len(classes) == 2 ** (m.n - 1) and not parities[0].any()
+    characters, classes = cs.sign_classes(m, ps)
+    assert characters.shape == (len(classes), m.n + 2) and not characters[0].any()
     assert all(np.array_equal(a, b) for a, b in zip(classes, bank.classes))
-    counts, label = coordinate_grades(m, ps)
-    for parity, coords in zip(parities, classes):
-        assert np.array_equal(np.unique(counts[label[coords]] % 2, axis=0), parity[None])
-    of_coord = _class_of_coord(bank)
+    of_coord = coordinate_characters(m, ps)
+    for character, coords in zip(characters, classes):
+        assert np.array_equal(np.unique(of_coord[coords], axis=0), character[None])
+    of_class = _class_of_coord(bank)
     for name in dec.FINE_COMPONENTS:
         for row in bank.basis(name):
-            assert len(set(of_coord[row != 0])) == 1, name
+            assert len(set(of_class[row != 0])) == 1, name
+
+
+def test_sign_class_counts():
+    """A coordinate's line part has an even number of odd lines, at most
+    four, and conjugation by i and j give any of four characters: 8, 16,
+    32, 64 and 124 classes at n = 2 to 6, in lexicographic order of the
+    characters."""
+    for n, count in {2: 8, 3: 16, 4: 32, 5: 64, 6: 124}.items():
+        m = ms.build_model(n)
+        characters, classes = cs.sign_classes(m, cs.pair_scheme(m.dim))
+        assert len(classes) == count == 4 * sum(math.comb(n, k) for k in (0, 2, 4))
+        assert [tuple(c) for c in characters.tolist()] \
+            == sorted(tuple(c) for c in characters.tolist())
+        assert set(characters[:, :n].sum(axis=1).tolist()) <= {0, 2, 4}
 
 
 def test_line_flips_map_each_block_to_itself_up_to_sign(bank):
-    """Flipping the sign of one quaternionic line (an element of Sp(n)),
-    applied to tensors, maps every stored block of every class to plus or
-    minus itself."""
+    """Every generator of the sign group lies in Sp(n)Sp(1): a line flip
+    commutes with I, J and K, and conjugation by i (j) fixes I (J) and
+    negates the other two.  Applied to tensors, each maps every stored
+    block of every class to plus or minus itself, the sign its character
+    gives, and fixes the rays."""
     m, ps = bank.model, bank.scheme
+    characters, _ = cs.sign_classes(m, ps)
     ones = cs.from_pair_coords(ps, np.ones(ps.m ** 2))
-    for line in range(m.n):
-        f = np.ones(m.dim)
-        f[4 * line:4 * line + 4] = -1.0
+    for k, f in enumerate(cs.sign_generators(m.n)):
+        assert set(np.abs(f).tolist()) == {1.0}
+        conjugated = [f[:, None] * A * f[None, :] for A in m.triple]
+        fixed = [np.array_equal(G, A) for G, A in zip(conjugated, m.triple)]
+        assert fixed == ([True] * 3 if k < m.n else [k == m.n, k == m.n + 1, False])
+        assert all(f_ or np.array_equal(G, -A) for f_, G, A in zip(fixed, conjugated, m.triple))
         sign = cs.to_pair_coords(ps, np.einsum("x,y,z,u,xyzu->xyzu", f, f, f, f, ones))
-        for coords, rows in zip(bank.classes, bank.rows):
+        for character, coords, rows in zip(characters, bank.classes, bank.rows):
+            assert np.all(sign[coords] == (-1.0) ** character[k])
             assert np.array_equal(rows * sign[coords], sign[coords][0] * rows)
         assert np.array_equal(bank.rays * sign[bank.classes[0]], bank.rays)
 
@@ -342,26 +390,40 @@ def _class_ranks(bank, name):
     return [sl[name].stop - sl[name].start for sl in bank.slices]
 
 
+def _orbit_key(character, n):
+    """The least image of a character under the line permutations and the
+    cycle i -> j -> k -> i (conjugation by (1 + i + j + k) / 2, in
+    Sp(n)Sp(1)), which maps the (i, j) part (a, b) to (a ^ b, a)."""
+    lines, (a, b) = tuple(character[:n]), tuple(character[n:])
+    return min(tuple(lines[i] for i in p) + r
+               for p in itertools.permutations(range(n))
+               for r in ((a, b), (a ^ b, a), (b, a ^ b)))
+
+
 def test_line_permuted_classes_have_equal_ranks(bank):
-    """Classes with the same number of odd lines are line permutations of
-    one another (in Sp(n)), so every component has the same rank in each;
-    at n = 2 and 3 these are all the odd classes.  The class ranks add up
-    to the component's rank."""
-    parities, _ = cs.line_parity_classes(bank.model, bank.scheme)
-    odd_lines = parities.sum(axis=1)
+    """Line permutations and the cycle i -> j -> k lie in Sp(n)Sp(1) and
+    permute the sign classes, so every component has the same rank on all
+    classes of one orbit: at n = 2 and 3 the orbits are the trivial class,
+    the three classes with trivial line part, and the classes with two odd
+    lines split by whether their (i, j) part is trivial.  The class ranks
+    add up to the component's rank."""
+    n = bank.model.n
+    characters, _ = cs.sign_classes(bank.model, bank.scheme)
+    keys = [_orbit_key(c, n) for c in characters.tolist()]
+    assert sorted(keys.count(k) for k in set(keys)) == {2: [1, 1, 3, 3], 3: [1, 3, 3, 9]}[n]
     for name in dec.FINE_COMPONENTS:
-        ranks = np.array(_class_ranks(bank, name))
-        assert ranks.sum() == bank.rank(name) == dec.expected_fine_dims(bank.model.n)[name]
-        for k in np.unique(odd_lines):
-            assert len(set(ranks[odd_lines == k])) == 1, name
+        ranks = _class_ranks(bank, name)
+        assert sum(ranks) == bank.rank(name) == dec.expected_fine_dims(n)[name]
+        for key in set(keys):
+            assert len({r for r, k in zip(ranks, keys) if k == key}) == 1, (name, key)
 
 
 def test_class_ranks_at_n3(bank3):
-    assert _class_ranks(bank3, "V22") == [30, 20, 20, 20]
-    assert _class_ranks(bank3, "V31S2H") == [135, 144, 144, 144]
-    assert _class_ranks(bank3, "S4E") == [42, 28, 28, 28]
+    assert _class_ranks(bank3, "V22") == [12] + [6] * 3 + [5] * 12
+    assert _class_ranks(bank3, "V31S2H") == [36] + [33] * 3 + [36] * 12
+    assert _class_ranks(bank3, "S4E") == [15] + [9] * 3 + [7] * 12
     for name in ("R_a", "R_b"):
-        assert _class_ranks(bank3, name) == [1, 0, 0, 0]
+        assert _class_ranks(bank3, name) == [1] + [0] * 15
 
 
 def test_qk_split(bank):
@@ -582,7 +644,7 @@ def test_eigenspaces_reject_stray_eigenvalues():
 def test_eigen_gate_names_the_operator_and_class(model2, monkeypatch):
     monkeypatch.setattr(cs, "EIG_TOL", -1.0)     # every eigenvalue fails
     with pytest.raises(ArithmeticError, match=r"^H = \(n \+ 2\)\(3 L \+ L_sigma\) \+ Cas "
-                                              r"on class \(0, 0\): eigenvalue"):
+                                              r"on class \(0, 0, 0, 0\): eigenvalue"):
         dec.build_sp_projectors(model2)
 
 
@@ -650,7 +712,7 @@ def test_casimir_gate_names_the_operator_and_class(model2, monkeypatch):
         return [((1.0 + 1e-6) * w, A, B) for w, A, B in terms(*args)]
     monkeypatch.setattr(cs, "h_terms", scaled)
     with pytest.raises(ArithmeticError, match=r"^H = \(n \+ 2\)\(3 L \+ L_sigma\) \+ Cas "
-                                              r"on class \(0, 0\): eigenvalue"):
+                                              r"on class \(0, 0, 0, 0\): eigenvalue"):
         dec.build_sp_projectors(model2)
 
 
@@ -760,13 +822,14 @@ def test_unknown_component_name(bank):
 
 @pytest.mark.slow
 def test_sp_bank_ranks_at_n4():
-    """At n = 4 every eigenvalue of the eight class operators H passes the
+    """At n = 4 every eigenvalue of the 32 class operators H passes the
     EIG_TOL gate (the build raises otherwise), all fifteen ranks match the
     formulas, and the audit passes.  The bank stores sum_c rows_c x
-    coords_c doubles over the 8 classes (896 x 2112 for the all-even class,
-    six of 672 x 1792, 512 x 1536 for the all-odd class) plus the two rays
-    on the all-even class: 79.3 MB, against (dim R + 2) x 14400 doubles
-    (627 MB) for one full-width stack.
+    coords_c doubles over the 32 sign classes (272 x 576 for the trivial
+    class, three of 208 x 512 with a trivial line part, 24 of 168 x 448 with
+    two odd lines, four of 128 x 384 with four) plus the two rays on the
+    trivial class: 19.8 MB, against (dim R + 2) x 14400 doubles (627 MB)
+    for one full-width stack.
 
     Then run_tables(seeds=2) on these banks.  The ten cells that vanish
     at n = 3 (LOW_N_VANISHING[3]) tick, every R_a + R_b direction check is
@@ -780,8 +843,8 @@ def test_sp_bank_ranks_at_n4():
     assert {name: bank.rank(name) for name in dec.FINE_COMPONENTS} \
         == dec.expected_fine_dims(4)
     assert [rows.shape for rows in bank.rows] \
-        == [(896, 2112)] + [(672, 1792)] * 6 + [(512, 1536)]
-    assert sum(rows.nbytes for rows in bank.rows) + bank.rays.nbytes == 79266816
+        == [(272, 576)] + [(208, 512)] * 3 + [(168, 448)] * 24 + [(128, 384)] * 4
+    assert sum(rows.nbytes for rows in bank.rows) + bank.rays.nbytes == 19842048
     assert dec.dimension_audit(bank).ok
 
     report = tbl.run_tables(bank, tor.build_torsion_bank(m), seeds=2)
@@ -791,3 +854,17 @@ def test_sp_bank_ranks_at_n4():
     assert report.ambiguous == []
     assert {(c.source, c.table, c.target) for c in report.mismatches} \
         == {("xi_33*xi_33", 3, "L40E"), ("xi_3H*xi_3H", 3, "L40E")}
+
+
+@pytest.mark.slow
+def test_sp_bank_ranks_at_n5():
+    """At n = 5 every eigenvalue of the 64 class operators H passes the
+    EIG_TOL gate (the build raises otherwise), all fifteen ranks match the
+    formulas, and the audit passes.  No torsion bank is built."""
+    m = ms.build_model(5)
+    bank = dec.build_sp_projectors(m)
+    assert len(bank.classes) == 64
+    assert {name: bank.rank(name) for name in dec.FINE_COMPONENTS} \
+        == dec.expected_fine_dims(5)
+    report = dec.dimension_audit(bank)
+    assert report.ok, report.failures
