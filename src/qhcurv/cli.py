@@ -18,6 +18,7 @@ so table witnesses can move with it; ticks and statuses do not.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -87,42 +88,33 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 
-    import numpy as np
-
     from . import curvature_space as cs
     from . import decomposition as dec
     from . import tensor_io as tio
-    from . import tensor_ops as top
     from . import torsion as tor
     from .model_space import build_model
 
     if args.n < 2 or (args.n > 3 and not args.allow_large):
-        print("qhcurv: --n must be 2 or 3 (larger needs --allow-large)", file=sys.stderr)
-        return 1
+        return _error("--n must be 2 or 3 (larger needs --allow-large)", 1)
     if getattr(args, "seeds", 1) < 1:
-        print("qhcurv: --seeds must be at least 1", file=sys.stderr)
-        return 1
+        return _error("--seeds must be at least 1", 1)
 
     tol = getattr(args, "tol", None)       # audit, decompose and torsion
     try:
         m = build_model(args.n)
     except ValueError as exc:
-        print(f"qhcurv: {exc}", file=sys.stderr)
-        return 1
+        return _error(exc, 1)
 
     paths = ([args.input] if getattr(args, "input", None)
              else getattr(args, "from_nabla_omega", None) or [])
     try:
         inputs = [tio.read_tensor(path) for path in paths]
     except (OSError, tio.TensorFileError) as exc:
-        print(f"qhcurv: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     # checked before any bank is built: a wrong file fails in milliseconds
     rank = {"decompose": 4, "torsion": 3}.get(args.command)
     if any(tens.rank != rank or tens.n != args.n for tens in inputs):
-        print(f"qhcurv: {args.command} expects rank-{rank} files with n = {args.n}",
-              file=sys.stderr)
-        return 1
+        return _error(f"{args.command} expects rank-{rank} files with n = {args.n}", 1)
 
     # each reporting command sets its results, failures and exit code, then
     # writes the report and prints the summary below
@@ -130,13 +122,13 @@ def main(argv=None) -> int:
     if args.command == "audit":
         bank = dec.build_sp_projectors(m)
         report = dec.dimension_audit(bank, tol=tol)
-        body = tio.jsonable(report.as_dict())
+        body = tio.jsonable(dataclasses.asdict(report))
         results = [{"check": "dim_R", "value": report.dim_R,
                     "expected": report.dim_R_formula, "tolerance": 0},
                    {"check": "dim_QK", "value": report.dim_QK,
                     "expected": report.dim_QK_formula, "tolerance": 0},
                    {"check": "ranks", "value": body["ranks"],
-                    "expected": body["expected_ranks"], "tolerance": 0},
+                    "expected": body["expected"], "tolerance": 0},
                    {"check": "projector_algebra",
                     "value": body["algebra_residuals"], "tolerance": tol},
                    {"check": "eigen_residuals",
@@ -149,44 +141,42 @@ def main(argv=None) -> int:
         try:
             R = cs.CurvatureTensor.certify(inputs[0].data, tol=tol)
             bank = dec.build_sp_projectors(m)
-            norms = dec.component_norms(bank, R)
-        except ValueError as exc:             # not certified, or fails Parseval
+            parts = dict(zip(bank.parts, bank.norms(R.tensor)[0].tolist()))
+        except cs.CertificationError as exc:
             failures = [str(exc)]
+        except ValueError as exc:             # a norm too large for a float
+            return _error(exc)
         else:
-            total = top.curvature_inner(R.tensor, R.tensor)
-            recon = abs(sum(v * v for v in norms.values()) - total) / max(total, 1e-300)
-            results = [{"check": "component_norms", "value": tio.jsonable(norms),
-                        "tolerance": tol},
-                       {"check": "qk_norm", "value": bank.component_norm(R.tensor, "QK"),
-                        "tolerance": tol},
-                       {"check": "qkperp_norm",
-                        "value": bank.component_norm(R.tensor, "QKperp"), "tolerance": tol},
-                       {"check": "reconstruction_residual", "value": recon,
-                        "tolerance": dec.PARSEVAL_TOL}]
+            try:
+                norms = dec.component_norms(bank, R)
+            except ValueError as exc:         # fails Parseval
+                failures = [str(exc)]
+            else:
+                results = [{"check": "component_norms", "value": tio.jsonable(norms),
+                            "tolerance": tol},
+                           {"check": "qk_norm", "value": dec.composite_norm(parts, "QK"),
+                            "tolerance": tol},
+                           {"check": "qkperp_norm", "value": dec.composite_norm(parts, "QKperp"),
+                            "tolerance": tol}]
         code = 0 if not failures else 2
 
     elif args.command == "torsion":
-        failures = []
-        if args.input:
-            t = inputs[0].data
-            resid = top.frob(tor.project_to_torsion_space(m, t) - t)
-            if not resid <= tol * max(top.frob(t), 1e-300):
-                failures.append(f"input outside the torsion space: residual {resid}")
-        else:
-            try:
-                t, lambdas, resid = tor.torsion_from_nabla_omega(
-                    m, *[w.data for w in inputs])
-            except ValueError as exc:         # not antisymmetric in (Y, Z)
-                print(f"qhcurv: {exc}", file=sys.stderr)
-                return 2
-            if not resid <= tol:
-                failures.append(f"nabla-omega data not realizable: residual {resid}")
-        tbank = tor.build_torsion_bank(m)
-        norms = dict(zip(tbank.names, np.sqrt(tbank.squared_norms(t.ravel())).tolist()))
-        mask = tbank.class_mask(t)
+        try:
+            if args.input:
+                t = inputs[0].data
+                resid = tor.torsion_space_residual(m, t)
+                defect = "input outside the torsion space"
+            else:
+                t, _, resid = tor.torsion_from_nabla_omega(m, *[w.data for w in inputs])
+                defect = "nabla-omega data not realizable"
+            tbank = tor.build_torsion_bank(m)
+            norms = dict(zip(tbank.names, tbank.norms(t)[0].tolist()))
+        except ValueError as exc:   # not antisymmetric in (Y, Z), or a norm too large
+            return _error(exc)
+        failures = [] if resid <= tol else [f"{defect}: residual {resid}"]
         results = [{"check": "component_norms", "value": tio.jsonable(norms),
                     "tolerance": 1e-8},
-                   {"check": "class_mask", "value": mask,
+                   {"check": "class_mask", "value": tbank.class_mask(t),
                     "order": list(tor.TORSION_COMPONENTS), "tolerance": tor.MASK_TOL}]
         code = 0 if not failures else 2
 
@@ -237,16 +227,20 @@ def main(argv=None) -> int:
             for path, data, certified in files:
                 tio.write_tensor(path, args.n, data, certified=certified)
         except OSError as exc:
-            print(f"qhcurv: {exc}", file=sys.stderr)
-            return 2
+            return _error(exc)
         return 0
 
     try:
         tio.write_report(args.json, args.n, args.command, tolerances, results, failures)
     except OSError as exc:
-        print(f"qhcurv: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
     _emit(results, failures, quiet_keys=quiet)
+    return code
+
+
+def _error(message, code: int = 2) -> int:
+    """One ``qhcurv:`` line to stderr; exit code 1 (usage) or 2 (input, output)."""
+    print(f"qhcurv: {message}", file=sys.stderr)
     return code
 
 

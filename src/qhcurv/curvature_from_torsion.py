@@ -93,18 +93,17 @@ class TorsionState:
         return cls.make(m, gammas=c * m.omegas)
 
     def validate(self, m: ModelSpace, tol: float = 1e-10) -> None:
-        """Check xi and every D(W; .) lie in the torsion space; NaN fails.
-        For one unbatched state.  All slices D(W; .) are projected in one
-        call, and their joint residual bounds each slice's residual."""
-        scale = max(top.frob(self.t), 1e-300)
-        if not top.frob(tor.project_to_torsion_space(m, self.t) - self.t) <= tol * scale:
+        """Check, for one unbatched state, that xi and all of D (every slice
+        D(W; .) in one call) lie in the torsion space, and that each gamma_A
+        is antisymmetric, each relative to its size; NaN fails."""
+        if not tor.torsion_space_residual(m, self.t) <= tol:
             raise ValueError("xi is not a torsion tensor")
-        dscale = max(top.frob(self.D), 1e-300)
-        if not top.frob(tor.project_to_torsion_space(m, self.D) - self.D) <= tol * dscale:
+        if not tor.torsion_space_residual(m, self.D) <= tol:
             raise ValueError("nabla~xi slice outside the torsion space")
         for gam in self.gammas:
-            if not top.frob(gam + gam.T) <= tol * max(top.frob(gam), 1e-300):
-                raise ValueError("gamma_A must be antisymmetric")
+            with top.binary_scaled(gam) as s:
+                if not top.frob(s.unit + s.unit.T) <= tol * s.norm:
+                    raise ValueError("gamma_A must be antisymmetric")
 
 
 # ---------------------------------------------------------------------------

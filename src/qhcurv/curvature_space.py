@@ -59,12 +59,12 @@ class CertificationError(ValueError):
 # Membership and projection.
 
 #: The four conditions of R, in the order :meth:`CurvatureTensor.certify`
-#: checks them: (name, residual), the residual a function of the tensor and
-#: its scale, relative to that scale.  The Bianchi residual is |b(R)| / 3
-#: with b the first Bianchi sum over slots 1, 2, 3.  Its 3-cycles are even,
-#: so alt(b(R)) = 3 alt(R) and |b(R)| / 3 >= |alt(R)| for every rank-4
-#: tensor; once the pair symmetries hold, b(R) = 3 alt(R) is a 4-form and
-#: the two are equal.
+#: checks them: (name, residual), a function of R / 2^e and its norm
+#: (:func:`.tensor_ops.binary_scaled`), relative to it.  The Bianchi
+#: residual is |b(R)| / 3 with b the first Bianchi sum over slots 1, 2, 3.
+#: Its 3-cycles are even, so alt(b(R)) = 3 alt(R) and |b(R)| / 3 >= |alt(R)|
+#: for every rank-4 tensor; once the pair symmetries hold, b(R) = 3 alt(R)
+#: is a 4-form and the two are equal.
 CURVATURE_CONDITIONS = (
     ("antisym_12", lambda R, scale: top.frob(R + R.swapaxes(0, 1)) / scale),
     ("antisym_34", lambda R, scale: top.frob(R + R.swapaxes(2, 3)) / scale),
@@ -73,27 +73,11 @@ CURVATURE_CONDITIONS = (
 )
 
 
-def _unit(R: np.ndarray) -> tuple[np.ndarray, float]:
-    """(R divided by a power of two, its norm, at least 1e-300): the input
-    and the scale of every residual.  The power of two
-    (:func:`.tensor_ops.binary_scaled`) leaves each ratio as it is but keeps
-    the squared sums of a finite tensor of any size finite and nonzero."""
-    unit = top.binary_scaled(R)[0]
-    return unit, max(top.frob(unit), 1e-300)
-
-
-#: Residuals of a non-finite tensor are NaN or inf, which fail every
-#: ``<= tol`` test; the arithmetic that makes them (inf - inf) is not worth a
-#: warning.
-_QUIET = {"invalid": "ignore"}
-
-
 def curvature_residuals(R: np.ndarray) -> dict:
     """Relative residuals of the four curvature conditions
     (:data:`CURVATURE_CONDITIONS`), all of them, in their order."""
-    with np.errstate(**_QUIET):
-        unit, scale = _unit(R)
-        return {name: residual(unit, scale) for name, residual in CURVATURE_CONDITIONS}
+    with top.binary_scaled(R) as s:
+        return {name: residual(s.unit, s.norm) for name, residual in CURVATURE_CONDITIONS}
 
 
 @dataclass
@@ -111,10 +95,9 @@ class CurvatureTensor:
         not <= tol (NaN included), naming it and its residual; accepts
         exactly when every value of :func:`curvature_residuals` is <= tol.
         """
-        with np.errstate(**_QUIET):
-            unit, scale = _unit(R)
+        with top.binary_scaled(R) as s:
             for name, residual in CURVATURE_CONDITIONS:
-                value = residual(unit, scale)
+                value = residual(s.unit, s.norm)
                 if not value <= tol:
                     raise CertificationError(
                         f"curvature condition {name} failed: residual {value:.3e} "
@@ -143,20 +126,13 @@ class CurvatureTensor:
         return scal_q(m, self.require_certified())
 
 
-def has_pair_symmetries(S: np.ndarray, tol: float = CERT_TOL) -> bool:
-    with np.errstate(**_QUIET):
-        unit, scale = _unit(S)
-        return all(residual(unit, scale) <= tol for _, residual in CURVATURE_CONDITIONS[:3])
-
-
 def project_to_R(S: np.ndarray, tol: float = CERT_TOL) -> CurvatureTensor:
-    """Orthogonal projection of S in S^2(Lambda^2 V*) onto R.
+    """Orthogonal projection of S in S^2(Lambda^2 V*) onto R, certified.
 
     Inside S^2(Lambda^2 V*) the orthogonal complement of R is Lambda^4 V*,
-    so the projection simply subtracts the total antisymmetrization.
+    so the projection simply subtracts the total antisymmetrization, a
+    4-form: an S lacking a pair symmetry keeps that defect, and fails it.
     """
-    if not has_pair_symmetries(S, tol):
-        raise CertificationError("input lacks the pair symmetries of S^2(Lambda^2)")
     return CurvatureTensor.certify(S - top.alt(S), tol)
 
 

@@ -225,6 +225,26 @@ class ComponentBank:
             out[..., coords] += (np.take(v, coords, axis=-1) @ B.T) @ B
         return out
 
+    parts = property(lambda self: self.names, doc="The parts :meth:`norms` measures.")
+
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        """Coordinates of a tensor of the module: its entries, flattened."""
+        return x.reshape(-1)
+
+    def norms(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """(norms of the ``parts`` of the tensor x, and |x| in coordinates) of
+        x / 2^e (:func:`.tensor_ops.binary_scaled`), times 2^e.  ValueError
+        names a norm too large for a float; NaN entries give NaN norms."""
+        with top.binary_scaled(x) as s:
+            v = self.coords(s.unit)
+            norms, total = np.sqrt(self._part_squares(v)), np.sqrt(np.vdot(v, v))
+            if s.e:                   # then x is finite, and |x| bounds each part
+                norms, total = np.ldexp(norms, s.e), np.ldexp(total, s.e)
+                if not np.isfinite(total):
+                    over = [p for p, y in zip(self.parts, norms) if y == np.inf] + ["the input"]
+                    raise ValueError(f"the norm of {over[0]} exceeds the largest float")
+        return norms, float(total)
+
     def squared_norms(self, v: np.ndarray) -> np.ndarray:
         """Squared norms of the projections of the coordinate vector ``v``
         onto the components, in ``names`` order: per class, one product
@@ -239,6 +259,8 @@ class ComponentBank:
             w = rows @ v[coords]
             squares += np.bincount(labels, weights=w * w, minlength=len(self.names))
         return squares
+
+    _part_squares = squared_norms
 
 
 @dataclass
@@ -265,13 +287,11 @@ class ProjectorBank(ComponentBank):
         """Orthogonal projection of a curvature tensor onto a component."""
         return cs.from_pair_coords(self.scheme, self.project_coords(self.coords(R), name))
 
-    def component_norm(self, R: np.ndarray, name: str) -> float:
-        """Norm of the projection, from its coordinates on every part.  A
-        small part keeps its relative accuracy, which a difference such as
-        sqrt(|R|^2 - |QK part|^2) would cancel away."""
-        v = self.coords(R)
-        return float(np.linalg.norm(np.concatenate(
-            [np.zeros(0)] + [B @ v[coords] for coords, B in self.blocks(name)])))
+    parts = property(lambda self: self.names + RAYS, doc="The fine components, then the rays.")
+
+    def _part_squares(self, v: np.ndarray) -> np.ndarray:
+        w = self.rays @ v[self.classes[0]]
+        return np.concatenate([self.squared_norms(v), w * w])
 
 
 def _scatter(pieces, width: int) -> np.ndarray:
@@ -361,38 +381,30 @@ def _constrained_triples(m: ModelSpace, forms, label: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Queries.
 
-def project_component(bank: ProjectorBank, R, name: str):
-    """Orthogonal projection of R onto a named component, with its norm."""
-    tensor = R.require_certified() if isinstance(R, cs.CurvatureTensor) else R
-    comp = bank.project(tensor, name)
-    return comp, top.frob(comp)
-
-
 #: Largest relative gap allowed between the sum of the squared fine norms
 #: and |R|^2 (Parseval); a larger gap means R has a part outside R.
 PARSEVAL_TOL = 1e-9
 
 
 def component_norms(bank: ProjectorBank, R) -> dict:
-    """Fine component norms of R, from :meth:`ComponentBank.squared_norms`
-    of R divided by a power of two (:func:`.tensor_ops.binary_scaled`), and
-    multiplied back.  Their squares must sum to |R|^2 to PARSEVAL_TOL
-    (relative), else ValueError, which a tensor with a part outside R or a
-    non-finite entry raises; so does a norm too large for a float."""
+    """Fine component norms of R, from :meth:`ComponentBank.norms`.  Their
+    squares must sum to |R|^2 to PARSEVAL_TOL (relative), else ValueError,
+    which a tensor with a part outside R or a non-finite entry raises; so
+    does a norm too large for a float."""
     tensor = R.require_certified() if isinstance(R, cs.CurvatureTensor) else R
-    unit, e = top.binary_scaled(tensor)
-    v = bank.coords(unit)
-    squares = bank.squared_norms(v)
-    total = float(np.vdot(v, v))
-    gap = abs(float(np.sum(squares)) - total)
-    if not gap <= PARSEVAL_TOL * total:
-        raise ValueError(f"the fine components miss a share {gap / total} of |R|^2: "
+    parts, total = bank.norms(tensor)
+    fine = parts[:len(FINE_COMPONENTS)].tolist()
+    scale = total or 1.0        # relative to |R|, no square overflows
+    gap = abs((math.hypot(*fine) / scale) ** 2 - (total / scale) ** 2)
+    if not gap <= PARSEVAL_TOL:
+        raise ValueError(f"the fine components miss a share {gap} of |R|^2: "
                          f"the tensor is not in the curvature space")
-    norms = np.ldexp(np.sqrt(squares), e)
-    if not np.isfinite(norms).all():
-        raise ValueError(f"the norm of {FINE_COMPONENTS[np.argmin(np.isfinite(norms))]} "
-                         f"exceeds the largest float")
-    return dict(zip(FINE_COMPONENTS, norms.tolist()))
+    return dict(zip(FINE_COMPONENTS, fine))
+
+
+def composite_norm(parts: dict, name: str) -> float:
+    """Norm of a ``COMPOSITES`` space from its parts' norms, squaring none."""
+    return math.hypot(*(parts[part] for part in COMPOSITES[name]))
 
 
 def ricci_qk_split(n: int, r, q) -> tuple:
@@ -417,26 +429,29 @@ def qk_einstein_verify(bank: ProjectorBank, R, tol: float = 1e-9) -> tuple[float
     """For R in QK: extract c from Ric = (n+2) c g and verify the Einstein laws.
 
     Returns (c, residuals); raises if R has a QKperp part above tolerance.
+    Both read R divided by a power of two (:func:`.tensor_ops.binary_scaled`).
     """
     m = bank.model
     tensor = R.require_certified() if isinstance(R, cs.CurvatureTensor) else R
-    scale = max(top.frob(tensor), 1e-300)
-    perp = bank.component_norm(tensor, "QKperp")
-    if not perp <= tol * scale:
-        raise ValueError(f"R is not in QK: perp fraction {perp / scale}")
-    n = m.n
-    ric = cs.ricci(tensor)
-    c = float(np.trace(ric)) / (m.dim * (n + 2.0))
-    resid = {
-        "ric": top.frob(ric - (n + 2.0) * c * m.g),
-        "ricq": top.frob(cs.ricci_q(m, tensor) - 3.0 * n * c * m.g),
-        "pi_ra_rb": top.frob(
-            bank.project(tensor, "R_a") + bank.project(tensor, "R_b")
-            - (c / 8.0) * (m.pi2 + 2.0 * m.pi1)),
-    }
-    for A, name in zip(m.triple, "IJK"):
-        resid[f"ric_star_{name}"] = top.frob(cs.ricci_star(tensor, A) - n * c * m.g)
-    return c, {k: v / scale for k, v in resid.items()}
+    with top.binary_scaled(tensor) as s:
+        tensor = s.unit
+        perp = composite_norm(dict(zip(bank.parts, bank.norms(tensor)[0].tolist())), "QKperp")
+        if not perp <= tol * s.norm:
+            raise ValueError(f"R is not in QK: perp fraction {perp / s.norm}")
+        n = m.n
+        ric = cs.ricci(tensor)
+        c = float(np.trace(ric)) / (m.dim * (n + 2.0))
+        resid = {
+            "ric": top.frob(ric - (n + 2.0) * c * m.g),
+            "ricq": top.frob(cs.ricci_q(m, tensor) - 3.0 * n * c * m.g),
+            "pi_ra_rb": top.frob(
+                bank.project(tensor, "R_a") + bank.project(tensor, "R_b")
+                - (c / 8.0) * (m.pi2 + 2.0 * m.pi1)),
+        }
+        for A, name in zip(m.triple, "IJK"):
+            resid[f"ric_star_{name}"] = top.frob(cs.ricci_star(tensor, A) - n * c * m.g)
+        c = float(np.ldexp(c, s.e))
+    return c, {k: v / s.norm for k, v in resid.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +476,6 @@ class DecompositionReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ranks": dict(self.ranks),
-            "expected_ranks": dict(self.expected),
-            "dim_R": self.dim_R,
-            "dim_R_formula": self.dim_R_formula,
-            "dim_QK": self.dim_QK,
-            "dim_QK_formula": self.dim_QK_formula,
-            "zero_components": list(self.zero_components),
-            "eigen_residuals": dict(self.eigen_residuals),
-            "algebra_residuals": dict(self.algebra_residuals),
-            "failures": list(self.failures),
-        }
 
 
 def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionReport:

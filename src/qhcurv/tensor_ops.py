@@ -9,9 +9,9 @@ expressions over it), normalized p-form and raw rank-4 inner products,
 the four products of 2-tensors that build every curvature-type tensor
 (``odot``, ``wedge2`` and the paper's ``phi`` and ``psi``, each on stacks,
 so a sum over A = I, J, K is one call and a ``.sum(0)``), alternation,
-the two skewing maps used by the torsion-to-curvature formulas, and
+the two skewing maps used by the torsion-to-curvature formulas,
 ``contract``, a two-operand einsum over leading (batch) axes done as one
-matmul.
+matmul, and ``binary_scaled``, the one scale rule of every verdict.
 
 Conventions (fixed once and relied on everywhere):
 
@@ -29,6 +29,7 @@ Conventions (fixed once and relied on everywhere):
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -108,20 +109,38 @@ def frob(a: np.ndarray) -> float:
 _SAFE_SQUARES = (2.0 ** -600, 2.0 ** 600)
 
 
-def binary_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(a / 2^e, e), for an integer e that keeps the squared sums of the
-    result, and of its images under bounded linear maps, from overflowing
-    or underflowing.  When |a|^2 lies inside _SAFE_SQUARES, e is 0 and a is
-    returned as it is.  Otherwise e is the exponent frexp gives the
-    largest |entry| of a, which puts that entry in [1/2, 1).  Dividing by
-    a power of two is exact wherever the result stays normal, so a norm of
-    the result times 2^e (``np.ldexp``) is the norm of a, and a ratio of
-    two such norms is that of a.  e is 0 for a zero or non-finite a."""
-    if _SAFE_SQUARES[0] < np.vdot(a, a) < _SAFE_SQUARES[1]:
-        return a, 0
-    # a.max() is NaN whenever a.min() is, and max() keeps a NaN first argument
-    e = math.frexp(max(a.max(), -a.min()))[1]
-    return np.ldexp(a, -e), e
+class binary_scaled:
+    """The one scale rule of every verdict: ``with binary_scaled(a) as s``
+    gives ``s.unit`` = a / 2^e, ``s.e``, and ``s.norm`` = |unit| (1 for a
+    zero a, whose residuals are all 0).  e is 0 when |a|^2 is inside
+    _SAFE_SQUARES, else the frexp exponent of the largest |entry| (0 for a
+    zero, NaN or infinite a).  Division by 2^e is exact while the result
+    stays normal, so ratios of norms of unit are a's, and a norm times 2^e
+    (``np.ldexp``) is a's.  In the block, NaN or inf residuals of a
+    non-finite a (they fail every ``<= tol``) and overflow of a result
+    multiplied back (the caller checks) raise no warning."""
+
+    __slots__ = ("unit", "e", "norm", "_quiet")
+
+    def __init__(self, a: np.ndarray):
+        square = np.vdot(a, a)
+        self.unit, self.e = a, 0
+        if not _SAFE_SQUARES[0] < square < _SAFE_SQUARES[1]:
+            # a.max() is NaN whenever a.min() is; max() keeps a NaN first
+            self.e = math.frexp(max(a.max(), -a.min()))[1]
+            self.unit = np.ldexp(a, -self.e)
+            square = np.vdot(self.unit, self.unit)
+        norm = math.sqrt(square)
+        self.norm = norm or 1.0
+        self._quiet = (np.errstate(invalid="ignore", over="ignore")
+                       if self.e or not math.isfinite(norm) else contextlib.nullcontext())
+
+    def __enter__(self) -> "binary_scaled":
+        self._quiet.__enter__()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._quiet.__exit__(*exc)
 
 
 # ---------------------------------------------------------------------------

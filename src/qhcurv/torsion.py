@@ -105,6 +105,14 @@ def project_to_torsion_space(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     return cs.proj_form_L20ES2H(m, t)
 
 
+def torsion_space_residual(m: ModelSpace, t: np.ndarray) -> float:
+    """|t - P t| / |t|, P the projection onto the torsion space, of t / 2^e
+    (:func:`.tensor_ops.binary_scaled`): 0 for t = 0, NaN or inf for a
+    non-finite t.  A stack gives one residual, relative to the whole stack."""
+    with top.binary_scaled(t) as s:
+        return top.frob(project_to_torsion_space(m, s.unit) - s.unit) / s.norm
+
+
 # ---------------------------------------------------------------------------
 # Trace one-forms.
 
@@ -183,22 +191,17 @@ class TorsionBank(dec.ComponentBank):
     def class_mask(self, t: np.ndarray) -> str:
         """6-bit class mask, one bit per nonzero component (order 33..EH).
 
-        Raises ValueError unless ``t`` has shape (d, d, d), and on NaN or
-        infinite entries, which no mask describes.
+        Raises ValueError unless ``t`` has shape (d, d, d), on NaN or
+        infinite entries, and on a norm too large for a float.
         """
         d = self.model.dim
         if t.shape != (d, d, d):
             raise ValueError(f"torsion tensor must have shape {(d, d, d)}, got {t.shape}")
-        # divided by a power of two, t keeps its mask and |t| neither
-        # overflows nor underflows; |t| is NaN or infinite exactly when an
-        # entry is
-        flat = top.binary_scaled(t.ravel())[0]
-        scale = top.frob(flat)
-        if not math.isfinite(scale):
+        parts, total = self.norms(t)
+        if not math.isfinite(total):
             raise ValueError("torsion tensor holds NaN or infinite entries")
-        norms = np.sqrt(self.squared_norms(flat)).tolist()
-        floor = MASK_TOL * max(scale, 1e-300)
-        return "".join("1" if x > floor else "0" for x in norms)
+        floor = MASK_TOL * total
+        return "".join("1" if x > floor else "0" for x in parts.tolist())
 
     def random_component(self, name: str, seed) -> np.ndarray:
         """Seeded random unit tensor in one component (zero if rank 0)."""
@@ -372,7 +375,8 @@ def residual_trace_free(t: np.ndarray) -> float:
 def psi_k_solve(m: ModelSpace, t: np.ndarray):
     """Solve <Y,(xi)_X Z> = (3 psi - sum_A A_(23) psi)(X,Y,Z) for a 3-form psi.
 
-    Returns (psi, relative residual) of the least-squares solution.  The
+    Returns (psi, relative residual) of the least-squares solution, read
+    on t divided by a power of two (:func:`.tensor_ops.binary_scaled`).  The
     K H class is exactly the set of H-type tensors admitting such a
     representation.  The Gram of the 3-form images must have the
     eigenvalues 4/3 and 8/3 alone (full rank), to EIG_TOL, else
@@ -388,11 +392,11 @@ def psi_k_solve(m: ModelSpace, t: np.ndarray):
     # with the Gram's two eigenvalues the least-squares solve is one division
     # per gated eigenspace
     spaces = cs._eigenspaces(images @ images.T, (4.0 / 3.0, 8.0 / 3.0), "K H 3-form images")
-    rhs = images @ t.ravel()
-    coef = sum(V @ (V.T @ rhs) / value for value, V in spaces.items())
-    resid = np.linalg.norm(coef @ images - t.ravel()) / max(np.linalg.norm(t.ravel()), 1e-300)
-    psi = np.tensordot(coef, forms, axes=1)
-    return psi, float(resid)
+    with top.binary_scaled(t.ravel()) as s:
+        coef = sum(V @ (V.T @ (images @ s.unit)) / value for value, V in spaces.items())
+        resid = top.frob(coef @ images - s.unit) / s.norm
+        psi = np.ldexp(np.tensordot(coef, forms, axes=1), s.e)
+    return psi, resid
 
 
 # ---------------------------------------------------------------------------
@@ -429,22 +433,29 @@ def torsion_from_nabla_omega(m: ModelSpace, nw_I, nw_J, nw_K):
     residual is the worst reconstruction error of the structure equation
     over A = I, J, K, relative to the input scale; above roundoff the input
     is not realizable as nabla-omega of any almost quaternion-Hermitian jet
-    (reported for the caller to gate, never silently fixed).
+    (reported for the caller to gate, never silently fixed).  All of it
+    reads the data / 2^e (:func:`.tensor_ops.binary_scaled`); ValueError
+    names xi or lambda if either, multiplied back, overflows.
     """
-    nws = np.stack([np.asarray(w, dtype=float) for w in (nw_I, nw_J, nw_K)])
     d = m.dim
-    flat = nws.reshape(3, -1)
-    asym = np.linalg.norm(flat + nws.swapaxes(2, 3).reshape(3, -1), axis=1)
-    if not np.all(asym <= 1e-12 * np.maximum(np.linalg.norm(flat, axis=1), 1e-300)):
-        raise ValueError("nabla-omega inputs must be antisymmetric in (Y, Z)")
-    W = m.omegas
-    lambdas = (nws[_NEXT].reshape(3, d, -1) @ W[_AFTER].reshape(3, -1, 1)).reshape(3, d) \
-        / (4.0 * m.n)
-    t = (-0.25 * (W[:, None] @ nws)
-         + 0.5 * (lambdas[:, :, None, None] * W[:, None])).sum(0)
-    recon = nabla_omega_from_torsion(m, t, lambdas)
-    scale = max(top.frob(nws), 1e-300)
-    residual = float(top.frob(recon - nws) / scale)
+    with top.binary_scaled(np.stack([np.asarray(w, dtype=float)
+                                     for w in (nw_I, nw_J, nw_K)])) as s:
+        nws = s.unit
+        flat = nws.reshape(3, -1)
+        asym = np.linalg.norm(flat + nws.swapaxes(2, 3).reshape(3, -1), axis=1)
+        if not np.all(asym <= 1e-12 * np.linalg.norm(flat, axis=1)):
+            raise ValueError("nabla-omega inputs must be antisymmetric in (Y, Z)")
+        W = m.omegas
+        lambdas = (nws[_NEXT].reshape(3, d, -1) @ W[_AFTER].reshape(3, -1, 1)).reshape(3, d) \
+            / (4.0 * m.n)
+        t = (-0.25 * (W[:, None] @ nws)
+             + 0.5 * (lambdas[:, :, None, None] * W[:, None])).sum(0)
+        residual = top.frob(nabla_omega_from_torsion(m, t, lambdas) - nws) / s.norm
+        if s.e:
+            t, lambdas = np.ldexp(t, s.e), np.ldexp(lambdas, s.e)
+            for name, x in (("xi", t), ("lambda", lambdas)):
+                if not np.isfinite(x).all():
+                    raise ValueError(f"{name} of the nabla-omega data exceeds the largest float")
     return t, lambdas, residual
 
 

@@ -124,3 +124,11 @@ def random_gammas(m, seed):
     rng = cs.substream("tests-gamma", m.n, seed)
     g = rng.standard_normal((3, m.dim, m.dim))
     return g - g.swapaxes(1, 2)
+
+
+def exact_scales(arrays) -> tuple[int, int]:
+    """[lo, hi], within [-1000, 1000]: the k for which 2^k times every array
+    stays finite, with every nonzero entry normal."""
+    x = np.abs(np.concatenate([a.ravel() for a in arrays]))
+    e_min, e_max = np.frexp(x[x > 0].min())[1], np.frexp(x.max())[1]
+    return max(-1000, -1021 - int(e_min)), min(1000, 1024 - int(e_max))

@@ -157,7 +157,7 @@ def _h_map(m, T):
     return (m.n + 2) * (3 * cs.L_map(m, T) + cs.L_sigma_map(m, T)) + cs.Cas_map(m, T)
 
 
-def test_casimir_matrices_match_tensor_maps(model):
+def test_h_kron_blocks_match_tensor_maps(model):
     """On every sign class, H built from its Kronecker terms agrees
     on R with (n + 2)(3 L + L_sigma) + Cas from the tensor maps."""
     m = model
@@ -183,7 +183,7 @@ def _rho(X, T):
     return sum(top.slot_act(X, i, T) for i in range(1, 5))
 
 
-def test_sp_casimir_blocks_match_dense_oracle(model2):
+def test_h_blocks_match_slot_action_oracle(model2):
     """Per sign class, H built from its Kronecker terms, sandwiched by
     the class's closed-form rows of R, equals (n + 2)(3 L + L_sigma) plus
     -sum_X rho(X)^2 applied to every row by slot actions (no Kronecker

@@ -1,11 +1,15 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import coordinate_characters, full_width_R_basis, random_torsion
+from conftest import (coordinate_characters, exact_scales, full_width_R_basis,
+                      random_derivative, random_gammas, random_torsion)
 from qhcurv import curvature_from_torsion as cft
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
@@ -158,13 +162,17 @@ def test_phi_Phi_Psi_land_in_R(model2):
 
 
 def test_project_component_examples(bank):
+    """pi2 + 2 pi1 projects onto R_a as (2/3)(pi2 + 6 pi1), with the norm
+    that bank.norms gives it; its projection onto a rank-zero component
+    vanishes."""
     m = bank.model
-    comp, norm = dec.project_component(bank, m.pi2 + 2 * m.pi1, "R_a")
-    assert top.frob(comp - (2.0 / 3.0) * (m.pi2 + 6 * m.pi1)) < 1e-9 * norm
-    # projection onto a rank-zero component vanishes
+    qk = m.pi2 + 2 * m.pi1
+    comp = bank.project(qk, "R_a")
+    norms = dict(zip(bank.parts, bank.norms(qk)[0]))
+    assert top.frob(comp - (2.0 / 3.0) * (m.pi2 + 6 * m.pi1)) < 1e-9 * norms["R_a"]
+    assert norms["R_a"] == pytest.approx(top.frob(comp), rel=1e-12)
     if bank.rank("L40E") == 0:
-        comp, norm = dec.project_component(bank, m.pi2 + 2 * m.pi1, "L40E")
-        assert norm < 1e-12
+        assert top.frob(bank.project(qk, "L40E")) == norms["L40E"] == 0.0
     # idempotence
     R = cs.random_curvature(m, 17).tensor
     once = bank.project(R, "V22")
@@ -187,7 +195,9 @@ def test_component_norms_parseval_gate(bank):
     raw = cs.substream("parseval-gate", m.n).standard_normal((m.dim,) * 4)
     wedge = top.alt(raw)
     wedge *= 1e-4 * top.frob(R) / top.frob(wedge)
-    assert cs.has_pair_symmetries(wedge)
+    residuals = cs.curvature_residuals(wedge)
+    assert max(residuals[name] for name in ("antisym_12", "antisym_34", "pair_exchange")) \
+        <= cs.CERT_TOL
     for bad in (R + wedge, np.full_like(R, np.nan)):
         with pytest.raises(ValueError, match="not in the curvature space"):
             dec.component_norms(bank, bad)
@@ -216,6 +226,110 @@ def test_verdicts_are_invariant_under_powers_of_two(k, bank2, tbank2):
     norms = dec.component_norms(bank2, R)
     for name, value in dec.component_norms(bank2, scaled).items():
         assert np.ldexp(value, -k) == pytest.approx(norms[name], rel=1e-12, abs=0.0), name
+
+
+def test_bank_norms_name_a_norm_too_large_for_a_float(tbank2):
+    """ComponentBank.norms multiplies its norms back by 2^e: it names the
+    first part whose norm overflows a float, else the input when only the
+    total does, and the class mask raises the same; just inside the
+    range it returns the exact norms."""
+    t = tbank2.random_component("KH", 5) + tbank2.random_component("EH", 5)
+    for x, name in ((np.ldexp(t, 1024), "KH"), (0.75 * np.ldexp(t, 1024), "the input")):
+        assert np.isfinite(x).all()
+        for call in (tbank2.norms, tbank2.class_mask):
+            with pytest.raises(ValueError, match=f"^the norm of {name} exceeds the largest float"):
+                call(x)
+    parts, total = tbank2.norms(np.ldexp(t, 1023))
+    want, want_total = tbank2.norms(t)
+    assert np.ldexp(parts, -1023).tolist() == want.tolist()
+    assert np.ldexp(total, -1023) == want_total
+
+
+def _outcome(call):
+    """What a call returns, or its ValueError's message with every number
+    masked."""
+    try:
+        return call()
+    except ValueError as exc:
+        return re.sub(r"\d[\d.e+-]*", "#", str(exc))
+
+
+def _qk_mixture(bank, seed, perp_fraction):
+    """A unit element of R with the given share of its norm in QKperp."""
+    R = cs.random_curvature(bank.model, seed).tensor
+    qk, perp = (bank.project(R, name) for name in ("QK", "QKperp"))
+    return (perp_fraction * perp / top.frob(perp)
+            + math.sqrt(1.0 - perp_fraction ** 2) * qk / top.frob(qk))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_state_and_qk_verdicts_are_invariant_under_powers_of_two(data, bank2, tbank2):
+    """For every k in [-1000, 1000] that keeps the inputs finite and normal:
+    TorsionState.validate accepts 2^k times a state in the torsion space
+    and rejects, with the same message, one whose xi is 1e-3 off it; and
+    qk_einstein_verify gives 2^k c and the same relative residuals on a QK
+    tensor, and the same refusal on one with a QKperp fraction of 0.95."""
+    m = bank2.model
+    t, D, gammas = random_torsion(tbank2, 3), random_derivative(tbank2, 3), random_gammas(m, 3)
+    noise = cs.substream("scale-state", 0).standard_normal(t.shape)
+    off = t + 1e-3 * top.frob(t) / top.frob(noise) * noise
+    qk, mixed = _qk_mixture(bank2, 9, 0.0), _qk_mixture(bank2, 9, 0.95)
+    k = data.draw(st.integers(*exact_scales([t, D, gammas, off, qk, mixed])), label="k")
+
+    def verdicts(k):
+        states = [cft.TorsionState.make(m, t=np.ldexp(x, k), D=np.ldexp(D, k),
+                                        gammas=np.ldexp(gammas, k)) for x in (t, off)]
+        return ([_outcome(lambda: state.validate(m)) for state in states],
+                _outcome(lambda: dec.qk_einstein_verify(bank2, np.ldexp(qk, k))),
+                _outcome(lambda: dec.qk_einstein_verify(bank2, np.ldexp(mixed, k))))
+
+    (valid, c_resid, refusal), (want_valid, want_c_resid, want_refusal) = verdicts(k), verdicts(0)
+    assert valid == want_valid == [None, "xi is not a torsion tensor"]
+    assert refusal == want_refusal == "R is not in QK: perp fraction #"
+    assert np.ldexp(c_resid[0], -k) == pytest.approx(want_c_resid[0], rel=1e-12, abs=0.0)
+    assert c_resid[1] == pytest.approx(want_c_resid[1], rel=1e-12)
+
+
+def _sp_n_sp_1_elements(m, seed):
+    """Elements of Sp(n)Sp(1) as orthogonal matrices: each sign generator
+    (:func:`.curvature_space.sign_generators`), and exp of two random
+    elements X of sp(n) + sp(1), sp(n) spanned by sp_generators and sp(1)
+    by I, J, K, exponentiated with numpy alone by ``eigh`` of the
+    Hermitian iX."""
+    rng = cs.substream("sp-n-sp-1", m.n, seed)
+    gs = [np.diag(signs) for signs in cs.sign_generators(m.n)]
+    algebra = np.concatenate([ms.sp_generators(m.n), m.triple])
+    for _ in range(2):
+        X = np.tensordot(rng.standard_normal(len(algebra)), algebra, axes=1)
+        w, V = np.linalg.eigh(1j * X)
+        gs.append(((V * np.exp(-1j * w)) @ V.conj().T).real)
+    return gs
+
+
+def test_verdicts_are_invariant_under_sp_n_sp_1(bank2, tbank2):
+    """For g each sign generator and exp of random elements of
+    sp(n) + sp(1), acting on every slot: the class mask of a KH + EH
+    tensor, the certification of a random R and the name of the condition a
+    damaged R fails, and the fine norms of R relative to |R|, are those of
+    the untransformed tensors."""
+    m = bank2.model
+    t = tbank2.random_component("KH", 5) + tbank2.random_component("EH", 5)
+    R = cs.random_curvature(m, 43).tensor
+    bad = R.copy()
+    bad[0, 1, 2, 3] += 1e-3
+    bad[1, 0, 2, 3] -= 1e-3
+    norms = dec.component_norms(bank2, R)
+    for g in _sp_n_sp_1_elements(m, 0):
+        assert np.max(np.abs(g @ g.T - np.eye(m.dim))) < 1e-12
+        assert tbank2.class_mask(top.substitute(g, range(3), t)) == "000011"
+        gR = top.substitute(g, range(4), R)
+        got = dec.component_norms(bank2, cs.CurvatureTensor.certify(gR))
+        with pytest.raises(cs.CertificationError, match="^curvature condition antisym_34 failed"):
+            cs.CurvatureTensor.certify(top.substitute(g, range(4), bad))
+        for name, value in got.items():
+            assert value / top.frob(gR) == pytest.approx(norms[name] / top.frob(R),
+                                                         rel=1e-12, abs=0.0), name
 
 
 def _bank_samples(bank, tbank, seed):
@@ -778,7 +892,7 @@ def test_r_a_r_b_are_the_unit_rays(bank):
         assert min(np.linalg.norm(row - s * v / np.linalg.norm(v)) for s in (1, -1)) < 1e-12
 
 
-def test_graded_eigenspaces_match_dense_oracle(bank2):
+def test_l_blocks_and_joint_eigenspaces_match_dense_oracle(bank2):
     """The bank's L-blocks and joint (L, L_sigma) eigenspaces (the sums of
     its fine components with one L, L_sigma pair) equal those of the full
     336 x 336 L_R and L_sigma_R, built by applying the slot-action maps to

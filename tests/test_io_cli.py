@@ -1,7 +1,9 @@
 import contextlib
+import functools
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhcurv
+from conftest import exact_scales, get_bank, get_torsion_bank
 from qhcurv import cli
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
@@ -285,15 +288,19 @@ def test_cli_decompose(tmp_path, capsys):
     norms = {r["check"]: r for r in report["results"]}["component_norms"]["value"]
     nonzero = {k for k, v in norms.items() if v > 1e-8}
     assert nonzero == {"R_a"}
-    # random certified curvature reconstructs (Parseval) through the CLI
+    # random certified curvature reconstructs (Parseval) through the CLI,
+    # from the fine components and from QK and QKperp alike
+    R = cs.random_curvature(m, 5).tensor
     rnd = tmp_path / "rnd.qht"
-    tio.write_tensor(rnd, 2, cs.random_curvature(m, 5).tensor, certified=True)
+    tio.write_tensor(rnd, 2, R, certified=True)
     out2 = tmp_path / "dec2.json"
     assert cli.main(["decompose", "--n", "2", "--input", str(rnd),
                      "--json", str(out2)]) == 0
-    rep2 = json.loads(out2.read_text())
-    recon = {r["check"]: r for r in rep2["results"]}["reconstruction_residual"]
-    assert recon["value"] < 1e-8
+    results = {r["check"]: r["value"] for r in json.loads(out2.read_text())["results"]}
+    total = top.frob(R) ** 2
+    assert sum(v * v for v in results["component_norms"].values()) \
+        == pytest.approx(total, rel=1e-12)
+    assert results["qk_norm"] ** 2 + results["qkperp_norm"] ** 2 == pytest.approx(total, rel=1e-12)
     # uncertifiable input exits 2
     bad = tmp_path / "bad.qht"
     tio.write_tensor(bad, 2, cs.substream("junk", 3).standard_normal((8,) * 4))
@@ -571,3 +578,103 @@ def test_cli_rejects_unreadable_files(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("qhcurv: payload holds NaN")
     assert cli.main(["decompose", "--n", "2", "--input", str(tmp_path / "none.qht")]) == 2
     assert "No such file" in capsys.readouterr().err
+
+
+def _extreme_inputs() -> dict:
+    """Finite n = 2 inputs, each command's, whose largest entry is about
+    1e307 and one of whose component norms exceeds the largest float:
+    a unit KH plus a unit EH tensor times 2^1024, the nabla-omega data of
+    that tensor, and a unit S4E plus a unit V22 tensor times 2^1024."""
+    m, bank, tbank = build_model(2), get_bank(2), get_torsion_bank(2)
+    t = np.ldexp(tbank.random_component("KH", 5) + tbank.random_component("EH", 5), 1024)
+    R = cs.random_curvature(m, 3).tensor
+    parts = [bank.project(R, name) for name in ("S4E", "V22")]
+    R = np.ldexp(sum(part / top.frob(part) for part in parts), 1024)
+    return {"torsion": ("KH", [t]),
+            "nabla-omega": ("KH", list(tor.nabla_omega_from_torsion(m, t, np.zeros((3, 8))))),
+            "decompose": ("S4E", [R])}
+
+
+@pytest.mark.parametrize("command", ["decompose", "torsion", "nabla-omega"])
+def test_cli_names_a_norm_too_large_for_a_float(command, tmp_path, capsys):
+    """On a finite input whose entries reach about 1e307, a component norm
+    exceeds the largest float: exit 2 with one qhcurv: line naming that
+    component, no traceback and no warning, and no report written (a
+    report cannot hold inf)."""
+    name, arrays = _extreme_inputs()[command]
+    assert all(np.isfinite(a).all() and 1e306 < np.abs(a).max() < 1e308 for a in arrays)
+    paths = []
+    for j, a in enumerate(arrays):
+        paths.append(str(tmp_path / f"{j}.qht"))
+        tio.write_tensor(paths[-1], 2, a)
+    argv = (["torsion", "--n", "2", "--from-nabla-omega", *paths] if command == "nabla-omega"
+            else [command, "--n", "2", "--input", *paths])
+    out = tmp_path / "report.json"
+    assert cli.main([*argv, "--json", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert err == f"qhcurv: the norm of {name} exceeds the largest float\n"
+    assert stdout == "" and not out.exists()
+
+
+@functools.cache
+def _scale_cases() -> dict:
+    """(argv before the files, arrays) of n = 2 CLI verdicts, one accepted
+    and one rejected input per mode: a KH + EH torsion tensor on and off
+    the torsion space, realizable and non-realizable nabla-omega data, a
+    random curvature tensor, and one with a Lambda^4 part of 1e-4 that
+    certifies under --tol 1e-3 and then fails Parseval."""
+    m, tbank = build_model(2), get_torsion_bank(2)
+    t = tbank.random_component("KH", 5) + tbank.random_component("EH", 5)
+    noise = cs.substream("scale-off", 0).standard_normal(t.shape)
+    nws = tor.nabla_omega_from_torsion(m, t, cs.substream("scale-lam", 0).standard_normal((3, 8)))
+    torsion = ["torsion", "--n", "2", "--input"]
+    nabla = ["torsion", "--n", "2", "--from-nabla-omega"]
+    return {"torsion-on": (torsion, [t]),
+            "torsion-off": (torsion, [t + 1e-3 * top.frob(t) / top.frob(noise) * noise]),
+            "nabla-omega": (nabla, list(nws)),
+            "nabla-omega-bad": (nabla, list(_nabla_omega_off_by(1e-3))),
+            "decompose": (["decompose", "--n", "2", "--input"], [cs.random_curvature(m, 5).tensor]),
+            "decompose-outside": (["decompose", "--n", "2", "--tol", "1e-3", "--input"],
+                                  [_curvature_plus_4form(1e-4)])}
+
+
+def _cli_verdict(argv, arrays, k, where):
+    """(exit code, class mask, failures with every number masked, each
+    reported norm times 2^-k) of one in-process run on the arrays times
+    2^k."""
+    paths = []
+    for j, a in enumerate(arrays):
+        paths.append(str(where / f"in{j}.qht"))
+        tio.write_tensor(paths[-1], 2, np.ldexp(a, k))
+    out = where / "report.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*argv, *paths, "--json", str(out)])
+    report = json.loads(out.read_text())
+    results = {r["check"]: r["value"] for r in report["results"]}
+    norms = {**results.get("component_norms", {}),
+             **{key: results[key] for key in ("qk_norm", "qkperp_norm") if key in results}}
+    return (code, results.get("class_mask"),
+            [re.sub(r"\d[\d.e+-]*", "#", f) for f in report["failures"]],
+            {key: float(np.ldexp(value, -k)) for key, value in norms.items()})
+
+
+@pytest.mark.parametrize("case", ["torsion-on", "torsion-off", "nabla-omega",
+                                  "nabla-omega-bad", "decompose", "decompose-outside"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cli_verdicts_are_invariant_under_powers_of_two(case, data, tmp_path_factory):
+    """For every k in [-1000, 1000] that keeps 2^k x finite and normal, the
+    CLI verdict on 2^k x is the verdict on x: exit code, class mask, the
+    failures up to their numbers, and every reported norm scaled by 2^k to
+    1e-12.  The banks are the session's, so each run costs milliseconds."""
+    argv, arrays = _scale_cases()[case]
+    k = data.draw(st.integers(*exact_scales(arrays)), label="k")
+    where = tmp_path_factory.mktemp("scale")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tor, "build_torsion_bank", lambda m: get_torsion_bank(m.n))
+        mp.setattr(dec, "build_sp_projectors", lambda m: get_bank(m.n))
+        want = _cli_verdict(argv, arrays, 0, where)
+        got = _cli_verdict(argv, arrays, k, where)
+    assert want[0] == (2 if case.endswith(("-off", "-bad", "-outside")) else 0)
+    assert got[:3] == want[:3]
+    assert got[3] == pytest.approx(want[3], rel=1e-12, abs=0.0)

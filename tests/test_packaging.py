@@ -53,3 +53,18 @@ def test_singular_value_rank_rules_stay_in_the_torsion_bank():
                    for number, line in enumerate(path.read_text().splitlines(), 1)
                    if pattern.search(line))
     assert found == []
+
+
+def test_the_scale_rule_stays_in_tensor_ops():
+    """Only tensor_ops chooses the scale of a verdict
+    (``tensor_ops.binary_scaled``): no other module floors a norm
+    (1e-300), reads a binary exponent (frexp) or sets a floating-point
+    error state (errstate).  Multiplying a result back by 2^e with np.ldexp
+    stays with the callers."""
+    pattern = re.compile(r"1e-300|frexp|errstate")
+    found = sorted(f"{path.name}:{number}"
+                   for path in (ROOT / "src" / "qhcurv").glob("*.py")
+                   if path.name != "tensor_ops.py"
+                   for number, line in enumerate(path.read_text().splitlines(), 1)
+                   if pattern.search(line))
+    assert found == []
