@@ -465,11 +465,6 @@ def ricci_component_formulas(m: ModelSpace, state: TorsionState) -> dict:
 # ---------------------------------------------------------------------------
 # Scalars.
 
-def theta_of_derivative(m: ModelSpace, D: np.ndarray) -> np.ndarray:
-    """(nabla~_W theta)(X): the theta-contraction of each D(W; .) slice."""
-    return -np.einsum("wjxj->wx", D) / tor._theta_scale(m.n)
-
-
 def d_star_theta(m: ModelSpace, state: TorsionState) -> float:
     """d* theta = -(nabla~_{e_i} theta)(e_i) - theta(xi_{e_i} e_i).
 
@@ -477,7 +472,7 @@ def d_star_theta(m: ModelSpace, state: TorsionState) -> float:
     nabla~ theta is the same contraction of nabla~ xi; the second term
     converts nabla~ back to the Levi-Civita divergence.
     """
-    nabla_theta = theta_of_derivative(m, state.D)
+    nabla_theta = tor.theta(m, state.D)     # the theta-contraction of each D(W; .)
     th = tor.theta(m, state.t)
     v = np.einsum("imi->m", state.t)
     return float(-np.trace(nabla_theta) - th @ v)

@@ -15,15 +15,19 @@ input scale on at least one seed, unticked when every seed stays below
 forces explicit escalation instead of silently resolving borderline
 cells).
 
-The expected tick patterns are embedded below, together with the
-direction annotations for the R_a + R_b column (the contribution there is
-a fixed combination of a = pi2 + 6 pi1 and b = pi2 - 6 pi1 per row).
+The expected tick patterns of Tables 1 and 3 are embedded below,
+together with the direction annotations for the R_a + R_b column (the
+contribution there is a fixed combination of a = pi2 + 6 pi1 and
+b = pi2 - 6 pi1 per row).  Table 2's modules are the ones Ric and Ric^q
+fix, so its expected ticks follow from Table 1's (TABLE2_FROM_TABLE1).
 A few embedded cells deviate knowingly from the reference tables; each is
 recorded in REFERENCE_DEVIATIONS with the reason that forces it.  The
 table diff reports mismatches in the columns affected by derivation
 choices (L20ES2H, V211S2H, L20ES4H) as "remark-consistent" rather than
 failing, and couplings that vanish identically at the evaluated n while
-being generically present (LOW_N_VANISHING) as "low_n_zero".
+being generically present (LOW_N_VANISHING) as "low_n_zero".  The
+torsion-class corollaries are read off a table report: each is a set of
+Table-3 columns that no row of a torsion family reaches.
 
 Table 3 needs no solve.  Its columns are the coordinates, on each
 Ricci-kernel component X, of the least-squares QKperp preimage of
@@ -39,6 +43,7 @@ on X by a probe.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,15 +70,20 @@ COMPS = tor.TORSION_COMPONENTS
 
 TABLE1_COLUMNS = ("q_R", "q_L20E", "q_S2ES2H", "q_L20ES2H",
                   "r_R", "r_L20E", "r_S2ES2H")
-TABLE2_COLUMNS = ("R_a", "R_b", "L20E_a", "L20E_b",
-                  "S2ES2H_a", "S2ES2H_b", "L20ES2H")
 TABLE3_COLUMNS = ("V22", "L40E", "V31S2H", "V211S2H",
                   "V22S4H", "L20ES4H", "S4H")
 
-OFFDIAG_PAIRS = (("33", "K3"), ("33", "E3"), ("33", "3H"), ("33", "KH"),
-                 ("33", "EH"), ("K3", "E3"), ("K3", "3H"), ("K3", "KH"),
-                 ("K3", "EH"), ("E3", "3H"), ("E3", "KH"), ("E3", "EH"),
-                 ("3H", "KH"), ("3H", "EH"), ("KH", "EH"))
+OFFDIAG_PAIRS = tuple(itertools.combinations(COMPS, 2))
+
+#: The Table-1 Ricci columns behind each Table-2 module: Ric and Ric^q fix
+#: the modules of Table 2, so a row ticks a module iff it ticks one of them.
+TABLE2_FROM_TABLE1 = {
+    "R_a": ("q_R", "r_R"), "R_b": ("q_R", "r_R"),
+    "L20E_a": ("q_L20E", "r_L20E"), "L20E_b": ("q_L20E", "r_L20E"),
+    "S2ES2H_a": ("q_S2ES2H", "r_S2ES2H"), "S2ES2H_b": ("q_S2ES2H", "r_S2ES2H"),
+    "L20ES2H": ("q_L20ES2H",),
+}
+TABLE2_COLUMNS = tuple(TABLE2_FROM_TABLE1)
 
 
 def row_keys():
@@ -95,8 +105,8 @@ def row_label(key) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Expected tick patterns (the reference tables, with the deviations
-# recorded in REFERENCE_DEVIATIONS applied).
+# Expected tick patterns of Tables 1 and 3 (the reference tables, with the
+# deviations recorded in REFERENCE_DEVIATIONS applied); Table 2's follow.
 
 def _t1(q_r=0, q_l=0, q_s=0, q_ls=0, r_r=0, r_l=0, r_s=0):
     cols = (q_r, q_l, q_s, q_ls, r_r, r_l, r_s)
@@ -134,53 +144,6 @@ EXPECTED_TABLE1 = {
     ("xx", "3H", "KH"): _t1(q_l=1, q_s=1, q_ls=1, r_l=1, r_s=1),
     ("xx", "3H", "EH"): _t1(q_l=1, q_ls=1, r_l=1),
     ("xx", "KH", "EH"): _t1(q_l=1, q_s=1, q_ls=1, r_l=1, r_s=1),
-}
-
-
-def _t2(r=0, l=0, s=0, ls=0):
-    out = set()
-    if r:
-        out |= {"R_a", "R_b"}
-    if l:
-        out |= {"L20E_a", "L20E_b"}
-    if s:
-        out |= {"S2ES2H_a", "S2ES2H_b"}
-    if ls:
-        out.add("L20ES2H")
-    return out
-
-EXPECTED_TABLE2 = {
-    ("gamma",): _t2(r=1),
-    ("D", "33"): _t2(ls=1),
-    ("D", "K3"): _t2(s=1, ls=1),
-    ("D", "E3"): _t2(s=1, ls=1),
-    ("D", "3H"): _t2(l=1, ls=1),
-    ("D", "KH"): _t2(l=1, s=1, ls=1),
-    ("D", "EH"): _t2(r=1, l=1, s=1, ls=1),
-    ("xx", "33", "33"): _t2(r=1, l=1, s=1),
-    ("xx", "K3", "K3"): _t2(r=1, l=1, s=1),
-    ("xx", "E3", "E3"): _t2(r=1, l=1, s=1),
-    ("xx", "3H", "3H"): _t2(r=1, l=1, s=1),
-    ("xx", "KH", "KH"): _t2(r=1, l=1, s=1),
-    ("xx", "EH", "EH"): _t2(r=1, l=1, s=1),
-    ("xx", "33", "K3"): _t2(l=1, s=1, ls=1),
-    ("xx", "33", "E3"): _t2(l=1, ls=1),
-    ("xx", "33", "3H"): _t2(s=1, ls=1),
-    ("xx", "33", "KH"): _t2(s=1, ls=1),
-    ("xx", "33", "EH"): _t2(ls=1),
-    # the reference curvature table leaves (L20E)_x empty here,
-    # contradicting the reference Ricci table and the evaluated formulas;
-    # see REFERENCE_DEVIATIONS.
-    ("xx", "K3", "E3"): _t2(l=1, s=1, ls=1),
-    ("xx", "K3", "3H"): _t2(s=1, ls=1),
-    ("xx", "K3", "KH"): _t2(s=1, ls=1),
-    ("xx", "K3", "EH"): _t2(s=1, ls=1),
-    ("xx", "E3", "3H"): _t2(ls=1),
-    ("xx", "E3", "KH"): _t2(s=1, ls=1),
-    ("xx", "E3", "EH"): _t2(s=1, ls=1),
-    ("xx", "3H", "KH"): _t2(l=1, s=1, ls=1),
-    ("xx", "3H", "EH"): _t2(l=1, ls=1),
-    ("xx", "KH", "EH"): _t2(l=1, s=1, ls=1),
 }
 
 
@@ -243,29 +206,44 @@ REFERENCE_DEVIATIONS = {
     ("Dxi_3H", 2, "S2ES2H_b"): _SCHUR_33,
 }
 
-#: Cells whose generic coupling vanishes identically at one low n (verified
-#: nonzero at a higher n); reported as 'low_n_zero', never as mismatch.
-#: The zero-rank-column skips of the audit do not cover these: the target
-#: modules are nonzero, the specific quadratic couplings degenerate.
+#: Cells of Tables 1 and 3 whose generic coupling vanishes identically at
+#: one low n (verified nonzero at a higher n); reported as 'low_n_zero',
+#: never as mismatch.  A Table-2 cell is one when every expected Table-1
+#: column behind it is.  The zero-rank-column skips of the audit do not
+#: cover these: the target modules are nonzero, the specific quadratic
+#: couplings degenerate.
 LOW_N_VANISHING = {
     2: {
         ("xi_K3*xi_K3", "q_L20E"), ("xi_K3*xi_K3", "r_L20E"),
-        ("xi_K3*xi_K3", "L20E_a"), ("xi_K3*xi_K3", "V31S2H"),
-        ("xi_K3*xi_K3", "r_S2ES2H"),
+        ("xi_K3*xi_K3", "V31S2H"), ("xi_K3*xi_K3", "r_S2ES2H"),
         ("xi_E3*xi_E3", "r_S2ES2H"),
         ("xi_KH*xi_KH", "q_L20E"), ("xi_KH*xi_KH", "r_L20E"),
-        ("xi_KH*xi_KH", "L20E_a"),
         ("xi_K3.xi_E3", "V31S2H"), ("xi_K3.xi_E3", "r_S2ES2H"),
     },
     3: {
         ("xi_33*xi_33", "q_L20E"), ("xi_33*xi_33", "r_L20E"),
-        ("xi_33*xi_33", "L20E_a"), ("xi_33*xi_33", "L20E_b"),
         ("xi_3H*xi_3H", "q_L20E"), ("xi_3H*xi_3H", "r_L20E"),
-        ("xi_3H*xi_3H", "L20E_a"), ("xi_3H*xi_3H", "L20E_b"),
         ("xi_E3*xi_E3", "S4H"),
         ("xi_K3.xi_E3", "V22S4H"),
     },
 }
+
+
+def _expected_ticks(key, table: int) -> set:
+    """The columns the embedded expectations tick on one row of one table;
+    Table 2's are the modules behind the row's Table-1 ticks."""
+    if table == 2:
+        t1 = EXPECTED_TABLE1[key]
+        return {col for col, behind in TABLE2_FROM_TABLE1.items() if t1.intersection(behind)}
+    return (EXPECTED_TABLE1 if table == 1 else EXPECTED_TABLE3)[key]
+
+
+def _low_n_zero(n: int, key, table: int, col: str) -> bool:
+    """Whether the expected cell is a LOW_N_VANISHING one at n; a Table-2
+    cell is when every expected Table-1 column behind it is."""
+    behind = ([c for c in TABLE2_FROM_TABLE1[col] if c in EXPECTED_TABLE1[key]]
+              if table == 2 else [col])
+    return all((row_label(key), c) in LOW_N_VANISHING.get(n, ()) for c in behind)
 
 
 # Direction annotations for the R_a + R_b column of Table 2: each entry is
@@ -482,9 +460,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
     report = TablesReport(n=n, seeds=seeds, skipped_columns=tuple(sorted(skipped)))
     annotations = direction_annotations(n)
 
-    table_specs = [(1, TABLE1_COLUMNS, EXPECTED_TABLE1),
-                   (2, TABLE2_COLUMNS, EXPECTED_TABLE2),
-                   (3, TABLE3_COLUMNS, EXPECTED_TABLE3)]
+    table_specs = ((1, TABLE1_COLUMNS), (2, TABLE2_COLUMNS), (3, TABLE3_COLUMNS))
 
     pure = {}
     for key in row_keys():
@@ -493,10 +469,10 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
         if not zero_source:
             cols = evaluate_row(ctx, key, seeds, pure)
             wit = _witnesses(ctx, cols)
-        for table, columns, expected_map in table_specs:
+        for table, columns in table_specs:
             if table == 3 and key not in EXPECTED_TABLE3:
                 continue
-            expected = expected_map.get(key, set())
+            expected = _expected_ticks(key, table)
             for col in columns:
                 if zero_source or col in skipped:
                     report.cells.append(ContributionCell(
@@ -514,8 +490,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
                     tick, status = False, "ambiguous"
                 exp = col in expected
                 if status != "ambiguous" and tick != exp:
-                    if (not tick and exp
-                            and (row_label(key), col) in LOW_N_VANISHING.get(n, ())):
+                    if not tick and exp and _low_n_zero(n, key, table, col):
                         status = "low_n_zero"
                     elif col in REMARK_COLUMNS:
                         status = "remark"
@@ -547,7 +522,9 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
 # ---------------------------------------------------------------------------
 # Torsion-class corollaries: with xi restricted to a family of components
 # (and nabla~xi in the same second-factor family), certain curvature
-# components receive no contribution at all.
+# components receive no contribution at all.  Each forbidden set is the
+# Table-3 columns that EXPECTED_TABLE3 leaves empty on every row of the
+# family.
 
 COROLLARY_CASES = (
     ("quaternionic (H classes only)", ("3H", "KH", "EH"),
@@ -559,27 +536,17 @@ COROLLARY_CASES = (
 )
 
 
-def corollary_vanishing(ctx: TableContext, seeds: int = 2) -> list:
-    """Max witness of every forbidden component over the rows allowed by
-    each corollary hypothesis; all should sit at roundoff level.  Each
-    (case, seed) is one batch of states, and its forbidden Table-3
-    coordinates are read as in :func:`evaluate_columns`."""
-    tbank = ctx.tbank
+def corollary_vanishing(report: TablesReport) -> list:
+    """Max Table-3 witness of every forbidden component over the report's
+    rows whose components all lie in each case's family; all should sit at
+    roundoff level.  The columns are linear in nabla~xi and quadratic in
+    xi, so they vanish on the family iff they vanish on its derivative,
+    pure and polarized rows."""
     results = []
     for label, comps, forbidden in COROLLARY_CASES:
-        live = [c for c in comps if tbank.rank(c)]
-        worst = 0.0
-        for s in range(seeds if live else 0):
-            states = [cft.TorsionState.make(ctx.m, D=tor.random_derivative_component(
-                tbank, c, (label, s))) for c in live]
-            for i, c1 in enumerate(live):
-                t1 = tbank.random_component(c1, (label, s, 1))
-                states.append(cft.TorsionState.make(ctx.m, t=t1))
-                for c2 in live[i + 1:]:
-                    t2 = tbank.random_component(c2, (label, s, 2))
-                    states.append(cft.TorsionState.make(ctx.m, t=t1 + t2))
-            cols = ctx.pi1_columns(cft.pi1_state(ctx.m, cft.TorsionState.stack(states)),
-                                   forbidden)
-            worst = max([worst] + [float(np.linalg.norm(v, axis=-1).max()) for v in cols.values()])
+        rows = {row_label(key) for key in row_keys()
+                if key[0] != "gamma" and set(key[1:]) <= set(comps)}
+        worst = max(c.witness for c in report.cells
+                    if c.table == 3 and c.target in forbidden and c.source in rows)
         results.append({"case": label, "forbidden": forbidden, "max_witness": worst})
     return results

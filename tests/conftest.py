@@ -6,6 +6,7 @@ import pytest
 
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
+from qhcurv import tables as tbl
 from qhcurv import torsion as tor
 from qhcurv.model_space import build_model
 
@@ -132,3 +133,14 @@ def exact_scales(arrays) -> tuple[int, int]:
     x = np.abs(np.concatenate([a.ravel() for a in arrays]))
     e_min, e_max = np.frexp(x[x > 0].min())[1], np.frexp(x.max())[1]
     return max(-1000, -1021 - int(e_min)), min(1000, 1024 - int(e_max))
+
+
+def assert_table2_follows_table1(report):
+    """On every row of a table report, a Table-2 module ticks (either half
+    of an a/b pair) iff one of the Table-1 columns behind it does."""
+    ticks = {(c.source, c.table, c.target): c.tick for c in report.cells}
+    for source in {c.source for c in report.cells}:
+        for behind in set(tbl.TABLE2_FROM_TABLE1.values()):
+            modules = [col for col, b in tbl.TABLE2_FROM_TABLE1.items() if b == behind]
+            assert (any(ticks[(source, 2, col)] for col in modules)
+                    == any(ticks[(source, 1, col)] for col in behind)), (source, modules)

@@ -192,7 +192,7 @@ def test_dstar_rule(model, tbank):
     # nabla~-only state: d* theta = -(nabla~_{e_i} theta)(e_i)
     D = random_derivative(tbank, 10)
     stD = cft.TorsionState.make(m, D=D)
-    expect = -np.trace(cft.theta_of_derivative(m, D))
+    expect = -np.trace(tor.theta(m, D))
     assert cft.d_star_theta(m, stD) == pytest.approx(expect, rel=1e-12)
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (coordinate_characters, exact_scales, full_width_R_basis,
-                      random_derivative, random_gammas, random_torsion)
+from conftest import (assert_table2_follows_table1, coordinate_characters, exact_scales,
+                      full_width_R_basis, random_derivative, random_gammas, random_torsion)
 from qhcurv import curvature_from_torsion as cft
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
@@ -945,9 +945,10 @@ def test_sp_bank_ranks_at_n4():
     trivial class: 19.8 MB, against (dim R + 2) x 14400 doubles (627 MB)
     for one full-width stack.
 
-    Then run_tables(seeds=2) on these banks.  The ten cells that vanish
-    at n = 3 (LOW_N_VANISHING[3]) tick, every R_a + R_b direction check is
-    aligned, and no cell is ambiguous.  Lambda^4_0 E has rank > 0 only from
+    Then run_tables(seeds=2) on these banks.  The six Table-1 and Table-3
+    cells that vanish at n = 3 (LOW_N_VANISHING[3]) tick, Table 2 follows
+    Table 1 (so the four L20E cells behind them tick too), every R_a + R_b
+    direction check is aligned, and no cell is ambiguous.  Lambda^4_0 E has rank > 0 only from
     n = 4, so this is the one run of the L40E column of Table 3.  Two of
     its cells, xi_33*xi_33 and xi_3H*xi_3H, come out at roundoff although
     the reference ticks them; they stay mismatches until a measurement at
@@ -964,6 +965,7 @@ def test_sp_bank_ranks_at_n4():
     report = tbl.run_tables(bank, tor.build_torsion_bank(m), seeds=2)
     ticked = {(c.source, c.target) for c in report.cells if c.tick}
     assert tbl.LOW_N_VANISHING[3] <= ticked
+    assert_table2_follows_table1(report)
     assert report.direction_checks and all(d["aligned"] for d in report.direction_checks)
     assert report.ambiguous == []
     assert {(c.source, c.table, c.target) for c in report.mismatches} \

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import get_bank, get_torsion_bank, random_derivative, random_gammas, random_torsion
+from conftest import (assert_table2_follows_table1, get_bank, get_torsion_bank, random_derivative,
+                      random_gammas, random_torsion)
 from qhcurv import curvature_from_torsion as cft
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
@@ -23,6 +24,11 @@ def report2():
     return tbl.run_tables(get_bank(2), get_torsion_bank(2), seeds=3)
 
 
+@pytest.fixture(scope="module")
+def report3():
+    return tbl.run_tables(get_bank(3), get_torsion_bank(3), seeds=3)
+
+
 def test_no_hard_mismatches(report2):
     assert report2.mismatches == []
     assert report2.ambiguous == []
@@ -32,7 +38,9 @@ def test_no_hard_mismatches(report2):
 def test_skips_and_degeneracies(report2):
     assert set(report2.skipped_columns) == {"L20E_b", "L40E", "V211S2H"}
     low = {(c.source, c.target) for c in report2.cells if c.status == "low_n_zero"}
-    assert low == tbl.LOW_N_VANISHING[2]
+    # the Table-2 cells follow from their Table-1 columns; L20E_b is skipped
+    assert low == tbl.LOW_N_VANISHING[2] | {("xi_K3*xi_K3", "L20E_a"),
+                                            ("xi_KH*xi_KH", "L20E_a")}
 
 
 def test_remark_cells_confined_to_remark_columns(report2):
@@ -108,10 +116,25 @@ def test_run_tables_evaluates_each_state_once(monkeypatch, seeds):
     assert len(batches) == 15
 
 
-def test_corollary_vanishing_n2():
-    ctx = tbl.TableContext.build(get_bank(2), get_torsion_bank(2))
-    for entry in tbl.corollary_vanishing(ctx):
+@pytest.mark.parametrize("name", ["report2", "report3"])
+def test_measured_table2_follows_measured_table1(request, name):
+    assert_table2_follows_table1(request.getfixturevalue(name))
+
+
+def test_corollary_vanishing_n2(report2):
+    entries = tbl.corollary_vanishing(report2)
+    assert [e["case"] for e in entries] == [case[0] for case in tbl.COROLLARY_CASES]
+    for entry in entries:
         assert entry["max_witness"] < tbl.TICK_OFF, entry
+
+
+def test_corollary_forbidden_sets_are_the_empty_table3_columns():
+    """Each corollary forbids exactly the Table-3 columns that no row of
+    its family ticks in the embedded expectations."""
+    for label, comps, forbidden in tbl.COROLLARY_CASES:
+        reached = set().union(*(tbl.EXPECTED_TABLE3[key] for key in tbl.row_keys()
+                                if key[0] != "gamma" and set(key[1:]) <= set(comps)))
+        assert set(forbidden) == set(tbl.TABLE3_COLUMNS) - reached, label
 
 
 def _pinv_table3(ctx, img_pinv, state) -> dict:
