@@ -21,8 +21,8 @@ each); every bracket, including each term of the gamma elimination
 entries (``tensor_ops.contract``, one batched matmul), and the nabla~xi
 brackets are traces of nabla~xi against one A.  ``_brackets`` computes
 each bracket once, and :func:`ricci_component_formulas` evaluates every
-formula as a combination of its entries.  The scalar-only formulas
-``pi_r_ric`` and ``pi_r_ricq`` read the scalar entries alone.
+formula as a combination of its entries; the scalar ones, the
+g-coefficients, read the scalar entries alone.
 
 A state's arrays may carry leading axes (``TorsionState.stack``): the
 bracket table, the Ricci formulas and the pi-state formulas then evaluate
@@ -225,12 +225,6 @@ def ricq_from(m: ModelSpace, state: TorsionState) -> np.ndarray:
     return -m.n * b["G"] - b["P"]
 
 
-def ric_minus_ricq(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """3 Ric - Ric^q = N0 - 2 G + Q."""
-    b = _brackets(m, state)
-    return b["N0"] - 2.0 * b["G"] + b["Q"]
-
-
 def ric_from(m: ModelSpace, state: TorsionState) -> np.ndarray:
     """3 Ric = N0 - (n+2) G - P + Q (the Ric^q terms plus the difference
     terms), over 3."""
@@ -384,8 +378,7 @@ def _ra_rb_coefficients(n: int, c_r: float, c_q: float) -> tuple[float, float]:
     Reconstructed by feeding pi_R(Ric) and pi_R(Ric^q) through the exact
     split :func:`.decomposition.ricci_qk_split`.  (The standalone QKperp
     bracket ``pi_R_ric_QKperp`` trades quadratic xi-terms using on-shell
-    identities and is not used here; the QK bracket ``ric_QK`` agrees with
-    this route identically.)
+    identities and is not used here.)
     """
     sigma_qk, sigma_perp = dec.ricci_qk_split(n, c_r, c_q)
     mu = sigma_qk / (8.0 * (n + 2.0))           # R_QK part: mu (pi2 + 2 pi1)
@@ -396,9 +389,10 @@ def _ra_rb_coefficients(n: int, c_r: float, c_q: float) -> tuple[float, float]:
 
 
 def _scalar_formulas(n: int, b: dict) -> dict:
-    """The g-coefficients of pi_R(Ric), pi_R(Ric^q), Ric(pi_QK R) and
-    pi_R(Ric_QKperp), and the R_a + R_b coefficients, from the scalar
-    brackets; the three Ricci ones share -3 v.v - 5 s2 + 8 phi."""
+    """The g-coefficients of pi_R(Ric), pi_R(Ric^q) and pi_R(Ric_QKperp),
+    and the R_a + R_b coefficients, from the scalar brackets; the two Ricci
+    ones share -3 v.v - 5 s2 + 8 phi.  Ric(pi_QK R) is the first entry of
+    :func:`.decomposition.ricci_qk_split` of the first two."""
     base = -3.0 * b["vv"] - 5.0 * b["s2"] + 8.0 * b["phi"]
     gam, s4, s5, s6 = b["Gamma"], b["S4"], b["S5"], b["S6"]
     ric = (base + 2.0 * (n + 2.0) * gam + s4 + s5 - s6) / (12.0 * n)
@@ -406,24 +400,9 @@ def _scalar_formulas(n: int, b: dict) -> dict:
     return {
         "pi_R_ric": ric,
         "pi_R_ricq": ricq,
-        "ric_QK": ((base + 4.0 * (5.0 * n + 1.0) * gam + s4 + s5 - 10.0 * s6)
-                   * (n + 2.0) / (24.0 * n * (5.0 * n + 1.0))),
         "pi_R_ric_QKperp": (base + s4 + s5 + 2.0 * s6) * 3.0 / (8.0 * (5.0 * n + 1.0)),
         "R_ab": np.stack(_ra_rb_coefficients(n, ric, ricq), axis=-1),
     }
-
-
-def pi_r_ricq(m: ModelSpace, state: TorsionState) -> float:
-    """Coefficient c in pi_R(Ric^q) = c g:
-
-    c = (1/2) sum_A (<gamma_A, omega_A> - (1/2n) <xi_{e_i} e_j, xi_{Ae_i} A e_j>).
-    """
-    return _scalar_formulas(m.n, _scalar_brackets(m, state))["pi_R_ricq"]
-
-
-def pi_r_ric(m: ModelSpace, state: TorsionState) -> float:
-    """Coefficient c in pi_R(Ric) = c g."""
-    return _scalar_formulas(m.n, _scalar_brackets(m, state))["pi_R_ric"]
 
 
 def ricci_component_formulas(m: ModelSpace, state: TorsionState) -> dict:
@@ -494,7 +473,7 @@ def d_star_theta(m: ModelSpace, state: TorsionState) -> float:
 # reference_* variants.
 
 def _dstar_coefficient(n: int) -> float:
-    # forced by the nabla~xi trace of pi_r_ric; the reference value has
+    # forced by the nabla~xi trace of pi_R_ric; the reference value has
     # (n+1) in place of (n-1)
     return 16.0 * (2.0 * n + 1.0) * (n - 1.0) / n
 

@@ -82,10 +82,11 @@ def curvature_residuals(R: np.ndarray) -> dict:
 
 @dataclass
 class CurvatureTensor:
-    """A rank-4 tensor certified to lie in R."""
+    """A rank-4 tensor that passed :meth:`certify`: it lies in R to the
+    tolerance it was certified at.  Functions that read curvature take it
+    or a raw array alike."""
 
     tensor: np.ndarray
-    certified: bool = False
 
     @classmethod
     def certify(cls, R: np.ndarray, tol: float = CERT_TOL) -> "CurvatureTensor":
@@ -102,28 +103,7 @@ class CurvatureTensor:
                     raise CertificationError(
                         f"curvature condition {name} failed: residual {value:.3e} "
                         f"not <= tol {tol:g}")
-        return cls(tensor=np.asarray(R, dtype=float), certified=True)
-
-    def require_certified(self) -> np.ndarray:
-        if not self.certified:
-            raise CertificationError("operation requires a certified curvature tensor")
-        return self.tensor
-
-    # Ricci-type contractions with the certification contract enforced.
-    def ricci(self) -> np.ndarray:
-        return ricci(self.require_certified())
-
-    def ricci_q(self, m: ModelSpace) -> np.ndarray:
-        return ricci_q(m, self.require_certified())
-
-    def ricci_star(self, A: np.ndarray) -> np.ndarray:
-        return ricci_star(self.require_certified(), A)
-
-    def scal(self) -> float:
-        return scal(self.require_certified())
-
-    def scal_q(self, m: ModelSpace) -> float:
-        return scal_q(m, self.require_certified())
+        return cls(tensor=np.asarray(R, dtype=float))
 
 
 def project_to_R(S: np.ndarray, tol: float = CERT_TOL) -> CurvatureTensor:
@@ -224,16 +204,6 @@ def ricci_star(R: np.ndarray, A: np.ndarray) -> np.ndarray:
 def ricci_q(m: ModelSpace, R: np.ndarray) -> np.ndarray:
     """Ric^q = sum_A Ric*_A."""
     return sum(ricci_star(R, A) for A in m.triple)
-
-
-def scal(R: np.ndarray) -> float:
-    """Scalar curvature: trace of Ric."""
-    return float(np.einsum("xixi->", R))
-
-
-def scal_q(m: ModelSpace, R: np.ndarray) -> float:
-    """q-scalar curvature: trace of Ric^q."""
-    return float(np.trace(ricci_q(m, R)))
 
 
 # ---------------------------------------------------------------------------

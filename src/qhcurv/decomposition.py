@@ -391,7 +391,7 @@ def component_norms(bank: ProjectorBank, R) -> dict:
     squares must sum to |R|^2 to PARSEVAL_TOL (relative), else ValueError,
     which a tensor with a part outside R or a non-finite entry raises; so
     does a norm too large for a float."""
-    tensor = R.require_certified() if isinstance(R, cs.CurvatureTensor) else R
+    tensor = R.tensor if isinstance(R, cs.CurvatureTensor) else R
     parts, total = bank.norms(tensor)
     fine = parts[:len(FINE_COMPONENTS)].tolist()
     scale = total or 1.0        # relative to |R|, no square overflows
@@ -415,16 +415,6 @@ def ricci_qk_split(n: int, r, q) -> tuple:
             9.0 * n / (2.0 * (5.0 * n + 1.0)) * (r - (n + 2.0) / (3.0 * n) * q))
 
 
-def ric_qk_scalars(bank: ProjectorBank, R) -> tuple[np.ndarray, np.ndarray]:
-    """(Ric of the QK part, R-part of Ric of the QKperp part) of R,
-    via the closed formulas; consistency with direct projection is tested."""
-    m = bank.model
-    tensor = R.require_certified() if isinstance(R, cs.CurvatureTensor) else R
-    pr = (np.trace(cs.ricci(tensor)) / m.dim) * m.g
-    prq = (np.trace(cs.ricci_q(m, tensor)) / m.dim) * m.g
-    return ricci_qk_split(m.n, pr, prq)
-
-
 def qk_einstein_verify(bank: ProjectorBank, R, tol: float = 1e-9) -> tuple[float, dict]:
     """For R in QK: extract c from Ric = (n+2) c g and verify the Einstein laws.
 
@@ -432,7 +422,7 @@ def qk_einstein_verify(bank: ProjectorBank, R, tol: float = 1e-9) -> tuple[float
     Both read R divided by a power of two (:func:`.tensor_ops.binary_scaled`).
     """
     m = bank.model
-    tensor = R.require_certified() if isinstance(R, cs.CurvatureTensor) else R
+    tensor = R.tensor if isinstance(R, cs.CurvatureTensor) else R
     with top.binary_scaled(tensor) as s:
         tensor = s.unit
         perp = composite_norm(dict(zip(bank.parts, bank.norms(tensor)[0].tolist())), "QKperp")

@@ -219,49 +219,3 @@ def adapted_basis(m: ModelSpace, rot: np.ndarray,
         raise ValueError("rotation reverses orientation (det < 0)")
     I, J, K = m.triple
     return tuple(r[0] * I + r[1] * J + r[2] * K for r in rot)
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """A uniform random element of SO(3) (QR of a Gaussian matrix)."""
-    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
-    q = q @ np.diag(np.sign(np.diag(r)))
-    if np.linalg.det(q) < 0:
-        q[:, [0, 1]] = q[:, [1, 0]]
-    return q
-
-
-def orientation_volume(m: ModelSpace) -> float:
-    """Evaluate Omega^n(e_1, ..., e_{4n}); nonzero, so Omega fixes an orientation.
-
-    Computed recursively over 4-element subsets so no rank-4n array is formed.
-    """
-    dim, n = m.dim, m.n
-    idx_all = tuple(range(dim))
-
-    def sub_sign(subset, rest_before):
-        # sign of the shuffle moving `subset` to the front of `rest_before`
-        sign = 1
-        positions = [rest_before.index(s) for s in subset]
-        for k, p in enumerate(positions):
-            sign *= (-1) ** (p - k)
-        return sign
-
-    Omega = m.Omega
-
-    @functools.lru_cache(maxsize=None)
-    def value(rest: tuple) -> float:
-        if not rest:
-            return 1.0
-        total = 0.0
-        first = rest[0]
-        for tail in itertools.combinations(rest[1:], 3):
-            subset = (first,) + tail
-            sign = sub_sign(subset, list(rest))
-            remaining = tuple(x for x in rest if x not in subset)
-            w = Omega[subset]
-            if w != 0.0:
-                total += sign * w * value(remaining)
-        return total
-
-    # the (4,...,4)-shuffle sum counts each unordered partition n! times
-    return value(idx_all) * math.factorial(n)

@@ -9,9 +9,9 @@ expressions over it), normalized p-form and raw rank-4 inner products,
 the four products of 2-tensors that build every curvature-type tensor
 (``odot``, ``wedge2`` and the paper's ``phi`` and ``psi``, each on stacks,
 so a sum over A = I, J, K is one call and a ``.sum(0)``), alternation,
-the two skewing maps used by the torsion-to-curvature formulas,
-``contract``, a two-operand einsum over leading (batch) axes done as one
-matmul, and ``binary_scaled``, the one scale rule of every verdict.
+``b_tilde``, the skewed bracket of two torsion tensors, ``contract``, a
+two-operand einsum over leading (batch) axes done as one matmul, and
+``binary_scaled``, the one scale rule of every verdict.
 
 Conventions (fixed once and relied on everywhere):
 
@@ -39,7 +39,7 @@ from numpy.lib.array_utils import normalize_axis_tuple
 
 
 # ---------------------------------------------------------------------------
-# Substitution, and the slot and full actions.
+# Substitution and the slot action.
 
 def substitute(A: np.ndarray, axes, T: np.ndarray) -> np.ndarray:
     """``T(..., A x, ...)`` on each of the numpy ``axes`` of T:
@@ -65,17 +65,6 @@ def slot_act(A: np.ndarray, i: int, b: np.ndarray) -> np.ndarray:
     if not 1 <= i <= b.ndim:
         raise ValueError(f"slot {i} out of range for rank-{b.ndim} tensor")
     return -substitute(A, (i - 1,), b)
-
-
-def pair_act(A: np.ndarray, i: int, j: int, b: np.ndarray) -> np.ndarray:
-    """``A_(i) A_(j) b`` (signs cancel: plain substitution in slots i < j)."""
-    return substitute(A, (i - 1, j - 1), b)
-
-
-def full_act(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Graded full action ``A b(X1,...,Xs) = (-1)^s b(A X1,...,A Xs)``."""
-    out = substitute(A, range(b.ndim), b)
-    return -out if b.ndim % 2 else out
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +197,7 @@ def theta_tensor(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Skewing maps.
-
-def skew_a(T: np.ndarray) -> np.ndarray:
-    """Antisymmetrize the first two slots (orthogonal projection, so tensors
-    already antisymmetric there are fixed).  The curvature-from-torsion
-    formulas use the unnormalized skewing ``T - T.swap`` internally, matching
-    their coefficient conventions."""
-    if T.ndim < 2:
-        raise ValueError("skew_a needs rank >= 2")
-    return 0.5 * (T - T.swapaxes(0, 1))
-
+# The skewed bracket of two torsion tensors, and batched contraction.
 
 def b_tilde(xi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """``b~(xi x zeta)_{X,Y} Z = xi_{zeta_X Y} Z - xi_{zeta_Y X} Z``.

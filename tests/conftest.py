@@ -127,6 +127,15 @@ def random_gammas(m, seed):
     return g - g.swapaxes(1, 2)
 
 
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """A uniform random element of SO(3) (QR of a Gaussian matrix)."""
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q @ np.diag(np.sign(np.diag(r)))
+    if np.linalg.det(q) < 0:
+        q[:, [0, 1]] = q[:, [1, 0]]
+    return q
+
+
 def exact_scales(arrays) -> tuple[int, int]:
     """[lo, hi], within [-1000, 1000]: the k for which 2^k times every array
     stays finite, with every nonzero entry normal."""

@@ -208,8 +208,9 @@ def test_criterion_9_scalar_identity_oracle(n, model, tbank):
             D=random_derivative(tbank, ("acc9d", seed)),
             gammas=random_gammas(m, ("acc9g", seed)))
         scal_f, scalq_f, _ = cft.scalars_from_torsion(m, tbank, st)
-        scal_tr = 4 * n * cft.pi_r_ric(m, st)       # trace of the pi_R(Ric) display
-        scalq_tr = 4 * n * cft.pi_r_ricq(m, st)     # trace of the pi_R(Ric^q) display
+        formulas = cft.ricci_component_formulas(m, st)
+        scal_tr = 4 * n * formulas["pi_R_ric"]      # trace of the pi_R(Ric) display
+        scalq_tr = 4 * n * formulas["pi_R_ricq"]    # trace of the pi_R(Ric^q) display
         worst = max(worst,
                     abs(scal_f - scal_tr) / max(abs(scal_tr), 1.0),
                     abs(scalq_f - scalq_tr) / max(abs(scalq_tr), 1.0))

@@ -4,6 +4,7 @@ import pytest
 from conftest import random_derivative, random_gammas, random_torsion
 from qhcurv import curvature_from_torsion as cft
 from qhcurv import curvature_space as cs
+from qhcurv import decomposition as dec
 from qhcurv import tensor_ops as top
 from qhcurv import torsion as tor
 
@@ -24,7 +25,7 @@ def test_pi_operators_on_qk_ray(model):
     assert top.frob(cft.pi1_operator(m, ray)) < 1e-10 * top.frob(ray)
     # operator identity 4 pi_1es = 3 - sum A3 A4
     R = cs.random_curvature(m, 41).tensor
-    manual = 3 * R - sum(top.pair_act(A, 3, 4, R) for A in m.triple)
+    manual = 3 * R - sum(top.substitute(A, (2, 3), R) for A in m.triple)
     assert np.allclose(cft.pi1es_operator(m, R), manual / 4.0)
     # pi_1s is a projection onto omega content of the last slot pair
     T = np.einsum("xy,zu->xyzu", random_gammas(m, 1)[0], m.omegas[1])
@@ -77,10 +78,8 @@ def test_ricci_formula_consistency(model, tbank):
         st = free_state(m, tbank, ("rc", seed))
         ric = cft.ric_from(m, st)
         ricq = cft.ricq_from(m, st)
-        rmq = cft.ric_minus_ricq(m, st)
+        rmq = 3 * ric - ricq
         scale = max(top.frob(ric), 1.0)
-        # the direct 3 Ric formula equals Ric^q plus the difference formula
-        assert top.frob(3 * ric - (ricq + rmq)) < 1e-9 * scale
         # Ric^q is additive over the local pieces
         assert top.frob(ricq - sum(cft.ric_star_from(m, st, a) for a in range(3))) \
             < 1e-12 * scale
@@ -98,9 +97,10 @@ def test_qk_point_ricci_constants(model):
     assert np.allclose(cft.ricq_from(m, st), 3 * n * c * m.g, atol=1e-10)
     assert np.allclose(cft.ric_from(m, st), (n + 2) * c * m.g, atol=1e-10)
     # gamma_A = c omega_A, xi = 0: Ric*_A = n c g comes from -n c w_A(X, A Y)
-    assert cft.pi_r_ric(m, st) == pytest.approx((n + 2) * c, rel=1e-12)
-    assert cft.pi_r_ricq(m, st) == pytest.approx(3 * n * c, rel=1e-12)
-    ca, cb = cft.ricci_component_formulas(m, st)["R_ab"]
+    formulas = cft.ricci_component_formulas(m, st)
+    assert formulas["pi_R_ric"] == pytest.approx((n + 2) * c, rel=1e-12)
+    assert formulas["pi_R_ricq"] == pytest.approx(3 * n * c, rel=1e-12)
+    ca, cb = formulas["R_ab"]
     assert ca == pytest.approx(c / 12.0, rel=1e-10)
     assert cb == pytest.approx(c / 24.0, rel=1e-10)
 
@@ -167,8 +167,9 @@ def test_scalar_trace_identities(model, tbank):
     for seed in range(5):
         st = free_state(m, tbank, ("sc", seed))
         scal_f, scalq_f, _ = cft.scalars_from_torsion(m, tbank, st)
-        assert scal_f == pytest.approx(4 * n * cft.pi_r_ric(m, st), rel=1e-8)
-        assert scalq_f == pytest.approx(4 * n * cft.pi_r_ricq(m, st), rel=1e-8)
+        formulas = cft.ricci_component_formulas(m, st)
+        assert scal_f == pytest.approx(4 * n * formulas["pi_R_ric"], rel=1e-8)
+        assert scalq_f == pytest.approx(4 * n * formulas["pi_R_ricq"], rel=1e-8)
 
 
 def test_scalq_pure_3h(model, tbank):
@@ -259,9 +260,10 @@ def test_ricci_component_formulas_dict(model, tbank):
     assert set(out) == {
         "pi_R_ric", "pi_R_ricq", "ric_L20E_a", "ric_L20E_b", "pi_L20E_ric",
         "pi_L20E_ricq", "pi_S2ES2H_ric", "pi_S2ES2H_ricq", "ric_S2ES2H_a",
-        "ric_S2ES2H_b", "pi_L20ES2H_ricq", "ric_QK", "pi_R_ric_QKperp", "R_ab"}
+        "ric_S2ES2H_b", "pi_L20ES2H_ricq", "pi_R_ric_QKperp", "R_ab"}
     # QK-point example: Ric_QK = (n+2) c and the QKperp scalar vanishes
     c = 0.6
     outc = cft.ricci_component_formulas(m, cft.TorsionState.qk_point(m, c))
-    assert outc["ric_QK"] == pytest.approx((m.n + 2) * c, rel=1e-10)
+    ric_qk, _ = dec.ricci_qk_split(m.n, outc["pi_R_ric"], outc["pi_R_ricq"])
+    assert ric_qk == pytest.approx((m.n + 2) * c, rel=1e-10)
     assert abs(outc["pi_R_ric_QKperp"]) < 1e-12

@@ -551,9 +551,13 @@ def test_qk_split(bank):
 
 
 def test_ric_qk_scalars_vs_direct(bank):
+    """ricci_qk_split of the Ricci traces gives Ric of the QK part and the
+    R-part of Ric of the QKperp part, as direct projection does."""
     m = bank.model
     R = cs.random_curvature(m, 29)
-    rqk, prq = dec.ric_qk_scalars(bank, R)
+    r = (np.trace(cs.ricci(R.tensor)) / m.dim) * m.g
+    q = (np.trace(cs.ricci_q(m, R.tensor)) / m.dim) * m.g
+    rqk, prq = dec.ricci_qk_split(m.n, r, q)
     direct = cs.ricci(bank.project(R.tensor, "QK"))
     assert top.frob(rqk - direct) < 1e-9 * max(top.frob(direct), 1.0)
     perp = bank.project(R.tensor, "QKperp")
@@ -578,6 +582,18 @@ def test_qk_einstein(bank):
     assert czero == 0.0
     with pytest.raises(ValueError):
         dec.qk_einstein_verify(bank, cs.random_curvature(m, 31).tensor)
+
+
+def test_curvature_readers_take_certified_and_raw_tensors(bank):
+    """component_norms and qk_einstein_verify read a certified tensor and
+    its raw array alike, to the bit."""
+    m = bank.model
+    R = cs.random_curvature(m, 37).tensor
+    assert dec.component_norms(bank, cs.CurvatureTensor.certify(R)) == dec.component_norms(bank, R)
+    coef = bank.basis("S4E").T @ cs.substream("readers", m.n).standard_normal(bank.rank("S4E"))
+    qk = cs.from_pair_coords(bank.scheme, coef) + 0.7 * (m.pi2 + 2 * m.pi1)
+    assert (dec.qk_einstein_verify(bank, cs.CurvatureTensor.certify(qk))
+            == dec.qk_einstein_verify(bank, qk))
 
 
 def _group_elements(m, seed):

@@ -68,3 +68,84 @@ def test_the_scale_rule_stays_in_tensor_ops():
                    for number, line in enumerate(path.read_text().splitlines(), 1)
                    if pattern.search(line))
     assert found == []
+
+
+#: ROADMAP item 9's oracles: the public functions, classes and methods of
+#: ``src/qhcurv`` that only the tests call, as module[.class].name.  Each
+#: backs a test until a verdict of the program reads it or it is deleted;
+#: the set can only shrink.
+TEST_ONLY = {
+    "curvature_from_torsion.TorsionState.validate",
+    "curvature_from_torsion.bhl_coefficients",
+    "curvature_from_torsion.bhl_integrand",
+    "curvature_from_torsion.dd_omega_residual",
+    "curvature_from_torsion.lemma_gammas_kernel",
+    "curvature_from_torsion.pi1_operator",
+    "curvature_from_torsion.pi1es_state",
+    "curvature_from_torsion.pi1s_state",
+    "curvature_from_torsion.reference_deviations",
+    "curvature_from_torsion.ric_from",
+    "curvature_from_torsion.ric_star_from",
+    "curvature_from_torsion.ricq_from",
+    "curvature_space.bilinear_component_basis",
+    "curvature_space.curvature_residuals",
+    "curvature_space.probe_tensors",
+    "decomposition.ComponentBank.basis",
+    "decomposition.Phi_map",
+    "decomposition.Psi_map",
+    "decomposition.l20es2h_embed",
+    "decomposition.varphi",
+    "decomposition.vartheta",
+    "tables.corollary_vanishing",
+    "tensor_ops.odot",
+    "tensor_ops.p_form_inner",
+    "tensor_ops.slot_act",
+    "torsion.expected_torsion_dims",
+    "torsion.psi_k_solve",
+    "torsion.residual_cyclic",
+    "torsion.residual_h_conditions",
+    "torsion.residual_s3h_conditions",
+    "torsion.residual_skew",
+    "torsion.residual_trace_free",
+}
+
+
+def _public_definitions() -> dict:
+    """module[.class].name -> name, for every public top-level function and
+    class of ``src/qhcurv`` and every public method of those classes."""
+    out = {}
+    for path in sorted((ROOT / "src" / "qhcurv").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                out[f"{path.stem}.{node.name}"] = node.name
+                if isinstance(node, ast.ClassDef):
+                    out.update((f"{path.stem}.{node.name}.{sub.name}", sub.name)
+                               for sub in node.body if isinstance(sub, ast.FunctionDef)
+                               and not sub.name.startswith("_"))
+    return out
+
+
+def _reached_names() -> set:
+    """Every name that ``src/qhcurv`` or ``perfbench`` reads (``ast.Name``
+    or ``ast.Attribute``) or exports in ``__all__``."""
+    out = set()
+    for path in sorted((ROOT / "src" / "qhcurv").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                out.update(ast.literal_eval(node.value))
+    return out
+
+
+def test_every_public_name_has_a_caller_or_is_a_listed_oracle():
+    """Every public function, class and method of ``src/qhcurv`` is read by
+    the program or the benchmark, or exported, or listed in TEST_ONLY; and
+    every TEST_ONLY entry still exists and still has no such caller."""
+    reached = _reached_names()
+    test_only = {q for q, name in _public_definitions().items() if name not in reached}
+    assert sorted(test_only - TEST_ONLY) == [], "only tests call these: delete them or list them"
+    assert sorted(TEST_ONLY - test_only) == [], "gone or called now: drop them from TEST_ONLY"

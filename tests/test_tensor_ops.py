@@ -84,10 +84,12 @@ def test_slot_act_errors():
 
 
 def test_full_act_examples():
+    """The full action on a rank-2 tensor, A b = b(A., A.), is substitution
+    in both slots."""
     for A in M2.triple:
-        assert np.allclose(top.full_act(A, M2.g), M2.g)
-    assert np.allclose(top.full_act(M2.I, M2.I), M2.I)      # I omega_I = omega_I
-    assert np.allclose(top.full_act(M2.I, M2.J), -M2.J)     # I omega_J = -omega_J
+        assert np.allclose(top.substitute(A, (0, 1), M2.g), M2.g)
+    assert np.allclose(top.substitute(M2.I, (0, 1), M2.I), M2.I)      # I omega_I = omega_I
+    assert np.allclose(top.substitute(M2.I, (0, 1), M2.J), -M2.J)     # I omega_J = -omega_J
 
 
 def test_slot_acts_on_distinct_slots_commute_exactly():
@@ -201,16 +203,7 @@ def test_products_act_on_stacks(product):
         assert np.array_equal(out[i, j], product(b[j], c[i, 0]))
 
 
-# --- skewing maps -------------------------------------------------------------
-
-def test_skew_a():
-    T = rand((8, 8, 8), 9)
-    anti = T - T.swapaxes(0, 1)
-    assert np.allclose(top.skew_a(anti), anti)       # fixed point on antisymmetric
-    assert np.allclose(top.skew_a(top.skew_a(T)), top.skew_a(T))
-    with pytest.raises(ValueError):
-        top.skew_a(rand((8,), 0))
-
+# --- the skewed bracket -------------------------------------------------------
 
 def test_b_tilde():
     xi, zeta = rand((8, 8, 8), 10), rand((8, 8, 8), 11)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_torsion
+from conftest import random_rotation, random_torsion
 from qhcurv import curvature_space as cs
 from qhcurv import model_space as ms
 from qhcurv import tensor_ops as top
@@ -446,12 +446,11 @@ def test_nabla_omega_covariance_under_adapted_rotation(tbank):
     """Rotating the adapted basis rotates the lambda triple and leaves the
     intrinsic torsion unchanged (constant rotations have no derivative
     term)."""
-    from qhcurv import model_space as ms
     m = tbank.model
     t = random_torsion(tbank, 21)
     lambdas = cs.substream("cov-lam", m.n).standard_normal((3, m.dim))
     nws = tor.nabla_omega_from_torsion(m, t, lambdas)
-    rot = ms.random_rotation(cs.substream("cov-rot", m.n))
+    rot = random_rotation(cs.substream("cov-rot", m.n))
     rotated = np.einsum("ab,bxyz->axyz", rot, nws)
     t2, lam2, resid = tor.torsion_from_nabla_omega(m, *rotated)
     # the rotated data describes the same structure in a rotated basis:
