@@ -37,19 +37,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, reads=("tol", "json")):
-        """--n and --allow-large, plus --tol and --json where the command
-        reads them."""
+        """--n, plus --tol and --json where the command reads them."""
         sp.add_argument("--n", type=int, required=True,
-                        help="quaternionic dimension (2 or 3; any larger n with "
-                             "--allow-large)")
+                        help="quaternionic dimension (2 or 3)")
         if "tol" in reads:
             sp.add_argument("--tol", type=float, default=1e-9,
                             help="verification tolerance (default 1e-9)")
         if "json" in reads:
             sp.add_argument("--json", type=str, default=None, metavar="PATH",
                             help="write the JSON report here")
-        sp.add_argument("--allow-large", action="store_true",
-                        help="allow --n above 3")
 
     sp = sub.add_parser("audit", help="dimension and projector-algebra audit")
     common(sp)
@@ -94,16 +90,13 @@ def main(argv=None) -> int:
     from . import torsion as tor
     from .model_space import build_model
 
-    if args.n < 2 or (args.n > 3 and not args.allow_large):
-        return _error("--n must be 2 or 3 (larger needs --allow-large)", 1)
+    if args.n not in (2, 3):
+        return _error("--n must be 2 or 3", 1)
     if getattr(args, "seeds", 1) < 1:
         return _error("--seeds must be at least 1", 1)
 
     tol = getattr(args, "tol", None)       # audit, decompose and torsion
-    try:
-        m = build_model(args.n)
-    except ValueError as exc:
-        return _error(exc, 1)
+    m = build_model(args.n)
 
     paths = ([args.input] if getattr(args, "input", None)
              else getattr(args, "from_nabla_omega", None) or [])

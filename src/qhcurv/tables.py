@@ -253,22 +253,16 @@ def _low_n_zero(n: int, key, table: int, col: str) -> bool:
 # other four the reference annotations hold only modulo the on-shell
 # trades discussed in the curvature_from_torsion module docstring, and
 # the embedded directions are the ones the Ricci formulas actually
-# produce (closed forms fitted exactly at n = 2, 3, 4).
+# produce (closed forms fitted exactly at n = 2, 3, 4).  A derived row
+# has no orthogonal witness here: run_tables takes the metric-orthogonal
+# complement within span{a, b} from the context's <a, a> and <b, b>.
 def direction_annotations(n: int) -> dict:
     k1, k2 = n - 1.0, 2.0 * n + 1.0
     f = n * n + 3.0 * n + 1.0
     g = n * n + 1.0
     eh_a = -2.0 * (n - 1.0) * (10.0 * n ** 3 + 17.0 * n * n - 2.0 * n - 1.0)
     eh_b = (2.0 * n + 1.0) * (10.0 * n ** 3 - 13.0 * n * n - 8.0 * n - 1.0)
-
-    def orth(direction):
-        # metric-orthogonal complement within span{a, b}
-        na2 = 1152.0 * n * (2.0 * n + 1.0)   # <a, a>
-        nb2 = 2304.0 * n * (n - 1.0)         # <b, b>
-        al, be = direction
-        return (be * nb2, -al * na2)
-
-    out = {
+    return {
         ("gamma",): ((2.0, 1.0), (k1, -k2), "reference"),
         ("D", "EH"): ((2.0 * k1, -k2), (1.0, 1.0), "reference"),
         ("xx", "33", "33"): ((5.0 * k1, -k2), (2.0, 5.0), "reference"),
@@ -278,8 +272,6 @@ def direction_annotations(n: int) -> dict:
         ("xx", "KH", "KH"): ((-4.0 * k1, -k2), None, "derived"),
         ("xx", "EH", "EH"): ((eh_a, eh_b), None, "derived"),
     }
-    return {key: (d, q if q is not None else orth(d), src)
-            for key, (d, q, src) in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +495,8 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
         # direction annotations
         if key in annotations and not zero_source:
             direction, orth, provenance = annotations[key]
+            if orth is None:
+                orth = (direction[1] * ctx.ab_norm2[1], -direction[0] * ctx.ab_norm2[0])
             met = np.diag(ctx.ab_norm2)
             pp, qq = np.array(direction, dtype=float), np.array(orth, dtype=float)
             pn, qn = float(np.sqrt(pp @ met @ pp)), float(np.sqrt(qq @ met @ qq))

@@ -21,13 +21,14 @@ part is cut out by the three-form/cyclic conditions, and the K-part is the
 orthogonal remainder.  Every such operator acts on a stack of tensors, the
 slot conditions by substitution of I, J, K
 (:func:`.tensor_ops.substitute`), so each kernel's SVD input, and each
-E-part image, is one call on the whole stack of rows.  Its ranks are
-the package's only singular-value thresholds (:func:`_orthonormal_rows`,
-:func:`_null_space_rows`): its bases seed the table witnesses that the
-benchmark reference pins, so their bits stay.  The six bases are stored as
-:class:`TorsionBank`, the :class:`.decomposition.ComponentBank` store of the
-curvature bank over one class of all d^3 coordinates, so both banks answer
-ranks, projections and component norms by the same code.
+E-part image, is one call on the whole stack of rows.  Every rank is read
+from the weights, and the package's only SVDs (:func:`_svd_cut`) cut there,
+with one margin gate on the singular values: its bases seed the table
+witnesses that the benchmark reference pins, so their bits stay.  The six
+bases are stored as :class:`TorsionBank`, the
+:class:`.decomposition.ComponentBank` store of the curvature bank over one
+class of all d^3 coordinates, so both banks answer ranks, projections and
+component norms by the same code.
 
 The module also recovers (xi, lambda_A) from nabla-omega first-jet data and
 classifies torsion tensors by the 6-bit mask of nonvanishing components.
@@ -216,72 +217,47 @@ class TorsionBank(dec.ComponentBank):
 
 
 # ---------------------------------------------------------------------------
-# Singular-value rank decisions: the torsion bank's alone (see the module
-# docstring).
-
-#: Relative singular-value threshold for rank decisions.
-_SV_TOL = 1e-8
+# Singular-value cuts: the torsion bank's alone (see the module docstring).
 
 #: Smallest ratio allowed between the smallest kept singular value and the
-#: largest dropped one; a closer call raises instead of guessing the rank.
+#: largest dropped one; a closer call raises instead of trusting the rank.
 _SV_MARGIN = 1e6
 
 
-def _check_margin(s: np.ndarray, rank: int, label: str) -> None:
-    """ArithmeticError, naming the basis ``label``, unless the smallest kept
-    singular value is at least ``_SV_MARGIN`` times the largest dropped one."""
-    if 0 < rank < len(s) and not s[rank - 1] >= _SV_MARGIN * s[rank]:
-        raise ArithmeticError(f"{label}: rank decision too close: singular value "
-                              f"{s[rank - 1]} kept, {s[rank]} dropped "
-                              f"(margin {_SV_MARGIN:g} required)")
+def _svd_cut(mat: np.ndarray, rank: int, label: str, kernel: bool = False) -> np.ndarray:
+    """Orthonormal rows, an owned copy of part of V^T (a view would keep the
+    whole V^T alive with the basis): the first ``rank`` span the row space
+    of ``mat``, the other columns - ``rank`` its null space (``kernel``).
 
-
-def _orthonormal_rows(mat: np.ndarray, tol: float = _SV_TOL,
-                      floor: float = 0.0, label: str = "rows") -> np.ndarray:
-    """Orthonormal basis of the row space.
-
-    Singular values are kept when above ``tol * s_max`` and above the
-    absolute ``floor``, with the margin of :func:`_check_margin`.  The floor
-    matters when the row space may be zero in exact arithmetic: a purely
-    relative threshold would promote roundoff noise to full rank.  ``label``
-    names the basis in a margin error and nowhere else.  The rows are an
-    owned copy: a view would keep the whole V^T alive with the basis.
+    ``rank`` is the closed-form one; the smallest kept singular value must
+    exceed ``_SV_MARGIN`` times the largest dropped one, or, when none is
+    dropped, times numpy's roundoff bound s_max * eps * max(rows, cols).
+    Any other spectrum, a zero or empty ``mat`` included, raises
+    ArithmeticError naming the basis ``label``.
     """
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.size == 0 or not np.any(mat):
-        return np.zeros((0, mat.shape[1]))
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    rank = int(np.sum(s > max(tol * s[0], floor)))
-    _check_margin(s, rank, label)
-    return vt[:rank].copy()
-
-
-def _null_space_rows(mat: np.ndarray, tol: float = _SV_TOL,
-                     label: str = "null space") -> np.ndarray:
-    """Orthonormal basis (rows, an owned copy of part of V^T) of the null
-    space of ``mat`` (acting on rows^T); ``label`` names the basis in a
-    margin error."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
     nrows, ncols = mat.shape
-    if mat.size == 0 or not np.any(mat):
-        return np.eye(ncols)
     # the economy SVD already carries the complete V^T when nrows >= ncols;
     # the full one would materialize a nrows x nrows U
-    u, s, vt = np.linalg.svd(mat, full_matrices=nrows < ncols)
-    rank = int(np.sum(s > tol * s[0]))
-    _check_margin(s, rank, label)
-    return vt[rank:].copy()
+    u, s, vt = np.linalg.svd(mat, full_matrices=kernel and nrows < ncols)
+    kept = s[rank - 1] if 0 < rank <= len(s) else 0.0
+    dropped = s[rank] if 0 <= rank < len(s) else \
+        s.max(initial=0.0) * np.finfo(float).eps * max(nrows, ncols)
+    if not kept > _SV_MARGIN * dropped:
+        raise ArithmeticError(f"{label}: rank decision too close: rank {rank} keeps "
+                              f"singular value {kept}, drops {dropped} "
+                              f"(margin {_SV_MARGIN:g} required)")
+    return (vt[rank:] if kernel else vt[:rank]).copy()
 
 
-def _kernel_within(rows: np.ndarray, shape, op, label: str) -> np.ndarray:
-    """Rows spanning the joint kernel, within span(rows), of the operators
-    that ``op`` applies to the whole stack of rows at once, their images
-    stacked on its leading axes; ``label`` names the kernel in a margin
-    error.  Column r of the SVD input holds the images of row r, one
+def _kernel_within(rows: np.ndarray, shape, op, dim: int, label: str) -> np.ndarray:
+    """``dim`` rows spanning the joint kernel, within span(rows), of the
+    operators that ``op`` applies to the whole stack of rows at once, their
+    images stacked on its leading axes; ``label`` names the kernel in a
+    margin error.  Column r of the SVD input holds the images of row r, one
     operator after another."""
     images = op(rows.reshape((-1,) + shape)).reshape(-1, rows.shape[0], rows.shape[1])
     images = images.transpose(1, 0, 2).reshape(rows.shape[0], -1)
-    coeff = _null_space_rows(images.T, label=label)
+    coeff = _svd_cut(images.T, rows.shape[0] - dim, label, kernel=True)
     return coeff @ rows
 
 
@@ -302,43 +278,46 @@ def _projector_rows(m: ModelSpace) -> np.ndarray:
 def build_torsion_bank(m: ModelSpace) -> TorsionBank:
     """Construct the six orthogonal component bases of the torsion space.
 
+    Every rank is the closed form of :func:`expected_torsion_dims`: of a
+    component, of a half (the sum of its three) or of the whole space.
     Each SVD runs with only its own input and the bases already found
     alive: no operator matrix outlives its kernel."""
     d = m.dim
     shape = (d, d, d)
-    ambient = _orthonormal_rows(_projector_rows(m), floor=1e-6, label="torsion space")
+    dims = expected_torsion_dims(m.n)
+    ambient = _svd_cut(_projector_rows(m), sum(dims.values()), "torsion space")
 
     # S^3H / H halves
-    s3h = _kernel_within(ambient, shape, lambda t: _s3h_defects(m, t), "torsion S3H half")
-    h = _kernel_within(ambient, shape, lambda t: _h_defects(m, t), "torsion H half")
+    s3h = _kernel_within(ambient, shape, lambda t: _s3h_defects(m, t),
+                         dims["33"] + dims["K3"] + dims["E3"], "torsion S3H half")
+    h = _kernel_within(ambient, shape, lambda t: _h_defects(m, t),
+                       dims["3H"] + dims["KH"] + dims["EH"], "torsion H half")
 
     comps = {}
 
     # Lambda^3_0 E S^3H: totally skew tensors inside the S^3H half
     comps["33"] = _kernel_within(s3h, shape, lambda t: t - top.alt(t, (-3, -2, -1)),
-                                 "torsion 33")
+                                 dims["33"], "torsion 33")
 
     # E S^3H: image of the trace-form reconstruction
     e3_rows = xi_E3_from_trace(m, s3h.reshape((-1,) + shape)).reshape(s3h.shape)
-    comps["E3"] = _orthonormal_rows(e3_rows, floor=1e-6, label="torsion E3")
+    comps["E3"] = _svd_cut(e3_rows, dims["E3"], "torsion E3")
 
     # K S^3H: orthogonal remainder
     used = np.vstack([comps["33"], comps["E3"]])
-    comps["K3"] = _orthonormal_rows(
-        s3h - (s3h @ used.T) @ used, floor=1e-6, label="torsion K3")
+    comps["K3"] = _svd_cut(s3h - (s3h @ used.T) @ used, dims["K3"], "torsion K3")
 
     # Lambda^3_0 E H: vanishing cyclic sum inside the H half
     comps["3H"] = _kernel_within(h, shape, lambda t: top.cyclic3(t, (-3, -2, -1)),
-                                 "torsion 3H")
+                                 dims["3H"], "torsion 3H")
 
     # E H: image of the global-trace reconstruction
     eh_rows = xi_EH_from_trace(m, h.reshape((-1,) + shape)).reshape(h.shape)
-    comps["EH"] = _orthonormal_rows(eh_rows, floor=1e-6, label="torsion EH")
+    comps["EH"] = _svd_cut(eh_rows, dims["EH"], "torsion EH")
 
     # K H: orthogonal remainder
     used = np.vstack([comps["3H"], comps["EH"]])
-    comps["KH"] = _orthonormal_rows(
-        h - (h @ used.T) @ used, floor=1e-6, label="torsion KH")
+    comps["KH"] = _svd_cut(h - (h @ used.T) @ used, dims["KH"], "torsion KH")
 
     rows = np.vstack([comps[name] for name in TORSION_COMPONENTS])
     bounds = np.cumsum([0] + [comps[name].shape[0] for name in TORSION_COMPONENTS])

@@ -210,6 +210,7 @@ def test_report_rejects_nan_without_writing(tmp_path):
 def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     assert cli.main(["audit", "--n", "1"]) == 1
     assert cli.main(["audit", "--n", "5"]) == 1
+    assert cli.main(["audit", "--n", "4", "--allow-large"]) == 1
     assert cli.main(["bogus"]) == 1
     # make-tensor writes no report and checks nothing; tables checks no tolerance
     out = str(tmp_path / "R.qht")

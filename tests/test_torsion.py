@@ -620,29 +620,69 @@ def test_verdict_paths_plan_no_einsum(monkeypatch, bank2, tbank2):
 
 
 def test_rank_decisions_raise_below_the_margin():
-    """Singular values 1, 1e-7 and 1e-10: _SV_TOL keeps 1e-7 and drops
-    1e-10, a margin of 1e3 < _SV_MARGIN, so both helpers raise; so do
-    1, 1e-5 and 1e-9 (margin 1e4), with a message that names the basis
-    given as ``label``.  With 1e-14 in place of 1e-10 the margin is 1e7
-    and they return rank 2 and nullity 3."""
+    """Singular values 1, 1e-7 and 1e-10: a cut at rank 2 keeps 1e-7 and
+    drops 1e-10, a margin of 1e3 < _SV_MARGIN, so it raises as a row-space
+    and as a kernel cut, with a message that names the basis given as
+    ``label``.  With 1e-14 in place of 1e-10 the margin is 1e7 and the cut
+    returns 2 rows, or the 5 - 2 kernel rows."""
     rng = cs.substream("margin", 0)
     U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
     V = np.linalg.qr(rng.standard_normal((5, 5)))[0][:3]
-    close = U @ np.diag([1.0, 1e-7, 1e-10]) @ V
-    for helper in (tor._orthonormal_rows, tor._null_space_rows):
-        with pytest.raises(ArithmeticError, match="rank decision too close"):
-            helper(close)
+    for kernel in (False, True):
         with pytest.raises(ArithmeticError, match="^probe basis: rank decision too close"):
-            helper(U @ np.diag([1.0, 1e-5, 1e-9]) @ V, label="probe basis")
+            tor._svd_cut(U @ np.diag([1.0, 1e-7, 1e-10]) @ V, 2, "probe basis", kernel=kernel)
     clear = U @ np.diag([1.0, 1e-7, 1e-14]) @ V
-    assert tor._orthonormal_rows(clear).shape == (2, 5)
-    assert tor._null_space_rows(clear).shape == (3, 5)
+    assert tor._svd_cut(clear, 2, "probe").shape == (2, 5)
+    assert tor._svd_cut(clear, 2, "probe", kernel=True).shape == (3, 5)
+
+
+def test_full_rank_cut_is_gated_by_roundoff():
+    """With nothing dropped the smallest singular value is compared with
+    s_max * eps * max(rows, cols): 1e-9 clears it by less than _SV_MARGIN
+    and raises, 1e-3 passes, with an empty kernel."""
+    rng = cs.substream("margin", 1)
+    U = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    V = np.linalg.qr(rng.standard_normal((5, 5)))[0][:3]
+    for kernel in (False, True):
+        with pytest.raises(ArithmeticError, match="^full: rank decision too close"):
+            tor._svd_cut(U @ np.diag([1.0, 0.5, 1e-9]) @ V, 3, "full", kernel=kernel)
+    clear = U @ np.diag([1.0, 0.5, 1e-3]) @ V
+    assert tor._svd_cut(clear, 3, "full").shape == (3, 5)
+    assert tor._svd_cut(clear.T, 3, "full", kernel=True).shape == (0, 3)
+
+
+@pytest.mark.parametrize("shape, rank", [((4, 6), 2), ((4, 6), 0), ((0, 6), 0), ((0, 6), 1)])
+@pytest.mark.parametrize("kernel", [False, True])
+def test_zero_or_empty_cut_raises(shape, rank, kernel):
+    """A zero or empty matrix has no singular value to keep above the
+    margin: every cut raises ArithmeticError, never IndexError, even the
+    rank-2 cut of a 4 x 6 zero that a non-strict 0 >= 1e6 * 0 would pass."""
+    with pytest.raises(ArithmeticError, match="^nothing: rank decision too close"):
+        tor._svd_cut(np.zeros(shape), rank, "nothing", kernel=kernel)
 
 
 def test_rank_helpers_return_owned_rows():
     """The bases own their data, so none keeps the whole V^T alive."""
     mat = cs.substream("owned-rows", 0).standard_normal((3, 6))
-    for rows in (tor._orthonormal_rows(mat), tor._null_space_rows(mat),
-                 tor._null_space_rows(mat.T)):
+    for rows in (tor._svd_cut(mat, 3, "rows"), tor._svd_cut(mat, 3, "kernel", kernel=True),
+                 tor._svd_cut(mat.T, 3, "kernel", kernel=True)):
         assert rows.base is None and rows.flags.owndata
-    assert tor._null_space_rows(mat.T).shape == (0, 3)
+    assert tor._svd_cut(mat.T, 3, "kernel", kernel=True).shape == (0, 3)
+
+
+@pytest.mark.parametrize("source, target", [("K3", "E3"), ("KH", "EH")])
+def test_a_moved_weight_dimension_raises_naming_its_basis(model2, monkeypatch, source, target):
+    """Every rank of the bank comes from expected_torsion_dims: moving one
+    dimension between two components of one half keeps the half's rank and
+    fails the first of the two cuts, naming its basis."""
+    true_dims = tor.expected_torsion_dims
+
+    def moved(n):
+        dims = true_dims(n)
+        dims[source] -= 1
+        dims[target] += 1
+        return dims
+
+    monkeypatch.setattr(tor, "expected_torsion_dims", moved)
+    with pytest.raises(ArithmeticError, match=f"^torsion {target}: "):
+        tor.build_torsion_bank(model2)
