@@ -5,9 +5,11 @@ symmetric product of torsion components) and every curvature / Ricci
 target, the engine samples seeded single-component states, evaluates the
 closed formulas, projects onto the target, and records whether the
 coupling is nonzero.  Off-diagonal products are handled by polarization:
-each quadratic target is evaluated at xi + zeta and the pure terms are
-subtracted.  The seeded states of one source row are evaluated as one
-batch, so memory grows with the seed count, not with the number of rows.
+each quadratic target is evaluated at xi + zeta and the pure terms, the
+states of the two diagonal rows, are subtracted.  The states of all rows
+are made and evaluated a fixed-size stack at a time, so one stack of
+states is alive whatever the seed count, and the fixed cost of an
+evaluation is paid once per stack, not once per row.
 
 Tick rule: a cell is ticked when the witness exceeds ``TICK_ON`` times the
 input scale on at least one seed, unticked when every seed stays below
@@ -350,39 +352,67 @@ _FORMULA_OF_COLUMN = {
 def evaluate_columns(ctx: TableContext, state: cft.TorsionState) -> dict:
     """All column values for one state, or for a batch of states (their
     leading axes lead every column): Ricci components (tables 1-2) and the
-    QKperp projections of pi_2 pi_1 (table 3)."""
+    QKperp projections of pi_2 pi_1 (table 3).  Most of a call's cost is
+    fixed: at n = 2 (1 BLAS thread) one state takes 1.4 ms and 32 take
+    8-10 ms, so ``run_tables`` evaluates its states in stacks of
+    ``_STACK``."""
     formulas = cft.ricci_component_formulas(ctx.m, state)
     return ({col: formulas[key] for col, key in _FORMULA_OF_COLUMN.items()}
             | ctx.pi1_columns(cft.pi1_state(ctx.m, state)))
 
 
-def evaluate_row(ctx: TableContext, key, seeds: int, pure: dict) -> dict:
-    """Column values for one source row from one batch of states, one
-    leading entry per seed (one in all for the gamma row); polarized for
-    the off-diagonal products.  ``pure`` caches, per component c, the
-    columns of its seeded pure states, which the diagonal row and every
-    off-diagonal row containing c share; rows fill it as they need it."""
+#: States per ``evaluate_columns`` call of ``run_tables``: at n = 2 the
+#: tables take four calls, and one stack's intermediates fit in the memory
+#: the bank builds have freed (with 40 the tables-n2 peak RSS rose 3 MB).
+_STACK = 32
+
+
+def _seeded_states(ctx: TableContext, keys, seeds: int, pure: dict):
+    """The seeded states of the rows ``keys``, row after row, one per seed
+    (one in all for the gamma row), each made when it is read.  A diagonal
+    row's states are the pure states ``pure[c, s]``; an off-diagonal row's
+    are the sums of two of them."""
     m, tbank = ctx.m, ctx.tbank
+    for key in keys:
+        if key[0] == "gamma":
+            yield cft.TorsionState.qk_point(m, 1.0)
+            continue
+        for s in range(seeds):
+            if key[0] == "D":
+                yield cft.TorsionState.make(
+                    m, D=tor.random_derivative_component(tbank, key[1], s))
+            elif key[1] == key[2]:
+                yield cft.TorsionState.make(m, t=pure[key[1], s])
+            else:
+                yield cft.TorsionState.make(m, t=pure[key[1], s] + pure[key[2], s])
 
-    def batch(one, count=seeds):
-        return evaluate_columns(ctx, cft.TorsionState.stack([one(s) for s in range(count)]))
 
-    def pure_of(c):
-        if c not in pure:
-            pure[c] = batch(lambda s: cft.TorsionState.make(m, t=tbank.random_component(c, s)))
-        return pure[c]
-
-    if key[0] == "gamma":
-        return batch(lambda s: cft.TorsionState.qk_point(m, 1.0), 1)
-    if key[0] == "D":
-        return batch(lambda s: cft.TorsionState.make(
-            m, D=tor.random_derivative_component(tbank, key[1], s)))
-    _, c1, c2 = key
-    if c1 == c2:
-        return pure_of(c1)
-    mixed = batch(lambda s: cft.TorsionState.make(
-        m, t=tbank.random_component(c1, s) + tbank.random_component(c2, s)))
-    return {k: mixed[k] - pure_of(c1)[k] - pure_of(c2)[k] for k in mixed}
+def _row_columns(ctx: TableContext, keys, seeds: int) -> dict:
+    """Column values of each source row in ``keys``, one leading entry per
+    seed (one in all for the gamma row); polarized for the off-diagonal
+    products, which subtract the columns of the diagonal rows of their
+    two components (``keys`` holds those rows).  Each component's pure
+    states are drawn once.  The states of all rows are evaluated in stacks
+    of ``_STACK``, each made just before it is evaluated; only the columns
+    are kept."""
+    comps = {c for key in keys if key[0] == "xx" for c in key[1:]}
+    pure = {(c, s): ctx.tbank.random_component(c, s) for c in comps for s in range(seeds)}
+    states = _seeded_states(ctx, keys, seeds, pure)
+    parts = []
+    while stack := list(itertools.islice(states, _STACK)):
+        stack = cft.TorsionState.stack(stack)        # frees the single states
+        parts.append(evaluate_columns(ctx, stack))
+    flat = {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
+    rows, at = {}, 0
+    for key in keys:
+        count = 1 if key[0] == "gamma" else seeds
+        rows[key] = {k: v[at:at + count] for k, v in flat.items()}
+        at += count
+    for key in keys:
+        if key[0] == "xx" and key[1] != key[2]:
+            mixed, p1, p2 = rows[key], rows["xx", key[1], key[1]], rows["xx", key[2], key[2]]
+            rows[key] = {k: mixed[k] - p1[k] - p2[k] for k in mixed}
+    return rows
 
 
 def _witnesses(ctx: TableContext, cols: dict) -> dict:
@@ -443,7 +473,10 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
                seeds: int = DEFAULT_SEEDS) -> TablesReport:
     """Evaluate every cell of the three tables and diff against the embedded
     expectations; verify the R_x direction annotations of Table 2.  A cell
-    needs at least one seed: ``seeds < 1`` raises ValueError."""
+    needs at least one seed: ``seeds < 1`` raises ValueError.  The seeded
+    states of every row whose components are nonzero at n are evaluated
+    together, in stacks (``_row_columns``); the cells are then read row by
+    row from each row's columns."""
     if seeds < 1:
         raise ValueError(f"run_tables needs at least one seed, got {seeds}")
     ctx = TableContext.build(bank, tbank)
@@ -454,12 +487,13 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
 
     table_specs = ((1, TABLE1_COLUMNS), (2, TABLE2_COLUMNS), (3, TABLE3_COLUMNS))
 
-    pure = {}
+    live = [key for key in row_keys()
+            if key[0] == "gamma" or all(tbank.rank(c) for c in key[1:])]
+    row_cols = _row_columns(ctx, live, seeds)
     for key in row_keys():
-        zero_source = (key[0] in ("D", "xx")
-                       and any(tbank.rank(c) == 0 for c in key[1:]))
+        zero_source = key not in row_cols
         if not zero_source:
-            cols = evaluate_row(ctx, key, seeds, pure)
+            cols = row_cols[key]
             wit = _witnesses(ctx, cols)
         for table, columns in table_specs:
             if table == 3 and key not in EXPECTED_TABLE3:

@@ -98,22 +98,83 @@ def test_run_tables_needs_a_seed(seeds):
         tbl.run_tables(get_bank(2), get_torsion_bank(2), seeds=seeds)
 
 
-@pytest.mark.parametrize("seeds", [1, 2])
+@pytest.mark.parametrize("seeds", [1, 2, 3])
 def test_run_tables_evaluates_each_state_once(monkeypatch, seeds):
     """At n = 2 four torsion components are nonzero: per seed, four
     derivative rows, four pure states and six sums, plus the gamma row.
-    Each of those fifteen rows is one batch of its seeded states."""
-    batches = []
-    inner = tbl.evaluate_columns
+    Those 15, 29 or 43 states are evaluated in stacks of 32, and each
+    component's pure states are drawn once, for its diagonal row and its
+    sums alike."""
+    batches, draws = [], []
+    inner, draw = tbl.evaluate_columns, tor.TorsionBank.random_component
 
     def counting(ctx, state):
         batches.append(state.t.shape[0])
         return inner(ctx, state)
 
+    def counting_draw(self, name, seed):
+        draws.append((name, seed))
+        return draw(self, name, seed)
+
     monkeypatch.setattr(tbl, "evaluate_columns", counting)
+    monkeypatch.setattr(tor.TorsionBank, "random_component", counting_draw)
     tbl.run_tables(get_bank(2), get_torsion_bank(2), seeds=seeds)
     assert sum(batches) == 1 + 14 * seeds
-    assert len(batches) == 15
+    assert len(batches) == {1: 1, 2: 1, 3: 2}[seeds]
+    assert len(draws) == len(set(draws)) == 4 * seeds
+
+
+def _row_by_row(ctx, keys, seeds):
+    """The columns of each row from one evaluate_columns batch of its own
+    seeded states, drawn afresh for every row: a polarized row evaluates
+    its two pure batches again."""
+    m, tbank = ctx.m, ctx.tbank
+
+    def batch(make, count=seeds):
+        return tbl.evaluate_columns(ctx, cft.TorsionState.stack([make(s) for s in range(count)]))
+
+    def pure(c):
+        return batch(lambda s: cft.TorsionState.make(m, t=tbank.random_component(c, s)))
+
+    out = {}
+    for key in keys:
+        if key[0] == "gamma":
+            out[key] = batch(lambda s: cft.TorsionState.qk_point(m, 1.0), 1)
+        elif key[0] == "D":
+            out[key] = batch(lambda s: cft.TorsionState.make(
+                m, D=tor.random_derivative_component(tbank, key[1], s)))
+        elif key[1] == key[2]:
+            out[key] = pure(key[1])
+        else:
+            mixed = batch(lambda s: cft.TorsionState.make(
+                m, t=tbank.random_component(key[1], s) + tbank.random_component(key[2], s)))
+            p1, p2 = pure(key[1]), pure(key[2])
+            out[key] = {k: mixed[k] - p1[k] - p2[k] for k in mixed}
+    return out
+
+
+@pytest.mark.parametrize("n, seeds", [(2, 8), (3, 2)])
+def test_stacked_rows_match_row_by_row_oracle(monkeypatch, n, seeds):
+    """The stacked evaluation gives every cell the status and tick, and
+    every ticked witness and direction cosine to 1e-12 relative, that a
+    row-by-row evaluation gives."""
+    bank, tbank = get_bank(n), get_torsion_bank(n)
+    stacked = tbl.run_tables(bank, tbank, seeds=seeds)
+    monkeypatch.setattr(tbl, "_row_columns", _row_by_row)
+    oracle = tbl.run_tables(bank, tbank, seeds=seeds)
+    assert len(stacked.cells) == len(oracle.cells)
+    for cell, want in zip(stacked.cells, oracle.cells):
+        assert (cell.source, cell.table, cell.target) == (want.source, want.table, want.target)
+        assert (cell.status, cell.tick, cell.seeds_used) == (want.status, want.tick,
+                                                             want.seeds_used)
+        if want.tick:
+            assert cell.witness == pytest.approx(want.witness, rel=1e-12), cell
+    assert len(stacked.direction_checks) == len(oracle.direction_checks) > 0
+    for d, want in zip(stacked.direction_checks, oracle.direction_checks):
+        assert (d["source"], d["seed"], d["aligned"]) == (want["source"], want["seed"],
+                                                          want["aligned"])
+        for cos in ("cos_direction", "cos_orthogonal"):
+            assert d[cos] == pytest.approx(want[cos], rel=1e-12, abs=1e-12), (d, cos)
 
 
 @pytest.mark.parametrize("name", ["report2", "report3"])
@@ -241,6 +302,18 @@ def test_n3_stages_hold_no_full_width_rows(model3):
     _, context = _traced_peak_mb(lambda: tbl.TableContext.build(bank, tbank))
     assert audit.ok
     assert build < 45.0 and check < 30.0 and context < 10.0, (build, check, context)
+
+
+@pytest.mark.parametrize("n, bound", [(2, 10.5), (3, 50.0)])
+def test_run_tables_holds_one_stack_of_states(n, bound):
+    """Peak traced memory of run_tables(seeds=8): the states are made and
+    evaluated one stack of 32 at a time.  Measured: 8.3-9.0 MB at n = 2
+    (113 states) and 42.3 MB at n = 3 (217 states); the bounds leave 17 %
+    and 18 %.  Making every state before the first stack reached 12.6 MB
+    at n = 2 and about 81 MB at n = 3."""
+    bank, tbank = get_bank(n), get_torsion_bank(n)
+    _, peak = _traced_peak_mb(lambda: tbl.run_tables(bank, tbank, seeds=8))
+    assert peak < bound, peak
 
 
 def _batches(m, tbank):
