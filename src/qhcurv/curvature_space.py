@@ -27,13 +27,13 @@ keep each class, and every closed-form row of R lies in one, so
 :func:`curvature_basis` builds the basis class by class, each class's rows
 restricted to its own coordinates.  :func:`h_terms` gives
 H = (n + 2)(3 L + L_sigma) + Cas on R as one sum of Kronecker products of
-m x m matrices, one term per distinct pair.  :func:`_kron_entries`
-finds the nonzero entries of every factor of such a sum once, and
-:func:`_kron_block` forms from them the sum's block on a set of pair
-coordinates it keeps, such as a class.  The tensor-level :func:`L_map`,
-:func:`L_sigma_map` and :func:`Cas_map` stay as independent oracles: they
-act on a stack of rank-4 tensors by slot substitution
-(:func:`.tensor_ops.substitute`), not through pair coordinates.
+m x m matrices, one term per distinct pair, each factor given by its
+nonzero entries, and :func:`_kron_block` forms such a sum on a set of
+pair coordinates it keeps, such as a class.  The tensor-level
+:func:`L_map`, :func:`L_sigma_map` and :func:`Cas_map` stay as
+independent oracles: they act on a stack of rank-4 tensors by slot
+substitution (:func:`.tensor_ops.substitute`), not through pair
+coordinates.
 """
 
 from __future__ import annotations
@@ -569,26 +569,16 @@ def _pair_derivations(ps: PairScheme, mats: np.ndarray) -> np.ndarray:
                      for X in mats])
 
 
-def _kron_entries(terms) -> list:
-    """The ``terms`` (w_t, A_t, B_t) of a sum of Kronecker products, each
-    factor as its nonzero entries (rows, cols, values) in row-major order,
-    for :func:`_kron_block`: a build finds them once, not once per block."""
-    def entries(M):
-        p, q = np.nonzero(M)
-        return p, q, M[p, q]
-    return [(w, entries(A), entries(B)) for w, A, B in terms]
-
-
-def _kron_block(ps: PairScheme, entries: list, coords: np.ndarray) -> np.ndarray:
-    """Dense block of sum_t w_t A_t x B_t, given by its
-    :func:`_kron_entries`, on the pair coordinates ``coords``, which it must
-    keep (else ValueError), summed from the products of nonzero entries of
-    A_t and B_t."""
+def _kron_block(ps: PairScheme, terms, coords: np.ndarray) -> np.ndarray:
+    """Dense block of sum_t w_t A_t x B_t, for the ``terms`` (w_t, A_t, B_t)
+    of :func:`h_terms`, each factor as its nonzero entries, on the pair
+    coordinates ``coords``, which it must keep (else ValueError), summed
+    from the products of those entries."""
     size = len(coords)
     at = np.full(ps.m ** 2, -1)
     at[coords] = np.arange(size)
     keys, values = [], []
-    for w, (pa, qa, va), (pb, qb, vb) in entries:
+    for w, (pa, qa, va), (pb, qb, vb) in terms:
         row = at[(pa[:, None] * ps.m + pb).ravel()]
         on = row >= 0
         col = at[(qa[:, None] * ps.m + qb).ravel()[on]]
@@ -602,7 +592,9 @@ def _kron_block(ps: PairScheme, entries: list, coords: np.ndarray) -> np.ndarray
 
 def h_terms(m: ModelSpace, ps: PairScheme) -> list:
     """The Kronecker terms (w, A, B) of H = (n + 2)(3 L + L_sigma) + Cas,
-    for :func:`_kron_entries`.  With k = n + 2, 3 L + L_sigma = 30 + 5 half
+    for :func:`_kron_block`, each factor as its nonzero entries (rows,
+    cols, values) in row-major order, so a build finds them once, not once
+    per block.  With k = n + 2, 3 L + L_sigma = 30 + 5 half
     + 2 cross on R, so
 
         H = T x 1 + 1 x T + 2k sum_A D_A x D_A - 2 sum_X D_X x D_X,
@@ -617,5 +609,13 @@ def h_terms(m: ModelSpace, ps: PairScheme) -> list:
     # S = -sum_X D_X^2, as D_X is skew
     T = 15.0 * k * one + 2.5 * k * sum(DA @ DA for DA in D) \
         + np.tensordot(DX, DX, axes=([0, 1], [0, 1]))
+    T, one = _entries(T), _entries(one)
+    D, DX = map(_entries, D), map(_entries, DX)
     return ([(1.0, T, one), (1.0, one, T)] + [(2.0 * k, DA, DA) for DA in D]
             + [(-2.0, X, X) for X in DX])
+
+
+def _entries(M: np.ndarray) -> tuple:
+    """(rows, cols, values) of the nonzero entries of M, in row-major order."""
+    p, q = np.nonzero(M)
+    return p, q, M[p, q]

@@ -336,10 +336,10 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     characters, classes = cs.sign_classes(m, ps)
     rows = cs.curvature_basis(m, ps, classes)
     values = h_values(m.n)
-    h = cs._kron_entries(cs.h_terms(m, ps))
+    terms = cs.h_terms(m, ps)
     slices = []
     for character, coords, R_c in zip(characters, classes, rows):
-        spaces = cs._eigenspaces(R_c @ cs._kron_block(ps, h, coords) @ R_c.T,
+        spaces = cs._eigenspaces(R_c @ cs._kron_block(ps, terms, coords) @ R_c.T,
                                  list(values.values()),
                                  f"H = (n + 2)(3 L + L_sigma) + Cas on class "
                                  f"{tuple(character.tolist())}")

@@ -219,40 +219,26 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     are leading (batch) axes and broadcast as in ``np.matmul``.  An index
     in both operands is summed; every other index must appear in the
     output, and no index repeats within one operand.  Unlike a
-    two-operand einsum this runs through BLAS and plans no path.  The
-    permutations and shapes are planned once per spec and pair of operand
-    shapes (:func:`_contract_plan`); a call only applies them.
+    two-operand einsum this runs through BLAS and plans no path.
     """
-    perm_a, shape_a, perm_b, shape_b, shape_out, perm_out = _contract_plan(spec, a.shape, b.shape)
-    prod = a.transpose(perm_a).reshape(shape_a) @ b.transpose(perm_b).reshape(shape_b)
-    prod = prod.reshape(shape_out)
-    return prod if perm_out is None else prod.transpose(perm_out)
-
-
-@functools.lru_cache(maxsize=1024)
-def _contract_plan(spec: str, sa: tuple, sb: tuple) -> tuple:
-    """The transposes and reshapes of :func:`contract` for operands of the
-    shapes ``sa`` and ``sb``: (perm_a, shape_a, perm_b, shape_b, shape_out,
-    perm_out), perm_out None when the matmul's free axes are already in
-    output order."""
     ins, out = spec.split("->")
     ia, ib = ins.split(",")
     summed = [c for c in ia if c in ib]
     fa = [c for c in ia if c not in summed]
     fb = [c for c in ib if c not in summed]
-    la, lb = len(sa) - len(ia), len(sb) - len(ib)
-    size = dict(zip(ia, sa[la:])) | dict(zip(ib, sb[lb:]))
+    la, lb = a.ndim - len(ia), b.ndim - len(ib)
+    size = dict(zip(ia, a.shape[la:])) | dict(zip(ib, b.shape[lb:]))
     k = math.prod(size[c] for c in summed)
-    perm_a = tuple(range(la)) + tuple(la + ia.index(c) for c in fa + summed)
-    perm_b = tuple(range(lb)) + tuple(lb + ib.index(c) for c in summed + fb)
-    lead = np.broadcast_shapes(sa[:la], sb[:lb])
+    am = a.transpose(tuple(range(la)) + tuple(la + ia.index(c) for c in fa + summed))
+    bm = b.transpose(tuple(range(lb)) + tuple(lb + ib.index(c) for c in summed + fb))
+    prod = am.reshape(a.shape[:la] + (-1, k)) @ bm.reshape(b.shape[:lb] + (k, -1))
+    lead = prod.shape[:-2]
     free = fa + fb
-    perm_out = None
+    prod = prod.reshape(lead + tuple(size[c] for c in free))
     if free != list(out):
         nl = len(lead)
-        perm_out = tuple(range(nl)) + tuple(nl + free.index(c) for c in out)
-    return (perm_a, sa[:la] + (-1, k), perm_b, sb[:lb] + (k, -1),
-            lead + tuple(size[c] for c in free), perm_out)
+        prod = prod.transpose(tuple(range(nl)) + tuple(nl + free.index(c) for c in out))
+    return prod
 
 
 # ---------------------------------------------------------------------------

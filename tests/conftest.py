@@ -1,6 +1,10 @@
 """Shared fixtures: models and projector banks are expensive at n = 3, so
 they are built once per session and shared read-only (they are immutable)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -72,6 +76,30 @@ def tbank(n):
 @pytest.fixture(scope="session")
 def tbank2():
     return get_torsion_bank(2)
+
+
+#: The BLAS build the recorded digests and the tables reference were taken
+#: on: bases from SVDs and eighs are bitwise stable for one LAPACK build
+#: but not across builds.
+DIGEST_BLAS = "0.3.31.188.0"
+
+
+def skip_unless_digest_blas():
+    version = np.show_config(mode="dicts")["Build Dependencies"]["blas"].get("version")
+    if version != DIGEST_BLAS:
+        pytest.skip(f"recorded with BLAS {DIGEST_BLAS}, not {version}")
+
+
+def one_thread_digests(script, *args):
+    """The words ``script`` prints, run with ``args`` in a fresh process
+    with one BLAS thread: at n >= 3 the banks' bits depend on the thread
+    count."""
+    src = os.path.dirname(os.path.dirname(dec.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return run.stdout.split()
 
 
 def coordinate_grades(m, ps):

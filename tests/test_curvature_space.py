@@ -170,7 +170,7 @@ def test_h_kron_blocks_match_tensor_maps(model):
         assert B.shape[0] == 5 and sv[-1] > 1e-8 * sv[0]
         full = np.zeros((5, ps.m * ps.m))
         full[:, coords] = B
-        got = B @ cs._kron_block(ps, cs._kron_entries(terms), coords) @ B.T
+        got = B @ cs._kron_block(ps, terms, coords) @ B.T
         images = np.array([cs.to_pair_coords(ps, _h_map(m, cs.from_pair_coords(ps, row)))
                            for row in full])
         assert np.max(np.abs(got - full @ images.T)) < 1e-12
@@ -204,7 +204,7 @@ def test_h_blocks_match_slot_action_oracle(model2):
     terms = cs.h_terms(m, ps)
     seen = 0
     for coords in classes:
-        block = cs._kron_block(ps, cs._kron_entries(terms), coords)
+        block = cs._kron_block(ps, terms, coords)
         assert block.shape == (len(coords),) * 2
         on = np.flatnonzero(np.any(R_rows[:, coords] != 0, axis=1))
         B = R_rows[np.ix_(on, coords)]
@@ -236,7 +236,7 @@ def test_casimir_block_refuses_coordinates_it_leaves(model2):
     counts, label = coordinate_grades(m, ps)
     grade = np.flatnonzero(label == np.flatnonzero((counts == [2, 2]).all(axis=1))[0])
     with pytest.raises(ValueError, match="outside themselves"):
-        cs._kron_block(ps, cs._kron_entries(cs.h_terms(m, ps)), grade)
+        cs._kron_block(ps, cs.h_terms(m, ps), grade)
 
 
 def test_casimir_l_sigma_identity_fails_off_R(model2):
@@ -253,7 +253,7 @@ def test_casimir_l_sigma_identity_fails_off_R(model2):
     b = v[classes[0]] / np.linalg.norm(v)
     Omega = m.Omega / np.linalg.norm(v)
     k = m.n + 2
-    assert b @ cs._kron_block(ps, cs._kron_entries(cs.h_terms(m, ps)), classes[0]) @ b \
+    assert b @ cs._kron_block(ps, cs.h_terms(m, ps), classes[0]) @ b \
         == pytest.approx(18.0 * k, abs=1e-12)
     assert float(cs.to_pair_coords(ps, cs.L_sigma_map(m, Omega)) @ v / np.linalg.norm(v)) \
         == pytest.approx(6.0)

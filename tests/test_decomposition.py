@@ -2,10 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
-import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -13,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (assert_table2_follows_table1, coordinate_characters, exact_scales,
-                      full_width_R_basis, random_derivative, random_gammas, random_torsion)
+                      full_width_R_basis, one_thread_digests, random_derivative,
+                      random_gammas, random_torsion, skip_unless_digest_blas)
 from qhcurv import curvature_from_torsion as cft
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
@@ -851,14 +849,14 @@ def test_casimir_gate_names_the_operator_and_class(model2, monkeypatch):
 
 
 #: sha256 of the curvature bank's rows, class after class, at n = 2, 3
-#: and 4, with the BLAS build they were recorded on.  At n = 3 and 4 the
+#: and 4, recorded on the BLAS build DIGEST_BLAS.  At n = 3 and 4 the
 #: eigenvectors' bits depend on the BLAS thread count, so those are built
 #: with one thread in a fresh process.
-_BANK_DIGESTS = ("0.3.31.188.0", {
+_BANK_DIGESTS = {
     2: "d638fdbe5ec62889eb2e27b1bba0e005bfdbd7b3f6960d5e9857ceb575954ccd",
     3: "fa406fe632ad50908f2915e08da677e859ff17c5ad57560292e48ba392f18314",
     4: "5ceedede15730188ee73c9328e606457b4eb621378c48bd07763df09e2f7f737",
-})
+}
 
 _BANK_DIGEST_SCRIPT = """
 import hashlib
@@ -878,20 +876,13 @@ def test_sp_bank_rows_are_bitwise_stable(bank2):
     """The bank's rows hash to the recorded digests, which were taken when
     each class's H still found the nonzero entries of the H terms itself.
     Scaling the weights of the terms by 1 + 2^-50 changes them."""
-    version, digests = _BANK_DIGESTS
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    if blas.get("version") != version:
-        pytest.skip(f"digests recorded with BLAS {version}, not {blas.get('version')}")
+    skip_unless_digest_blas()
     h = hashlib.sha256()
     for rows in bank2.rows:
         h.update(np.ascontiguousarray(rows).tobytes())
-    assert h.hexdigest() == digests[2]
-    src = os.path.dirname(os.path.dirname(dec.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    run = subprocess.run([sys.executable, "-c", _BANK_DIGEST_SCRIPT, "3", "4"], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.split() == [digests[3], digests[4]]
+    assert h.hexdigest() == _BANK_DIGESTS[2]
+    assert one_thread_digests(_BANK_DIGEST_SCRIPT, "3", "4") == [_BANK_DIGESTS[3],
+                                                                   _BANK_DIGESTS[4]]
 
 
 def test_casimir_values_are_distinct_in_every_eigenspace():

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 
 from conftest import (assert_table2_follows_table1, get_bank, get_torsion_bank, random_derivative,
-                      random_gammas, random_torsion)
+                      random_gammas, random_torsion, skip_unless_digest_blas)
 from qhcurv import curvature_from_torsion as cft
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
 from qhcurv import tables as tbl
 from qhcurv import torsion as tor
-from test_torsion import _TORSION_DIGEST_N2
 
 #: The committed tables-n2 reference of the benchmark (read only).
 REFERENCE_N2 = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "tables-n2.json"
@@ -356,10 +355,7 @@ def test_run_tables_matches_committed_reference(bank2, tbank2):
     reference: every status and tick, the ticked witnesses to 1e-9
     relative, and every direction check.  The witnesses are drawn in the
     torsion bases, which are bitwise stable only for one BLAS build."""
-    version, _ = _TORSION_DIGEST_N2
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    if blas.get("version") != version:
-        pytest.skip(f"reference recorded with BLAS {version}, not {blas.get('version')}")
+    skip_unless_digest_blas()
     ref = json.loads(REFERENCE_N2.read_text())
     rep = tbl.run_tables(bank2, tbank2, seeds=8)
     assert len(rep.cells) == len(ref["cells"]) == 581

@@ -1,12 +1,9 @@
 import hashlib
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from conftest import random_rotation, random_torsion
+from conftest import one_thread_digests, random_rotation, random_torsion, skip_unless_digest_blas
 from qhcurv import curvature_space as cs
 from qhcurv import model_space as ms
 from qhcurv import tensor_ops as top
@@ -84,29 +81,23 @@ def test_projector_algebra(tbank):
 
 
 #: sha256 of the six torsion bases at n = 2, in TORSION_COMPONENTS order,
-#: with the BLAS build it was recorded on.  SVD bases are bitwise stable
-#: for one LAPACK build but not across builds.
-_TORSION_DIGEST_N2 = ("0.3.31.188.0",
-                      "a0e582d81a3b813bc64dffa8f09aa0714a7a69461c4191569ae9ac114d2d3444")
+#: recorded on the BLAS build DIGEST_BLAS.
+_TORSION_DIGEST_N2 = "a0e582d81a3b813bc64dffa8f09aa0714a7a69461c4191569ae9ac114d2d3444"
 
 
 def test_torsion_bank_is_bitwise_stable(tbank2):
     """The torsion bank does not depend on how the curvature bank is built
     or stored: its bases at n = 2 hash to the recorded digest."""
-    version, digest = _TORSION_DIGEST_N2
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    if blas.get("version") != version:
-        pytest.skip(f"digest recorded with BLAS {version}, not {blas.get('version')}")
+    skip_unless_digest_blas()
     h = hashlib.sha256()
     for name in tor.TORSION_COMPONENTS:
         h.update(np.ascontiguousarray(tbank2.comps[name]).tobytes())
-    assert h.hexdigest() == digest
+    assert h.hexdigest() == _TORSION_DIGEST_N2
 
 
 #: The same digest at n = 3, built with one BLAS thread: at n = 3 the
 #: bases' bits depend on the thread count.
-_TORSION_DIGEST_N3 = ("0.3.31.188.0",
-                      "fa51e9be2ab14a8a53f2eedead08f5ab18c6672f9750bdf78a476a5b0383a674")
+_TORSION_DIGEST_N3 = "fa51e9be2ab14a8a53f2eedead08f5ab18c6672f9750bdf78a476a5b0383a674"
 
 _DIGEST_SCRIPT = """
 import hashlib
@@ -124,16 +115,8 @@ print(h.hexdigest())
 def test_torsion_bank_n3_is_bitwise_stable():
     """The n = 3 bases, built in a fresh process with one BLAS thread, hash
     to the recorded digest."""
-    version, digest = _TORSION_DIGEST_N3
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    if blas.get("version") != version:
-        pytest.skip(f"digest recorded with BLAS {version}, not {blas.get('version')}")
-    src = os.path.dirname(os.path.dirname(tor.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    run = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
-                         capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == digest
+    skip_unless_digest_blas()
+    assert one_thread_digests(_DIGEST_SCRIPT) == [_TORSION_DIGEST_N3]
 
 
 def test_trace_forms_act_on_stacks_bitwise(model):
