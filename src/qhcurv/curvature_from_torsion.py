@@ -6,10 +6,12 @@ tensor t[x,m,z] = <e_m, xi_{e_x} e_z>, its covariant derivative D[w,x,m,z]
 connection, and the three curvature 2-forms gamma_A of the structure
 bundle.  Every operation in this module evaluates one of the closed
 formulas expressing a curvature component, a Ricci-type component, or a
-scalar in terms of such a state; on states coming from an actual geometry
-these equal the corresponding components of the curvature tensor, and for
-free states they define the linear/quadratic maps whose vanishing pattern
-is tabulated by the contribution engine in :mod:`.tables`.
+scalar in terms of such a state.  On realized states, those of an actual
+geometry, they equal the corresponding components of the curvature tensor
+R; acceptance criterion 13 checks every formula the tables read against R
+on such states.  On free states they define the linear/quadratic maps
+whose vanishing pattern is tabulated by the contribution engine in
+:mod:`.tables`.
 
 Each Ricci, q-Ricci and scalar formula is a fixed linear combination of
 a few contractions of the state (the brackets <xi_X e_i, xi_{AY} A e_i>,
@@ -209,27 +211,15 @@ def _brackets(m: ModelSpace, state: TorsionState) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Ricci formulas on states.
+# Ric*_A on states.
 
 def ric_star_from(m: ModelSpace, state: TorsionState, a_idx: int) -> np.ndarray:
     """Ric*_A(X,Y) = -n gamma_A(X, A Y) - <xi_X e_i, xi_{AY} A e_i>, as one
-    direct contraction, independent of the bracket table."""
+    direct contraction, independent of the bracket table (the tests compare
+    it with Ric*_A of R on realized states)."""
     A, t = m.triple[a_idx], state.t
     return (-m.n * (state.gammas[..., a_idx, :, :] @ A)
             - np.einsum("...xmi,py,...pmq,qi->...xy", t, A, t, A))
-
-
-def ricq_from(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """Ric^q = sum_A Ric*_A = -n G - P."""
-    b = _brackets(m, state)
-    return -m.n * b["G"] - b["P"]
-
-
-def ric_from(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """3 Ric = N0 - (n+2) G - P + Q (the Ric^q terms plus the difference
-    terms), over 3."""
-    b = _brackets(m, state)
-    return (b["N0"] - (m.n + 2.0) * b["G"] - b["P"] + b["Q"]) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +366,7 @@ def _ra_rb_coefficients(n: int, c_r: float, c_q: float) -> tuple[float, float]:
     c_r of pi_R(Ric) and c_q of pi_R(Ric^q).
 
     Reconstructed by feeding pi_R(Ric) and pi_R(Ric^q) through the exact
-    split :func:`.decomposition.ricci_qk_split`.  (The standalone QKperp
-    bracket ``pi_R_ric_QKperp`` trades quadratic xi-terms using on-shell
-    identities and is not used here.)
+    split :func:`.decomposition.ricci_qk_split`.
     """
     sigma_qk, sigma_perp = dec.ricci_qk_split(n, c_r, c_q)
     mu = sigma_qk / (8.0 * (n + 2.0))           # R_QK part: mu (pi2 + 2 pi1)
@@ -389,10 +377,11 @@ def _ra_rb_coefficients(n: int, c_r: float, c_q: float) -> tuple[float, float]:
 
 
 def _scalar_formulas(n: int, b: dict) -> dict:
-    """The g-coefficients of pi_R(Ric), pi_R(Ric^q) and pi_R(Ric_QKperp),
-    and the R_a + R_b coefficients, from the scalar brackets; the two Ricci
-    ones share -3 v.v - 5 s2 + 8 phi.  Ric(pi_QK R) is the first entry of
-    :func:`.decomposition.ricci_qk_split` of the first two."""
+    """The g-coefficients of pi_R(Ric) and pi_R(Ric^q), and the R_a + R_b
+    coefficients, from the scalar brackets; the two Ricci ones share
+    -3 v.v - 5 s2 + 8 phi.  Ric(pi_QK R) and pi_R(Ric_QKperp) are the two
+    entries of :func:`.decomposition.ricci_qk_split` of the first two.  On
+    realized states each equals the value read from R (criterion 13)."""
     base = -3.0 * b["vv"] - 5.0 * b["s2"] + 8.0 * b["phi"]
     gam, s4, s5, s6 = b["Gamma"], b["S4"], b["S5"], b["S6"]
     ric = (base + 2.0 * (n + 2.0) * gam + s4 + s5 - s6) / (12.0 * n)
@@ -400,7 +389,6 @@ def _scalar_formulas(n: int, b: dict) -> dict:
     return {
         "pi_R_ric": ric,
         "pi_R_ricq": ricq,
-        "pi_R_ric_QKperp": (base + s4 + s5 + 2.0 * s6) * 3.0 / (8.0 * (5.0 * n + 1.0)),
         "R_ab": np.stack(_ra_rb_coefficients(n, ric, ricq), axis=-1),
     }
 
@@ -465,12 +453,15 @@ def d_star_theta(m: ModelSpace, state: TorsionState) -> float:
 # norms, and tracing the Ricci formulas fixes the combination.  They were
 # extracted exactly (as rationals, identical at n = 2, 3, 4) from the
 # traces of the q-Ricci / Ricci formulas, which in turn are anchored by the
-# quaternionic-Kaehler constants.  The commonly tabulated scalar
-# expansions carry different coefficients on some components (K3, 3H,
-# KH, EH and the d*theta term); those versions hold only modulo the
-# d^2 Omega relations that couple nabla~xi to xi (x) xi on integrable
-# states, and fail on free states.  They are kept below as the
-# reference_* variants.
+# quaternionic-Kaehler constants.  On realized states they give scal and
+# scal^q of R (acceptance criterion 13), so they hold on shell as well.
+# The commonly tabulated scalar expansions carry different coefficients on
+# some components (K3, 3H, KH, EH and the d*theta term).  They are not an
+# on-shell variant: they miss on realized states too.  On the first
+# realized state of criterion 13 at n = 2, R gives scal = -23.68 and
+# scal^q = 9.036, the coefficients below give the same, and the reference
+# ones give -54.83 and -157.7.  They are kept below, as recorded reference
+# values, in the reference_* functions.
 
 def _dstar_coefficient(n: int) -> float:
     # forced by the nabla~xi trace of pi_R_ric; the reference value has
@@ -505,8 +496,10 @@ def scalq_coefficients(n: int) -> dict:
 
 
 def reference_scal_coefficients(n: int) -> dict:
-    """The commonly tabulated coefficients (valid only modulo on-shell
-    relations); kept for the deviation report of ``reference_deviations``."""
+    """The commonly tabulated coefficients of scal, kept as recorded values
+    for the deviation report of ``reference_deviations``.  They miss scal of
+    R on realized states (-54.83 against -23.68 on criterion 13's first
+    state at n = 2), so they are no on-shell variant."""
     return {
         "gamma": 2.0 * (n + 2.0) / 3.0,
         "33": 7.0 / 3.0, "K3": -1.0 / 3.0,
@@ -518,7 +511,9 @@ def reference_scal_coefficients(n: int) -> dict:
 
 
 def reference_scalq_coefficients(n: int) -> dict:
-    """The commonly tabulated q-scalar coefficients (on-shell variant)."""
+    """The commonly tabulated q-scalar coefficients, kept as recorded
+    values; they miss scal^q of R on realized states (-157.7 against 9.036
+    on criterion 13's first state at n = 2)."""
     return {
         "gamma": 2.0 * n,
         "33": 1.0, "K3": 1.0, "E3": 1.0,
@@ -554,64 +549,6 @@ def scalars_from_torsion(m: ModelSpace, bank: tor.TorsionBank,
 
     return (combine(scal_coefficients(m.n)),
             combine(scalq_coefficients(m.n)), ds)
-
-
-# ---------------------------------------------------------------------------
-# d^2 omega identities.
-
-def _nabla_pair_term(A: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """F[w,p,m,u] = <e_m, A (nabla~_w xi)_p e_u> - <e_m, (nabla~_w xi)_p A e_u>."""
-    return A @ D - D @ A
-
-
-def _xi_pair_term(A: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """K[p,q,m,u] = <e_m, xi_p A xi_q e_u> - <e_m, xi_p xi_q A e_u>."""
-    tA = t @ A
-    return (np.tensordot(tA, t, axes=(2, 1))
-            - np.tensordot(t, tA, axes=(2, 1))).transpose(0, 2, 1, 3)
-
-
-def isquare_residual_tensors(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """The three rank-4 tensors (one per structure direction) whose vanishing
-    expresses d^2 omega_A = 0 on the state; stacked along axis 0."""
-    t, D = state.t, state.D
-    out = np.empty((3,) + (m.dim,) * 4)
-    for a in range(3):
-        A = m.triple[a]
-        b, c = (a + 1) % 3, (a + 2) % 3
-        gam_part = (top.wedge2(state.gammas[c], m.omegas[b])
-                    - top.wedge2(state.gammas[b], m.omegas[c]))
-        F = _nabla_pair_term(A, D)
-        e1 = F.transpose(0, 1, 2, 3)            # (X,Y,Z,U) ~ F[x,y,z,u]
-        term = top.cyclic3(e1, axes=(1, 2, 3))
-        term -= top.cyclic3(e1.swapaxes(0, 1), axes=(0, 2, 3))
-        e3 = F.transpose(1, 2, 0, 3)            # <Y, .(nabla~_Z xi)_X U.>
-        term += top.cyclic3(e3, axes=(0, 1, 3))
-        e4 = F.transpose(1, 2, 3, 0)            # <Y, .(nabla~_U xi)_X Z.>
-        term -= top.cyclic3(e4, axes=(0, 1, 2))
-        K = _xi_pair_term(A, t)
-        k1 = K.transpose(0, 1, 2, 3)
-        term -= top.cyclic3(k1, axes=(1, 2, 3))
-        term += top.cyclic3(k1.swapaxes(0, 1), axes=(0, 2, 3))
-        k3 = K.transpose(1, 2, 0, 3)
-        term -= top.cyclic3(k3, axes=(0, 1, 3))
-        k4 = K.transpose(1, 2, 3, 0)
-        term += top.cyclic3(k4, axes=(0, 1, 2))
-        out[a] = gam_part + term
-    return out
-
-
-def dd_omega_residual(m: ModelSpace, state: TorsionState) -> dict:
-    """Norms of the d^2 omega obstruction: the three 4-tensor identities and
-    their quaternionic contraction (the bilinear identity)."""
-    tensors = isquare_residual_tensors(m, state)
-    four_form = float(np.sqrt(sum(top.frob(x) ** 2 for x in tensors)))
-    bil = np.zeros((m.dim, m.dim))
-    for a in range(3):
-        B, C = m.triple[(a + 1) % 3], m.triple[(a + 2) % 3]
-        bil += np.tensordot(tensors[a], C, axes=([2, 3], [0, 1])) @ B
-    return {"four_form": four_form, "bilinear": float(top.frob(bil)),
-            "total": float(np.hypot(four_form, top.frob(bil)))}
 
 
 # ---------------------------------------------------------------------------

@@ -78,15 +78,12 @@ TEST_ONLY = {
     "curvature_from_torsion.TorsionState.validate",
     "curvature_from_torsion.bhl_coefficients",
     "curvature_from_torsion.bhl_integrand",
-    "curvature_from_torsion.dd_omega_residual",
     "curvature_from_torsion.lemma_gammas_kernel",
     "curvature_from_torsion.pi1_operator",
     "curvature_from_torsion.pi1es_state",
     "curvature_from_torsion.pi1s_state",
     "curvature_from_torsion.reference_deviations",
-    "curvature_from_torsion.ric_from",
     "curvature_from_torsion.ric_star_from",
-    "curvature_from_torsion.ricq_from",
     "curvature_space.bilinear_component_basis",
     "curvature_space.curvature_residuals",
     "curvature_space.probe_tensors",
