@@ -29,7 +29,8 @@ g-coefficients, read the scalar entries alone.
 A state's arrays may carry leading axes (``TorsionState.stack``): the
 bracket table, the Ricci formulas and the pi-state formulas then evaluate
 the whole batch in the same calls, with the batch axes leading every
-value.  The table engine evaluates one batch per source row.
+value.  The table engine evaluates its states in stacks of
+``tables._STACK`` = 32, four calls at n = 2.
 
 The two projections
 
@@ -184,7 +185,6 @@ def _brackets(m: ModelSpace, state: TorsionState) -> dict:
     Q  = sum_A (<xi_X e_i, xi_{A e_i} A Y> + <xi_X A Y, xi_{e_i} A e_i>),
     M  = sum_A (<X, xi_{u_A} A Y> + <X, (nabla~_{e_i} xi)_{A e_i} A Y>),
     W  = sum_A <xi_{e_i} X, xi_{A e_i} A Y>,
-    G  = sum_A gamma_A(X, A Y),
     E  = <xi_X e_i, xi_{e_i} Y> + 3 <xi_X Y, v> + 4 (<X, xi_{xi_{e_i} Y} e_i>
          + <X, (nabla~_{e_i} xi)_Y e_i> - <X, (nabla~_Y xi)_{e_i} e_i>).
 
@@ -206,7 +206,6 @@ def _brackets(m: ModelSpace, state: TorsionState) -> dict:
     b["M"] = (sum(ct("w,wxy->xy", u[a], X[0][a]) for a in (1, 2, 3))
               + (ct("ipxq,api->axq", D, m.omegas) @ m.omegas).sum(axis=-3))
     b["W"] = ct("imx,imy->xy", t, XA)
-    b["G"] = (state.gammas @ m.omegas).sum(axis=-3)
     return b
 
 
@@ -270,10 +269,11 @@ def _pi1es_xi_part(m: ModelSpace, t: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def _pi1s_xi_forms(m: ModelSpace, t: np.ndarray) -> np.ndarray:
-    """(s_A - s_A^T) / 4n with s_A[x,y] = t[x,m,i] t[y,m,q] A[q,i], stacked
-    over A: the xi term of pi_1s, alternated in (X, Y)."""
+    """s_A / 2n with s_A[x,y] = t[x,m,i] t[y,m,q] A[q,i], stacked over A:
+    the xi term of pi_1s.  s_A is skew for every xi in the torsion space
+    (the tests check it), so it is a 2-form as it stands."""
     s = top.contract("xmi,aymi->axy", t, t[..., None, :, :, :] @ m.omegas[:, None])
-    return (s - s.swapaxes(-1, -2)) / (4.0 * m.n)
+    return s / (2.0 * m.n)
 
 
 def pi1es_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
@@ -289,9 +289,9 @@ def pi1es_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
 
 
 def pi1s_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """pi_1s(R) from the state; the xi-term is alternated in (X, Y) so the
-    expression is 2-form valued on free states (on-shell the symmetric part
-    of s_A(X,Y) = <xi_X e_i, xi_Y A e_i> cancels either way)."""
+    """pi_1s(R) from the state: (1/2) sum_A gamma_A (x) omega_A plus the
+    xi term (1/2n) sum_A s_A (x) omega_A, s_A(X,Y) = <xi_X e_i, xi_Y A e_i>
+    being skew on the torsion space."""
     return _with_omegas(m, 0.5 * state.gammas + _pi1s_xi_forms(m, state.t))
 
 
@@ -304,27 +304,6 @@ def pi1_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # gamma elimination: the S^2E S^2H part of sum_A gamma_A(., A.) expressed
 # through (xi, nabla~xi) via the d^2 omega identity.
-
-#: The six orderings (a, b, c) of (I, J, K), as indices into ``_units``,
-#: with their signs.
-_ORDERINGS = (((1, 2, 3), 1.0), ((2, 3, 1), 1.0), ((3, 1, 2), 1.0),
-              ((2, 1, 3), -1.0), ((1, 3, 2), -1.0), ((3, 2, 1), -1.0))
-
-
-def _cyc(f):
-    """Equivariant version of the cyclic sum over (I, J, K) of f(a, b, c).
-
-    The curvature identities use sums over the three cyclic orderings of a
-    fixed adapted basis; these hold on-shell in every basis, but are not
-    Sp(1)-equivariant termwise, so as free-state maps they would couple
-    components that representation theory forbids.  Haar-averaging the
-    cyclic sum over the adapted-basis family replaces it by half the
-    signed sum over all six orderings (E[R x R x R] over SO(3) is
-    epsilon x epsilon / 6), which agrees with the cyclic sum on-shell and
-    is equivariant.
-    """
-    return sum(0.5 * sign * f(*abc) for abc, sign in _ORDERINGS)
-
 
 def s2es2h_gamma_part(m: ModelSpace, state: TorsionState, brackets: dict) -> np.ndarray:
     """pi_{S2ES2H}(sum_A gamma_A(., A.)) in terms of (xi, nabla~xi).
@@ -344,15 +323,24 @@ def s2es2h_gamma_part(m: ModelSpace, state: TorsionState, brackets: dict) -> np.
     delta = dict(zip((1, 2, 3), np.moveaxis(ct("pibq,aqi->apb", skew, m.omegas), -3, 0)))
     mid = sum(units[a] @ X[a][0] for a in (1, 2, 3)) - brackets["XA"]
     rhs = 2.0 * brackets["P"] + ct("imx,ymi->xy", t, mid)
-    for a in (1, 2, 3):
-        rhs = rhs + (ct("xmy,m->xy", X[a][0], u[a])
-                     - ct("iwy,wxi->xy", X[0][a], X[0][a])
-                     + delta[a].swapaxes(-1, -2) @ units[a])
-    rhs = rhs + _cyc(lambda a, b, c: (
-        ct("imx,ymi->xy", X[0][a], units[b] @ X[c][0] - X[c][b])
-        + ct("xmy,m->xy", X[a][b], u[c])
-        + ct("iwy,wxi->xy", X[0][c], units[a] @ X[0][b])
-        - units[a] @ delta[b].swapaxes(-1, -2) @ units[c]))
+    # The identity sums over the cyclic orderings (a, b, c) of one adapted
+    # basis.  That holds on-shell in every basis, but is not Sp(1)-equivariant
+    # termwise, so as a free-state map it would couple components that
+    # representation theory forbids.  Its Haar average over the adapted bases
+    # is equivariant and agrees with it on-shell: half the signed sum over all
+    # six orderings (E[R x R x R] over SO(3) is epsilon x epsilon / 6).  Each
+    # term is linear in a factor that one transposition of (a, b, c) keeps,
+    # so the average is half of one antisymmetrized term per cyclic triple,
+    # added below to the term of the same factor.
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        dT = delta[b].swapaxes(-1, -2)
+        rhs = rhs + (
+            ct("imx,ymi->xy", X[0][a], 0.5 * (units[b] @ X[c][0] - X[c][b]
+                                              - units[c] @ X[b][0] + X[b][c]))
+            + ct("xmy,m->xy", X[c][0] + 0.5 * (X[a][b] - X[b][a]), u[c])
+            + ct("iwy,wxi->xy", X[0][c],
+                 0.5 * (units[a] @ X[0][b] - units[b] @ X[0][a]) - X[0][c])
+            + dT @ units[b] - 0.5 * (units[a] @ dT @ units[c] - units[c] @ dT @ units[a]))
     return cs.proj_sym_S2ES2H(m, rhs) / (-2.0 * (m.n - 1.0))
 
 
@@ -414,8 +402,9 @@ def ricci_component_formulas(m: ModelSpace, state: TorsionState) -> dict:
     out["pi_L20E_ricq"] = -y
     out["ric_L20E_a"] = (x - 2.0 * (2.0 * n + 1.0) / n * y) / 6.0
     out["ric_L20E_b"] = (x + 2.0 * (n - 1.0) / n * y) / 6.0
-    # S^2E S^2H: Ric^q = -n G - P and 3 Ric = N0 - (n+2) G - P + Q, with the
-    # S^2E S^2H part of G replaced through d^2 Omega
+    # S^2E S^2H: Ric^q = -n G - P and 3 Ric = N0 - (n+2) G - P + Q, with
+    # G = sum_A gamma_A(X, A Y); only the S^2E S^2H part of G enters, and it
+    # is replaced through d^2 Omega
     gp = s2es2h_gamma_part(m, state, b)
     q = -n * gp - cs.proj_sym_S2ES2H(m, b["P"])
     r = (-(n + 2.0) * gp + cs.proj_sym_S2ES2H(m, b["N0"] - b["P"] + b["Q"])) / 3.0

@@ -249,15 +249,14 @@ def _low_n_zero(n: int, key, table: int, col: str) -> bool:
 
 
 # Direction annotations for the R_a + R_b column of Table 2: each entry is
-# (direction, orthogonal witness, source) with coefficient pairs (alpha,
-# beta) meaning alpha*a + beta*b.  Four rows carry the reference
-# annotations (which the free evaluation reproduces exactly); for the
-# other four the reference annotations hold only modulo the on-shell
-# trades discussed in the curvature_from_torsion module docstring, and
-# the embedded directions are the ones the Ricci formulas actually
-# produce (closed forms fitted exactly at n = 2, 3, 4).  A derived row
-# has no orthogonal witness here: run_tables takes the metric-orthogonal
-# complement within span{a, b} from the context's <a, a> and <b, b>.
+# (direction, provenance), the direction a coefficient pair (alpha, beta)
+# meaning alpha*a + beta*b.  The four "reference" rows carry the reference
+# annotations, which the evaluated formulas reproduce.  The four "derived"
+# rows carry the directions the Ricci formulas produce, closed forms fitted
+# at n = 2, 3 and 4; criterion 10 checks them at n = 2 and 3.  Every row is
+# checked against one orthogonality rule: run_tables takes the metric
+# complement of the direction within span{a, b}, from the context's <a, a>
+# and <b, b>.
 def direction_annotations(n: int) -> dict:
     k1, k2 = n - 1.0, 2.0 * n + 1.0
     f = n * n + 3.0 * n + 1.0
@@ -265,14 +264,14 @@ def direction_annotations(n: int) -> dict:
     eh_a = -2.0 * (n - 1.0) * (10.0 * n ** 3 + 17.0 * n * n - 2.0 * n - 1.0)
     eh_b = (2.0 * n + 1.0) * (10.0 * n ** 3 - 13.0 * n * n - 8.0 * n - 1.0)
     return {
-        ("gamma",): ((2.0, 1.0), (k1, -k2), "reference"),
-        ("D", "EH"): ((2.0 * k1, -k2), (1.0, 1.0), "reference"),
-        ("xx", "33", "33"): ((5.0 * k1, -k2), (2.0, 5.0), "reference"),
-        ("xx", "E3", "E3"): ((2.0 * k1 * f, -k2 * g), (g, f), "reference"),
-        ("xx", "K3", "K3"): ((2.0 * k1, 5.0 * k2), None, "derived"),
-        ("xx", "3H", "3H"): ((-4.0 * k1, -k2), None, "derived"),
-        ("xx", "KH", "KH"): ((-4.0 * k1, -k2), None, "derived"),
-        ("xx", "EH", "EH"): ((eh_a, eh_b), None, "derived"),
+        ("gamma",): ((2.0, 1.0), "reference"),
+        ("D", "EH"): ((2.0 * k1, -k2), "reference"),
+        ("xx", "33", "33"): ((5.0 * k1, -k2), "reference"),
+        ("xx", "E3", "E3"): ((2.0 * k1 * f, -k2 * g), "reference"),
+        ("xx", "K3", "K3"): ((2.0 * k1, 5.0 * k2), "derived"),
+        ("xx", "3H", "3H"): ((-4.0 * k1, -k2), "derived"),
+        ("xx", "KH", "KH"): ((-4.0 * k1, -k2), "derived"),
+        ("xx", "EH", "EH"): ((eh_a, eh_b), "derived"),
     }
 
 
@@ -353,9 +352,9 @@ def evaluate_columns(ctx: TableContext, state: cft.TorsionState) -> dict:
     """All column values for one state, or for a batch of states (their
     leading axes lead every column): Ricci components (tables 1-2) and the
     QKperp projections of pi_2 pi_1 (table 3).  Most of a call's cost is
-    fixed: at n = 2 (1 BLAS thread) one state takes 1.4 ms and 32 take
-    8-10 ms, so ``run_tables`` evaluates its states in stacks of
-    ``_STACK``."""
+    fixed: at n = 2 (one BLAS thread on a Xeon core) one state takes about
+    1.1 ms and 32 take about 7 ms, so ``run_tables`` evaluates its states
+    in stacks of ``_STACK``."""
     formulas = cft.ricci_component_formulas(ctx.m, state)
     return ({col: formulas[key] for col, key in _FORMULA_OF_COLUMN.items()}
             | ctx.pi1_columns(cft.pi1_state(ctx.m, state)))
@@ -528,11 +527,10 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
                     expected=exp, status=status))
         # direction annotations
         if key in annotations and not zero_source:
-            direction, orth, provenance = annotations[key]
-            if orth is None:
-                orth = (direction[1] * ctx.ab_norm2[1], -direction[0] * ctx.ab_norm2[0])
+            direction, provenance = annotations[key]
             met = np.diag(ctx.ab_norm2)
-            pp, qq = np.array(direction, dtype=float), np.array(orth, dtype=float)
+            pp = np.array(direction, dtype=float)
+            qq = np.array((pp[1] * ctx.ab_norm2[1], -pp[0] * ctx.ab_norm2[0]))
             pn, qn = float(np.sqrt(pp @ met @ pp)), float(np.sqrt(qq @ met @ qq))
             for s, tt in enumerate(cols["R_ab"]):
                 tn = float(np.sqrt(tt @ met @ tt))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,79 @@ def test_component_formulas_land_in_their_spaces(model, tbank):
     assert top.frob(cs.proj_sym_S2ES2H(m, s2q) - s2q) < 1e-10 * top.frob(s2q)
     skew = out["pi_L20ES2H_ricq"]
     assert top.frob(cs.proj_form_L20ES2H(m, skew) - skew) < 1e-10 * top.frob(skew)
+
+
+def test_every_bracket_is_read(model2, tbank2):
+    """Each entry of the bracket table reaches some Ricci formula: with that
+    one entry NaN, on a stack of states with xi, nabla~xi and gamma all
+    nonzero, some output of ricci_component_formulas is non-finite."""
+    m = model2
+    st = cft.TorsionState.stack([free_state(m, tbank2, ("read", s)) for s in range(2)])
+    inner = cft._brackets
+    for key in inner(m, st):
+        def spoiled(m, state, key=key):
+            b = inner(m, state)
+            entry = b[key]
+            b[key] = ([np.full_like(v, np.nan) for v in entry] if isinstance(entry, list)
+                      else np.full_like(entry, np.nan))
+            return b
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cft, "_brackets", spoiled)
+            out = cft.ricci_component_formulas(m, st)
+        assert any(not np.all(np.isfinite(v)) for v in out.values()), key
+
+
+#: The six orderings (a, b, c) of (I, J, K), as indices into (1, I, J, K),
+#: with their signs.
+_ORDERINGS = (((1, 2, 3), 1.0), ((2, 3, 1), 1.0), ((3, 1, 2), 1.0),
+              ((2, 1, 3), -1.0), ((1, 3, 2), -1.0), ((3, 2, 1), -1.0))
+
+
+def _gamma_part_by_orderings(m, t, D):
+    """s2es2h_gamma_part of one state with its Haar average written out:
+    half the signed sum of the four ordering terms over all six orderings."""
+    X = cft._conjugate_table(m, t)
+    units = cft._units(m)
+    u = [np.einsum("imi->m", Xc) for Xc in X[0]]
+    skew = D - D.swapaxes(0, 1)
+    delta = {a: np.einsum("pibq,qi->pb", skew, units[a]) for a in (1, 2, 3)}
+    XA = X[1][1] + X[2][2] + X[3][3]
+    mid = sum(units[a] @ X[a][0] for a in (1, 2, 3)) - XA
+    rhs = 2.0 * np.einsum("xmi,ymi->xy", t, XA) + np.einsum("imx,ymi->xy", t, mid)
+    for a in (1, 2, 3):
+        rhs += (np.einsum("xmy,m->xy", X[a][0], u[a])
+                - np.einsum("iwy,wxi->xy", X[0][a], X[0][a]) + delta[a].T @ units[a])
+    for (a, b, c), sign in _ORDERINGS:
+        rhs += 0.5 * sign * (np.einsum("imx,ymi->xy", X[0][a], units[b] @ X[c][0] - X[c][b])
+                             + np.einsum("xmy,m->xy", X[a][b], u[c])
+                             + np.einsum("iwy,wxi->xy", X[0][c], units[a] @ X[0][b])
+                             - units[a] @ delta[b].T @ units[c])
+    return cs.proj_sym_S2ES2H(m, rhs) / (-2.0 * (m.n - 1.0))
+
+
+def test_gamma_part_is_its_six_ordering_average(model, tbank):
+    """The folded cyclic loop of s2es2h_gamma_part equals half the signed
+    sum over all six orderings, state by state within a stack."""
+    m = model
+    st = cft.TorsionState.stack([free_state(m, tbank, ("haar", s)) for s in range(2)])
+    got = cft.s2es2h_gamma_part(m, st, cft._brackets(m, st))
+    for k in range(2):
+        want = _gamma_part_by_orderings(m, st.t[k], st.D[k])
+        assert top.frob(got[k] - want) <= 1e-13 * top.frob(want)
+
+
+def test_pi1s_xi_form_is_skew_on_torsion_space(model, tbank):
+    """s_A(X, Y) = <xi_X e_i, xi_Y A e_i> is skew for xi in the torsion
+    space, on each single component and each sum of two, so pi_1s needs no
+    alternation."""
+    m = model
+    live = [c for c in tor.TORSION_COMPONENTS if tbank.rank(c)]
+    pure = {c: tbank.random_component(c, 4) for c in live}
+    xis = list(pure.values()) + [pure[a] + pure[b] for a, b in itertools.combinations(live, 2)]
+    for t in xis:
+        s = np.einsum("xmi,ymq,aqi->axy", t, t, m.omegas)
+        assert top.frob(s + s.swapaxes(-1, -2)) <= 1e-13 * top.frob(s)
 
 
 def _generic_elements(m, rng):
