@@ -5,69 +5,60 @@ Subcommands: ``audit`` (ranks, dimensions and projector algebra),
 (six-component split and class mask, from a torsion tensor or nabla-omega
 data), ``tables`` (the randomized contribution tables with a diff against
 the embedded expectations), and ``make-tensor`` (write sample tensor files
-for the two input formats).
+for the two input formats).  Every gate reads one named module constant,
+which the report's ``tolerances`` records; no flag changes it.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure, 3 ambiguous
 table cells needing more seeds.  Output is deterministic for one BLAS
-build and one ``QHC_THREADS`` setting: identical flags and seeds then give
-byte-identical reports.  At n = 3 the torsion bases, in which the table
-states are drawn, change in their last bits with the BLAS thread count,
-so table witnesses can move with it; ticks and statuses do not.
+build and one thread count (``OPENBLAS_NUM_THREADS``): identical flags and
+seeds then give byte-identical reports.  At n = 3 the torsion bases, in
+which the table states are drawn, change in their last bits with the
+thread count, so table witnesses can move with it; ticks and statuses do
+not.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
+import json
 import sys
 
-
-def _cap_threads() -> None:
-    """Honor QHC_THREADS before numpy spins up its thread pools."""
-    cap = os.environ.get("QHC_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
+from . import curvature_space as cs
+from . import decomposition as dec
+from . import tables as tbl
+from . import tensor_io as tio
+from . import torsion as tor
+from .model_space import build_model
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qhcurv", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    every = argparse.ArgumentParser(add_help=False)
+    every.add_argument("--n", type=int, required=True, help="quaternionic dimension (2 or 3)")
+    report = argparse.ArgumentParser(add_help=False, parents=[every])
+    report.add_argument("--json", type=str, default=None, metavar="PATH",
+                        help="write the JSON report here")
 
-    def common(sp, reads=("tol", "json")):
-        """--n, plus --tol and --json where the command reads them."""
-        sp.add_argument("--n", type=int, required=True,
-                        help="quaternionic dimension (2 or 3)")
-        if "tol" in reads:
-            sp.add_argument("--tol", type=float, default=1e-9,
-                            help="verification tolerance (default 1e-9)")
-        if "json" in reads:
-            sp.add_argument("--json", type=str, default=None, metavar="PATH",
-                            help="write the JSON report here")
+    sub.add_parser("audit", parents=[report], help="dimension and projector-algebra audit")
 
-    sp = sub.add_parser("audit", help="dimension and projector-algebra audit")
-    common(sp)
-
-    sp = sub.add_parser("decompose", help="fine component norms of a curvature tensor")
-    common(sp)
+    sp = sub.add_parser("decompose", parents=[report],
+                        help="fine component norms of a curvature tensor")
     sp.add_argument("--input", type=str, required=True, metavar="FILE")
 
-    sp = sub.add_parser("torsion", help="six-component torsion classification")
-    common(sp)
+    sp = sub.add_parser("torsion", parents=[report], help="six-component torsion classification")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--input", type=str, metavar="FILE",
                        help="rank-3 torsion tensor file")
     group.add_argument("--from-nabla-omega", nargs=3, metavar=("F1", "F2", "F3"),
                        help="three rank-3 nabla-omega tensor files (I, J, K)")
 
-    sp = sub.add_parser("tables", help="contribution tables vs embedded expectations")
-    common(sp, reads=("json",))
-    sp.add_argument("--seeds", type=int, default=8)
+    sp = sub.add_parser("tables", parents=[report],
+                        help="contribution tables vs embedded expectations")
+    sp.add_argument("--seeds", type=int, default=tbl.DEFAULT_SEEDS)
 
-    sp = sub.add_parser("make-tensor", help="write a sample tensor file")
-    common(sp, reads=())
+    sp = sub.add_parser("make-tensor", parents=[every], help="write a sample tensor file")
     sp.add_argument("--kind", choices=["random-curvature", "qk-ray", "random-torsion",
                                        "nabla-omega"],
                     default="random-curvature")
@@ -77,25 +68,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 
-    from . import curvature_space as cs
-    from . import decomposition as dec
-    from . import tensor_io as tio
-    from . import torsion as tor
-    from .model_space import build_model
-
     if args.n not in (2, 3):
         return _error("--n must be 2 or 3", 1)
     if getattr(args, "seeds", 1) < 1:
         return _error("--seeds must be at least 1", 1)
 
-    tol = getattr(args, "tol", None)       # audit, decompose and torsion
     m = build_model(args.n)
 
     paths = ([args.input] if getattr(args, "input", None)
@@ -109,12 +92,14 @@ def main(argv=None) -> int:
     if any(tens.rank != rank or tens.n != args.n for tens in inputs):
         return _error(f"{args.command} expects rank-{rank} files with n = {args.n}", 1)
 
-    # each reporting command sets its results, failures and exit code, then
-    # writes the report and prints the summary below
-    tolerances, quiet = {"tol": tol}, frozenset()
+    # each reporting command sets its results and failures, then writes the
+    # report and prints the summary below; any failure exits 2
+    gate = {"audit": dec.AUDIT_TOL, "decompose": cs.CERT_TOL,
+            "torsion": tor.RESIDUAL_TOL}.get(args.command)
+    tolerances, quiet, ambiguous = {"tol": gate}, frozenset(), False
     if args.command == "audit":
         bank = dec.build_sp_projectors(m)
-        report = dec.dimension_audit(bank, tol=tol)
+        report = dec.dimension_audit(bank)
         body = tio.jsonable(dataclasses.asdict(report))
         results = [{"check": "dim_R", "value": report.dim_R,
                     "expected": report.dim_R_formula, "tolerance": 0},
@@ -123,35 +108,30 @@ def main(argv=None) -> int:
                    {"check": "ranks", "value": body["ranks"],
                     "expected": body["expected"], "tolerance": 0},
                    {"check": "projector_algebra",
-                    "value": body["algebra_residuals"], "tolerance": tol},
+                    "value": body["algebra_residuals"], "tolerance": gate},
                    {"check": "eigen_residuals",
-                    "value": body["eigen_residuals"], "tolerance": tol}]
+                    "value": body["eigen_residuals"], "tolerance": gate}]
         failures = body["failures"]
-        code = 0 if report.ok else 2
 
     elif args.command == "decompose":
-        results, failures = [], []
         try:
-            R = cs.CurvatureTensor.certify(inputs[0].data, tol=tol)
+            R = cs.CurvatureTensor.certify(inputs[0].data)
             bank = dec.build_sp_projectors(m)
-            parts = dict(zip(bank.parts, bank.norms(R.tensor)[0].tolist()))
-        except cs.CertificationError as exc:
-            failures = [str(exc)]
+            parts, total = bank.norms(R.tensor)
+            norms = dec.parseval_norms(parts, total)
+        except cs.CertificationError as exc:  # fails a condition of R, or Parseval
+            results, failures = [], [str(exc)]
         except ValueError as exc:             # a norm too large for a float
             return _error(exc)
         else:
-            try:
-                norms = dec.component_norms(bank, R)
-            except ValueError as exc:         # fails Parseval
-                failures = [str(exc)]
-            else:
-                results = [{"check": "component_norms", "value": tio.jsonable(norms),
-                            "tolerance": tol},
-                           {"check": "qk_norm", "value": dec.composite_norm(parts, "QK"),
-                            "tolerance": tol},
-                           {"check": "qkperp_norm", "value": dec.composite_norm(parts, "QKperp"),
-                            "tolerance": tol}]
-        code = 0 if not failures else 2
+            parts = dict(zip(bank.parts, parts.tolist()))
+            results = [{"check": "component_norms", "value": tio.jsonable(norms),
+                        "tolerance": dec.PARSEVAL_TOL},
+                       {"check": "qk_norm", "value": dec.composite_norm(parts, "QK"),
+                        "tolerance": dec.PARSEVAL_TOL},
+                       {"check": "qkperp_norm", "value": dec.composite_norm(parts, "QKperp"),
+                        "tolerance": dec.PARSEVAL_TOL}]
+            failures = []
 
     elif args.command == "torsion":
         try:
@@ -163,18 +143,18 @@ def main(argv=None) -> int:
                 t, _, resid = tor.torsion_from_nabla_omega(m, *[w.data for w in inputs])
                 defect = "nabla-omega data not realizable"
             tbank = tor.build_torsion_bank(m)
-            norms = dict(zip(tbank.names, tbank.norms(t)[0].tolist()))
+            parts, total = tbank.norms(t)
+            mask = tor.mask_from_norms(parts, total)
         except ValueError as exc:   # not antisymmetric in (Y, Z), or a norm too large
             return _error(exc)
-        failures = [] if resid <= tol else [f"{defect}: residual {resid}"]
+        failures = [] if resid <= gate else [f"{defect}: residual {resid}"]
+        norms = dict(zip(tbank.names, parts.tolist()))
         results = [{"check": "component_norms", "value": tio.jsonable(norms),
-                    "tolerance": 1e-8},
-                   {"check": "class_mask", "value": tbank.class_mask(t),
+                    "tolerance": tor.MASK_TOL},
+                   {"check": "class_mask", "value": mask,
                     "order": list(tor.TORSION_COMPONENTS), "tolerance": tor.MASK_TOL}]
-        code = 0 if not failures else 2
 
     elif args.command == "tables":
-        from . import tables as tbl
         bank = dec.build_sp_projectors(m)
         tbank = tor.build_torsion_bank(m)
         report = tbl.run_tables(bank, tbank, seeds=args.seeds)
@@ -195,8 +175,7 @@ def main(argv=None) -> int:
                     "value": tio.jsonable(report.direction_checks),
                     "tolerance": tbl.DIRECTION_TOL}]
         tolerances = {"tick_on": tbl.TICK_ON, "tick_off": tbl.TICK_OFF}
-        quiet = frozenset({"cells", "directions"})
-        code = 2 if report.mismatches else 3 if report.ambiguous else 0
+        quiet, ambiguous = frozenset({"cells", "directions"}), bool(report.ambiguous)
 
     elif args.command == "make-tensor":
         # (path, tensor, certified) of each file to write
@@ -204,18 +183,14 @@ def main(argv=None) -> int:
             files = [(args.output, cs.random_curvature(m, args.seed).tensor, True)]
         elif args.kind == "qk-ray":
             files = [(args.output, m.pi2 + 2.0 * m.pi1, True)]
-        elif args.kind == "random-torsion":
-            rng = cs.substream("cli-torsion", args.seed)
-            t = tor.project_to_torsion_space(
-                m, rng.standard_normal((m.dim,) * 3))
-            files = [(args.output, t, False)]
         else:
-            rng = cs.substream("cli-nw", args.seed)
-            t = tor.project_to_torsion_space(
-                m, rng.standard_normal((m.dim,) * 3))
-            lambdas = rng.standard_normal((3, m.dim))
-            nws = tor.nabla_omega_from_torsion(m, t, lambdas)
-            files = [(f"{args.output}.{label}", w, False) for label, w in zip("IJK", nws)]
+            key = "cli-torsion" if args.kind == "random-torsion" else "cli-nw"
+            rng = cs.substream(key, args.seed)
+            t = tor.project_to_torsion_space(m, rng.standard_normal((m.dim,) * 3))
+            files = [(args.output, t, False)]
+            if args.kind == "nabla-omega":
+                nws = tor.nabla_omega_from_torsion(m, t, rng.standard_normal((3, m.dim)))
+                files = [(f"{args.output}.{label}", w, False) for label, w in zip("IJK", nws)]
         try:
             for path, data, certified in files:
                 tio.write_tensor(path, args.n, data, certified=certified)
@@ -228,7 +203,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _error(exc)
     _emit(results, failures, quiet_keys=quiet)
-    return code
+    return 2 if failures else 3 if ambiguous else 0
 
 
 def _error(message, code: int = 2) -> int:
@@ -238,13 +213,12 @@ def _error(message, code: int = 2) -> int:
 
 
 def _emit(results, failures, quiet_keys=frozenset()) -> None:
-    import json as _json
     for item in results:
         key = item.get("check")
         if key in quiet_keys:
             print(f"{key}: ({len(item['value'])} entries)")
         else:
-            print(f"{key}: {_json.dumps(item['value'], sort_keys=True)}")
+            print(f"{key}: {json.dumps(item['value'], sort_keys=True)}")
     for f in failures:
         print(f"FAIL: {f}")
 

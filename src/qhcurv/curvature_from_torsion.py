@@ -55,6 +55,11 @@ from . import tensor_ops as top
 from . import torsion as tor
 from .model_space import ModelSpace
 
+#: Largest relative residual :meth:`TorsionState.validate` accepts.
+STATE_TOL = 1e-10
+#: Largest gap at which two closed-form coefficients count as equal.
+COEFF_TOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # States.
@@ -95,17 +100,17 @@ class TorsionState:
         """The quaternionic-Kaehler state: xi = 0, gamma_A = c omega_A."""
         return cls.make(m, gammas=c * m.omegas)
 
-    def validate(self, m: ModelSpace, tol: float = 1e-10) -> None:
+    def validate(self, m: ModelSpace) -> None:
         """Check, for one unbatched state, that xi and all of D (every slice
         D(W; .) in one call) lie in the torsion space, and that each gamma_A
-        is antisymmetric, each relative to its size; NaN fails."""
-        if not tor.torsion_space_residual(m, self.t) <= tol:
+        is antisymmetric, each to STATE_TOL relative to its size; NaN fails."""
+        if not tor.torsion_space_residual(m, self.t) <= STATE_TOL:
             raise ValueError("xi is not a torsion tensor")
-        if not tor.torsion_space_residual(m, self.D) <= tol:
+        if not tor.torsion_space_residual(m, self.D) <= STATE_TOL:
             raise ValueError("nabla~xi slice outside the torsion space")
         for gam in self.gammas:
             with top.binary_scaled(gam) as s:
-                if not top.frob(s.unit + s.unit.T) <= tol * s.norm:
+                if not top.frob(s.unit + s.unit.T) <= STATE_TOL * s.norm:
                     raise ValueError("gamma_A must be antisymmetric")
 
 
@@ -519,7 +524,7 @@ def reference_deviations(n: int) -> dict:
             ("scal", scal_coefficients(n), reference_scal_coefficients(n)),
             ("scal^q", scalq_coefficients(n), reference_scalq_coefficients(n))):
         out[label] = {name: (free[name], ref[name]) for name in free
-                      if abs(free[name] - ref[name]) > 1e-12}
+                      if abs(free[name] - ref[name]) > COEFF_TOL}
     return out
 
 
@@ -594,7 +599,7 @@ def bhl_coefficients(n: int) -> dict:
     out = {name: (n + 2.0) * cq[name] - 3.0 * n * c[name]
            for name in tor.TORSION_COMPONENTS}
     out["dstar"] = -3.0 * n * c["dstar"]
-    assert abs((n + 2.0) * cq["gamma"] - 3.0 * n * c["gamma"]) < 1e-12
+    assert abs((n + 2.0) * cq["gamma"] - 3.0 * n * c["gamma"]) < COEFF_TOL
     return out
 
 

@@ -83,38 +83,37 @@ def curvature_residuals(R: np.ndarray) -> dict:
 
 @dataclass
 class CurvatureTensor:
-    """A rank-4 tensor that passed :meth:`certify`: it lies in R to the
-    tolerance it was certified at.  Functions that read curvature take it
-    or a raw array alike."""
+    """A rank-4 tensor that passed :meth:`certify`: it lies in R to
+    CERT_TOL.  Functions that read curvature take it or a raw array alike."""
 
     tensor: np.ndarray
 
     @classmethod
-    def certify(cls, R: np.ndarray, tol: float = CERT_TOL) -> "CurvatureTensor":
+    def certify(cls, R: np.ndarray) -> "CurvatureTensor":
         """Certify R, checking :data:`CURVATURE_CONDITIONS` in order.
 
         Raises CertificationError at the first condition whose residual is
-        not <= tol (NaN included), naming it and its residual; accepts
-        exactly when every value of :func:`curvature_residuals` is <= tol.
+        not <= CERT_TOL (NaN included), naming it and its residual; accepts
+        exactly when every value of :func:`curvature_residuals` is <= CERT_TOL.
         """
         with top.binary_scaled(R) as s:
             for name, residual in CURVATURE_CONDITIONS:
                 value = residual(s.unit, s.norm)
-                if not value <= tol:
+                if not value <= CERT_TOL:
                     raise CertificationError(
                         f"curvature condition {name} failed: residual {value:.3e} "
-                        f"not <= tol {tol:g}")
+                        f"not <= tol {CERT_TOL:g}")
         return cls(tensor=np.asarray(R, dtype=float))
 
 
-def project_to_R(S: np.ndarray, tol: float = CERT_TOL) -> CurvatureTensor:
+def project_to_R(S: np.ndarray) -> CurvatureTensor:
     """Orthogonal projection of S in S^2(Lambda^2 V*) onto R, certified.
 
     Inside S^2(Lambda^2 V*) the orthogonal complement of R is Lambda^4 V*,
     so the projection simply subtracts the total antisymmetrization, a
     4-form: an S lacking a pair symmetry keeps that defect, and fails it.
     """
-    return CurvatureTensor.certify(S - top.alt(S), tol)
+    return CurvatureTensor.certify(S - top.alt(S))
 
 
 def substream(*key_parts) -> np.random.Generator:

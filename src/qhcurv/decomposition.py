@@ -384,21 +384,30 @@ def _constrained_triples(m: ModelSpace, forms, label: str) -> np.ndarray:
 #: Largest relative gap allowed between the sum of the squared fine norms
 #: and |R|^2 (Parseval); a larger gap means R has a part outside R.
 PARSEVAL_TOL = 1e-9
+#: Largest QKperp share of |R| that :func:`qk_einstein_verify` accepts.
+QK_TOL = 1e-9
+#: Largest residual that :func:`dimension_audit` accepts by default.
+AUDIT_TOL = 1e-9
 
 
 def component_norms(bank: ProjectorBank, R) -> dict:
-    """Fine component norms of R, from :meth:`ComponentBank.norms`.  Their
-    squares must sum to |R|^2 to PARSEVAL_TOL (relative), else ValueError,
-    which a tensor with a part outside R or a non-finite entry raises; so
-    does a norm too large for a float."""
+    """:func:`parseval_norms` of :meth:`ComponentBank.norms` of R, which
+    raises ValueError on a norm too large for a float."""
     tensor = R.tensor if isinstance(R, cs.CurvatureTensor) else R
-    parts, total = bank.norms(tensor)
+    return parseval_norms(*bank.norms(tensor))
+
+
+def parseval_norms(parts: np.ndarray, total: float) -> dict:
+    """The fine norms among ``parts``, from :meth:`ComponentBank.norms` of
+    a tensor of norm ``total``.  Their squares must sum to total^2 to
+    PARSEVAL_TOL (relative), else CertificationError, which a tensor with
+    a part outside R or a non-finite entry raises."""
     fine = parts[:len(FINE_COMPONENTS)].tolist()
     scale = total or 1.0        # relative to |R|, no square overflows
     gap = abs((math.hypot(*fine) / scale) ** 2 - (total / scale) ** 2)
     if not gap <= PARSEVAL_TOL:
-        raise ValueError(f"the fine components miss a share {gap} of |R|^2: "
-                         f"the tensor is not in the curvature space")
+        raise cs.CertificationError(f"the fine components miss a share {gap} of |R|^2: "
+                                    f"the tensor is not in the curvature space")
     return dict(zip(FINE_COMPONENTS, fine))
 
 
@@ -415,10 +424,10 @@ def ricci_qk_split(n: int, r, q) -> tuple:
             9.0 * n / (2.0 * (5.0 * n + 1.0)) * (r - (n + 2.0) / (3.0 * n) * q))
 
 
-def qk_einstein_verify(bank: ProjectorBank, R, tol: float = 1e-9) -> tuple[float, dict]:
+def qk_einstein_verify(bank: ProjectorBank, R) -> tuple[float, dict]:
     """For R in QK: extract c from Ric = (n+2) c g and verify the Einstein laws.
 
-    Returns (c, residuals); raises if R has a QKperp part above tolerance.
+    Returns (c, residuals); raises if R has a QKperp part above QK_TOL.
     Both read R divided by a power of two (:func:`.tensor_ops.binary_scaled`).
     """
     m = bank.model
@@ -426,7 +435,7 @@ def qk_einstein_verify(bank: ProjectorBank, R, tol: float = 1e-9) -> tuple[float
     with top.binary_scaled(tensor) as s:
         tensor = s.unit
         perp = composite_norm(dict(zip(bank.parts, bank.norms(tensor)[0].tolist())), "QKperp")
-        if not perp <= tol * s.norm:
+        if not perp <= QK_TOL * s.norm:
             raise ValueError(f"R is not in QK: perp fraction {perp / s.norm}")
         n = m.n
         ric = cs.ricci(tensor)
@@ -468,7 +477,7 @@ class DecompositionReport:
         return not self.failures
 
 
-def dimension_audit(bank: ProjectorBank, tol: float = 1e-9) -> DecompositionReport:
+def dimension_audit(bank: ProjectorBank, tol: float = AUDIT_TOL) -> DecompositionReport:
     """Check ranks against the closed formulas, the residuals of the
     tensor-level L, L_sigma and Cas oracles against each component's values
     (first, middle and last row per component), and the projector algebra

@@ -27,6 +27,8 @@ from . import tensor_ops as top
 
 #: Absolute tolerance used to validate structure invariants at build time.
 BUILD_TOL = 1e-12
+#: Largest entry of rot^T rot - 1 that :func:`adapted_basis` accepts.
+ROTATION_TOL = 1e-10
 
 # Left multiplication by i, j, k on one quaternionic block (1, i, j, k).
 _LI = np.array([[0, -1, 0, 0],
@@ -198,8 +200,7 @@ def _validate(m: ModelSpace) -> None:
             raise AssertionError(f"model-space invariant '{name}' fails: {err}")
 
 
-def adapted_basis(m: ModelSpace, rot: np.ndarray,
-                  tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def adapted_basis(m: ModelSpace, rot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rotate the structure triple by ``rot`` in SO(3).
 
     Each returned A' = a I + b J + c K with (a, b, c) the rows of ``rot``;
@@ -208,12 +209,12 @@ def adapted_basis(m: ModelSpace, rot: np.ndarray,
     Raises
     ------
     ValueError
-        If ``rot`` is not special orthogonal to ``tol``.
+        If ``rot`` is not special orthogonal to ROTATION_TOL.
     """
     rot = np.asarray(rot, dtype=float)
     if rot.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {rot.shape}")
-    if np.max(np.abs(rot.T @ rot - np.eye(3))) > tol:
+    if not np.max(np.abs(rot.T @ rot - np.eye(3))) <= ROTATION_TOL:     # NaN fails
         raise ValueError("rotation is not orthogonal")
     if np.linalg.det(rot) < 0:
         raise ValueError("rotation reverses orientation (det < 0)")

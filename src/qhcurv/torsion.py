@@ -52,6 +52,11 @@ TORSION_COMPONENTS = ("33", "K3", "E3", "3H", "KH", "EH")
 
 #: A mask bit is set when its component holds this fraction of the norm.
 MASK_TOL = 1e-8
+#: Largest relative residual of a tensor off the torsion space, or of
+#: nabla-omega data off realizability, that a torsion verdict accepts.
+RESIDUAL_TOL = 1e-9
+#: Largest relative symmetric part in (Y, Z) of nabla-omega data.
+ANTISYM_TOL = 1e-12
 
 #: Per component: the highest weight lambda of its E-side Sp(n) module
 #: (Lambda^3_0 E, K or E) and k of its S^k H factor (S^3 H or H).
@@ -190,19 +195,13 @@ class TorsionBank(dec.ComponentBank):
         return self.project_coords(flat, name).reshape(t.shape)
 
     def class_mask(self, t: np.ndarray) -> str:
-        """6-bit class mask, one bit per nonzero component (order 33..EH).
-
-        Raises ValueError unless ``t`` has shape (d, d, d), on NaN or
-        infinite entries, and on a norm too large for a float.
-        """
+        """:func:`mask_from_norms` of :meth:`norms` of ``t``: ValueError
+        unless ``t`` has shape (d, d, d), on NaN or infinite entries, and on
+        a norm too large for a float."""
         d = self.model.dim
         if t.shape != (d, d, d):
             raise ValueError(f"torsion tensor must have shape {(d, d, d)}, got {t.shape}")
-        parts, total = self.norms(t)
-        if not math.isfinite(total):
-            raise ValueError("torsion tensor holds NaN or infinite entries")
-        floor = MASK_TOL * total
-        return "".join("1" if x > floor else "0" for x in parts.tolist())
+        return mask_from_norms(*self.norms(t))
 
     def random_component(self, name: str, seed) -> np.ndarray:
         """Seeded random unit tensor in one component (zero if rank 0)."""
@@ -214,6 +213,16 @@ class TorsionBank(dec.ComponentBank):
         coef = rng.standard_normal(B.shape[0])
         coef /= np.linalg.norm(coef)
         return (coef @ B).reshape(d, d, d)
+
+
+def mask_from_norms(parts: np.ndarray, total: float) -> str:
+    """6-bit class mask from :meth:`TorsionBank.norms` of a tensor: one bit
+    per part (order 33..EH) above MASK_TOL times ``total``, its norm.
+    ValueError if ``total`` is NaN or infinite."""
+    if not math.isfinite(total):
+        raise ValueError("torsion tensor holds NaN or infinite entries")
+    floor = MASK_TOL * total
+    return "".join("1" if x > floor else "0" for x in parts.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +431,7 @@ def torsion_from_nabla_omega(m: ModelSpace, nw_I, nw_J, nw_K):
         nws = s.unit
         flat = nws.reshape(3, -1)
         asym = np.linalg.norm(flat + nws.swapaxes(2, 3).reshape(3, -1), axis=1)
-        if not np.all(asym <= 1e-12 * np.linalg.norm(flat, axis=1)):
+        if not np.all(asym <= ANTISYM_TOL * np.linalg.norm(flat, axis=1)):
             raise ValueError("nabla-omega inputs must be antisymmetric in (Y, Z)")
         W = m.omegas
         lambdas = (nws[_NEXT].reshape(3, d, -1) @ W[_AFTER].reshape(3, -1, 1)).reshape(3, d) \

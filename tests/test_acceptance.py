@@ -138,7 +138,7 @@ def test_criterion_6_qk_einstein(n, bank):
         coef = bank.basis("S4E").T @ rng.standard_normal(bank.rank("S4E"))
         R = cs.from_pair_coords(bank.scheme, coef) \
             + rng.standard_normal() * (m.pi2 + 2 * m.pi1)
-        c, resid = dec.qk_einstein_verify(bank, R, tol=1e-8)
+        c, resid = dec.qk_einstein_verify(bank, R)
         worst = max(worst, max(resid.values()))
     ok = worst < 1e-8
     report(n, 6, "quaternionic-Kaehler Einstein laws (50 samples)", ok,

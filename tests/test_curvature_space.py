@@ -488,9 +488,9 @@ def test_certify_names_the_first_failed_condition(model2, name):
 
 
 def test_certify_accepts_exactly_within_tol(model2):
-    """Seeded tensors perturbed around tol, in directions that break each
-    condition or all of them: certify accepts exactly when every value of
-    curvature_residuals is <= tol, and both outcomes occur."""
+    """Seeded tensors perturbed around CERT_TOL, in directions that break
+    each condition or all of them: certify accepts exactly when every value
+    of curvature_residuals is <= CERT_TOL, and both outcomes occur."""
     R = cs.random_curvature(model2, 22).tensor
     rng = cs.substream("certify-around-tol", 0)
     directions = [_breaking(name) for name in CONDITION_NAMES]
@@ -498,12 +498,11 @@ def test_certify_accepts_exactly_within_tol(model2):
     directions.append(noise / top.frob(noise))
     outcomes = []
     for trial in range(60):
-        tol = 10.0 ** rng.uniform(-9, -5)
         E = directions[trial % len(directions)]
-        T = R + tol * rng.uniform(0.1, 2.0) * top.frob(R) * E
-        want = all(v <= tol for v in cs.curvature_residuals(T).values())
+        T = R + cs.CERT_TOL * rng.uniform(0.1, 2.0) * top.frob(R) * E
+        want = all(v <= cs.CERT_TOL for v in cs.curvature_residuals(T).values())
         try:
-            cs.CurvatureTensor.certify(T, tol)
+            cs.CurvatureTensor.certify(T)
             got = True
         except cs.CertificationError:
             got = False

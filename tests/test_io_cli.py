@@ -212,11 +212,9 @@ def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     assert cli.main(["audit", "--n", "5"]) == 1
     assert cli.main(["audit", "--n", "4", "--allow-large"]) == 1
     assert cli.main(["bogus"]) == 1
-    # make-tensor writes no report and checks nothing; tables checks no tolerance
+    # make-tensor writes no report
     out = str(tmp_path / "R.qht")
     assert cli.main(["make-tensor", "--n", "2", "--output", out, "--json", "x"]) == 1
-    assert cli.main(["make-tensor", "--n", "2", "--output", out, "--tol", "1"]) == 1
-    assert cli.main(["tables", "--n", "2", "--tol", "1"]) == 1
     # a table run without seeds is refused before any bank is built
     builds = []
     for module, name in ((tor, "build_torsion_bank"), (dec, "build_sp_projectors")):
@@ -331,6 +329,53 @@ def test_cli_decompose_names_the_broken_pair_exchange(tmp_path, capsys):
     assert f"FAIL: {failure}" in capsys.readouterr().out
 
 
+def test_cli_tol_is_a_usage_error_on_every_command(tmp_path, capsys, monkeypatch):
+    """No flag moves a gate: --tol exits 1 on every subcommand, also on a
+    file 40 % off the torsion space, which the fixed gate rejects."""
+    m, tbank = build_model(2), get_torsion_bank(2)
+    monkeypatch.setattr(tor, "build_torsion_bank", lambda m: tbank)
+    t = tbank.random_component("KH", 1)
+    noise = cs.substream("tol-off", 0).standard_normal(t.shape)
+    off = noise - tor.project_to_torsion_space(m, noise)
+    tfile, rfile = tmp_path / "off.qht", tmp_path / "R.qht"
+    tio.write_tensor(tfile, 2, t + (0.4 / 0.84 ** 0.5) * top.frob(t) / top.frob(off) * off)
+    tio.write_tensor(rfile, 2, cs.random_curvature(m, 0).tensor)
+    assert tor.torsion_space_residual(m, tio.read_tensor(tfile).data) == pytest.approx(0.4)
+    for command, *rest in (["audit"], ["decompose", "--input", str(rfile)],
+                           ["torsion", "--input", str(tfile)], ["tables"],
+                           ["make-tensor", "--output", str(tmp_path / "x.qht")]):
+        assert cli.main([command, "--n", "2", *rest, "--tol", "1"]) == 1, command
+    capsys.readouterr()
+    assert cli.main(["torsion", "--n", "2", "--input", str(tfile)]) == 2
+    (resid,) = re.findall(r"^FAIL: input outside the torsion space: residual (\S+)$",
+                          capsys.readouterr().out, re.M)
+    assert float(resid) == pytest.approx(0.4)
+
+
+def test_cli_verdicts_read_each_norm_once(tmp_path, monkeypatch):
+    """One decompose run and one torsion run, from a tensor or from
+    nabla-omega data, each call ComponentBank.norms exactly once."""
+    m, bank, tbank = build_model(2), get_bank(2), get_torsion_bank(2)
+    monkeypatch.setattr(tor, "build_torsion_bank", lambda m: tbank)
+    monkeypatch.setattr(dec, "build_sp_projectors", lambda m: bank)
+    calls, norms = [], dec.ComponentBank.norms
+    monkeypatch.setattr(dec.ComponentBank, "norms",
+                        lambda self, x: calls.append(type(self).__name__) or norms(self, x))
+    t = tbank.random_component("EH", 0)
+    nws = tor.nabla_omega_from_torsion(m, t, cs.substream("once", 0).standard_normal((3, 8)))
+    files = {"R": cs.random_curvature(m, 0).tensor, "t": t, **dict(zip("IJK", nws))}
+    for name, data in files.items():
+        tio.write_tensor(tmp_path / name, 2, data)
+    for argv, bank_type in ((["decompose", "--input", "R"], "ProjectorBank"),
+                            (["torsion", "--input", "t"], "TorsionBank"),
+                            (["torsion", "--from-nabla-omega", "I", "J", "K"], "TorsionBank")):
+        calls.clear()
+        argv = [str(tmp_path / a) if a in files else a for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([argv[0], "--n", "2", *argv[1:]]) == 0
+        assert calls == [bank_type], argv
+
+
 def _curvature_plus_4form(size: float) -> np.ndarray:
     """random_curvature(m, 7) at n = 2 plus a Lambda^4 part of ``size``
     relative to it: its only defect is its Bianchi part."""
@@ -339,26 +384,26 @@ def _curvature_plus_4form(size: float) -> np.ndarray:
     return R + size * top.frob(R) / top.frob(four) * four
 
 
-@pytest.mark.parametrize("tol_args, size, reason", [
-    (["--tol", "1e-3"], 1e-4, "not in the curvature space"),
-    ([], 1e-6, "bianchi"),
-], ids=["parseval", "bianchi"])
-def test_cli_decompose_outside_R_is_a_verification_failure(tol_args, size, reason,
-                                                           tmp_path, capsys):
-    """A curvature tensor plus a Lambda^4 part: of 1e-4 relative size it
-    certifies under --tol 1e-3, then fails the Parseval gate of
-    component_norms; of 1e-6 it fails certification, by its Bianchi
-    residual, under the default tolerance.  Either way a FAIL line, the
-    report written, exit 2."""
+@pytest.mark.parametrize("size", [1e-4, 1e-6], ids=["parseval", "bianchi"])
+def test_cli_decompose_outside_R_is_a_verification_failure(size, tmp_path, capsys):
+    """A curvature tensor plus a Lambda^4 part of 1e-4 or 1e-6 relative
+    size fails certification at CERT_TOL by its Bianchi residual: a FAIL
+    line, the report written, exit 2.  Certification comes first, so no
+    such input reaches the Parseval gate of component_norms through the
+    CLI; on the raw array that gate rejects the 1e-4 part (1e-8 of |R|^2)
+    and lets the 1e-6 one (1e-12) through."""
     path, out = tmp_path / "near.qht", tmp_path / "near.json"
     tio.write_tensor(path, 2, _curvature_plus_4form(size))
-    assert cli.main(["decompose", "--n", "2", *tol_args, "--input", str(path),
+    assert cli.main(["decompose", "--n", "2", "--input", str(path),
                      "--json", str(out)]) == 2
     report = json.loads(out.read_text())
     assert report["results"] == []
     (failure,) = report["failures"]
-    assert reason in failure
+    assert failure.startswith("curvature condition bianchi failed")
     assert f"FAIL: {failure}" in capsys.readouterr().out
+    with (pytest.raises(cs.CertificationError, match="not in the curvature space")
+          if size > 1e-5 else contextlib.nullcontext()):
+        dec.component_norms(get_bank(2), _curvature_plus_4form(size))
 
 
 def _nabla_omega_off_by(size: float) -> np.ndarray:
@@ -374,31 +419,41 @@ def _nabla_omega_off_by(size: float) -> np.ndarray:
 
 
 @pytest.mark.parametrize("kind", ["decompose", "nabla-omega"])
-def test_cli_tol_is_applied_as_given(kind, tmp_path):
-    """Data whose only defect is 1e-11 relative (a Lambda^4 part, or a
-    non-realizable part of nabla-omega data) fails under --tol 1e-12 and
-    passes under the default 1e-9, and the report records the tolerance
-    that was applied."""
-    if kind == "decompose":
-        path = tmp_path / "R.qht"
-        tio.write_tensor(path, 2, _curvature_plus_4form(1e-11))
-        resid = cs.curvature_residuals(tio.read_tensor(path).data)["bianchi"]
-        argv = ["decompose", "--n", "2", "--input", str(path)]
-    else:
-        nws = _nabla_omega_off_by(1e-11)
-        files = [str(tmp_path / f"nw.{label}") for label in "IJK"]
-        for f, w in zip(files, nws):
-            tio.write_tensor(f, 2, w)
-        resid = tor.torsion_from_nabla_omega(
-            build_model(2), *[tio.read_tensor(f).data for f in files])[2]
-        argv = ["torsion", "--n", "2", "--from-nabla-omega", *files]
-    assert 5e-12 < resid < 2e-11
-    out = tmp_path / "report.json"
-    assert cli.main([*argv, "--tol", "1e-12", "--json", str(out)]) == 2
-    report = json.loads(out.read_text())
-    assert report["tolerances"] == {"tol": 1e-12} and report["failures"]
-    assert cli.main([*argv, "--json", str(out)]) == 0
-    assert json.loads(out.read_text())["failures"] == []
+def test_cli_tol_is_applied_as_given(kind, tmp_path, monkeypatch):
+    """The CLI gates at one fixed constant, CERT_TOL (1e-10) for decompose
+    and torsion.RESIDUAL_TOL (1e-9) for nabla-omega data: data whose only
+    defect is 1e-11 relative (a Lambda^4 part, or a non-realizable part of
+    nabla-omega data) passes, a defect of ten times the constant fails, and
+    the report records the constant."""
+    bank, tbank = get_bank(2), get_torsion_bank(2)
+    monkeypatch.setattr(tor, "build_torsion_bank", lambda m: tbank)
+    monkeypatch.setattr(dec, "build_sp_projectors", lambda m: bank)
+    gate = cs.CERT_TOL if kind == "decompose" else tor.RESIDUAL_TOL
+
+    def run(size):
+        if kind == "decompose":
+            path = tmp_path / "R.qht"
+            tio.write_tensor(path, 2, _curvature_plus_4form(size))
+            resid = cs.curvature_residuals(tio.read_tensor(path).data)["bianchi"]
+            argv = ["decompose", "--n", "2", "--input", str(path)]
+        else:
+            files = [str(tmp_path / f"nw.{label}") for label in "IJK"]
+            for f, w in zip(files, _nabla_omega_off_by(size)):
+                tio.write_tensor(f, 2, w)
+            resid = tor.torsion_from_nabla_omega(
+                build_model(2), *[tio.read_tensor(f).data for f in files])[2]
+            argv = ["torsion", "--n", "2", "--from-nabla-omega", *files]
+        assert 0.5 * size < resid < 2.0 * size
+        out = tmp_path / "report.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([*argv, "--json", str(out)])
+        report = json.loads(out.read_text())
+        assert report["tolerances"] == {"tol": gate}
+        return code, report["failures"]
+
+    assert run(1e-11) == (0, [])
+    code, failures = run(10.0 * gate)
+    assert code == 2 and failures
 
 
 def test_cli_torsion_roundtrip(tmp_path, capsys):
@@ -464,21 +519,32 @@ _THREAD_INVARIANTS = {
 }
 
 
+#: Prints the OpenBLAS thread count as the benchmark reads it
+#: (``perfbench/run.py``'s ``blas_runtime``), given that directory.
+_BLAS_THREADS = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy, run; "
+                 "print(run.blas_runtime(numpy)[1])")
+
+
 @pytest.mark.parametrize("argv", sorted(_THREAD_INVARIANTS), ids=lambda argv: argv[0])
-def test_cli_results_independent_of_qhc_threads(argv, tmp_path):
-    # _cap_threads only fills unset variables, so clear them in the child
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+def test_cli_results_independent_of_blas_threads(argv, tmp_path):
+    """The report keeps its invariants with 1 and with 2 OpenBLAS threads,
+    and a child with the same environment reads that thread count."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(qhcurv.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    perfbench = os.path.join(os.path.dirname(src), "perfbench")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     seen = []
     for threads in ("1", "2"):
+        child = dict(env, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        probe = subprocess.run([sys.executable, "-c", _BLAS_THREADS, perfbench], env=child,
+                               capture_output=True, text=True, check=True, timeout=60)
+        if probe.stdout.split() == ["None"]:
+            pytest.skip("numpy loads no OpenBLAS that reports its thread count")
+        assert probe.stdout.split() == [threads]
         out = tmp_path / f"{threads}.json"
         proc = subprocess.run(
             [sys.executable, "-m", "qhcurv.cli", *argv, "--json", str(out)],
-            env={**env, "QHC_THREADS": threads}, capture_output=True, text=True,
-            timeout=600)
+            env=child, capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
         results = {r["check"]: r["value"] for r in json.loads(out.read_text())["results"]}
         seen.append(_THREAD_INVARIANTS[argv](results))
@@ -623,7 +689,7 @@ def _scale_cases() -> dict:
     and one rejected input per mode: a KH + EH torsion tensor on and off
     the torsion space, realizable and non-realizable nabla-omega data, a
     random curvature tensor, and one with a Lambda^4 part of 1e-4 that
-    certifies under --tol 1e-3 and then fails Parseval."""
+    fails certification."""
     m, tbank = build_model(2), get_torsion_bank(2)
     t = tbank.random_component("KH", 5) + tbank.random_component("EH", 5)
     noise = cs.substream("scale-off", 0).standard_normal(t.shape)
@@ -635,7 +701,7 @@ def _scale_cases() -> dict:
             "nabla-omega": (nabla, list(nws)),
             "nabla-omega-bad": (nabla, list(_nabla_omega_off_by(1e-3))),
             "decompose": (["decompose", "--n", "2", "--input"], [cs.random_curvature(m, 5).tensor]),
-            "decompose-outside": (["decompose", "--n", "2", "--tol", "1e-3", "--input"],
+            "decompose-outside": (["decompose", "--n", "2", "--input"],
                                   [_curvature_plus_4form(1e-4)])}
 
 

@@ -99,6 +99,8 @@ def test_adapted_basis_rejects_bad_rotation(model2):
     refl = np.diag([1.0, 1.0, -1.0])
     with pytest.raises(ValueError):
         ms.adapted_basis(model2, refl)
+    with pytest.raises(ValueError, match="not orthogonal"):
+        ms.adapted_basis(model2, np.full((3, 3), np.nan))
 
 
 def test_adapted_basis_quaternion_identities_and_omega(model):

@@ -148,3 +148,21 @@ def test_every_public_name_has_a_caller_or_is_a_listed_oracle():
     test_only = {q for q, name in _definitions().items() if name not in reached}
     assert sorted(test_only - TEST_ONLY) == [], "only tests call these: delete them or list them"
     assert sorted(TEST_ONLY - test_only) == [], "gone or called now: drop them from TEST_ONLY"
+
+
+def test_no_gate_is_a_setting():
+    """Every gate reads a named module constant: no function or method of
+    ``src/qhcurv`` takes a parameter named ``tol`` except
+    ``decomposition.dimension_audit``, whose keyword the benchmark passes,
+    and ``cli.py`` reads no environment variable."""
+    takes_tol = sorted(
+        f"{path.stem}.{node.name}"
+        for path in (ROOT / "src" / "qhcurv").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and "tol" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)})
+    assert takes_tol == ["decomposition.dimension_audit"]
+    cli = ast.parse((ROOT / "src" / "qhcurv" / "cli.py").read_text())
+    read = {node.id for node in ast.walk(cli) if isinstance(node, ast.Name)} \
+        | {node.attr for node in ast.walk(cli) if isinstance(node, ast.Attribute)}
+    assert not read & {"environ", "environb", "getenv", "getenvb", "putenv"}
