@@ -55,8 +55,6 @@ from . import tensor_ops as top
 from . import torsion as tor
 from .model_space import ModelSpace
 
-#: Largest relative residual :meth:`TorsionState.validate` accepts.
-STATE_TOL = 1e-10
 #: Largest gap at which two closed-form coefficients count as equal.
 COEFF_TOL = 1e-12
 
@@ -99,19 +97,6 @@ class TorsionState:
     def qk_point(cls, m: ModelSpace, c: float):
         """The quaternionic-Kaehler state: xi = 0, gamma_A = c omega_A."""
         return cls.make(m, gammas=c * m.omegas)
-
-    def validate(self, m: ModelSpace) -> None:
-        """Check, for one unbatched state, that xi and all of D (every slice
-        D(W; .) in one call) lie in the torsion space, and that each gamma_A
-        is antisymmetric, each to STATE_TOL relative to its size; NaN fails."""
-        if not tor.torsion_space_residual(m, self.t) <= STATE_TOL:
-            raise ValueError("xi is not a torsion tensor")
-        if not tor.torsion_space_residual(m, self.D) <= STATE_TOL:
-            raise ValueError("nabla~xi slice outside the torsion space")
-        for gam in self.gammas:
-            with top.binary_scaled(gam) as s:
-                if not top.frob(s.unit + s.unit.T) <= STATE_TOL * s.norm:
-                    raise ValueError("gamma_A must be antisymmetric")
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +434,9 @@ def d_star_theta(m: ModelSpace, state: TorsionState) -> float:
 # traces of the q-Ricci / Ricci formulas, which in turn are anchored by the
 # quaternionic-Kaehler constants.  On realized states they give scal and
 # scal^q of R (acceptance criterion 13), so they hold on shell as well.
-# The commonly tabulated scalar expansions carry different coefficients on
-# some components (K3, 3H, KH, EH and the d*theta term).  They are not an
-# on-shell variant: they miss on realized states too.  On the first
-# realized state of criterion 13 at n = 2, R gives scal = -23.68 and
-# scal^q = 9.036, the coefficients below give the same, and the reference
-# ones give -54.83 and -157.7.  They are kept below, as recorded reference
-# values, in the reference_* functions.
+# The commonly tabulated expansions, which differ on K3, 3H, KH, EH and the
+# d*theta term and miss on realized states too, are recorded in
+# tests/reference_values.py.
 
 def _dstar_coefficient(n: int) -> float:
     # forced by the nabla~xi trace of pi_R_ric; the reference value has
@@ -487,45 +468,6 @@ def scalq_coefficients(n: int) -> dict:
         "3H": -2.0, "KH": -2.0, "EH": -2.0,
         "dstar": 0.0,
     }
-
-
-def reference_scal_coefficients(n: int) -> dict:
-    """The commonly tabulated coefficients of scal, kept as recorded values
-    for the deviation report of ``reference_deviations``.  They miss scal of
-    R on realized states (-54.83 against -23.68 on criterion 13's first
-    state at n = 2), so they are no on-shell variant."""
-    return {
-        "gamma": 2.0 * (n + 2.0) / 3.0,
-        "33": 7.0 / 3.0, "K3": -1.0 / 3.0,
-        "E3": (2.0 * n * n + 3.0 * n + 2.0) / (3.0 * n),
-        "3H": -1.0 / 3.0, "KH": -7.0 / 3.0,
-        "EH": 2.0 * (4.0 * n * n + 6.0 * n + 1.0) / (3.0 * n),
-        "dstar": -16.0 * (2.0 * n + 1.0) * (n + 1.0) / n,
-    }
-
-
-def reference_scalq_coefficients(n: int) -> dict:
-    """The commonly tabulated q-scalar coefficients, kept as recorded
-    values; they miss scal^q of R on realized states (-157.7 against 9.036
-    on criterion 13's first state at n = 2)."""
-    return {
-        "gamma": 2.0 * n,
-        "33": 1.0, "K3": 1.0, "E3": 1.0,
-        "3H": -2.0, "KH": -9.0, "EH": -2.0 / 3.0,
-        "dstar": 0.0,
-    }
-
-
-def reference_deviations(n: int) -> dict:
-    """Every coefficient where a reference scalar expansion differs from
-    the free-state one: {"scal": {name: (free, reference)}, "scal^q": ...}."""
-    out = {}
-    for label, free, ref in (
-            ("scal", scal_coefficients(n), reference_scal_coefficients(n)),
-            ("scal^q", scalq_coefficients(n), reference_scalq_coefficients(n))):
-        out[label] = {name: (free[name], ref[name]) for name in free
-                      if abs(free[name] - ref[name]) > COEFF_TOL}
-    return out
 
 
 def scalars_from_torsion(m: ModelSpace, bank: tor.TorsionBank,

@@ -467,14 +467,9 @@ class DecompositionReport:
     dim_R_formula: int
     dim_QK: int
     dim_QK_formula: int
-    zero_components: tuple
     eigen_residuals: dict
     algebra_residuals: dict
     failures: list
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def dimension_audit(bank: ProjectorBank, tol: float = AUDIT_TOL) -> DecompositionReport:
@@ -549,6 +544,5 @@ def dimension_audit(bank: ProjectorBank, tol: float = AUDIT_TOL) -> Decompositio
         n=n, ranks=ranks, expected=expected,
         dim_R=total, dim_R_formula=dim_R(n),
         dim_QK=qk_rank, dim_QK_formula=dim_QK(n),
-        zero_components=tuple(name for name in FINE_COMPONENTS if expected[name] == 0),
         eigen_residuals=eigen_residuals,
         algebra_residuals=algebra, failures=failures)

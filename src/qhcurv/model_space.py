@@ -175,11 +175,11 @@ def build_model(n: int) -> ModelSpace:
     m = ModelSpace(n=int(n), dim=dim, g=_freeze(g), I=_freeze(I),
                    J=_freeze(J), K=_freeze(K), omegas=_freeze(omegas),
                    Omega=_freeze(Omega), pi1=_freeze(pi1), pi2=_freeze(pi2))
-    _validate(m)
+    _check_invariants(m)
     return m
 
 
-def _validate(m: ModelSpace) -> None:
+def _check_invariants(m: ModelSpace) -> None:
     """Check the structure invariants to BUILD_TOL; raise on violation."""
     I, J, K = m.triple
     eye = np.eye(m.dim)

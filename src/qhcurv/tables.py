@@ -38,9 +38,11 @@ pi_1 map on pair coordinates): G^-1 img v with G = img img^T invertible.
 G is an Sp(n)Sp(1) intertwiner, so by Schur's lemma it is a scalar c_X on
 every component without an isomorphic partner; only S2ES2H_a/b and, at
 n = 3, L20E_a/b are coupled, and none of them is a Table-3 column.  So the
-coordinates are B_X M v / c_X (c_X is 1/2 on V22, 1 on V22S4H), read from
-the bank's sign-class blocks of X; ``TableContext.build`` checks G = c_X
-on X by a probe.
+coordinates are B_X M^T v / c_X (c_X is 1/2 on V22, 1 on V22S4H), read
+from the bank's sign-class blocks of X; ``TableContext.build`` checks
+G = c_X on X by a probe.  M is a symmetric projection and v, a value of
+pi_1, already lies in its image (the tests check it), so M^T v = v and
+the coordinates are B_X v / c_X.
 """
 
 from __future__ import annotations
@@ -278,19 +280,27 @@ def direction_annotations(n: int) -> dict:
 # ---------------------------------------------------------------------------
 # Column evaluation.
 
+def _pi1_pair_matrix(m: ModelSpace, ps) -> np.ndarray:
+    """P1 with pi_1 = C -> C P1 on pair coordinates, as pi_1 acts on the
+    second 2-form slot only: 4 pi_1es = 3 - sum_A A_(3) A_(4) is
+    -(1/2) sum_A D_A^2 (D_A skew), and pi_1s is (1/2n) sum_A w_A w_A^T,
+    w_A = omega_A's coordinates.  The tests compare P1 with probes of
+    pi1_operator."""
+    D, w = cs._pair_derivations(ps, m.triple), m.omegas[:, ps.first, ps.second]
+    return np.tensordot(D, D, axes=([0, 1], [0, 1])) / 8.0 - (w.T @ w) / (2.0 * m.n)
+
+
 @dataclass
 class TableContext:
     """Precomputed machinery shared by all cells.
 
-    ``P1`` gives pi_1 on pair coordinates as C -> C P1, and ``columns[X]``
-    is (the bank's (coords, rows) blocks of X, c_X), with G = c_X on X
-    (module docstring).  ``build`` takes c_X as the Rayleigh quotient of G
-    at a seeded y in X and checks G y = c_X y."""
+    ``columns[X]`` is (the bank's (coords, rows) blocks of X, c_X), with
+    G = c_X on X (module docstring).  ``build`` takes c_X as the Rayleigh
+    quotient of G at a seeded y in X and checks G y = c_X y."""
 
     m: ModelSpace
     bank: dec.ProjectorBank
     tbank: tor.TorsionBank
-    P1: np.ndarray
     columns: dict
     ab_norm2: np.ndarray          # <a, a> and <b, b> for a, b = pi2 +- 6 pi1
 
@@ -298,12 +308,7 @@ class TableContext:
     def build(cls, bank: dec.ProjectorBank, tbank: tor.TorsionBank):
         m = bank.model
         ps = bank.scheme
-        # pi_1 acts on the second 2-form slot only, so in pair coordinates it
-        # is C -> C P1: 4 pi_1es = 3 - sum_A A_(3) A_(4) is -(1/2) sum_A D_A^2
-        # (D_A skew), and pi_1s is (1/2n) sum_A w_A w_A^T, w_A = omega_A's
-        # coordinates; the tests compare P1 with probes of pi1_operator
-        D, w = cs._pair_derivations(ps, m.triple), m.omegas[:, ps.first, ps.second]
-        P1 = np.tensordot(D, D, axes=([0, 1], [0, 1])) / 8.0 - (w.T @ w) / (2.0 * m.n)
+        P1 = _pi1_pair_matrix(m, ps)
         columns = {}
         for name in TABLE3_COLUMNS:
             c, blocks = 1.0, bank.blocks(name)        # no blocks at rank 0
@@ -320,20 +325,18 @@ class TableContext:
             columns[name] = (blocks, c)
         ab_norm2 = np.array([top.curvature_inner(x, x)
                              for x in (m.pi2 + 6 * m.pi1, m.pi2 - 6 * m.pi1)])
-        return cls(m=m, bank=bank, tbank=tbank, P1=P1, columns=columns, ab_norm2=ab_norm2)
+        return cls(m=m, bank=bank, tbank=tbank, columns=columns, ab_norm2=ab_norm2)
 
-    def pi1_columns(self, pi1: np.ndarray, names=TABLE3_COLUMNS) -> dict:
-        """Table-3 coordinates on each named column of pi_1 of a state, or of
-        a batch (leading axes lead every column): B_X (V P1^T) / c_X, V the
-        pair matrix of pi_1, read block by block from the bank's rows."""
-        ps = self.bank.scheme
-        V = cs.to_pair_coords(ps, pi1)
-        U = (V.reshape(V.shape[:-1] + (ps.m, ps.m)) @ self.P1.T).reshape(V.shape)
+    def pi1_columns(self, pi1: np.ndarray) -> dict:
+        """Table-3 coordinates on each column of pi_1 of a state, or of a
+        batch (leading axes lead every column): B_X v / c_X, v the pair
+        coordinates of pi_1, read block by block from the bank's rows."""
+        v = cs.to_pair_coords(self.bank.scheme, pi1)
         out = {}
-        for name in names:
+        for name in TABLE3_COLUMNS:
             blocks, c = self.columns[name]
-            out[name] = np.concatenate([np.zeros(V.shape[:-1] + (0,))]
-                                       + [U[..., coords] @ B.T / c for coords, B in blocks], -1)
+            out[name] = np.concatenate([np.zeros(v.shape[:-1] + (0,))]
+                                       + [v[..., coords] @ B.T / c for coords, B in blocks], -1)
         return out
 
 
@@ -379,7 +382,7 @@ def _seeded_states(ctx: TableContext, keys, seeds: int, pure: dict):
         for s in range(seeds):
             if key[0] == "D":
                 yield cft.TorsionState.make(
-                    m, D=tor.random_derivative_component(tbank, key[1], s))
+                    m, D=tbank.random_component(key[1], s, derivative=True))
             elif key[1] == key[2]:
                 yield cft.TorsionState.make(m, t=pure[key[1], s])
             else:
@@ -446,10 +449,8 @@ class ContributionCell:
 @dataclass
 class TablesReport:
     n: int
-    seeds: int
     cells: list = field(default_factory=list)
     direction_checks: list = field(default_factory=list)
-    skipped_columns: tuple = ()
 
     @property
     def mismatches(self):
@@ -462,10 +463,6 @@ class TablesReport:
     @property
     def ambiguous(self):
         return [c for c in self.cells if c.status == "ambiguous"]
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches and not self.ambiguous
 
 
 def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
@@ -481,7 +478,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
     ctx = TableContext.build(bank, tbank)
     n = ctx.m.n
     skipped = {name for name in TABLE2_COLUMNS + TABLE3_COLUMNS if bank.rank(name) == 0}
-    report = TablesReport(n=n, seeds=seeds, skipped_columns=tuple(sorted(skipped)))
+    report = TablesReport(n=n)
     annotations = direction_annotations(n)
 
     table_specs = ((1, TABLE1_COLUMNS), (2, TABLE2_COLUMNS), (3, TABLE3_COLUMNS))

@@ -4,7 +4,7 @@ Tensor file layout (little endian):
 
     magic   4 bytes  b"QHT1"
     rank    u8
-    flags   u8       bit 0: curvature-certified claim (read, never trusted)
+    flags   u8       bit 0: curvature-certified claim (written, never read)
     reserved u16
     n       u32      quaternionic dimension, at least 1
     dims    u32 * rank   (each must equal 4 n)
@@ -37,7 +37,6 @@ class TensorFileError(ValueError):
 class TensorFile:
     n: int
     data: np.ndarray
-    certified_claim: bool = False
 
     @property
     def rank(self) -> int:
@@ -70,8 +69,9 @@ def read_tensor(path) -> TensorFile:
     if len(raw) < 12:
         raise TensorFileError("truncated header")
     # any rank is readable, since with n >= 1 the payload bounds it; which
-    # ranks a command accepts is the caller's check
-    rank, flags, _reserved, n = struct.unpack_from("<BBHI", raw, 4)
+    # ranks a command accepts is the caller's check; the flags and reserved
+    # bytes are skipped
+    rank, n = struct.unpack_from("<B3xI", raw, 4)
     if n < 1:
         raise TensorFileError(f"n = {n}, must be at least 1")
     offset = 12
@@ -95,17 +95,18 @@ def read_tensor(path) -> TensorFile:
         raise TensorFileError("payload holds NaN or infinite entries")
     # an owned, writeable copy: the payload is a view of the read-only bytes
     data = payload.reshape(dims).copy()
-    return TensorFile(n=int(n), data=data,
-                      certified_claim=bool(flags & FLAG_CERTIFIED))
+    return TensorFile(n=int(n), data=data)
 
 
 def write_report(path, n: int, command: str, tolerances: dict,
-                 results, failures) -> dict:
-    """Write the canonical report JSON; returns the report dict.
+                 results, failures) -> None:
+    """Write the canonical report JSON to ``path``; no file if it is None.
 
     A report holding NaN or an infinity raises ValueError before the file is
     opened, so no partial file is left behind.
     """
+    if path is None:
+        return
     report = {
         "version": REPORT_VERSION,
         "n": n,
@@ -114,11 +115,9 @@ def write_report(path, n: int, command: str, tolerances: dict,
         "results": results,
         "failures": failures,
     }
-    if path is not None:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return report
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
 
 
 def jsonable(value):

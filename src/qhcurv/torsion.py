@@ -203,16 +203,19 @@ class TorsionBank(dec.ComponentBank):
             raise ValueError(f"torsion tensor must have shape {(d, d, d)}, got {t.shape}")
         return mask_from_norms(*self.norms(t))
 
-    def random_component(self, name: str, seed) -> np.ndarray:
-        """Seeded random unit tensor in one component (zero if rank 0)."""
-        B = self.comps[name]
-        d = self.model.dim
+    def random_component(self, name: str, seed, derivative: bool = False) -> np.ndarray:
+        """Seeded random unit tensor in one component (zero if rank 0); with
+        ``derivative``, a unit derivative (one more leading axis of length
+        d) whose second factor lies in the component, from its own
+        substream."""
+        B, d = self.comps[name], self.model.dim
+        lead = (d,) if derivative else ()
         if B.shape[0] == 0:
-            return np.zeros((d, d, d))
-        rng = cs.substream("torsion", name, seed)
-        coef = rng.standard_normal(B.shape[0])
+            return np.zeros(lead + (d, d, d))
+        rng = cs.substream("torsion_derivative" if derivative else "torsion", name, seed)
+        coef = rng.standard_normal(lead + (B.shape[0],))
         coef /= np.linalg.norm(coef)
-        return (coef @ B).reshape(d, d, d)
+        return (coef @ B).reshape(lead + (d, d, d))
 
 
 def mask_from_norms(parts: np.ndarray, total: float) -> str:
@@ -445,18 +448,3 @@ def torsion_from_nabla_omega(m: ModelSpace, nw_I, nw_J, nw_K):
                 if not np.isfinite(x).all():
                     raise ValueError(f"{name} of the nabla-omega data exceeds the largest float")
     return t, lambdas, residual
-
-
-# ---------------------------------------------------------------------------
-# Seeded derivatives.
-
-def random_derivative_component(bank: TorsionBank, name: str, seed) -> np.ndarray:
-    """Seeded random derivative with second factor in one component."""
-    d = bank.model.dim
-    B = bank.comps[name]
-    if B.shape[0] == 0:
-        return np.zeros((d, d, d, d))
-    rng = cs.substream("torsion_derivative", name, seed)
-    coef = rng.standard_normal((d, B.shape[0]))
-    coef /= np.linalg.norm(coef)
-    return (coef @ B).reshape(d, d, d, d)

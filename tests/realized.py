@@ -23,7 +23,8 @@ t[x, m, z] = <e_m, xi_{e_x} e_z>, D[w, x, m, z] = <e_m, (nabla~_w xi)_x e_z>,
 and R[x, y, z, u] = <e_z, R(e_x, e_y) e_u>.  Every formula of the package
 must equal the matching projection of this R (acceptance criterion 13).
 This module evaluates none of those formulas: it reads only the model, the
-rows of the torsion bank, sp(n) and the pair scheme.
+rows of the torsion bank, the torsion-space projection, sp(n) and the pair
+scheme.
 """
 
 import itertools
@@ -34,6 +35,7 @@ import numpy as np
 from qhcurv import curvature_from_torsion as cft
 from qhcurv import curvature_space as cs
 from qhcurv.model_space import sp_generators
+from qhcurv.torsion import project_to_torsion_space
 
 
 @dataclass
@@ -125,16 +127,22 @@ def realization_matrix(m, tbank) -> np.ndarray:
 
 def realized_states(m, tbank, count: int = 3) -> list:
     """``count`` realized states, the k-th over xi = a seeded Gaussian
-    combination of the torsion rows: the minimum-norm solution of
-    A [C; c] = -b(xi_part(xi)) plus the kernel part of a seeded Gaussian
-    vector, all of them from one solve with the normal matrix A A^T."""
+    tensor projected to the torsion space: the minimum-norm solution of
+    A [C; c] = -b(xi_part(xi)) plus the kernel part of a seeded vector
+    Z = [G T^T; z], all of them from one solve with the normal matrix
+    A A^T.  G is a Gaussian d x d^3 matrix, an ambient nabla~xi read in the
+    torsion rows T, and z is Gaussian.  Neither draw reads T as a
+    coordinate system, so the states do not depend on the basis of the
+    torsion space."""
     d, T = m.dim, tbank.rows[0]
     A = realization_matrix(m, tbank)
-    ts = np.stack([(cs.substream("realized-xi", m.n, k).standard_normal(T.shape[0]) @ T)
-                   .reshape((d,) * 3) for k in range(count)])
+    ts = np.stack([project_to_torsion_space(
+        m, cs.substream("realized-xi", m.n, k).standard_normal((d,) * 3)) for k in range(count)])
     rhs = -bianchi_rows(np.stack([xi_part(t) for t in ts]))
-    Z = np.stack([cs.substream("realized", m.n, k).standard_normal(A.shape[1])
-                  for k in range(count)])
+    rngs = [cs.substream("realized", m.n, k) for k in range(count)]
+    Z = np.stack([np.concatenate([(rng.standard_normal((d, T.shape[1])) @ T.T).ravel(),
+                                  rng.standard_normal(A.shape[1] - d * T.shape[0])])
+                  for rng in rngs])
     W = np.linalg.solve(A @ A.T, np.concatenate([rhs, Z @ A.T]).T).T
     sols = W[:count] @ A + Z - W[count:] @ A
     residuals = np.linalg.norm(sols @ A.T - rhs, axis=1) / np.linalg.norm(rhs, axis=1)

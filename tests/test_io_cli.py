@@ -30,8 +30,10 @@ def test_tensor_file_roundtrip(tmp_path):
     path = tmp_path / "r.qht"
     tio.write_tensor(path, 2, R, certified=True)
     back = tio.read_tensor(path)
-    assert back.n == 2 and back.rank == 4 and back.certified_claim
+    assert back.n == 2 and back.rank == 4
     assert np.array_equal(back.data, R)
+    # the flag byte of the header is written and never read
+    assert path.read_bytes()[5] == tio.FLAG_CERTIFIED
 
 
 def test_tensor_file_errors(tmp_path):
@@ -495,11 +497,11 @@ def test_cli_make_tensor(tmp_path, capsys):
     out = tmp_path / "mk.qht"
     assert cli.main(["make-tensor", "--n", "2", "--kind", "random-curvature",
                      "--seed", "4", "--output", str(out)]) == 0
-    assert tio.read_tensor(out).certified_claim
+    assert out.read_bytes()[5] == tio.FLAG_CERTIFIED
     assert cli.main(["make-tensor", "--n", "2", "--kind", "nabla-omega",
                      "--output", str(tmp_path / "nw")]) == 0
     for label in "IJK":
-        assert (tmp_path / f"nw.{label}").exists()
+        assert (tmp_path / f"nw.{label}").read_bytes()[5] == 0
 
 
 def test_cli_tables_deterministic(tmp_path, capsys):

@@ -75,14 +75,12 @@ def test_the_scale_rule_stays_in_tensor_ops():
 #: call, as module[.class].name.  Each backs a test until a verdict of the
 #: program reads it or it is deleted; the set can only shrink.
 TEST_ONLY = {
-    "curvature_from_torsion.TorsionState.validate",
     "curvature_from_torsion.bhl_coefficients",
     "curvature_from_torsion.bhl_integrand",
     "curvature_from_torsion.lemma_gammas_kernel",
     "curvature_from_torsion.pi1_operator",
     "curvature_from_torsion.pi1es_state",
     "curvature_from_torsion.pi1s_state",
-    "curvature_from_torsion.reference_deviations",
     "curvature_from_torsion.ric_star_from",
     "curvature_space.bilinear_component_basis",
     "curvature_space.curvature_residuals",
@@ -107,9 +105,16 @@ TEST_ONLY = {
 }
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
 def _definitions() -> dict:
     """module[.class].name -> name, for every top-level function and public
-    class of ``src/qhcurv`` and every public method of those classes."""
+    class of ``src/qhcurv``, every public method of those classes and every
+    public field of those that are dataclasses."""
     out = {}
     for path in sorted((ROOT / "src" / "qhcurv").glob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
@@ -117,23 +122,29 @@ def _definitions() -> dict:
                     isinstance(node, ast.ClassDef) and not node.name.startswith("_")):
                 out[f"{path.stem}.{node.name}"] = node.name
                 if isinstance(node, ast.ClassDef):
-                    out.update((f"{path.stem}.{node.name}.{sub.name}", sub.name)
-                               for sub in node.body if isinstance(sub, ast.FunctionDef)
-                               and not sub.name.startswith("_"))
+                    names = [sub.name for sub in node.body if isinstance(sub, ast.FunctionDef)]
+                    if _is_dataclass(node):
+                        names += [sub.target.id for sub in node.body
+                                  if isinstance(sub, ast.AnnAssign)
+                                  and isinstance(sub.target, ast.Name)]
+                    out.update((f"{path.stem}.{node.name}.{name}", name)
+                               for name in names if not name.startswith("_"))
     return out
 
 
 def _reached_names() -> set:
-    """Every name that ``src/qhcurv`` or ``perfbench`` reads (``ast.Name``
-    or ``ast.Attribute``) or exports in ``__all__``."""
+    """Every name that ``src/qhcurv`` reads (``ast.Name`` or
+    ``ast.Attribute`` in a load) or exports in ``__all__``, and every
+    attribute that ``perfbench`` reads: its own variables reach nothing."""
     out = set()
     for path in sorted((ROOT / "src" / "qhcurv").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        src = path.parent.name == "qhcurv"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 out.add(node.attr)
-            elif isinstance(node, ast.Assign) and any(
+            elif src and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif src and isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                 out.update(ast.literal_eval(node.value))
     return out
