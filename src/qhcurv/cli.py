@@ -111,7 +111,7 @@ def main(argv=None) -> int:
                     "value": body["algebra_residuals"], "tolerance": gate},
                    {"check": "eigen_residuals",
                     "value": body["eigen_residuals"], "tolerance": gate}]
-        failures = body["failures"]
+        failures = report.failures
 
     elif args.command == "decompose":
         try:

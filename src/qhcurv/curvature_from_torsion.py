@@ -17,11 +17,12 @@ Each Ricci, q-Ricci and scalar formula is a fixed linear combination of
 a few contractions of the state (the brackets <xi_X e_i, xi_{AY} A e_i>,
 <(nabla~_X xi)_{e_i} Y, e_i>, ...).  Almost every quadratic one pairs xi
 with a conjugate B_(1) C_(3) xi, B, C in (1, I, J, K), so each state
-first builds the conjugate table of these sixteen tensors (two matmuls
-each); every bracket, including each term of the gamma elimination
-``s2es2h_gamma_part``, is then a two-operand contraction of table
-entries (``tensor_ops.contract``, one batched matmul), and the nabla~xi
-brackets are traces of nabla~xi against one A.  ``_brackets`` computes
+first builds the conjugate table of these sixteen tensors (two stacked
+substitutions); every bracket, including each term of the gamma
+elimination ``s2es2h_gamma_part``, is then a two-operand contraction of
+table entries (``tensor_ops.contract``, one batched matmul), at most
+times a d x d matrix, and the nabla~xi brackets are traces of nabla~xi
+against one A.  ``_brackets`` computes
 each bracket once, and :func:`ricci_component_formulas` evaluates every
 formula as a combination of its entries; the scalar ones, the
 g-coefficients, read the scalar entries alone.
@@ -29,8 +30,10 @@ g-coefficients, read the scalar entries alone.
 A state's arrays may carry leading axes (``TorsionState.stack``): the
 bracket table, the Ricci formulas and the pi-state formulas then evaluate
 the whole batch in the same calls, with the batch axes leading every
-value.  The table engine evaluates its states in stacks of
-``tables._STACK`` = 32, four calls at n = 2.
+value.  A piece a state does not carry is None, and no formula spends
+work on its terms: the table engine stacks its gamma and nabla~xi states
+apart from its xi (x) xi states, so the former never build the conjugate
+table and the latter never touch a d^4 nabla~xi.
 
 The two projections
 
@@ -64,7 +67,8 @@ COEFF_TOL = 1e-12
 
 @dataclass
 class TorsionState:
-    """(xi, nabla~xi, gamma) with zero defaults for absent pieces.
+    """(xi, nabla~xi, gamma); a piece left out is None, not zeros, and
+    every formula below evaluates only the terms of the pieces present.
 
     The arrays may share leading axes, making one batch of states
     (``stack``): t[..., x, m, z], D[..., w, x, m, z] and gammas[..., A, x, y].
@@ -72,31 +76,55 @@ class TorsionState:
     of its value; an unbatched state gives unbatched values.
     """
 
-    t: np.ndarray
-    D: np.ndarray
-    gammas: np.ndarray
+    t: np.ndarray | None = None
+    D: np.ndarray | None = None
+    gammas: np.ndarray | None = None
 
     @classmethod
     def make(cls, m: ModelSpace, t=None, D=None, gammas=None):
-        """One state; absent pieces are zero."""
-        d = m.dim
-        return cls(
-            t=np.zeros((d, d, d)) if t is None else np.asarray(t, dtype=float),
-            D=np.zeros((d, d, d, d)) if D is None else np.asarray(D, dtype=float),
-            gammas=np.zeros((3, d, d)) if gammas is None
-            else np.asarray(gammas, dtype=float))
+        """One state of the model m, each piece given as a float array or
+        left absent.  ValueError unless every piece given ends in the axes
+        of its kind at m's dimension."""
+        d, pieces = m.dim, {}
+        for name, piece, tail in (("t", t, (d,) * 3), ("D", D, (d,) * 4),
+                                  ("gammas", gammas, (3, d, d))):
+            if piece is not None:
+                piece = np.asarray(piece, dtype=float)
+                if piece.shape[-len(tail):] != tail:
+                    raise ValueError(f"{name} must end in axes {tail}, got {piece.shape}")
+            pieces[name] = piece
+        return cls(**pieces)
 
     @classmethod
     def stack(cls, states) -> TorsionState:
-        """One batch of states, stacked along a new leading axis."""
-        return cls(t=np.stack([s.t for s in states]),
-                   D=np.stack([s.D for s in states]),
-                   gammas=np.stack([s.gammas for s in states]))
+        """One batch of states, stacked along a new leading axis.  A piece
+        some state carries is stacked, with zeros for the states that lack
+        it; a piece no state carries stays absent."""
+        def piece(arrays):
+            like = next((a for a in arrays if a is not None), None)
+            return None if like is None else np.stack(
+                [np.zeros_like(like) if a is None else a for a in arrays])
+        return cls(t=piece([s.t for s in states]), D=piece([s.D for s in states]),
+                   gammas=piece([s.gammas for s in states]))
 
     @classmethod
     def qk_point(cls, m: ModelSpace, c: float):
         """The quaternionic-Kaehler state: xi = 0, gamma_A = c omega_A."""
         return cls.make(m, gammas=c * m.omegas)
+
+
+def _lead(state: TorsionState) -> tuple:
+    """The batch axes of a state: those in front of the axes of any piece
+    it carries (none if it carries none)."""
+    for piece, rank in ((state.t, 3), (state.D, 4), (state.gammas, 3)):
+        if piece is not None:
+            return piece.shape[:-rank]
+    return ()
+
+
+def _total(parts: list, shape: tuple) -> np.ndarray:
+    """The sum of ``parts``, or zeros of ``shape`` when there is none."""
+    return sum(parts[1:], parts[0]) if parts else np.zeros(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +136,10 @@ class TorsionState:
 #
 # index 0 being the identity (so X[0][0] = t) and a = 1, 2, 3 the triple.
 # Each bracket is then one two-operand contraction (``top.contract``, a
-# batched matmul) of t or a table entry with another table entry; the
-# nabla~xi brackets are traces of D, or of D against each A.  ``m.omegas``
-# is the stacked triple (I, J, K) wherever all three A act at once.
+# batched matmul) of t or a table entry with another table entry, the
+# terms that differ only in A stacked into one call; the nabla~xi brackets
+# are traces of D, or of D against each A.  ``m.omegas`` is the stacked
+# triple (I, J, K) wherever all three A act at once.
 
 def _units(m: ModelSpace) -> np.ndarray:
     """(1, I, J, K) as one stack of matrices."""
@@ -140,34 +169,55 @@ def _full(a: np.ndarray, b: np.ndarray, rank: int) -> np.ndarray:
 # The bracket table: every contraction the Ricci, q-Ricci and scalar
 # formulas combine, each computed once per state.
 
-def _scalar_brackets(m: ModelSpace, state: TorsionState) -> dict:
-    """The scalar brackets, with what the rank-2 brackets reuse: the
-    conjugate table X, XA = sum_A X[A][A] and the vectors
+_SCALAR_BRACKETS = ("vv", "s2", "phi", "Gamma", "S4", "S5", "S6")
+_FORM_BRACKETS = ("N0", "E", "P", "Q", "M", "W")
 
-    u[a][m] = <e_m, xi_{e_i} A e_i>, the trace of X[0][a] (u[0] = v).
 
-    vv = <v, v>, s2 = <xi_{e_i} e_j, xi_{e_j} e_i>,
-    phi = <(nabla~_{e_i} xi)_{e_j} e_i, e_j>, Gamma = sum_A <gamma_A, omega_A>,
-    S4 = sum_A <u_A, u_A>, S5 = sum_A <xi_{e_i} e_j, xi_{A e_j} A e_i>,
-    S6 = sum_A <xi_{e_i} e_j, xi_{A e_i} A e_j>.
-    """
-    t = state.t
+def _xi_brackets(m: ModelSpace, t: np.ndarray) -> dict:
+    """The brackets quadratic in xi, and the xi terms of N0, E and M, with
+    what the gamma elimination reuses: the conjugate table X,
+    XA = sum_A X[A][A] and the vectors u[a][m] = <e_m, xi_{e_i} A e_i>, the
+    traces of X[0][a] (u[0] = v)."""
+    ct = top.contract
     X = _conjugate_table(m, t)
     XA = X[1][1] + X[2][2] + X[3][3]
-    u = [np.einsum("...imi->...m", Xc) for Xc in X[0]]
+    u = np.einsum("...imi->...m", X[0])
+    xixi = ct("xmi,imy->xy", t, t) + 3.0 * ct("xmy,m->xy", t, u[0])
     return {
         "X": X, "XA": XA, "u": u, "vv": _full(u[0], u[0], 1),
         "s2": _full(t, t.swapaxes(-3, -1), 3),
-        "phi": np.einsum("...ijji->...", state.D),
-        "Gamma": _gamma_trace(m, state.gammas),
-        "S4": sum(_full(uA, uA, 1) for uA in u[1:]),
+        "S4": _full(u[1:], u[1:], 1).sum(0),
         "S5": _full(t, XA.swapaxes(-3, -1), 3),
         "S6": _full(t, XA, 3),
+        "N0": -xixi - 4.0 * ct("iwx,wiy->xy", t, t),
+        "E": xixi + 4.0 * ct("iwy,wxi->xy", t, t),
+        "P": ct("xmi,ymi->xy", t, XA),
+        "Q": ct("xmi,imy->xy", t, XA) + ct("xmy,m->xy", X[0][1:], u[1:]).sum(0),
+        "M": ct("w,wxy->xy", u[1:], X[0][1:]).sum(0),
+        "W": ct("imx,imy->xy", t, XA),
+    }
+
+
+def _nabla_brackets(m: ModelSpace, D: np.ndarray) -> dict:
+    """The brackets linear in nabla~xi: phi, and the nabla~xi terms of N0,
+    E and M."""
+    return {
+        "phi": np.einsum("...ijji->...", D),
+        "N0": 4.0 * (np.einsum("...xiiy->...xy", D) - np.einsum("...ixiy->...xy", D)),
+        "E": 4.0 * (np.einsum("...iyxi->...xy", D) - np.einsum("...yixi->...xy", D)),
+        "M": (top.contract("ipxq,api->axq", D, m.omegas) @ m.omegas).sum(axis=-3),
     }
 
 
 def _brackets(m: ModelSpace, state: TorsionState) -> dict:
-    """The scalar brackets plus the rank-2 ones:
+    """The bracket table of a state.  The scalar brackets:
+
+    vv = <v, v>, s2 = <xi_{e_i} e_j, xi_{e_j} e_i>,
+    phi = <(nabla~_{e_i} xi)_{e_j} e_i, e_j>, Gamma = sum_A <gamma_A, omega_A>,
+    S4 = sum_A <u_A, u_A>, S5 = sum_A <xi_{e_i} e_j, xi_{A e_j} A e_i>,
+    S6 = sum_A <xi_{e_i} e_j, xi_{A e_i} A e_j>;
+
+    and the rank-2 ones:
 
     N0 = 4 <(nabla~_X xi)_{e_i} Y, e_i> - 4 <(nabla~_{e_i} xi)_X Y, e_i>
          - <xi_X e_i, xi_{e_i} Y> - 3 <xi_X Y, v> - 4 <xi_{xi_{e_i} X} Y, e_i>,
@@ -179,23 +229,20 @@ def _brackets(m: ModelSpace, state: TorsionState) -> dict:
          + <X, (nabla~_{e_i} xi)_Y e_i> - <X, (nabla~_Y xi)_{e_i} e_i>).
 
     N0 is the gamma-free Ricci bracket; E holds the extra terms of the
-    skew q-Ricci formula.
+    skew q-Ricci formula.  Each bracket starts at zero and gets the terms
+    of the pieces the state carries; with xi present the table also holds
+    X, XA and u (``_xi_brackets``).
     """
-    t, D = state.t, state.D
-    ct = top.contract
-    b = _scalar_brackets(m, state)
-    X, XA, u = b["X"], b["XA"], b["u"]
-    xixi = ct("xmi,imy->xy", t, t) + 3.0 * ct("xmy,m->xy", t, u[0])
-    b["N0"] = (4.0 * (np.einsum("...xiiy->...xy", D) - np.einsum("...ixiy->...xy", D))
-               - xixi - 4.0 * ct("iwx,wiy->xy", t, t))
-    b["E"] = xixi + 4.0 * (ct("iwy,wxi->xy", t, t) + np.einsum("...iyxi->...xy", D)
-                           - np.einsum("...yixi->...xy", D))
-    b["P"] = ct("xmi,ymi->xy", t, XA)
-    b["Q"] = ct("xmi,imy->xy", t, XA) + sum(
-        ct("xmy,m->xy", X[0][a], u[a]) for a in (1, 2, 3))
-    b["M"] = (sum(ct("w,wxy->xy", u[a], X[0][a]) for a in (1, 2, 3))
-              + (ct("ipxq,api->axq", D, m.omegas) @ m.omegas).sum(axis=-3))
-    b["W"] = ct("imx,imy->xy", t, XA)
+    lead = _lead(state)
+    b = {key: np.zeros(lead) for key in _SCALAR_BRACKETS}
+    b |= {key: np.zeros(lead + (m.dim, m.dim)) for key in _FORM_BRACKETS}
+    if state.t is not None:
+        b |= _xi_brackets(m, state.t)
+    if state.D is not None:
+        for key, value in _nabla_brackets(m, state.D).items():
+            b[key] = b[key] + value
+    if state.gammas is not None:
+        b["Gamma"] = _gamma_trace(m, state.gammas)
     return b
 
 
@@ -207,16 +254,21 @@ def ric_star_from(m: ModelSpace, state: TorsionState, a_idx: int) -> np.ndarray:
     direct contraction, independent of the bracket table (the tests compare
     it with Ric*_A of R on realized states)."""
     A, t = m.triple[a_idx], state.t
-    return (-m.n * (state.gammas[..., a_idx, :, :] @ A)
-            - np.einsum("...xmi,py,...pmq,qi->...xy", t, A, t, A))
+    parts = []
+    if state.gammas is not None:
+        parts.append(-m.n * (state.gammas[..., a_idx, :, :] @ A))
+    if t is not None:
+        parts.append(-np.einsum("...xmi,py,...pmq,qi->...xy", t, A, t, A))
+    return _total(parts, _lead(state) + (m.dim, m.dim))
 
 
 # ---------------------------------------------------------------------------
 # The pi projections: operators on rank-4 tensors.
 
 def pi1es_operator(m: ModelSpace, R: np.ndarray) -> np.ndarray:
-    """4 pi_1es(a) = 3a - sum_A A_(3) A_(4) a."""
-    return (3.0 * R - top.substitute(m.omegas, (-2, -1), R).sum(0)) / 4.0
+    """4 pi_1es(a) = 3a - sum_A A_(3) A_(4) a, on the last two axes of R: one
+    product with ``m.pi1es_34``."""
+    return (R.reshape(R.shape[:-2] + (-1,)) @ m.pi1es_34).reshape(R.shape)
 
 
 def pi1s_operator(m: ModelSpace, R: np.ndarray) -> np.ndarray:
@@ -242,28 +294,42 @@ def _with_omegas(m: ModelSpace, forms: np.ndarray) -> np.ndarray:
     return top.contract("axy,azu->xyzu", forms, m.omegas)
 
 
-def _pi1es_xi_part(m: ModelSpace, t: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """The gamma-free terms of pi_1es(R):
+def _pi1es_block(m: ModelSpace, state: TorsionState, xy: np.ndarray) -> np.ndarray:
+    """The nabla~xi and xi terms of pi_1es(R),
 
     <a~(nabla~xi)_{X,Y} Z, U> - (3/4) <a~(xi o xi)_{X,Y} Z, U>
     - (1/4) sum_A <A a~(xi o xi)_{X,Y} A Z, U> + <b~(xi x xi)_{X,Y} Z, U>,
 
-    with N[x,y,a,b] = (xi_x xi_y - xi_y xi_x)[a,b] and <A N A Z, U> =
-    (A N A)[x,y,u,z]."""
-    p = top.contract("xac,ycb->xyab", t, t)
-    N = p - p.swapaxes(-4, -3)
-    core = 3.0 * N + sum(A @ N @ A for A in m.triple)
-    e = D.swapaxes(-1, -2)  # D[x,y,u,z] -> slot order (x,y,z,u)
-    return (e - e.swapaxes(-4, -3)
-            + (top.b_tilde(t, t) - 0.25 * core).swapaxes(-1, -2))
+    at the rows and columns ``xy`` (flat indices x dim + y) of their
+    (dim^2, dim^2) matrix.  Together they are H[x,y,u,z] - H[y,x,u,z] with
+    H = D + e - pi_1es(p), pi_1es acting on the last two axes:
+    e[x,y,m,z] = <e_m, xi_{xi_x y} e_z>, so b~ is e less e with x and y
+    swapped, and p[x,y,a,b] = (xi_x xi_y)[a,b], so the commutator N is p
+    less p with x and y swapped and (3/4) N + (1/4) sum_A A N A =
+    pi_1es(N).  The pair (x, y) is thus alternated once, on the block, and
+    H is read only at its columns (u, z), where pi_1es(p) is one product
+    of p with those columns of ``m.pi1es_34``."""
+    d = m.dim
+    yx = (xy % d) * d + xy // d
+    parts = []
+    if state.D is not None:
+        parts.append(state.D.reshape(state.D.shape[:-4] + (d * d, d * d))[..., yx])
+    if state.t is not None:
+        t = state.t
+        H = top.contract("xwy,wmz->xymz", t, t).reshape(-1, d * d)[:, yx]     # e
+        H -= top.contract("xac,ycb->xyab", t, t).reshape(-1, d * d) @ m.pi1es_34[:, yx]
+        parts.append(H.reshape(t.shape[:-3] + (d * d, len(xy))))
+    H = _total(parts, _lead(state) + (d * d, len(xy)))
+    return H[..., xy, :] - H[..., yx, :]
 
 
 def _pi1s_xi_forms(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     """s_A / 2n with s_A[x,y] = t[x,m,i] t[y,m,q] A[q,i], stacked over A:
-    the xi term of pi_1s.  s_A is skew for every xi in the torsion space
-    (the tests check it), so it is a 2-form as it stands."""
-    s = top.contract("xmi,aymi->axy", t, t[..., None, :, :, :] @ m.omegas[:, None])
-    return s / (2.0 * m.n)
+    the xi term of pi_1s.  t A for the three A is one substitution.  s_A
+    is skew for every xi in the torsion space (the tests check it), so it
+    is a 2-form as it stands."""
+    s = top.contract("xmi,ymi->xy", t, top.substitute(m.omegas, (-1,), t))
+    return np.moveaxis(s, 0, -3) / (2.0 * m.n)
 
 
 def pi1es_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
@@ -274,26 +340,49 @@ def pi1es_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
     - (1/4) sum_A <A a~(xi o xi)_{X,Y} A Z, U>
     + <b~(xi x xi)_{X,Y} Z, U>.
     """
-    return (_with_omegas(m, 0.5 * state.gammas)
-            + _pi1es_xi_part(m, state.t, state.D))
+    shape = _lead(state) + (m.dim,) * 4
+    out = _pi1es_block(m, state, np.arange(m.dim ** 2)).reshape(shape)
+    return out if state.gammas is None else out + _with_omegas(m, 0.5 * state.gammas)
 
 
 def pi1s_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
     """pi_1s(R) from the state: (1/2) sum_A gamma_A (x) omega_A plus the
     xi term (1/2n) sum_A s_A (x) omega_A, s_A(X,Y) = <xi_X e_i, xi_Y A e_i>
     being skew on the torsion space."""
-    return _with_omegas(m, 0.5 * state.gammas + _pi1s_xi_forms(m, state.t))
+    parts = []
+    if state.gammas is not None:
+        parts.append(0.5 * state.gammas)
+    if state.t is not None:
+        parts.append(_pi1s_xi_forms(m, state.t))
+    return _with_omegas(m, _total(parts, _lead(state) + (3, m.dim, m.dim)))
 
 
-def pi1_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """pi_1(R) from the state; gamma-independent (the gamma terms cancel)."""
-    return (_pi1es_xi_part(m, state.t, state.D)
-            - _with_omegas(m, _pi1s_xi_forms(m, state.t)))
+def pi1_state(m: ModelSpace, state: TorsionState, at=None) -> np.ndarray:
+    """pi_1(R) from the state; gamma-independent (the gamma terms cancel):
+    the nabla~xi and xi terms of pi_1es less the xi term of pi_1s.
+
+    With ``at``, flat indices x dim + y of some pairs (x, y), only the
+    block of pi_1's (dim^2, dim^2) matrix at rows and columns ``at`` is
+    returned, shape (..., len(at), len(at)), and the terms are combined
+    at those entries alone."""
+    d = m.dim
+    xy = np.arange(d * d) if at is None else np.asarray(at)
+    out = _pi1es_block(m, state, xy)
+    if state.t is not None:
+        f = _pi1s_xi_forms(m, state.t).reshape(state.t.shape[:-3] + (3, d * d))[..., xy]
+        out = out - f.swapaxes(-1, -2) @ m.omegas.reshape(3, d * d)[:, xy]
+    return out.reshape(_lead(state) + (d,) * 4) if at is None else out
 
 
 # ---------------------------------------------------------------------------
 # gamma elimination: the S^2E S^2H part of sum_A gamma_A(., A.) expressed
 # through (xi, nabla~xi) via the d^2 omega identity.
+
+#: The indices into (I, J, K) that follow j in the cyclic order once and
+#: twice: of the cyclic triple (a, b, c) = (1, 2, 3), (2, 3, 1), (3, 1, 2)
+#: with a at j they are b and c, with b at j c and a, with c at j a and b.
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
 
 def s2es2h_gamma_part(m: ModelSpace, state: TorsionState, brackets: dict) -> np.ndarray:
     """pi_{S2ES2H}(sum_A gamma_A(., A.)) in terms of (xi, nabla~xi).
@@ -301,37 +390,64 @@ def s2es2h_gamma_part(m: ModelSpace, state: TorsionState, brackets: dict) -> np.
     This is the component of the d^2 Omega consequence that eliminates the
     S^2E S^2H part of gamma; dividing its right-hand side by
     -2(n-1).  ``brackets`` is the bracket table of the state (see
-    ``_brackets``).  Every xi term pairs two entries of its conjugate
-    table X, one of them possibly acted on in the middle slot
-    (``B @ X[c][0]`` is B_(2) X[c][0]); the nabla~xi terms use the traces
-    delta_A[p, b] = sum_{i,q} (D[p,i,b,q] - D[i,p,b,q]) A[q,i].
+    ``_brackets``).  The identity sums over the cyclic orderings (a, b, c)
+    of one adapted basis.  That holds on-shell in every basis, but is not
+    Sp(1)-equivariant termwise, so as a free-state map it would couple
+    components that representation theory forbids.  Its Haar average over
+    the adapted bases is equivariant and agrees with it on-shell: half the
+    signed sum over all six orderings (E[R x R x R] over SO(3) is epsilon x
+    epsilon / 6).  Each term is linear in a factor that one transposition
+    of (a, b, c) keeps, so the average is half of one antisymmetrized term
+    per cyclic triple, added to the term of the same factor.  Only the
+    terms of the pieces the state carries are evaluated.
     """
-    t, X, u = state.t, brackets["X"], brackets["u"]
-    ct = top.contract
-    units = _units(m)
-    skew = state.D - state.D.swapaxes(-4, -3)
-    delta = dict(zip((1, 2, 3), np.moveaxis(ct("pibq,aqi->apb", skew, m.omegas), -3, 0)))
-    mid = sum(units[a] @ X[a][0] for a in (1, 2, 3)) - brackets["XA"]
-    rhs = 2.0 * brackets["P"] + ct("imx,ymi->xy", t, mid)
-    # The identity sums over the cyclic orderings (a, b, c) of one adapted
-    # basis.  That holds on-shell in every basis, but is not Sp(1)-equivariant
-    # termwise, so as a free-state map it would couple components that
-    # representation theory forbids.  Its Haar average over the adapted bases
-    # is equivariant and agrees with it on-shell: half the signed sum over all
-    # six orderings (E[R x R x R] over SO(3) is epsilon x epsilon / 6).  Each
-    # term is linear in a factor that one transposition of (a, b, c) keeps,
-    # so the average is half of one antisymmetrized term per cyclic triple,
-    # added below to the term of the same factor.
-    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-        dT = delta[b].swapaxes(-1, -2)
-        rhs = rhs + (
-            ct("imx,ymi->xy", X[0][a], 0.5 * (units[b] @ X[c][0] - X[c][b]
-                                              - units[c] @ X[b][0] + X[b][c]))
-            + ct("xmy,m->xy", X[c][0] + 0.5 * (X[a][b] - X[b][a]), u[c])
-            + ct("iwy,wxi->xy", X[0][c],
-                 0.5 * (units[a] @ X[0][b] - units[b] @ X[0][a]) - X[0][c])
-            + dT @ units[b] - 0.5 * (units[a] @ dT @ units[c] - units[c] @ dT @ units[a]))
+    parts = []
+    if state.t is not None:
+        parts.append(_gamma_xi_terms(m, state.t, brackets))
+    if state.D is not None:
+        parts.append(_gamma_nabla_terms(m, state.D))
+    rhs = _total(parts, _lead(state) + (m.dim, m.dim))
     return cs.proj_sym_S2ES2H(m, rhs) / (-2.0 * (m.n - 1.0))
+
+
+def _gamma_xi_terms(m: ModelSpace, t: np.ndarray, brackets: dict) -> np.ndarray:
+    """The xi terms of the gamma elimination.  Each pairs two entries of
+    the conjugate table X, one of them possibly acted on in the middle
+    slot by some B (``B @ X[c][0]``).  Where that slot is summed over, B
+    moves onto xi and the first-slot C out of the pair:
+    <X[0][a], B_(2) X[c][0]> = K[a][b] C with K[a][b] = <X[0][a], B_(2) xi>;
+    where it is a free index, B moves out of the pair:
+    <X[0][c], A_(2) X[0][b]> = A L[c][b] with L[c][b] = <X[0][c], X[0][b]>.
+    So the middle slot is acted on once, on xi, the terms of the three
+    cyclic triples are stacked into one contraction each, and what is
+    left are d x d products."""
+    ct, om = top.contract, m.omegas
+    X, u = brackets["X"], brackets["u"]
+    # (X[b][c] - X[c][b]) / 2 of the cyclic triple (a, b, c), indexed by a
+    half = 0.5 * (X[1 + _NEXT, 1 + _AFTER] - X[1 + _AFTER, 1 + _NEXT])
+    mid = top.substitute(om.swapaxes(-1, -2), (-2,), t)         # B_(2) xi = B @ xi
+    K = ct("imx,ymi->xy", X[0, :, None], mid[None])
+    L = ct("iwy,wxi->xy", X[0, 1:, None], X[0, None, 1:])
+    out = (2.0 * brackets["P"]
+           + ct("imx,ymi->xy", X[0], np.concatenate([-brackets["XA"][None], half])).sum(0)
+           + ct("xmy,m->xy", X[1:, 0] + half, u[1:]).sum(0))
+    # j is a of one cyclic triple, whose b, c are j1, j2, and c of another,
+    # whose a, b are j1, j2
+    for j, j1, j2 in zip(range(3), _NEXT, _AFTER):
+        out = (out + K[0, j] @ om[j] + 0.5 * (K[1 + j, j1] @ om[j2] - K[1 + j, j2] @ om[j1])
+               + 0.5 * (om[j1] @ L[j, j2] - om[j2] @ L[j, j1]) - L[j, j])
+    return out
+
+
+def _gamma_nabla_terms(m: ModelSpace, D: np.ndarray) -> np.ndarray:
+    """The nabla~xi terms of the gamma elimination, through the traces
+    delta_A[p, b] = sum_{i,q} (D[p,i,b,q] - D[i,p,b,q]) A[q,i]: for each
+    cyclic (a, b, c), delta_b^T B - (A delta_b^T C - C delta_b^T A) / 2,
+    the three triples stacked (b on the axis of the triple)."""
+    om = m.omegas
+    dT = top.contract("pibq,aqi->abp", D - D.swapaxes(-4, -3), om)
+    terms = dT @ om - 0.5 * (om[_AFTER] @ dT @ om[_NEXT] - om[_NEXT] @ dT @ om[_AFTER])
+    return terms.sum(axis=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +534,12 @@ def d_star_theta(m: ModelSpace, state: TorsionState) -> float:
     nabla~ theta is the same contraction of nabla~ xi; the second term
     converts nabla~ back to the Levi-Civita divergence.
     """
-    nabla_theta = tor.theta(m, state.D)     # the theta-contraction of each D(W; .)
-    th = tor.theta(m, state.t)
-    v = np.einsum("imi->m", state.t)
-    return float(-np.trace(nabla_theta) - th @ v)
+    ds = 0.0
+    if state.D is not None:     # the theta-contraction of each D(W; .)
+        ds -= np.trace(tor.theta(m, state.D))
+    if state.t is not None:
+        ds -= tor.theta(m, state.t) @ np.einsum("imi->m", state.t)
+    return float(ds)
 
 
 # The component-norm expansions of scal and scal^q.
@@ -473,8 +591,9 @@ def scalq_coefficients(n: int) -> dict:
 def scalars_from_torsion(m: ModelSpace, bank: tor.TorsionBank,
                          state: TorsionState) -> tuple[float, float, float]:
     """(scal, scal^q, d* theta) from squared component norms and the gamma trace."""
-    squares = dict(zip(bank.names, bank.squared_norms(state.t.ravel())))
-    gam_tr = _gamma_trace(m, state.gammas)
+    squares = (dict.fromkeys(bank.names, 0.0) if state.t is None
+               else dict(zip(bank.names, bank.squared_norms(state.t.ravel()))))
+    gam_tr = 0.0 if state.gammas is None else _gamma_trace(m, state.gammas)
     ds = d_star_theta(m, state)
 
     def combine(coefs):

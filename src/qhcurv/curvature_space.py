@@ -274,9 +274,11 @@ def proj_sym_R(m: ModelSpace, b: np.ndarray) -> np.ndarray:
 
 
 def proj_sym_S2ES2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
-    """S^2 E S^2 H part (symmetric, eigenvalue -1 of sum_A A)."""
+    """S^2 E S^2 H part (symmetric, eigenvalue -1 of sum_A A): (3 s +
+    sum_A A s A) / 4 of the symmetric part s, one product with
+    ``m.pi1es_34``, the matrix of that map on the last two axes."""
     s = top.sym2(b)
-    return (3.0 * s - top.substitute(m.omegas, (-2, -1), s).sum(0)) / 4.0
+    return (s.reshape(s.shape[:-2] + (-1,)) @ m.pi1es_34).reshape(s.shape)
 
 
 def proj_sym_L20E(m: ModelSpace, b: np.ndarray) -> np.ndarray:
@@ -388,6 +390,12 @@ class PairScheme:
     def m(self) -> int:
         return len(self.pairs)
 
+    @property
+    def flat_index(self) -> np.ndarray:
+        """x dim + y for each pair (x, y): where the pair sits among the
+        flattened last two axes of a tensor."""
+        return self.first * self.dim + self.second
+
 
 def pair_scheme(dim: int) -> PairScheme:
     pairs = tuple(itertools.combinations(range(dim), 2))
@@ -406,7 +414,7 @@ def to_pair_coords(ps: PairScheme, T: np.ndarray) -> np.ndarray:
     """Flattened pair-matrix coordinates, scaled so the Euclidean inner
     product of coordinate vectors equals the raw rank-4 contraction.  Leading
     axes of T stay leading axes of the result."""
-    k = ps.first * ps.dim + ps.second
+    k = ps.flat_index
     C = T.reshape(T.shape[:-4] + (ps.dim ** 2,) * 2)[..., k[:, None], k[None, :]]
     return 2.0 * C.reshape(C.shape[:-2] + (-1,))
 

@@ -3,10 +3,10 @@
 Builds the flat model space carrying the standard Euclidean metric and a
 compatible quaternionic triple I, J, K, together with the derived structure
 tensors: the three fundamental 2-forms omega_A(x, y) = <x, A y>, the
-fundamental 4-form Omega = sum_A omega_A ^ omega_A, and the two canonical
-curvature-type tensors pi1 = psi(g, g) / 2 (constant curvature) and
-pi2 = sum_A phi(omega_A, omega_A) (quaternionic type), each one call of a
-:mod:`.tensor_ops` product on the stack of the omega_A.
+two canonical curvature-type tensors pi1 = psi(g, g) / 2 (constant
+curvature) and pi2 = sum_A phi(omega_A, omega_A) (quaternionic type), each
+one call of a :mod:`.tensor_ops` product on the stack of the omega_A, and
+the matrix of the projection pi_1es on the last two slots of a tensor.
 
 Basis convention: coordinates are grouped into n quaternionic blocks
 (e_{4a+1}, ..., e_{4a+4}) on which I, J, K act as left multiplication by
@@ -73,12 +73,16 @@ class ModelSpace:
     omegas : (3, dim, dim) ndarray
         Matrices of the 2-forms omega_A(x, y) = <x, A y> for A = I, J, K;
         numerically these coincide with the matrices I, J, K.
-    Omega : (dim,)*4 ndarray
-        Fundamental 4-form sum_A omega_A ^ omega_A.
     pi1, pi2 : (dim,)*4 ndarray
         Canonical curvature tensors; pi1(x,y,z,u) = <x,z><y,u> - <x,u><y,z>
         = psi(g, g) / 2 and pi2 = sum_A phi(omega_A, omega_A)
         = sum_A (6 omega_A . omega_A - omega_A ^ omega_A).
+    pi1es_34 : (dim**2, dim**2) ndarray
+        4 pi_1es = 3 - sum_A A_(3) A_(4) on the last two slots, divided by
+        4, as the matrix that multiplies them flattened: with T the last
+        two axes of a tensor, pi_1es maps T to (3 T + sum_A A T A) / 4,
+        that is T.reshape(..., dim**2) @ pi1es_34.  Its entries are
+        multiples of 1/4.
     """
 
     n: int
@@ -88,9 +92,9 @@ class ModelSpace:
     J: np.ndarray
     K: np.ndarray
     omegas: np.ndarray
-    Omega: np.ndarray
     pi1: np.ndarray
     pi2: np.ndarray
+    pi1es_34: np.ndarray
 
     @property
     def triple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,12 +173,13 @@ def build_model(n: int) -> ModelSpace:
     omegas = np.stack([I, J, K]).copy()
     # every entry is a small integer or a half, so each sum is exact
     pi2 = top.phi(omegas, omegas).sum(0)
-    Omega = top.wedge2(omegas, omegas).sum(0)
     pi1 = 0.5 * top.psi(g, g)
+    # (A T A)[a, b] = sum_pq T[p, q] A[a, p] A[q, b], and A[a, p] = -A[p, a]
+    pi1es_34 = (3.0 * np.eye(dim * dim) - sum(np.kron(A, A) for A in (I, J, K))) / 4.0
 
     m = ModelSpace(n=int(n), dim=dim, g=_freeze(g), I=_freeze(I),
                    J=_freeze(J), K=_freeze(K), omegas=_freeze(omegas),
-                   Omega=_freeze(Omega), pi1=_freeze(pi1), pi2=_freeze(pi2))
+                   pi1=_freeze(pi1), pi2=_freeze(pi2), pi1es_34=_freeze(pi1es_34))
     _check_invariants(m)
     return m
 

@@ -7,9 +7,12 @@ closed formulas, projects onto the target, and records whether the
 coupling is nonzero.  Off-diagonal products are handled by polarization:
 each quadratic target is evaluated at xi + zeta and the pure terms, the
 states of the two diagonal rows, are subtracted.  The states of all rows
-are made and evaluated a fixed-size stack at a time, so one stack of
-states is alive whatever the seed count, and the fixed cost of an
-evaluation is paid once per stack, not once per row.
+are made and evaluated a bounded stack at a time, so one stack of states
+is alive whatever the seed count, and the fixed cost of an evaluation is
+paid once per stack, not once per row.  The states linear in the state
+(gamma and nabla~xi) are stacked apart from the xi (x) xi states, so no
+stack carries, or evaluates the terms of, a piece only the other kind
+has.
 
 Tick rule: a cell is ticked when the witness exceeds ``TICK_ON`` times the
 input scale on at least one seed, unticked when every seed stays below
@@ -294,50 +297,62 @@ def _pi1_pair_matrix(m: ModelSpace, ps) -> np.ndarray:
 class TableContext:
     """Precomputed machinery shared by all cells.
 
-    ``columns[X]`` is (the bank's (coords, rows) blocks of X, c_X), with
-    G = c_X on X (module docstring).  ``build`` takes c_X as the Rayleigh
-    quotient of G at a seeded y in X and checks G y = c_X y."""
+    ``build`` takes c_X, with G = c_X on each Table-3 column X (module
+    docstring), as the Rayleigh quotient of G at a seeded y in X and
+    checks G y = c_X y.  ``readout`` holds, per sign class of the bank,
+    the class's coordinates and the rows of every Table-3 column in that
+    class, each divided by its c_X; ``positions[X]`` says where X's
+    coordinates sit among the products of the classes, in class order."""
 
     m: ModelSpace
     bank: dec.ProjectorBank
     tbank: tor.TorsionBank
-    columns: dict
+    readout: list
+    positions: dict
     ab_norm2: np.ndarray          # <a, a> and <b, b> for a, b = pi2 +- 6 pi1
 
     @classmethod
     def build(cls, bank: dec.ProjectorBank, tbank: tor.TorsionBank):
         m = bank.model
         ps = bank.scheme
-        P1 = _pi1_pair_matrix(m, ps)
-        columns = {}
-        for name in TABLE3_COLUMNS:
-            c, blocks = 1.0, bank.blocks(name)        # no blocks at rank 0
-            if blocks:
-                y = bank.project_coords(cs.substream("schur", name).standard_normal(ps.m ** 2),
-                                        name)
-                YP1 = y.reshape(ps.m, ps.m) @ P1      # G y = QKperp part of Y P1 P1^T
-                c = float(np.vdot(YP1, YP1) / np.vdot(y, y))
-                off = float(np.linalg.norm(
-                    bank.project_coords((YP1 @ P1.T).ravel(), "QKperp") - c * y))
-                if not (c > 0 and off <= cs.EIG_TOL * c * np.linalg.norm(y)):
-                    raise ArithmeticError(f"Table 3: the QKperp image of pi_1 is not "
-                                          f"scalar on {name} (c = {c}, residual {off})")
-            columns[name] = (blocks, c)
+        # one probe y per nonzero column, all projected onto QKperp at once:
+        # G y = QKperp part of Y P1 P1^T, and P1 P1^T = P1 (a symmetric projection)
+        live = [name for name in TABLE3_COLUMNS if bank.rank(name)]
+        ys = np.array([bank.project_coords(cs.substream("schur", name).standard_normal(ps.m ** 2),
+                                           name) for name in live])
+        YP1 = (ys.reshape(-1, ps.m, ps.m) @ _pi1_pair_matrix(m, ps)).reshape(ys.shape)
+        quotients = np.sum(YP1 * YP1, axis=-1) / np.sum(ys * ys, axis=-1)
+        offs = np.linalg.norm(bank.project_coords(YP1, "QKperp") - quotients[:, None] * ys, axis=-1)
+        scale = dict.fromkeys(TABLE3_COLUMNS, 1.0)
+        for name, y, c, off in zip(live, ys, quotients.tolist(), offs.tolist()):
+            if not (c > 0 and off <= cs.EIG_TOL * c * np.linalg.norm(y)):
+                raise ArithmeticError(f"Table 3: the QKperp image of pi_1 is not "
+                                      f"scalar on {name} (c = {c}, residual {off})")
+            scale[name] = c
+        readout, positions, width = [], {name: [] for name in TABLE3_COLUMNS}, 0
+        for coords, rows, slices in zip(bank.classes, bank.rows, bank.slices):
+            picked = [rows[slices[name]] / scale[name] for name in TABLE3_COLUMNS]
+            for name, B in zip(TABLE3_COLUMNS, picked):
+                positions[name] += range(width, width + len(B))
+                width += len(B)
+            readout.append((coords, np.concatenate(picked)))
+        positions = {name: np.array(at, dtype=int) for name, at in positions.items()}
         ab_norm2 = np.array([top.curvature_inner(x, x)
                              for x in (m.pi2 + 6 * m.pi1, m.pi2 - 6 * m.pi1)])
-        return cls(m=m, bank=bank, tbank=tbank, columns=columns, ab_norm2=ab_norm2)
+        return cls(m=m, bank=bank, tbank=tbank, readout=readout, positions=positions,
+                   ab_norm2=ab_norm2)
 
-    def pi1_columns(self, pi1: np.ndarray) -> dict:
+    def pi1_columns(self, state: cft.TorsionState) -> dict:
         """Table-3 coordinates on each column of pi_1 of a state, or of a
         batch (leading axes lead every column): B_X v / c_X, v the pair
-        coordinates of pi_1, read block by block from the bank's rows."""
-        v = cs.to_pair_coords(self.bank.scheme, pi1)
-        out = {}
-        for name in TABLE3_COLUMNS:
-            blocks, c = self.columns[name]
-            out[name] = np.concatenate([np.zeros(v.shape[:-1] + (0,))]
-                                       + [v[..., coords] @ B.T / c for coords, B in blocks], -1)
-        return out
+        coordinates of pi_1 (scaled as ``cs.to_pair_coords``), evaluated
+        at those coordinates alone.  Each sign class of v is read once,
+        by one product with the rows of every column there."""
+        k = self.bank.scheme.flat_index
+        pi1 = cft.pi1_state(self.m, state, at=k)
+        v = 2.0 * pi1.reshape(pi1.shape[:-2] + (-1,))
+        w = np.concatenate([v[..., coords] @ rows.T for coords, rows in self.readout], -1)
+        return {name: w[..., at] for name, at in self.positions.items()}
 
 
 #: The ``ricci_component_formulas`` entry behind each Ricci column.
@@ -354,19 +369,22 @@ _FORMULA_OF_COLUMN = {
 def evaluate_columns(ctx: TableContext, state: cft.TorsionState) -> dict:
     """All column values for one state, or for a batch of states (their
     leading axes lead every column): Ricci components (tables 1-2) and the
-    QKperp projections of pi_2 pi_1 (table 3).  Most of a call's cost is
-    fixed: at n = 2 (one BLAS thread on a Xeon core) one state takes about
-    1.1 ms and 32 take about 7 ms, so ``run_tables`` evaluates its states
-    in stacks of ``_STACK``."""
+    QKperp projections of pi_2 pi_1 (table 3).  Much of a call's cost is
+    fixed: at n = 2 (one BLAS thread on a Xeon core) one xi (x) xi state
+    takes about 0.6 ms and 40 take about 3.9 ms, one nabla~xi state about
+    0.15 ms and 40 about 1.5 ms, so ``run_tables`` evaluates its states in
+    stacks of ``_STACK``."""
     formulas = cft.ricci_component_formulas(ctx.m, state)
     return ({col: formulas[key] for col, key in _FORMULA_OF_COLUMN.items()}
-            | ctx.pi1_columns(cft.pi1_state(ctx.m, state)))
+            | ctx.pi1_columns(state))
 
 
-#: States per ``evaluate_columns`` call of ``run_tables``: at n = 2 the
-#: tables take four calls, and one stack's intermediates fit in the memory
-#: the bank builds have freed (with 40 the tables-n2 peak RSS rose 3 MB).
-_STACK = 32
+#: Most states per ``evaluate_columns`` call of ``run_tables``: at n = 2
+#: (seeds 8) the tables take three calls, one of the 33 gamma and nabla~xi
+#: states and two of 40 xi (x) xi states.  A stack of 40 peaks at 2.9 MB
+#: (nabla~xi) and 5.9 MB (xi) of traced memory at n = 2, 14.0 and 18.9 MB
+#: at n = 3, below the 6.5 and 32.3 MB of the 32 full states stacked before.
+_STACK = 40
 
 
 def _seeded_states(ctx: TableContext, keys, seeds: int, pure: dict):
@@ -394,22 +412,26 @@ def _row_columns(ctx: TableContext, keys, seeds: int) -> dict:
     seed (one in all for the gamma row); polarized for the off-diagonal
     products, which subtract the columns of the diagonal rows of their
     two components (``keys`` holds those rows).  Each component's pure
-    states are drawn once.  The states of all rows are evaluated in stacks
-    of ``_STACK``, each made just before it is evaluated; only the columns
-    are kept."""
+    states are drawn once.  The states of the rows linear in the state
+    (gamma and nabla~xi) and those of the xi (x) xi rows are evaluated
+    apart, each in stacks of at most ``_STACK``, so no stack carries a
+    piece that only the other kind needs.  Each stack is made just before
+    it is evaluated; only the columns are kept."""
     comps = {c for key in keys if key[0] == "xx" for c in key[1:]}
     pure = {(c, s): ctx.tbank.random_component(c, s) for c in comps for s in range(seeds)}
-    states = _seeded_states(ctx, keys, seeds, pure)
-    parts = []
-    while stack := list(itertools.islice(states, _STACK)):
-        stack = cft.TorsionState.stack(stack)        # frees the single states
-        parts.append(evaluate_columns(ctx, stack))
-    flat = {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
-    rows, at = {}, 0
-    for key in keys:
-        count = 1 if key[0] == "gamma" else seeds
-        rows[key] = {k: v[at:at + count] for k, v in flat.items()}
-        at += count
+    rows = {}
+    for group in ([key for key in keys if key[0] != "xx"], [key for key in keys if key[0] == "xx"]):
+        states = _seeded_states(ctx, group, seeds, pure)
+        parts = []
+        while stack := list(itertools.islice(states, _STACK)):
+            stack = cft.TorsionState.stack(stack)        # frees the single states
+            parts.append(evaluate_columns(ctx, stack))
+        flat = {k: np.concatenate([part[k] for part in parts]) for k in parts[0]}
+        at = 0
+        for key in group:
+            count = 1 if key[0] == "gamma" else seeds
+            rows[key] = {k: v[at:at + count] for k, v in flat.items()}
+            at += count
     for key in keys:
         if key[0] == "xx" and key[1] != key[2]:
             mixed, p1, p2 = rows[key], rows["xx", key[1], key[1]], rows["xx", key[2], key[2]]
@@ -417,17 +439,28 @@ def _row_columns(ctx: TableContext, keys, seeds: int) -> dict:
     return rows
 
 
+#: The Ricci columns whose values are bilinear forms.
+_FORM_COLUMNS = ("q_L20E", "q_S2ES2H", "q_L20ES2H", "r_L20E", "r_S2ES2H",
+                 "L20E_a", "L20E_b", "S2ES2H_a", "S2ES2H_b", "L20ES2H")
+
+
 def _witnesses(ctx: TableContext, cols: dict) -> dict:
-    """Witness per table cell and seed from the raw column values."""
-    w = {}
-    for name in ("q_R", "r_R"):
-        w[name] = np.abs(cols[name]) * np.sqrt(ctx.m.dim)
-    for name in ("q_L20E", "q_S2ES2H", "q_L20ES2H", "r_L20E", "r_S2ES2H",
-                 "L20E_a", "L20E_b", "S2ES2H_a", "S2ES2H_b", "L20ES2H"):
-        w[name] = np.sqrt((cols[name] ** 2).sum(axis=(-2, -1)))
-    w["R_a"], w["R_b"] = np.moveaxis(np.abs(cols["R_ab"]) * np.sqrt(ctx.ab_norm2), -1, 0)
-    for name in TABLE3_COLUMNS:
-        w[name] = np.linalg.norm(cols[name], axis=-1)
+    """The witness of each table cell of one row, from its raw column
+    values: the largest over the row's seeds of |value| sqrt(dim) for a
+    scalar, |value| |a| or |value| |b| for the R_a + R_b coefficients, and
+    the norm of a form or of Table-3 coordinates.  Columns of one kind are
+    measured in one pass."""
+    scalars = np.abs(np.stack([cols["q_R"], cols["r_R"]])) * np.sqrt(ctx.m.dim)
+    forms = np.stack([cols[name] for name in _FORM_COLUMNS])
+    w = dict(zip(("q_R", "r_R"), scalars.max(-1).tolist()))
+    w |= dict(zip(_FORM_COLUMNS, np.sqrt((forms ** 2).sum(axis=(-2, -1))).max(-1).tolist()))
+    w |= dict(zip(("R_a", "R_b"), (np.abs(cols["R_ab"]) * np.sqrt(ctx.ab_norm2)).max(0).tolist()))
+    w |= dict.fromkeys(TABLE3_COLUMNS, 0.0)
+    live = [name for name in TABLE3_COLUMNS if cols[name].shape[-1]]
+    if live:
+        starts = np.cumsum([0] + [cols[name].shape[-1] for name in live[:-1]])
+        squares = np.concatenate([cols[name] for name in live], -1) ** 2
+        w |= dict(zip(live, np.sqrt(np.add.reduceat(squares, starts, axis=-1)).max(0).tolist()))
     return w
 
 
@@ -490,7 +523,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
         zero_source = key not in row_cols
         if not zero_source:
             cols = row_cols[key]
-            wit = _witnesses(ctx, cols)
+            wit, seeds_used = _witnesses(ctx, cols), len(cols["q_R"])
         for table, columns in table_specs:
             if table == 3 and key not in EXPECTED_TABLE3:
                 continue
@@ -502,8 +535,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
                         tick=False, witness=0.0, seeds_used=0,
                         expected=col in expected, status="skipped"))
                     continue
-                ws = wit[col]
-                wmax = float(ws.max())
+                wmax = wit[col]
                 if wmax > TICK_ON:
                     tick, status = True, "ok"
                 elif wmax < TICK_OFF:
@@ -520,7 +552,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
                         status = "mismatch"
                 report.cells.append(ContributionCell(
                     source=row_label(key), table=table, target=col,
-                    tick=tick, witness=wmax, seeds_used=len(ws),
+                    tick=tick, witness=wmax, seeds_used=seeds_used,
                     expected=exp, status=status))
         # direction annotations
         if key in annotations and not zero_source:

@@ -9,9 +9,8 @@ expressions over it), normalized p-form and raw rank-4 inner products,
 the four products of 2-tensors that build every curvature-type tensor
 (``odot``, ``wedge2`` and the paper's ``phi`` and ``psi``, each on stacks,
 so a sum over A = I, J, K is one call and a ``.sum(0)``), alternation,
-``b_tilde``, the skewed bracket of two torsion tensors, ``contract``, a
-two-operand einsum over leading (batch) axes done as one matmul, and
-``binary_scaled``, the one scale rule of every verdict.
+``contract``, a two-operand einsum over leading (batch) axes done as one
+matmul, and ``binary_scaled``, the one scale rule of every verdict.
 
 Conventions (fixed once and relied on everywhere):
 
@@ -197,20 +196,7 @@ def theta_tensor(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The skewed bracket of two torsion tensors, and batched contraction.
-
-def b_tilde(xi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-    """``b~(xi x zeta)_{X,Y} Z = xi_{zeta_X Y} Z - xi_{zeta_Y X} Z``.
-
-    Both arguments are rank-3 tensors indexed as t[X, m, Z] = <e_m, t_X e_Z>,
-    possibly with leading (batch) axes.  Returns the rank-4 tensor
-    E[..., x, y, m, z] = <e_m, b~(xi x zeta)_{x,y} e_z>.
-    """
-    if xi.ndim < 3 or zeta.ndim < 3:
-        raise ValueError("b_tilde expects two rank-3 tensors")
-    e1 = contract("xwy,wmz->xymz", zeta, xi)
-    return e1 - e1.swapaxes(-4, -3)
-
+# Batched contraction.
 
 def contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.einsum("..." + spec, a, b)`` done as one transpose-reshape-matmul.

@@ -333,12 +333,11 @@ def _from_state(ctx, tbank, state):
     """The same values from the formulas of the package."""
     m = ctx.m
     scal, scalq, _ = cft.scalars_from_torsion(m, tbank, state)
-    pi1 = cft.pi1_state(m, state)
     out = cft.ricci_component_formulas(m, state) | {
-        "pi1": pi1, "pi1es": cft.pi1es_state(m, state), "pi1s": cft.pi1s_state(m, state),
-        "scal": scal, "scal^q": scalq}
+        "pi1": cft.pi1_state(m, state), "pi1es": cft.pi1es_state(m, state),
+        "pi1s": cft.pi1s_state(m, state), "scal": scal, "scal^q": scalq}
     out |= {"ric*_" + name: cft.ric_star_from(m, state, a) for a, name in enumerate("IJK")}
-    out |= {"T3_" + name: col for name, col in ctx.pi1_columns(pi1).items()}
+    out |= {"T3_" + name: col for name, col in ctx.pi1_columns(state).items()}
     return out
 
 

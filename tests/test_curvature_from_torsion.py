@@ -57,6 +57,17 @@ def test_pi_state_matches_operator_on_qk_point(model):
     assert top.frob(cft.pi1_state(m, st)) < 1e-12 * top.frob(expect)
 
 
+def test_make_leaves_absent_pieces_out_and_checks_the_dimension(model2, model3):
+    """An absent piece stays None; a piece of another model's dimension is
+    refused, naming the piece."""
+    st = cft.TorsionState.make(model2, gammas=model2.omegas)
+    assert st.t is None and st.D is None and st.gammas.shape == (3, 8, 8)
+    with pytest.raises(ValueError, match="D must end in axes"):
+        cft.TorsionState.make(model2, D=np.zeros((12,) * 4))
+    with pytest.raises(ValueError, match="t must end in axes"):
+        cft.TorsionState.make(model3, t=np.zeros((8,) * 3))
+
+
 def test_pi1_gamma_independent(model, tbank):
     m = model
     st1 = free_state(m, tbank, 1)
@@ -65,6 +76,25 @@ def test_pi1_gamma_independent(model, tbank):
     assert top.frob(cft.pi1_state(m, st1) - cft.pi1_state(m, st2)) < 1e-12
     assert top.frob(cft.pi1_state(m, st1)
                     - (cft.pi1es_state(m, st1) - cft.pi1s_state(m, st1))) < 1e-12
+
+
+def test_pi1es_state_matches_its_terms_written_out(model, tbank):
+    """pi_1es of a state with xi, nabla~xi and gamma all nonzero equals its
+    five terms, each written out with einsum, to 1e-13 relative: the gamma
+    term, a~(nabla~xi), the b~ bracket xi_{xi_X Y} - xi_{xi_Y X}, and
+    -(3/4) N - (1/4) sum_A A N A for the commutator N = [xi_X, xi_Y],
+    every term read at [x, y, u, z]."""
+    m = model
+    st = free_state(m, tbank, ("terms", m.n))
+    t, D = st.t, st.D
+    e = np.einsum("xwy,wmz->xymz", t, t)
+    N = np.einsum("xac,ycb->xyab", t, t)
+    N = N - N.swapaxes(0, 1)
+    terms = (D - D.swapaxes(0, 1) + e - e.swapaxes(0, 1)
+             - 0.75 * N - 0.25 * sum(A @ N @ A for A in m.triple)).swapaxes(2, 3)
+    want = 0.5 * np.einsum("axy,azu->xyzu", st.gammas, m.omegas) + terms
+    got = cft.pi1es_state(m, st)
+    assert top.frob(got - want) <= 1e-13 * top.frob(want)
 
 
 # --- Ricci formulas -------------------------------------------------------------

@@ -248,10 +248,11 @@ def test_casimir_l_sigma_identity_fails_off_R(model2):
     m = model2
     ps = cs.pair_scheme(m.dim)
     _, classes = cs.sign_classes(m, ps)
-    v = cs.to_pair_coords(ps, m.Omega)
+    Omega = top.wedge2(m.omegas, m.omegas).sum(0)
+    v = cs.to_pair_coords(ps, Omega)
     assert not np.any(np.delete(v, classes[0]))
     b = v[classes[0]] / np.linalg.norm(v)
-    Omega = m.Omega / np.linalg.norm(v)
+    Omega = Omega / np.linalg.norm(v)
     k = m.n + 2
     assert b @ cs._kron_block(ps, cs.h_terms(m, ps), classes[0]) @ b \
         == pytest.approx(18.0 * k, abs=1e-12)

@@ -54,8 +54,9 @@ def test_pi_combinations(model):
     assert abs(top.curvature_inner(apb, amb)) < 1e-10 * top.frob(apb) * top.frob(amb)
 
 
-#: sha256 of the raw float64 bytes of pi1, pi2 and Omega.  Their entries are
-#: small integers and halves, so any summation order gives these bits.
+#: sha256 of the raw float64 bytes of pi1, pi2 and the fundamental 4-form
+#: Omega = sum_A omega_A ^ omega_A.  Their entries are small integers and
+#: halves, so any summation order gives these bits.
 STRUCTURE_SHA256 = {
     2: {"pi1": "39df4391a2d208cd56eca16e663ca335e9592c454deb7599099aa392bf097666",
         "pi2": "642537928cd6b9a7f72e7b6280033135c7a5a3dbe0643ebec9fee47902ce82f9",
@@ -69,8 +70,9 @@ STRUCTURE_SHA256 = {
 @pytest.mark.parametrize("n", sorted(STRUCTURE_SHA256))
 def test_structure_tensors_are_pinned(n):
     m = ms.build_model(n)
+    structure = {"pi1": m.pi1, "pi2": m.pi2, "Omega": top.wedge2(m.omegas, m.omegas).sum(0)}
     for name, digest in STRUCTURE_SHA256[n].items():
-        T = getattr(m, name)
+        T = structure[name]
         assert T.flags.c_contiguous and T.dtype == np.float64
         assert hashlib.sha256(T.tobytes()).hexdigest() == digest, name
 
@@ -112,8 +114,9 @@ def test_adapted_basis_quaternion_identities_and_omega(model):
     assert np.allclose(K2, I2 @ J2, atol=1e-12)
     # Omega recomputed from the rotated triple agrees (basis independence)
     omegas2 = np.stack([I2, J2, K2])
+    Omega = top.wedge2(model.omegas, model.omegas).sum(0)
     Omega2 = top.wedge2(omegas2, omegas2).sum(0)
-    assert top.frob(Omega2 - model.Omega) < 1e-10 * top.frob(model.Omega)
+    assert top.frob(Omega2 - Omega) < 1e-10 * top.frob(Omega)
     # structure tensor sum_A omega_A (x) omega_A is basis independent
     s1 = sum(np.einsum("xy,zu->xyzu", w, w) for w in model.omegas)
     s2 = sum(np.einsum("xy,zu->xyzu", w, w) for w in omegas2)

@@ -132,31 +132,39 @@ def _definitions() -> dict:
     return out
 
 
-def _reached_names() -> set:
-    """Every name that ``src/qhcurv`` reads (``ast.Name`` or
-    ``ast.Attribute`` in a load) or exports in ``__all__``, and every
-    attribute that ``perfbench`` reads: its own variables reach nothing."""
-    out = set()
+def _reached_names() -> tuple:
+    """(names, attributes): every name that ``src/qhcurv`` reads as a
+    variable (``ast.Name`` in a load) or exports in ``__all__``, and every
+    attribute that ``src/qhcurv`` or ``perfbench`` reads (``ast.Attribute``
+    in a load).  perfbench's own variables reach nothing."""
+    names, attributes = set(), set()
     for path in sorted((ROOT / "src" / "qhcurv").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
         src = path.parent.name == "qhcurv"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                out.add(node.attr)
+                attributes.add(node.attr)
             elif src and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                out.add(node.id)
+                names.add(node.id)
             elif src and isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-                out.update(ast.literal_eval(node.value))
-    return out
+                names.update(ast.literal_eval(node.value))
+    return names, attributes
 
 
 def test_every_public_name_has_a_caller_or_is_a_listed_oracle():
     """Every top-level function and public class and method of
     ``src/qhcurv`` is read by the program or the benchmark, or exported, or
     listed in TEST_ONLY; and every TEST_ONLY entry still exists and still
-    has no such caller."""
-    reached = _reached_names()
-    test_only = {q for q, name in _definitions().items() if name not in reached}
+    has no such caller.  A top-level name is reached by a variable or an
+    attribute read of that name; a method or dataclass field
+    (module.Class.member) only by an attribute read, so a local variable
+    of the same name does not reach it."""
+    names, attributes = _reached_names()
+
+    def reached(qualified, name):
+        return name in attributes or (qualified.count(".") == 1 and name in names)
+
+    test_only = {q for q, name in _definitions().items() if not reached(q, name)}
     assert sorted(test_only - TEST_ONLY) == [], "only tests call these: delete them or list them"
     assert sorted(TEST_ONLY - test_only) == [], "gone or called now: drop them from TEST_ONLY"
 

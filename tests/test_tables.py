@@ -108,14 +108,17 @@ def test_run_tables_needs_a_seed(seeds):
 def test_run_tables_evaluates_each_state_once(monkeypatch, seeds):
     """At n = 2 four torsion components are nonzero: per seed, four
     derivative rows, four pure states and six sums, plus the gamma row.
-    Those 15, 29 or 43 states are evaluated in stacks of 32, and each
+    The 1 + 4 seeds states linear in the state (gamma and nabla~xi) and
+    the 10 seeds xi (x) xi states are evaluated apart, in one stack each,
+    the first without xi and the second with xi alone; and each
     component's pure states are drawn once, for its diagonal row and its
     sums alike."""
     batches, draws = [], []
     inner, draw = tbl.evaluate_columns, tor.TorsionBank.random_component
 
     def counting(ctx, state):
-        batches.append(state.t.shape[0])
+        pieces = tuple(name for name in ("t", "D", "gammas") if getattr(state, name) is not None)
+        batches.append((pieces, cft._lead(state)))
         return inner(ctx, state)
 
     def counting_draw(self, name, seed, derivative=False):
@@ -126,9 +129,44 @@ def test_run_tables_evaluates_each_state_once(monkeypatch, seeds):
     monkeypatch.setattr(tbl, "evaluate_columns", counting)
     monkeypatch.setattr(tor.TorsionBank, "random_component", counting_draw)
     tbl.run_tables(get_bank(2), get_torsion_bank(2), seeds=seeds)
-    assert sum(batches) == 1 + 14 * seeds
-    assert len(batches) == {1: 1, 2: 1, 3: 2}[seeds]
+    assert batches == [(("D", "gammas"), (1 + 4 * seeds,)), (("t",), (10 * seeds,))]
     assert len(draws) == len(set(draws)) == 4 * seeds
+
+
+def test_each_stack_pays_only_for_the_pieces_it_carries(monkeypatch):
+    """run_tables(seeds=8) at n = 2 evaluates its 33 gamma and nabla~xi
+    states and its 80 xi (x) xi states in stacks of at most _STACK.  The
+    xi work (the conjugate table) runs once per xi (x) xi stack and never
+    on the others, and every nabla~xi contraction (brackets, gamma
+    elimination, pi_1) runs once per linear stack and never on a xi (x) xi
+    stack."""
+    log = []
+    inner = tbl.evaluate_columns
+
+    def stack(ctx, state):
+        log.append(["xi" if state.t is not None else "linear"])
+        return inner(ctx, state)
+
+    def noting(name, fn):
+        def wrapped(m, *args):
+            log[-1].append(name)
+            return fn(m, *args)
+        return wrapped
+
+    def nabla_pi1(m, state, xy):
+        if state.D is not None:
+            log[-1].append("pi1 nabla")
+        return pi1_block(m, state, xy)
+
+    pi1_block = cft._pi1es_block
+    monkeypatch.setattr(tbl, "evaluate_columns", stack)
+    monkeypatch.setattr(cft, "_conjugate_table", noting("table", cft._conjugate_table))
+    monkeypatch.setattr(cft, "_nabla_brackets", noting("brackets nabla", cft._nabla_brackets))
+    monkeypatch.setattr(cft, "_gamma_nabla_terms", noting("gamma nabla", cft._gamma_nabla_terms))
+    monkeypatch.setattr(cft, "_pi1es_block", nabla_pi1)
+    tbl.run_tables(get_bank(2), get_torsion_bank(2), seeds=8)
+    linear = ["linear", "brackets nabla", "gamma nabla", "pi1 nabla"]
+    assert log == [linear] * -(-33 // tbl._STACK) + [["xi", "table"]] * -(-80 // tbl._STACK)
 
 
 def _row_by_row(ctx, keys, seeds):
@@ -328,10 +366,11 @@ def test_n3_stages_hold_no_full_width_rows(model3):
 @pytest.mark.parametrize("n, bound", [(2, 10.5), (3, 50.0)])
 def test_run_tables_holds_one_stack_of_states(n, bound):
     """Peak traced memory of run_tables(seeds=8): the states are made and
-    evaluated one stack of 32 at a time.  Measured: 8.3-9.0 MB at n = 2
-    (113 states) and 42.3 MB at n = 3 (217 states); the bounds leave 17 %
-    and 18 %.  Making every state before the first stack reached 12.6 MB
-    at n = 2 and about 81 MB at n = 3."""
+    evaluated one stack of at most 40 at a time, the gamma and nabla~xi
+    states apart from the xi (x) xi states.  Measured: 6.9 MB at n = 2
+    (113 states) and 27.0 MB at n = 3 (217 states); with every stack of 32
+    carrying all three pieces, 8.3-9.0 and 42.3 MB, and making every state
+    before the first stack, 12.6 MB and about 81 MB."""
     bank, tbank = get_bank(n), get_torsion_bank(n)
     _, peak = _traced_peak_mb(lambda: tbl.run_tables(bank, tbank, seeds=8))
     assert peak < bound, peak
@@ -370,6 +409,33 @@ def test_batched_states_match_single_states(bank, tbank):
                            [tbl.evaluate_columns(ctx, st) for st in states])
         _assert_rows_match(cft.ricci_component_formulas(m, batch),
                            [cft.ricci_component_formulas(m, st) for st in states])
+
+
+def test_absent_pieces_match_explicit_zeros(bank, tbank):
+    """A state that leaves pieces out gives the columns and the Ricci
+    formulas of the same state with those pieces as zero arrays, to 1e-14
+    relative: single states with no piece, one piece or two, and the two
+    kinds of stack run_tables makes (nabla~xi and gamma; xi alone)."""
+    ctx = tbl.TableContext.build(bank, tbank)
+    m, d = ctx.m, ctx.m.dim
+    zeros = {"t": np.zeros((d,) * 3), "D": np.zeros((d,) * 4), "gammas": np.zeros((3, d, d))}
+    t, D, gammas = (random_torsion(tbank, "absent"), random_derivative(tbank, "absent"),
+                    random_gammas(m, "absent"))
+    given = [[{}], [{"t": t}], [{"D": D}], [{"gammas": gammas}], [{"D": D, "gammas": gammas}],
+             [{"gammas": gammas}, {"D": D}, {"D": 2.0 * D}], [{"t": t}, {"t": -0.5 * t}]]
+    for states in given:
+        sparse = [cft.TorsionState.make(m, **pieces) for pieces in states]
+        dense = [cft.TorsionState.make(m, **(zeros | pieces)) for pieces in states]
+        if len(states) > 1:
+            sparse, dense = [cft.TorsionState.stack(sparse)], [cft.TorsionState.stack(dense)]
+        for evaluate in (lambda st: tbl.evaluate_columns(ctx, st),
+                         lambda st: cft.ricci_component_formulas(m, st)):
+            got, want = evaluate(sparse[0]), evaluate(dense[0])
+            assert got.keys() == want.keys()
+            scale = max(np.linalg.norm(v) for v in want.values())
+            for key, value in want.items():
+                assert np.shape(got[key]) == np.shape(value), (states, key)
+                assert np.linalg.norm(got[key] - value) <= 1e-14 * scale, (states, key)
 
 
 def test_run_tables_matches_committed_reference(bank2, tbank2):
