@@ -20,10 +20,10 @@ with a conjugate B_(1) C_(3) xi, B, C in (1, I, J, K), so each state
 first builds the conjugate table of these sixteen tensors (two stacked
 substitutions); every bracket, including each term of the gamma
 elimination ``s2es2h_gamma_part``, is then a two-operand contraction of
-table entries (``tensor_ops.contract``, one batched matmul), at most
-times a d x d matrix, and the nabla~xi brackets are traces of nabla~xi
-against one A.  ``_brackets`` computes
-each bracket once, and :func:`ricci_component_formulas` evaluates every
+table entries (``tensor_ops.contract``, one batched matmul), one of them
+possibly acted on in its middle slot by one A, and the nabla~xi brackets
+are traces of nabla~xi against one A.  ``_brackets`` computes each
+bracket once, and :func:`ricci_component_formulas` evaluates every
 formula as a combination of its entries; the scalar ones, the
 g-coefficients, read the scalar entries alone.
 
@@ -35,15 +35,9 @@ work on its terms: the table engine stacks its gamma and nabla~xi states
 apart from its xi (x) xi states, so the former never build the conjugate
 table and the latter never touch a d^4 nabla~xi.
 
-The two projections
-
-    4 pi_1es(a) = 3a - sum_A A_(3) A_(4) a
-    pi_1s(a)(X,Y,Z,U) = (1/4n) sum_A a(X,Y,Ae_i,e_i) omega_A(Z,U)
-
-are also provided as operators on rank-4 tensors; pi_1 = pi_1es - pi_1s
-and the quaternionic-Kaehler space is its kernel in R.  (The pairing
-inside pi_1s is the raw contraction; with the 1/p!-normalized pairing
-pi_1s would fail to be a projection and pi_1 would not kill pi2 + 2 pi1.)
+The pi-state formulas give pi_1es, pi_1s and pi_1 = pi_1es - pi_1s of R
+from a state; the operators themselves, on rank-4 tensors, are
+:func:`.curvature_space.pi1_operator` and its two terms.
 """
 
 from __future__ import annotations
@@ -56,7 +50,7 @@ from . import curvature_space as cs
 from . import decomposition as dec
 from . import tensor_ops as top
 from . import torsion as tor
-from .model_space import ModelSpace
+from .model_space import AFTER, NEXT, ModelSpace
 
 #: Largest gap at which two closed-form coefficients count as equal.
 COEFF_TOL = 1e-12
@@ -263,29 +257,7 @@ def ric_star_from(m: ModelSpace, state: TorsionState, a_idx: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The pi projections: operators on rank-4 tensors.
-
-def pi1es_operator(m: ModelSpace, R: np.ndarray) -> np.ndarray:
-    """4 pi_1es(a) = 3a - sum_A A_(3) A_(4) a, on the last two axes of R: one
-    product with ``m.pi1es_34``."""
-    return (R.reshape(R.shape[:-2] + (-1,)) @ m.pi1es_34).reshape(R.shape)
-
-
-def pi1s_operator(m: ModelSpace, R: np.ndarray) -> np.ndarray:
-    """pi_1s(a) = (1/4n) sum_A a(X,Y,Ae_i,e_i) omega_A(Z,U)."""
-    out = np.zeros_like(R)
-    for A, w in zip(m.triple, m.omegas):
-        coef = np.einsum("xyab,ab->xy", R, A)
-        out += np.einsum("xy,zu->xyzu", coef, w)
-    return out / (4.0 * m.n)
-
-
-def pi1_operator(m: ModelSpace, R: np.ndarray) -> np.ndarray:
-    return pi1es_operator(m, R) - pi1s_operator(m, R)
-
-
-# ---------------------------------------------------------------------------
-# The pi projections: state formulas.  Each is a sum of forms tensored
+# The pi projections of R as state formulas.  Each is a sum of forms tensored
 # with omega_A (the gamma terms and, for pi_1s, the xi term) plus, for
 # pi_1es, the xi and nabla~xi terms.
 
@@ -378,12 +350,6 @@ def pi1_state(m: ModelSpace, state: TorsionState, at=None) -> np.ndarray:
 # gamma elimination: the S^2E S^2H part of sum_A gamma_A(., A.) expressed
 # through (xi, nabla~xi) via the d^2 omega identity.
 
-#: The indices into (I, J, K) that follow j in the cyclic order once and
-#: twice: of the cyclic triple (a, b, c) = (1, 2, 3), (2, 3, 1), (3, 1, 2)
-#: with a at j they are b and c, with b at j c and a, with c at j a and b.
-_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
-
-
 def s2es2h_gamma_part(m: ModelSpace, state: TorsionState, brackets: dict) -> np.ndarray:
     """pi_{S2ES2H}(sum_A gamma_A(., A.)) in terms of (xi, nabla~xi).
 
@@ -411,31 +377,22 @@ def s2es2h_gamma_part(m: ModelSpace, state: TorsionState, brackets: dict) -> np.
 
 
 def _gamma_xi_terms(m: ModelSpace, t: np.ndarray, brackets: dict) -> np.ndarray:
-    """The xi terms of the gamma elimination.  Each pairs two entries of
-    the conjugate table X, one of them possibly acted on in the middle
-    slot by some B (``B @ X[c][0]``).  Where that slot is summed over, B
-    moves onto xi and the first-slot C out of the pair:
-    <X[0][a], B_(2) X[c][0]> = K[a][b] C with K[a][b] = <X[0][a], B_(2) xi>;
-    where it is a free index, B moves out of the pair:
-    <X[0][c], A_(2) X[0][b]> = A L[c][b] with L[c][b] = <X[0][c], X[0][b]>.
-    So the middle slot is acted on once, on xi, the terms of the three
-    cyclic triples are stacked into one contraction each, and what is
-    left are d x d products."""
-    ct, om = top.contract, m.omegas
+    """The xi terms of the gamma elimination: 2 P, one pairing of xi with
+    sum_A A_(2) X[A][0] - XA, and per cyclic triple (a, b, c) three
+    pairings of entries of the conjugate table X, one of them possibly
+    acted on in the middle slot by some B (``B @ X[c][0]`` is
+    B_(2) X[c][0])."""
+    ct, units = top.contract, _units(m)
     X, u = brackets["X"], brackets["u"]
-    # (X[b][c] - X[c][b]) / 2 of the cyclic triple (a, b, c), indexed by a
-    half = 0.5 * (X[1 + _NEXT, 1 + _AFTER] - X[1 + _AFTER, 1 + _NEXT])
-    mid = top.substitute(om.swapaxes(-1, -2), (-2,), t)         # B_(2) xi = B @ xi
-    K = ct("imx,ymi->xy", X[0, :, None], mid[None])
-    L = ct("iwy,wxi->xy", X[0, 1:, None], X[0, None, 1:])
-    out = (2.0 * brackets["P"]
-           + ct("imx,ymi->xy", X[0], np.concatenate([-brackets["XA"][None], half])).sum(0)
-           + ct("xmy,m->xy", X[1:, 0] + half, u[1:]).sum(0))
-    # j is a of one cyclic triple, whose b, c are j1, j2, and c of another,
-    # whose a, b are j1, j2
-    for j, j1, j2 in zip(range(3), _NEXT, _AFTER):
-        out = (out + K[0, j] @ om[j] + 0.5 * (K[1 + j, j1] @ om[j2] - K[1 + j, j2] @ om[j1])
-               + 0.5 * (om[j1] @ L[j, j2] - om[j2] @ L[j, j1]) - L[j, j])
+    mid = sum(units[a] @ X[a][0] for a in (1, 2, 3)) - brackets["XA"]
+    out = 2.0 * brackets["P"] + ct("imx,ymi->xy", t, mid)
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        out = out + (
+            ct("imx,ymi->xy", X[0][a], 0.5 * (units[b] @ X[c][0] - X[c][b]
+                                              - units[c] @ X[b][0] + X[b][c]))
+            + ct("xmy,m->xy", X[c][0] + 0.5 * (X[a][b] - X[b][a]), u[c])
+            + ct("iwy,wxi->xy", X[0][c],
+                 0.5 * (units[a] @ X[0][b] - units[b] @ X[0][a]) - X[0][c]))
     return out
 
 
@@ -446,7 +403,7 @@ def _gamma_nabla_terms(m: ModelSpace, D: np.ndarray) -> np.ndarray:
     the three triples stacked (b on the axis of the triple)."""
     om = m.omegas
     dT = top.contract("pibq,aqi->abp", D - D.swapaxes(-4, -3), om)
-    terms = dT @ om - 0.5 * (om[_AFTER] @ dT @ om[_NEXT] - om[_NEXT] @ dT @ om[_AFTER])
+    terms = dT @ om - 0.5 * (om[AFTER] @ dT @ om[NEXT] - om[NEXT] @ dT @ om[AFTER])
     return terms.sum(axis=-3)
 
 

@@ -8,10 +8,12 @@ kernel of the wedging map S^2(Lambda^2 V*) -> Lambda^4 V*).
 This module provides membership certification (the pair symmetries and
 the cyclic Bianchi sum), orthogonal projection onto R, seeded random
 sampling, the equivariant endomorphisms L, L_sigma and the Sp(n) Casimir
-whose joint spectrum separates the fifteen components, the Ricci-type
-contractions, the probe tensors realizing the L-eigenvalues, and the
-bilinear-form projectors on S^2 V* and Lambda^2 V* (the Lambda^2_0 E S^2 H
-one is a cached matrix, :func:`L20ES2H_projector`).
+whose joint spectrum separates the fifteen components, the projection
+pi_1 = pi_1es - pi_1s whose kernel in R is the quaternionic-Kaehler space,
+the Ricci-type contractions, the probe tensors realizing the
+L-eigenvalues, and the bilinear-form projectors on S^2 V* and Lambda^2 V*
+(the Lambda^2_0 E S^2 H one is a cached matrix,
+:func:`L20ES2H_projector`).
 
 Coordinates: tensors with the two pair antisymmetries are stored, when
 linear algebra over subspaces is needed, as matrices over the m = C(4n, 2)
@@ -189,6 +191,36 @@ def Cas_map(m: ModelSpace, R: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The projections pi_1 = pi_1es - pi_1s, with
+#
+#     4 pi_1es(a) = 3a - sum_A A_(3) A_(4) a,
+#     pi_1s(a)(X,Y,Z,U) = (1/4n) sum_A a(X,Y,Ae_i,e_i) omega_A(Z,U).
+#
+# The quaternionic-Kaehler space is the kernel of pi_1 in R.  (The pairing
+# inside pi_1s is the raw contraction; with the 1/p!-normalized pairing
+# pi_1s would fail to be a projection and pi_1 would not kill pi2 + 2 pi1.)
+# Both act on the last two axes of a tensor, flattened, so leading axes
+# index a stack.
+
+def pi1es_operator(m: ModelSpace, R: np.ndarray) -> np.ndarray:
+    """pi_1es on the last two axes of R: one product with ``m.pi1es_34``."""
+    return (R.reshape(R.shape[:-2] + (-1,)) @ m.pi1es_34).reshape(R.shape)
+
+
+def pi1s_operator(m: ModelSpace, R: np.ndarray) -> np.ndarray:
+    """pi_1s on the last two axes of R: with W the omega_A flattened, the
+    coefficients R W^T, then their omega parts R W^T W / 4n."""
+    W = m.omegas.reshape(3, -1)
+    R2 = R.reshape(R.shape[:-2] + (-1,))
+    return ((R2 @ W.T) @ W / (4.0 * m.n)).reshape(R.shape)
+
+
+def pi1_operator(m: ModelSpace, R: np.ndarray) -> np.ndarray:
+    """pi_1 = pi_1es - pi_1s on the last two axes of R."""
+    return pi1es_operator(m, R) - pi1s_operator(m, R)
+
+
+# ---------------------------------------------------------------------------
 # Ricci-type contractions.
 
 def ricci(R: np.ndarray) -> np.ndarray:
@@ -275,10 +307,9 @@ def proj_sym_R(m: ModelSpace, b: np.ndarray) -> np.ndarray:
 
 def proj_sym_S2ES2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
     """S^2 E S^2 H part (symmetric, eigenvalue -1 of sum_A A): (3 s +
-    sum_A A s A) / 4 of the symmetric part s, one product with
-    ``m.pi1es_34``, the matrix of that map on the last two axes."""
-    s = top.sym2(b)
-    return (s.reshape(s.shape[:-2] + (-1,)) @ m.pi1es_34).reshape(s.shape)
+    sum_A A s A) / 4 of the symmetric part s, which is pi_1es on the last
+    two axes."""
+    return pi1es_operator(m, top.sym2(b))
 
 
 def proj_sym_L20E(m: ModelSpace, b: np.ndarray) -> np.ndarray:
@@ -420,9 +451,10 @@ def to_pair_coords(ps: PairScheme, T: np.ndarray) -> np.ndarray:
 
 
 def from_pair_coords(ps: PairScheme, v: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`to_pair_coords`."""
-    C = v.reshape(ps.m, ps.m) / 2.0
-    T = C[ps.pair_index[:, :, None, None], ps.pair_index[None, None, :, :]]
+    """Inverse of :func:`to_pair_coords`.  Leading axes of v stay leading
+    axes of the result."""
+    C = v.reshape(v.shape[:-1] + (ps.m, ps.m)) / 2.0
+    T = C[..., ps.pair_index[:, :, None, None], ps.pair_index[None, None, :, :]]
     return T * ps.sign[:, :, None, None] * ps.sign[None, None, :, :]
 
 

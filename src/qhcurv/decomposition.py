@@ -169,7 +169,8 @@ class ComponentBank:
     orthonormal basis of the class-c part of the module.  ``slices[c]``
     maps each component to its rows there, and ``labels[c]`` gives each
     row's index in ``names``.  Supports are disjoint, so projections and
-    norms are products class by class, and ranks are row counts."""
+    norms are products class by class, and ranks are row counts.  Each
+    named space's blocks are found once, when the bank is made."""
 
     names: tuple
     classes: tuple
@@ -177,6 +178,7 @@ class ComponentBank:
     slices: tuple
     labels: tuple = field(init=False, repr=False)
     width: int = field(init=False, repr=False)
+    _blocks: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.width = sum(map(len, self.classes))
@@ -184,11 +186,13 @@ class ComponentBank:
             np.repeat(np.arange(len(self.names)),
                       [slices[name].stop - slices[name].start for name in self.names])
             for slices in self.slices)
+        self._blocks = {name: self._blocks_of((name,)) for name in self.names}
 
     def blocks(self, name: str) -> list:
-        """(coords, rows) blocks whose direct sum is the named component:
-        the rows are views restricted to the coordinates ``coords``."""
-        return self._blocks_of((name,))
+        """(coords, rows) blocks whose direct sum is the named space (KeyError
+        for an unknown name): the rows are views restricted to the
+        coordinates ``coords``."""
+        return self._blocks[name]
 
     def _blocks_of(self, parts) -> list:
         """The blocks of the direct sum of the stored components ``parts``
@@ -274,11 +278,14 @@ class ProjectorBank(ComponentBank):
     scheme: cs.PairScheme
     rays: np.ndarray
 
-    def blocks(self, name: str) -> list:
-        """Blocks of a fine component, a ray, or a sum in ``COMPOSITES``."""
-        parts = COMPOSITES.get(name, (name,))
-        rays = [(self.classes[0], self.rays[k:k + 1]) for k, r in enumerate(RAYS) if r in parts]
-        return rays + self._blocks_of([part for part in parts if part not in RAYS])
+    def __post_init__(self):
+        """The blocks of the fine components, then of the rays and of every
+        sum in ``COMPOSITES``, its rays first."""
+        super().__post_init__()
+        self._blocks |= {ray: [(self.classes[0], self.rays[k:k + 1])] for k, ray in enumerate(RAYS)}
+        self._blocks |= {name: [b for r in RAYS if r in parts for b in self._blocks[r]]
+                         + self._blocks_of([part for part in parts if part not in RAYS])
+                         for name, parts in COMPOSITES.items()}
 
     def coords(self, R: np.ndarray) -> np.ndarray:
         return cs.to_pair_coords(self.scheme, R)

@@ -50,6 +50,13 @@ _CONJ = np.diag([1.0, -1.0, -1.0, -1.0])
 _RI, _RJ, _RK = (-_CONJ @ L @ _CONJ for L in (_LI, _LJ, _LK))
 
 
+#: The indices into (I, J, K) that follow a in the cyclic order once and
+#: twice: the cyclic triple (a, b, c) with a at index j has b = NEXT[j]
+#: and c = AFTER[j], so a stack over A indexed by NEXT or AFTER holds the
+#: b or c of each triple.
+NEXT, AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a

@@ -36,16 +36,17 @@ Table-3 columns that no row of a torsion family reaches.
 
 Table 3 needs no solve.  Its columns are the coordinates, on each
 Ricci-kernel component X, of the least-squares QKperp preimage of
-v = pi_1(state) under img = Q M (Q the QKperp rows, M: C -> C P1 the
-pi_1 map on pair coordinates): G^-1 img v with G = img img^T invertible.
-G is an Sp(n)Sp(1) intertwiner, so by Schur's lemma it is a scalar c_X on
-every component without an isomorphic partner; only S2ES2H_a/b and, at
-n = 3, L20E_a/b are coupled, and none of them is a Table-3 column.  So the
-coordinates are B_X M^T v / c_X (c_X is 1/2 on V22, 1 on V22S4H), read
-from the bank's sign-class blocks of X; ``TableContext.build`` checks
-G = c_X on X by a probe.  M is a symmetric projection and v, a value of
-pi_1, already lies in its image (the tests check it), so M^T v = v and
-the coordinates are B_X v / c_X.
+v = pi_1(state) under img = Q M (Q the QKperp rows, M the map
+``curvature_space.pi1_operator`` in pair coordinates): G^-1 img v with
+G = img img^T invertible.  G is an Sp(n)Sp(1) intertwiner, so by Schur's
+lemma it is a scalar c_X on every component without an isomorphic
+partner; only S2ES2H_a/b and, at n = 3, L20E_a/b are coupled, and none of
+them is a Table-3 column.  So the coordinates are B_X M^T v / c_X (c_X is
+1/2 on V22, 1 on V22S4H), read from the bank's sign-class blocks of X;
+``TableContext.build`` checks G = c_X on X by a probe, one application of
+``pi1_operator``.  M is a symmetric projection and v, a value of pi_1,
+already lies in its image (the tests check it), so M^T v = v and the
+coordinates are B_X v / c_X.
 """
 
 from __future__ import annotations
@@ -283,25 +284,16 @@ def direction_annotations(n: int) -> dict:
 # ---------------------------------------------------------------------------
 # Column evaluation.
 
-def _pi1_pair_matrix(m: ModelSpace, ps) -> np.ndarray:
-    """P1 with pi_1 = C -> C P1 on pair coordinates, as pi_1 acts on the
-    second 2-form slot only: 4 pi_1es = 3 - sum_A A_(3) A_(4) is
-    -(1/2) sum_A D_A^2 (D_A skew), and pi_1s is (1/2n) sum_A w_A w_A^T,
-    w_A = omega_A's coordinates.  The tests compare P1 with probes of
-    pi1_operator."""
-    D, w = cs._pair_derivations(ps, m.triple), m.omegas[:, ps.first, ps.second]
-    return np.tensordot(D, D, axes=([0, 1], [0, 1])) / 8.0 - (w.T @ w) / (2.0 * m.n)
-
-
 @dataclass
 class TableContext:
     """Precomputed machinery shared by all cells.
 
     ``build`` takes c_X, with G = c_X on each Table-3 column X (module
     docstring), as the Rayleigh quotient of G at a seeded y in X and
-    checks G y = c_X y.  ``readout`` holds, per sign class of the bank,
-    the class's coordinates and the rows of every Table-3 column in that
-    class, each divided by its c_X; ``positions[X]`` says where X's
+    checks G y = c_X y; it applies ``cs.pi1_operator`` to the probes, and
+    no matrix of pi_1 is formed.  ``readout`` holds, per sign class of the
+    bank, the class's coordinates and the rows of every Table-3 column in
+    that class, each divided by its c_X; ``positions[X]`` says where X's
     coordinates sit among the products of the classes, in class order."""
 
     m: ModelSpace
@@ -315,14 +307,15 @@ class TableContext:
     def build(cls, bank: dec.ProjectorBank, tbank: tor.TorsionBank):
         m = bank.model
         ps = bank.scheme
-        # one probe y per nonzero column, all projected onto QKperp at once:
-        # G y = QKperp part of Y P1 P1^T, and P1 P1^T = P1 (a symmetric projection)
+        # one probe y per nonzero column, all mapped and projected onto QKperp
+        # at once: G y = QKperp part of M M^T y, and M M^T = M (a symmetric
+        # projection)
         live = [name for name in TABLE3_COLUMNS if bank.rank(name)]
         ys = np.array([bank.project_coords(cs.substream("schur", name).standard_normal(ps.m ** 2),
                                            name) for name in live])
-        YP1 = (ys.reshape(-1, ps.m, ps.m) @ _pi1_pair_matrix(m, ps)).reshape(ys.shape)
-        quotients = np.sum(YP1 * YP1, axis=-1) / np.sum(ys * ys, axis=-1)
-        offs = np.linalg.norm(bank.project_coords(YP1, "QKperp") - quotients[:, None] * ys, axis=-1)
+        images = cs.to_pair_coords(ps, cs.pi1_operator(m, cs.from_pair_coords(ps, ys)))
+        quotients = np.sum(images * images, axis=-1) / np.sum(ys * ys, axis=-1)
+        offs = np.linalg.norm(bank.project_coords(images, "QKperp") - quotients[:, None] * ys, axis=-1)
         scale = dict.fromkeys(TABLE3_COLUMNS, 1.0)
         for name, y, c, off in zip(live, ys, quotients.tolist(), offs.tolist()):
             if not (c > 0 and off <= cs.EIG_TOL * c * np.linalg.norm(y)):
@@ -381,8 +374,8 @@ def evaluate_columns(ctx: TableContext, state: cft.TorsionState) -> dict:
 
 #: Most states per ``evaluate_columns`` call of ``run_tables``: at n = 2
 #: (seeds 8) the tables take three calls, one of the 33 gamma and nabla~xi
-#: states and two of 40 xi (x) xi states.  A stack of 40 peaks at 2.9 MB
-#: (nabla~xi) and 5.9 MB (xi) of traced memory at n = 2, 14.0 and 18.9 MB
+#: states and two of 40 xi (x) xi states.  A stack of 40 peaks at 2.4 MB
+#: (nabla~xi) and 4.1 MB (xi) of traced memory at n = 2, 14.0 and 16.7 MB
 #: at n = 3, below the 6.5 and 32.3 MB of the 32 full states stacked before.
 _STACK = 40
 

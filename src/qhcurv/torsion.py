@@ -45,7 +45,7 @@ import numpy as np
 from . import curvature_space as cs
 from . import decomposition as dec
 from . import tensor_ops as top
-from .model_space import ModelSpace, weyl_dimension
+from .model_space import AFTER, NEXT, ModelSpace, weyl_dimension
 
 #: Component order used everywhere (layout order and bit order of the mask).
 TORSION_COMPONENTS = ("33", "K3", "E3", "3H", "KH", "EH")
@@ -394,10 +394,8 @@ def psi_k_solve(m: ModelSpace, t: np.ndarray):
 # Recovery from nabla-omega data.
 #
 # Every formula below is cyclic in (I, J, K): the terms for A = I, J, K are
-# one stacked expression, with (b, c) the next two indices after a.
-
-_NEXT = [1, 2, 0]
-_AFTER = [2, 0, 1]
+# one stacked expression, with (b, c) the next two indices after a
+# (``model_space.NEXT`` and ``AFTER``).
 
 
 def nabla_omega_from_torsion(m: ModelSpace, t: np.ndarray,
@@ -409,7 +407,7 @@ def nabla_omega_from_torsion(m: ModelSpace, t: np.ndarray,
     and cyclically.  ``lambdas`` has shape (3, dim) in the order I, J, K.
     """
     W = m.omegas
-    b, c = _NEXT, _AFTER
+    b, c = NEXT, AFTER
     return (lambdas[c][:, :, None, None] * W[b][:, None]
             - lambdas[b][:, :, None, None] * W[c][:, None]
             - t @ W[:, None]
@@ -437,7 +435,7 @@ def torsion_from_nabla_omega(m: ModelSpace, nw_I, nw_J, nw_K):
         if not np.all(asym <= ANTISYM_TOL * np.linalg.norm(flat, axis=1)):
             raise ValueError("nabla-omega inputs must be antisymmetric in (Y, Z)")
         W = m.omegas
-        lambdas = (nws[_NEXT].reshape(3, d, -1) @ W[_AFTER].reshape(3, -1, 1)).reshape(3, d) \
+        lambdas = (nws[NEXT].reshape(3, d, -1) @ W[AFTER].reshape(3, -1, 1)).reshape(3, d) \
             / (4.0 * m.n)
         t = (-0.25 * (W[:, None] @ nws)
              + 0.5 * (lambdas[:, :, None, None] * W[:, None])).sum(0)

@@ -317,8 +317,8 @@ def _from_R(ctx, R):
            "pi_S2ES2H_ric": cs.proj_sym_S2ES2H(m, ric),
            "pi_S2ES2H_ricq": cs.proj_sym_S2ES2H(m, ricq),
            "pi_L20ES2H_ricq": cs.proj_form_L20ES2H(m, ricq),
-           "pi1": cft.pi1_operator(m, R), "pi1es": cft.pi1es_operator(m, R),
-           "pi1s": cft.pi1s_operator(m, R), "scal": np.trace(ric), "scal^q": np.trace(ricq)}
+           "pi1": cs.pi1_operator(m, R), "pi1es": cs.pi1es_operator(m, R),
+           "pi1s": cs.pi1s_operator(m, R), "scal": np.trace(ric), "scal^q": np.trace(ricq)}
     for name in ("L20E_a", "L20E_b", "S2ES2H_a", "S2ES2H_b"):
         out["ric_" + name] = cs.ricci(bank.project(R, name))
     for A, name in zip(m.triple, "IJK"):

@@ -28,15 +28,15 @@ def free_state(m, tbank, seed, with_gamma=True):
 def test_pi_operators_on_qk_ray(model):
     m = model
     ray = m.pi2 + 2 * m.pi1
-    assert top.frob(cft.pi1_operator(m, ray)) < 1e-10 * top.frob(ray)
+    assert top.frob(cs.pi1_operator(m, ray)) < 1e-10 * top.frob(ray)
     # operator identity 4 pi_1es = 3 - sum A3 A4
     R = cs.random_curvature(m, 41).tensor
     manual = 3 * R - sum(top.substitute(A, (2, 3), R) for A in m.triple)
-    assert np.allclose(cft.pi1es_operator(m, R), manual / 4.0)
+    assert np.allclose(cs.pi1es_operator(m, R), manual / 4.0)
     # pi_1s is a projection onto omega content of the last slot pair
     T = np.einsum("xy,zu->xyzu", random_gammas(m, 1)[0], m.omegas[1])
-    once = cft.pi1s_operator(m, T)
-    assert top.frob(cft.pi1s_operator(m, once) - once) < 1e-12 * top.frob(once)
+    once = cs.pi1s_operator(m, T)
+    assert top.frob(cs.pi1s_operator(m, once) - once) < 1e-12 * top.frob(once)
     assert top.frob(once - T) < 1e-12 * top.frob(T)
 
 
@@ -45,8 +45,8 @@ def test_pi_state_matches_operator_on_qk_point(model):
     c = 0.8
     state = cft.TorsionState.qk_point(m, c)
     Rqk = (c / 8.0) * (m.pi2 + 2 * m.pi1)
-    assert top.frob(cft.pi1es_state(m, state) - cft.pi1es_operator(m, Rqk)) < 1e-10
-    assert top.frob(cft.pi1s_state(m, state) - cft.pi1s_operator(m, Rqk)) < 1e-10
+    assert top.frob(cft.pi1es_state(m, state) - cs.pi1es_operator(m, Rqk)) < 1e-10
+    assert top.frob(cft.pi1s_state(m, state) - cs.pi1s_operator(m, Rqk)) < 1e-10
     assert top.frob(cft.pi1_state(m, state)) < 1e-10
     # gamma-only state: pi_1es = (1/2) sum gamma_A (x) omega_A
     gammas = random_gammas(m, 2)

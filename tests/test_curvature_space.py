@@ -432,6 +432,23 @@ def test_pair_coordinates_roundtrip(model2):
     assert float(v @ v) == pytest.approx(top.curvature_inner(R, R), rel=1e-12)
 
 
+def test_pi1_operators_and_pair_coords_map_over_leading_axes(model):
+    """A stack of three tensors gives, row by row, what each tensor gives
+    alone, to 1e-15 relative: the three pi_1 operators on rank-4 tensors,
+    and from_pair_coords on pair coordinates."""
+    m, ps = model, cs.pair_scheme(model.dim)
+    stack = np.array([cs.random_curvature(m, ("stack", k)).tensor for k in range(3)])
+    maps = [(lambda R, op=op: op(m, R), stack)
+            for op in (cs.pi1es_operator, cs.pi1s_operator, cs.pi1_operator)]
+    maps.append((lambda v: cs.from_pair_coords(ps, v), cs.to_pair_coords(ps, stack)))
+    for f, inputs in maps:
+        out = f(inputs)
+        assert out.shape == inputs.shape[:1] + (m.dim,) * 4
+        for x, row in zip(inputs, out):
+            alone = f(x)
+            assert top.frob(row - alone) <= 1e-15 * top.frob(alone)
+
+
 CONDITION_NAMES = ("antisym_12", "antisym_34", "pair_exchange", "bianchi")
 
 

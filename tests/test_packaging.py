@@ -78,7 +78,6 @@ TEST_ONLY = {
     "curvature_from_torsion.bhl_coefficients",
     "curvature_from_torsion.bhl_integrand",
     "curvature_from_torsion.lemma_gammas_kernel",
-    "curvature_from_torsion.pi1_operator",
     "curvature_from_torsion.pi1es_state",
     "curvature_from_torsion.pi1s_state",
     "curvature_from_torsion.ric_star_from",

@@ -256,7 +256,7 @@ def _pinv_table3(ctx, img_pinv, state) -> dict:
 def test_table3_matches_pseudo_inverse(bank2, tbank2):
     ctx = tbl.TableContext.build(bank2, tbank2)
     m, ps = ctx.m, bank2.scheme
-    img = np.array([cs.to_pair_coords(ps, cft.pi1_operator(m, cs.from_pair_coords(ps, row)))
+    img = np.array([cs.to_pair_coords(ps, cs.pi1_operator(m, cs.from_pair_coords(ps, row)))
                     for row in bank2.basis("QKperp")])
     img_pinv = np.linalg.pinv(img.T, rcond=1e-10)
     live = [c for c in tbl.COMPS if tbank2.rank(c)]
@@ -276,30 +276,21 @@ def test_table3_matches_pseudo_inverse(bank2, tbank2):
                 assert np.linalg.norm(cols[name] - want[name]) <= 1e-12 * scale, name
 
 
-def test_p1_matches_probes(bank):
-    """The closed-form P1 of the table context equals the probe
-    construction, row q the pi_1 image of the unit pair (0, q), and gives
-    pi_1 of a whole tensor as C -> C P1."""
-    m, ps = bank.model, bank.scheme
-    probes = np.empty((ps.m, ps.m))
-    for q in range(ps.m):
-        unit = np.zeros(ps.m * ps.m)
-        unit[q] = 1.0
-        probes[q] = cs.to_pair_coords(ps, cft.pi1_operator(m, cs.from_pair_coords(ps, unit)))[:ps.m]
-    P1 = tbl._pi1_pair_matrix(m, ps)
-    assert np.max(np.abs(P1 - probes)) < 1e-15
-    R = cs.random_curvature(m, 53).tensor
-    C = cs.to_pair_coords(ps, R).reshape(ps.m, ps.m)
-    want = cs.to_pair_coords(ps, cft.pi1_operator(m, R)).reshape(ps.m, ps.m)
-    assert np.max(np.abs(C @ P1 - want)) < 1e-12 * np.max(np.abs(want))
-
-
 def test_pi1_of_a_state_lies_in_the_image_of_p1(tbank):
     """pi_1 of free states with xi, nabla~xi and gamma all nonzero is fixed
-    by P1 (its pair matrix V has V P1^T = V) to 1e-13 relative, so the
-    Table-3 columns read V as it is."""
+    by P1, the matrix of pi_1 on pair coordinates (pi_1 = C -> C P1, as it
+    acts on the second 2-form slot only), to 1e-13 relative: its pair
+    matrix V has V P1^T = V, so the Table-3 columns read V as it is.  Row q
+    of P1 is probed by ``cs.pi1_operator`` on the unit pair (0, q); P1 is
+    symmetric and gives pi_1 of a whole tensor as C -> C P1."""
     m, ps = tbank.model, cs.pair_scheme(tbank.model.dim)
-    P1 = tbl._pi1_pair_matrix(m, ps)
+    units = np.eye(ps.m, ps.m * ps.m)
+    P1 = cs.to_pair_coords(ps, cs.pi1_operator(m, cs.from_pair_coords(ps, units)))[:, :ps.m]
+    assert np.max(np.abs(P1 - P1.T)) < 1e-15
+    R = cs.random_curvature(m, 53).tensor
+    C = cs.to_pair_coords(ps, R).reshape(ps.m, ps.m)
+    want = cs.to_pair_coords(ps, cs.pi1_operator(m, R)).reshape(ps.m, ps.m)
+    assert np.max(np.abs(C @ P1 - want)) < 1e-12 * np.max(np.abs(want))
     for seed in range(3):
         state = cft.TorsionState.make(m, t=random_torsion(tbank, ("image", seed)),
                                       D=random_derivative(tbank, ("image", seed)),
@@ -354,7 +345,8 @@ def test_n3_stages_hold_no_full_width_rows(model3):
     """Peak traced memory at n = 3 of the bank build, the audit and the
     table context.  None forms a dim R x m^2 copy of R's rows (59.9 MB) or
     a dense rank x m^2 image per Table-3 column (48.5 MB in all).  Measured:
-    33.9, 15.9 and 1.5 MB; with those copies, 67.4, 67.6 and 80.7 MB."""
+    6.6, 5.0 and 4.2 MB (the context's Schur probes are seven full d^4
+    tensors); with those copies, 67.4, 67.6 and 80.7 MB."""
     tbank = get_torsion_bank(3)
     bank, build = _traced_peak_mb(lambda: dec.build_sp_projectors(model3))
     audit, check = _traced_peak_mb(lambda: dec.dimension_audit(bank))
@@ -367,8 +359,8 @@ def test_n3_stages_hold_no_full_width_rows(model3):
 def test_run_tables_holds_one_stack_of_states(n, bound):
     """Peak traced memory of run_tables(seeds=8): the states are made and
     evaluated one stack of at most 40 at a time, the gamma and nabla~xi
-    states apart from the xi (x) xi states.  Measured: 6.9 MB at n = 2
-    (113 states) and 27.0 MB at n = 3 (217 states); with every stack of 32
+    states apart from the xi (x) xi states.  Measured: 5.1 MB at n = 2
+    (113 states) and 24.8 MB at n = 3 (217 states); with every stack of 32
     carrying all three pieces, 8.3-9.0 and 42.3 MB, and making every state
     before the first stack, 12.6 MB and about 81 MB."""
     bank, tbank = get_bank(n), get_torsion_bank(n)
