@@ -32,10 +32,11 @@ H = (n + 2)(3 L + L_sigma) + Cas on R as one sum of Kronecker products of
 m x m matrices, one term per distinct pair, each factor given by its
 nonzero entries, and :func:`_kron_block` forms such a sum on a set of
 pair coordinates it keeps, such as a class.  The tensor-level
-:func:`L_map`, :func:`L_sigma_map` and :func:`Cas_map` stay as
-independent oracles: they act on a stack of rank-4 tensors by slot
-substitution (:func:`.tensor_ops.substitute`), not through pair
-coordinates.
+:func:`L_map`, :func:`L_sigma_map` and :func:`Cas_map` stay independent
+oracles, on a stack of rank-4 tensors and not through pair coordinates:
+each is one :func:`_pair_sum`, Q M + M Q^T over the three ways to pair
+the four slots into the rows and columns of a d^2 x d^2 matrix M, with Q
+the :func:`.tensor_ops.pair_matrix` of the omega_A or of sp(n).
 """
 
 from __future__ import annotations
@@ -143,51 +144,40 @@ def random_curvature(m: ModelSpace, seed) -> CurvatureTensor:
 # ---------------------------------------------------------------------------
 # The equivariant endomorphisms L, L_sigma and Cas.
 
+def _pair_sum(Q: np.ndarray, R12: np.ndarray, R13: np.ndarray, R14: np.ndarray) -> np.ndarray:
+    """sum_{i<j} P_(ij), P_(ij) = sum_X X_(i) X_(j) for Q the
+    :func:`.tensor_ops.pair_matrix` of the X, on the last four axes (leading
+    axes index a stack): P_(12) + P_(34) on R12, P_(13) + P_(24) on R13 and
+    P_(14) + P_(23) on R14.  With slots (1 k | i j) as the rows and columns
+    of a d^2 x d^2 matrix M, P_(1k) + P_(ij) is Q M + M Q^T."""
+    d = R12.shape[-1]
+
+    def grouped(T, k):      # slot k moved next to slot 1, and back
+        M = np.moveaxis(T, k, -3).reshape(T.shape[:-4] + (d * d, d * d))
+        return np.moveaxis((Q @ M + M @ Q.T).reshape(T.shape), -3, k)
+    return grouped(R12, -3) + grouped(R13, -2) + grouped(R14, -1)
+
+
 def L_map(m: ModelSpace, R: np.ndarray) -> np.ndarray:
     """L(R) = sum over slot pairs i < j and A of A_(i) A_(j) R, on the last
     four axes of R (leading axes index a stack)."""
-    return sum(top.substitute(m.omegas, pair, R).sum(0)
-               for pair in itertools.combinations(range(-4, 0), 2))
+    return _pair_sum(top.pair_matrix(m.omegas), R, R, R)
 
 
 def L_sigma_map(m: ModelSpace, R: np.ndarray) -> np.ndarray:
     """L_sigma(R) = sum_A (A1A2 + A2A3 s + A1A3 s^2 + A3A4 + A1A4 s + A2A4 s^2) R
-
-    with s the cyclic permutation s R(x,y,z,u) = R(z,x,y,u); slot actions are
-    applied after the permutation.  It acts on the last four axes of R
-    (leading axes index a stack).
-    """
+    on the last four axes of R (leading axes index a stack), with s the cyclic
+    permutation s R(x,y,z,u) = R(z,x,y,u), applied before the slot actions."""
     s1 = top.sigma_perm(R)
-    s2 = top.sigma_perm(s1)
-    # slots 1..4 are the axes -4..-1
-    terms = ((R, (-4, -3)), (R, (-2, -1)), (s1, (-3, -2)), (s1, (-4, -1)),
-             (s2, (-4, -2)), (s2, (-3, -1)))
-    return sum(top.substitute(m.omegas, pair, T).sum(0) for T, pair in terms)
+    return _pair_sum(top.pair_matrix(m.omegas), R, top.sigma_perm(s1), s1)
 
 
 def Cas_map(m: ModelSpace, R: np.ndarray) -> np.ndarray:
     """The Sp(n) Casimir Cas R = -sum_X rho(X)^2 R over the orthonormal
     basis X of sp(n), rho(X) the sum of the four slot actions, on the last
-    four axes of R (leading axes index a stack):
-
-        Cas R = 4c R - 2 sum_{i<j} P_(ij) R,   P_(ij) = sum_X X_(i) X_(j),
-
-    with sum_X X^2 = -c 1 on V (c = (2n+1)/4, read here off the generators).
-    With slots (i, j) and (k, l) grouped into the rows and columns of a
-    d^2 x d^2 matrix M, P_(ij) R is Q M and P_(kl) R is M Q^T, for Q the
-    matrix of P = sum_X X x X."""
-    X = sp_generators(m.n)
-    d = m.dim
-    c = -float(np.einsum("xab,xba->", X, X)) / d
-    # X_(i) X_(j) R substitutes X x_i and X x_j: Q[(a b), (p q)] = sum_X X[p, a] X[q, b]
-    Q = np.tensordot(X, X, axes=(0, 0)).transpose(1, 3, 0, 2).reshape(d * d, d * d)
-    lead = tuple(range(R.ndim - 4))
-    out = 4.0 * c * R
-    for perm in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)):
-        axes = lead + tuple(len(lead) + k for k in perm)
-        M = R.transpose(axes).reshape(R.shape[:-4] + (d * d, d * d))
-        out -= 2.0 * (Q @ M + M @ Q.T).reshape(R.shape).transpose(np.argsort(axes))
-    return out
+    four axes of R (leading axes index a stack): as sum_X X^2 = -c 1 on V,
+    c = (2n + 1)/4, Cas R = 4c R - 2 sum_{i<j} P_(ij) R."""
+    return (2.0 * m.n + 1.0) * R - 2.0 * _pair_sum(top.pair_matrix(sp_generators(m.n)), R, R, R)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +335,7 @@ def _L20ES2H_stepwise(m: ModelSpace, b: np.ndarray) -> np.ndarray:
     coefficients in one product changes the last bits at n = 3.
     """
     a = top.asym2(b)
-    a = a - 0.25 * (a + top.substitute(m.omegas, (-2, -1), a).sum(0))
+    a = a - proj_form_S2E(m, a)
     flat = a.reshape(-1, m.dim ** 2)
     for w in m.omegas.reshape(3, -1):
         flat = flat - (flat @ w / (4.0 * m.n))[:, None] * w

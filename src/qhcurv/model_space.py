@@ -181,8 +181,9 @@ def build_model(n: int) -> ModelSpace:
     # every entry is a small integer or a half, so each sum is exact
     pi2 = top.phi(omegas, omegas).sum(0)
     pi1 = 0.5 * top.psi(g, g)
-    # (A T A)[a, b] = sum_pq T[p, q] A[a, p] A[q, b], and A[a, p] = -A[p, a]
-    pi1es_34 = (3.0 * np.eye(dim * dim) - sum(np.kron(A, A) for A in (I, J, K))) / 4.0
+    # with Q = pair_matrix(omegas), (T Q)[a, b] = sum_A,pq T[p, q] A[a, p] A[b, q]
+    # = -sum_A (A T A)[a, b], as A[b, q] = -A[q, b]; every entry is 0 or +-1
+    pi1es_34 = (3.0 * np.eye(dim * dim) - top.pair_matrix(omegas)) / 4.0
 
     m = ModelSpace(n=int(n), dim=dim, g=_freeze(g), I=_freeze(I),
                    J=_freeze(J), K=_freeze(K), omegas=_freeze(omegas),

@@ -5,9 +5,10 @@ of length 4n.  The operations here are the small fixed vocabulary the
 curvature and torsion machinery needs: ``substitute``, the one way an
 endomorphism acts on slots, on stacks of tensors and for stacks of
 matrices such as ``m.omegas`` (the slot, pair and full actions are short
-expressions over it), normalized p-form and raw rank-4 inner products,
-the four products of 2-tensors that build every curvature-type tensor
-(``odot``, ``wedge2`` and the paper's ``phi`` and ``psi``, each on stacks,
+expressions over it), ``pair_matrix``, the matrix of a substitution on
+two slots summed over a stack, normalized p-form and raw rank-4 inner
+products, the four products of 2-tensors that build every curvature-type
+tensor (``odot``, ``wedge2`` and the paper's ``phi`` and ``psi``, each on stacks,
 so a sum over A = I, J, K is one call and a ``.sum(0)``), alternation,
 ``contract``, a two-operand einsum over leading (batch) axes done as one
 matmul, and ``binary_scaled``, the one scale rule of every verdict.
@@ -57,6 +58,15 @@ def substitute(A: np.ndarray, axes, T: np.ndarray) -> np.ndarray:
         T = out.reshape(out.shape[:-2] + moved.shape[len(lead):]).swapaxes(ax, -1)
         lead = A.shape[:-2]
     return T
+
+
+def pair_matrix(mats: np.ndarray) -> np.ndarray:
+    """Q = sum_X X (x) X on flattened slot pairs, for a stack of (d, d)
+    matrices: Q[(a b), (p q)] = sum_X X[p, a] X[q, b].  Substituting X on
+    two axes of T and summing over X is Q times T, those two axes
+    flattened as rows; on two axes flattened as columns, T times Q^T."""
+    d = mats.shape[-1]
+    return np.tensordot(mats, mats, axes=(0, 0)).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
 def slot_act(A: np.ndarray, i: int, b: np.ndarray) -> np.ndarray:

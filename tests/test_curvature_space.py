@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -226,6 +228,38 @@ def test_cas_map_matches_slot_actions(model):
     scale = np.max(np.abs(naive))
     assert np.max(np.abs(cs.Cas_map(m, G) - naive)) < 1e-14 * scale
     assert np.max(np.abs(cs.Cas_map(m, G[1]) - naive[1])) < 1e-14 * scale
+
+
+def _sweep(mats, terms):
+    """sum over (T, axes) in terms and X in mats of X substituted on both
+    axes of T: one pair-substitution sweep, with no pair matrix."""
+    return sum(top.substitute(mats, axes, T).sum(0) for T, axes in terms)
+
+
+def test_oracles_match_their_substitution_sweeps_off_R(model):
+    """On a random stack of rank-4 tensors outside R, L_map, L_sigma_map
+    and Cas_map equal their slot-action definitions written out as
+    substitution sweeps over slot pairs (slots 1..4 are the axes -4..-1),
+    to 1e-13 relative.  L_sigma's six-term formula holds off R, where
+    L_sigma = 3M - L does not.  pair_matrix is sum_X X (x) X: exactly for
+    the omega_A, whose entries are 0 and +-1, and to 1e-15 for sp(n)."""
+    m = model
+    X = ms.sp_generators(m.n)
+    assert np.array_equal(top.pair_matrix(m.omegas), sum(np.kron(A, A) for A in m.triple))
+    assert np.max(np.abs(top.pair_matrix(X) - sum(np.kron(x, x) for x in X))) <= 1e-15
+    G = cs.substream("oracles-off-R", m.n).standard_normal((2,) + (m.dim,) * 4)
+    assert all(cs.curvature_residuals(T)["antisym_12"] > 0.1 for T in G)
+    every_pair = [(G, pair) for pair in itertools.combinations(range(-4, 0), 2)]
+    s1 = top.sigma_perm(G)
+    s2 = top.sigma_perm(s1)
+    expected = {
+        cs.L_map: _sweep(m.omegas, every_pair),
+        cs.L_sigma_map: _sweep(m.omegas, ((G, (-4, -3)), (G, (-2, -1)), (s1, (-3, -2)),
+                                          (s1, (-4, -1)), (s2, (-4, -2)), (s2, (-3, -1)))),
+        cs.Cas_map: (2 * m.n + 1) * G - 2 * _sweep(X, every_pair),
+    }
+    for op, want in expected.items():
+        assert top.frob(op(m, G) - want) <= 1e-13 * top.frob(want), op.__name__
 
 
 def test_casimir_block_refuses_coordinates_it_leaves(model2):

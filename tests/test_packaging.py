@@ -168,6 +168,39 @@ def test_every_public_name_has_a_caller_or_is_a_listed_oracle():
     assert sorted(TEST_ONLY - test_only) == [], "gone or called now: drop them from TEST_ONLY"
 
 
+def _reads() -> dict:
+    """name -> every name that a function or method of ``src/qhcurv`` of
+    that name reads, as a variable or as an attribute.  Functions of one
+    name in several modules or classes share one entry."""
+    out = {}
+    for path in sorted((ROOT / "src" / "qhcurv").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef):
+                out.setdefault(node.name, set()).update(
+                    sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
+                    if isinstance(sub, (ast.Name, ast.Attribute)))
+    return out
+
+
+def test_the_audit_oracles_reach_no_bank_code():
+    """L_map, L_sigma_map and Cas_map, through _pair_sum, call none of the
+    code that builds the projector bank: H's Kronecker terms, the closed-form
+    basis of R or the gated eigh.  So ``dimension_audit`` checks the bank
+    with code of its own."""
+    reads = _reads()
+    bank_code = {"h_terms", "_kron_block", "_pair_derivations", "_entries",
+                 "curvature_basis", "_eigenspaces"}
+    oracles = {"L_map", "L_sigma_map", "Cas_map", "_pair_sum"}
+    assert bank_code | oracles <= reads.keys()
+    reached, todo = set(), list(oracles)
+    while todo:
+        name = todo.pop()
+        if name in reads and name not in reached:
+            reached.add(name)
+            todo.extend(reads[name])
+    assert sorted(reached & bank_code) == []
+
+
 def test_no_gate_is_a_setting():
     """Every gate reads a named module constant: no function or method of
     ``src/qhcurv`` takes a parameter named ``tol`` except
