@@ -100,17 +100,16 @@ def main(argv=None) -> int:
     if args.command == "audit":
         bank = dec.build_sp_projectors(m)
         report = dec.dimension_audit(bank)
-        body = tio.jsonable(dataclasses.asdict(report))
         results = [{"check": "dim_R", "value": report.dim_R,
                     "expected": report.dim_R_formula, "tolerance": 0},
                    {"check": "dim_QK", "value": report.dim_QK,
                     "expected": report.dim_QK_formula, "tolerance": 0},
-                   {"check": "ranks", "value": body["ranks"],
-                    "expected": body["expected"], "tolerance": 0},
+                   {"check": "ranks", "value": report.ranks,
+                    "expected": report.expected, "tolerance": 0},
                    {"check": "projector_algebra",
-                    "value": body["algebra_residuals"], "tolerance": gate},
+                    "value": report.algebra_residuals, "tolerance": gate},
                    {"check": "eigen_residuals",
-                    "value": body["eigen_residuals"], "tolerance": gate}]
+                    "value": report.eigen_residuals, "tolerance": gate}]
         failures = report.failures
 
     elif args.command == "decompose":
@@ -125,7 +124,7 @@ def main(argv=None) -> int:
             return _error(exc)
         else:
             parts = dict(zip(bank.parts, parts.tolist()))
-            results = [{"check": "component_norms", "value": tio.jsonable(norms),
+            results = [{"check": "component_norms", "value": norms,
                         "tolerance": dec.PARSEVAL_TOL},
                        {"check": "qk_norm", "value": dec.composite_norm(parts, "QK"),
                         "tolerance": dec.PARSEVAL_TOL},
@@ -149,7 +148,7 @@ def main(argv=None) -> int:
             return _error(exc)
         failures = [] if resid <= gate else [f"{defect}: residual {resid}"]
         norms = dict(zip(tbank.names, parts.tolist()))
-        results = [{"check": "component_norms", "value": tio.jsonable(norms),
+        results = [{"check": "component_norms", "value": norms,
                     "tolerance": tor.MASK_TOL},
                    {"check": "class_mask", "value": mask,
                     "order": list(tor.TORSION_COMPONENTS), "tolerance": tor.MASK_TOL}]
@@ -158,12 +157,9 @@ def main(argv=None) -> int:
         bank = dec.build_sp_projectors(m)
         tbank = tor.build_torsion_bank(m)
         report = tbl.run_tables(bank, tbank, seeds=args.seeds)
-        cells = [{"source": c.source, "table": c.table, "target": c.target,
-                  "tick": c.tick, "expected": c.expected, "status": c.status,
-                  "witness": c.witness, "seeds": c.seeds_used}
-                 for c in report.cells]
+        cells = [dataclasses.asdict(c) for c in report.cells]
         failures = [f"{c.source} T{c.table} {c.target}" for c in report.mismatches]
-        results = [{"check": "cells", "value": tio.jsonable(cells), "tolerance": None},
+        results = [{"check": "cells", "value": cells, "tolerance": None},
                    {"check": "remark_consistent",
                     "value": [f"{c.source} T{c.table} {c.target}"
                               for c in report.remark_cells], "tolerance": None},
@@ -172,7 +168,7 @@ def main(argv=None) -> int:
                               for c in report.cells if c.status == "low_n_zero"],
                     "tolerance": None},
                    {"check": "directions",
-                    "value": tio.jsonable(report.direction_checks),
+                    "value": report.direction_checks,
                     "tolerance": tbl.DIRECTION_TOL}]
         tolerances = {"tick_on": tbl.TICK_ON, "tick_off": tbl.TICK_OFF}
         quiet, ambiguous = frozenset({"cells", "directions"}), bool(report.ambiguous)

@@ -44,6 +44,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,13 +316,9 @@ def proj_form_S2E(m: ModelSpace, b: np.ndarray) -> np.ndarray:
 
 
 def proj_form_S2H(m: ModelSpace, b: np.ndarray) -> np.ndarray:
-    """Component in span{omega_I, omega_J, omega_K}."""
-    a = top.asym2(b)
-    out = np.zeros_like(a)
-    for w in m.omegas:
-        # the normalized pairing <a, w> of top.p_form_inner, per leading index
-        out += (np.tensordot(a, w, axes=2) / 2 / (2 * m.n))[..., None, None] * w
-    return out
+    """Component in span{omega_I, omega_J, omega_K}: pi_1s of the
+    antisymmetric part."""
+    return pi1s_operator(m, top.asym2(b))
 
 
 def _L20ES2H_stepwise(m: ModelSpace, b: np.ndarray) -> np.ndarray:
@@ -401,7 +398,6 @@ class PairScheme:
     """Index bookkeeping for the m = C(dim,2) increasing pairs."""
 
     dim: int
-    pairs: tuple
     first: np.ndarray
     second: np.ndarray
     pair_index: np.ndarray  # (dim, dim) -> pair id (diagonal: 0, masked by sign)
@@ -409,7 +405,7 @@ class PairScheme:
 
     @property
     def m(self) -> int:
-        return len(self.pairs)
+        return len(self.first)
 
     @property
     def flat_index(self) -> np.ndarray:
@@ -419,16 +415,12 @@ class PairScheme:
 
 
 def pair_scheme(dim: int) -> PairScheme:
-    pairs = tuple(itertools.combinations(range(dim), 2))
-    first = np.array([p[0] for p in pairs])
-    second = np.array([p[1] for p in pairs])
+    first, second = np.triu_indices(dim, 1)
     pair_index = np.zeros((dim, dim), dtype=int)
-    sign = np.zeros((dim, dim))
-    for idx, (i, j) in enumerate(pairs):
-        pair_index[i, j] = pair_index[j, i] = idx
-        sign[i, j], sign[j, i] = 1.0, -1.0
-    return PairScheme(dim=dim, pairs=pairs, first=first, second=second,
-                      pair_index=pair_index, sign=sign)
+    pair_index[first, second] = pair_index[second, first] = np.arange(len(first))
+    i, j = np.indices((dim, dim), dtype=float)
+    return PairScheme(dim=dim, first=first, second=second,
+                      pair_index=pair_index, sign=np.sign(j - i))
 
 
 def to_pair_coords(ps: PairScheme, T: np.ndarray) -> np.ndarray:
@@ -515,7 +507,7 @@ def sign_classes(m: ModelSpace, ps: PairScheme) -> tuple[np.ndarray, tuple]:
     return ((codes[:, None] & weights) != 0).astype(int), tuple(classes)
 
 
-def curvature_basis(m: ModelSpace, ps: PairScheme, classes: tuple) -> list[np.ndarray]:
+def curvature_basis(m: ModelSpace, ps: PairScheme, classes: tuple) -> Iterator[np.ndarray]:
     """Orthonormal basis of R in pair coordinates, in closed form, by class.
 
     A symmetric pair matrix C lies in R exactly when, for every quadruple
@@ -525,10 +517,11 @@ def curvature_basis(m: ModelSpace, ps: PairScheme, classes: tuple) -> list[np.nd
     with symmetric units s_a, s_b, s_c, get the two orthonormal rows
     (s_a + s_b)/sqrt 2 and (s_a - s_b - 2 s_c)/sqrt 6 spanning the plane
     x_a - x_b + x_c = 0.  That makes C(m+1, 2) - C(dim, 4) rows in all, in
-    that order.  Entry c is one dense block: the rows in ``classes[c]``, the
-    class-c coordinates of :func:`sign_classes`, in that order,
-    written from their nonzero entries straight into the class's
-    coordinates.
+    that order.  The c-th block yielded is dense: the rows in
+    ``classes[c]``, the class-c coordinates of :func:`sign_classes`, in
+    that order, written from their nonzero entries straight into the
+    class's coordinates.  Blocks are made one at a time, so a reader that
+    keeps none holds one.
     """
     mm = ps.m
     p, q = np.triu_indices(mm)
@@ -550,14 +543,12 @@ def curvature_basis(m: ModelSpace, ps: PairScheme, classes: tuple) -> list[np.nd
     row, u, v, value = (np.concatenate(x) for x in zip(*entries))
     row, col, value = np.tile(row, 2), np.concatenate([u * mm + v, v * mm + u]), np.tile(value, 2)
 
-    blocks = []
     for coords in classes:
         on = np.isin(col, coords)
         rows = np.unique(row[on])
         block = np.zeros((rows.size, coords.size))
         block[np.searchsorted(rows, row[on]), np.searchsorted(coords, col[on])] = value[on]
-        blocks.append(block)
-    return blocks
+        yield block
 
 
 # ---------------------------------------------------------------------------

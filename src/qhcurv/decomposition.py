@@ -341,7 +341,7 @@ def build_sp_projectors(m: ModelSpace) -> ProjectorBank:
     rows of the bank, written over them."""
     ps = cs.pair_scheme(m.dim)
     characters, classes = cs.sign_classes(m, ps)
-    rows = cs.curvature_basis(m, ps, classes)
+    rows = list(cs.curvature_basis(m, ps, classes))
     values = h_values(m.n)
     terms = cs.h_terms(m, ps)
     slices = []

@@ -449,11 +449,11 @@ def _witnesses(ctx: TableContext, cols: dict) -> dict:
     w |= dict(zip(_FORM_COLUMNS, np.sqrt((forms ** 2).sum(axis=(-2, -1))).max(-1).tolist()))
     w |= dict(zip(("R_a", "R_b"), (np.abs(cols["R_ab"]) * np.sqrt(ctx.ab_norm2)).max(0).tolist()))
     w |= dict.fromkeys(TABLE3_COLUMNS, 0.0)
+    # some Table-3 column has nonzero rank at every n >= 2: live is never empty
     live = [name for name in TABLE3_COLUMNS if cols[name].shape[-1]]
-    if live:
-        starts = np.cumsum([0] + [cols[name].shape[-1] for name in live[:-1]])
-        squares = np.concatenate([cols[name] for name in live], -1) ** 2
-        w |= dict(zip(live, np.sqrt(np.add.reduceat(squares, starts, axis=-1)).max(0).tolist()))
+    starts = np.cumsum([0] + [cols[name].shape[-1] for name in live[:-1]])
+    squares = np.concatenate([cols[name] for name in live], -1) ** 2
+    w |= dict(zip(live, np.sqrt(np.add.reduceat(squares, starts, axis=-1)).max(0).tolist()))
     return w
 
 
@@ -467,7 +467,7 @@ class ContributionCell:
     target: str
     tick: bool
     witness: float
-    seeds_used: int
+    seeds: int
     expected: bool | None = None
     status: str = "ok"           # ok | mismatch | remark | ambiguous | skipped
 
@@ -516,7 +516,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
         zero_source = key not in row_cols
         if not zero_source:
             cols = row_cols[key]
-            wit, seeds_used = _witnesses(ctx, cols), len(cols["q_R"])
+            wit, used = _witnesses(ctx, cols), len(cols["q_R"])
         for table, columns in table_specs:
             if table == 3 and key not in EXPECTED_TABLE3:
                 continue
@@ -525,7 +525,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
                 if zero_source or col in skipped:
                     report.cells.append(ContributionCell(
                         source=row_label(key), table=table, target=col,
-                        tick=False, witness=0.0, seeds_used=0,
+                        tick=False, witness=0.0, seeds=0,
                         expected=col in expected, status="skipped"))
                     continue
                 wmax = wit[col]
@@ -545,7 +545,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
                         status = "mismatch"
                 report.cells.append(ContributionCell(
                     source=row_label(key), table=table, target=col,
-                    tick=tick, witness=wmax, seeds_used=seeds_used,
+                    tick=tick, witness=wmax, seeds=used,
                     expected=exp, status=status))
         # direction annotations
         if key in annotations and not zero_source:

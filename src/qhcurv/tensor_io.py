@@ -18,6 +18,7 @@ written twice from the same data is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -82,9 +83,7 @@ def read_tensor(path) -> TensorFile:
     dim = 4 * n
     if any(s != dim for s in dims):
         raise TensorFileError(f"dims {dims} inconsistent with n = {n}")
-    count = 1
-    for s in dims:
-        count *= s
+    count = math.prod(dims)
     if len(raw) - offset < 8 * count:
         raise TensorFileError("truncated payload")
     if len(raw) - offset > 8 * count:
@@ -118,18 +117,3 @@ def write_report(path, n: int, command: str, tolerances: dict,
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
-
-
-def jsonable(value):
-    """Recursively convert numpy scalars/arrays for JSON serialization."""
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value

@@ -265,25 +265,9 @@ def alt(T: np.ndarray, axes=None) -> np.ndarray:
 @functools.cache
 def _signed_permutations(r: int) -> tuple:
     """Every permutation of range(r), in itertools order, with whether its
-    sign is +1."""
-    return tuple((perm, _perm_sign(perm) > 0) for perm in itertools.permutations(range(r)))
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    sign is +1: whether its count of inversions is even."""
+    return tuple((perm, sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0)
+                 for perm in itertools.permutations(range(r)))
 
 
 def sym2(b: np.ndarray) -> np.ndarray:

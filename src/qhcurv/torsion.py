@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -148,9 +148,9 @@ def xi_E3_from_trace(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     """
     th = theta(m, t)
     out = np.zeros_like(t)
-    for A, w in zip(m.triple, m.omegas):
+    for A in m.omegas:      # omega_A has the matrix of A
         alpha = (theta_A(m, t, A) - th) @ A.T
-        out += top.wedge12(alpha, w) - ((m.n - 1.0) / m.n) * top.theta_tensor(alpha, w)
+        out += top.wedge12(alpha, A) - ((m.n - 1.0) / m.n) * top.theta_tensor(alpha, A)
     return out
 
 
@@ -163,10 +163,10 @@ def xi_EH_from_trace(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     th = theta(m, t)[..., None, None, :]     # on the z slot; swapaxes moves it
     g = m.g
     out = 3.0 * (g[:, :, None] * th - g[:, None, :] * th.swapaxes(-1, -2))
-    for A, w in zip(m.triple, m.omegas):
+    for A in m.omegas:      # omega_A has the matrix of A
         ath = th @ A.T
         out -= (A.T[:, :, None] * ath - A.T[:, None, :] * ath.swapaxes(-1, -2))
-        out -= (2.0 / m.n) * (ath.swapaxes(-1, -3) * w)
+        out -= (2.0 / m.n) * (ath.swapaxes(-1, -3) * A)
     return out
 
 
@@ -178,15 +178,10 @@ class TorsionBank(dec.ComponentBank):
     """The six component bases (rows of flattened rank-3 tensors) as a
     :class:`.decomposition.ComponentBank` over one class, all d^3
     coordinates: ``rows[0]`` stacks them in ``TORSION_COMPONENTS`` order,
-    an orthonormal basis of the torsion space.  ``comps[name]`` is a view
-    of those rows, so the bases are stored once."""
+    an orthonormal basis of the torsion space, stored once: a component's
+    block, ``rows[0][slices[0][name]]``, is a view of it."""
 
     model: ModelSpace
-    comps: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.comps = {name: self.rows[0][self.slices[0][name]] for name in self.names}
 
     def project(self, t: np.ndarray, name: str) -> np.ndarray:
         """Orthogonal projection onto one component, on the last three axes
@@ -208,7 +203,7 @@ class TorsionBank(dec.ComponentBank):
         ``derivative``, a unit derivative (one more leading axis of length
         d) whose second factor lies in the component, from its own
         substream."""
-        B, d = self.comps[name], self.model.dim
+        B, d = self.rows[0][self.slices[0][name]], self.model.dim
         lead = (d,) if derivative else ()
         if B.shape[0] == 0:
             return np.zeros(lead + (d, d, d))

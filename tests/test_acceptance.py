@@ -158,7 +158,7 @@ def test_criterion_7_gamma_lemma(n, model):
 
 def test_criterion_8_torsion(n, tbank):
     m = tbank.model
-    stacked = np.vstack([tbank.comps[k] for k in tor.TORSION_COMPONENTS
+    stacked = np.vstack([tbank.basis(k) for k in tor.TORSION_COMPONENTS
                          if tbank.rank(k)])
     gram = np.max(np.abs(stacked @ stacked.T - np.eye(stacked.shape[0])))
     # orthonormal rows, each fixed by the membership projector, as many as

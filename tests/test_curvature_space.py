@@ -74,7 +74,7 @@ def test_class_blocks_partition_R(bank):
     have the shape of its block."""
     m, ps = bank.model, bank.scheme
     characters, classes = cs.sign_classes(m, ps)
-    blocks = cs.curvature_basis(m, ps, classes)
+    blocks = list(cs.curvature_basis(m, ps, classes))
     assert [B.shape for B in blocks] == {
         2: [(56, 112)] + [(40, 96)] * 7,
         3: [(144, 300)] + [(108, 264)] * 3 + [(104, 272)] * 12}[m.n]

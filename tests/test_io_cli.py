@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhcurv
-from conftest import exact_scales, get_bank, get_torsion_bank
+from conftest import exact_scales, get_bank, get_torsion_bank, skip_unless_digest_blas
 from qhcurv import cli
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
@@ -200,6 +201,42 @@ def test_report_bytes_deterministic(tmp_path):
     tio.write_report(p1, 2, "audit", {"tol": 1e-9}, res, [])
     tio.write_report(p2, 2, "audit", {"tol": 1e-9}, res, [])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+#: sha256 of each command's JSON report at n = 2, recorded on the BLAS
+#: build DIGEST_BLAS (one or two BLAS threads give the same bytes).  The
+#: decompose and torsion inputs are the make-tensor files of seed 0.
+_REPORT_DIGESTS_N2 = {
+    "audit": "ee5b7a24b8cb6f15394782f5255c2b30661ba20dd92cd55587ab5e2665185627",
+    "decompose": "4d0780a87fda196c63cd26cd08d7c4272ffddd6f76d8d28a20420bebf68193a8",
+    "torsion --input": "49bb1913233e4a411336fe98ac2b5e628b18bf15ced30a3dcfcaf7744c42b4d8",
+    "torsion --from-nabla-omega":
+        "86e7dea93f8f67988e8c7f4bdab3d5fda2662ec83fc7a7569fe18a9f26a00741",
+    "tables": "04003a28b9cbc54e3e56278b09403739e39790cdd425830a5be8f10b7806cb80",
+}
+
+
+def test_cli_reports_hash_to_recorded_digests(tmp_path, capsys):
+    """Each real command's report at n = 2 is byte-identical to the one
+    recorded: a changed number, verdict or key in any report moves its
+    digest."""
+    skip_unless_digest_blas()
+
+    def path(name):
+        return str(tmp_path / name)
+
+    for kind, name in (("random-curvature", "R.qht"), ("random-torsion", "T.qht"),
+                       ("nabla-omega", "nw.qht")):
+        assert cli.main(["make-tensor", "--n", "2", "--kind", kind, "--output", path(name)]) == 0
+    inputs = {"audit": [], "decompose": ["--input", path("R.qht")],
+              "torsion --input": ["--input", path("T.qht")],
+              "torsion --from-nabla-omega": ["--from-nabla-omega",
+                                             *(path(f"nw.qht.{A}") for A in "IJK")],
+              "tables": []}
+    for report, args in inputs.items():
+        out = tmp_path / "report.json"
+        assert cli.main([report.split()[0], "--n", "2", *args, "--json", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _REPORT_DIGESTS_N2[report], report
 
 
 def test_report_rejects_nan_without_writing(tmp_path):

@@ -210,8 +210,7 @@ def test_stacked_rows_match_row_by_row_oracle(monkeypatch, n, seeds):
     assert len(stacked.cells) == len(oracle.cells)
     for cell, want in zip(stacked.cells, oracle.cells):
         assert (cell.source, cell.table, cell.target) == (want.source, want.table, want.target)
-        assert (cell.status, cell.tick, cell.seeds_used) == (want.status, want.tick,
-                                                             want.seeds_used)
+        assert (cell.status, cell.tick, cell.seeds) == (want.status, want.tick, want.seeds)
         if want.tick:
             assert cell.witness == pytest.approx(want.witness, rel=1e-12), cell
     assert len(stacked.direction_checks) == len(oracle.direction_checks) > 0

@@ -235,11 +235,13 @@ def test_alt_is_projection_with_correct_signs():
 @pytest.mark.parametrize("shape", [(8, 8), (8,) * 3, (12,) * 3, (8,) * 4, (12,) * 4])
 def test_alt_matches_signed_sum_bitwise(shape):
     """The in-place signed accumulation equals sum_p sign(p) T^p / r! bit for
-    bit (the torsion bank's SVD inputs pass through alt)."""
+    bit (the torsion bank's SVD inputs pass through alt).  Each sign is the
+    determinant of the permutation matrix, not the package's parity rule."""
     T = rand(shape, 14)
     expect = np.zeros_like(T)
     for perm in itertools.permutations(range(T.ndim)):
-        expect += top._perm_sign(perm) * T.transpose(perm)
+        sign = round(np.linalg.det(np.eye(T.ndim)[list(perm)]))
+        expect += sign * T.transpose(perm)
     assert np.array_equal(top.alt(T), expect / math.factorial(T.ndim))
 
 

@@ -53,7 +53,7 @@ def test_components_are_eigenspaces_of_both_casimirs(tbank):
     X = ms.sp_generators(n)
     closed = {(1,): (2 * n + 1) / 4, (2, 1): (6 * n + 3) / 4, (1, 1, 1): (6 * n - 3) / 4}
     for name, (weight, k) in tor.TORSION_SPECTRUM.items():
-        B = tbank.comps[name]
+        B = tbank.basis(name)
         if not B.shape[0]:
             continue
         cas = ms.casimir_value(weight, n)
@@ -71,7 +71,7 @@ def test_projector_algebra(tbank):
     each is fixed by the membership projector, and there are as many as
     the space has dimensions."""
     m = tbank.model
-    stacked = np.vstack([tbank.comps[k] for k in tor.TORSION_COMPONENTS
+    stacked = np.vstack([tbank.basis(k) for k in tor.TORSION_COMPONENTS
                          if tbank.rank(k)])
     gram = stacked @ stacked.T
     assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-9
@@ -91,7 +91,7 @@ def test_torsion_bank_is_bitwise_stable(tbank2):
     skip_unless_digest_blas()
     h = hashlib.sha256()
     for name in tor.TORSION_COMPONENTS:
-        h.update(np.ascontiguousarray(tbank2.comps[name]).tobytes())
+        h.update(tbank2.basis(name).tobytes())
     assert h.hexdigest() == _TORSION_DIGEST_N2
 
 
@@ -107,7 +107,7 @@ from qhcurv.model_space import build_model
 tbank = tor.build_torsion_bank(build_model(3))
 h = hashlib.sha256()
 for name in tor.TORSION_COMPONENTS:
-    h.update(np.ascontiguousarray(tbank.comps[name]).tobytes())
+    h.update(tbank.basis(name).tobytes())
 print(h.hexdigest())
 """
 
@@ -298,15 +298,18 @@ def test_class_mask_rejects_wrong_shapes(tbank2):
 
 
 def test_bank_bases_are_views_of_one_stacked_array(tbank):
-    """The six bases are stored once: each ``comps[name]`` is a view of the
-    stacked rows, in TORSION_COMPONENTS order."""
+    """The six bases are stored once: each component's block is a view of
+    the stacked rows, over all coordinates, in TORSION_COMPONENTS order."""
     (rows,) = tbank.rows
     at = 0
     for name in tor.TORSION_COMPONENTS:
-        B = tbank.comps[name]
-        assert B.base is rows
-        assert B.size == 0 or np.shares_memory(B, rows)
-        assert np.array_equal(B, rows[at:at + tbank.rank(name)])
+        blocks = tbank.blocks(name)
+        assert len(blocks) == (1 if tbank.rank(name) else 0)
+        for coords, B in blocks:
+            assert B.base is rows
+            assert np.shares_memory(B, rows)
+            assert np.array_equal(coords, np.arange(rows.shape[1]))
+            assert np.array_equal(B, rows[at:at + tbank.rank(name)])
         at += tbank.rank(name)
     assert at == rows.shape[0] == torsion_space_dim(tbank.model.n)
 
@@ -317,9 +320,9 @@ def test_bank_arrays_own_their_data_or_view_rows(tbank):
     arrays = [v for v in vars(tbank).values() if isinstance(v, np.ndarray)]
     arrays += [a for v in vars(tbank).values() if isinstance(v, tuple)
                for a in v if isinstance(a, np.ndarray)]
-    arrays += list(tbank.comps.values())
-    assert len(arrays) == 3 + len(tbank.comps)     # classes, rows, labels and the views
-    for a in arrays:
+    views = [B for name in tbank.names for _, B in tbank.blocks(name)]
+    assert len(arrays) == 3                         # classes, rows and labels
+    for a in arrays + views:
         assert a.base is None or a.base is tbank.rows[0]
 
 
@@ -385,7 +388,7 @@ def test_component_norms_match_per_component_products(tbank):
         norms = dict(zip(tbank.names, np.sqrt(tbank.squared_norms(t.ravel()))))
         assert list(norms) == list(tor.TORSION_COMPONENTS)
         for name in tor.TORSION_COMPONENTS:
-            want = np.linalg.norm(tbank.comps[name] @ t.ravel())
+            want = np.linalg.norm(tbank.basis(name) @ t.ravel())
             assert abs(norms[name] - want) <= 1e-14 * want
             if tbank.rank(name) == 0:
                 assert norms[name] == 0.0
@@ -404,7 +407,7 @@ def test_class_mask_of_seeded_mixtures(tbank, size):
         assert tbank.class_mask(t) == want
         scale = np.linalg.norm(t.ravel())
         assert want == "".join(
-            "1" if np.linalg.norm(tbank.comps[c] @ t.ravel()) > tor.MASK_TOL * scale else "0"
+            "1" if np.linalg.norm(tbank.basis(c) @ t.ravel()) > tor.MASK_TOL * scale else "0"
             for c in tor.TORSION_COMPONENTS)
 
 
