@@ -35,9 +35,11 @@ work on its terms: the table engine stacks its gamma and nabla~xi states
 apart from its xi (x) xi states, so the former never build the conjugate
 table and the latter never touch a d^4 nabla~xi.
 
-The pi-state formulas give pi_1es, pi_1s and pi_1 = pi_1es - pi_1s of R
-from a state; the operators themselves, on rank-4 tensors, are
-:func:`.curvature_space.pi1_operator` and its two terms.
+The pi-state formulas give pi_1s and pi_1 = pi_1es - pi_1s of R from a
+state; pi_1es is their sum, pi_1 + pi_1s, as both sides carry the gamma
+term (1/2) sum_A gamma_A (x) omega_A and pi_1 has none.  The operators
+themselves, on rank-4 tensors, are :func:`.curvature_space.pi1_operator`
+and its two terms.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ def ric_star_from(m: ModelSpace, state: TorsionState, a_idx: int) -> np.ndarray:
     """Ric*_A(X,Y) = -n gamma_A(X, A Y) - <xi_X e_i, xi_{AY} A e_i>, as one
     direct contraction, independent of the bracket table (the tests compare
     it with Ric*_A of R on realized states)."""
-    A, t = m.triple[a_idx], state.t
+    A, t = m.omegas[a_idx], state.t
     parts = []
     if state.gammas is not None:
         parts.append(-m.n * (state.gammas[..., a_idx, :, :] @ A))
@@ -257,14 +259,10 @@ def ric_star_from(m: ModelSpace, state: TorsionState, a_idx: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The pi projections of R as state formulas.  Each is a sum of forms tensored
-# with omega_A (the gamma terms and, for pi_1s, the xi term) plus, for
-# pi_1es, the xi and nabla~xi terms.
-
-def _with_omegas(m: ModelSpace, forms: np.ndarray) -> np.ndarray:
-    """sum_A forms[..., A, x, y] omega_A[z, u]."""
-    return top.contract("axy,azu->xyzu", forms, m.omegas)
-
+# The pi projections of R as state formulas.  pi_1s is a sum of forms
+# tensored with omega_A (the gamma term and the xi term); pi_1 is the xi
+# and nabla~xi terms of pi_1es less the xi term of pi_1s; and pi_1es is
+# pi_1 + pi_1s.
 
 def _pi1es_block(m: ModelSpace, state: TorsionState, xy: np.ndarray) -> np.ndarray:
     """The nabla~xi and xi terms of pi_1es(R),
@@ -304,19 +302,6 @@ def _pi1s_xi_forms(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     return np.moveaxis(s, 0, -3) / (2.0 * m.n)
 
 
-def pi1es_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
-    """The curvature-from-torsion expression of pi_1es(R):
-
-    (1/2) sum_A gamma_A (x) omega_A + <a~(nabla~xi)_{X,Y} Z, U>
-    - (3/4) <a~(xi o xi)_{X,Y} Z, U>
-    - (1/4) sum_A <A a~(xi o xi)_{X,Y} A Z, U>
-    + <b~(xi x xi)_{X,Y} Z, U>.
-    """
-    shape = _lead(state) + (m.dim,) * 4
-    out = _pi1es_block(m, state, np.arange(m.dim ** 2)).reshape(shape)
-    return out if state.gammas is None else out + _with_omegas(m, 0.5 * state.gammas)
-
-
 def pi1s_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
     """pi_1s(R) from the state: (1/2) sum_A gamma_A (x) omega_A plus the
     xi term (1/2n) sum_A s_A (x) omega_A, s_A(X,Y) = <xi_X e_i, xi_Y A e_i>
@@ -326,7 +311,8 @@ def pi1s_state(m: ModelSpace, state: TorsionState) -> np.ndarray:
         parts.append(0.5 * state.gammas)
     if state.t is not None:
         parts.append(_pi1s_xi_forms(m, state.t))
-    return _with_omegas(m, _total(parts, _lead(state) + (3, m.dim, m.dim)))
+    forms = _total(parts, _lead(state) + (3, m.dim, m.dim))
+    return top.contract("axy,azu->xyzu", forms, m.omegas)
 
 
 def pi1_state(m: ModelSpace, state: TorsionState, at=None) -> np.ndarray:

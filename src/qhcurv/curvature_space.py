@@ -124,7 +124,12 @@ def substream(*key_parts) -> np.random.Generator:
     """Deterministic counter-based substream keyed by an arbitrary path.
 
     Philox is splittable: distinct keys give statistically independent
-    streams, so sampling is independent of evaluation order.
+    streams, so sampling is independent of evaluation order.  numpy 2
+    imports ``numpy.random`` on its first use, and this is usually a
+    process's first use, so the first call, and with it the first
+    ``tables.run_tables``, pays that import (about 5-15 ms by ``python -X
+    importtime`` on a 2-core machine).  Importing it earlier would only
+    move the cost.
     """
     digest = hashlib.blake2b(repr(key_parts).encode(), digest_size=16).digest()
     key = np.frombuffer(digest, dtype=np.uint64)
@@ -226,7 +231,7 @@ def ricci_star(R: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 def ricci_q(m: ModelSpace, R: np.ndarray) -> np.ndarray:
     """Ric^q = sum_A Ric*_A."""
-    return sum(ricci_star(R, A) for A in m.triple)
+    return sum(ricci_star(R, A) for A in m.omegas)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +244,7 @@ def _one_form_c(m: ModelSpace, a: np.ndarray, which: str) -> np.ndarray:
     a + i I a, with (A a)(x) = -a(A x) realized as the matrix-vector product
     A @ a for skew orthogonal A.
     """
-    I, J, K = m.triple
+    I, J, K = m.omegas
     if which == "h":
         return J @ a - 1j * (K @ a)
     if which == "ht":
@@ -580,10 +585,7 @@ def curvature_basis(m: ModelSpace, ps: PairScheme, classes: tuple) -> Iterator[n
 def _pair_derivations(ps: PairScheme, mats: np.ndarray) -> np.ndarray:
     """D_X for each X in the stack ``mats``: the matrix of X_(1) + X_(2) on
     2-forms in pair coordinates."""
-    units = np.zeros((ps.m, ps.dim, ps.dim))
-    idx = np.arange(ps.m)
-    units[idx, ps.first, ps.second] = 1.0
-    units[idx, ps.second, ps.first] = -1.0
+    units = form_basis(ps.dim)      # unit p at (first[p], second[p]): pair order
     # X_(1) b + X_(2) b = -(X^T b + b X); column p is the image of unit p
     return np.stack([-(X.T @ units + units @ X)[:, ps.first, ps.second].T
                      for X in mats])
@@ -623,7 +625,7 @@ def h_terms(m: ModelSpace, ps: PairScheme) -> list:
     one term per distinct Kronecker pair.  Like L_sigma = 3 M - L, they
     give H on R only."""
     k = m.n + 2.0
-    D = _pair_derivations(ps, m.triple)
+    D = _pair_derivations(ps, m.omegas)
     DX = _pair_derivations(ps, sp_generators(m.n))
     one = np.eye(ps.m)
     # S = -sum_X D_X^2, as D_X is skew

@@ -454,7 +454,7 @@ def qk_einstein_verify(bank: ProjectorBank, R) -> tuple[float, dict]:
                 bank.project(tensor, "R_a") + bank.project(tensor, "R_b")
                 - (c / 8.0) * (m.pi2 + 2.0 * m.pi1)),
         }
-        for A, name in zip(m.triple, "IJK"):
+        for A, name in zip(m.omegas, "IJK"):
             resid[f"ric_star_{name}"] = top.frob(cs.ricci_star(tensor, A) - n * c * m.g)
         c = float(np.ldexp(c, s.e))
     return c, {k: v / s.norm for k, v in resid.items()}

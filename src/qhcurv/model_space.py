@@ -74,12 +74,11 @@ class ModelSpace:
         Real dimension, 4 * n.
     g : (dim, dim) ndarray
         Gram matrix of the metric (identity in the chosen basis).
-    I, J, K : (dim, dim) ndarray
-        Orthogonal almost complex structures with I@I = J@J = -1 and
-        K = I@J = -J@I.
     omegas : (3, dim, dim) ndarray
-        Matrices of the 2-forms omega_A(x, y) = <x, A y> for A = I, J, K;
-        numerically these coincide with the matrices I, J, K.
+        The structure triple, stacked: omegas[0], [1], [2] are the
+        orthogonal almost complex structures I, J, K, with I@I = J@J = -1
+        and K = I@J = -J@I.  They are also the matrices of the 2-forms
+        omega_A(x, y) = <x, A y>, so the one stack serves as both.
     pi1, pi2 : (dim,)*4 ndarray
         Canonical curvature tensors; pi1(x,y,z,u) = <x,z><y,u> - <x,u><y,z>
         = psi(g, g) / 2 and pi2 = sum_A phi(omega_A, omega_A)
@@ -95,27 +94,20 @@ class ModelSpace:
     n: int
     dim: int
     g: np.ndarray
-    I: np.ndarray
-    J: np.ndarray
-    K: np.ndarray
     omegas: np.ndarray
     pi1: np.ndarray
     pi2: np.ndarray
     pi1es_34: np.ndarray
 
-    @property
-    def triple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The structure triple (I, J, K)."""
-        return (self.I, self.J, self.K)
-
     def __repr__(self) -> str:  # keep reprs short; arrays are large
         return f"ModelSpace(n={self.n}, dim={self.dim})"
 
 
-def structure_triple(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Block-diagonal matrices of I, J, K for quaternionic dimension n."""
+def structure_triple(n: int) -> np.ndarray:
+    """Block-diagonal matrices of I, J, K for quaternionic dimension n,
+    stacked."""
     eye_n = np.eye(n)
-    return tuple(np.kron(eye_n, blk) for blk in (_LI, _LJ, _LK))
+    return np.stack([np.kron(eye_n, blk) for blk in (_LI, _LJ, _LK)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,8 +168,7 @@ def build_model(n: int) -> ModelSpace:
         raise ValueError(f"quaternionic dimension must be an integer >= 2, got {n!r}")
     dim = 4 * n
     g = np.eye(dim)
-    I, J, K = structure_triple(n)
-    omegas = np.stack([I, J, K]).copy()
+    omegas = structure_triple(n)
     # every entry is a small integer or a half, so each sum is exact
     pi2 = top.phi(omegas, omegas).sum(0)
     pi1 = 0.5 * top.psi(g, g)
@@ -185,8 +176,7 @@ def build_model(n: int) -> ModelSpace:
     # = -sum_A (A T A)[a, b], as A[b, q] = -A[q, b]; every entry is 0 or +-1
     pi1es_34 = (3.0 * np.eye(dim * dim) - top.pair_matrix(omegas)) / 4.0
 
-    m = ModelSpace(n=int(n), dim=dim, g=_freeze(g), I=_freeze(I),
-                   J=_freeze(J), K=_freeze(K), omegas=_freeze(omegas),
+    m = ModelSpace(n=int(n), dim=dim, g=_freeze(g), omegas=_freeze(omegas),
                    pi1=_freeze(pi1), pi2=_freeze(pi2), pi1es_34=_freeze(pi1es_34))
     _check_invariants(m)
     return m
@@ -194,7 +184,7 @@ def build_model(n: int) -> ModelSpace:
 
 def _check_invariants(m: ModelSpace) -> None:
     """Check the structure invariants to BUILD_TOL; raise on violation."""
-    I, J, K = m.triple
+    I, J, K = m.omegas
     eye = np.eye(m.dim)
     checks = {
         "I^2 = -1": I @ I + eye,
@@ -205,7 +195,7 @@ def _check_invariants(m: ModelSpace) -> None:
         "J orthogonal": J.T @ J - eye,
         "K orthogonal": K.T @ K - eye,
     }
-    for A, name in zip(m.triple, "IJK"):
+    for A, name in zip(m.omegas, "IJK"):
         checks[f"omega_{name} antisymmetric"] = A + A.T
     for name, resid in checks.items():
         err = np.max(np.abs(resid))
@@ -231,5 +221,5 @@ def adapted_basis(m: ModelSpace, rot: np.ndarray) -> tuple[np.ndarray, np.ndarra
         raise ValueError("rotation is not orthogonal")
     if np.linalg.det(rot) < 0:
         raise ValueError("rotation reverses orientation (det < 0)")
-    I, J, K = m.triple
+    I, J, K = m.omegas
     return tuple(r[0] * I + r[1] * J + r[2] * K for r in rot)

@@ -14,18 +14,18 @@ rank is the Weyl dimension of the weight times k + 1
 the Lambda^2_0 E S^2 H projector of :mod:`.curvature_space` on every
 first-slot slice: one product with its matrix P2
 (:func:`.curvature_space.L20ES2H_projector`, built once per n and cached),
-and the ambient space is the row space of I (x) P2.  The S^3H/H split is cut out
-by linear slot conditions; within each half the E-part is the
-image of an explicit formula in the trace one-forms theta, the Lambda^3_0
-part is cut out by the three-form/cyclic conditions, and the K-part is the
-orthogonal remainder.  Every such operator acts on a stack of tensors, the
-slot conditions by substitution of I, J, K
-(:func:`.tensor_ops.substitute`), so each kernel's SVD input, and each
-E-part image, is one call on the whole stack of rows.  Every rank is read
-from the weights, and the package's only SVDs (:func:`_svd_cut`) cut there,
-with one margin gate on the singular values: its bases seed the table
-witnesses that the benchmark reference pins, so their bits stay.  The six
-bases are stored as :class:`TorsionBank`, the
+and the ambient space is the row space of I (x) P2.  The S^3H/H split is
+cut out by linear slot conditions, and one construction, run once per
+half, splits each: the E-part is the image of an explicit formula in the
+trace one-forms theta, the Lambda^3_0 part is cut out by the
+three-form/cyclic conditions, and the K-part is the orthogonal remainder.
+Every such operator acts on a stack of tensors, the slot conditions by
+substitution of I, J, K (:func:`.tensor_ops.substitute`), so each
+kernel's SVD input, and each E-part image, is one call on the whole stack
+of rows.  Every rank is read from the weights, and the package's only SVDs
+(:func:`_svd_cut`) cut there, with one margin gate on the singular values:
+its bases seed the table witnesses that the benchmark reference pins, so
+their bits stay.  The six bases are stored as :class:`TorsionBank`, the
 :class:`.decomposition.ComponentBank` store of the curvature bank over one
 class of all d^3 coordinates, so both banks answer ranks, projections and
 component norms by the same code.
@@ -294,37 +294,24 @@ def build_torsion_bank(m: ModelSpace) -> TorsionBank:
     dims = expected_torsion_dims(m.n)
     ambient = _svd_cut(_projector_rows(m), sum(dims.values()), "torsion space")
 
-    # S^3H / H halves
-    s3h = _kernel_within(ambient, shape, lambda t: _s3h_defects(m, t),
-                         dims["33"] + dims["K3"] + dims["E3"], "torsion S3H half")
-    h = _kernel_within(ambient, shape, lambda t: _h_defects(m, t),
-                       dims["3H"] + dims["KH"] + dims["EH"], "torsion H half")
-
     comps = {}
-
-    # Lambda^3_0 E S^3H: totally skew tensors inside the S^3H half
-    comps["33"] = _kernel_within(s3h, shape, lambda t: t - top.alt(t, (-3, -2, -1)),
-                                 dims["33"], "torsion 33")
-
-    # E S^3H: image of the trace-form reconstruction
-    e3_rows = xi_E3_from_trace(m, s3h.reshape((-1,) + shape)).reshape(s3h.shape)
-    comps["E3"] = _svd_cut(e3_rows, dims["E3"], "torsion E3")
-
-    # K S^3H: orthogonal remainder
-    used = np.vstack([comps["33"], comps["E3"]])
-    comps["K3"] = _svd_cut(s3h - (s3h @ used.T) @ used, dims["K3"], "torsion K3")
-
-    # Lambda^3_0 E H: vanishing cyclic sum inside the H half
-    comps["3H"] = _kernel_within(h, shape, lambda t: top.cyclic3(t, (-3, -2, -1)),
-                                 dims["3H"], "torsion 3H")
-
-    # E H: image of the global-trace reconstruction
-    eh_rows = xi_EH_from_trace(m, h.reshape((-1,) + shape)).reshape(h.shape)
-    comps["EH"] = _svd_cut(eh_rows, dims["EH"], "torsion EH")
-
-    # K H: orthogonal remainder
-    used = np.vstack([comps["3H"], comps["EH"]])
-    comps["KH"] = _svd_cut(h - (h @ used.T) @ used, dims["KH"], "torsion KH")
+    # per half: the Lambda^3_0 E part is a kernel within it (totally skew on
+    # S^3H, vanishing cyclic sum on H), the E part the image of a trace-form
+    # reconstruction and the K part the orthogonal remainder; each half is
+    # freed before the next is cut
+    for (c3, ck, ce), half_defects, lam3_defects, xi_e, label in (
+            (("33", "K3", "E3"), _s3h_defects, lambda t: t - top.alt(t, (-3, -2, -1)),
+             xi_E3_from_trace, "S3H"),
+            (("3H", "KH", "EH"), _h_defects, lambda t: top.cyclic3(t, (-3, -2, -1)),
+             xi_EH_from_trace, "H")):
+        half = _kernel_within(ambient, shape, lambda t: half_defects(m, t),
+                              dims[c3] + dims[ck] + dims[ce], f"torsion {label} half")
+        comps[c3] = _kernel_within(half, shape, lam3_defects, dims[c3], f"torsion {c3}")
+        e_rows = xi_e(m, half.reshape((-1,) + shape)).reshape(half.shape)
+        comps[ce] = _svd_cut(e_rows, dims[ce], f"torsion {ce}")
+        used = np.vstack([comps[c3], comps[ce]])
+        comps[ck] = _svd_cut(half - (half @ used.T) @ used, dims[ck], f"torsion {ck}")
+        del half, e_rows, used
 
     rows = np.vstack([comps[name] for name in TORSION_COMPONENTS])
     bounds = np.cumsum([0] + [comps[name].shape[0] for name in TORSION_COMPONENTS])

@@ -107,7 +107,7 @@ def test_criterion_4_ricci_constants(n, model):
     bt = dec._constrained_triples(m, forms, "L20ES4H triples")[0]
     R = dec.triple_embed(m, bt)
     sign_note = "Ric*_A law verified with +4(n+1) (reference proof sign deviates)"
-    for A, b_A in zip(m.triple, bt):
+    for A, b_A in zip(m.omegas, bt):
         checks.append(top.frob(cs.ricci_star(R, A)
                                - 4 * (n + 1) * top.slot_act(A, 2, b_A)))
     ok = max(checks) < 1e-9 * 50
@@ -264,7 +264,7 @@ def test_criterion_11_lemma41_and_skew_qricci(n, model):
         ric, ricq = cs.ricci(R), cs.ricci_q(m, R)
 
         def tw(b):
-            return sum(np.einsum("xa,yb,ab->xy", A, A, b) for A in m.triple)
+            return sum(np.einsum("xa,yb,ab->xy", A, A, b) for A in m.omegas)
 
         scale = max(top.frob(R), 1.0)
         worst = max(worst, top.frob(cs.ricci(cs.L_map(m, R))
@@ -321,7 +321,7 @@ def _from_R(ctx, R):
            "pi1s": cs.pi1s_operator(m, R), "scal": np.trace(ric), "scal^q": np.trace(ricq)}
     for name in ("L20E_a", "L20E_b", "S2ES2H_a", "S2ES2H_b"):
         out["ric_" + name] = cs.ricci(bank.project(R, name))
-    for A, name in zip(m.triple, "IJK"):
+    for A, name in zip(m.omegas, "IJK"):
         out["ric*_" + name] = cs.ricci_star(R, A)
     v = bank.coords(R)
     for name in tbl.TABLE3_COLUMNS:                   # R's coordinates on the column
@@ -333,9 +333,9 @@ def _from_state(ctx, tbank, state):
     """The same values from the formulas of the package."""
     m = ctx.m
     scal, scalq, _ = cft.scalars_from_torsion(m, tbank, state)
+    pi1, pi1s = cft.pi1_state(m, state), cft.pi1s_state(m, state)
     out = cft.ricci_component_formulas(m, state) | {
-        "pi1": cft.pi1_state(m, state), "pi1es": cft.pi1es_state(m, state),
-        "pi1s": cft.pi1s_state(m, state), "scal": scal, "scal^q": scalq}
+        "pi1": pi1, "pi1es": pi1 + pi1s, "pi1s": pi1s, "scal": scal, "scal^q": scalq}
     out |= {"ric*_" + name: cft.ric_star_from(m, state, a) for a, name in enumerate("IJK")}
     out |= {"T3_" + name: col for name, col in ctx.pi1_columns(state).items()}
     return out

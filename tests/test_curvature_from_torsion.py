@@ -31,7 +31,7 @@ def test_pi_operators_on_qk_ray(model):
     assert top.frob(cs.pi1_operator(m, ray)) < 1e-10 * top.frob(ray)
     # operator identity 4 pi_1es = 3 - sum A3 A4
     R = cs.random_curvature(m, 41).tensor
-    manual = 3 * R - sum(top.substitute(A, (2, 3), R) for A in m.triple)
+    manual = 3 * R - sum(top.substitute(A, (2, 3), R) for A in m.omegas)
     assert np.allclose(cs.pi1es_operator(m, R), manual / 4.0)
     # pi_1s is a projection onto omega content of the last slot pair
     T = np.einsum("xy,zu->xyzu", random_gammas(m, 1)[0], m.omegas[1])
@@ -45,16 +45,18 @@ def test_pi_state_matches_operator_on_qk_point(model):
     c = 0.8
     state = cft.TorsionState.qk_point(m, c)
     Rqk = (c / 8.0) * (m.pi2 + 2 * m.pi1)
-    assert top.frob(cft.pi1es_state(m, state) - cs.pi1es_operator(m, Rqk)) < 1e-10
-    assert top.frob(cft.pi1s_state(m, state) - cs.pi1s_operator(m, Rqk)) < 1e-10
-    assert top.frob(cft.pi1_state(m, state)) < 1e-10
-    # gamma-only state: pi_1es = (1/2) sum gamma_A (x) omega_A
+    pi1, pi1s = cft.pi1_state(m, state), cft.pi1s_state(m, state)
+    assert top.frob(pi1 + pi1s - cs.pi1es_operator(m, Rqk)) < 1e-10
+    assert top.frob(pi1s - cs.pi1s_operator(m, Rqk)) < 1e-10
+    assert top.frob(pi1) < 1e-10
+    # gamma-only state: pi_1es = pi_1 + pi_1s = (1/2) sum gamma_A (x) omega_A
     gammas = random_gammas(m, 2)
     st = cft.TorsionState.make(m, gammas=gammas)
     expect = 0.5 * sum(np.einsum("xy,zu->xyzu", g, w)
                        for g, w in zip(gammas, m.omegas))
-    assert top.frob(cft.pi1es_state(m, st) - expect) < 1e-12 * top.frob(expect)
-    assert top.frob(cft.pi1_state(m, st)) < 1e-12 * top.frob(expect)
+    pi1 = cft.pi1_state(m, st)
+    assert top.frob(pi1 + cft.pi1s_state(m, st) - expect) < 1e-12 * top.frob(expect)
+    assert top.frob(pi1) < 1e-12 * top.frob(expect)
 
 
 def test_make_leaves_absent_pieces_out_and_checks_the_dimension(model2, model3):
@@ -74,16 +76,14 @@ def test_pi1_gamma_independent(model, tbank):
     st2 = cft.TorsionState.make(m, t=st1.t, D=st1.D,
                                 gammas=random_gammas(m, ("other", 1)))
     assert top.frob(cft.pi1_state(m, st1) - cft.pi1_state(m, st2)) < 1e-12
-    assert top.frob(cft.pi1_state(m, st1)
-                    - (cft.pi1es_state(m, st1) - cft.pi1s_state(m, st1))) < 1e-12
 
 
 def test_pi1es_state_matches_its_terms_written_out(model, tbank):
-    """pi_1es of a state with xi, nabla~xi and gamma all nonzero equals its
-    five terms, each written out with einsum, to 1e-13 relative: the gamma
-    term, a~(nabla~xi), the b~ bracket xi_{xi_X Y} - xi_{xi_Y X}, and
-    -(3/4) N - (1/4) sum_A A N A for the commutator N = [xi_X, xi_Y],
-    every term read at [x, y, u, z]."""
+    """pi_1es of a state with xi, nabla~xi and gamma all nonzero, read as
+    pi_1 + pi_1s, equals its five terms, each written out with einsum, to
+    1e-13 relative: the gamma term, a~(nabla~xi), the b~ bracket
+    xi_{xi_X Y} - xi_{xi_Y X}, and -(3/4) N - (1/4) sum_A A N A for the
+    commutator N = [xi_X, xi_Y], every term read at [x, y, u, z]."""
     m = model
     st = free_state(m, tbank, ("terms", m.n))
     t, D = st.t, st.D
@@ -91,9 +91,9 @@ def test_pi1es_state_matches_its_terms_written_out(model, tbank):
     N = np.einsum("xac,ycb->xyab", t, t)
     N = N - N.swapaxes(0, 1)
     terms = (D - D.swapaxes(0, 1) + e - e.swapaxes(0, 1)
-             - 0.75 * N - 0.25 * sum(A @ N @ A for A in m.triple)).swapaxes(2, 3)
+             - 0.75 * N - 0.25 * sum(A @ N @ A for A in m.omegas)).swapaxes(2, 3)
     want = 0.5 * np.einsum("axy,azu->xyzu", st.gammas, m.omegas) + terms
-    got = cft.pi1es_state(m, st)
+    got = cft.pi1_state(m, st) + cft.pi1s_state(m, st)
     assert top.frob(got - want) <= 1e-13 * top.frob(want)
 
 
@@ -104,7 +104,7 @@ def test_qk_point_ricci_constants(model):
     c = 1.7
     st = cft.TorsionState.qk_point(m, c)
     Rqk = (c / 8.0) * (m.pi2 + 2 * m.pi1)      # R of the QK point
-    for A, a in zip(m.triple, range(3)):
+    for A, a in zip(m.omegas, range(3)):
         assert np.allclose(cft.ric_star_from(m, st, a), n * c * m.g, atol=1e-10)
         assert np.allclose(cs.ricci_star(Rqk, A), n * c * m.g, atol=1e-10)
     assert np.allclose(cs.ricci_q(m, Rqk), 3 * n * c * m.g, atol=1e-10)
@@ -121,10 +121,10 @@ def test_qk_point_ricci_constants(model):
 def test_eq27_trace_sanity(model):
     m = model
     gammas = random_gammas(m, 5)
-    total = sum(np.einsum("xa,ay->xy", g, A) for g, A in zip(gammas, m.triple))
+    total = sum(np.einsum("xa,ay->xy", g, A) for g, A in zip(gammas, m.omegas))
     pr = (np.trace(total) / m.dim) * m.g
     expect = -(1.0 / (2 * m.n)) * sum(
-        0.5 * np.vdot(g, A) for g, A in zip(gammas, m.triple)) * m.g
+        0.5 * np.vdot(g, A) for g, A in zip(gammas, m.omegas)) * m.g
     assert top.frob(pr - expect) < 1e-12 * max(top.frob(expect), 1e-12)
 
 
@@ -238,9 +238,9 @@ def _generic_elements(m, rng):
 
 
 def _state_maps(m, state):
+    pi1, pi1s = cft.pi1_state(m, state), cft.pi1s_state(m, state)
     return cft.ricci_component_formulas(m, state) | {
-        "pi1": cft.pi1_state(m, state), "pi1es": cft.pi1es_state(m, state),
-        "pi1s": cft.pi1s_state(m, state)}
+        "pi1": pi1, "pi1es": pi1 + pi1s, "pi1s": pi1s}
 
 
 def test_equivariance_of_state_maps(model, tbank):

@@ -245,7 +245,7 @@ def test_oracles_match_their_substitution_sweeps_off_R(model):
     the omega_A, whose entries are 0 and +-1, and to 1e-15 for sp(n)."""
     m = model
     X = ms.sp_generators(m.n)
-    assert np.array_equal(top.pair_matrix(m.omegas), sum(np.kron(A, A) for A in m.triple))
+    assert np.array_equal(top.pair_matrix(m.omegas), sum(np.kron(A, A) for A in m.omegas))
     assert np.max(np.abs(top.pair_matrix(X) - sum(np.kron(x, x) for x in X))) <= 1e-15
     G = cs.substream("oracles-off-R", m.n).standard_normal((2,) + (m.dim,) * 4)
     assert all(cs.curvature_residuals(T)["antisym_12"] > 0.1 for T in G)
@@ -377,7 +377,7 @@ def test_ricci_reference_values(model):
     assert np.allclose(cs.ricci(np.zeros((m.dim,) * 4)), 0.0)
     R = cs.random_curvature(m, 5).tensor
     assert np.allclose(cs.ricci_q(m, R),
-                       sum(cs.ricci_star(R, A) for A in m.triple))
+                       sum(cs.ricci_star(R, A) for A in m.omegas))
 
 
 def test_lemma_41_identities(model):
@@ -387,7 +387,7 @@ def test_lemma_41_identities(model):
         ric, ricq = cs.ricci(R), cs.ricci_q(m, R)
 
         def twisted(b):
-            return sum(np.einsum("xa,yb,ab->xy", A, A, b) for A in m.triple)
+            return sum(np.einsum("xa,yb,ab->xy", A, A, b) for A in m.omegas)
 
         lhs = cs.ricci(cs.L_map(m, R))
         assert top.frob(lhs - (3 * ric + twisted(ric))) < 1e-9 * top.frob(lhs)
@@ -402,7 +402,7 @@ def test_skew_qricci_membership(model):
     m = model
     R = cs.random_curvature(m, 11).tensor
     rqa = top.asym2(cs.ricci_q(m, R))
-    summed = sum(np.einsum("xa,yb,ab->xy", A, A, rqa) for A in m.triple)
+    summed = sum(np.einsum("xa,yb,ab->xy", A, A, rqa) for A in m.omegas)
     assert top.frob(summed + rqa) < 1e-9 * top.frob(rqa)
     for w in m.omegas:
         assert abs(top.p_form_inner(rqa, w)) < 1e-9 * top.frob(rqa)
@@ -446,7 +446,7 @@ def test_bilinear_projector_examples(model2):
     # the L20ES2H part of a random 2-form satisfies the two characterizations
     raw = cs.substream("bilin", 1).standard_normal((m.dim, m.dim))
     b = cs.proj_form_L20ES2H(m, raw - raw.T)
-    summed = sum(np.einsum("xa,yb,ab->xy", A, A, b) for A in m.triple)
+    summed = sum(np.einsum("xa,yb,ab->xy", A, A, b) for A in m.omegas)
     assert top.frob(summed + b) < 1e-10 * top.frob(b)
     for w in m.omegas:
         assert abs(top.p_form_inner(b, w)) < 1e-10 * top.frob(b)
@@ -456,6 +456,21 @@ def test_bilinear_projector_examples(model2):
     assert top.frob(cs.proj_sym_S2ES2H(m, s) - s) < 1e-12 * top.frob(s)
     assert top.frob(cs.proj_sym_L20E(m, s)) < 1e-12 * top.frob(s)
     assert top.frob(top.asym2(s)) < 1e-12 * top.frob(s)
+
+
+@pytest.mark.parametrize("d", [8, 12, 16])
+def test_unit_forms_follow_the_pair_order(d):
+    """The pairs of ``pair_scheme`` are the i < j in lexicographic order,
+    and unit form p of ``form_basis`` is e_{first[p] second[p]} -
+    e_{second[p] first[p]}: the projector bank's pair derivations read
+    form_basis as pair coordinates, so neither order may move alone."""
+    ps, forms = cs.pair_scheme(d), cs.form_basis(d)
+    pairs = list(zip(ps.first.tolist(), ps.second.tolist()))
+    assert pairs == list(itertools.combinations(range(d), 2))
+    e = np.eye(d)
+    expect = np.stack([np.outer(e[i], e[j]) - np.outer(e[j], e[i])
+                       for i, j in pairs])
+    assert np.array_equal(forms, expect)
 
 
 def test_pair_coordinates_roundtrip(model2):

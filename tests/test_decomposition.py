@@ -128,7 +128,7 @@ def _per_A(m, product, sign, b, c):
     """sum_A product((A1 + sign A2) b, (A1 + sign A2) c), one A at a time."""
     def pair(A, x):
         return top.slot_act(A, 1, x) + sign * top.slot_act(A, 2, x)
-    return sum(product(pair(A, b), pair(A, c)) for A in m.triple)
+    return sum(product(pair(A, b), pair(A, c)) for A in m.omegas)
 
 
 def test_phi_Phi_Psi_land_in_R(model2):
@@ -150,8 +150,8 @@ def test_phi_Phi_Psi_land_in_R(model2):
         (dec.vartheta(m, s, t), _per_A(m, top.phi, -1.0, s, t)),
         (dec.Psi_map(m, s, t), _per_A(m, top.psi, 1.0, s, t)),
         (dec.l20es2h_embed(m, f),
-         sum(top.phi(top.slot_act(A, 1, f) + top.slot_act(A, 2, f), w)
-             for A, w in zip(m.triple, m.omegas))),
+         sum(top.phi(top.slot_act(A, 1, f) + top.slot_act(A, 2, f), A)   # omega_A = A
+            for A in m.omegas)),
     )
     for k, (T, ref) in enumerate(cases):
         assert max(cs.curvature_residuals(T).values()) < 1e-10, k
@@ -291,7 +291,7 @@ def _sp_n_sp_1_elements(m, seed):
     Hermitian iX."""
     rng = cs.substream("sp-n-sp-1", m.n, seed)
     gs = [np.diag(signs) for signs in cs.sign_generators(m.n)]
-    algebra = np.concatenate([ms.sp_generators(m.n), m.triple])
+    algebra = np.concatenate([ms.sp_generators(m.n), m.omegas])
     for _ in range(2):
         X = np.tensordot(rng.standard_normal(len(algebra)), algebra, axes=1)
         w, V = np.linalg.eigh(1j * X)
@@ -481,10 +481,10 @@ def test_line_flips_map_each_block_to_itself_up_to_sign(bank):
     ones = cs.from_pair_coords(ps, np.ones(ps.m ** 2))
     for k, f in enumerate(cs.sign_generators(m.n)):
         assert set(np.abs(f).tolist()) == {1.0}
-        conjugated = [f[:, None] * A * f[None, :] for A in m.triple]
-        fixed = [np.array_equal(G, A) for G, A in zip(conjugated, m.triple)]
+        conjugated = [f[:, None] * A * f[None, :] for A in m.omegas]
+        fixed = [np.array_equal(G, A) for G, A in zip(conjugated, m.omegas)]
         assert fixed == ([True] * 3 if k < m.n else [k == m.n, k == m.n + 1, False])
-        assert all(f_ or np.array_equal(G, -A) for f_, G, A in zip(fixed, conjugated, m.triple))
+        assert all(f_ or np.array_equal(G, -A) for f_, G, A in zip(fixed, conjugated, m.omegas))
         sign = cs.to_pair_coords(ps, np.einsum("x,y,z,u,xyzu->xyzu", f, f, f, f, ones))
         for character, coords, rows in zip(characters, bank.classes, bank.rows):
             assert np.all(sign[coords] == (-1.0) ** character[k])
@@ -604,7 +604,7 @@ def _group_elements(m, seed):
     # generate by projecting a random antisymmetric matrix onto the commutant
     raw = rng.standard_normal((m.dim, m.dim))
     raw = raw - raw.T
-    comm = raw + sum(A.T @ raw @ A for A in m.triple)
+    comm = raw + sum(A.T @ raw @ A for A in m.omegas)
     # the Cayley transform of an antisymmetric X is orthogonal, and it
     # commutes with I, J, K when X does
     X = 0.3 * comm / 4.0
@@ -680,7 +680,7 @@ def test_block_ricci_relations(bank):
         ric, ricq = cs.ricci(R), cs.ricci_q(m, R)
         scale = max(top.frob(R), 1.0)
         assert top.frob(ric - ricq) < 1e-9 * scale
-        for A in m.triple:
+        for A in m.omegas:
             assert top.frob(np.einsum("xa,yb,ab->xy", A, A, ric) - ric) \
                 < 1e-9 * scale
     for name in ("R_b", "L20E_b"):
@@ -712,7 +712,7 @@ def test_block_ricci_relations(bank):
         R = sample(name)
         assert top.frob(cs.ricci(R)) < 1e-9 * top.frob(R)
     R = sample("V22S4H")
-    for A in m.triple:
+    for A in m.omegas:
         assert top.frob(cs.ricci_star(R, A)) < 1e-9 * top.frob(R)
 
 
@@ -732,11 +732,11 @@ def test_les4h_ric_star_constants(model):
     triples = dec._constrained_triples(m, forms, "L20ES4H triples")
     bt = triples[0]
     R = dec.triple_embed(m, bt)
-    for A, b_A in zip(m.triple, bt):
+    for A, b_A in zip(m.omegas, bt):
         expect = 4 * (n + 1) * top.slot_act(A, 2, b_A)
         assert top.frob(cs.ricci_star(R, A) - expect) < 1e-9 * max(top.frob(expect), 1.0)
     assert top.frob(cs.ricci_q(m, R)) < 1e-9 * top.frob(R)
-    I, J, K = m.triple
+    I, J, K = m.omegas
     cases = [
         # (triple, lambda matrix entries (la_II, la_JI, la_KI))
         ([m.omegas[0], -m.omegas[1], np.zeros_like(I)], (1.0, 0.0, 0.0)),
@@ -745,7 +745,7 @@ def test_les4h_ric_star_constants(model):
     ]
     for bt, (lii, lji, lki) in cases:
         bt = [b.copy() for b in bt]
-        resid = sum(top.slot_act(A, 2, b) for A, b in zip(m.triple, bt))
+        resid = sum(top.slot_act(A, 2, b) for A, b in zip(m.omegas, bt))
         assert top.frob(resid) < 1e-12      # constrained triple
         R = dec.triple_embed(m, bt)
         expect_I = 4 * (2 * n + 1) * (lii * m.g - lki * J + lji * K)

@@ -23,12 +23,12 @@ def omega_inner_oracle(a, b):
 
 def test_structure_invariants(model):
     eye = np.eye(model.dim)
-    I, J, K = model.triple
+    I, J, K = model.omegas
     assert np.max(np.abs(I @ I + eye)) == 0
     assert np.max(np.abs(J @ J + eye)) == 0
     assert np.max(np.abs(K - I @ J)) == 0
     assert np.max(np.abs(K + J @ I)) == 0
-    for A in model.triple:
+    for A in model.omegas:
         assert np.max(np.abs(A.T @ A - eye)) == 0
         assert np.max(np.abs(A + A.T)) == 0  # omega_A antisymmetric
 
@@ -85,7 +85,7 @@ def test_build_rejects_bad_n():
 
 
 def test_adapted_basis_identity_and_quarter_turn(model2):
-    I, J, K = model2.triple
+    I, J, K = model2.omegas
     trip = ms.adapted_basis(model2, np.eye(3))
     assert all(np.array_equal(a, b) for a, b in zip(trip, (I, J, K)))
     # 90 degree rotation about the K axis maps I to J
@@ -134,12 +134,12 @@ def test_sp_generators_are_an_orthonormal_basis_of_sp_n(n):
     assert np.max(np.abs(np.einsum("aij,bij->ab", X, X) - np.eye(len(X)))) < 1e-15
     assert np.array_equal(X, -X.swapaxes(1, 2))
     assert set(np.count_nonzero(X, axis=(1, 2)).tolist()) == {4, 8}
-    for A in m.triple:
+    for A in m.omegas:
         assert np.array_equal(X @ A, A @ X)
     raw = cs.substream("sp-generators", n).standard_normal((m.dim, m.dim))
     raw = raw - raw.T
-    commuting = (raw + sum(A.T @ raw @ A for A in m.triple)) / 4.0
-    assert np.max(np.abs(sum(A @ commuting - commuting @ A for A in m.triple))) < 1e-12
+    commuting = (raw + sum(A.T @ raw @ A for A in m.omegas)) / 4.0
+    assert np.max(np.abs(sum(A @ commuting - commuting @ A for A in m.omegas))) < 1e-12
     coef = np.einsum("aij,ij->a", X, commuting)
     assert np.max(np.abs(np.einsum("a,aij->ij", coef, X) - commuting)) < 1e-12
 

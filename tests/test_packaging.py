@@ -72,29 +72,41 @@ def test_the_scale_rule_stays_in_tensor_ops():
 
 #: ROADMAP item 9's oracles: the public functions, classes and methods and
 #: the private top-level functions of ``src/qhcurv`` that only the tests
-#: call, as module[.class].name.  Each backs a test until a verdict of the
-#: program reads it or it is deleted; the set can only shrink.
+#: reach, directly or through other entries, as module[.class].name.  Each
+#: backs a test until a verdict of the program reads it or it is deleted.
+#: An entry is added only for existing code that the program stops
+#: reaching, or that the check newly sees it never reached; never for new
+#: code written for the tests alone.
 TEST_ONLY = {
+    "curvature_from_torsion._dstar_coefficient",
     "curvature_from_torsion.bhl_coefficients",
     "curvature_from_torsion.bhl_integrand",
+    "curvature_from_torsion.d_star_theta",
     "curvature_from_torsion.lemma_gammas_kernel",
-    "curvature_from_torsion.pi1es_state",
     "curvature_from_torsion.pi1s_state",
     "curvature_from_torsion.ric_star_from",
+    "curvature_from_torsion.scal_coefficients",
+    "curvature_from_torsion.scalars_from_torsion",
+    "curvature_from_torsion.scalq_coefficients",
+    "curvature_space._one_form_c",
     "curvature_space.bilinear_component_basis",
     "curvature_space.curvature_residuals",
     "curvature_space.probe_tensors",
+    "curvature_space.proj_form_S2H",
     "decomposition.ComponentBank.basis",
     "decomposition.Phi_map",
     "decomposition.Psi_map",
     "decomposition._constrained_triples",
+    "decomposition._slot_pairs",
     "decomposition.l20es2h_embed",
+    "decomposition.triple_embed",
     "decomposition.varphi",
     "decomposition.vartheta",
     "tables.corollary_vanishing",
     "tensor_ops.odot",
     "tensor_ops.p_form_inner",
     "tensor_ops.slot_act",
+    "tensor_ops.wedge2",
     "torsion.psi_k_solve",
     "torsion.residual_cyclic",
     "torsion.residual_h_conditions",
@@ -131,34 +143,100 @@ def _definitions() -> dict:
     return out
 
 
-def _reached_names() -> tuple:
-    """(names, attributes): every name that ``src/qhcurv`` reads as a
-    variable (``ast.Name`` in a load) or exports in ``__all__``, and every
-    attribute that ``src/qhcurv`` or ``perfbench`` reads (``ast.Attribute``
-    in a load).  perfbench's own variables reach nothing."""
-    names, attributes = set(), set()
-    for path in sorted((ROOT / "src" / "qhcurv").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
-        src = path.parent.name == "qhcurv"
+def _loads(nodes) -> tuple:
+    """(variables, attributes): the names that the AST ``nodes`` read as a
+    variable (``ast.Name`` in a load) and as an attribute (``ast.Attribute``
+    in a load)."""
+    variables, attributes = set(), set()
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            variables.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            attributes.add(node.attr)
+    return variables, attributes
+
+
+def _reads() -> dict:
+    """name -> (variables, attributes) that a function or method of
+    ``src/qhcurv`` of that name reads.  Functions of one name in several
+    modules or classes share one entry."""
+    out = {}
+    for path in sorted((ROOT / "src" / "qhcurv").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                attributes.add(node.attr)
-            elif src and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif src and isinstance(node, ast.Assign) and any(
+            if isinstance(node, ast.FunctionDef):
+                variables, attributes = out.setdefault(node.name, (set(), set()))
+                v, a = _loads(ast.walk(node))
+                variables |= v
+                attributes |= a
+    return out
+
+
+def _reached(reads: dict, variables, attributes) -> tuple:
+    """The fixpoint from the roots ``variables`` and ``attributes``: with
+    them, the (variables, attributes) read by every function or method whose
+    name they read, by the functions whose names those read, and so on."""
+    variables, attributes = set(variables), set(attributes)
+    done, todo = set(), list(variables | attributes)
+    while todo:
+        name = todo.pop()
+        if name in reads and name not in done:
+            done.add(name)
+            v, a = reads[name]
+            variables |= v
+            attributes |= a
+            todo.extend(v | a)
+    return variables, attributes
+
+
+def _import_time_code(tree):
+    """The nodes of a module that run when it is imported: all of it but
+    the bodies of its functions and methods, whose decorators and defaults
+    do run.  Class bases and bodies are module-level code."""
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        yield node
+        if isinstance(node, ast.FunctionDef):
+            todo += node.decorator_list + node.args.defaults
+            todo += [d for d in node.args.kw_defaults if d is not None]
+        else:
+            todo += ast.iter_child_nodes(node)
+
+
+def _roots(reads: dict) -> tuple:
+    """(variables, attributes) that the program reads without a test: the
+    import-time code of ``src/qhcurv``, its ``__all__``, ``cli.main`` (the
+    entry point), the methods Python calls itself (``__init__``,
+    ``__post_init__``, ``__enter__``, ...) and every attribute that
+    ``perfbench`` reads.  perfbench's own variables reach nothing."""
+    variables = {"main"} | {name for name in reads if name.startswith("__") and name.endswith("__")}
+    attributes = set()
+    for path in sorted((ROOT / "src" / "qhcurv").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        v, a = _loads(_import_time_code(tree))
+        variables |= v
+        attributes |= a
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-                names.update(ast.literal_eval(node.value))
-    return names, attributes
+                variables.update(ast.literal_eval(node.value))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        attributes |= _loads(ast.walk(ast.parse(path.read_text(), filename=str(path))))[1]
+    return variables, attributes
 
 
 def test_every_public_name_has_a_caller_or_is_a_listed_oracle():
     """Every top-level function and public class and method of
-    ``src/qhcurv`` is read by the program or the benchmark, or exported, or
-    listed in TEST_ONLY; and every TEST_ONLY entry still exists and still
-    has no such caller.  A top-level name is reached by a variable or an
-    attribute read of that name; a method or dataclass field
-    (module.Class.member) only by an attribute read, so a local variable
-    of the same name does not reach it."""
-    names, attributes = _reached_names()
+    ``src/qhcurv`` is reached from the roots of :func:`_roots`, through the
+    functions they read and those functions' reads to a fixpoint
+    (:func:`_reached`), or is listed in TEST_ONLY; and every TEST_ONLY
+    entry still exists and is still not reached.  So code that only
+    test-only code calls is test-only too.  A top-level name is reached by
+    a variable or an attribute read of that name; a method or dataclass
+    field (module.Class.member) only by an attribute read, so a local
+    variable of the same name does not reach it."""
+    reads = _reads()
+    names, attributes = _reached(reads, *_roots(reads))
 
     def reached(qualified, name):
         return name in attributes or (qualified.count(".") == 1 and name in names)
@@ -166,20 +244,6 @@ def test_every_public_name_has_a_caller_or_is_a_listed_oracle():
     test_only = {q for q, name in _definitions().items() if not reached(q, name)}
     assert sorted(test_only - TEST_ONLY) == [], "only tests call these: delete them or list them"
     assert sorted(TEST_ONLY - test_only) == [], "gone or called now: drop them from TEST_ONLY"
-
-
-def _reads() -> dict:
-    """name -> every name that a function or method of ``src/qhcurv`` of
-    that name reads, as a variable or as an attribute.  Functions of one
-    name in several modules or classes share one entry."""
-    out = {}
-    for path in sorted((ROOT / "src" / "qhcurv").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.FunctionDef):
-                out.setdefault(node.name, set()).update(
-                    sub.id if isinstance(sub, ast.Name) else sub.attr for sub in ast.walk(node)
-                    if isinstance(sub, (ast.Name, ast.Attribute)))
-    return out
 
 
 def test_the_audit_oracles_reach_no_bank_code():
@@ -192,13 +256,8 @@ def test_the_audit_oracles_reach_no_bank_code():
                  "curvature_basis", "_eigenspaces"}
     oracles = {"L_map", "L_sigma_map", "Cas_map", "_pair_sum"}
     assert bank_code | oracles <= reads.keys()
-    reached, todo = set(), list(oracles)
-    while todo:
-        name = todo.pop()
-        if name in reads and name not in reached:
-            reached.add(name)
-            todo.extend(reads[name])
-    assert sorted(reached & bank_code) == []
+    variables, attributes = _reached(reads, oracles, ())
+    assert sorted((variables | attributes) & bank_code) == []
 
 
 def test_no_gate_is_a_setting():

@@ -12,6 +12,7 @@ from qhcurv import tensor_ops as top
 from qhcurv.model_space import build_model
 
 M2 = build_model(2)
+I2, J2, _ = M2.omegas
 
 
 def rand(shape, seed):
@@ -41,16 +42,16 @@ def test_substitute_matches_einsum_bitwise(shape, axes):
     one A, for the stack of all three (a new leading axis), and on tensors
     with leading stack axes."""
     T = rand(shape, 21)
-    for A in M2.triple:
+    for A in M2.omegas:
         assert np.array_equal(top.substitute(A, axes, T), _substitute_oracle(A, axes, T))
-    expect = np.stack([_substitute_oracle(A, axes, T) for A in M2.triple])
+    expect = np.stack([_substitute_oracle(A, axes, T) for A in M2.omegas])
     assert np.array_equal(top.substitute(M2.omegas, axes, T), expect)
 
 
 def test_slot_act_is_signed_substitution():
     """A_(i) b = -b(..., A X_i, ...) on the 1-based slot i, bit for bit."""
     b = rand((8, 8, 8), 22)
-    for A in M2.triple:
+    for A in M2.omegas:
         for i in (1, 2, 3):
             assert np.array_equal(top.slot_act(A, i, b), -_substitute_oracle(A, (i - 1,), b))
             assert np.array_equal(top.slot_act(A, i, b), -top.substitute(A, (i - 1,), b))
@@ -58,50 +59,50 @@ def test_slot_act_is_signed_substitution():
 
 def test_slot_act_definition_elementwise():
     b = rand((8, 8, 8), 3)
-    out = top.slot_act(M2.J, 2, b)
+    out = top.slot_act(J2, 2, b)
     # A_(2) b(x, y, z) = -b(x, Ay, z)
     for idx in [(0, 1, 2), (3, 3, 3), (7, 0, 5)]:
         x, y, z = idx
-        expect = -sum(M2.J[a, y] * b[x, a, z] for a in range(8))
+        expect = -sum(J2[a, y] * b[x, a, z] for a in range(8))
         assert out[idx] == pytest.approx(expect)
 
 
 def test_slot_act_examples():
     # I_(1) omega_I(x, y) = -omega_I(Ix, y) = -<Ix, Iy> = -<x, y>
-    assert np.allclose(top.slot_act(M2.I, 1, M2.I), -M2.g)
+    assert np.allclose(top.slot_act(I2, 1, I2), -M2.g)
     # twice with the same A and slot is minus the identity
     b = rand((8, 8), 0)
-    assert np.allclose(top.slot_act(M2.I, 1, top.slot_act(M2.I, 1, b)), -b)
+    assert np.allclose(top.slot_act(I2, 1, top.slot_act(I2, 1, b)), -b)
     # I_(1) g (x,y) = -g(Ix,y) = -omega_I(y,x)
-    assert np.allclose(top.slot_act(M2.I, 1, M2.g), -M2.I.T)
+    assert np.allclose(top.slot_act(I2, 1, M2.g), -I2.T)
 
 
 def test_slot_act_errors():
     with pytest.raises(ValueError):
-        top.slot_act(M2.I, 0, rand((8, 8), 1))
+        top.slot_act(I2, 0, rand((8, 8), 1))
     with pytest.raises(ValueError):
-        top.slot_act(M2.I, 3, rand((8, 8), 1))
+        top.slot_act(I2, 3, rand((8, 8), 1))
 
 
 def test_full_act_examples():
     """The full action on a rank-2 tensor, A b = b(A., A.), is substitution
     in both slots."""
-    for A in M2.triple:
+    for A in M2.omegas:
         assert np.allclose(top.substitute(A, (0, 1), M2.g), M2.g)
-    assert np.allclose(top.substitute(M2.I, (0, 1), M2.I), M2.I)      # I omega_I = omega_I
-    assert np.allclose(top.substitute(M2.I, (0, 1), M2.J), -M2.J)     # I omega_J = -omega_J
+    assert np.allclose(top.substitute(I2, (0, 1), I2), I2)      # I omega_I = omega_I
+    assert np.allclose(top.substitute(I2, (0, 1), J2), -J2)     # I omega_J = -omega_J
 
 
 def test_slot_acts_on_distinct_slots_commute_exactly():
     b = rand((8, 8, 8, 8), 5)
-    one = top.slot_act(M2.I, 1, top.slot_act(M2.J, 3, b))
-    two = top.slot_act(M2.J, 3, top.slot_act(M2.I, 1, b))
+    one = top.slot_act(I2, 1, top.slot_act(J2, 3, b))
+    two = top.slot_act(J2, 3, top.slot_act(I2, 1, b))
     assert np.array_equal(one, two)
 
 
 def test_adjoint_identity_under_curvature_inner():
     a4, b4 = rand((8,) * 4, 7), rand((8,) * 4, 8)
-    for A in M2.triple:
+    for A in M2.omegas:
         for i in range(1, 5):
             lhs = top.curvature_inner(top.slot_act(A, i, a4), b4)
             rhs = -top.curvature_inner(a4, top.slot_act(A, i, b4))
@@ -111,10 +112,10 @@ def test_adjoint_identity_under_curvature_inner():
 # --- inner products ---------------------------------------------------------
 
 def test_p_form_inner_examples():
-    assert top.p_form_inner(M2.I, M2.J) == pytest.approx(0.0)
-    assert top.p_form_inner(M2.I, M2.I) == pytest.approx(4.0)
+    assert top.p_form_inner(I2, J2) == pytest.approx(0.0)
+    assert top.p_form_inner(I2, I2) == pytest.approx(4.0)
     with pytest.raises(ValueError):
-        top.p_form_inner(M2.I, rand((8, 8, 8), 0))
+        top.p_form_inner(I2, rand((8, 8, 8), 0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -135,7 +136,7 @@ def test_curvature_inner_examples():
     # frob is the square root of the raw self-contraction, NaN stays NaN
     a4 = rand((8,) * 4, 3)
     assert top.frob(a4) == pytest.approx(np.sqrt(top.curvature_inner(a4, a4)), rel=1e-14)
-    assert top.frob(M2.I) == np.sqrt(8.0)
+    assert top.frob(I2) == np.sqrt(8.0)
     assert top.frob(np.zeros((8,) * 4)) == 0.0
     a4[1, 2, 3, 4] = np.nan
     assert np.isnan(top.frob(a4))

@@ -61,7 +61,7 @@ def test_components_are_eigenspaces_of_both_casimirs(tbank):
         for r in sorted({0, B.shape[0] // 2, B.shape[0] - 1}):
             t = B[r].reshape((m.dim,) * 3)
             sp = -sum(_rho(x, _rho(x, t)) for x in X)
-            s1 = sum(_rho(A, _rho(A, t)) for A in m.triple)
+            s1 = sum(_rho(A, _rho(A, t)) for A in m.omegas)
             assert top.frob(sp - cas * t) < 1e-12, name
             assert top.frob(s1 + k * (k + 2) * t) < 1e-12, name
 
@@ -127,7 +127,7 @@ def test_trace_forms_act_on_stacks_bitwise(model):
     T = cs.substream("trace-stack", m.n).standard_normal((5,) + (m.dim,) * 3)
     maps = [lambda t: tor.theta(m, t), lambda t: tor.xi_E3_from_trace(m, t),
             lambda t: tor.xi_EH_from_trace(m, t)]
-    maps += [lambda t, A=A: tor.theta_A(m, t, A) for A in m.triple]
+    maps += [lambda t, A=A: tor.theta_A(m, t, A) for A in m.omegas]
     for f in maps:
         stacked = f(T)
         for t, got in zip(T, stacked):
@@ -141,7 +141,7 @@ def test_membership_projector(tbank):
     assert top.frob(t + t.swapaxes(1, 2)) < 1e-12 * top.frob(t)
     for x in range(m.dim):
         b = t[x]
-        summed = sum(np.einsum("ya,zb,ab->yz", A, A, b) for A in m.triple)
+        summed = sum(np.einsum("ya,zb,ab->yz", A, A, b) for A in m.omegas)
         assert top.frob(summed + b) < 1e-9 * max(top.frob(b), 1e-6)
         for w in m.omegas:
             assert abs(top.p_form_inner(b, w)) < 1e-9 * max(top.frob(b), 1e-6)
@@ -193,7 +193,7 @@ def test_theta_identities(tbank):
     m = tbank.model
     t = random_torsion(tbank, 3)
     th = tor.theta(m, t)
-    assert np.linalg.norm(3 * th - sum(tor.theta_A(m, t, A) for A in m.triple)) \
+    assert np.linalg.norm(3 * th - sum(tor.theta_A(m, t, A) for A in m.omegas)) \
         < 1e-10 * max(np.linalg.norm(th), 1e-12)
     # theta of a tensor with no E parts vanishes
     no_e = t - tbank.project(t, "E3") - tbank.project(t, "EH")
@@ -472,7 +472,7 @@ def _es(expr, *ops):
 
 def _project_oracle(m, t):
     t = 0.5 * (t - t.swapaxes(1, 2))
-    s2e = 0.25 * (t + sum(_es("by,cz,xbc->xyz", A, A, t) for A in m.triple))
+    s2e = 0.25 * (t + sum(_es("by,cz,xbc->xyz", A, A, t) for A in m.omegas))
     t = t - s2e
     for w in m.omegas:
         coef = _es("xyz,yz->x", t, w) / (4.0 * m.n)
@@ -487,10 +487,10 @@ def _theta_oracle(m, t):
 def _xi_eh_oracle(m, t):
     th = _theta_oracle(m, t)
     out = 3.0 * (_es("xy,z->xyz", m.g, th) - _es("xz,y->xyz", m.g, th))
-    for A, w in zip(m.triple, m.omegas):
+    for A in m.omegas:      # omega_A has the matrix of A
         ath = A @ th
         out -= (_es("yx,z->xyz", A, ath) - _es("zx,y->xyz", A, ath))
-        out -= (2.0 / m.n) * _es("x,yz->xyz", ath, w)
+        out -= (2.0 / m.n) * _es("x,yz->xyz", ath, A)
     return out
 
 
@@ -500,8 +500,8 @@ def _nabla_omega_oracle(m, t, lambdas):
         b, c = (a + 1) % 3, (a + 2) % 3
         out[a] = (_es("x,yz->xyz", lambdas[c], m.omegas[b])
                   - _es("x,yz->xyz", lambdas[b], m.omegas[c])
-                  - _es("xyc,cz->xyz", t, m.triple[a])
-                  - _es("by,xbz->xyz", m.triple[a], t))
+                  - _es("xyc,cz->xyz", t, m.omegas[a])
+                  - _es("by,xbz->xyz", m.omegas[a], t))
     return out
 
 
@@ -511,7 +511,7 @@ def _from_nabla_omega_oracle(m, nws):
         b, c = (a + 1) % 3, (a + 2) % 3
         lambdas[a] = _es("xyz,yz->x", nws[b], m.omegas[c]) / (4.0 * m.n)
     t = np.zeros((m.dim,) * 3)
-    for a, A in enumerate(m.triple):
+    for a, A in enumerate(m.omegas):
         t += -0.25 * _es("ma,xaz->xmz", A, nws[a]) \
              + 0.5 * _es("x,mz->xmz", lambdas[a], A)
     recon = _nabla_omega_oracle(m, t, lambdas)
@@ -523,29 +523,29 @@ _KERNELS = {
     # and t(A.,.,A.) + t(A.,A.,.) + t(.,A.,A.) - t per A
     "sum_op13": (lambda m, t, lam, nws: tor._s3h_defects(m, t)[0],
                  lambda m, t, lam, nws: sum(_es("ax,cz,ayc->xyz", A, A, t)
-                                            for A in m.triple) + t),
+                                            for A in m.omegas) + t),
     "sum_op12": (lambda m, t, lam, nws: tor._s3h_defects(m, t)[1],
                  lambda m, t, lam, nws: sum(_es("ax,by,abz->xyz", A, A, t)
-                                            for A in m.triple) + t),
+                                            for A in m.omegas) + t),
     "op_h": (lambda m, t, lam, nws: list(tor._h_defects(m, t)),
              lambda m, t, lam, nws: [_es("ax,cz,ayc->xyz", A, A, t)
                                      + _es("ax,by,abz->xyz", A, A, t)
                                      + _es("by,cz,xbc->xyz", A, A, t) - t
-                                     for A in m.triple]),
+                                     for A in m.omegas]),
     # the map psi_k_solve inverts, as it writes it on its stack of 3-forms
     "psi_k_image": (lambda m, t, lam, nws:
                     3.0 * t - top.substitute(m.omegas, (-2, -1), t).sum(0),
                     lambda m, t, lam, nws: 3.0 * t - sum(_es("by,cz,xbc->xyz", A, A, t)
-                                                         for A in m.triple)),
+                                                         for A in m.omegas)),
     # projection reads the cached P2; its stepwise builder holds the bits
     "project_to_torsion_space": (lambda m, t, lam, nws: cs._L20ES2H_stepwise(m, t),
                                  lambda m, t, lam, nws: _project_oracle(m, t)),
     "theta": (lambda m, t, lam, nws: tor.theta(m, t),
               lambda m, t, lam, nws: _theta_oracle(m, t)),
-    "theta_A": (lambda m, t, lam, nws: [tor.theta_A(m, t, A) for A in m.triple],
+    "theta_A": (lambda m, t, lam, nws: [tor.theta_A(m, t, A) for A in m.omegas],
                 lambda m, t, lam, nws: [_es("iab,ax,bi->x", t, A, A)
                                         / (tor._theta_scale(m.n) / 3.0)
-                                        for A in m.triple]),
+                                        for A in m.omegas]),
     "xi_EH_from_trace": (lambda m, t, lam, nws: tor.xi_EH_from_trace(m, t),
                          lambda m, t, lam, nws: _xi_eh_oracle(m, t)),
     "residual_trace_free": (lambda m, t, lam, nws: tor.residual_trace_free(t),
