@@ -208,7 +208,7 @@ def _error(message, code: int = 2) -> int:
     return code
 
 
-def _emit(results, failures, quiet_keys=frozenset()) -> None:
+def _emit(results, failures, quiet_keys) -> None:
     for item in results:
         key = item.get("check")
         if key in quiet_keys:

@@ -237,21 +237,6 @@ def ricci_q(m: ModelSpace, R: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Probe tensors with known L-eigenvalues (-6, 6, 2).
 
-def _one_form_c(m: ModelSpace, a: np.ndarray, which: str) -> np.ndarray:
-    """Complex one-forms restricting the E*-H* generators to V.
-
-    ``which`` selects the H*-factor: 'h' gives J a - i K a and 'ht' gives
-    a + i I a, with (A a)(x) = -a(A x) realized as the matrix-vector product
-    A @ a for skew orthogonal A.
-    """
-    I, J, K = m.omegas
-    if which == "h":
-        return J @ a - 1j * (K @ a)
-    if which == "ht":
-        return a + 1j * (I @ a)
-    raise ValueError(which)
-
-
 def probe_tensors(m: ModelSpace, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three real probe tensors built from four one-forms.
 
@@ -261,8 +246,12 @@ def probe_tensors(m: ModelSpace, a, b, c, d) -> tuple[np.ndarray, np.ndarray, np
     'h'/'ht' factors.
     """
     forms = [np.asarray(v, dtype=float) for v in (a, b, c, d)]
-    h = [_one_form_c(m, v, "h") for v in forms]
-    ht = [_one_form_c(m, v, "ht") for v in forms]
+    # complex one-forms restricting the E*-H* generators to V: h = J a - i K a
+    # and ht = a + i I a, with (A a)(x) = -a(A x) realized as the
+    # matrix-vector product A @ a for skew orthogonal A
+    I, J, K = m.omegas
+    h = [J @ v - 1j * (K @ v) for v in forms]
+    ht = [v + 1j * (I @ v) for v in forms]
 
     def prod(f0, f1, f2, f3):
         return np.einsum("x,y,z,u->xyzu", f0, f1, f2, f3)

@@ -49,16 +49,6 @@ from .model_space import ModelSpace, casimir_value, weyl_dimension
 # ---------------------------------------------------------------------------
 # Component names.
 
-#: Fine components in the listing order of the summary decomposition, which
-#: groups them by L-block.
-FINE_COMPONENTS = (
-    "S4E", "V22", "L20E_a", "R_a",
-    "L40E", "L20E_b", "R_b",
-    "V31S2H", "S2ES2H_a",
-    "V211S2H", "S2ES2H_b", "L20ES2H",
-    "V22S4H", "L20ES4H", "S4H",
-)
-
 def dim_R(n: int) -> int:
     """dim R = (4/3) n^2 (16 n^2 - 1)."""
     return 4 * n * n * (16 * n * n - 1) // 3
@@ -69,8 +59,9 @@ def dim_QK(n: int) -> int:
     return (4 * n ** 4 + 12 * n ** 3 + 11 * n ** 2 + 3 * n + 6) // 6
 
 
-#: Per fine component: its L and L_sigma eigenvalues, and the highest
-#: weight lambda of its E-side Sp(n) module, whose Casimir value is
+#: Per fine component, in the listing order of the summary decomposition,
+#: which groups them by L-block: its L and L_sigma eigenvalues, and the
+#: highest weight lambda of its E-side Sp(n) module, whose Casimir value is
 #: :func:`.model_space.casimir_value` and whose dimension is
 #: :func:`.model_space.weyl_dimension`.  A weight with more than n parts
 #: has no module at that n.
@@ -81,6 +72,9 @@ COMPONENT_SPECTRUM = {
     "V211S2H": (2, -4, (2, 1, 1)), "S2ES2H_b": (2, -4, (2,)), "L20ES2H": (2, -4, (1, 1)),
     "V22S4H": (-6, 0, (2, 2)), "L20ES4H": (-6, 0, (1, 1)), "S4H": (-6, 0, ()),
 }
+
+#: The fine components in that order.
+FINE_COMPONENTS = tuple(COMPONENT_SPECTRUM)
 
 
 def expected_fine_dims(n: int) -> dict:
@@ -467,7 +461,6 @@ def qk_einstein_verify(bank: ProjectorBank, R) -> tuple[float, dict]:
 class DecompositionReport:
     """Per-component ranks and verification residuals."""
 
-    n: int
     ranks: dict
     expected: dict
     dim_R: int
@@ -546,7 +539,7 @@ def dimension_audit(bank: ProjectorBank, tol: float = AUDIT_TOL) -> Decompositio
         failures.append(f"fine components do not fill R: {completeness}")
 
     return DecompositionReport(
-        n=n, ranks=ranks, expected=expected,
+        ranks=ranks, expected=expected,
         dim_R=total, dim_R_formula=dim_R(n),
         dim_QK=qk_rank, dim_QK_formula=dim_QK(n),
         eigen_residuals=eigen_residuals,

@@ -116,76 +116,68 @@ def row_label(key) -> str:
 # Expected tick patterns of Tables 1 and 3 (the reference tables, with the
 # deviations recorded in REFERENCE_DEVIATIONS applied); Table 2's follow.
 
-def _t1(q_r=0, q_l=0, q_s=0, q_ls=0, r_r=0, r_l=0, r_s=0):
-    cols = (q_r, q_l, q_s, q_ls, r_r, r_l, r_s)
-    return {c for c, v in zip(TABLE1_COLUMNS, cols) if v}
-
 EXPECTED_TABLE1 = {
-    ("gamma",): _t1(q_r=1, r_r=1),
+    ("gamma",): {"q_R", "r_R"},
     # the reference S2ES2H ticks of the two Lambda^3_0-derivative rows are
     # Schur-forbidden (E (x) Lambda^3_0 E contains no S^2 E for any n);
     # see REFERENCE_DEVIATIONS
-    ("D", "33"): _t1(q_ls=1),
-    ("D", "K3"): _t1(q_s=1, q_ls=1, r_s=1),
-    ("D", "E3"): _t1(q_s=1, q_ls=1, r_s=1),
-    ("D", "3H"): _t1(q_l=1, q_ls=1, r_l=1),
-    ("D", "KH"): _t1(q_l=1, q_s=1, q_ls=1, r_l=1, r_s=1),
-    ("D", "EH"): _t1(q_l=1, q_s=1, q_ls=1, r_r=1, r_l=1, r_s=1),
-    ("xx", "33", "33"): _t1(q_r=1, q_l=1, q_s=1, r_r=1, r_l=1, r_s=1),
-    ("xx", "K3", "K3"): _t1(q_r=1, q_l=1, q_s=1, r_r=1, r_l=1, r_s=1),
-    ("xx", "E3", "E3"): _t1(q_r=1, q_l=1, q_s=1, r_r=1, r_l=1, r_s=1),
-    ("xx", "3H", "3H"): _t1(q_r=1, q_l=1, q_s=1, r_r=1, r_l=1, r_s=1),
-    ("xx", "KH", "KH"): _t1(q_r=1, q_l=1, q_s=1, r_r=1, r_l=1, r_s=1),
-    ("xx", "EH", "EH"): _t1(q_r=1, q_l=1, q_s=1, r_r=1, r_l=1, r_s=1),
-    ("xx", "33", "K3"): _t1(q_l=1, q_s=1, q_ls=1, r_l=1, r_s=1),
-    ("xx", "33", "E3"): _t1(q_l=1, q_ls=1, r_l=1),
-    ("xx", "33", "3H"): _t1(q_s=1, q_ls=1, r_s=1),
-    ("xx", "33", "KH"): _t1(q_s=1, q_ls=1, r_s=1),
-    ("xx", "33", "EH"): _t1(q_ls=1),
-    ("xx", "K3", "E3"): _t1(q_l=1, q_s=1, q_ls=1, r_l=1, r_s=1),
-    ("xx", "K3", "3H"): _t1(q_s=1, q_ls=1, r_s=1),
-    ("xx", "K3", "KH"): _t1(q_s=1, q_ls=1, r_s=1),
-    ("xx", "K3", "EH"): _t1(q_s=1, q_ls=1, r_s=1),
-    ("xx", "E3", "3H"): _t1(q_ls=1),
-    ("xx", "E3", "KH"): _t1(q_s=1, q_ls=1, r_s=1),
-    ("xx", "E3", "EH"): _t1(q_s=1, q_ls=1, r_s=1),
-    ("xx", "3H", "KH"): _t1(q_l=1, q_s=1, q_ls=1, r_l=1, r_s=1),
-    ("xx", "3H", "EH"): _t1(q_l=1, q_ls=1, r_l=1),
-    ("xx", "KH", "EH"): _t1(q_l=1, q_s=1, q_ls=1, r_l=1, r_s=1),
+    ("D", "33"): {"q_L20ES2H"},
+    ("D", "K3"): {"q_S2ES2H", "q_L20ES2H", "r_S2ES2H"},
+    ("D", "E3"): {"q_S2ES2H", "q_L20ES2H", "r_S2ES2H"},
+    ("D", "3H"): {"q_L20E", "q_L20ES2H", "r_L20E"},
+    ("D", "KH"): {"q_L20E", "q_S2ES2H", "q_L20ES2H", "r_L20E", "r_S2ES2H"},
+    ("D", "EH"): {"q_L20E", "q_S2ES2H", "q_L20ES2H", "r_R", "r_L20E", "r_S2ES2H"},
+    ("xx", "33", "33"): {"q_R", "q_L20E", "q_S2ES2H", "r_R", "r_L20E", "r_S2ES2H"},
+    ("xx", "K3", "K3"): {"q_R", "q_L20E", "q_S2ES2H", "r_R", "r_L20E", "r_S2ES2H"},
+    ("xx", "E3", "E3"): {"q_R", "q_L20E", "q_S2ES2H", "r_R", "r_L20E", "r_S2ES2H"},
+    ("xx", "3H", "3H"): {"q_R", "q_L20E", "q_S2ES2H", "r_R", "r_L20E", "r_S2ES2H"},
+    ("xx", "KH", "KH"): {"q_R", "q_L20E", "q_S2ES2H", "r_R", "r_L20E", "r_S2ES2H"},
+    ("xx", "EH", "EH"): {"q_R", "q_L20E", "q_S2ES2H", "r_R", "r_L20E", "r_S2ES2H"},
+    ("xx", "33", "K3"): {"q_L20E", "q_S2ES2H", "q_L20ES2H", "r_L20E", "r_S2ES2H"},
+    ("xx", "33", "E3"): {"q_L20E", "q_L20ES2H", "r_L20E"},
+    ("xx", "33", "3H"): {"q_S2ES2H", "q_L20ES2H", "r_S2ES2H"},
+    ("xx", "33", "KH"): {"q_S2ES2H", "q_L20ES2H", "r_S2ES2H"},
+    ("xx", "33", "EH"): {"q_L20ES2H"},
+    ("xx", "K3", "E3"): {"q_L20E", "q_S2ES2H", "q_L20ES2H", "r_L20E", "r_S2ES2H"},
+    ("xx", "K3", "3H"): {"q_S2ES2H", "q_L20ES2H", "r_S2ES2H"},
+    ("xx", "K3", "KH"): {"q_S2ES2H", "q_L20ES2H", "r_S2ES2H"},
+    ("xx", "K3", "EH"): {"q_S2ES2H", "q_L20ES2H", "r_S2ES2H"},
+    ("xx", "E3", "3H"): {"q_L20ES2H"},
+    ("xx", "E3", "KH"): {"q_S2ES2H", "q_L20ES2H", "r_S2ES2H"},
+    ("xx", "E3", "EH"): {"q_S2ES2H", "q_L20ES2H", "r_S2ES2H"},
+    ("xx", "3H", "KH"): {"q_L20E", "q_S2ES2H", "q_L20ES2H", "r_L20E", "r_S2ES2H"},
+    ("xx", "3H", "EH"): {"q_L20E", "q_L20ES2H", "r_L20E"},
+    ("xx", "KH", "EH"): {"q_L20E", "q_S2ES2H", "q_L20ES2H", "r_L20E", "r_S2ES2H"},
 }
 
-
-def _t3(*names):
-    return set(names)
-
 EXPECTED_TABLE3 = {
-    ("D", "33"): _t3("V211S2H", "L20ES4H"),
-    ("D", "K3"): _t3("V31S2H", "V211S2H", "V22S4H", "L20ES4H"),
-    ("D", "E3"): _t3("L20ES4H", "S4H"),
-    ("D", "3H"): _t3("L40E", "V211S2H"),
-    ("D", "KH"): _t3("V22", "V31S2H", "V211S2H"),
-    ("D", "EH"): _t3(),
-    ("xx", "33", "33"): _t3("V22", "L40E", "V211S2H", "V22S4H", "L20ES4H", "S4H"),
-    ("xx", "K3", "K3"): _t3("V22", "L40E", "V31S2H", "V22S4H", "L20ES4H", "S4H"),
-    ("xx", "E3", "E3"): _t3("L20ES4H", "S4H"),
-    ("xx", "3H", "3H"): _t3("V22", "L40E", "V211S2H"),
-    ("xx", "KH", "KH"): _t3("V22", "L40E", "V31S2H"),
-    ("xx", "EH", "EH"): _t3(),
-    ("xx", "33", "K3"): _t3("V22", "L40E", "V31S2H", "V211S2H", "V22S4H", "L20ES4H"),
-    ("xx", "33", "E3"): _t3("L40E", "V211S2H", "L20ES4H"),
-    ("xx", "33", "3H"): _t3("V211S2H", "V22S4H", "L20ES4H", "S4H"),
-    ("xx", "33", "KH"): _t3("V31S2H", "V211S2H", "V22S4H", "L20ES4H"),
-    ("xx", "33", "EH"): _t3("V211S2H", "L20ES4H"),
-    ("xx", "K3", "E3"): _t3("V22", "V31S2H", "V211S2H", "V22S4H", "L20ES4H"),
-    ("xx", "K3", "3H"): _t3("V31S2H", "V211S2H", "V22S4H", "L20ES4H"),
-    ("xx", "K3", "KH"): _t3("V31S2H", "V211S2H", "V22S4H", "L20ES4H", "S4H"),
-    ("xx", "K3", "EH"): _t3("V31S2H", "V211S2H", "V22S4H", "L20ES4H"),
-    ("xx", "E3", "3H"): _t3("V211S2H", "L20ES4H"),
-    ("xx", "E3", "KH"): _t3("V31S2H", "V211S2H", "V22S4H", "L20ES4H"),
-    ("xx", "E3", "EH"): _t3("L20ES4H", "S4H"),
-    ("xx", "3H", "KH"): _t3("V22", "L40E", "V31S2H", "V211S2H"),
-    ("xx", "3H", "EH"): _t3("L40E", "V211S2H"),
-    ("xx", "KH", "EH"): _t3("V22", "V31S2H", "V211S2H"),
+    ("D", "33"): {"V211S2H", "L20ES4H"},
+    ("D", "K3"): {"V31S2H", "V211S2H", "V22S4H", "L20ES4H"},
+    ("D", "E3"): {"L20ES4H", "S4H"},
+    ("D", "3H"): {"L40E", "V211S2H"},
+    ("D", "KH"): {"V22", "V31S2H", "V211S2H"},
+    ("D", "EH"): set(),
+    ("xx", "33", "33"): {"V22", "L40E", "V211S2H", "V22S4H", "L20ES4H", "S4H"},
+    ("xx", "K3", "K3"): {"V22", "L40E", "V31S2H", "V22S4H", "L20ES4H", "S4H"},
+    ("xx", "E3", "E3"): {"L20ES4H", "S4H"},
+    ("xx", "3H", "3H"): {"V22", "L40E", "V211S2H"},
+    ("xx", "KH", "KH"): {"V22", "L40E", "V31S2H"},
+    ("xx", "EH", "EH"): set(),
+    ("xx", "33", "K3"): {"V22", "L40E", "V31S2H", "V211S2H", "V22S4H", "L20ES4H"},
+    ("xx", "33", "E3"): {"L40E", "V211S2H", "L20ES4H"},
+    ("xx", "33", "3H"): {"V211S2H", "V22S4H", "L20ES4H", "S4H"},
+    ("xx", "33", "KH"): {"V31S2H", "V211S2H", "V22S4H", "L20ES4H"},
+    ("xx", "33", "EH"): {"V211S2H", "L20ES4H"},
+    ("xx", "K3", "E3"): {"V22", "V31S2H", "V211S2H", "V22S4H", "L20ES4H"},
+    ("xx", "K3", "3H"): {"V31S2H", "V211S2H", "V22S4H", "L20ES4H"},
+    ("xx", "K3", "KH"): {"V31S2H", "V211S2H", "V22S4H", "L20ES4H", "S4H"},
+    ("xx", "K3", "EH"): {"V31S2H", "V211S2H", "V22S4H", "L20ES4H"},
+    ("xx", "E3", "3H"): {"V211S2H", "L20ES4H"},
+    ("xx", "E3", "KH"): {"V31S2H", "V211S2H", "V22S4H", "L20ES4H"},
+    ("xx", "E3", "EH"): {"L20ES4H", "S4H"},
+    ("xx", "3H", "KH"): {"V22", "L40E", "V31S2H", "V211S2H"},
+    ("xx", "3H", "EH"): {"L40E", "V211S2H"},
+    ("xx", "KH", "EH"): {"V22", "V31S2H", "V211S2H"},
 }
 
 #: Cells where the embedded expectation deviates from the reference
@@ -432,9 +424,9 @@ def _row_columns(ctx: TableContext, keys, seeds: int) -> dict:
     return rows
 
 
-#: The Ricci columns whose values are bilinear forms.
-_FORM_COLUMNS = ("q_L20E", "q_S2ES2H", "q_L20ES2H", "r_L20E", "r_S2ES2H",
-                 "L20E_a", "L20E_b", "S2ES2H_a", "S2ES2H_b", "L20ES2H")
+#: The Ricci columns whose values are bilinear forms: all but the scalars
+#: q_R and r_R and the R_a + R_b coefficients R_ab.
+_FORM_COLUMNS = tuple(col for col in _FORMULA_OF_COLUMN if col not in ("q_R", "r_R", "R_ab"))
 
 
 def _witnesses(ctx: TableContext, cols: dict) -> dict:
@@ -468,13 +460,12 @@ class ContributionCell:
     tick: bool
     witness: float
     seeds: int
-    expected: bool | None = None
-    status: str = "ok"           # ok | mismatch | remark | ambiguous | skipped
+    expected: bool
+    status: str                  # ok | mismatch | remark | low_n_zero | ambiguous | skipped
 
 
 @dataclass
 class TablesReport:
-    n: int
     cells: list = field(default_factory=list)
     direction_checks: list = field(default_factory=list)
 
@@ -504,7 +495,7 @@ def run_tables(bank: dec.ProjectorBank, tbank: tor.TorsionBank,
     ctx = TableContext.build(bank, tbank)
     n = ctx.m.n
     skipped = {name for name in TABLE2_COLUMNS + TABLE3_COLUMNS if bank.rank(name) == 0}
-    report = TablesReport(n=n)
+    report = TablesReport()
     annotations = direction_annotations(n)
 
     table_specs = ((1, TABLE1_COLUMNS), (2, TABLE2_COLUMNS), (3, TABLE3_COLUMNS))

@@ -200,11 +200,6 @@ def wedge12(a: np.ndarray, w: np.ndarray) -> np.ndarray:
             + np.einsum("...z,xy->...xyz", a, w))
 
 
-def theta_tensor(a: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Plain tensor product (a x w)(x,y,z) = a(x) w(y,z)."""
-    return np.einsum("...x,yz->...xyz", a, w)
-
-
 # ---------------------------------------------------------------------------
 # Batched contraction.
 

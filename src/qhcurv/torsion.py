@@ -47,9 +47,6 @@ from . import decomposition as dec
 from . import tensor_ops as top
 from .model_space import AFTER, NEXT, ModelSpace, weyl_dimension
 
-#: Component order used everywhere (layout order and bit order of the mask).
-TORSION_COMPONENTS = ("33", "K3", "E3", "3H", "KH", "EH")
-
 #: A mask bit is set when its component holds this fraction of the norm.
 MASK_TOL = 1e-8
 #: Largest relative residual of a tensor off the torsion space, or of
@@ -58,12 +55,16 @@ RESIDUAL_TOL = 1e-9
 #: Largest relative symmetric part in (Y, Z) of nabla-omega data.
 ANTISYM_TOL = 1e-12
 
-#: Per component: the highest weight lambda of its E-side Sp(n) module
+#: Per component, in the order used everywhere (layout order and bit order
+#: of the mask): the highest weight lambda of its E-side Sp(n) module
 #: (Lambda^3_0 E, K or E) and k of its S^k H factor (S^3 H or H).
 TORSION_SPECTRUM = {
     "33": ((1, 1, 1), 3), "K3": ((2, 1), 3), "E3": ((1,), 3),
     "3H": ((1, 1, 1), 1), "KH": ((2, 1), 1), "EH": ((1,), 1),
 }
+
+#: The six components in that order.
+TORSION_COMPONENTS = tuple(TORSION_SPECTRUM)
 
 
 def expected_torsion_dims(n: int) -> dict:
@@ -150,7 +151,8 @@ def xi_E3_from_trace(m: ModelSpace, t: np.ndarray) -> np.ndarray:
     out = np.zeros_like(t)
     for A in m.omegas:      # omega_A has the matrix of A
         alpha = (theta_A(m, t, A) - th) @ A.T
-        out += top.wedge12(alpha, A) - ((m.n - 1.0) / m.n) * top.theta_tensor(alpha, A)
+        out += (top.wedge12(alpha, A)
+                - ((m.n - 1.0) / m.n) * np.einsum("...x,yz->...xyz", alpha, A))
     return out
 
 
@@ -205,8 +207,6 @@ class TorsionBank(dec.ComponentBank):
         substream."""
         B, d = self.rows[0][self.slices[0][name]], self.model.dim
         lead = (d,) if derivative else ()
-        if B.shape[0] == 0:
-            return np.zeros(lead + (d, d, d))
         rng = cs.substream("torsion_derivative" if derivative else "torsion", name, seed)
         coef = rng.standard_normal(lead + (B.shape[0],))
         coef /= np.linalg.norm(coef)

@@ -28,6 +28,22 @@ def s2es2h_mats(m):
     return [b.reshape(m.dim, m.dim) for b in cs.bilinear_component_basis(m, "S2ES2H")]
 
 
+def test_component_order_is_pinned():
+    """The banks' row order reads FINE_COMPONENTS, the key order of
+    COMPONENT_SPECTRUM; each L-block is one contiguous run of it."""
+    assert dec.FINE_COMPONENTS == (
+        "S4E", "V22", "L20E_a", "R_a",
+        "L40E", "L20E_b", "R_b",
+        "V31S2H", "S2ES2H_a",
+        "V211S2H", "S2ES2H_b", "L20ES2H",
+        "V22S4H", "L20ES4H", "S4H",
+    )
+    for name in dec.L_BLOCKS:
+        block = dec.COMPOSITES[name]
+        start = dec.FINE_COMPONENTS.index(block[0])
+        assert dec.FINE_COMPONENTS[start:start + len(block)] == block, name
+
+
 #: Fine components of rank zero at low n, in listing order.
 ZERO_AT_N = {2: ("L40E", "L20E_b", "V211S2H"), 3: ("L40E",)}
 

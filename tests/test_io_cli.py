@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qhcurv
-from conftest import exact_scales, get_bank, get_torsion_bank, skip_unless_digest_blas
+from conftest import (exact_scales, get_bank, get_torsion_bank, one_thread_digests,
+                      skip_unless_digest_blas)
 from qhcurv import cli
 from qhcurv import curvature_space as cs
 from qhcurv import decomposition as dec
@@ -237,6 +238,60 @@ def test_cli_reports_hash_to_recorded_digests(tmp_path, capsys):
         out = tmp_path / "report.json"
         assert cli.main([report.split()[0], "--n", "2", *args, "--json", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == _REPORT_DIGESTS_N2[report], report
+
+
+#: sha256 of each file the commands of the test above write at n = 3, with
+#: one BLAS thread on the BLAS build DIGEST_BLAS: the make-tensor files of
+#: seed 0, then each command's JSON report.
+_FILE_DIGESTS_N3 = {
+    "R.qht": "5b667fbf218f94d5805b95b4932c7ebef797c3080e00ed7a1de06bb8bd45d27f",
+    "T.qht": "21a9f1f2fee970b366ee3e3432078297be36c8dc932f0331138a897bb4582453",
+    "nw.qht.I": "7a35c9fd14cb9e0e2392e7414d61e527dd2119094a6330a70191fdcd223115b4",
+    "nw.qht.J": "9f3a37751f53bedb09ddc56352f449ac05648be470f7b951f8681da55e406554",
+    "nw.qht.K": "022047369584f7325c4260927753b4481b5057693d74394d6568a176b08ea361",
+    "audit.json": "728564743bab7bde5be6d131646dc5c20454ad0725c4ea7efe1d586ce4411920",
+    "decompose.json": "a8acb6378edf706e6aed279c29b5b574f7094c1699a919089c7b0e9bad414054",
+    "torsion-input.json": "ba07754677444e99e138b8e59adaa617d94b86ddbc44c87c1783cceabd502fef",
+    "torsion-nabla-omega.json":
+        "abf5ac23b1f99cad13471b9eafaaaff7ee67ffae4247bc5e7e37b868d121c55d",
+    "tables.json": "148bc5ee00e48a5dc169698fd929a141692cad9aec0d1dcdd812fcbc7f837553",
+}
+
+#: Writes the files of _FILE_DIGESTS_N3 in the directory argv[1] and prints
+#: each name with its sha256.
+_N3_SCRIPT = """
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from qhcurv import cli
+os.chdir(sys.argv[1])
+for kind, name in (("random-curvature", "R.qht"), ("random-torsion", "T.qht"),
+                   ("nabla-omega", "nw.qht")):
+    assert cli.main(["make-tensor", "--n", "3", "--kind", kind, "--output", name]) == 0
+runs = {"audit": ["audit"], "decompose": ["decompose", "--input", "R.qht"],
+        "torsion-input": ["torsion", "--input", "T.qht"],
+        "torsion-nabla-omega": ["torsion", "--from-nabla-omega", "nw.qht.I", "nw.qht.J",
+                                "nw.qht.K"],
+        "tables": ["tables"]}
+for report, argv in runs.items():
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([argv[0], "--n", "3", *argv[1:], "--json", report + ".json"])
+    assert code == 0, report
+for name in sorted(os.listdir(".")):
+    print(name, hashlib.sha256(open(name, "rb").read()).hexdigest())
+"""
+
+
+@pytest.mark.slow
+def test_cli_files_at_n3_hash_to_recorded_digests(tmp_path):
+    """The make-tensor files and the reports of every real command at
+    n = 3, written in one fresh process with one BLAS thread, are
+    byte-identical to the ones recorded."""
+    skip_unless_digest_blas()
+    words = one_thread_digests(_N3_SCRIPT, str(tmp_path))
+    assert dict(zip(words[::2], words[1::2])) == _FILE_DIGESTS_N3
 
 
 def test_report_rejects_nan_without_writing(tmp_path):

@@ -88,7 +88,6 @@ TEST_ONLY = {
     "curvature_from_torsion.scal_coefficients",
     "curvature_from_torsion.scalars_from_torsion",
     "curvature_from_torsion.scalq_coefficients",
-    "curvature_space._one_form_c",
     "curvature_space.bilinear_component_basis",
     "curvature_space.curvature_residuals",
     "curvature_space.probe_tensors",

@@ -36,6 +36,22 @@ def test_expected_torsion_dims_are_pinned():
         assert tor.expected_torsion_dims(n) == dict(zip(tor.TORSION_COMPONENTS, ranks))
 
 
+def test_component_order_is_pinned():
+    """The bank's row order and the mask's bit order read this list, the
+    key order of TORSION_SPECTRUM."""
+    assert tor.TORSION_COMPONENTS == ("33", "K3", "E3", "3H", "KH", "EH")
+
+
+def test_rank_zero_component_draws_exact_zeros(tbank2):
+    """At n = 2, 33 has rank 0: a draw there is +0.0 zeros of the tensor's
+    shape, or of the derivative's, from an empty coefficient vector."""
+    for seed in (0, 1):
+        for derivative, shape in ((False, (8,) * 3), (True, (8,) * 4)):
+            t = tbank2.random_component("33", seed, derivative=derivative)
+            assert t.shape == shape and t.dtype == np.float64
+            assert not t.any() and not np.signbit(t).any()
+
+
 def _rho(X, t):
     """rho(X) t: the sum of the three slot actions of X on a rank-3 tensor."""
     return sum(top.slot_act(X, i, t) for i in (1, 2, 3))

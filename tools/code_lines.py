@@ -33,15 +33,15 @@ def docstring_lines(tree: ast.Module) -> set:
     return lines
 
 
-def code_lines(path: Path) -> int:
-    """The number of code lines of one source file."""
+def code_line_set(path: Path) -> set:
+    """The numbers of the code lines of one source file."""
     with open(path, "rb") as fh:
         tokens = list(tokenize.tokenize(fh.readline))
     lines = set()
     for tok in tokens:
         if tok.type not in _LAYOUT:
             lines.update(range(tok.start[0], tok.end[0] + 1))
-    return len(lines - docstring_lines(ast.parse(path.read_bytes(), filename=str(path))))
+    return lines - docstring_lines(ast.parse(path.read_bytes(), filename=str(path)))
 
 
 def main(argv=None) -> int:
@@ -49,7 +49,7 @@ def main(argv=None) -> int:
     root = Path(args[0] if args else Path(__file__).resolve().parent.parent / "src" / "qhcurv")
     total = 0
     for path in sorted(root.glob("*.py")):
-        count = code_lines(path)
+        count = len(code_line_set(path))
         total += count
         print(f"{count:6d}  {path.name}")
     print(f"{total:6d}  total")
